@@ -46,6 +46,7 @@ from .errors import (
     PrototypeError,
     ReproError,
     TemplateError,
+    WorkerPoolError,
 )
 from .graph import Graph
 
@@ -67,6 +68,7 @@ __all__ = [
     "PrototypeSet",
     "ReproError",
     "TemplateError",
+    "WorkerPoolError",
     "analysis",
     "baselines",
     "core",

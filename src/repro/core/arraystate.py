@@ -1,11 +1,12 @@
 """Array-backed CSR search state and vectorized kernel fixpoints.
 
-The dict-of-sets :class:`~repro.core.state.SearchState` is the canonical
-representation (NLCC token walks, enumeration and the result objects all
-consume it), but the LCC/M* fixed points spend their time in per-vertex
-Python loops.  This module mirrors the paper's actual system shape (§4:
-a static CSR with bit vectors for deactivation) for exactly those hot
-loops:
+This module mirrors the paper's actual system shape (§4: a static CSR
+with bit vectors for deactivation).  With the array stack on, a run's
+whole level state lives here — M*, every prototype scope, the token
+frontiers and the level unions; the dict-of-sets
+:class:`~repro.core.state.SearchState` is materialized only at the
+public-API boundary (``to_search_state`` / ``write_back``) and by the
+dict tiers:
 
 * :class:`GraphCsr` — an immutable CSR snapshot of a background
   :class:`~repro.graph.graph.Graph` (``indptr``/``indices`` with every
@@ -17,7 +18,8 @@ loops:
   layout as :class:`~repro.core.kernels.RoleKernel`), a ``vertex_active``
   byte array and a per-directed-edge ``edge_alive`` byte array, with
   vectorized ``initial`` seeding, ``active_counts``, deactivation,
-  ``for_prototype_search`` label-pair filtering and ``union_with``;
+  ``for_prototype_search`` label-pair filtering and the level-union
+  fold ``absorb_solution``;
 * :func:`array_kernel_fixpoint` — the semi-naive arc-consistency loop of
   :func:`~repro.core.kernels.kernel_fixpoint` with the per-vertex inbox
   dicts replaced by boolean worklist arrays and the witness fold replaced
@@ -46,7 +48,9 @@ may differ slightly from the object path; fixed points never do).
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
@@ -91,21 +95,6 @@ def _zero_masks(n: int, n_words: int) -> np.ndarray:
     if n_words == 1:
         return np.zeros(n, dtype=_U64)
     return np.zeros((n, n_words), dtype=_U64)
-
-
-def _widen_masks(mask_arr: np.ndarray, n_words: int) -> np.ndarray:
-    """Re-layout a mask array to ``n_words`` words (same bit content)."""
-    current = 1 if mask_arr.ndim == 1 else mask_arr.shape[1]
-    if current == n_words:
-        return mask_arr
-    if current > n_words:
-        raise ValueError("cannot narrow a role-mask array")
-    out = _zero_masks(mask_arr.shape[0], n_words)
-    if mask_arr.ndim == 1:
-        out[:, 0] = mask_arr
-    else:
-        out[:, :current] = mask_arr
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -566,26 +555,46 @@ class ArraySearchState:
         """``(vertex bitmap, edge bitmap)`` wire form of a scope cut."""
         return pack_bits(self.vertex_active), pack_bits(self.edge_alive)
 
-    def solution_payload(self) -> Tuple[bytes, bytes]:
-        """Final-state bitmaps for the pooled level union.
-
-        The edge bitmap holds the canonical solution edges (alive in the
-        ``vid_gt`` direction with both endpoints active) expanded to both
-        directions — exactly the symmetric edge set the dict pooled union
-        rebuilds from a worker's sorted ``solution_edges`` list.
-        """
+    def _solution_edges(self) -> np.ndarray:
+        """Directed-edge mask: alive, ``vid_gt`` side, both endpoints active."""
         csr = self.csr
         active = self.vertex_active
-        sel = (
+        return (
             self.edge_alive
             & csr.vid_gt
             & active[csr.src]
             & active[csr.indices]
         )
+
+    def solution_masks(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(vertex mask, directed-edge mask)`` of the solution subgraph.
+
+        The edge mask holds the canonical solution edges (alive in the
+        ``vid_gt`` direction with both endpoints active) expanded to both
+        directions — exactly the symmetric edge set the dict pooled union
+        rebuilds from a worker's ``solution_edges`` list.
+        """
+        sel = self._solution_edges()
         both = sel.copy()
-        idx = np.nonzero(sel)[0]
-        both[csr.mirror[idx]] = True
-        return pack_bits(active), pack_bits(both)
+        both[self.csr.mirror[np.nonzero(sel)[0]]] = True
+        return self.vertex_active, both
+
+    def solution_payload(self) -> Tuple[bytes, bytes]:
+        """:meth:`solution_masks` as wire bitmaps for the pooled union."""
+        vertex_mask, edge_mask = self.solution_masks()
+        return pack_bits(vertex_mask), pack_bits(edge_mask)
+
+    def absorb_solution(
+        self, vertex_mask: np.ndarray, edge_mask: np.ndarray
+    ) -> None:
+        """OR one search's :meth:`solution_masks` into this level union.
+
+        Role masks stay untouched (zero in a fresh union): the next
+        level's ``for_prototype_search`` resets roles by label and reads
+        only vertex activity and edge aliveness from its scope.
+        """
+        self.vertex_active |= vertex_mask
+        self.edge_alive |= edge_mask
 
     # ------------------------------------------------------------------
     def _build_dicts(self) -> Tuple[Dict[int, Set[int]], Dict[int, Set[int]]]:
@@ -636,20 +645,6 @@ class ArraySearchState:
         state.candidates = candidates
         state.active_edges = active_edges
 
-    def reimport(self, state: SearchState) -> None:
-        """Overwrite this array state from ``state`` (same role layout).
-
-        The persistent-search path calls this after an enumeration-based
-        verification replaced the dict state's candidates/edges, so the
-        array copy feeding the level union stays in sync.
-        """
-        fresh = ArraySearchState.from_search_state(
-            state, roles=self.roles, min_words=self.n_words
-        )
-        self.role_mask = fresh.role_mask
-        self.vertex_active = fresh.vertex_active
-        self.edge_alive = fresh.edge_alive
-
     def copy(self) -> "ArraySearchState":
         return ArraySearchState(
             self.graph, self.csr, self.roles,
@@ -683,29 +678,21 @@ class ArraySearchState:
     def is_active(self, vertex: int) -> bool:
         return bool(self.vertex_active[self.csr.index_of[vertex]])
 
+    def active_vertices(self) -> List[int]:
+        """Ids of the active vertices, in CSR order."""
+        return self.csr.order[self.vertex_active].tolist()
+
     def active_counts(self) -> Tuple[int, int]:
         """``(num_active_vertices, num_active_edges)``, fully vectorized."""
-        csr = self.csr
-        active = self.vertex_active
-        sel = (
-            self.edge_alive
-            & csr.vid_gt
-            & active[csr.src]
-            & active[csr.indices]
+        return (
+            int(np.count_nonzero(self.vertex_active)),
+            int(np.count_nonzero(self._solution_edges())),
         )
-        return int(np.count_nonzero(active)), int(np.count_nonzero(sel))
 
     def active_edge_list(self) -> List[Tuple[int, int]]:
         """Canonical ``(min, max)`` edges with both endpoints active."""
         csr = self.csr
-        active = self.vertex_active
-        sel = (
-            self.edge_alive
-            & csr.vid_gt
-            & active[csr.src]
-            & active[csr.indices]
-        )
-        idx = np.nonzero(sel)[0]
+        idx = np.nonzero(self._solution_edges())[0]
         us = csr.order[csr.src[idx]].tolist()
         vs = csr.order[csr.indices[idx]].tolist()
         return list(zip(us, vs))
@@ -823,32 +810,6 @@ class ArraySearchState:
             self.graph, csr, roles, new_mask, new_active, new_alive
         )
 
-    def union_with(self, other: "ArraySearchState") -> None:
-        """In-place union via ``np.bitwise_or`` (level accumulation)."""
-        if other.csr is not self.csr:
-            raise ValueError("union_with requires states over the same graph")
-        if other.roles != self.roles:
-            merged = sorted(set(self.roles) | set(other.roles))
-            to_bit = _role_bits(merged)
-            n_words = max(_num_words(len(merged)), self.n_words)
-            if merged != self.roles or n_words != self.n_words:
-                self.role_mask = _translate_masks(
-                    self.role_mask, self.roles, to_bit, n_words
-                )
-                self.roles = merged
-                self.role_bit = to_bit
-            other_mask = _translate_masks(
-                other.role_mask, other.roles, to_bit, n_words
-            )
-        else:
-            other_mask = other.role_mask
-            wider = max(self.n_words, other.n_words)
-            self.role_mask = _widen_masks(self.role_mask, wider)
-            other_mask = _widen_masks(other_mask, wider)
-        self.role_mask = np.bitwise_or(self.role_mask, other_mask)
-        self.vertex_active |= other.vertex_active
-        self.edge_alive |= other.edge_alive
-
     def __repr__(self) -> str:
         vertices, edges = self.active_counts()
         return (
@@ -857,75 +818,30 @@ class ArraySearchState:
         )
 
 
-def _translate_masks(
-    mask_arr: np.ndarray,
-    from_roles: Sequence[int],
-    to_bit: Dict[int, int],
-    n_words: Optional[int] = None,
-) -> np.ndarray:
-    """Re-encode a mask array from one role/bit layout into another.
-
-    Handles every layout transition (1-D <-> 2-D, growing word counts):
-    each source bit is read from its word/offset and OR-ed into the
-    target bit's word/offset.
-    """
-    if n_words is None:
-        n_words = _num_words(len(to_bit))
-    out = _zero_masks(mask_arr.shape[0], n_words)
-    for i, role in enumerate(from_roles):
-        word_from, off_from = divmod(i, 64)
-        src_col = mask_arr if mask_arr.ndim == 1 else mask_arr[:, word_from]
-        has = (src_col & _U64(1 << off_from)) != _ZERO
-        bit_to = to_bit[role]
-        word_to, off_to = divmod(bit_to.bit_length() - 1, 64)
-        dst_bit = _U64(1 << off_to)
-        if out.ndim == 1:
-            out |= np.where(has, dst_bit, _ZERO)
-        else:
-            out[:, word_to] |= np.where(has, dst_bit, _ZERO)
-    return out
-
-
 # ----------------------------------------------------------------------
 # Batched per-round accounting
 # ----------------------------------------------------------------------
 class _RoundAccounting:
     """Folds one vectorized round's traffic into the engine stats.
 
-    Precomputes per-vertex rank ownership and the per-edge destination
-    rank (delegate targets are handled on the sender's rank, as in
-    ``Context.broadcast``); each round then costs two ``np.bincount``
-    calls instead of one Visitor object per message.
+    Reads the per-vertex rank and per-edge ``src_rank * ranks + dst_rank``
+    code arrays the engine's :class:`PartitionedGraph` builds once per CSR
+    (:meth:`~repro.runtime.partition.PartitionedGraph.rank_arrays`); each
+    round then costs one gather and one ``np.bincount`` per batch of
+    edges instead of one Visitor object per message.  The receiver-side
+    visits are the column sums of the rank-by-rank message matrix.
     """
 
     __slots__ = (
-        "engine", "num_ranks", "rank_of", "src_rank", "dst_rank",
-        "_matrix", "_visits",
+        "engine", "num_ranks", "rank_of", "edge_code", "_matrix", "_visits",
     )
 
     def __init__(self, engine, csr: GraphCsr) -> None:
+        self.engine = engine
+        self.num_ranks = engine.pgraph.num_ranks
+        self.rank_of, self.edge_code = engine.pgraph.rank_arrays(csr)
         self._matrix = None
         self._visits = None
-        self.engine = engine
-        pgraph = engine.pgraph
-        assignment = pgraph.assignment
-        self.num_ranks = pgraph.num_ranks
-        self.rank_of = np.fromiter(
-            (assignment[v] for v in csr.order.tolist()),
-            dtype=np.int64,
-            count=csr.num_vertices,
-        )
-        self.src_rank = self.rank_of[csr.src]
-        dst_rank = self.rank_of[csr.indices]
-        delegates = pgraph.delegates
-        if delegates:
-            is_delegate = np.fromiter(
-                (v in delegates for v in csr.order.tolist()),
-                dtype=bool,
-                count=csr.num_vertices,
-            )
-            dst_rank = np.where(is_delegate[csr.indices], self.src_rank, dst_rank)
-        self.dst_rank = dst_rank
 
     def record_round(
         self,
@@ -938,19 +854,10 @@ class _RoundAccounting:
         ``round_started`` (set only while tracing) stamps the per-round
         trace span recorded by :meth:`Engine.record_batched_round`.
         """
-        ranks = self.num_ranks
-        visits = np.bincount(self.rank_of[seed_idx], minlength=ranks)
-        src_r = self.src_rank[edge_idx]
-        dst_r = self.dst_rank[edge_idx]
-        visits += np.bincount(dst_r, minlength=ranks)
-        matrix = np.bincount(
-            src_r * ranks + dst_r, minlength=ranks * ranks
-        ).reshape(ranks, ranks)
-        self.engine.record_batched_round(
-            matrix.tolist(), visits.tolist(),
-            round_started=round_started,
-            worklist=int(seed_idx.shape[0]),
-        )
+        self.begin()
+        self.add_seed_visits(seed_idx)
+        self.add_edge_traffic(edge_idx)
+        self.flush(round_started, worklist=int(seed_idx.shape[0]))
 
     # -------------------------------------------------- multi-hop batches
     def begin(self) -> None:
@@ -968,12 +875,9 @@ class _RoundAccounting:
     def add_edge_traffic(self, edge_idx: np.ndarray) -> None:
         """Count one message (and one receiver visit) per directed edge."""
         ranks = self.num_ranks
-        src_r = self.src_rank[edge_idx]
-        dst_r = self.dst_rank[edge_idx]
         self._matrix += np.bincount(
-            src_r * ranks + dst_r, minlength=ranks * ranks
+            self.edge_code[edge_idx], minlength=ranks * ranks
         )
-        self._visits += np.bincount(dst_r, minlength=ranks)
 
     def flush(
         self,
@@ -986,9 +890,10 @@ class _RoundAccounting:
         NLCC's single :meth:`Engine.do_traversal` per constraint.
         """
         ranks = self.num_ranks
+        matrix = self._matrix.reshape(ranks, ranks)
         self.engine.record_batched_round(
-            self._matrix.reshape(ranks, ranks).tolist(),
-            self._visits.tolist(),
+            matrix.tolist(),
+            (self._visits + matrix.sum(axis=0)).tolist(),
             round_started=round_started,
             worklist=worklist,
         )
@@ -1584,7 +1489,7 @@ def array_token_walk(
     schedule,
     kernel: RoleKernel,
     engine,
-    recycled_mask: Optional[np.ndarray] = None,
+    recycled: Optional[AbstractSet[int]] = None,
     dedup: bool = True,
     collect_paths: bool = False,
 ) -> ArrayWalkOutcome:
@@ -1594,7 +1499,8 @@ def array_token_walk(
     row per live token (columns = walk positions visited so far, as dense
     CSR indices) with an integer ``weight`` per row; each hop expands every
     row over its frontier vertex's alive out-edges via one ``np.repeat`` /
-    cumulative-offset gather, then filters by the per-hop role bit, the
+    cumulative-offset gather through an alive-compacted adjacency built
+    once per walk, then filters by the per-hop role bit, the
     required edge-label code and the walk's same/diff identity obligations
     (``schedule`` — see :class:`~repro.core.kernels.WalkSchedule`).
 
@@ -1622,11 +1528,9 @@ def array_token_walk(
     csr = astate.csr
     walk = schedule.walk
     walk_len = schedule.length
-    indptr = csr.indptr
     indices = csr.indices
     role_mask = astate.role_mask
     wide = role_mask.ndim > 1
-    alive = astate.edge_alive
     role_bit = kernel.role_bit
     # Per-hop (word, in-word bit) addressing; single-word layouts always
     # address word 0 and read the 1-D mask array directly.
@@ -1661,8 +1565,13 @@ def array_token_walk(
     mask_col0 = role_mask[:, hop_words[0]] if wide else role_mask
     holders = np.nonzero((mask_col0 & hop_bits[0]) != _ZERO)[0]
     out.checked_idx = holders
-    if recycled_mask is not None and holders.shape[0]:
-        rec = recycled_mask[holders]
+    if recycled and holders.shape[0]:
+        # vertex ids already known to satisfy this constraint (the
+        # recycling cache): one membership test per live initiator
+        rec = np.fromiter(
+            (v in recycled for v in csr.order[holders].tolist()),
+            dtype=bool, count=holders.shape[0],
+        )
         out.recycled_idx = holders[rec]
         start = holders[~rec]
     else:
@@ -1674,23 +1583,33 @@ def array_token_walk(
     satisfied_parts: List[np.ndarray] = []
     full_rows: List[np.ndarray] = []
 
+    # Alive-compacted adjacency: the alive out-edges of vertex ``i`` are
+    # ``alive_edges[alive_start[i] : alive_start[i] + alive_degree[i]]``,
+    # in CSR row order, so a hop expands (and allocates) per alive edge
+    # rather than per background edge of a pruned hub.
+    alive_edges = np.flatnonzero(astate.edge_alive)
+    alive_degree = np.bincount(
+        csr.src[alive_edges], minlength=csr.num_vertices
+    )
+    alive_start = np.cumsum(alive_degree) - alive_degree
+
     for hop in range(1, walk_len):
         if paths.shape[0] == 0:
             break
         cur = paths[:, -1]
-        counts = csr.degrees[cur]
+        counts = alive_degree[cur]
         total = int(counts.sum())
         if total == 0:
             paths = paths[:0]
             break
         row_id = np.repeat(np.arange(paths.shape[0], dtype=np.int64), counts)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        edge = indptr[cur][row_id] + offsets
-        sent = alive[edge]
-        edge = edge[sent]
-        row_id = row_id[sent]
+        # position of each expanded row inside ``alive_edges``: its
+        # vertex's start plus its rank among the vertex's alive edges
+        first = np.cumsum(counts) - counts
+        edge = alive_edges[
+            np.repeat(alive_start[cur] - first, counts)
+            + np.arange(total, dtype=np.int64)
+        ]
         accounting.add_edge_traffic(edge)
 
         dst = indices[edge]

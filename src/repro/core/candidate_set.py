@@ -19,7 +19,7 @@ key optimization to limit network traffic in later pipeline steps).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple, Union
 
 from ..runtime.engine import Engine
 from ..graph.graph import canonical_edge
@@ -36,6 +36,9 @@ from .lcc import _exchange_candidacies, _has_adjacent_pair
 from .state import SearchState
 from .template import PatternTemplate
 
+#: M* in the form the selected fixpoint tier produced it
+MaxCandidateState = Union[SearchState, ArraySearchState]
+
 
 class CandidateSetMemo:
     """Cross-template ``M*`` memo for batched runs over one graph.
@@ -44,15 +47,17 @@ class CandidateSetMemo:
     template's labels, edges and mandatory edges — so template-library
     classes that differ only in ``k`` (or repeat runs of one class) can
     share a single background traversal.  The owner scopes one memo to
-    one background graph; keys are the template's structural fingerprint
-    plus its mandatory edges.  Lookups return a fresh :meth:`SearchState
-    .copy` because the pipeline mutates ``M*`` into per-level scopes.
+    one background graph and one options object; keys are the template's
+    structural fingerprint plus its mandatory edges.  Entries are kept in
+    the form the fixpoint tier those options select produced them (array
+    states on the array path) and lookups return a fresh ``copy()``
+    because the pipeline mutates ``M*`` into per-level scopes.
     """
 
     __slots__ = ("_states", "hits", "misses")
 
     def __init__(self) -> None:
-        self._states: Dict[Tuple, SearchState] = {}
+        self._states: Dict[Tuple, MaxCandidateState] = {}
         self.hits = 0
         self.misses = 0
 
@@ -63,14 +68,14 @@ class CandidateSetMemo:
             tuple(sorted(template.mandatory_edges)),
         )
 
-    def get(self, template: PatternTemplate) -> Optional[SearchState]:
+    def get(self, template: PatternTemplate) -> Optional[MaxCandidateState]:
         state = self._states.get(self.key_for(template))
         if state is None:
             return None
         self.hits += 1
         return state.copy()
 
-    def put(self, template: PatternTemplate, state: SearchState) -> None:
+    def put(self, template: PatternTemplate, state: MaxCandidateState) -> None:
         self.misses += 1
         self._states[self.key_for(template)] = state.copy()
 
@@ -89,15 +94,58 @@ def max_candidate_set(
 
     ``role_kernel``/``delta``/``array_state`` select the bitmask,
     semi-naive and vectorized-CSR hot paths; the fixed point is identical
-    either way.  The array path seeds the initial labeling directly in
-    array form and converts to the dict state only at the boundary.
+    either way.  On the array path this is :func:`max_candidate_arrays`
+    exported to dict form — the public-API boundary; the pipeline drivers
+    take the arrays directly and never pay that export.
     ``memo`` (batched runs) returns a cached fixed point for a
     structurally-identical template without touching the graph at all.
-    ``adaptive`` (array path only) enables the metrics-driven
-    dense/sparse round switch of :func:`array_kernel_fixpoint` — the
-    full-graph M* fixpoint is where elimination cascades are densest, so
-    this is the switch's main beneficiary.
     """
+    if role_kernel and array_state:
+        return max_candidate_arrays(
+            graph, template, engine, delta=delta, memo=memo, adaptive=adaptive
+        ).to_search_state()
+    return _memoized_fixpoint(
+        template, engine, memo,
+        lambda: _dict_fixpoint(graph, template, engine, role_kernel, delta),
+    )
+
+
+def max_candidate_arrays(
+    graph,
+    template: PatternTemplate,
+    engine: Engine,
+    delta: bool = True,
+    memo: Optional[CandidateSetMemo] = None,
+    adaptive: bool = False,
+) -> ArraySearchState:
+    """``M*`` straight from the vectorized fixpoint, in array form.
+
+    Seeds the label candidates as an :class:`ArraySearchState` and prunes
+    it with :func:`array_kernel_fixpoint` under the template's mandatory
+    masks.  ``adaptive`` enables the fixpoint's metrics-driven dense/sparse
+    round switch — the full-graph M* fixpoint is where elimination
+    cascades are densest, so this is the switch's main beneficiary.
+    """
+    def fixpoint() -> ArraySearchState:
+        kernel = cached_role_kernel(template.graph)
+        astate = ArraySearchState.initial(graph, template)
+        array_kernel_fixpoint(
+            astate, kernel, engine, delta=delta,
+            mandatory_masks=kernel.mandatory_masks(template.mandatory_edges),
+            adaptive=adaptive,
+        )
+        return astate
+
+    return _memoized_fixpoint(template, engine, memo, fixpoint)
+
+
+def _memoized_fixpoint(
+    template: PatternTemplate,
+    engine: Engine,
+    memo: Optional[CandidateSetMemo],
+    fixpoint: Callable[[], MaxCandidateState],
+) -> MaxCandidateState:
+    """Memo lookup, then ``fixpoint()`` under the M* stats phase and span."""
     if memo is not None:
         cached = memo.get(template)
         if cached is not None:
@@ -110,10 +158,7 @@ def max_candidate_set(
     with stats.phase("max_candidate_set"), tracer.span(
         "max_candidate_set"
     ) as span:
-        state = _compute_max_candidate_set(
-            graph, template, engine, role_kernel, delta, array_state,
-            adaptive,
-        )
+        state = fixpoint()
     if tracer.enabled:
         vertices, edges = state.active_counts()
         span.add(
@@ -127,33 +172,22 @@ def max_candidate_set(
     return state
 
 
-def _compute_max_candidate_set(
+def _dict_fixpoint(
     graph,
     template: PatternTemplate,
     engine: Engine,
     role_kernel: bool,
     delta: bool,
-    array_state: bool,
-    adaptive: bool = False,
 ) -> SearchState:
-    """Fixpoint body of :func:`max_candidate_set` (caller owns phase/span)."""
+    """The dict-tier M* fixpoints (bitmask kernel or set-based)."""
+    state = SearchState.initial(graph, template)
     if role_kernel:
         kernel = cached_role_kernel(template.graph)
-        mandatory = kernel.mandatory_masks(template.mandatory_edges)
-        if array_state:
-            astate = ArraySearchState.initial(graph, template)
-            array_kernel_fixpoint(
-                astate, kernel, engine,
-                delta=delta, mandatory_masks=mandatory,
-                adaptive=adaptive,
-            )
-            return astate.to_search_state()
-        state = SearchState.initial(graph, template)
         kernel_fixpoint(
-            state, kernel, engine, delta=delta, mandatory_masks=mandatory
+            state, kernel, engine, delta=delta,
+            mandatory_masks=kernel.mandatory_masks(template.mandatory_edges),
         )
         return state
-    state = SearchState.initial(graph, template)
     mandatory_neighbors = _mandatory_neighbor_map(template)
     template_graph = template.graph
     changed = True
@@ -233,4 +267,9 @@ def _role_viable(
     return bool(required_any & witnessed)
 
 
-__all__ = ["CandidateSetMemo", "max_candidate_set", "canonical_edge"]
+__all__ = [
+    "CandidateSetMemo",
+    "max_candidate_arrays",
+    "max_candidate_set",
+    "canonical_edge",
+]

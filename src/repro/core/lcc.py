@@ -29,7 +29,7 @@ from .state import SearchState
 
 
 def local_constraint_checking(
-    state: SearchState,
+    state: Optional[SearchState],
     proto_graph: Graph,
     engine: Engine,
     max_iterations: Optional[int] = None,
@@ -56,7 +56,7 @@ def local_constraint_checking(
 
     Passing a live ``astate`` (level-persistent array mode) runs the
     vectorized fixpoint directly on it — no dict round trip; ``state`` is
-    left untouched for the caller's final ``write_back``.  ``warm_mask``
+    not read (it may be ``None``).  ``warm_mask``
     restricts the first round's broadcast accounting to the vertices whose
     state actually differs from the parent scope it was derived from (the
     warm-seeded worklist) — the fixed point and round count are unchanged.

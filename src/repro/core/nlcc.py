@@ -122,7 +122,7 @@ class NlccResult:
 
 
 def non_local_constraint_checking(
-    state: SearchState,
+    state: Optional[SearchState],
     constraint: NonLocalConstraint,
     engine: Engine,
     cache: Optional[NlccCache] = None,
@@ -147,8 +147,8 @@ def non_local_constraint_checking(
     batched array frontier instead, round-tripping ``state`` through an
     :class:`~repro.core.arraystate.ArraySearchState` per constraint.
     Passing a live ``astate`` skips the round trip entirely: the array
-    state is treated as authoritative, mutated in place, and ``state`` is
-    left untouched (the caller owns the final ``write_back``).
+    state is treated as authoritative and mutated in place; ``state`` is
+    not read (it may be ``None``).
     """
     if kernel is not None and (astate is not None or array_nlcc):
         return _check_array(
@@ -356,7 +356,7 @@ def _reduce_to_confirmed(state: SearchState, result: NlccResult) -> None:
 # Array token frontier
 # ----------------------------------------------------------------------
 def _check_array(
-    state: SearchState,
+    state: Optional[SearchState],
     constraint: NonLocalConstraint,
     engine: Engine,
     cache: Optional[NlccCache],
@@ -368,8 +368,8 @@ def _check_array(
 
     With ``astate=None`` the dict ``state`` is imported, checked, and
     written back (the per-constraint round-trip mode); otherwise
-    ``astate`` is mutated in place and ``state`` is left stale for the
-    caller's final ``write_back`` (the level-persistent mode).
+    ``astate`` is mutated in place and ``state`` is not read (the
+    level-persistent mode).
     """
     import numpy as np
 
@@ -396,12 +396,9 @@ def _check_array(
         source=constraint.source,
         walk_length=schedule.length,
     ) as span:
-        recycled_mask = None
-        if use_cache:
-            recycled_mask = cache.satisfied_mask(constraint.key, csr)
         walk_out = array_token_walk(
             astate, schedule, kernel, engine,
-            recycled_mask=recycled_mask,
+            recycled=cache.satisfied(constraint.key) if use_cache else None,
             dedup=not is_full_walk,
             collect_paths=is_full_walk,
         )

@@ -17,9 +17,10 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from ..runtime.parallel import PrototypeSearchPool
-    from .arraystate import ArraySearchState
 
 from ..errors import PipelineError
 from ..graph.graph import Graph
@@ -28,13 +29,18 @@ from ..runtime.messages import CostModel, MessageStats
 from ..runtime.metrics import ConstraintCostModel, MetricsRegistry
 from ..runtime.partition import PartitionedGraph, balanced_assignment, hash_assignment
 from ..runtime.trace import NULL_TRACER
+from .arraystate import ArraySearchState, unpack_bits
 from .constraints import generate_constraints
 from .enumeration import (
     distinct_match_count,
     extend_from_child_matches,
     state_from_matches,
 )
-from .candidate_set import CandidateSetMemo, max_candidate_set
+from .candidate_set import (
+    CandidateSetMemo,
+    max_candidate_arrays,
+    max_candidate_set,
+)
 from .ordering import (
     estimate_prototype_cost,
     order_constraints,
@@ -287,8 +293,28 @@ def _run_bottom_up(
         base_pgraph, mcs_stats, options.batch_size, tracer=tracer,
         metrics=options.metrics,
     )
-    if options.use_max_candidate_set:
-        base_state = max_candidate_set(
+    # Level state stays array-resident whenever the array stack is on:
+    # M* comes straight out of the vectorized fixpoint, every prototype
+    # scope is cut from it (or from the previous level's union) in array
+    # form with a warm-seeded first LCC round, and each level's solution
+    # subgraphs are OR-ed into an array union.  A dict state exists only
+    # where a dict consumer asks for one (rebalancing, legacy pool
+    # payloads).
+    fallback_reason = array_fallback_reason(template, options)
+    array_level = fallback_reason is None
+    template_roles = sorted(template.graph.vertices())
+    base: "SearchState | ArraySearchState"
+    if array_level:
+        if options.use_max_candidate_set:
+            base = max_candidate_arrays(
+                graph, template, mcs_engine,
+                delta=options.delta_lcc, memo=candidate_memo,
+                adaptive=options.adaptive,
+            )
+        else:
+            base = ArraySearchState.initial(graph, template)
+    elif options.use_max_candidate_set:
+        base = max_candidate_set(
             graph, template, mcs_engine,
             role_kernel=options.role_kernel, delta=options.delta_lcc,
             array_state=options.array_state,
@@ -296,12 +322,12 @@ def _run_bottom_up(
             adaptive=options.adaptive,
         )
     else:
-        base_state = SearchState.initial(graph, template)
+        base = SearchState.initial(graph, template)
     all_stats.append(mcs_stats)
     (
         result.candidate_set_vertices,
         result.candidate_set_edges,
-    ) = base_state.active_counts()
+    ) = base.active_counts()
     result.candidate_set_seconds = cost_model.makespan(mcs_stats)
 
     # ---------------------------------------------- search deployment
@@ -318,7 +344,7 @@ def _run_bottom_up(
     infrastructure = 0.0
     rebalancing = options.load_balance == "reshuffle" or reload_requested
     if rebalancing:
-        pruned = base_state.to_graph()
+        pruned = _as_dict_state(base).to_graph()
         infrastructure += REBALANCE_COST_PER_EDGE * (
             2 * pruned.num_edges + pruned.num_vertices
         )
@@ -348,30 +374,17 @@ def _run_bottom_up(
     # ArrayMatchSet tables on the array path, per-match dict lists
     # otherwise (full-walk collections, dict-path searches).
     stored_matches: Dict[int, Any] = {}
-    # The previous level's union lives in whichever form the level that
-    # produced it used — dict (in-process / legacy pooled) or array
-    # (shm-pooled).  Exactly one of the two is non-None after a level;
-    # conversions happen lazily, at most once per level transition.
-    union_prev: Optional[SearchState] = None
-    union_aprev: Optional["ArraySearchState"] = None
+    # The previous level's union, in the form the level that produced it
+    # used: array from in-process array sweeps and shm-pooled levels, dict
+    # from the dict tiers and legacy pool payloads.  The forms only ever
+    # meet when ``shm_pool=False`` mixes dict-pooled and in-process array
+    # levels; the conversions below cover exactly that.
+    union_prev: "SearchState | ArraySearchState | None" = None
+    #: M* for the legacy dict pool payloads, exported at most once
+    dict_base: Optional[SearchState] = None
     deepest = protos.max_distance
 
-    # Level-persistent array mode: the scope state (M* / previous level's
-    # union) is converted to array form once per level, each prototype's
-    # starting scope is derived in array form (with a warm-seeded first
-    # LCC round when it comes from the union), and the whole search runs
-    # on that one array state.
-    fallback_reason = array_fallback_reason(template, options)
-    array_level = fallback_reason is None
-    base_astate = None
-    if array_level:
-        from .arraystate import ArraySearchState
-
-        template_roles = sorted(template.graph.vertices())
-        base_astate = ArraySearchState.from_search_state(
-            base_state, roles=template_roles
-        )
-    else:
+    if not array_level:
         result.array_fallback_reason = fallback_reason
         if tracer.enabled:
             with tracer.span(
@@ -393,51 +406,40 @@ def _run_bottom_up(
             with tracer.span("level", distance=distance) as level_span:
                 level_wall = time.perf_counter()
                 level = LevelReport(distance)
-                level_states: List[SearchState] = []
                 next_stored: Dict[int, Any] = {}
 
                 if pool is not None and len(protos.at(distance)) > 1:
                     if pool.array_payloads:
-                        assert base_astate is not None
-                        if union_aprev is None and union_prev is not None:
-                            union_aprev = ArraySearchState.from_search_state(
-                                union_prev, roles=template_roles
-                            )
-                        union_aprev = _pooled_level_array(
-                            pool, protos, distance, deepest, base_astate,
-                            union_aprev, options, level, result,
-                        )
-                        union_prev = None
-                        union: "SearchState | ArraySearchState" = union_aprev
-                    else:
-                        if union_prev is None and union_aprev is not None:
-                            union_prev = union_aprev.to_search_state()
-                        union_prev = _pooled_level(
-                            pool, protos, distance, deepest, base_state,
+                        union_prev = _pooled_level_array(
+                            pool, protos, distance, deepest, base,
                             union_prev, options, level, result,
                         )
-                        union_aprev = None
-                        union = union_prev
+                    else:
+                        if dict_base is None:
+                            dict_base = _as_dict_state(base)
+                        if union_prev is not None:
+                            union_prev = _as_dict_state(union_prev)
+                        union_prev = _pooled_level(
+                            pool, protos, distance, deepest, dict_base,
+                            union_prev, options, level, result,
+                        )
                     _finish_level(
-                        level, result, options, label_frequencies, union,
+                        level, result, options, label_frequencies, union_prev,
                         rebalancing, distance, level_wall, span=level_span,
                     )
                     stored_matches = {}
                     continue
 
-                union_astate = None
+                # Union of this level's solution subgraphs = next level's scope.
+                union: "SearchState | ArraySearchState"
                 if array_level:
-                    if union_aprev is not None:
-                        union_astate = union_aprev
-                    elif union_prev is not None:
-                        # One conversion per level: every prototype scope below
-                        # is derived from this array form without a dict round
-                        # trip.
-                        union_astate = ArraySearchState.from_search_state(
+                    if isinstance(union_prev, SearchState):
+                        union_prev = ArraySearchState.from_search_state(
                             union_prev, roles=template_roles
                         )
-                elif union_prev is None and union_aprev is not None:
-                    union_prev = union_aprev.to_search_state()
+                    union = ArraySearchState.empty(base.graph)
+                else:
+                    union = SearchState.empty(graph)
 
                 for proto in protos.at(distance):
                     extended = None
@@ -445,35 +447,28 @@ def _run_bottom_up(
                         extended = _try_extension(proto, stored_matches, graph)
                     if extended is not None:
                         outcome, proto_state = extended
+                        if array_level:
+                            proto_state = ArraySearchState.from_search_state(
+                                proto_state, roles=template_roles
+                            )
                         next_stored[proto.id] = (
                             outcome.match_set
                             if outcome.match_set is not None
                             else outcome.matches
                         )
                     else:
-                        array_scope = warm_mask = None
-                        if array_level:
-                            # The dict state is only materialized by the
-                            # search's final write_back.
-                            proto_state = SearchState.empty(graph)
-                            array_scope, warm_mask = _starting_astate(
-                                proto, distance, deepest, base_astate,
-                                union_astate, options,
-                            )
-                            if base_astate.csr.parent is not None:
-                                result.aux_view_reuse += 1
-                        else:
-                            proto_state = _starting_state(
-                                proto, distance, deepest, base_state, union_prev,
-                                options,
-                            )
+                        proto_state, warm_mask = _starting_scope(
+                            proto, distance, deepest, base, union_prev, options
+                        )
+                        if array_level and base.csr.parent is not None:
+                            result.aux_view_reuse += 1
                         stats = MessageStats(deployment_ranks)
                         engine = Engine(
                             search_pgraph, stats, options.batch_size,
                             tracer=tracer, metrics=options.metrics,
                         )
                         outcome = search_prototype(
-                            proto_state,
+                            None if array_level else proto_state,
                             proto,
                             constraint_sets[proto.id],
                             engine,
@@ -488,7 +483,7 @@ def _run_bottom_up(
                             delta_lcc=options.delta_lcc,
                             array_state=options.array_state,
                             array_nlcc=options.array_nlcc,
-                            array_scope=array_scope,
+                            array_scope=proto_state if array_level else None,
                             warm_mask=warm_mask,
                             adaptive=options.adaptive,
                             constraint_costs=options.constraint_costs,
@@ -506,18 +501,16 @@ def _run_bottom_up(
                     if not options.collect_matches:
                         outcome.matches = None
                     level.outcomes.append(outcome)
-                    level_states.append(proto_state)
+                    if array_level:
+                        union.absorb_solution(*proto_state.solution_masks())
+                    else:
+                        union.union_with(proto_state)
                     for vertex in outcome.solution_vertices:
                         result.match_vectors.setdefault(vertex, set()).add(proto.id)
 
-                # Union of this level's solution subgraphs = next level's scope.
-                union_dict = SearchState.empty(graph)
-                for state in level_states:
-                    union_dict.union_with(state)
-                union_prev = union_dict
-                union_aprev = None
+                union_prev = union
                 _finish_level(
-                    level, result, options, label_frequencies, union_dict,
+                    level, result, options, label_frequencies, union,
                     rebalancing, distance, level_wall, span=level_span,
                 )
                 stored_matches = next_stored
@@ -540,23 +533,17 @@ def _run_bottom_up(
                     and not rebalancing
                     and level.union_vertices > 0
                     and level.union_vertices
-                    <= options.aux_view_ratio * base_astate.csr.num_vertices
+                    <= options.aux_view_ratio * base.csr.num_vertices
                     and all(
                         p.child_links
                         for d in range(distance)
                         for p in protos.at(d)
                     )
                 ):
-                    union_arr = ArraySearchState.from_search_state(
-                        union_dict, roles=template_roles
-                    )
-                    view = base_astate.csr.induced_view(
-                        union_arr.vertex_active
-                    )
+                    view = base.csr.induced_view(union.vertex_active)
                     graph = view.graph
-                    base_astate = base_astate.restrict_to_view(view)
-                    union_aprev = union_arr.restrict_to_view(view)
-                    union_prev = None
+                    base = base.restrict_to_view(view)
+                    union_prev = union.restrict_to_view(view)
                     search_pgraph = PartitionedGraph(
                         graph,
                         deployment_ranks,
@@ -614,6 +601,13 @@ def _run_bottom_up(
                 metrics.counter(f"{name}.{kind}").inc(delta)
     result.metrics = metrics
     return result
+
+
+def _as_dict_state(state: "SearchState | ArraySearchState") -> SearchState:
+    """``state`` for a dict consumer (rebalancing, legacy pool payloads)."""
+    if isinstance(state, ArraySearchState):
+        return state.to_search_state()
+    return state
 
 
 def _initial_assignment(
@@ -699,7 +693,7 @@ def _pooled_level(
 
     tasks = []
     for proto in protos.at(distance):
-        scoped = _starting_state(
+        scoped, _ = _starting_scope(
             proto, distance, deepest, base_state, union_prev, options
         )
         tasks.append(dict_task(proto.id, scoped))
@@ -736,18 +730,17 @@ def _pooled_level_array(
 ) -> "ArraySearchState":
     """Execute one level's searches on the pool, arrays end to end.
 
-    Scopes are cut by :func:`_starting_astate` and shipped as packed
+    Scopes are cut by :func:`_starting_scope` and shipped as packed
     bitmaps over the pool's shared CSR — no dict ``SearchState`` is ever
     materialized on this path.  Workers return packed solution bitmaps
     that are OR-ed into an array-form union whose role masks stay zero,
     exactly like the dict pooled union's empty candidate role sets.
     """
     from ..runtime.parallel import array_task, payload_to_outcome
-    from .arraystate import ArraySearchState, unpack_bits
 
     tasks = []
     for proto in protos.at(distance):
-        scoped, warm_mask = _starting_astate(
+        scoped, warm_mask = _starting_scope(
             proto, distance, deepest, base_astate, union_aprev, options
         )
         tasks.append(array_task(proto.id, scoped, warm_mask))
@@ -763,8 +756,10 @@ def _pooled_level_array(
         for vertex in outcome.solution_vertices:
             result.match_vectors.setdefault(vertex, set()).add(proto.id)
         vertex_bits, edge_bits = payload["solution_bits"]
-        union.vertex_active |= unpack_bits(vertex_bits, csr.num_vertices)
-        union.edge_alive |= unpack_bits(edge_bits, csr.num_directed_edges)
+        union.absorb_solution(
+            unpack_bits(vertex_bits, csr.num_vertices),
+            unpack_bits(edge_bits, csr.num_directed_edges),
+        )
     return union
 
 
@@ -796,83 +791,50 @@ def _array_level_eligible(template: PatternTemplate, options: PipelineOptions) -
     return array_fallback_reason(template, options) is None
 
 
-def _starting_astate(
+def _starting_scope(
     proto: Prototype,
     distance: int,
     deepest: int,
-    base_astate: "ArraySearchState",
-    union_astate: Optional["ArraySearchState"],
+    base: "SearchState | ArraySearchState",
+    union: "SearchState | ArraySearchState | None",
     options: PipelineOptions,
-) -> Tuple["ArraySearchState", Optional[Any]]:
-    """Array-form scope for one prototype search, per the containment rule.
+) -> Tuple["SearchState | ArraySearchState", Optional[Any]]:
+    """Scope for one prototype search, per the containment rule.
 
-    Returns ``(scope, warm_mask)``.  When the scope derives from the
+    Works on either state form (``base`` and ``union`` share one) and
+    returns ``(scope, warm_mask)``.  When an array scope derives from the
     previous level's union, ``warm_mask`` flags the vertices whose state
     actually differs from that union (activity changes plus endpoints of
     aliveness changes) — the surviving worklist that seeds the first LCC
-    round's broadcast accounting instead of a cold full broadcast.  Scopes
-    cut fresh from M* keep the cold broadcast (``warm_mask=None``), like
-    the dict pipeline.
+    round's broadcast accounting instead of a cold full broadcast.  Dict
+    scopes and scopes cut fresh from M* keep the cold broadcast
+    (``warm_mask=None``).
     """
-    import numpy as np
-
-    from .arraystate import ArraySearchState
-
     use_union = (
         options.use_containment
         and distance < deepest
-        and union_astate is not None
-        and proto.child_links
-    )
-    if not use_union:
-        if not options.use_max_candidate_set:
-            # Naive mode: a fresh, fully-unpruned array state per
-            # prototype — the same full-adjacency start the dict path's
-            # ``SearchState.initial`` pays, in array form.
-            return (
-                ArraySearchState.initial(base_astate.graph, proto.graph),
-                None,
-            )
-        return base_astate.for_prototype_search(proto), None
-    link = proto.child_links[0]
-    a, b = link.removed_edge
-    template_graph = proto.template.graph
-    pair = (template_graph.label(a), template_graph.label(b))
-    scoped = union_astate.for_prototype_search(proto, readmit_label_pairs=[pair])
-    warm = scoped.vertex_active != union_astate.vertex_active
-    csr = scoped.csr
-    diff = np.nonzero(scoped.edge_alive != union_astate.edge_alive)[0]
-    warm[csr.src[diff]] = True
-    warm[csr.indices[diff]] = True
-    return scoped, warm
-
-
-def _starting_state(
-    proto: Prototype,
-    distance: int,
-    deepest: int,
-    base_state: SearchState,
-    union_prev: Optional[SearchState],
-    options: PipelineOptions,
-) -> SearchState:
-    """Scope for one prototype search, per the containment rule."""
-    use_union = (
-        options.use_containment
-        and distance < deepest
-        and union_prev is not None
+        and union is not None
         and proto.child_links
     )
     if not use_union:
         if not options.use_max_candidate_set:
             # Naive mode: a fresh, fully-unpruned state per prototype --
             # the per-prototype re-pruning cost the pipeline avoids.
-            return SearchState.initial(base_state.graph, proto.graph)
-        return base_state.for_prototype_search(proto)
+            return type(base).initial(base.graph, proto.graph), None
+        return base.for_prototype_search(proto), None
     link = proto.child_links[0]
     a, b = link.removed_edge
     template_graph = proto.template.graph
     pair = (template_graph.label(a), template_graph.label(b))
-    return union_prev.for_prototype_search(proto, readmit_label_pairs=[pair])
+    scoped = union.for_prototype_search(proto, readmit_label_pairs=[pair])
+    if not isinstance(scoped, ArraySearchState):
+        return scoped, None
+    warm = scoped.vertex_active != union.vertex_active
+    csr = scoped.csr
+    diff = np.nonzero(scoped.edge_alive != union.edge_alive)[0]
+    warm[csr.src[diff]] = True
+    warm[csr.indices[diff]] = True
+    return scoped, warm
 
 
 def _try_extension(

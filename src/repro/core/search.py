@@ -17,6 +17,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
+from ..errors import PipelineError
 from ..runtime.engine import Engine
 from .constraints import FULL_WALK_KIND, ConstraintSet
 from .enumeration import (
@@ -38,7 +39,7 @@ from .state import NlccCache, SearchState
 
 
 def search_prototype(
-    state: SearchState,
+    state: Optional[SearchState],
     prototype: Prototype,
     constraint_set: ConstraintSet,
     engine: Engine,
@@ -72,13 +73,16 @@ def search_prototype(
     enables the semi-naive LCC worklist and ``array_state`` the vectorized
     CSR fixpoint.  All preserve results exactly.
 
-    With both ``array_state`` and ``array_nlcc`` (and a kernel within the
-    mask width) the whole search body runs on one persistent
-    :class:`~repro.core.arraystate.ArraySearchState` — every LCC fixpoint
-    and token walk in array form, one ``write_back`` into ``state`` at the
-    end.  ``array_scope`` supplies that array state pre-built by the caller
-    (the level-persistent mode); it is mutated in place and kept in sync
-    with ``state`` even through an enumeration-verification reduction.
+    With both ``array_state`` and ``array_nlcc`` the whole search body
+    runs on one persistent
+    :class:`~repro.core.arraystate.ArraySearchState` — every LCC fixpoint,
+    token walk and enumeration in array form — and the outcome's solution
+    sets are read off the arrays.  ``array_scope`` supplies that array
+    state pre-built by the caller (the level drivers and pool workers):
+    it is reduced in place to the solution subgraph, ``state`` is ignored
+    (pass ``None``) and no dict state is materialized at all.  Without
+    ``array_scope`` the caller's dict ``state`` is imported once and
+    overwritten once at the end.
     ``warm_mask`` warm-seeds the first LCC round's broadcast accounting
     (see :func:`~repro.core.lcc.local_constraint_checking`).
 
@@ -125,7 +129,7 @@ def search_prototype(
 
 
 def _search_prototype_body(
-    state: SearchState,
+    state: Optional[SearchState],
     prototype: Prototype,
     constraint_set: ConstraintSet,
     engine: Engine,
@@ -149,7 +153,7 @@ def _search_prototype_body(
     astate = None
     if kernel is not None and array_state and array_nlcc:
         # Persistent array mode: LCC and NLCC share one array state for
-        # the whole search, written back to the dict state exactly once.
+        # the whole search.
         if array_scope is not None:
             astate = array_scope
         else:
@@ -157,10 +161,9 @@ def _search_prototype_body(
                 state, roles=kernel.roles
             )
     elif array_scope is not None:
-        # Caller prepared an array scope but this search can't run in
-        # array form (e.g. the kernel is off) — materialize it so the
-        # dict path sees the real starting state.
-        array_scope.write_back(state)
+        raise PipelineError(
+            "array_scope needs role_kernel, array_state and array_nlcc on"
+        )
     counter = astate if astate is not None else state
     outcome.lcc_iterations = local_constraint_checking(
         state, prototype.graph, engine,
@@ -224,8 +227,7 @@ def _search_prototype_body(
     if astate is not None:
         # Array-native tail: enumeration (when needed) runs the vectorized
         # frontier backtracker on the array state directly and reduces it
-        # in place, so the single write_back below is the only dict
-        # materialization of the whole search.
+        # in place.
         if need_enumeration:
             match_set = enumerate_matches_array(prototype, astate)
             astate_from_matches(astate, prototype, match_set)
@@ -248,7 +250,9 @@ def _search_prototype_body(
             outcome.match_mappings = len(
                 enumerate_matches_array(prototype, astate)
             )
-        astate.write_back(state)
+        if array_scope is None:
+            # the caller's dict state is the in/out parameter
+            astate.write_back(state)
     elif collect_matches and not need_enumeration:
         if full_walk_ran:
             # Each completed full-walk token already is an exact match.
@@ -275,5 +279,5 @@ def _search_prototype_body(
             prototype, outcome.match_mappings
         )
 
-    outcome.solution_vertices = set(state.candidates)
-    outcome.solution_edges = set(state.active_edge_list())
+    outcome.solution_vertices = set(counter.active_vertices())
+    outcome.solution_edges = set(counter.active_edge_list())

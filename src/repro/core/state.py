@@ -15,7 +15,7 @@ a static CSR.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
+from typing import AbstractSet, Dict, Hashable, Iterable, Iterator, List, Set, Tuple
 
 from ..graph.graph import Edge, Graph, canonical_edge
 
@@ -258,9 +258,6 @@ class NlccCache:
         self._satisfied: Dict[Hashable, Set[int]] = {}
         self.hits = 0
         self.misses = 0
-        #: memoized dense boolean views per key (see :meth:`satisfied_mask`),
-        #: dropped whenever the key's entry set grows
-        self._mask_cache: Dict[Hashable, Tuple[int, object]] = {}
 
     def is_satisfied(self, key: Hashable, vertex: int) -> bool:
         hit = vertex in self._satisfied.get(key, ())
@@ -280,32 +277,18 @@ class NlccCache:
         self.hits += hits
         self.misses += misses
 
-    def satisfied_mask(self, key: Hashable, csr) -> "object":
-        """Dense boolean array over ``csr``'s vertex order for one key.
+    def satisfied(self, key: Hashable) -> AbstractSet[int]:
+        """The vertices cached as satisfied for ``key`` (read-only view).
 
-        ``mask[i]`` is True iff ``csr.order[i]`` is cached as satisfied.
-        Memoized per key against the CSR identity; invalidated by
-        :meth:`mark_satisfied`.  Does **not** touch the hit/miss counters
-        (callers account via :meth:`record_bulk`).
+        The array token walk tests its initiator frontier against this
+        set in one pass — a cost proportional to the live frontier, not
+        to the cached set or the graph.  Does **not** touch the hit/miss
+        counters (callers account via :meth:`record_bulk`).
         """
-        import numpy as np
-
-        cached = self._mask_cache.get(key)
-        if cached is not None and cached[0] is csr:
-            return cached[1]
-        mask = np.zeros(csr.num_vertices, dtype=bool)
-        index_of = csr.index_of
-        for vertex in self._satisfied.get(key, ()):
-            i = index_of.get(vertex)
-            if i is not None:
-                mask[i] = True
-        mask.flags.writeable = False
-        self._mask_cache[key] = (csr, mask)
-        return mask
+        return self._satisfied.get(key, frozenset())
 
     def mark_satisfied(self, key: Hashable, vertices: Iterable[int]) -> None:
         self._satisfied.setdefault(key, set()).update(vertices)
-        self._mask_cache.pop(key, None)
 
     def known_constraints(self) -> Set[Hashable]:
         return set(self._satisfied)

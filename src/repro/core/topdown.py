@@ -21,7 +21,8 @@ from ..graph.graph import Graph
 from ..runtime.engine import Engine
 from ..runtime.messages import MessageStats
 from ..runtime.partition import PartitionedGraph
-from .candidate_set import max_candidate_set
+from .arraystate import ArraySearchState
+from .candidate_set import max_candidate_arrays, max_candidate_set
 from .constraints import generate_constraints
 from .ordering import order_constraints
 from .pipeline import PipelineOptions, _array_level_eligible, merge_message_stats
@@ -87,30 +88,30 @@ def _run_exploratory(
         pgraph, mcs_stats, options.batch_size, tracer=tracer,
         metrics=options.metrics,
     )
-    base_state = max_candidate_set(
-        graph, template, mcs_engine,
-        role_kernel=options.role_kernel, delta=options.delta_lcc,
-        array_state=options.array_state,
-        adaptive=options.adaptive,
-    )
+    # Every exploratory scope derives from M*: with the array stack on it
+    # comes out of the fixpoint in array form and each prototype's scope
+    # is cut from it directly.
+    base: "SearchState | ArraySearchState"
+    if _array_level_eligible(template, options):
+        base = max_candidate_arrays(
+            graph, template, mcs_engine,
+            delta=options.delta_lcc, adaptive=options.adaptive,
+        )
+    else:
+        base = max_candidate_set(
+            graph, template, mcs_engine,
+            role_kernel=options.role_kernel, delta=options.delta_lcc,
+            array_state=options.array_state,
+            adaptive=options.adaptive,
+        )
 
     result = PipelineResult(template.name, max_k, protos)
     (
         result.candidate_set_vertices,
         result.candidate_set_edges,
-    ) = base_state.active_counts()
+    ) = base.active_counts()
     result.candidate_set_seconds = cost_model.makespan(mcs_stats)
     all_stats: List[MessageStats] = [mcs_stats]
-
-    # Every exploratory scope derives from M*: convert it to array form
-    # once and cut each prototype's scope directly in array form.
-    base_astate = None
-    if _array_level_eligible(template, options):
-        from .arraystate import ArraySearchState
-
-        base_astate = ArraySearchState.from_search_state(
-            base_state, roles=sorted(template.graph.vertices())
-        )
 
     pool = None
     if options.worker_processes > 1:
@@ -127,14 +128,12 @@ def _run_exploratory(
                 level = LevelReport(distance)
                 if pool is not None and len(protos.at(distance)) > 1:
                     _pooled_exploratory_level(
-                        pool, protos, distance, base_state, base_astate,
-                        options, level, result,
+                        pool, protos, distance, base, options, level, result,
                     )
                 else:
                     _inline_exploratory_level(
-                        graph, pgraph, protos, distance, base_state,
-                        base_astate, label_frequencies, cache, options,
-                        level, result, all_stats,
+                        pgraph, protos, distance, base, label_frequencies,
+                        cache, options, level, result, all_stats,
                     )
                 level.search_seconds = sum(
                     o.simulated_seconds for o in level.outcomes
@@ -180,12 +179,10 @@ def _run_exploratory(
 
 
 def _inline_exploratory_level(
-    graph: Graph,
     pgraph: PartitionedGraph,
     protos,
     distance: int,
-    base_state: SearchState,
-    base_astate,
+    base: "SearchState | ArraySearchState",
     label_frequencies: Dict[int, int],
     cache: Optional[NlccCache],
     options: PipelineOptions,
@@ -205,19 +202,15 @@ def _inline_exploratory_level(
             label_frequencies,
             optimize=options.constraint_ordering,
         )
-        if base_astate is not None:
-            state = SearchState.empty(graph)
-            array_scope = base_astate.for_prototype_search(proto)
-        else:
-            state = base_state.for_prototype_search(proto)
-            array_scope = None
+        scope = base.for_prototype_search(proto)
+        in_arrays = isinstance(scope, ArraySearchState)
         stats = MessageStats(options.num_ranks)
         engine = Engine(
             pgraph, stats, options.batch_size, tracer=tracer,
             metrics=options.metrics,
         )
         outcome = search_prototype(
-            state,
+            None if in_arrays else scope,
             proto,
             constraint_set,
             engine,
@@ -230,7 +223,7 @@ def _inline_exploratory_level(
             delta_lcc=options.delta_lcc,
             array_state=options.array_state,
             array_nlcc=options.array_nlcc,
-            array_scope=array_scope,
+            array_scope=scope if in_arrays else None,
             adaptive=options.adaptive,
             constraint_costs=options.constraint_costs,
         )
@@ -247,8 +240,7 @@ def _pooled_exploratory_level(
     pool,
     protos,
     distance: int,
-    base_state: SearchState,
-    base_astate,
+    base: "SearchState | ArraySearchState",
     options: PipelineOptions,
     level: LevelReport,
     result: PipelineResult,
@@ -266,14 +258,13 @@ def _pooled_exploratory_level(
 
     tasks = []
     for proto in protos.at(distance):
-        if base_astate is not None and pool.array_payloads:
-            tasks.append(
-                array_task(proto.id, base_astate.for_prototype_search(proto))
-            )
-        else:
-            tasks.append(
-                dict_task(proto.id, base_state.for_prototype_search(proto))
-            )
+        scope = base.for_prototype_search(proto)
+        if not isinstance(scope, ArraySearchState):
+            tasks.append(dict_task(proto.id, scope))
+        elif pool.array_payloads:
+            tasks.append(array_task(proto.id, scope))
+        else:  # shm_pool off: legacy payloads from an array-resident M*
+            tasks.append(dict_task(proto.id, scope.to_search_state()))
     tracer = options.tracer
     for payload in pool.search_level(tasks):
         proto = protos.by_id(payload["proto_id"])

@@ -40,6 +40,10 @@ class PipelineError(ReproError):
     """The approximate-matching pipeline was configured incorrectly."""
 
 
+class WorkerPoolError(ReproError):
+    """A pool worker process died; the level it served has no result."""
+
+
 class CheckpointError(ReproError):
     """Saving or restoring distributed search state failed."""
 

@@ -35,7 +35,10 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+
+from ..errors import WorkerPoolError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from ..core.arraystate import ArraySearchState
@@ -125,6 +128,7 @@ def _init_worker(
     from ..core.ordering import order_constraints
     from ..core.prototypes import generate_prototypes
     from ..core.state import NlccCache
+    from .partition import PartitionedGraph
 
     if shm_handle is not None:
         from .shm import attach_shared_csr
@@ -153,6 +157,14 @@ def _init_worker(
         prototypes={p.id: p for p in protos},
         constraint_sets=constraint_sets,
         cache=NlccCache() if options.work_recycling else None,
+        # one partition per worker: its hash assignment and per-CSR rank
+        # arrays are shared by every task the worker serves
+        pgraph=PartitionedGraph(
+            graph,
+            options.num_ranks,
+            delegate_degree_threshold=options.delegate_degree_threshold,
+            ranks_per_node=options.ranks_per_node,
+        ),
     )
 
 
@@ -161,9 +173,9 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
 
     ``"array"`` tasks reconstruct an :class:`ArraySearchState` over the
     attached shared CSR and hand it to :func:`search_prototype` as the
-    ``array_scope`` — the dict state stays empty until the search's final
-    write-back.  Their result payload additionally carries packed
-    solution bitmaps (``solution_bits``) for the parent's level union.
+    ``array_scope`` — no dict state exists at any point.  Their result
+    payload additionally carries packed solution bitmaps
+    (``solution_bits``) for the parent's level union.
 
     When the shipped options carry an enabled tracer, the worker builds a
     fresh local :class:`~repro.runtime.trace.Tracer` (span forests never
@@ -187,7 +199,6 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
     from .engine import Engine
     from .messages import MessageStats
     from .metrics import MetricsRegistry
-    from .partition import PartitionedGraph
     from .trace import NULL_TRACER, Tracer
 
     graph = _WORKER["graph"]
@@ -198,6 +209,7 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
     registry = MetricsRegistry()
 
     astate: Optional["ArraySearchState"] = None
+    state: Optional["SearchState"]
     warm_mask = None
     if task.kind == "array":
         from ..core.arraystate import ArraySearchState, csr_of, unpack_bits
@@ -209,7 +221,7 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
         )
         if warm_bits is not None:
             warm_mask = unpack_bits(warm_bits, csr.num_vertices)
-        state = SearchState.empty(graph)
+        state = None
     else:
         candidates_payload, edges_payload = task.data
         candidates = {v: set(roles) for v, roles in candidates_payload}
@@ -219,15 +231,10 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
             active_edges.setdefault(v, set()).add(u)
         state = SearchState(graph, candidates, active_edges)
 
-    pgraph = PartitionedGraph(
-        graph,
-        options.num_ranks,
-        delegate_degree_threshold=options.delegate_degree_threshold,
-        ranks_per_node=options.ranks_per_node,
-    )
     stats = MessageStats(options.num_ranks)
     engine = Engine(
-        pgraph, stats, options.batch_size, tracer=tracer, metrics=registry
+        _WORKER["pgraph"], stats, options.batch_size,
+        tracer=tracer, metrics=registry,
     )
     outcome = search_prototype(
         state,
@@ -426,6 +433,10 @@ class PrototypeSearchPool:
         ``pool.idle_seconds`` is the remainder of the level's
         ``wall × processes`` budget — together they put a number on the
         straggler effect LPT is there to bound.
+
+        A dead worker raises :class:`~repro.errors.WorkerPoolError` after
+        closing the pool (and unlinking its segment); no partial level
+        is ever returned.
         """
         level_started = time.perf_counter()
         order = sorted(
@@ -436,10 +447,20 @@ class PrototypeSearchPool:
             i: self._pool.submit(_search_task, tasks[i]) for i in order
         }
         results: List[Dict[str, Any]] = []
-        for i in range(len(tasks)):
-            result = futures[i].result()
-            self._record_result(tasks[i], result)
-            results.append(result)
+        try:
+            for i in range(len(tasks)):
+                result = futures[i].result()
+                self._record_result(tasks[i], result)
+                results.append(result)
+        except BrokenProcessPool as exc:
+            # A worker died (killed, os._exit, segfault): the executor is
+            # unusable and the level incomplete.  Release the segment now
+            # and surface a typed error; partial results are dropped.
+            self.close()
+            raise WorkerPoolError(
+                f"a pool worker died while searching {len(tasks)} "
+                f"prototypes; {len(results)} finished and were discarded"
+            ) from exc
         busy = sum(r.get("wall_seconds") or 0.0 for r in results)
         level_wall = time.perf_counter() - level_started
         metrics = self._options.metrics
@@ -576,8 +597,8 @@ class TemplateBatchScheduler:
         over), which makes the pipeline-over-view bit-identical to the
         pipeline-over-``G``.
         """
-        from ..core.arraystate import ArraySearchState, csr_of
-        from ..core.candidate_set import max_candidate_set
+        from ..core.arraystate import csr_of
+        from ..core.candidate_set import max_candidate_arrays
         from ..core.pipeline import _initial_assignment
         from .engine import Engine
         from .messages import MessageStats
@@ -596,19 +617,16 @@ class TemplateBatchScheduler:
             pgraph, MessageStats(options.num_ranks), options.batch_size,
             tracer=options.tracer,
         )
-        state = max_candidate_set(
+        # _run_job only asks for a view when the array stack is on
+        astate = max_candidate_arrays(
             graph, job.template, engine,
-            role_kernel=options.role_kernel, delta=options.delta_lcc,
-            array_state=options.array_state, memo=self.memo,
+            delta=options.delta_lcc, memo=self.memo,
             adaptive=options.adaptive,
         )
-        vertices, _ = state.active_counts()
+        vertices = astate.num_active_vertices
         csr = csr_of(graph)
         if vertices == 0 or vertices > options.aux_view_ratio * csr.num_vertices:
             return None
-        astate = ArraySearchState.from_search_state(
-            state, roles=sorted(job.template.graph.vertices())
-        )
         view = csr.induced_view(astate.vertex_active)
         self.views_shipped += 1
         self.view_sizes.append(

@@ -14,7 +14,9 @@ the same node are "local" at the network level.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..errors import PartitionError
 from ..graph.graph import Graph
@@ -73,6 +75,8 @@ class PartitionedGraph:
                 v for v in graph.vertices() if graph.degree(v) >= delegate_degree_threshold
             }
         self.delegate_degree_threshold = delegate_degree_threshold
+        #: id(csr) -> (csr, rank_of, edge_code); see :meth:`rank_arrays`
+        self._rank_arrays: Dict[int, Tuple[Any, np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     def rank_of(self, vertex: int) -> int:
@@ -102,6 +106,43 @@ class PartitionedGraph:
     def crosses_network(self, src_rank: int, dst_rank: int) -> bool:
         """Would a rank-to-rank message cross the physical network?"""
         return self.node_of_rank(src_rank) != self.node_of_rank(dst_rank)
+
+    def rank_arrays(self, csr: Any) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rank_of, edge_code)`` over ``csr``'s vertex and edge order.
+
+        ``rank_of[i]`` is the controller rank of ``csr.order[i]``;
+        ``edge_code[e]`` is ``src_rank * num_ranks + dst_rank`` of directed
+        edge ``e``, with pushes to delegates charged to the sender's rank
+        as in ``Context.broadcast``.  Both are built once per CSR object
+        (an auxiliary view is its own CSR, with its own vertex order) in
+        the narrowest unsigned dtype that holds them, and are read by the
+        batched accounting of every fixpoint and token walk of the run.
+        """
+        cached = self._rank_arrays.get(id(csr))
+        if cached is not None:
+            return cached[1], cached[2]
+        ranks = self.num_ranks
+        assignment = self.assignment
+        order = csr.order.tolist()
+        rank_of = np.fromiter(
+            (assignment[v] for v in order), dtype=np.int64, count=len(order)
+        )
+        src_rank = rank_of[csr.src]
+        dst_rank = rank_of[csr.indices]
+        delegates = self.delegates
+        if delegates:
+            is_delegate = np.fromiter(
+                (v in delegates for v in order), dtype=bool, count=len(order)
+            )
+            dst_rank = np.where(is_delegate[csr.indices], src_rank, dst_rank)
+        code_dtype = np.min_scalar_type(ranks * ranks - 1)
+        if code_dtype.itemsize == 8:
+            code_dtype = np.dtype(np.int64)  # np.bincount rejects uint64
+        edge_code = (src_rank * ranks + dst_rank).astype(code_dtype)
+        rank_of = rank_of.astype(np.min_scalar_type(ranks - 1))
+        # the CSR rides along so its id() cannot be reused while cached
+        self._rank_arrays[id(csr)] = (csr, rank_of, edge_code)
+        return rank_of, edge_code
 
     # ------------------------------------------------------------------
     def vertices_of_rank(self, rank: int) -> List[int]:

@@ -375,7 +375,7 @@ class TestMaxCandidateSetEquivalence:
 
 
 class TestScopingParity:
-    """for_prototype_search and union_with against the dict versions."""
+    """for_prototype_search against the dict version."""
 
     def base_states(self, seed=0, k=1):
         graph, template = random_case(seed)
@@ -407,18 +407,6 @@ class TestScopingParity:
         scoped = state.for_prototype_search(proto, readmit_label_pairs=pairs)
         ascoped = astate.for_prototype_search(proto, readmit_label_pairs=pairs)
         assert array_snapshot(ascoped) == dict_snapshot(scoped)
-
-    def test_union_with_identical(self):
-        state, astate, protos = self.base_states(0)  # tri+tail has children
-        children = protos.at(1)[:2]
-        assert len(children) == 2
-        dict_a = state.for_prototype_search(children[0])
-        dict_b = state.for_prototype_search(children[1])
-        arr_a = astate.for_prototype_search(children[0])
-        arr_b = astate.for_prototype_search(children[1])
-        dict_a.union_with(dict_b)
-        arr_a.union_with(arr_b)
-        assert array_snapshot(arr_a) == dict_snapshot(dict_a)
 
 
 class TestPipelineEquivalence:

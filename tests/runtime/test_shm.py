@@ -13,9 +13,11 @@ Covers the three guarantees of the zero-copy pool:
   ``sorted()`` in ``state_to_payload`` must not matter).
 """
 
+import contextlib
 import glob
 import os
 import pickle
+import signal
 
 import numpy as np
 import pytest
@@ -26,8 +28,9 @@ from repro.core.candidate_set import max_candidate_set
 from repro.core.state import SearchState
 from repro.core.template import PatternTemplate
 from repro.core.topdown import exploratory_search
+from repro.errors import WorkerPoolError
 from repro.graph.generators.random_labeled import gnm_graph
-from repro.runtime import Engine, MessageStats, PartitionedGraph
+from repro.runtime import Engine, MessageStats, PartitionedGraph, parallel
 from repro.runtime.parallel import (
     PoolTask,
     PrototypeSearchPool,
@@ -54,6 +57,26 @@ def shm_segments():
 def assert_no_segments():
     assert owned_segment_names() == []
     assert shm_segments() == []
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail (instead of hanging the suite) if the block outlives ``seconds``."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still blocked after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _die_in_worker(task):
+    """Stands in for ``_search_task``: the worker vanishes mid-task."""
+    os._exit(1)
 
 
 def kernel_workload():
@@ -254,6 +277,32 @@ class TestPoolLifecycle:
             future.result()
         pool.close()
         assert name not in shm_segments()
+        assert_no_segments()
+
+    def test_dead_worker_is_a_typed_error_without_leak_or_hang(
+        self, monkeypatch
+    ):
+        # Workers fork at the first submit, after the patch, so the level's
+        # tasks run the stand-in and the executor breaks.
+        monkeypatch.setattr(parallel, "_search_task", _die_in_worker)
+        graph, template = kernel_workload()
+        pool = PrototypeSearchPool(
+            graph, template, 1, array_options(worker_processes=2), 2
+        )
+        name = pool._shm.name
+        tasks = [PoolTask(i, "array", (b"", b"", None), 1) for i in range(3)]
+        with deadline(60), pytest.raises(WorkerPoolError) as raised:
+            pool.search_level(tasks)
+        assert "worker died" in str(raised.value)
+        # search_level closed the pool itself; close() stays idempotent
+        assert name not in shm_segments()
+        pool.close()
+        assert_no_segments()
+
+        # the drivers surface the same error and return no partial result
+        graph, template = nlcc_workload()
+        with deadline(60), pytest.raises(WorkerPoolError):
+            run_pipeline(graph, template, 1, array_options(worker_processes=2))
         assert_no_segments()
 
     def test_shm_pool_off_exports_nothing(self):
