@@ -27,7 +27,7 @@ cross-prototype work recycling of Obs. 2 (Fig. 3(b)).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ConstraintError
 from ..graph.algorithms import shortest_path, simple_cycles_upto
@@ -85,15 +85,14 @@ class NonLocalConstraint:
         self.labels = tuple(labels)
         #: source prototype graph; consulted by NLCC for edge labels
         self.proto_graph = proto_graph
-        key_edge_labels = ()
+        key_edge_labels: Tuple[int, ...] = ()
         if proto_graph is not None and proto_graph.has_edge_labels:
             # -1 encodes "no edge label" so keys stay totally orderable.
-            key_edge_labels = tuple(
-                -1
-                if proto_graph.edge_label(walk[h - 1], walk[h]) is None
-                else proto_graph.edge_label(walk[h - 1], walk[h])
+            hops = (
+                proto_graph.edge_label(walk[h - 1], walk[h])
                 for h in range(1, len(walk))
             )
+            key_edge_labels = tuple(-1 if lab is None else lab for lab in hops)
         self.key = (kind, self.labels, _identity_pattern(self.walk), key_edge_labels)
 
     @property
@@ -145,28 +144,58 @@ def local_constraints(proto_graph: Graph) -> List[LocalConstraint]:
 # ----------------------------------------------------------------------
 # Non-local constraints
 # ----------------------------------------------------------------------
-def cycle_constraints(proto_graph: Graph) -> List[NonLocalConstraint]:
-    """CC constraints: each simple cycle, rooted at every cycle vertex."""
+#: a prototype's simple cycles, enumerated once per constraint build
+Cycles = Sequence[Sequence[int]]
+#: background label frequencies to orient walks by; ``None`` leaves them as built
+Frequencies = Optional[Dict[int, int]]
+
+
+def reverse_visits_rarer_first(
+    labels: Sequence[int], label_frequencies: Dict[int, int]
+) -> bool:
+    """Whether a closed walk's reverse meets rarer labels earlier (§5.4):
+    lexicographic over the frequencies after the root, ties keep direction."""
+    freqs = [label_frequencies.get(label, 0) for label in labels]
+    return freqs[-2::-1] < freqs[1:]
+
+
+def _constraints(
+    proto_graph: Graph, kind: str, walks: Iterable[List[int]], orient_by: Frequencies
+) -> List[NonLocalConstraint]:
+    """One constraint per closed walk, each turned rare-labels-first
+    *before* it is constructed, so none is built and keyed twice."""
     constraints = []
-    for cycle in simple_cycles_upto(proto_graph, proto_graph.num_vertices):
-        n = len(cycle)
-        for offset in range(n):
-            walk = [cycle[(offset + i) % n] for i in range(n)]
-            walk.append(walk[0])
-            labels = [proto_graph.label(w) for w in walk]
-            constraints.append(
-                NonLocalConstraint(CYCLE_KIND, walk, labels, proto_graph)
-            )
+    for walk in walks:
+        labels = [proto_graph.label(x) for x in walk]
+        if orient_by and reverse_visits_rarer_first(labels, orient_by):
+            walk, labels = walk[::-1], labels[::-1]
+        constraints.append(NonLocalConstraint(kind, walk, labels, proto_graph))
     return constraints
 
 
-def path_constraints(proto_graph: Graph) -> List[NonLocalConstraint]:
+def _simple_cycles(proto_graph: Graph) -> List[Tuple[int, ...]]:
+    return simple_cycles_upto(proto_graph, proto_graph.num_vertices)
+
+
+def cycle_constraints(
+    proto_graph: Graph, cycles: Optional[Cycles] = None, orient_by: Frequencies = None
+) -> List[NonLocalConstraint]:
+    """CC constraints: each simple cycle, rooted at every cycle vertex."""
+    if cycles is None:
+        cycles = _simple_cycles(proto_graph)
+    walks = (_rotate_closed(cycle, start) for cycle in cycles for start in cycle)
+    return _constraints(proto_graph, CYCLE_KIND, walks, orient_by)
+
+
+def path_constraints(
+    proto_graph: Graph, orient_by: Frequencies = None
+) -> List[NonLocalConstraint]:
     """PC constraints: walk to a same-labeled twin and back, per endpoint.
 
     Needed when the template repeats labels: a vertex must prove a twin
     *distinct from itself* sits at the prescribed distance (Fig. 2 bottom).
     """
-    constraints = []
+    walks = []
     by_label: Dict[int, List[int]] = {}
     for vertex in sorted(proto_graph.vertices()):
         by_label.setdefault(proto_graph.label(vertex), []).append(vertex)
@@ -177,42 +206,36 @@ def path_constraints(proto_graph: Graph) -> List[NonLocalConstraint]:
                 if path is None:  # pragma: no cover - prototypes are connected
                     continue
                 for rooted in (path, path[::-1]):  # root at u and at w
-                    there_and_back = rooted + rooted[-2::-1]
-                    labels = [proto_graph.label(x) for x in there_and_back]
-                    constraints.append(
-                        NonLocalConstraint(
-                            PATH_KIND, there_and_back, labels, proto_graph
-                        )
-                    )
-    return constraints
+                    walks.append(rooted + rooted[-2::-1])
+    return _constraints(proto_graph, PATH_KIND, walks, orient_by)
 
 
-def tds_constraints(proto_graph: Graph) -> List[NonLocalConstraint]:
+def tds_constraints(
+    proto_graph: Graph, cycles: Optional[Cycles] = None, orient_by: Frequencies = None
+) -> List[NonLocalConstraint]:
     """TDS constraints from pairs of simple cycles sharing an edge (Fig. 2).
 
     The combined walk goes around the first cycle and then the second,
     starting from a shared vertex; identity checks tie the shared edge to
     the *same* background vertices in both cycles.
     """
-    cycles = simple_cycles_upto(proto_graph, proto_graph.num_vertices)
-    constraints = []
+    if cycles is None:
+        cycles = _simple_cycles(proto_graph)
+    edge_sets = [_cycle_edges(cycle) for cycle in cycles]
+    walks = []
     for i, first in enumerate(cycles):
-        first_edges = _cycle_edges(first)
-        for second in cycles[i + 1 :]:
-            shared = first_edges & _cycle_edges(second)
-            if not shared:
-                continue
-            u, _v = next(iter(sorted(shared)))
-            walk = _rotate_closed(first, u) + _rotate_closed(second, u)[1:]
-            labels = [proto_graph.label(x) for x in walk]
-            constraints.append(
-                NonLocalConstraint(TDS_KIND, walk, labels, proto_graph)
-            )
-    return constraints
+        for j in range(i + 1, len(cycles)):
+            shared = edge_sets[i] & edge_sets[j]
+            if shared:
+                u = min(shared)[0]
+                walks.append(
+                    _rotate_closed(first, u) + _rotate_closed(cycles[j], u)[1:]
+                )
+    return _constraints(proto_graph, TDS_KIND, walks, orient_by)
 
 
 def full_walk_constraint(
-    proto_graph: Graph, root: Optional[int] = None
+    proto_graph: Graph, root: Optional[int] = None, orient_by: Frequencies = None
 ) -> NonLocalConstraint:
     """The aggregate TDS constraint: a closed walk covering every edge.
 
@@ -246,8 +269,7 @@ def full_walk_constraint(
     dfs(root)
     if len(walk) == 1:  # single-vertex template: trivially closed walk
         walk.append(root)
-    labels = [proto_graph.label(x) for x in walk]
-    return NonLocalConstraint(FULL_WALK_KIND, walk, labels, proto_graph)
+    return _constraints(proto_graph, FULL_WALK_KIND, [walk], orient_by)[0]
 
 
 def _cycle_edges(cycle: Sequence[int]) -> Set[Tuple[int, int]]:
@@ -264,18 +286,18 @@ def _rotate_closed(cycle: Sequence[int], start: int) -> List[int]:
     return walk
 
 
-def is_edge_monocyclic(proto_graph: Graph) -> bool:
+def is_edge_monocyclic(proto_graph: Graph, cycles: Optional[Cycles] = None) -> bool:
     """True if every edge belongs to at most one simple cycle.
 
     Edge-monocyclic templates with distinct labels do not require TDS
     constraints (Fig. 2's caption); everything else gets the full walk.
     """
-    seen: Dict[Tuple[int, int], int] = {}
-    for cycle in simple_cycles_upto(proto_graph, proto_graph.num_vertices):
-        for edge in _cycle_edges(cycle):
-            seen[edge] = seen.get(edge, 0) + 1
-            if seen[edge] > 1:
-                return False
+    seen: Set[Tuple[int, int]] = set()
+    for cycle in _simple_cycles(proto_graph) if cycles is None else cycles:
+        edges = _cycle_edges(cycle)
+        if edges & seen:
+            return False
+        seen |= edges
     return True
 
 
@@ -317,9 +339,13 @@ class ConstraintSet:
 def generate_constraints(
     proto_graph: Graph,
     label_frequencies: Optional[Dict[int, int]] = None,
-    include_full_walk: str = "auto",
+    include_full_walk: object = "auto",
+    orient: bool = False,
 ) -> ConstraintSet:
     """The constraint set guaranteeing exactness for one prototype.
+
+    The eager builder; the drivers call it through a lazy
+    :class:`~repro.core.ordering.ConstraintPlan`.
 
     ``include_full_walk``:
 
@@ -328,23 +354,28 @@ def generate_constraints(
     * ``True`` / ``False`` — force or suppress it (``False`` gives the
       paper's cheap-constraints-only mode; combine with enumeration-based
       verification for exactness).
-    """
-    local = local_constraints(proto_graph)
-    non_local: List[NonLocalConstraint] = []
-    non_local.extend(cycle_constraints(proto_graph))
-    if has_duplicate_labels(proto_graph):
-        non_local.extend(path_constraints(proto_graph))
-    if not is_edge_monocyclic(proto_graph):
-        non_local.extend(tds_constraints(proto_graph))
 
-    provably_exact = is_tree(proto_graph) and not has_duplicate_labels(proto_graph)
+    ``orient`` turns each walk rare-labels-first by ``label_frequencies``
+    before it is constructed (``order_constraints`` would rebuild it).
+    """
+    orient_by = label_frequencies if orient else None
+    cycles = _simple_cycles(proto_graph)
+    duplicates = has_duplicate_labels(proto_graph)
+    non_local = cycle_constraints(proto_graph, cycles, orient_by)
+    if duplicates:
+        non_local += path_constraints(proto_graph, orient_by)
+    if not is_edge_monocyclic(proto_graph, cycles):
+        non_local += tds_constraints(proto_graph, cycles, orient_by)
+
+    provably_exact = is_tree(proto_graph) and not duplicates
     want_full = (
         include_full_walk is True
         or (include_full_walk == "auto" and not provably_exact)
     )
     if want_full:
         root = _rarest_label_vertex(proto_graph, label_frequencies)
-        non_local.append(full_walk_constraint(proto_graph, root=root))
+        non_local.append(full_walk_constraint(proto_graph, root, orient_by))
+    local = local_constraints(proto_graph)
     return ConstraintSet(local, non_local, exact_without_full_walk=provably_exact)
 
 

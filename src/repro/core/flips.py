@@ -33,8 +33,7 @@ from ..runtime.engine import Engine
 from ..runtime.messages import MessageStats
 from ..runtime.partition import PartitionedGraph
 from .candidate_set import max_candidate_set
-from .constraints import generate_constraints
-from .ordering import order_constraints
+from .ordering import ConstraintPlanner
 from .pipeline import PipelineOptions
 from .prototypes import Prototype
 from .results import PrototypeSearchOutcome
@@ -192,26 +191,20 @@ def run_flip_pipeline(
     result.candidate_set_vertices = base_state.num_active_vertices
     result.total_simulated_seconds += options.cost_model.makespan(mcs_engine.stats)
 
-    label_frequencies = graph.label_counts()
+    planner = ConstraintPlanner(
+        graph, options.include_full_walk, options.constraint_ordering
+    )
     cache = NlccCache() if options.work_recycling else None
     for index, variant in enumerate(variants):
         proto = Prototype(index, 0, index, variant.graph.copy(), variant)
         proto.name = variant.name
-        constraint_set = generate_constraints(
-            proto.graph, label_frequencies, options.include_full_walk
-        )
-        constraint_set.non_local = order_constraints(
-            constraint_set.non_local,
-            label_frequencies,
-            optimize=options.constraint_ordering,
-        )
         state = base_state.for_prototype_search(proto)
         stats = MessageStats(options.num_ranks)
         engine = Engine(pgraph, stats, options.batch_size)
         outcome = search_prototype(
             state,
             proto,
-            constraint_set,
+            planner.plan(proto.graph),
             engine,
             cache=cache,
             recycle=options.work_recycling,

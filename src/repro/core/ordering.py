@@ -10,19 +10,33 @@ Two optimizations from the paper:
   replica deployments, overlapping the most expensive searches improves
   makespan.  :func:`schedule_prototypes` implements LPT (longest processing
   time first) scheduling given per-prototype cost estimates.
+
+:class:`ConstraintPlanner` applies the first for every driver, lazily: a
+prototype's walks are generated and ordered on the first read of its
+:class:`ConstraintPlan`, which ``search_prototype`` makes only when the
+first LCC fixpoint leaves a live vertex.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..graph.graph import Graph
+from ..runtime.metrics import ConstraintCostModel
+from . import constraints as constraint_builder
 from .constraints import (
     CYCLE_KIND,
     FULL_WALK_KIND,
     PATH_KIND,
     TDS_KIND,
     NonLocalConstraint,
+    has_duplicate_labels,
+    is_tree,
+    reverse_visits_rarer_first,
 )
+from .cost_estimation import GraphStatistics, order_constraints_by_cost
+from .prototypes import Prototype
 
 _KIND_PRIORITY = {CYCLE_KIND: 0, PATH_KIND: 1, TDS_KIND: 2, FULL_WALK_KIND: 3}
 
@@ -36,13 +50,10 @@ def orient_walk(
     direction whose early hops have rarer labels kills non-matching tokens
     faster.  Compares the frequency sequences lexicographically.
     """
-    forward = [label_frequencies.get(lab, 0) for lab in constraint.labels[1:]]
-    reverse_walk = constraint.walk[::-1]
-    reverse_labels = constraint.labels[::-1]
-    backward = [label_frequencies.get(lab, 0) for lab in reverse_labels[1:]]
-    if backward < forward:
+    if reverse_visits_rarer_first(constraint.labels, label_frequencies):
         return NonLocalConstraint(
-            constraint.kind, reverse_walk, reverse_labels, constraint.proto_graph
+            constraint.kind, constraint.walk[::-1], constraint.labels[::-1],
+            constraint.proto_graph,
         )
     return constraint
 
@@ -51,7 +62,7 @@ def order_constraints(
     constraints: Sequence[NonLocalConstraint],
     label_frequencies: Optional[Dict[int, int]] = None,
     optimize: bool = True,
-    measured=None,
+    measured: Optional[ConstraintCostModel] = None,
 ) -> List[NonLocalConstraint]:
     """Checking order for one prototype's non-local constraints.
 
@@ -72,7 +83,7 @@ def order_constraints(
     sub-resolution measurements all land in bucket 0 and the static
     order is preserved exactly; the kind order is never overridden.
     """
-    def base_key(constraint: NonLocalConstraint) -> Tuple:
+    def base_key(constraint: NonLocalConstraint) -> Tuple[int, int]:
         return (_KIND_PRIORITY.get(constraint.kind, 9), constraint.length)
 
     if not optimize or not label_frequencies:
@@ -80,7 +91,7 @@ def order_constraints(
 
     oriented = [orient_walk(c, label_frequencies) for c in constraints]
 
-    def opt_key(constraint: NonLocalConstraint) -> Tuple:
+    def opt_key(constraint: NonLocalConstraint) -> Tuple[Any, ...]:
         freqs = tuple(label_frequencies.get(lab, 0) for lab in constraint.labels)
         bucket = measured.bucket(constraint.key) if measured is not None else 0
         return (
@@ -95,7 +106,8 @@ def order_constraints(
 
 
 def reorder_measured(
-    constraints: Sequence[NonLocalConstraint], measured
+    constraints: Sequence[NonLocalConstraint],
+    measured: Optional[ConstraintCostModel],
 ) -> List[NonLocalConstraint]:
     """Stable re-sort of an already-ordered constraint list by measured cost.
 
@@ -110,13 +122,76 @@ def reorder_measured(
     ordered = list(constraints)
     if measured is None or not len(measured):
         return ordered
-    ordered.sort(
-        key=lambda c: (_KIND_PRIORITY.get(c.kind, 9), measured.bucket(c.key))
-    )
+    bucket = measured.bucket
+    ordered.sort(key=lambda c: (_KIND_PRIORITY.get(c.kind, 9), bucket(c.key)))
     return ordered
 
 
-def estimate_prototype_cost(prototype, label_frequencies: Dict[int, int]) -> float:
+class ConstraintPlanner:
+    """One run's (or pool worker's) planning choices: the background label
+    frequencies, the full-walk policy and ``constraint_ordering`` — ``True``
+    orients and sorts rare-labels-first, ``False`` keeps the kind/length
+    order, ``"walk-cost"`` sorts by estimated pruning efficiency over
+    :class:`GraphStatistics`, collected once and only if such a plan builds.
+    """
+
+    def __init__(
+        self, graph: Graph, include_full_walk: object = "auto", ordering: object = True
+    ) -> None:
+        self.graph = graph
+        self.label_frequencies: Dict[int, int] = graph.label_counts()
+        self.include_full_walk = include_full_walk
+        self.ordering = ordering
+        self._walk_stats: Optional[GraphStatistics] = None
+
+    def plan(self, proto_graph: Graph) -> "ConstraintPlan":
+        return ConstraintPlan(self, proto_graph)
+
+    def build(self, proto_graph: Graph) -> List[NonLocalConstraint]:
+        """Generate and order ``proto_graph``'s non-local constraints now."""
+        by_cost = self.ordering == "walk-cost"
+        by_frequency = bool(self.ordering) and not by_cost
+        # through the module attribute: the e2e trace and the tests rebind
+        # ``constraints.generate_constraints`` to see the builds that happen
+        non_local = constraint_builder.generate_constraints(
+            proto_graph, self.label_frequencies, self.include_full_walk,
+            orient=by_frequency,
+        ).non_local
+        if not by_cost:
+            return order_constraints(
+                non_local, self.label_frequencies, optimize=by_frequency
+            )
+        if self._walk_stats is None:
+            self._walk_stats = GraphStatistics.from_graph(self.graph)
+        return order_constraints_by_cost(non_local, self._walk_stats)
+
+
+class ConstraintPlan:
+    """One prototype's constraints in checking order, built on first read
+    of ``non_local`` — never, for a prototype whose scope dies in the first
+    LCC fixpoint.  ``exact_without_full_walk`` follows from the prototype's
+    shape alone (a tree with distinct labels) and triggers no build.
+    Duck-types the read side of :class:`~repro.core.constraints.ConstraintSet`.
+    """
+
+    def __init__(self, planner: ConstraintPlanner, proto_graph: Graph) -> None:
+        self.proto_graph = proto_graph
+        tree = is_tree(proto_graph)
+        self.exact_without_full_walk = tree and not has_duplicate_labels(proto_graph)
+        self._planner = planner
+
+    @cached_property
+    def non_local(self) -> List[NonLocalConstraint]:
+        return self._planner.build(self.proto_graph)
+
+    def full_walk(self) -> Optional[NonLocalConstraint]:
+        tail = self.non_local[-1:]  # every order puts the full walk last
+        return tail[0] if tail and tail[0].kind == FULL_WALK_KIND else None
+
+
+def estimate_prototype_cost(
+    prototype: Prototype, label_frequencies: Dict[int, int]
+) -> float:
     """Heuristic cost of searching one prototype.
 
     Proportional to the candidate mass of its labels times its edge count,

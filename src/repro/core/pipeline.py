@@ -30,7 +30,6 @@ from ..runtime.metrics import ConstraintCostModel, MetricsRegistry
 from ..runtime.partition import PartitionedGraph, balanced_assignment, hash_assignment
 from ..runtime.trace import NULL_TRACER
 from .arraystate import ArraySearchState, unpack_bits
-from .constraints import generate_constraints
 from .enumeration import (
     distinct_match_count,
     extend_from_child_matches,
@@ -41,13 +40,19 @@ from .candidate_set import (
     max_candidate_arrays,
     max_candidate_set,
 )
+from .kernels import kernel_cache_stats
 from .ordering import (
+    ConstraintPlanner,
     estimate_prototype_cost,
-    order_constraints,
     parallel_makespan,
     schedule_prototypes,
 )
-from .prototypes import Prototype, PrototypeSet, generate_prototypes
+from .prototypes import (
+    Prototype,
+    PrototypeSet,
+    generate_prototypes,
+    prototype_cache_stats,
+)
 from .results import LevelReport, PipelineResult, PrototypeSearchOutcome
 from .search import search_prototype
 from .state import NlccCache, SearchState
@@ -239,41 +244,16 @@ def _run_bottom_up(
     candidate_memo: Optional["CandidateSetMemo"] = None,
 ) -> PipelineResult:
     """Alg. 1 body; the caller owns the enclosing ``pipeline`` span."""
-    from .kernels import kernel_cache_stats
-    from .prototypes import prototype_cache_stats
-
     tracer = options.tracer
     wall_start = time.perf_counter()
-    # Process-wide compile caches: this run's traffic is the delta against
-    # the totals at entry, folded into the per-run registry at the end.
-    kernel_cache_before = kernel_cache_stats()
-    prototype_cache_before = prototype_cache_stats()
+    compile_caches_before = compile_cache_totals()
     protos = prototype_set or generate_prototypes(
         template, k, max_prototypes=options.max_prototypes
     )
-    label_frequencies = graph.label_counts()
-
-    walk_stats = None
-    if options.constraint_ordering == "walk-cost":
-        from .cost_estimation import GraphStatistics, order_constraints_by_cost
-
-        walk_stats = GraphStatistics.from_graph(graph)
-    constraint_sets = {}
-    for proto in protos:
-        constraint_set = generate_constraints(
-            proto.graph, label_frequencies, options.include_full_walk
-        )
-        if walk_stats is not None:
-            constraint_set.non_local = order_constraints_by_cost(
-                constraint_set.non_local, walk_stats
-            )
-        else:
-            constraint_set.non_local = order_constraints(
-                constraint_set.non_local,
-                label_frequencies,
-                optimize=bool(options.constraint_ordering),
-            )
-        constraint_sets[proto.id] = constraint_set
+    planner = ConstraintPlanner(
+        graph, options.include_full_walk, options.constraint_ordering
+    )
+    label_frequencies = planner.label_frequencies
 
     result = PipelineResult(template.name, k, protos)
     all_stats: List[MessageStats] = []
@@ -470,7 +450,7 @@ def _run_bottom_up(
                         outcome = search_prototype(
                             None if array_level else proto_state,
                             proto,
-                            constraint_sets[proto.id],
+                            planner.plan(proto.graph),
                             engine,
                             cache=cache,
                             recycle=options.work_recycling,
@@ -580,6 +560,33 @@ def _run_bottom_up(
         + sum(level.search_seconds for level in result.levels)
         + result.total_infrastructure_seconds
     )
+    return finish_run(
+        result, options, all_stats, cache, compile_caches_before, wall_start
+    )
+
+
+def compile_cache_totals() -> Dict[str, Dict[str, int]]:
+    """Hit/miss totals of the process-wide compile caches, by counter prefix."""
+    return {
+        "cache.kernel": kernel_cache_stats(),
+        "cache.prototype": prototype_cache_stats(),
+    }
+
+
+def finish_run(
+    result: PipelineResult,
+    options: PipelineOptions,
+    all_stats: List[MessageStats],
+    cache: Optional[NlccCache],
+    compile_caches_before: Dict[str, Dict[str, int]],
+    wall_start: float,
+) -> PipelineResult:
+    """Run epilogue shared by the bottom-up and exploratory drivers.
+
+    Wall time, merged message accounting, NLCC cache counters and the
+    run's share of the process-wide compile caches' traffic — the delta
+    against the :func:`compile_cache_totals` snapshot taken at its entry.
+    """
     result.total_wall_seconds = time.perf_counter() - wall_start
     result.message_summary = merge_message_stats(all_stats)
     if cache is not None:
@@ -590,16 +597,12 @@ def _run_bottom_up(
             "constraints": constraints,
             "entries": entries,
         }
-    metrics = options.metrics
-    for name, before, after in (
-        ("cache.kernel", kernel_cache_before, kernel_cache_stats()),
-        ("cache.prototype", prototype_cache_before, prototype_cache_stats()),
-    ):
+    for name, after in compile_cache_totals().items():
         for kind in ("hits", "misses"):
-            delta = after[kind] - before[kind]
+            delta = after[kind] - compile_caches_before[name][kind]
             if delta:
-                metrics.counter(f"{name}.{kind}").inc(delta)
-    result.metrics = metrics
+                options.metrics.counter(f"{name}.{kind}").inc(delta)
+    result.metrics = options.metrics
     return result
 
 

@@ -175,14 +175,15 @@ def _sweep(
     fail_after_level=None,
 ):
     """Run levels ``start_level .. 0``, checkpointing after each."""
-    from .constraints import generate_constraints
-    from .ordering import order_constraints
+    from .ordering import ConstraintPlanner
     from .search import search_prototype
     from .state import NlccCache
 
     wall_start = time.perf_counter()
     tracer = options.tracer
-    label_frequencies = graph.label_counts()
+    planner = ConstraintPlanner(
+        graph, options.include_full_walk, options.constraint_ordering
+    )
     cache = NlccCache() if options.work_recycling else None
     result = PipelineResult(template.name, protos.max_distance, protos)
     (
@@ -236,20 +237,13 @@ def _sweep(
                     )
                 else:
                     state = base_state.for_prototype_search(proto)
-                constraint_set = generate_constraints(
-                    proto.graph, label_frequencies, options.include_full_walk
-                )
-                constraint_set.non_local = order_constraints(
-                    constraint_set.non_local, label_frequencies,
-                    optimize=bool(options.constraint_ordering),
-                )
                 stats = MessageStats(options.num_ranks)
                 engine = Engine(
                     pgraph, stats, options.batch_size, tracer=tracer,
                     metrics=options.metrics,
                 )
                 outcome = search_prototype(
-                    state, proto, constraint_set, engine,
+                    state, proto, planner.plan(proto.graph), engine,
                     cache=cache, recycle=options.work_recycling,
                     count_matches=options.count_matches,
                     collect_matches=options.collect_matches,

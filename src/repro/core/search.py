@@ -4,7 +4,10 @@
 
 1. local constraint checking to a fixed point;
 2. each non-local constraint in the configured order, re-running LCC after
-   any constraint that eliminated something (Alg. 2 lines #7–9);
+   any constraint that eliminated something (Alg. 2 lines #7–9) — the
+   list is read only if step 1 left a live vertex, which is the one
+   event that makes a lazy :class:`~repro.core.ordering.ConstraintPlan`
+   build;
 3. exactness: either the constraint set ends with the full-walk TDS check
    (which reduces the state to exactly the solution subgraph and counts
    match mappings as a by-product), the prototype is a distinct-labeled
@@ -15,7 +18,7 @@
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Optional, Union
 
 from ..errors import PipelineError
 from ..runtime.engine import Engine
@@ -32,7 +35,7 @@ from .arraystate import ArraySearchState
 from .kernels import cached_role_kernel
 from .lcc import local_constraint_checking
 from .nlcc import non_local_constraint_checking
-from .ordering import reorder_measured
+from .ordering import ConstraintPlan, reorder_measured
 from .prototypes import Prototype
 from .results import PrototypeSearchOutcome
 from .state import NlccCache, SearchState
@@ -41,7 +44,7 @@ from .state import NlccCache, SearchState
 def search_prototype(
     state: Optional[SearchState],
     prototype: Prototype,
-    constraint_set: ConstraintSet,
+    constraint_set: Union[ConstraintSet, ConstraintPlan],
     engine: Engine,
     cache: Optional[NlccCache] = None,
     recycle: bool = True,
@@ -131,7 +134,7 @@ def search_prototype(
 def _search_prototype_body(
     state: Optional[SearchState],
     prototype: Prototype,
-    constraint_set: ConstraintSet,
+    constraint_set: Union[ConstraintSet, ConstraintPlan],
     engine: Engine,
     cache: Optional[NlccCache],
     recycle: bool,
@@ -176,7 +179,9 @@ def _search_prototype_body(
         outcome.post_lcc_edges,
     ) = counter.active_counts()
 
-    non_local = constraint_set.non_local
+    # Read (and so, for a lazy plan, built) only for a scope that
+    # survived LCC: most exploratory prototypes die right here.
+    non_local = constraint_set.non_local if outcome.post_lcc_vertices > 0 else []
     if adaptive and constraint_costs is not None:
         # Measured-cost re-sort (no-op until earlier prototypes have
         # contributed above-resolution wall times).

@@ -15,7 +15,7 @@ first direction of Obs. 2).
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..graph.graph import Graph
 from ..runtime.engine import Engine
@@ -23,9 +23,13 @@ from ..runtime.messages import MessageStats
 from ..runtime.partition import PartitionedGraph
 from .arraystate import ArraySearchState
 from .candidate_set import max_candidate_arrays, max_candidate_set
-from .constraints import generate_constraints
-from .ordering import order_constraints
-from .pipeline import PipelineOptions, _array_level_eligible, merge_message_stats
+from .ordering import ConstraintPlanner
+from .pipeline import (
+    PipelineOptions,
+    _array_level_eligible,
+    compile_cache_totals,
+    finish_run,
+)
 from .prototypes import generate_prototypes
 from .results import LevelReport, PipelineResult
 from .search import search_prototype
@@ -72,8 +76,11 @@ def _run_exploratory(
     """Top-down sweep body; the caller owns the ``pipeline`` span."""
     tracer = options.tracer
     wall_start = time.perf_counter()
+    compile_caches_before = compile_cache_totals()
     protos = generate_prototypes(template, max_k, options.max_prototypes)
-    label_frequencies = graph.label_counts()
+    planner = ConstraintPlanner(
+        graph, options.include_full_walk, options.constraint_ordering
+    )
     cache = NlccCache() if options.work_recycling else None
     cost_model = options.cost_model
 
@@ -132,7 +139,7 @@ def _run_exploratory(
                     )
                 else:
                     _inline_exploratory_level(
-                        pgraph, protos, distance, base, label_frequencies,
+                        pgraph, protos, distance, base, planner,
                         cache, options, level, result, all_stats,
                     )
                 level.search_seconds = sum(
@@ -164,18 +171,9 @@ def _run_exploratory(
     result.total_simulated_seconds = result.candidate_set_seconds + sum(
         level.search_seconds for level in result.levels
     )
-    result.total_wall_seconds = time.perf_counter() - wall_start
-    result.message_summary = merge_message_stats(all_stats)
-    if cache is not None:
-        constraints, entries = cache.size()
-        result.nlcc_cache_stats = {
-            "hits": cache.hits,
-            "misses": cache.misses,
-            "constraints": constraints,
-            "entries": entries,
-        }
-    result.metrics = options.metrics
-    return result
+    return finish_run(
+        result, options, all_stats, cache, compile_caches_before, wall_start
+    )
 
 
 def _inline_exploratory_level(
@@ -183,7 +181,7 @@ def _inline_exploratory_level(
     protos,
     distance: int,
     base: "SearchState | ArraySearchState",
-    label_frequencies: Dict[int, int],
+    planner: ConstraintPlanner,
     cache: Optional[NlccCache],
     options: PipelineOptions,
     level: LevelReport,
@@ -194,14 +192,6 @@ def _inline_exploratory_level(
     tracer = options.tracer
     cost_model = options.cost_model
     for proto in protos.at(distance):
-        constraint_set = generate_constraints(
-            proto.graph, label_frequencies, options.include_full_walk
-        )
-        constraint_set.non_local = order_constraints(
-            constraint_set.non_local,
-            label_frequencies,
-            optimize=options.constraint_ordering,
-        )
         scope = base.for_prototype_search(proto)
         in_arrays = isinstance(scope, ArraySearchState)
         stats = MessageStats(options.num_ranks)
@@ -212,7 +202,7 @@ def _inline_exploratory_level(
         outcome = search_prototype(
             None if in_arrays else scope,
             proto,
-            constraint_set,
+            planner.plan(proto.graph),
             engine,
             cache=cache,
             recycle=options.work_recycling,
@@ -250,7 +240,7 @@ def _pooled_exploratory_level(
     Every scope is cut fresh from M* (no cross-level unions top-down), so
     warm seeds never apply; with an array-eligible pool the scopes ship
     as packed bitmaps over the shared CSR, otherwise as legacy dict
-    payloads.  Workers generate their own constraint sets at init.  Like
+    payloads.  Workers plan the constraints of the tasks they are handed.  Like
     the bottom-up pooled path, worker message traces fold into the
     per-outcome totals but not ``result.message_summary``.
     """

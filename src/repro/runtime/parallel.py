@@ -124,8 +124,7 @@ def _init_worker(
     graph's memoized CSR, so every ``csr_of(graph)`` in the search stack
     reads the one shared copy.
     """
-    from ..core.constraints import generate_constraints
-    from ..core.ordering import order_constraints
+    from ..core.ordering import ConstraintPlanner
     from ..core.prototypes import generate_prototypes
     from ..core.state import NlccCache
     from .partition import PartitionedGraph
@@ -138,24 +137,16 @@ def _init_worker(
         except (FileNotFoundError, OSError):  # pragma: no cover - attach race
             pass  # csr_of() rebuilds locally; results are unaffected
 
-    label_frequencies = graph.label_counts()
     protos = generate_prototypes(template, k, options.max_prototypes)
-    constraint_sets = {}
-    for proto in protos:
-        constraint_set = generate_constraints(
-            proto.graph, label_frequencies, options.include_full_walk
-        )
-        constraint_set.non_local = order_constraints(
-            constraint_set.non_local,
-            label_frequencies,
-            optimize=bool(options.constraint_ordering),
-        )
-        constraint_sets[proto.id] = constraint_set
     _WORKER.update(
         graph=graph,
         options=options,
         prototypes={p.id: p for p in protos},
-        constraint_sets=constraint_sets,
+        # constraints are planned per task, and only for a scope that
+        # survives LCC: init does not scale with the prototype count
+        planner=ConstraintPlanner(
+            graph, options.include_full_walk, options.constraint_ordering
+        ),
         cache=NlccCache() if options.work_recycling else None,
         # one partition per worker: its hash assignment and per-CSR rank
         # arrays are shared by every task the worker serves
@@ -239,7 +230,7 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
     outcome = search_prototype(
         state,
         proto,
-        _WORKER["constraint_sets"][task.proto_id],
+        _WORKER["planner"].plan(proto.graph),
         engine,
         cache=_WORKER["cache"],
         recycle=options.work_recycling,

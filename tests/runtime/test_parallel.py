@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.core import PipelineOptions, run_pipeline
+from repro.core import (
+    PipelineOptions,
+    exploratory_search,
+    generate_prototypes,
+    run_pipeline,
+)
+from repro.core.patterns import wdc4_template
 from repro.core.template import PatternTemplate
 from repro.errors import PipelineError
 from repro.graph.generators import planted_graph
@@ -121,3 +127,66 @@ class TestWorkerProcesses:
     def test_zero_workers_rejected(self):
         with pytest.raises(PipelineError):
             PipelineOptions(worker_processes=0)
+
+
+class TestWorkerInitDoesNotPlan:
+    """Workers plan the task they are handed, not the whole template."""
+
+    @staticmethod
+    def clique_workload():
+        # the e2e benchmark's clique-explore query: vertices 4 and 5 pinned
+        # to everything, the six edges among 0..3 optional
+        clique = wdc4_template()
+        mandatory = [e for e in clique.edges() if e[1] >= 4]
+        template = PatternTemplate.from_edges(
+            clique.edges(), {v: clique.label(v) for v in clique.vertices()},
+            mandatory_edges=mandatory, name="WDC-4",
+        )
+        labels = [clique.label(v) for v in sorted(clique.vertices())]
+        relaxed = [e for e in clique.edges() if e not in [(0, 1), (0, 2)]]
+        graph = planted_graph(
+            150, 400, relaxed, labels, copies=2, num_labels=8, seed=11
+        )
+        return graph, template
+
+    def test_init_builds_no_constraint_set(self, monkeypatch):
+        import repro.core.constraints as constraints_module
+        from repro.runtime import parallel
+
+        graph, template = self.clique_workload()
+        assert len(generate_prototypes(template, 4)) == 57
+        builds = []
+        raw = constraints_module.generate_constraints
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return raw(*args, **kwargs)
+
+        monkeypatch.setattr(constraints_module, "generate_constraints", counting)
+        monkeypatch.setattr(parallel, "_WORKER", {})
+        parallel._init_worker(graph, template, 4, PipelineOptions(num_ranks=2))
+        assert len(parallel._WORKER["prototypes"]) == 57
+        assert not builds
+
+    def test_pooled_level_returns_the_in_process_answer(self):
+        graph, template = self.clique_workload()
+        knobs = dict(num_ranks=2, count_matches=True)
+        sequential = exploratory_search(
+            graph, template, max_k=4, options=PipelineOptions(**knobs)
+        )
+        pooled = exploratory_search(
+            graph, template, max_k=4,
+            options=PipelineOptions(worker_processes=2, **knobs),
+        )
+        assert sequential.matched_vertices()
+        assert len(pooled.levels) == len(sequential.levels) == 3
+        assert pooled.match_vectors == sequential.match_vectors
+        for seq_outcome in sequential.outcomes():
+            par_outcome = pooled.outcome_for(seq_outcome.prototype.id)
+            assert par_outcome.solution_vertices == seq_outcome.solution_vertices
+            assert par_outcome.solution_edges == seq_outcome.solution_edges
+            assert par_outcome.match_mappings == seq_outcome.match_mappings
+            assert (
+                par_outcome.nlcc_constraints_checked
+                == seq_outcome.nlcc_constraints_checked
+            )
