@@ -1459,9 +1459,14 @@ class ArrayWalkOutcome:
     """Raw product of one :func:`array_token_walk` (dense vertex indices).
 
     ``satisfied_idx`` holds initiators whose token completed (recycled
-    initiators are *not* included — callers union them); ``full_paths``
-    (full-walk constraints only) is one row of dense indices per completed
-    token, each an exact match mapping.
+    initiators are *not* included — callers union them).  Full walks
+    (``collect_paths=True``) also return their completed tokens, one row
+    each, in completion order: ``full_paths`` (completions × walk length)
+    holds the dense vertex index at every walk position — each row an
+    exact match mapping — and ``full_edges`` (completions × hops) the CSR
+    edge position taken at every hop, so ``full_edges[r, j]`` runs
+    ``full_paths[r, j] -> full_paths[r, j + 1]``.  Both stay ``None``
+    otherwise.
     """
 
     __slots__ = (
@@ -1472,6 +1477,7 @@ class ArrayWalkOutcome:
         "completions",
         "dedup_merged",
         "full_paths",
+        "full_edges",
     )
 
     def __init__(self) -> None:
@@ -1482,6 +1488,7 @@ class ArrayWalkOutcome:
         self.completions = 0
         self.dedup_merged = 0
         self.full_paths: Optional[np.ndarray] = None
+        self.full_edges: Optional[np.ndarray] = None
 
 
 def array_token_walk(
@@ -1495,27 +1502,39 @@ def array_token_walk(
 ) -> ArrayWalkOutcome:
     """Run one NLCC constraint's token walk as a batched frontier (Alg. 5).
 
-    A token generation is a struct-of-arrays frontier: ``paths`` holds one
-    row per live token (columns = walk positions visited so far, as dense
-    CSR indices) with an integer ``weight`` per row; each hop expands every
-    row over its frontier vertex's alive out-edges via one ``np.repeat`` /
-    cumulative-offset gather through an alive-compacted adjacency built
-    once per walk, then filters by the per-hop role bit, the
-    required edge-label code and the walk's same/diff identity obligations
-    (``schedule`` — see :class:`~repro.core.kernels.WalkSchedule`).
+    A token generation is a struct-of-arrays frontier: ``cols`` is a list
+    of 1-D int64 arrays, one per walk position visited so far (dense CSR
+    indices, one entry per live token row), with an integer ``weights``
+    entry per row.  Each hop expands every row over its frontier vertex's
+    alive out-edges via one ``np.repeat`` / cumulative-offset gather
+    through an alive-compacted adjacency built once per walk, then filters
+    by the per-hop role bit, the required edge-label code and the walk's
+    same/diff identity obligations (``schedule`` — see
+    :class:`~repro.core.kernels.WalkSchedule`), each identity check a 1-D
+    take of one earlier column.  Survivors gather every column once and
+    append the new frontier vertex as the next column.
 
     Per-(vertex, hop, initiator) dedup: after each hop, the *free* path
     columns (never again read for equality, symmetric in all future
-    ``diff`` checks) are sorted in place per row; rows that then agree on
-    every column describe interchangeable token families and are merged by
-    summing weights (one ``np.lexsort`` + boundary ``np.add.reduceat``).
+    ``diff`` checks) are sorted per row — ``minimum`` / ``maximum`` when
+    there are two of them (the common case), a stacked row sort otherwise;
+    rows that then agree on every column describe interchangeable token
+    families and are merged by summing weights (one ``np.lexsort`` over
+    the columns, a per-column boundary test, ``np.add.reduceat``).  When
+    nothing merges the rows keep their expansion order; when something
+    does they continue in lexsort order.
     Completion counts stay exact because a completing row contributes its
     weight, and the satisfied initiator (column 0) is pinned.  Hub-vertex
     token storms — many tokens differing only in the order they visited
     interchangeable intermediate vertices — collapse into single weighted
-    rows instead of exploding combinatorially.  Full-walk constraints
-    skip dedup (``collect_paths``): every completed path is itself the
-    match evidence.
+    rows instead of exploding combinatorially.
+
+    Full-walk constraints (``collect_paths``) never fold: every completed
+    path is itself the match evidence.  They carry one more column per
+    hop, the CSR edge position the token took — known at the moment of
+    the hop — and return it with the vertex columns, each stacked once at
+    completion (:class:`ArrayWalkOutcome`), so the NLCC reduction marks
+    the walked edges by position instead of searching for them.
 
     Message accounting mirrors the dict walk's single traversal: one
     message per alive out-edge of every frontier row (receiver-side drops,
@@ -1532,6 +1551,7 @@ def array_token_walk(
     role_mask = astate.role_mask
     wide = role_mask.ndim > 1
     role_bit = kernel.role_bit
+    dedup = dedup and not collect_paths
     # Per-hop (word, in-word bit) addressing; single-word layouts always
     # address word 0 and read the 1-D mask array directly.
     hop_words: List[int] = []
@@ -1554,6 +1574,9 @@ def array_token_walk(
             ecodes = np.zeros(csr.num_directed_edges, dtype=np.int64)
 
     out = ArrayWalkOutcome()
+    if collect_paths:
+        out.full_paths = np.zeros((0, walk_len), dtype=np.int64)
+        out.full_edges = np.zeros((0, walk_len - 1), dtype=np.int64)
     tracing = engine.tracer.enabled
     round_started = time.perf_counter() if tracing else None
     accounting = _RoundAccounting(engine, csr)
@@ -1578,10 +1601,11 @@ def array_token_walk(
         start = holders
     out.tokens_launched = int(start.shape[0])
 
-    paths = start[:, None].astype(np.int64, copy=True)
-    weights = np.ones(paths.shape[0], dtype=np.int64)
-    satisfied_parts: List[np.ndarray] = []
-    full_rows: List[np.ndarray] = []
+    # Columns are replaced, never written in place, so column 0 may alias
+    # ``checked_idx``.
+    cols: List[np.ndarray] = [start]
+    edge_cols: List[np.ndarray] = []
+    weights = np.ones(start.shape[0], dtype=np.int64)
 
     # Alive-compacted adjacency: the alive out-edges of vertex ``i`` are
     # ``alive_edges[alive_start[i] : alive_start[i] + alive_degree[i]]``,
@@ -1594,15 +1618,14 @@ def array_token_walk(
     alive_start = np.cumsum(alive_degree) - alive_degree
 
     for hop in range(1, walk_len):
-        if paths.shape[0] == 0:
+        cur = cols[-1]
+        if cur.shape[0] == 0:
             break
-        cur = paths[:, -1]
         counts = alive_degree[cur]
         total = int(counts.sum())
         if total == 0:
-            paths = paths[:0]
             break
-        row_id = np.repeat(np.arange(paths.shape[0], dtype=np.int64), counts)
+        row_id = np.repeat(np.arange(cur.shape[0], dtype=np.int64), counts)
         # position of each expanded row inside ``alive_edges``: its
         # vertex's start plus its rank among the vertex's alive edges
         first = np.cumsum(counts) - counts
@@ -1618,66 +1641,63 @@ def array_token_walk(
         if hop_codes is not None and hop_codes[hop] is not None:
             ok &= ecodes[edge] == hop_codes[hop]
         for position in schedule.same_positions[hop]:
-            ok &= paths[row_id, position] == dst
+            ok &= cols[position][row_id] == dst
         for position in schedule.diff_positions[hop]:
-            ok &= paths[row_id, position] != dst
+            ok &= cols[position][row_id] != dst
         row_id = row_id[ok]
-        dst = dst[ok]
         if row_id.shape[0] == 0:
-            paths = paths[:0]
             break
-        new_paths = np.concatenate(
-            [paths[row_id], dst[:, None]], axis=1
-        )
-        new_weights = weights[row_id]
+        # rebind rather than append ``dst[ok]``: releasing the
+        # expansion-sized array before the gathers lowers the peak RSS
+        dst = dst[ok]
+        weights = weights[row_id]
+        cols = [c[row_id] for c in cols]
+        cols.append(dst)
+        if collect_paths:
+            edge_cols = [e[row_id] for e in edge_cols]
+            edge_cols.append(edge[ok])
 
         if hop == walk_len - 1:
             # Closed walk: the same-position check above forced a return
             # to column 0, the initiator.
-            out.completions += int(new_weights.sum())
-            satisfied_parts.append(new_paths[:, 0])
+            out.completions = int(weights.sum())
+            out.satisfied_idx = np.unique(cols[0])
             if collect_paths:
-                full_rows.append(new_paths)
-            paths = paths[:0]
+                out.full_paths = np.stack(cols, axis=1)
+                out.full_edges = np.stack(edge_cols, axis=1)
             break
 
         if dedup:
             free = schedule.free[hop]
-            if len(free) >= 2:
-                free_cols = new_paths[:, free]
-                free_cols.sort(axis=1)
-                new_paths[:, free] = free_cols
-            if new_paths.shape[0] > 1:
-                order = np.lexsort(new_paths.T)
-                sorted_paths = new_paths[order]
-                boundary = np.empty(sorted_paths.shape[0], dtype=bool)
-                boundary[0] = True
-                np.any(
-                    sorted_paths[1:] != sorted_paths[:-1],
-                    axis=1, out=boundary[1:],
+            if len(free) == 2:
+                a, b = cols[free[0]], cols[free[1]]
+                cols[free[0]] = np.minimum(a, b)
+                cols[free[1]] = np.maximum(a, b)
+            elif len(free) > 2:
+                block = np.stack([cols[p] for p in free], axis=1)
+                block.sort(axis=1)
+                for j, position in enumerate(free):
+                    cols[position] = block[:, j]
+            rows = row_id.shape[0]
+            if rows > 1:
+                order = np.lexsort(cols)
+                sorted_cols = [c[order] for c in cols]
+                boundary = np.ones(rows, dtype=bool)
+                differs = boundary[1:]
+                np.not_equal(
+                    sorted_cols[0][1:], sorted_cols[0][:-1], out=differs
                 )
-                starts = np.nonzero(boundary)[0]
-                merged = starts.shape[0]
-                if merged < sorted_paths.shape[0]:
-                    out.dedup_merged += sorted_paths.shape[0] - merged
-                    new_weights = np.add.reduceat(
-                        new_weights[order], starts
-                    )
-                    new_paths = sorted_paths[starts]
-        paths = new_paths
-        weights = new_weights
+                for c in sorted_cols[1:]:
+                    differs |= c[1:] != c[:-1]
+                starts = np.flatnonzero(boundary)
+                if starts.shape[0] < rows:
+                    out.dedup_merged += rows - starts.shape[0]
+                    weights = np.add.reduceat(weights[order], starts)
+                    cols = [c[starts] for c in sorted_cols]
 
     accounting.flush(
         round_started=round_started, worklist=out.tokens_launched
     )
-    if satisfied_parts:
-        out.satisfied_idx = np.unique(np.concatenate(satisfied_parts))
-    if collect_paths:
-        out.full_paths = (
-            np.concatenate(full_rows, axis=0)
-            if full_rows
-            else np.zeros((0, walk_len), dtype=np.int64)
-        )
     return out
 
 

@@ -35,6 +35,7 @@ into a shorter makespan.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..graph.graph import Graph
@@ -209,11 +210,42 @@ def clear_kernel_cache() -> None:
     _M_KERNEL_MISSES = _KERNEL_CACHE_METRICS.counter("cache.kernel.misses")
 
 
+@functools.lru_cache(maxsize=4096)
+def _identity_tables(pattern: Tuple[int, ...]):
+    """``(same_positions, diff_positions, pinned, free)`` of one identity
+    pattern (``NonLocalConstraint.key[2]``), one tuple entry per hop.
+
+    The tables depend on nothing but which walk positions name the same
+    template vertex, so every constraint with that pattern shares one
+    copy; they are tuples because both token walks only read them.
+    """
+    length = len(pattern)
+    same_positions = tuple(
+        tuple(p for p in range(hop) if pattern[p] == pattern[hop])
+        for hop in range(length)
+    )
+    diff_positions = tuple(
+        tuple(p for p in range(hop) if pattern[p] != pattern[hop])
+        for hop in range(length)
+    )
+    pinned = []
+    free = []
+    for hop in range(length):
+        held = {0, hop}
+        for later in range(hop + 1, length):
+            held.update(p for p in same_positions[later] if p <= hop)
+        pinned.append(tuple(sorted(held)))
+        free.append(tuple(p for p in range(1, hop) if p not in held))
+    return same_positions, diff_positions, tuple(pinned), tuple(free)
+
+
 class WalkSchedule:
     """Per-hop obligations of one non-local constraint's closed walk.
 
-    Precomputed once per constraint and shared by the dict token walk and
-    the array frontier (:func:`~repro.core.arraystate.array_token_walk`):
+    Shared by the dict token walk and the array frontier
+    (:func:`~repro.core.arraystate.array_token_walk`).  The four position
+    tables are per *identity pattern* (:func:`_identity_tables`, cached),
+    read-only tuples; ``walk`` and ``hop_edge_labels`` are per constraint:
 
     * ``same_positions[h]`` / ``diff_positions[h]`` — the earlier walk
       positions a hop-``h`` vertex must equal / differ from (they fully
@@ -245,27 +277,12 @@ class WalkSchedule:
         walk_len = len(walk)
         self.walk = walk
         self.length = walk_len
-        self.same_positions = []
-        self.diff_positions = []
-        for hop in range(walk_len):
-            self.same_positions.append(
-                [p for p in range(hop) if walk[p] == walk[hop]]
-            )
-            self.diff_positions.append(
-                [p for p in range(hop) if walk[p] != walk[hop]]
-            )
-        self.pinned = []
-        self.free = []
-        for hop in range(walk_len):
-            pinned = {0, hop}
-            for later in range(hop + 1, walk_len):
-                pinned.update(
-                    p for p in self.same_positions[later] if p <= hop
-                )
-            self.pinned.append(sorted(pinned))
-            self.free.append(
-                [p for p in range(1, hop) if p not in pinned]
-            )
+        (
+            self.same_positions,
+            self.diff_positions,
+            self.pinned,
+            self.free,
+        ) = _identity_tables(constraint.key[2])
         self.hop_edge_labels = None
         proto_graph = getattr(constraint, "proto_graph", None)
         if proto_graph is not None and proto_graph.has_edge_labels:

@@ -56,8 +56,9 @@ class NlccResult:
         "recycled",
         "eliminated_roles",
         "completions",
-        "confirmed_roles",
-        "confirmed_edges",
+        "_confirmed_roles",
+        "_confirmed_edges",
+        "_confirmed_dense",
         "_completed_mappings",
         "completed_walk",
         "completed_paths",
@@ -73,11 +74,15 @@ class NlccResult:
         #: number of tokens that completed the walk (for full walks this is
         #: exactly the number of match mappings rooted anywhere)
         self.completions = 0
-        self.confirmed_roles: Dict[int, Set[int]] = {}
-        self.confirmed_edges: Set[Tuple[int, int]] = set()
-        #: backing list for :attr:`completed_mappings`; the dict walk
-        #: appends eagerly, the array walk leaves it None and keeps the
-        #: dense evidence in ``completed_walk``/``completed_paths``
+        #: backing stores of :attr:`confirmed_roles`, :attr:`confirmed_edges`
+        #: and :attr:`completed_mappings`.  The dict walk fills them
+        #: eagerly; the array walk sets them to None and keeps the dense
+        #: evidence instead — ``_confirmed_dense`` = (csr, kernel, vertex ×
+        #: mask-word role-bit matrix, per-directed-edge flag array) and
+        #: ``completed_walk``/``completed_paths`` — decoded on first access.
+        self._confirmed_roles: Optional[Dict[int, Set[int]]] = {}
+        self._confirmed_edges: Optional[Set[Tuple[int, int]]] = set()
+        self._confirmed_dense = None
         self._completed_mappings: Optional[list] = []
         #: walk role sequence of the dense match evidence (array walk)
         self.completed_walk: Optional[Tuple[int, ...]] = None
@@ -87,6 +92,38 @@ class NlccResult:
         #: token rows collapsed by the array frontier's canonical fold
         #: (always 0 on the dict path, which never dedups)
         self.dedup_merged = 0
+
+    @property
+    def confirmed_roles(self) -> Dict[int, Set[int]]:
+        """For full walks: vertex id -> roles some completed token gave it."""
+        if self._confirmed_roles is None:
+            csr, kernel, words, _ = self._confirmed_dense
+            held = words.any(axis=1).nonzero()[0]
+            self._confirmed_roles = {
+                vertex: kernel.roles_of(
+                    sum(word << (64 * w) for w, word in enumerate(row))
+                )
+                for vertex, row in zip(
+                    csr.order[held].tolist(), words[held].tolist()
+                )
+            }
+        return self._confirmed_roles
+
+    @property
+    def confirmed_edges(self) -> Set[Tuple[int, int]]:
+        """For full walks: canonical ``(lo, hi)`` vertex-id pair of every
+        edge some completed token walked."""
+        if self._confirmed_edges is None:
+            csr, _, _, confirmed = self._confirmed_dense
+            # each undirected edge once, from its smaller-id endpoint
+            once = (confirmed & csr.vid_gt).nonzero()[0]
+            self._confirmed_edges = set(
+                zip(
+                    csr.order[csr.src[once]].tolist(),
+                    csr.order[csr.indices[once]].tolist(),
+                )
+            )
+        return self._confirmed_edges
 
     @property
     def completed_mappings(self) -> list:
@@ -478,78 +515,47 @@ def _check_array(
 def _reduce_to_confirmed_array(
     astate, schedule, kernel: RoleKernel, walk_out, result: NlccResult
 ) -> None:
-    """Array form of :func:`_reduce_to_confirmed` (full-walk reduction)."""
+    """Array form of :func:`_reduce_to_confirmed` (full-walk reduction).
+
+    The walk hands over, per completed token, the vertex at every walk
+    position and the CSR edge taken at every hop, so "confirmed" is two
+    scatters — role bits by vertex, a flag by edge position (plus its
+    mirror) — with nothing to sort or search.
+    """
     import numpy as np
 
     csr = astate.csr
     n = csr.num_vertices
-    order = csr.order
     walk = schedule.walk
-    walk_len = schedule.length
     paths = walk_out.full_paths
     before = astate.num_active_vertices
 
-    n_words = astate.n_words
-    wide = n_words > 1
-    if wide:
-        confirmed_mask = np.zeros((n, n_words), dtype=np.uint64)
-        for position in range(walk_len):
-            word, offset = divmod(
-                kernel.role_bit[walk[position]].bit_length() - 1, 64
-            )
-            np.bitwise_or.at(
-                confirmed_mask[:, word],
-                paths[:, position],
-                np.uint64(1 << offset),
-            )
-    else:
-        confirmed_mask = np.zeros(n, dtype=np.uint64)
-        for position in range(walk_len):
-            np.bitwise_or.at(
-                confirmed_mask,
-                paths[:, position],
-                np.uint64(kernel.role_bit[walk[position]]),
-            )
+    # confirmed role bits, one column per mask word
+    words = np.zeros((n, astate.n_words), dtype=np.uint64)
+    for position, role in enumerate(walk):
+        if schedule.same_positions[position]:
+            # a revisited role: the identity check pinned this column to
+            # the role's first position, already scattered
+            continue
+        holds = np.zeros(n, dtype=bool)
+        holds[paths[:, position]] = True
+        word, offset = divmod(kernel.role_bit[role].bit_length() - 1, 64)
+        words[holds, word] |= np.uint64(1 << offset)
+    confirmed = np.zeros(csr.num_directed_edges, dtype=bool)
+    confirmed[walk_out.full_edges] = True
+    confirmed |= confirmed[csr.mirror]
 
     # Match evidence, identical to the dict walk's _record_match output.
-    # Per-match dicts are NOT built here: the dense vid matrix is the
-    # stored form, materialized lazily by NlccResult.completed_mappings
-    # (enumeration.matches_from_paths) only if a consumer asks.
+    # None of it is decoded here: the dense arrays are the stored form,
+    # and NlccResult builds confirmed_roles / confirmed_edges /
+    # completed_mappings from them only if a consumer asks.
+    result._confirmed_roles = None
+    result._confirmed_edges = None
+    result._confirmed_dense = (csr, kernel, words, confirmed)
     if paths.shape[0]:
-        vid_rows = order[paths]
         result.completed_walk = tuple(walk)
-        result.completed_paths = vid_rows
+        result.completed_paths = csr.order[paths]
         result._completed_mappings = None
-        head = paths[:, :-1].ravel()
-        tail = paths[:, 1:].ravel()
-        head_vid = order[head]
-        tail_vid = order[tail]
-        lo = np.minimum(head_vid, tail_vid)
-        hi = np.maximum(head_vid, tail_vid)
-        pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
-        result.confirmed_edges = {
-            (int(u), int(v)) for u, v in pairs.tolist()
-        }
-        confirmed_codes = np.unique(
-            np.concatenate([head * n + tail, tail * n + head])
-        )
-    else:
-        confirmed_codes = np.zeros(0, dtype=np.int64)
-    roles_of = kernel.roles_of
-    if wide:
-        nz = np.nonzero(
-            (confirmed_mask != np.uint64(0)).any(axis=1)
-        )[0]
-        for i, row in zip(nz.tolist(), confirmed_mask[nz].tolist()):
-            combined = sum(
-                word << (64 * w) for w, word in enumerate(row)
-            )
-            result.confirmed_roles[int(order[i])] = roles_of(combined)
-    else:
-        for i in np.nonzero(confirmed_mask != np.uint64(0))[0].tolist():
-            result.confirmed_roles[int(order[i])] = roles_of(
-                int(confirmed_mask[i])
-            )
 
     # Reduction, mirroring the dict loop exactly: unconfirmed candidates
     # deactivate (killing their edges both ways); survivors' roles are
@@ -557,22 +563,17 @@ def _reduce_to_confirmed_array(
     # when examined from its smaller-id endpoint's side with that endpoint
     # still a candidate — the same asymmetric-aliveness quirk the dict
     # state preserves.
-    if wide:
-        confirmed_any = (confirmed_mask != np.uint64(0)).any(axis=1)
-    else:
-        confirmed_any = confirmed_mask != np.uint64(0)
-    drop_idx = np.nonzero(astate.vertex_active & ~confirmed_any)[0]
+    drop_idx = np.nonzero(astate.vertex_active & ~words.any(axis=1))[0]
     if drop_idx.shape[0]:
         astate.deactivate_indices(drop_idx)
-    keep = astate.vertex_active[:, None] if wide else astate.vertex_active
-    astate.role_mask = np.where(keep, confirmed_mask, np.uint64(0))
+    kept = np.where(astate.vertex_active[:, None], words, np.uint64(0))
+    astate.role_mask = kept if astate.n_words > 1 else kept[:, 0]
     alive = astate.edge_alive
-    examined = alive & csr.vid_gt & astate.vertex_active[csr.src]
-    edge_codes = csr.src * np.int64(n) + csr.indices
     kill_idx = np.nonzero(
-        examined & ~np.isin(edge_codes, confirmed_codes)
+        alive & csr.vid_gt & astate.vertex_active[csr.src] & ~confirmed
     )[0]
     if kill_idx.shape[0]:
         alive[kill_idx] = False
         alive[csr.mirror[kill_idx]] = False
     result.eliminated_roles += before - astate.num_active_vertices
+
