@@ -30,6 +30,14 @@ verdict, by the rules of the ``choosing-metrics`` guide:
 * ``unresolved`` — anything else.  Never "unchanged": a spread wider than
   the bound cannot show that nothing moved.
 
+Under ``setup_s`` it prints one informational row, ``setup raw s``: each
+run's median of ``setup_times_s × setup_slowdown``, the set-up phase in
+uncalibrated seconds.  The phase lasts 10–70 ms and shares one probe-based
+slowdown estimate, which differs from process to process — two exports of
+one commit have read 6–13 % apart in ``setup_s`` with equal raw seconds —
+so the raw row says whether a ``setup_s`` shift is the code or the
+estimate.  It has no verdict and never decides the exit code.
+
 Exit code 1 if a run produces no document, an answer fails verification,
 the change's failed share exceeds the parent's or any metric reads
 ``worse``; the raw values of every run go to ``--out`` (JSON).
@@ -89,6 +97,14 @@ def verdict(
         "wins": wins, "losses": losses, "pairs": len(gains),
         "verdict": word,
     }
+
+
+def setup_raw_seconds(document: dict) -> float:
+    """One run's set-up phase in raw seconds (its calibration undone)."""
+    return statistics.median(
+        seconds * document["setup_slowdown"]
+        for seconds in document["setup_times_s"]
+    )
 
 
 def export_ref(ref: str, dest: Path) -> None:
@@ -205,6 +221,21 @@ def summarize(workload: str, runs: Dict[str, List[dict]], args, metrics) -> dict
             f"{metric['unit']:3s} wins {row['wins']}/{row['pairs']}"
             f" (losses {row['losses']})  {row['verdict']}"
         )
+        if name == "setup_s":
+            raw = {
+                side: [setup_raw_seconds(d) for d in docs]
+                for side, docs in runs.items()
+            }
+            summary["setup_raw_s"] = raw
+            spread = {
+                side: "{1:.4g} [{0:.4g}, {2:.4g}]".format(*quartiles(values))
+                for side, values in raw.items()
+            }
+            print(
+                f"  {'setup raw s':14s} parent {spread['parent']}"
+                f"  change {spread['change']} s  "
+                f" (uncalibrated; informational, no verdict)"
+            )
     print(flush=True)
     return summary
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import time
 from typing import (
-    AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+    Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
 import numpy as np
@@ -100,6 +100,30 @@ def _zero_masks(n: int, n_words: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 # CSR snapshot
 # ----------------------------------------------------------------------
+def sorted_pair_table(
+    src: np.ndarray,
+    indices: np.ndarray,
+    num_vertices: int,
+    by_pair: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(pair_keys, pair_edges)`` table behind ``GraphCsr.edge_positions``.
+
+    ``pair_keys`` holds ``src * n + dst`` of every directed edge in
+    ascending order and ``pair_edges`` the CSR position of each key; both
+    end in a sentinel (the largest int64 / ``-1``) so a probe needs no
+    bounds clamp.  ``by_pair`` is the edge permutation sorted by
+    ``(src, dst)`` when the caller already has it.
+    """
+    keys = src * np.int64(num_vertices) + indices
+    if by_pair is None:
+        by_pair = np.argsort(keys, kind="stable")
+    pair_keys = np.append(keys[by_pair], np.iinfo(np.int64).max)
+    pair_edges = np.append(by_pair, np.int64(-1))
+    pair_keys.flags.writeable = False
+    pair_edges.flags.writeable = False
+    return pair_keys, pair_edges
+
+
 class GraphCsr:
     """Immutable CSR view of a background graph (memoized, see :func:`csr_of`).
 
@@ -117,6 +141,8 @@ class GraphCsr:
         "indices",
         "src",
         "mirror",
+        "pair_keys",
+        "pair_edges",
         "degrees",
         "zero_degree",
         "label_codes",
@@ -183,6 +209,9 @@ class GraphCsr:
         mirror = np.empty(m, dtype=np.int64)
         mirror[forward] = backward
         self.mirror = mirror
+        self.pair_keys, self.pair_edges = sorted_pair_table(
+            self.src, indices, n, forward
+        )
 
         label_ids: Dict[int, int] = {}
         raw_labels = [graph.label(v) for v in order.tolist()]
@@ -275,6 +304,9 @@ class GraphCsr:
         pos_of_old = np.full(self.num_directed_edges, -1, dtype=np.int64)
         pos_of_old[eidx] = np.arange(m_new, dtype=np.int64)
         view.mirror = pos_of_old[self.mirror[eidx]]
+        view.pair_keys, view.pair_edges = sorted_pair_table(
+            view.src, view.indices, n_new
+        )
 
         view.label_codes = self.label_codes[kept]
         view.label_ids = self.label_ids
@@ -297,6 +329,19 @@ class GraphCsr:
 
         view.graph._csr_cache = view
         return view
+
+    def edge_positions(self, u_idx: np.ndarray, v_idx: np.ndarray) -> np.ndarray:
+        """CSR position of each directed edge ``u_idx[i] -> v_idx[i]``.
+
+        Dense vertex indices in, one int64 per pair out: the position
+        ``e`` with ``src[e] == u`` and ``indices[e] == v``, or ``-1`` when
+        the background graph has no such edge (one ``searchsorted``).
+        """
+        query = u_idx * np.int64(self.num_vertices) + v_idx
+        pos = np.searchsorted(self.pair_keys, query)
+        edge = self.pair_edges[pos]
+        edge[self.pair_keys[pos] != query] = -1
+        return edge
 
     def label_pair_code(self, label_a: int, label_b: int) -> Optional[int]:
         """Dense code of an unordered vertex-label pair, if both occur."""
@@ -878,6 +923,27 @@ class _RoundAccounting:
         self._matrix += np.bincount(
             self.edge_code[edge_idx], minlength=ranks * ranks
         )
+
+    def add_row_traffic(
+        self, row_idx: np.ndarray, edge_idx: np.ndarray, edge_src: np.ndarray
+    ) -> None:
+        """Count one message per listed edge for every row at its source.
+
+        ``row_idx`` holds one dense vertex index per broadcasting row
+        (repeats allowed) and ``edge_src`` the source of each edge of
+        ``edge_idx``: an edge is charged once per row sitting at its
+        source — what :meth:`add_edge_traffic` would total over the
+        rows' expansions, without building them.  The weighted
+        ``np.bincount`` sums integers in float64, exact far beyond any
+        count a run can reach (2**53).
+        """
+        ranks = self.num_ranks
+        rows_at = np.bincount(row_idx, minlength=self.rank_of.shape[0])
+        self._matrix += np.bincount(
+            self.edge_code[edge_idx],
+            weights=rows_at[edge_src],
+            minlength=ranks * ranks,
+        ).astype(np.int64)
 
     def flush(
         self,
@@ -1467,6 +1533,12 @@ class ArrayWalkOutcome:
     edge position taken at every hop, so ``full_edges[r, j]`` runs
     ``full_paths[r, j] -> full_paths[r, j + 1]``.  Both stay ``None``
     otherwise.
+
+    Two volumes describe the walk: the engine's message counters hold
+    what the paper's model *sends* (one message per alive out-edge of
+    every frontier row), ``rows_expanded`` what the array backend
+    *built* to decide it — one row per alive out-edge on an expansion
+    hop, one look-up probe per frontier row on a revisit hop.
     """
 
     __slots__ = (
@@ -1476,6 +1548,7 @@ class ArrayWalkOutcome:
         "tokens_launched",
         "completions",
         "dedup_merged",
+        "rows_expanded",
         "full_paths",
         "full_edges",
     )
@@ -1487,6 +1560,7 @@ class ArrayWalkOutcome:
         self.tokens_launched = 0
         self.completions = 0
         self.dedup_merged = 0
+        self.rows_expanded = 0
         self.full_paths: Optional[np.ndarray] = None
         self.full_edges: Optional[np.ndarray] = None
 
@@ -1496,7 +1570,7 @@ def array_token_walk(
     schedule,
     kernel: RoleKernel,
     engine,
-    recycled: Optional[AbstractSet[int]] = None,
+    recycled: Optional[np.ndarray] = None,
     dedup: bool = True,
     collect_paths: bool = False,
 ) -> ArrayWalkOutcome:
@@ -1505,11 +1579,20 @@ def array_token_walk(
     A token generation is a struct-of-arrays frontier: ``cols`` is a list
     of 1-D int64 arrays, one per walk position visited so far (dense CSR
     indices, one entry per live token row), with an integer ``weights``
-    entry per row.  Each hop expands every row over its frontier vertex's
-    alive out-edges via one ``np.repeat`` / cumulative-offset gather
-    through an alive-compacted adjacency built once per walk, then filters
-    by the per-hop role bit, the required edge-label code and the walk's
-    same/diff identity obligations (``schedule`` — see
+    entry per row.  A hop to a walk position not visited before expands
+    every row over its frontier vertex's alive out-edges via one
+    ``np.repeat`` / cumulative-offset gather through an alive-compacted
+    adjacency built once per walk.  A *revisit* hop — one that returns to
+    a vertex the token already carries (``schedule.same_positions[hop]``
+    non-empty: the last hop of every closed walk, about half of all hops)
+    — expands nothing: the only out-edge that can survive the identity
+    check is the one to the carried vertex, so it is looked up
+    (:meth:`GraphCsr.edge_positions`) and kept where it exists and is
+    alive *in the hop's direction*.  A simple graph has at most one such
+    edge per row, found in frontier order — the very rows, in the very
+    order, the expansion would have left.  Either way the candidates are
+    then filtered by the per-hop role bit, the required edge-label code
+    and the walk's same/diff identity obligations (``schedule`` — see
     :class:`~repro.core.kernels.WalkSchedule`), each identity check a 1-D
     take of one earlier column.  Survivors gather every column once and
     append the new frontier vertex as the next column.
@@ -1538,11 +1621,18 @@ def array_token_walk(
 
     Message accounting mirrors the dict walk's single traversal: one
     message per alive out-edge of every frontier row (receiver-side drops,
-    as ``ctx.broadcast`` charges), one visit per seeded candidate and per
+    as ``ctx.broadcast`` charges) — on revisit hops too, whether or not
+    the row's look-up hits — one visit per seeded candidate and per
     delivered message, flushed as *one* batched round (one barrier, two
-    Safra circuits) at the end.  Dedup legitimately reduces message counts
-    versus the dict walk — fewer live tokens broadcast — so simulated
-    makespans may differ; results never do.
+    Safra circuits) at the end.  What the model sends does not depend on
+    what the backend builds, so the charge is taken in closed form at the
+    flush: the walk only keeps each hop's frontier column, and
+    :meth:`_RoundAccounting.add_row_traffic` weighs every alive edge by
+    the number of rows that sat at its source.  ``rows_expanded`` of the
+    outcome counts what was built instead (expansion rows plus look-up
+    probes).  Dedup legitimately reduces message counts versus the dict
+    walk — fewer live tokens broadcast — so simulated makespans may
+    differ; results never do.
     """
     csr = astate.csr
     walk = schedule.walk
@@ -1588,13 +1678,13 @@ def array_token_walk(
     mask_col0 = role_mask[:, hop_words[0]] if wide else role_mask
     holders = np.nonzero((mask_col0 & hop_bits[0]) != _ZERO)[0]
     out.checked_idx = holders
-    if recycled and holders.shape[0]:
+    if recycled is not None and recycled.shape[0] and holders.shape[0]:
         # vertex ids already known to satisfy this constraint (the
-        # recycling cache): one membership test per live initiator
-        rec = np.fromiter(
-            (v in recycled for v in csr.order[holders].tolist()),
-            dtype=bool, count=holders.shape[0],
-        )
+        # recycling cache, sorted): one membership probe per live initiator
+        ids = csr.order[holders]
+        pos = np.searchsorted(recycled, ids)
+        pos[pos == recycled.shape[0]] = 0
+        rec = recycled[pos] == ids
         out.recycled_idx = holders[rec]
         start = holders[~rec]
     else:
@@ -1611,29 +1701,46 @@ def array_token_walk(
     # ``alive_edges[alive_start[i] : alive_start[i] + alive_degree[i]]``,
     # in CSR row order, so a hop expands (and allocates) per alive edge
     # rather than per background edge of a pruned hub.
-    alive_edges = np.flatnonzero(astate.edge_alive)
-    alive_degree = np.bincount(
-        csr.src[alive_edges], minlength=csr.num_vertices
-    )
+    edge_alive = astate.edge_alive
+    alive_edges = np.flatnonzero(edge_alive)
+    alive_src = csr.src[alive_edges]
+    alive_degree = np.bincount(alive_src, minlength=csr.num_vertices)
     alive_start = np.cumsum(alive_degree) - alive_degree
+    # the frontier column of every hop taken, for the flush-time charge
+    frontiers: List[np.ndarray] = []
 
     for hop in range(1, walk_len):
         cur = cols[-1]
         if cur.shape[0] == 0:
             break
-        counts = alive_degree[cur]
-        total = int(counts.sum())
-        if total == 0:
-            break
-        row_id = np.repeat(np.arange(cur.shape[0], dtype=np.int64), counts)
-        # position of each expanded row inside ``alive_edges``: its
-        # vertex's start plus its rank among the vertex's alive edges
-        first = np.cumsum(counts) - counts
-        edge = alive_edges[
-            np.repeat(alive_start[cur] - first, counts)
-            + np.arange(total, dtype=np.int64)
-        ]
-        accounting.add_edge_traffic(edge)
+        frontiers.append(cur)
+        same = schedule.same_positions[hop]
+        if same:
+            # Revisit hop: only the edge back to the carried vertex can
+            # survive the identity check below, so look that one edge up
+            # (alive in *this* direction) instead of expanding the row.
+            # A miss reads slot -1 — some edge's flag: rows that got past
+            # hop 1 crossed an alive edge — and the sign test masks it.
+            edge = csr.edge_positions(cur, cols[same[0]])
+            live = edge_alive[edge]
+            live &= edge >= 0
+            row_id = np.nonzero(live)[0]
+            edge = edge[row_id]
+            out.rows_expanded += int(cur.shape[0])
+        else:
+            counts = alive_degree[cur]
+            total = int(counts.sum())
+            if total == 0:
+                break
+            row_id = np.repeat(np.arange(cur.shape[0], dtype=np.int64), counts)
+            # position of each expanded row inside ``alive_edges``: its
+            # vertex's start plus its rank among the vertex's alive edges
+            first = np.cumsum(counts) - counts
+            edge = alive_edges[
+                np.repeat(alive_start[cur] - first, counts)
+                + np.arange(total, dtype=np.int64)
+            ]
+            out.rows_expanded += total
 
         dst = indices[edge]
         dst_col = role_mask[dst, hop_words[hop]] if wide else role_mask[dst]
@@ -1695,6 +1802,10 @@ def array_token_walk(
                     weights = np.add.reduceat(weights[order], starts)
                     cols = [c[starts] for c in sorted_cols]
 
+    if frontiers:
+        accounting.add_row_traffic(
+            np.concatenate(frontiers), alive_edges, alive_src
+        )
     accounting.flush(
         round_started=round_started, worklist=out.tokens_launched
     )

@@ -159,15 +159,6 @@ def enumerate_matches_array(
     deg = np.bincount(csr.src[sym], minlength=n).astype(np.int64)
 
     check_edge_labels = pattern.has_edge_labels
-    sel_idx = np.nonzero(sym)[0]
-    codes_sorted = None
-    elab_sorted = None
-    if len(order) > 1:
-        codes = csr.src[sel_idx] * np.int64(n) + csr.indices[sel_idx]
-        sort = np.argsort(codes)
-        codes_sorted = codes[sort]
-        if check_edge_labels and csr.edge_label_codes is not None:
-            elab_sorted = csr.edge_label_codes[sel_idx][sort]
 
     def required_code(pv: int, anchor: int) -> Optional[int]:
         """CSR code the (pv, anchor) pattern edge demands; None = any."""
@@ -219,24 +210,16 @@ def enumerate_matches_array(
             for col in range(idx):
                 ok &= cand != rows[row_id, col]
             for anchor in anchors[1:]:
-                if not codes_sorted.shape[0]:
-                    ok &= False
-                    break
-                aimg = rows[row_id, col_of[anchor]]
-                query = cand * np.int64(n) + aimg
-                pos = np.searchsorted(codes_sorted, query)
-                pos_c = np.minimum(pos, codes_sorted.shape[0] - 1)
-                found = codes_sorted[pos_c] == query
-                ok &= found
+                # the candidate must also reach this anchor's image over
+                # a pruned-view edge (a miss reads slot -1, masked out)
+                slot = csr.edge_positions(
+                    cand, rows[row_id, col_of[anchor]]
+                )
+                ok &= (slot >= 0) & sym[slot]
                 if check_edge_labels:
                     code = required_code(pv, anchor)
                     if code is not None:
-                        lab = np.where(
-                            found, elab_sorted[pos_c]
-                            if elab_sorted is not None
-                            else np.int64(0), np.int64(-1),
-                        )
-                        ok &= lab == code
+                        ok &= slot_labels(slot) == code
             keep = np.nonzero(ok)[0]
             rows = np.concatenate(
                 [rows[row_id[keep]], cand[keep][:, None]], axis=1
@@ -340,7 +323,7 @@ def extend_from_child_matches_array(
 
     The child's dense match table is permuted through the recorded
     isomorphism onto the parent's vertex order, then the removed edge is
-    probed for every match at once with one batched CSR row gather
+    probed for every match at once with one ``csr.edge_positions`` look-up
     (plus the edge-label test when the parent edge carries one).
     """
     link = next(
@@ -365,27 +348,15 @@ def extend_from_child_matches_array(
     rows = np.stack(
         [child_set.rows[:, child_col[iso[w]]] for w in order], axis=1
     )
-    pa = rows[:, order.index(a)]
-    pb = rows[:, order.index(b)]
-    starts = csr.indptr[pa]
-    counts = csr.indptr[pa + 1] - starts
-    total = int(counts.sum())
-    ok = np.zeros(k, dtype=bool)
-    if total:
-        row_id = np.repeat(np.arange(k), counts)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        slots = np.repeat(starts, counts) + offsets
-        hit = csr.indices[slots] == pb[row_id]
-        if required_label is not None:
-            if csr.edge_label_codes is None:
-                hit &= False
-            else:
-                code = csr.edge_label_ids.get(required_label, -1)
-                hit &= csr.edge_label_codes[slots] == code
-        np.logical_or.at(ok, row_id, hit)
-    return ArrayMatchSet(order, rows[ok], csr)
+    slot = csr.edge_positions(rows[:, order.index(a)], rows[:, order.index(b)])
+    hit = np.flatnonzero(slot >= 0)
+    if required_label is not None:
+        if csr.edge_label_codes is None:
+            hit = hit[:0]
+        else:
+            code = csr.edge_label_ids.get(required_label, -1)
+            hit = hit[csr.edge_label_codes[slot[hit]] == code]
+    return ArrayMatchSet(order, rows[hit], csr)
 
 
 def state_from_matches(
@@ -420,7 +391,6 @@ def astate_from_matches(astate, prototype: Prototype, match_set):
     an :class:`ArrayMatchSet` over the same CSR.
     """
     csr = astate.csr
-    n = csr.num_vertices
     role_bit = astate.role_bit
     role_mask = astate.role_mask
     wide = role_mask.ndim > 1
@@ -428,36 +398,25 @@ def astate_from_matches(astate, prototype: Prototype, match_set):
     rows = match_set.rows
     col_of = {pv: col for col, pv in enumerate(match_set.order)}
     for col, pv in enumerate(match_set.order):
+        holds = np.zeros(csr.num_vertices, dtype=bool)
+        holds[rows[:, col]] = True
         bit = role_bit[pv]
         if wide:
             word, offset = divmod(bit.bit_length() - 1, 64)
-            np.bitwise_or.at(
-                new_mask[:, word], rows[:, col], np.uint64(1 << offset)
-            )
+            new_mask[holds, word] |= np.uint64(1 << offset)
         else:
-            np.bitwise_or.at(new_mask, rows[:, col], np.uint64(bit))
+            new_mask[holds] |= np.uint64(bit)
 
     alive = np.zeros_like(astate.edge_alive)
     proto_edges = list(prototype.graph.edges())
-    if rows.shape[0] and proto_edges and csr.num_directed_edges:
-        heads = []
-        tails = []
-        for u, v in proto_edges:
-            heads.append(rows[:, col_of[u]])
-            tails.append(rows[:, col_of[v]])
-        head = np.concatenate(heads)
-        tail = np.concatenate(tails)
-        wanted = np.unique(
-            np.concatenate(
-                [head * np.int64(n) + tail, tail * np.int64(n) + head]
-            )
+    if rows.shape[0] and proto_edges:
+        slot = csr.edge_positions(
+            np.concatenate([rows[:, col_of[u]] for u, _ in proto_edges]),
+            np.concatenate([rows[:, col_of[v]] for _, v in proto_edges]),
         )
-        all_codes = csr.src * np.int64(n) + csr.indices
-        sort = np.argsort(all_codes)
-        pos = np.searchsorted(all_codes[sort], wanted)
-        pos = np.minimum(pos, sort.shape[0] - 1)
-        hit = all_codes[sort][pos] == wanted
-        alive[sort[pos[hit]]] = True
+        slot = slot[slot >= 0]
+        alive[slot] = True
+        alive[csr.mirror[slot]] = True
 
     astate.role_mask = new_mask
     astate.vertex_active = (

@@ -27,11 +27,19 @@ Two executions of the same walk are available:
   the engine's visitor callbacks;
 * the batched array frontier (:func:`~repro.core.arraystate.array_token_walk`)
   — whole token generations as struct-of-arrays advanced one hop per
-  round over the CSR, with per-(vertex, hop, initiator) dedup.  Selected
-  via ``array_nlcc=True`` (per-constraint round trip through the array
-  state) or by passing a live ``astate`` (the level-persistent mode, no
-  conversions).  Results are identical; only message counts may shrink
-  under dedup.
+  round over the CSR, with per-(vertex, hop, initiator) dedup.  A hop
+  back to a vertex the token already carries is one edge look-up per
+  row, not an expansion; the messages the model sends for it are charged
+  all the same.  Selected via ``array_nlcc=True`` (per-constraint round
+  trip through the array state) or by passing a live ``astate`` (the
+  level-persistent mode, no conversions).  Results are identical; only
+  message counts may shrink under dedup.
+
+The array frontier's bookkeeping stays in arrays: the recycling cache is
+probed and extended as sorted vertex-id arrays
+(:class:`~repro.core.state.NlccCache`), and :class:`NlccResult` keeps the
+walk's dense index arrays — its ``checked`` / ``satisfied`` / ``recycled``
+sets, like its match evidence, are decoded only if someone reads them.
 """
 
 from __future__ import annotations
@@ -51,9 +59,10 @@ class NlccResult:
 
     __slots__ = (
         "constraint",
-        "checked",
-        "satisfied",
-        "recycled",
+        "_checked",
+        "_satisfied",
+        "_recycled",
+        "_initiators",
         "eliminated_roles",
         "completions",
         "_confirmed_roles",
@@ -63,13 +72,20 @@ class NlccResult:
         "completed_walk",
         "completed_paths",
         "dedup_merged",
+        "rows_expanded",
     )
 
     def __init__(self, constraint: NonLocalConstraint) -> None:
         self.constraint = constraint
-        self.checked: Set[int] = set()
-        self.satisfied: Set[int] = set()
-        self.recycled: Set[int] = set()
+        #: backing stores of :attr:`checked`, :attr:`satisfied` and
+        #: :attr:`recycled`.  The dict walk fills them eagerly; the array
+        #: walk sets them to None and keeps ``_initiators`` = (csr.order,
+        #: checked, token-satisfied, recycled dense index arrays) instead
+        #: — decoded to vertex-id sets on first access.
+        self._checked: Optional[Set[int]] = set()
+        self._satisfied: Optional[Set[int]] = set()
+        self._recycled: Optional[Set[int]] = set()
+        self._initiators = None
         self.eliminated_roles = 0
         #: number of tokens that completed the walk (for full walks this is
         #: exactly the number of match mappings rooted anywhere)
@@ -92,6 +108,36 @@ class NlccResult:
         #: token rows collapsed by the array frontier's canonical fold
         #: (always 0 on the dict path, which never dedups)
         self.dedup_merged = 0
+        #: rows the array frontier materialised — expansion rows plus
+        #: revisit look-up probes; the engine's message counters hold what
+        #: the paper's model sends (always 0 on the dict path)
+        self.rows_expanded = 0
+
+    @property
+    def checked(self) -> Set[int]:
+        """Vertex ids that held the source role when the walk started."""
+        if self._checked is None:
+            order, checked_idx, _, _ = self._initiators
+            self._checked = set(order[checked_idx].tolist())
+        return self._checked
+
+    @property
+    def satisfied(self) -> Set[int]:
+        """Checked vertex ids that kept the role (token completed or recycled)."""
+        if self._satisfied is None:
+            order, _, satisfied_idx, _ = self._initiators
+            self._satisfied = (
+                set(order[satisfied_idx].tolist()) | self.recycled
+            )
+        return self._satisfied
+
+    @property
+    def recycled(self) -> Set[int]:
+        """Checked vertex ids the work-recycling cache vouched for."""
+        if self._recycled is None:
+            order, _, _, recycled_idx = self._initiators
+            self._recycled = set(order[recycled_idx].tolist())
+        return self._recycled
 
     @property
     def confirmed_roles(self) -> Dict[int, Set[int]]:
@@ -147,9 +193,20 @@ class NlccResult:
         return self.eliminated_roles > 0
 
     @property
+    def recycled_count(self) -> int:
+        """``len(recycled)``, without decoding an array walk's indices."""
+        if self._initiators is not None:
+            return int(self._initiators[3].shape[0])
+        return len(self._recycled)
+
+    @property
     def tokens_launched(self) -> int:
         """Initiators that actually launched a token (checked − recycled)."""
-        return len(self.checked) - len(self.recycled)
+        if self._initiators is not None:
+            checked = int(self._initiators[1].shape[0])
+        else:
+            checked = len(self._checked)
+        return checked - self.recycled_count
 
     def __repr__(self) -> str:
         return (
@@ -439,19 +496,18 @@ def _check_array(
             dedup=not is_full_walk,
             collect_paths=is_full_walk,
         )
+        checked = int(walk_out.checked_idx.shape[0])
+        hits = int(walk_out.recycled_idx.shape[0])
         if use_cache:
-            hits = int(walk_out.recycled_idx.shape[0])
-            cache.record_bulk(
-                hits=hits,
-                misses=int(walk_out.checked_idx.shape[0]) - hits,
-            )
-        result.checked = set(order[walk_out.checked_idx].tolist())
-        result.recycled = set(order[walk_out.recycled_idx].tolist())
-        result.satisfied = (
-            set(order[walk_out.satisfied_idx].tolist()) | result.recycled
+            cache.record_bulk(hits=hits, misses=checked - hits)
+        result._checked = result._satisfied = result._recycled = None
+        result._initiators = (
+            order, walk_out.checked_idx, walk_out.satisfied_idx,
+            walk_out.recycled_idx,
         )
         result.completions = walk_out.completions
         result.dedup_merged = walk_out.dedup_merged
+        result.rows_expanded = walk_out.rows_expanded
 
         if is_full_walk:
             _reduce_to_confirmed_array(
@@ -486,24 +542,25 @@ def _check_array(
                     astate.deactivate_indices(dead)
                 result.eliminated_roles = int(elim_idx.shape[0])
             if cache is not None:
+                # launched initiators only: recycled ones never walk
                 cache.mark_satisfied(
-                    constraint.key, result.satisfied - result.recycled
+                    constraint.key, order[walk_out.satisfied_idx]
                 )
+    metrics = engine.metrics
+    metrics.counter("nlcc.rows_expanded").inc(walk_out.rows_expanded)
     if use_cache:
-        metrics = engine.metrics
-        metrics.counter("cache.nlcc.hits").inc(len(result.recycled))
-        metrics.counter("cache.nlcc.misses").inc(
-            len(result.checked) - len(result.recycled)
-        )
+        metrics.counter("cache.nlcc.hits").inc(hits)
+        metrics.counter("cache.nlcc.misses").inc(checked - hits)
     if tracer.enabled:
         span.add(
-            checked=len(result.checked),
-            satisfied=len(result.satisfied),
-            cache_hits=len(result.recycled),
-            tokens_launched=result.tokens_launched,
+            checked=checked,
+            satisfied=int(walk_out.satisfied_idx.shape[0]) + hits,
+            cache_hits=hits,
+            tokens_launched=walk_out.tokens_launched,
             completions=result.completions,
             eliminated_roles=result.eliminated_roles,
             dedup_merged=result.dedup_merged,
+            rows_expanded=result.rows_expanded,
             messages=stats.total_messages - before_messages,
             remote_messages=stats.total_remote_messages - before_remote,
         )

@@ -206,7 +206,7 @@ def _search_prototype_body(
             h_constraint.observe(wall)
         outcome.nlcc_constraints_checked += 1
         outcome.nlcc_roles_eliminated += result.eliminated_roles
-        outcome.nlcc_recycled += len(result.recycled)
+        outcome.nlcc_recycled += result.recycled_count
         outcome.nlcc_tokens_launched += result.tokens_launched
         outcome.nlcc_completions += result.completions
         outcome.nlcc_dedup_merged += result.dedup_merged

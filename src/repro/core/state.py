@@ -15,7 +15,9 @@ a static CSR.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Hashable, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
+
+import numpy as np
 
 from ..graph.graph import Edge, Graph, canonical_edge
 
@@ -244,23 +246,37 @@ def _label_pair(label_a: int, label_b: int) -> Tuple[int, int]:
     return (label_a, label_b) if label_a <= label_b else (label_b, label_a)
 
 
+#: the answer for a key the cache has never seen
+_NO_IDS = np.zeros(0, dtype=np.int64)
+_NO_IDS.flags.writeable = False
+
+
 class NlccCache:
     """Work-recycling cache of satisfied non-local constraints (``κ``).
 
-    Maps a constraint identity key to the set of vertices known to have
+    Maps a constraint identity key to the vertices known to have
     satisfied it as token initiators in an earlier (larger-graph) search.
     Skipping a re-check can only *retain* a vertex longer, never eliminate
     one, so recall is unaffected; precision is restored by each prototype's
     final exact verification.
+
+    Each key stores one sorted, duplicate-free, read-only int64 array of
+    vertex ids — the form the array token walk probes with a single
+    ``searchsorted`` over its live initiators and extends by merging the
+    newly satisfied ids, so no per-vertex Python object is ever built on
+    that path.  Ids, not dense indices: the cache outlives every scope
+    and auxiliary view, and may hold vertices a later scope dropped.
     """
 
     def __init__(self) -> None:
-        self._satisfied: Dict[Hashable, Set[int]] = {}
+        self._satisfied: Dict[Hashable, np.ndarray] = {}
         self.hits = 0
         self.misses = 0
 
     def is_satisfied(self, key: Hashable, vertex: int) -> bool:
-        hit = vertex in self._satisfied.get(key, ())
+        ids = self.satisfied(key)
+        pos = int(np.searchsorted(ids, vertex))
+        hit = pos < ids.shape[0] and int(ids[pos]) == vertex
         if hit:
             self.hits += 1
         else:
@@ -271,31 +287,42 @@ class NlccCache:
         """Fold a vectorized lookup's counts into the hit/miss counters.
 
         The array token walk tests a whole initiator frontier against the
-        cache in one gather; this keeps its counter totals identical to
+        cache in one probe; this keeps its counter totals identical to
         the dict path's one :meth:`is_satisfied` call per checked vertex.
         """
         self.hits += hits
         self.misses += misses
 
-    def satisfied(self, key: Hashable) -> AbstractSet[int]:
-        """The vertices cached as satisfied for ``key`` (read-only view).
+    def satisfied(self, key: Hashable) -> np.ndarray:
+        """Sorted unique ids cached as satisfied for ``key`` (read-only).
 
-        The array token walk tests its initiator frontier against this
-        set in one pass — a cost proportional to the live frontier, not
-        to the cached set or the graph.  Does **not** touch the hit/miss
+        Empty for an unknown key.  Does **not** touch the hit/miss
         counters (callers account via :meth:`record_bulk`).
         """
-        return self._satisfied.get(key, frozenset())
+        return self._satisfied.get(key, _NO_IDS)
 
     def mark_satisfied(self, key: Hashable, vertices: Iterable[int]) -> None:
-        self._satisfied.setdefault(key, set()).update(vertices)
+        """Merge ``vertices`` (an id array or any iterable of ids) into ``key``."""
+        if not isinstance(vertices, np.ndarray):
+            vertices = np.fromiter(vertices, dtype=np.int64)
+        known = self._satisfied.get(key)
+        if known is None:
+            merged = np.unique(vertices)
+        elif vertices.shape[0]:
+            merged = np.union1d(known, vertices)
+        else:
+            return
+        merged.flags.writeable = False
+        self._satisfied[key] = merged
 
     def known_constraints(self) -> Set[Hashable]:
         return set(self._satisfied)
 
     def size(self) -> Tuple[int, int]:
         """(number of constraints, total cached vertex entries)."""
-        return len(self._satisfied), sum(len(s) for s in self._satisfied.values())
+        return len(self._satisfied), sum(
+            int(ids.shape[0]) for ids in self._satisfied.values()
+        )
 
 
 __all__ = ["NlccCache", "SearchState", "canonical_edge"]

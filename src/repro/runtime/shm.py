@@ -14,7 +14,8 @@ every frozen ``GraphCsr`` array into **one** named
 * each worker calls :func:`attach_shared_csr`, mapping the segment and
   rebuilding a ``GraphCsr`` whose numpy arrays are read-only views over
   the shared buffer — zero copies, only the ``index_of`` dict (which
-  cannot live in a flat buffer) is rebuilt in O(V);
+  cannot live in a flat buffer) is rebuilt in O(V), and the sorted pair
+  table is re-derived from the shared ``src`` / ``indices``;
 * the owner ``close()``s (context manager, pool shutdown or the module's
   ``atexit`` sweep) which unlinks the segment exactly once, so crashed
   runs don't leak ``/dev/shm`` entries.
@@ -199,11 +200,12 @@ def attach_shared_csr(handle: SharedCsrHandle, graph: "Graph") -> "GraphCsr":
     """Map a shared segment and build a ``GraphCsr`` over its buffers.
 
     The returned CSR's arrays are read-only views into the segment — no
-    copies.  ``index_of`` (a Python dict) is the only structure rebuilt,
-    in O(V).  The caller is responsible for installing the result as the
+    copies.  Only ``index_of`` (a Python dict, O(V)) and the sorted pair
+    table behind ``edge_positions`` (one argsort over the edges) are
+    rebuilt.  The caller is responsible for installing the result as the
     graph's memoized CSR if desired (the pool initializer does).
     """
-    from ..core.arraystate import GraphCsr
+    from ..core.arraystate import GraphCsr, sorted_pair_table
 
     version = handle.meta.get("payload_version")
     if version != PAYLOAD_VERSION:
@@ -233,6 +235,10 @@ def attach_shared_csr(handle: SharedCsrHandle, graph: "Graph") -> "GraphCsr":
     csr.label_ids = dict(meta["label_ids"])
     csr.edge_label_ids = dict(meta["edge_label_ids"])
     csr.index_of = {int(v): i for i, v in enumerate(csr.order.tolist())}
+    # derived from src / indices on the worker's side: not part of the payload
+    csr.pair_keys, csr.pair_edges = sorted_pair_table(
+        csr.src, csr.indices, csr.num_vertices
+    )
     # View-parentage links never cross the wire: an attached CSR is always
     # a root snapshot from the worker's perspective.
     csr.parent = None

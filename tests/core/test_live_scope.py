@@ -11,8 +11,8 @@ Five guards around the array-resident level state:
   rows, in the same order, as expanding over the full background row and
   filtering — the reference implementation kept below;
 * the in-process array level union equals the dict tier's union;
-* the walk recycles by testing its live initiators against the cached
-  set, and launches tokens for exactly the others.
+* the walk recycles by probing the cache's sorted id array with its live
+  initiators, and launches tokens for exactly the others.
 """
 
 import numpy as np
@@ -340,9 +340,13 @@ class TestRecycledInitiators:
         assert len(holders) > 4
 
         cache = NlccCache()
-        assert cache.satisfied(constraint.key) == frozenset()
+        assert cache.satisfied(constraint.key).tolist() == []
         # cached: half the holders, plus ids the scope no longer holds
-        cache.mark_satisfied(constraint.key, holders[::2] + [10 ** 9])
+        # (one below and one above every live id)
+        cache.mark_satisfied(constraint.key, holders[::2] + [10 ** 9, -7])
+        assert cache.satisfied(constraint.key).tolist() == sorted(
+            holders[::2] + [10 ** 9, -7]
+        )
         warm = array_token_walk(
             astate, schedule, kernel, engine,
             recycled=cache.satisfied(constraint.key),

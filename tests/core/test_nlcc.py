@@ -87,6 +87,9 @@ class TestWorkRecycling:
             state1, constraint, engine1, cache=cache
         )
         assert first.recycled == set()
+        assert first.recycled_count == 0
+        # the dict walk feeds the cache's id arrays too
+        assert cache.satisfied(constraint.key).tolist() == sorted(first.satisfied)
         messages_first = engine1.stats.phases["nlcc"].messages
 
         state2 = prepared_state(graph, template)
@@ -95,6 +98,9 @@ class TestWorkRecycling:
             state2, constraint, engine2, cache=cache
         )
         assert second.recycled == second.satisfied != set()
+        assert second.recycled_count == len(second.recycled)
+        assert second.tokens_launched == 0
+        assert cache.satisfied(constraint.key).tolist() == sorted(first.satisfied)
         assert engine2.stats.phases["nlcc"].messages < messages_first
 
     def test_recycle_disabled(self):

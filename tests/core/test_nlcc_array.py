@@ -10,7 +10,9 @@ must never change what the walk concludes.
 
 from collections import Counter
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core import (
     NlccCache,
@@ -224,6 +226,67 @@ class TestCacheParity:
                 )
             counters[array_nlcc] = (cache.hits, cache.misses)
         assert counters[False] == counters[True]
+
+
+class TestLazyInitiatorSets:
+    """The array walk keeps checked / satisfied / recycled as dense index
+    arrays; the vertex-id sets appear on first read and equal the dict
+    walk's, and the counts the search loop reads decode nothing."""
+
+    def run_both(self, seed, stride):
+        template = PatternTemplate.from_edges(
+            [(0, 1), (1, 2), (2, 3), (3, 0)],
+            labels={0: 0, 1: 1, 2: 1, 3: 0},
+        )
+        graph = gnm_graph(40, 110, num_labels=2, seed=seed)
+        constraints = [
+            c for c in all_constraints(graph, template) if c.kind != "tds_full"
+        ]
+        kernel = compile_role_kernel(template.graph)
+        results = {}
+        for array_nlcc in (False, True):
+            # a cache that vouches for every stride-th vertex, live or not
+            cache = NlccCache()
+            for constraint in constraints:
+                cache.mark_satisfied(constraint.key, range(0, 60, stride))
+            state = SearchState.initial(graph, template)
+            engine = engine_for(graph)
+            local_constraint_checking(state, template.graph, engine)
+            results[array_nlcc] = [
+                non_local_constraint_checking(
+                    state, constraint, engine, cache=cache, kernel=kernel,
+                    array_nlcc=array_nlcc,
+                )
+                for constraint in constraints
+            ]
+        return results
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), stride=st.integers(2, 4))
+    def test_decoded_sets_equal_the_dict_walks(self, seed, stride):
+        results = self.run_both(seed, stride)
+        for by_dict, by_array in zip(results[False], results[True]):
+            assert by_array._checked is None
+            assert by_array._satisfied is None
+            assert by_array._recycled is None
+            # the counts come off the array sizes
+            assert by_array.recycled_count == len(by_dict.recycled)
+            assert by_array.tokens_launched == by_dict.tokens_launched
+            assert by_array._checked is None and by_array._recycled is None
+            assert by_array.checked == by_dict.checked
+            assert by_array.satisfied == by_dict.satisfied
+            assert by_array.recycled == by_dict.recycled
+            assert by_array.recycled <= by_array.satisfied <= by_array.checked
+            # decoded once, then kept
+            assert by_array.checked is by_array.checked
+            assert by_array.satisfied is by_array.satisfied
+            assert by_array.recycled is by_array.recycled
+
+    def test_the_cases_recycle_and_eliminate(self):
+        by_array = self.run_both(seed=5, stride=2)[True]
+        assert any(r.recycled for r in by_array)
+        assert any(r.satisfied - r.recycled for r in by_array)
+        assert any(r.checked - r.satisfied for r in by_array)
 
 
 class TestPipelineEquivalence:

@@ -1,5 +1,8 @@
 """Tests for SearchState and the NLCC work-recycling cache."""
 
+import numpy as np
+import pytest
+
 from repro.core import NlccCache, PatternTemplate, SearchState, generate_prototypes
 from repro.graph import from_edges
 
@@ -230,3 +233,58 @@ class TestNlccCache:
         cache.mark_satisfied("b", [3])
         assert cache.size() == (2, 3)
         assert cache.known_constraints() == {"a", "b"}
+        # duplicates and re-marked ids are stored once
+        cache.mark_satisfied("a", [2, 2, 7])
+        assert cache.size() == (2, 4)
+        # marking nothing still registers the constraint, as the set did
+        cache.mark_satisfied("c", [])
+        assert cache.size() == (3, 4)
+        assert cache.known_constraints() == {"a", "b", "c"}
+
+    def test_satisfied_is_one_sorted_unique_int64_array(self):
+        cache = NlccCache()
+        cache.mark_satisfied("k", [9, 3, 3, 5])
+        cache.mark_satisfied("k", {5, 1, 12})
+        cache.mark_satisfied("k", np.array([12, 0, 9], dtype=np.int64))
+        cache.mark_satisfied("k", iter([4]))
+        ids = cache.satisfied("k")
+        assert isinstance(ids, np.ndarray) and ids.dtype == np.int64
+        assert ids.tolist() == [0, 1, 3, 4, 5, 9, 12]
+        # an empty merge keeps the stored array as it is
+        cache.mark_satisfied("k", [])
+        cache.mark_satisfied("k", np.zeros(0, dtype=np.int64))
+        assert cache.satisfied("k") is ids
+
+    def test_satisfied_arrays_are_read_only(self):
+        cache = NlccCache()
+        cache.mark_satisfied("k", [2, 1])
+        with pytest.raises(ValueError):
+            cache.satisfied("k")[0] = 5
+        with pytest.raises(ValueError):
+            cache.satisfied("never seen")[:] = 0
+        # the caller's array is copied, not adopted
+        mine = np.array([8, 6], dtype=np.int64)
+        cache.mark_satisfied("mine", mine)
+        mine[0] = 100
+        assert cache.satisfied("mine").tolist() == [6, 8]
+
+    def test_unknown_key_is_an_empty_array(self):
+        cache = NlccCache()
+        ids = cache.satisfied("never seen")
+        assert ids.shape == (0,) and ids.dtype == np.int64
+        assert cache.known_constraints() == set()
+        assert cache.size() == (0, 0)
+
+    def test_is_satisfied_counts_every_probe(self):
+        cache = NlccCache()
+        cache.mark_satisfied("k", [4, 10, 6])
+        probes = [(3, False), (4, True), (5, False), (6, True),
+                  (10, True), (11, False)]
+        for vertex, expected in probes:
+            assert cache.is_satisfied("k", vertex) is expected
+        assert not cache.is_satisfied("other", 4)
+        assert (cache.hits, cache.misses) == (3, 4)
+        # bulk accounting adds to the same counters; reads touch neither
+        cache.record_bulk(hits=2, misses=5)
+        cache.satisfied("k")
+        assert (cache.hits, cache.misses) == (5, 9)

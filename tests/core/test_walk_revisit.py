@@ -1,0 +1,576 @@
+"""Revisit hops are edge look-ups: same rows, same order, same traffic.
+
+A hop of a closed walk that returns to a vertex the token already carries
+(``schedule.same_positions[hop]`` non-empty) no longer expands the
+frontier over every alive out-edge: ``GraphCsr.edge_positions`` looks the
+one edge back to the carried vertex up, and the messages the paper's model
+sends — one per alive out-edge of every frontier row, hit or miss — are
+charged in closed form when the walk flushes.  Guards:
+
+* (a) ``edge_positions`` answers every vertex pair correctly on a root
+  CSR, an ``induced_view`` and an ``attach_shared_csr`` CSR;
+* (b) array walk == dict walk on the rank-by-rank message matrix and the
+  per-rank visit vector (not only totals), completions and satisfied
+  initiators — hub graphs, edge labels, the multi-word mask layout,
+  eliminated vertices and edges alive in one direction only;
+* (c) full-walk rows come out equal, in order, to a token-at-a-time
+  reference on a walk with several revisit hops (TDS of a 4-clique);
+* (d) counts and a digest of the message matrix pinned from the parent
+  commit (``4f2f301``);
+* (e) the walk builds a small fraction of the rows it used to
+  (``rows_expanded`` against the message count, which the old expansion
+  equalled), and a revisit hop never calls ``np.repeat``;
+* (f) source guards, and the enumeration helpers that moved onto the
+  same look-up.
+"""
+
+import hashlib
+import inspect
+import json
+
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from repro.core import (
+    PatternTemplate,
+    PipelineOptions,
+    generate_constraints,
+    generate_prototypes,
+    non_local_constraint_checking,
+    run_pipeline,
+)
+from repro.core import enumeration
+from repro.core.arraystate import (
+    ArraySearchState,
+    array_kernel_fixpoint,
+    array_token_walk,
+    csr_of,
+)
+from repro.core.constraints import FULL_WALK_KIND
+from repro.core.enumeration import (
+    enumerate_matches_array,
+    extend_from_child_matches,
+    extend_from_child_matches_array,
+)
+from repro.core.kernels import compile_role_kernel, compile_walk_schedule
+from repro.graph.generators import gnm_graph
+from repro.graph.graph import Graph, canonical_edge
+from repro.runtime import Engine, MessageStats, PartitionedGraph
+from repro.runtime.shm import SharedGraphCsr, attach_shared_csr, detach_all
+
+RANKS = 4
+
+SLOW = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+class RecordingStats(MessageStats):
+    """Keeps the rank-by-rank matrix and visit vector of every traversal."""
+
+    def __init__(self, ranks=RANKS):
+        super().__init__(ranks)
+        self.matrix = np.zeros((ranks, ranks), dtype=np.int64)
+        self.visit_vector = np.zeros(ranks, dtype=np.int64)
+
+    def bulk_record(self, matrix, visits, rank_node):
+        self.matrix += np.asarray(matrix, dtype=np.int64)
+        self.visit_vector += np.asarray(visits, dtype=np.int64)
+        super().bulk_record(matrix, visits, rank_node)
+
+
+def engine_for(graph, stats=None):
+    stats = stats if stats is not None else MessageStats(RANKS)
+    return Engine(PartitionedGraph(graph, stats.num_ranks), stats)
+
+
+def non_local_of(graph, template):
+    return generate_constraints(
+        template.graph, graph.label_counts(), True
+    ).non_local
+
+
+def revisit_hops(schedule):
+    return [
+        hop for hop in range(1, schedule.length)
+        if schedule.same_positions[hop]
+    ]
+
+
+@st.composite
+def labeled_graphs(draw, max_vertices=14):
+    """A small graph, possibly edgeless, with repeated vertex labels."""
+    n = draw(st.integers(1, max_vertices))
+    graph = Graph()
+    for v in range(n):
+        graph.add_vertex(v, draw(st.integers(0, 1)))
+    for _ in range(draw(st.integers(0, 3 * n))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if u != v and not graph.has_edge(u, v):
+            graph.add_edge(u, v, draw(st.sampled_from([None, 7, 8])))
+    return graph
+
+
+# ----------------------------------------------------------------------
+# (a) the pair look-up
+# ----------------------------------------------------------------------
+def check_edge_positions(csr):
+    """Every ordered vertex pair: the edge's position, or -1."""
+    n = csr.num_vertices
+    u, v = np.divmod(np.arange(n * n, dtype=np.int64), max(n, 1))
+    found = csr.edge_positions(u, v)
+    assert found.shape == u.shape and found.dtype == np.int64
+    hit = found >= 0
+    assert (found[~hit] == -1).all()
+    assert (csr.src[found[hit]] == u[hit]).all()
+    assert (csr.indices[found[hit]] == v[hit]).all()
+    # every edge is found, and at its own position (the graph is simple)
+    assert sorted(found[hit].tolist()) == list(range(csr.num_directed_edges))
+    assert csr.edge_positions(csr.src, csr.indices).tolist() == list(
+        range(csr.num_directed_edges)
+    )
+
+
+class TestEdgePositions:
+    @SLOW
+    @given(graph=labeled_graphs())
+    def test_root_csr(self, graph):
+        check_edge_positions(csr_of(graph))
+
+    @SLOW
+    @given(data=st.data())
+    def test_induced_view(self, data):
+        graph = data.draw(labeled_graphs())
+        keep = np.array(
+            data.draw(
+                st.lists(
+                    st.booleans(), min_size=graph.num_vertices,
+                    max_size=graph.num_vertices,
+                )
+            )
+        )
+        view = csr_of(graph).induced_view(keep)
+        check_edge_positions(view)
+        # a view of a view sorts its own table again
+        check_edge_positions(view.induced_view(np.ones(view.num_vertices, bool)))
+
+    def test_empty_view(self):
+        csr = csr_of(gnm_graph(12, 30, num_labels=2, seed=1))
+        view = csr.induced_view(np.zeros(csr.num_vertices, dtype=bool))
+        assert view.num_vertices == view.num_directed_edges == 0
+        check_edge_positions(view)
+        none = np.zeros(0, dtype=np.int64)
+        assert view.edge_positions(none, none).shape == (0,)
+
+    @settings(max_examples=20, deadline=None)
+    @given(graph=labeled_graphs())
+    def test_attached_shared_csr(self, graph):
+        with SharedGraphCsr(csr_of(graph)) as shared:
+            attached = attach_shared_csr(shared.handle, graph)
+            try:
+                check_edge_positions(attached)
+                assert not attached.pair_keys.flags.writeable
+                # rebuilt on the worker's side, never part of the payload
+                assert "pair_keys" not in {s for s, _, _, _ in shared.handle.layout}
+            finally:
+                del attached
+                detach_all()
+
+    def test_the_table_is_frozen_and_sorted(self):
+        csr = csr_of(gnm_graph(40, 120, num_labels=2, seed=3))
+        keys = csr.pair_keys[:-1]
+        assert (np.diff(keys) > 0).all()
+        assert csr.pair_edges[-1] == -1
+        with pytest.raises(ValueError):
+            csr.pair_keys[0] = 0
+        with pytest.raises(ValueError):
+            csr.pair_edges[0] = 0
+
+
+# ----------------------------------------------------------------------
+# (b) array walk == dict walk, rank by rank
+# ----------------------------------------------------------------------
+def check_traffic_parity(astate, constraint, kernel):
+    """One constraint on ``astate`` (array walk) and its export (dict walk).
+
+    Dedup is off on the array side: the dict walk never folds, and a fold
+    legitimately sends fewer messages.
+    """
+    graph = astate.graph
+    schedule = compile_walk_schedule(constraint)
+    is_full = constraint.kind == FULL_WALK_KIND
+    array_stats = RecordingStats()
+    out = array_token_walk(
+        astate, schedule, kernel, engine_for(graph, array_stats),
+        dedup=False, collect_paths=is_full,
+    )
+    dict_stats = RecordingStats()
+    result = non_local_constraint_checking(
+        astate.to_search_state(), constraint, engine_for(graph, dict_stats),
+        recycle=False, kernel=kernel,
+    )
+    assert array_stats.matrix.tolist() == dict_stats.matrix.tolist()
+    assert array_stats.visit_vector.tolist() == dict_stats.visit_vector.tolist()
+    assert out.completions == result.completions
+    assert set(astate.csr.order[out.satisfied_idx].tolist()) == result.satisfied
+    assert set(astate.csr.order[out.checked_idx].tolist()) == result.checked
+    return out, array_stats
+
+
+@st.composite
+def hub_graphs(draw):
+    """Two hubs over a sparse two-label background, some edges labeled."""
+    n = draw(st.integers(6, 16))
+    graph = Graph()
+    for v in range(n):
+        graph.add_vertex(v, draw(st.integers(0, 1)))
+    for hub in (0, 1):
+        for v in range(n):
+            if v != hub and not graph.has_edge(hub, v) and draw(st.booleans()):
+                graph.add_edge(hub, v, draw(st.sampled_from([None, 7])))
+    for _ in range(draw(st.integers(0, 2 * n))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if u != v and not graph.has_edge(u, v):
+            graph.add_edge(u, v, draw(st.sampled_from([None, 7])))
+    return graph
+
+
+TEMPLATES = {
+    "c4": ([(0, 1), (1, 2), (2, 3), (3, 0)], {0: 0, 1: 1, 2: 1, 3: 0}),
+    "diamond": (
+        [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], {0: 0, 1: 1, 2: 1, 3: 0}
+    ),
+    "tailed-triangle": (
+        [(0, 1), (1, 2), (2, 0), (2, 3)], {0: 0, 1: 1, 2: 0, 3: 1}
+    ),
+}
+
+
+class TestTrafficParity:
+    @SLOW
+    @given(
+        data=st.data(),
+        shape=st.sampled_from(sorted(TEMPLATES)),
+        label_edges=st.booleans(),
+        min_words=st.sampled_from([1, 2]),
+        run_lcc=st.booleans(),
+    )
+    def test_hub_graphs(self, data, shape, label_edges, min_words, run_lcc):
+        edges, labels = TEMPLATES[shape]
+        required = {}
+        if label_edges:
+            required = {
+                canonical_edge(u, v): 7
+                for u, v in edges if data.draw(st.booleans())
+            }
+        template = PatternTemplate.from_edges(
+            edges, labels, edge_labels=required
+        )
+        graph = data.draw(hub_graphs())
+        kernel = compile_role_kernel(template.graph)
+        astate = ArraySearchState.initial(graph, template, min_words=min_words)
+        if run_lcc:
+            array_kernel_fixpoint(astate, kernel, engine_for(graph))
+        # eliminated vertices, and edges that stay alive one way only
+        for v in data.draw(st.lists(st.integers(0, graph.num_vertices - 1), max_size=3)):
+            astate.deactivate_vertex(v)
+        m = astate.csr.num_directed_edges
+        if m:
+            one_way = data.draw(st.lists(st.integers(0, m - 1), max_size=6))
+            astate.edge_alive[one_way] = False
+        constraints = non_local_of(graph, template)
+        assert any(
+            revisit_hops(compile_walk_schedule(c)) for c in constraints
+        )
+        for constraint in constraints:
+            check_traffic_parity(astate, constraint, kernel)
+
+    @pytest.mark.parametrize("dead", ["closing", "mirror-of-closing"])
+    def test_one_way_alive_edge_on_the_revisit_hop(self, dead):
+        # Triangle a-b-c, cycle walk a -> b -> c -> a: the last hop returns
+        # to the carried initiator.  Aliveness is per direction: with
+        # c -> a dead the token is dropped although a -> c is alive, with
+        # a -> c dead it completes over the alive c -> a.  Either way the
+        # row at c is charged for c's alive out-edges, hit or miss.
+        template = PatternTemplate.from_edges(
+            [(0, 1), (1, 2), (2, 0)], labels={0: 0, 1: 1, 2: 2}
+        )
+        graph = Graph()
+        for v, label in ((10, 0), (11, 1), (12, 2), (13, 1)):
+            graph.add_vertex(v, label)
+        for u, v in ((10, 11), (11, 12), (12, 10), (12, 13)):
+            graph.add_edge(u, v)
+        kernel = compile_role_kernel(template.graph)
+        constraint = next(
+            c for c in non_local_of(graph, template)
+            if c.kind == "cycle" and c.walk == (0, 1, 2, 0)
+        )
+        schedule = compile_walk_schedule(constraint)
+        assert revisit_hops(schedule) == [3]
+
+        astate = ArraySearchState.initial(graph, template)
+        csr = astate.csr
+        a, c = csr.index_of[10], csr.index_of[12]
+        closing = int(csr.edge_positions(np.array([c]), np.array([a]))[0])
+        killed = closing if dead == "closing" else int(csr.mirror[closing])
+        astate.edge_alive[killed] = False
+        assert astate.edge_alive[csr.mirror[killed]]
+
+        out, stats = check_traffic_parity(astate, constraint, kernel)
+        assert out.completions == (0 if dead == "closing" else 1)
+        # a -> {b, c} or a -> {b}; b -> {a, c}; c -> {b, 13} plus c -> a
+        # when that direction is the alive one
+        assert int(stats.matrix.sum()) == 6
+        assert out.rows_expanded == (5 if dead == "closing" else 4)
+
+
+# ----------------------------------------------------------------------
+# (c) row order of a walk with several revisit hops
+# ----------------------------------------------------------------------
+def reference_full_walk(astate, schedule, kernel):
+    """One Python token at a time over alive edges in CSR row order.
+
+    Returns the completed tokens in launch order as (dense vertex path,
+    CSR edge positions) pairs, and the number of messages sent.
+    """
+    csr = astate.csr
+    masks = astate.role_mask.tolist()
+    alive = astate.edge_alive.tolist()
+    indptr = csr.indptr.tolist()
+    indices = csr.indices.tolist()
+    bits = [kernel.role_bit[role] for role in schedule.walk]
+    tokens = [((i,), ()) for i in range(csr.num_vertices) if masks[i] & bits[0]]
+    sent = 0
+    for hop in range(1, schedule.length):
+        extended = []
+        for path, edges in tokens:
+            for edge in range(indptr[path[-1]], indptr[path[-1] + 1]):
+                if not alive[edge]:
+                    continue
+                sent += 1
+                dst = indices[edge]
+                if not masks[dst] & bits[hop]:
+                    continue
+                if any(path[p] != dst for p in schedule.same_positions[hop]):
+                    continue
+                if any(path[p] == dst for p in schedule.diff_positions[hop]):
+                    continue
+                extended.append((path + (dst,), edges + (edge,)))
+        tokens = extended
+    return tokens, sent
+
+
+def clique4_case():
+    template = PatternTemplate.from_edges(
+        [(u, v) for u in range(4) for v in range(u + 1, 4)],
+        labels={0: 0, 1: 0, 2: 1, 3: 1},
+    )
+    graph = gnm_graph(36, 260, num_labels=2, seed=8)
+    constraint = next(
+        c for c in non_local_of(graph, template) if c.kind == FULL_WALK_KIND
+    )
+    return graph, template, constraint
+
+
+class TestRowOrder:
+    def test_tds_of_a_4_clique(self):
+        graph, template, constraint = clique4_case()
+        kernel = compile_role_kernel(template.graph)
+        schedule = compile_walk_schedule(constraint)
+        assert len(revisit_hops(schedule)) >= 3
+        astate = ArraySearchState.initial(graph, template)
+        array_kernel_fixpoint(astate, kernel, engine_for(graph))
+        # half of one hub's out-edges dead, in that direction only
+        hub = int(np.argmax(astate.csr.degrees))
+        row = np.arange(astate.csr.indptr[hub], astate.csr.indptr[hub + 1])
+        astate.edge_alive[row[::2]] = False
+
+        reference, sent = reference_full_walk(astate, schedule, kernel)
+        assert len(reference) > 20
+        stats = MessageStats(RANKS)
+        out = array_token_walk(
+            astate, schedule, kernel, engine_for(graph, stats),
+            collect_paths=True,
+        )
+        assert out.full_paths.tolist() == [list(p) for p, _ in reference]
+        assert out.full_edges.tolist() == [list(e) for _, e in reference]
+        assert stats.total_messages == sent
+        assert out.rows_expanded < sent
+
+        vid = astate.csr.order
+        result = non_local_constraint_checking(
+            None, constraint, engine_for(graph), kernel=kernel, astate=astate
+        )
+        assert result.completed_paths.tolist() == [
+            vid[list(p)].tolist() for p, _ in reference
+        ]
+        assert result.rows_expanded == out.rows_expanded
+
+
+# ----------------------------------------------------------------------
+# (d) + (e) pinned counts, the matrix digest, the row budget
+# ----------------------------------------------------------------------
+def storm_graph(hub_degree):
+    """The storm input of ``benchmarks/e2e/workloads.py``: hub degree 40
+    is its ``quick`` preset, 100 the ``full`` one."""
+    graph = gnm_graph(2000, 6000, num_labels=2, seed=13)
+    rng = np.random.default_rng(17)
+    for hub in rng.choice(2000, size=4, replace=False).tolist():
+        for v in rng.choice(2000, size=hub_degree, replace=False).tolist():
+            if v != hub and not graph.has_edge(hub, v):
+                graph.add_edge(hub, v)
+    return graph
+
+
+def c4_template():
+    return PatternTemplate.from_edges(*TEMPLATES["c4"])
+
+
+def pipeline_counts(monkeypatch, graph, template, ranks):
+    """NLCC counters of a default k=1 run, plus what every traversal of
+    the run told ``MessageStats.bulk_record``, summed and digested."""
+    matrix = np.zeros((ranks, ranks), dtype=np.int64)
+    visits = np.zeros(ranks, dtype=np.int64)
+    recorded = MessageStats.bulk_record
+
+    def recording(self, msg_matrix, visit_counts, rank_node):
+        matrix[...] += np.asarray(msg_matrix, dtype=np.int64)
+        visits[...] += np.asarray(visit_counts, dtype=np.int64)
+        recorded(self, msg_matrix, visit_counts, rank_node)
+
+    monkeypatch.setattr(MessageStats, "bulk_record", recording)
+    options = PipelineOptions(num_ranks=ranks, count_matches=True)
+    result = run_pipeline(graph, template, 1, options)
+    doc = result.stats_document()
+    counts = {
+        field: doc["nlcc"][field]
+        for field in ("tokens_launched", "completions", "dedup_merged")
+    }
+    counts["messages"] = doc["messages"]["phases"]["nlcc"]["messages"]
+    counts["match_mappings"] = result.total_match_mappings()
+    counts["traffic_sha256"] = hashlib.sha256(
+        json.dumps([matrix.tolist(), visits.tolist()]).encode()
+    ).hexdigest()[:16]
+    return counts, doc
+
+
+class TestPinnedFromParent:
+    def test_quick_storm(self, monkeypatch):
+        counts, doc = pipeline_counts(
+            monkeypatch, storm_graph(40), c4_template(), 8
+        )
+        assert counts == {
+            "tokens_launched": 8135,
+            "completions": 172430,
+            "dedup_merged": 0,
+            "messages": 4629094,
+            "match_mappings": 99821,
+            "traffic_sha256": "7a7df351df20b809",
+        }
+        # (e) the old expansion built one row per message (ratio 1.0);
+        # the look-up walk reads 0.24 here and 0.107 at hub degree 100
+        rows = doc["metrics"]["counters"]["nlcc.rows_expanded"]
+        assert 0 < rows <= 0.30 * counts["messages"]
+
+    def test_single_label_clique_where_the_fold_merges(self, monkeypatch):
+        graph = Graph()
+        for v in range(8):
+            graph.add_vertex(v, 0)
+        for u in range(8):
+            for v in range(u + 1, 8):
+                graph.add_edge(u, v)
+        template = PatternTemplate.from_edges(
+            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)],
+            {v: 0 for v in range(5)},
+        )
+        counts, _doc = pipeline_counts(monkeypatch, graph, template, 4)
+        assert counts == {
+            "tokens_launched": 112,
+            "completions": 64568,
+            "dedup_merged": 11480,
+            "messages": 1539384,
+            "match_mappings": 33600,
+            "traffic_sha256": "b783b83c9b036402",
+        }
+
+
+class TestRevisitHopsDoNotExpand:
+    def test_row_budget_on_the_full_storm_graph(self):
+        result = run_pipeline(
+            storm_graph(100), c4_template(), 1,
+            PipelineOptions(num_ranks=8, count_matches=True),
+        )
+        doc = result.stats_document()
+        messages = doc["messages"]["phases"]["nlcc"]["messages"]
+        rows = doc["metrics"]["counters"]["nlcc.rows_expanded"]
+        assert messages == 19128052
+        assert 0 < rows <= 0.15 * messages
+
+    def test_np_repeat_runs_on_expansion_hops_only(self, monkeypatch):
+        graph, template, constraint = clique4_case()
+        kernel = compile_role_kernel(template.graph)
+        schedule = compile_walk_schedule(constraint)
+        astate = ArraySearchState.initial(graph, template)
+        calls = []
+        repeat = np.repeat
+        monkeypatch.setattr(
+            np, "repeat", lambda *a, **k: calls.append(1) or repeat(*a, **k)
+        )
+        out = array_token_walk(
+            astate, schedule, kernel, engine_for(graph), collect_paths=True
+        )
+        monkeypatch.undo()
+        assert out.completions > 0  # every hop ran
+        expansion_hops = schedule.length - 1 - len(revisit_hops(schedule))
+        assert len(calls) == 2 * expansion_hops
+
+
+# ----------------------------------------------------------------------
+# (f) source guards, and the enumeration helpers on the same look-up
+# ----------------------------------------------------------------------
+def test_walk_source_charges_traffic_once():
+    source = inspect.getsource(array_token_walk)
+    assert "add_edge_traffic" not in source
+    assert source.count("accounting.add_row_traffic(") == 1
+
+
+def test_enumeration_source_builds_no_pair_table():
+    source = inspect.getsource(enumeration)
+    assert "argsort" not in source
+    assert "bitwise_or.at" not in source
+    assert source.count("edge_positions") >= 3
+
+
+class TestChildMatchExtension:
+    @pytest.mark.parametrize("edge_label", [None, 7])
+    def test_array_probe_equals_the_per_match_probe(self, edge_label):
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
+        required = {(0, 2): edge_label} if edge_label is not None else {}
+        template = PatternTemplate.from_edges(
+            edges, {0: 0, 1: 1, 2: 1, 3: 0}, edge_labels=required
+        )
+        graph = Graph()
+        rng = np.random.default_rng(5)
+        for v in range(30):
+            graph.add_vertex(v, int(rng.integers(2)))
+        while graph.num_edges < 110:
+            u, v = (int(x) for x in rng.integers(30, size=2))
+            if u != v and not graph.has_edge(u, v):
+                graph.add_edge(u, v, 7 if rng.random() < 0.5 else None)
+        root = generate_prototypes(template, 1).at(0)[0]
+        astate = ArraySearchState.initial(graph, template)
+        key = lambda m: tuple(sorted(m.items()))  # noqa: E731
+        extended = 0
+        for link in root.child_links:
+            child_set = enumerate_matches_array(link.child, astate)
+            by_array = extend_from_child_matches_array(root, link.child, child_set)
+            by_dict = extend_from_child_matches(
+                root, link.child, child_set.mappings(), graph
+            )
+            assert sorted(map(key, by_array)) == sorted(map(key, by_dict))
+            extended += len(by_array)
+        assert extended > 0

@@ -7,7 +7,9 @@ BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 if str(BENCHMARKS) not in sys.path:
     sys.path.insert(0, str(BENCHMARKS))
 
-from ab_e2e import verdict  # noqa: E402
+from argparse import Namespace  # noqa: E402
+
+from ab_e2e import setup_raw_seconds, summarize, verdict  # noqa: E402
 
 PARENT = [1.40, 1.42, 1.44, 1.41, 1.43, 1.45, 1.39, 1.42, 1.44, 1.41]
 
@@ -54,3 +56,59 @@ class TestVerdict:
         wide = [1.0, 1.0, 1.0, 5.0, 5.0, 5.0, 5.0, 9.0, 9.0, 9.0]
         better = [0.9] * 10
         assert verdict(wide, better, "lower", 0.05)["verdict"] == "within bound"
+
+
+def run_document(setup_times, slowdown, wall=1.0):
+    return {
+        "failed": 0, "attempted": 3, "correct": True,
+        "setup_times_s": setup_times, "setup_slowdown": slowdown,
+        "metrics": {
+            "setup_s": {"value": sorted(setup_times)[len(setup_times) // 2]},
+            "wall_s": {"value": wall},
+        },
+    }
+
+
+class TestSetupRawRow:
+    METRICS = [
+        {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+    ]
+
+    def test_raw_seconds_undo_the_calibration(self):
+        document = run_document([0.010, 0.012, 0.011], slowdown=1.5)
+        assert abs(setup_raw_seconds(document) - 0.0165) < 1e-12
+
+    def test_row_is_printed_under_setup_s_and_has_no_verdict(self, capsys):
+        # equal raw seconds, different slowdown estimates: setup_s shifts
+        runs = {
+            "parent": [run_document([0.0164 / 1.61] * 3, 1.61) for _ in range(4)],
+            "change": [run_document([0.0164 / 1.31] * 3, 1.31) for _ in range(4)],
+        }
+        args = Namespace(seed=100, pairs=4)
+        summary = summarize("token-storm", runs, args, self.METRICS)
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split()[0] for line in lines if line.startswith("  ")]
+        assert rows == ["setup_s", "setup", "wall_s"]
+        raw_line = next(line for line in lines if "setup raw s" in line)
+        assert "parent 0.0164" in raw_line and "change 0.0164" in raw_line
+        assert "no verdict" in raw_line
+        assert set(summary["metrics"]) == {"setup_s", "wall_s"}
+        assert all(
+            abs(value - 0.0164) < 1e-12
+            for side in summary["setup_raw_s"].values() for value in side
+        )
+
+    def test_a_raw_shift_never_reads_worse(self, capsys):
+        # ten times the raw seconds at a tenth of the slowdown: setup_s is
+        # equal on both sides, and only setup_s is judged
+        runs = {
+            "parent": [run_document([0.01] * 3, 1.0) for _ in range(4)],
+            "change": [run_document([0.01] * 3, 10.0) for _ in range(4)],
+        }
+        summary = summarize(
+            "token-storm", runs, Namespace(seed=1, pairs=4), self.METRICS
+        )
+        capsys.readouterr()
+        assert summary["metrics"]["setup_s"]["verdict"] == "within bound"
+        assert "verdict" not in summary["setup_raw_s"]
