@@ -140,7 +140,7 @@ def _ship_setup_once(graph, scopes, kind):
             task = pickle.loads(pickle.dumps(array_task(proto.id, astate)))
             vertex_bits, edge_bits, _warm = task.data
             ArraySearchState.from_scope_payload(
-                graph, csr, proto, vertex_bits, edge_bits
+                csr, proto, vertex_bits, edge_bits
             )
     return time.perf_counter() - start
 

@@ -157,6 +157,7 @@ class GraphCsr:
         "parent",
         "parent_vertex_index",
         "parent_edge_index",
+        "_lazy",
     )
 
     def __init__(self, graph: Graph) -> None:
@@ -259,9 +260,14 @@ class GraphCsr:
         ``parent_vertex_index`` (dense parent row indices of the kept
         vertices) and ``parent_edge_index`` (parent directed-edge
         positions of the kept edges); ``parent`` links back to the source
-        CSR.  The backing :class:`~repro.graph.graph.Graph` is the
-        id-preserving ``graph.subgraph`` and the view installs itself as
-        that subgraph's memoized CSR.
+        CSR.
+
+        Building a view runs no Python loop: everything is a gather
+        through the two index maps, and the sorted pair table is the
+        parent's, filtered.  The two dict-land members — ``graph`` (the
+        id-preserving ``graph.subgraph``, with the view installed as its
+        memoized CSR) and ``index_of`` — are built on first read (see
+        :meth:`__getattr__`), which only dict consumers do.
         """
         keep = np.asarray(vertex_mask, dtype=bool)
         if keep.shape[0] != self.num_vertices:
@@ -277,14 +283,13 @@ class GraphCsr:
         m_new = int(eidx.shape[0])
 
         view = GraphCsr.__new__(GraphCsr)
-        view.graph = self.graph.subgraph(ids.tolist())
+        view._lazy = {}
         view.parent = self
         view.parent_vertex_index = kept
         view.parent_edge_index = eidx
         view.num_vertices = n_new
         view.num_directed_edges = m_new
         view.order = ids
-        view.index_of = {int(v): i for i, v in enumerate(ids.tolist())}
 
         # eidx is ascending and the parent's src is non-decreasing, so the
         # remapped edges stay grouped (and row-ordered) by source row.
@@ -304,8 +309,12 @@ class GraphCsr:
         pos_of_old = np.full(self.num_directed_edges, -1, dtype=np.int64)
         pos_of_old[eidx] = np.arange(m_new, dtype=np.int64)
         view.mirror = pos_of_old[self.mirror[eidx]]
+        # Renumbering is monotone in both endpoints, so the parent's
+        # (src, dst) order restricted to the kept edges is the view's.
+        by_pair = self.pair_edges[:-1]
         view.pair_keys, view.pair_edges = sorted_pair_table(
-            view.src, view.indices, n_new
+            view.src, view.indices, n_new,
+            pos_of_old[by_pair[edge_keep[by_pair]]],
         )
 
         view.label_codes = self.label_codes[kept]
@@ -326,9 +335,32 @@ class GraphCsr:
             getattr(view, name).flags.writeable = False
         if view.edge_label_codes is not None:
             view.edge_label_codes.flags.writeable = False
-
-        view.graph._csr_cache = view
         return view
+
+    def __getattr__(self, name: str):
+        """A view's ``graph`` / ``index_of``, built on first read.
+
+        Python only calls this for a slot that was never set, and
+        :meth:`induced_view` leaves exactly these two unset: an array
+        search never reads them, so a view costs no Python loop until a
+        dict consumer (``to_search_state``, ``deactivate_vertex``, the
+        match-extension probe, ``csr_of(view.graph)``) asks.  The values
+        are parked in the ``_lazy`` holder the view was constructed with
+        — the CSR itself stays store-free after construction (lint R10).
+        """
+        if name not in ("graph", "index_of"):
+            raise AttributeError(name)
+        lazy = self._lazy
+        if name not in lazy:
+            if name == "graph":
+                graph = self.parent.graph.subgraph(self.order.tolist())
+                graph._csr_cache = self
+                lazy[name] = graph
+            else:
+                lazy[name] = {
+                    int(v): i for i, v in enumerate(self.order.tolist())
+                }
+        return lazy[name]
 
     def edge_positions(self, u_idx: np.ndarray, v_idx: np.ndarray) -> np.ndarray:
         """CSR position of each directed edge ``u_idx[i] -> v_idx[i]``.
@@ -447,26 +479,29 @@ class ArraySearchState:
     """
 
     __slots__ = (
-        "graph", "csr", "roles", "role_bit",
+        "csr", "roles", "role_bit",
         "role_mask", "vertex_active", "edge_alive",
     )
 
     def __init__(
         self,
-        graph: Graph,
         csr: GraphCsr,
         roles: Sequence[int],
         role_mask: np.ndarray,
         vertex_active: np.ndarray,
         edge_alive: np.ndarray,
     ) -> None:
-        self.graph = graph
         self.csr = csr
         self.roles = list(roles)
         self.role_bit = _role_bits(self.roles)
         self.role_mask = role_mask
         self.vertex_active = vertex_active
         self.edge_alive = edge_alive
+
+    @property
+    def graph(self) -> Graph:
+        """The CSR's backing graph (dict consumers only: a view builds it)."""
+        return self.csr.graph
 
     @property
     def n_words(self) -> int:
@@ -497,14 +532,13 @@ class ArraySearchState:
         role_mask = mask_by_code[csr.label_codes]
         vertex_active = _mask_nonzero(role_mask)
         edge_alive = vertex_active[csr.src].copy()
-        return cls(graph, csr, roles, role_mask, vertex_active, edge_alive)
+        return cls(csr, roles, role_mask, vertex_active, edge_alive)
 
     @classmethod
-    def empty(cls, graph: Graph) -> "ArraySearchState":
-        """An all-inactive state (the level-union accumulator seed)."""
-        csr = csr_of(graph)
+    def empty(cls, csr: GraphCsr) -> "ArraySearchState":
+        """An all-inactive state over ``csr`` (the level-union seed)."""
         return cls(
-            graph, csr, [],
+            csr, [],
             np.zeros(csr.num_vertices, dtype=_U64),
             np.zeros(csr.num_vertices, dtype=bool),
             np.zeros(csr.num_directed_edges, dtype=bool),
@@ -567,12 +601,11 @@ class ArraySearchState:
                     (index_of[u] for u in nbrs), dtype=np.int64, count=len(nbrs)
                 )
                 edge_alive[s:e] = np.isin(indices[s:e], targets)
-        return cls(state.graph, csr, roles, role_mask, vertex_active, edge_alive)
+        return cls(csr, roles, role_mask, vertex_active, edge_alive)
 
     @classmethod
     def from_scope_payload(
         cls,
-        graph: Graph,
         csr: GraphCsr,
         prototype,
         vertex_bits: bytes,
@@ -594,7 +627,7 @@ class ArraySearchState:
         seeded = mask_by_code[csr.label_codes]
         keep = vertex_active if seeded.ndim == 1 else vertex_active[:, None]
         role_mask = np.where(keep, seeded, _ZERO)
-        return cls(graph, csr, roles, role_mask, vertex_active, edge_alive)
+        return cls(csr, roles, role_mask, vertex_active, edge_alive)
 
     def scope_payload(self) -> Tuple[bytes, bytes]:
         """``(vertex bitmap, edge bitmap)`` wire form of a scope cut."""
@@ -692,7 +725,7 @@ class ArraySearchState:
 
     def copy(self) -> "ArraySearchState":
         return ArraySearchState(
-            self.graph, self.csr, self.roles,
+            self.csr, self.roles,
             self.role_mask.copy(), self.vertex_active.copy(),
             self.edge_alive.copy(),
         )
@@ -709,7 +742,7 @@ class ArraySearchState:
         if view.parent is not self.csr:
             raise ValueError("view was not derived from this state's CSR")
         return ArraySearchState(
-            view.graph, view, self.roles,
+            view, self.roles,
             self.role_mask[view.parent_vertex_index],
             self.vertex_active[view.parent_vertex_index],
             self.edge_alive[view.parent_edge_index],
@@ -851,9 +884,7 @@ class ArraySearchState:
         idx = np.nonzero(sel)[0]
         new_alive[idx] = True
         new_alive[csr.mirror[idx]] = True
-        return ArraySearchState(
-            self.graph, csr, roles, new_mask, new_active, new_alive
-        )
+        return ArraySearchState(csr, roles, new_mask, new_active, new_alive)
 
     def __repr__(self) -> str:
         vertices, edges = self.active_counts()

@@ -144,9 +144,13 @@ class PipelineOptions:
     #: sweep only; results are bit-identical, original vertex ids are
     #: preserved)
     aux_views: bool = False
-    #: materialize a view only when the union keeps at most this fraction
-    #: of the background graph's vertices (re-checked per level, so views
-    #: nest as the sweep keeps pruning)
+    #: materialize a view only when the scope keeps at most this fraction
+    #: of the current CSR's vertices.  One rule, two places: it decides
+    #: the ``M*`` view every in-process array run searches instead of
+    #: ``G`` (:func:`compact_scope`; independent of ``aux_views``) and the
+    #: ``aux_views`` level views, re-checked per level so views nest as
+    #: the sweep keeps pruning.  1.0 compacts whenever anything was
+    #: pruned; a tiny value never does.
     aux_view_ratio: float = 0.6
     #: span tracer (:class:`repro.runtime.trace.Tracer`) threaded into
     #: every engine of the run; the default NULL_TRACER records nothing
@@ -304,6 +308,9 @@ def _run_bottom_up(
     else:
         base = SearchState.initial(graph, template)
     all_stats.append(mcs_stats)
+    # a batch hands its pipelines an ``aux_views`` M* view as their graph
+    on_aux_view = array_level and base.csr.parent is not None
+    base = compact_scope(base, options, result)
     (
         result.candidate_set_vertices,
         result.candidate_set_edges,
@@ -311,12 +318,7 @@ def _run_bottom_up(
     result.candidate_set_seconds = cost_model.makespan(mcs_stats)
 
     # ---------------------------------------------- search deployment
-    # `reload_ranks` is Optional[int]; reload_ranks=0 must disable the
-    # reload exactly like None instead of leaking a falsy int into the
-    # flag or the rank arithmetic (repro-lint R1).
-    reload_requested = (
-        options.reload_ranks is not None and options.reload_ranks != 0
-    )
+    reload_requested = _reload_requested(options)
     search_ranks = (
         options.reload_ranks if reload_requested else options.num_ranks
     )
@@ -329,6 +331,8 @@ def _run_bottom_up(
             2 * pruned.num_edges + pruned.num_vertices
         )
         assignment = _initial_assignment(graph, deployment_ranks, options)
+        if assignment is None:
+            assignment = hash_assignment(graph.vertices(), deployment_ranks)
         assignment.update(balanced_assignment(pruned, deployment_ranks))
         search_pgraph = PartitionedGraph(
             graph,
@@ -417,14 +421,18 @@ def _run_bottom_up(
                         union_prev = ArraySearchState.from_search_state(
                             union_prev, roles=template_roles
                         )
-                    union = ArraySearchState.empty(base.graph)
+                    union = ArraySearchState.empty(base.csr)
                 else:
                     union = SearchState.empty(graph)
 
                 for proto in protos.at(distance):
                     extended = None
                     if options.enumeration_optimization and distance < deepest:
-                        extended = _try_extension(proto, stored_matches, graph)
+                        # base's graph: the derived state must sit on
+                        # the CSR the level's union and scopes use
+                        extended = _try_extension(
+                            proto, stored_matches, base.graph
+                        )
                     if extended is not None:
                         outcome, proto_state = extended
                         if array_level:
@@ -440,7 +448,7 @@ def _run_bottom_up(
                         proto_state, warm_mask = _starting_scope(
                             proto, distance, deepest, base, union_prev, options
                         )
-                        if array_level and base.csr.parent is not None:
+                        if on_aux_view:
                             result.aux_view_reuse += 1
                         stats = MessageStats(deployment_ranks)
                         engine = Engine(
@@ -503,7 +511,9 @@ def _run_bottom_up(
                 # vertex-induced, so Obs. 1's readmitted background edges
                 # between surviving vertices are all present and the
                 # restricted scopes are bit-identical to the full-graph
-                # ones.  Views nest as later levels keep pruning.
+                # ones.  Views nest as later levels keep pruning (on top
+                # of compact_scope's M* view); the partition is keyed by
+                # vertex id, which views preserve, so it stays.
                 if (
                     options.aux_views
                     and array_level
@@ -521,20 +531,9 @@ def _run_bottom_up(
                     )
                 ):
                     view = base.csr.induced_view(union.vertex_active)
-                    graph = view.graph
                     base = base.restrict_to_view(view)
                     union_prev = union.restrict_to_view(view)
-                    search_pgraph = PartitionedGraph(
-                        graph,
-                        deployment_ranks,
-                        assignment=_initial_assignment(
-                            graph, deployment_ranks, options
-                        ),
-                        delegate_degree_threshold=(
-                            options.delegate_degree_threshold
-                        ),
-                        ranks_per_node=options.ranks_per_node,
-                    )
+                    on_aux_view = True
                     result.aux_views_built += 1
                     result.aux_view_sizes.append(
                         (view.num_vertices, view.num_directed_edges // 2)
@@ -615,13 +614,78 @@ def _as_dict_state(state: "SearchState | ArraySearchState") -> SearchState:
 
 def _initial_assignment(
     graph: Graph, num_ranks: int, options: PipelineOptions
-) -> Dict[int, int]:
-    """Initial vertex-to-rank map per the configured strategy."""
+) -> Optional[Dict[int, int]]:
+    """Explicit initial vertex-to-rank map, or ``None`` for the hash default.
+
+    A hash partition needs no dict: :class:`PartitionedGraph` computes
+    its ranks from the vertex ids.
+    """
     if options.partition_strategy == "block":
         from ..runtime.partition import block_assignment
 
         return block_assignment(sorted(graph.vertices()), num_ranks)
-    return hash_assignment(graph.vertices(), num_ranks)
+    return None
+
+
+def _reload_requested(options: PipelineOptions) -> bool:
+    """Whether the search runs on a reloaded deployment.
+
+    ``reload_ranks`` is Optional[int]; ``reload_ranks=0`` must disable
+    the reload exactly like None instead of leaking a falsy int into the
+    flag or the rank arithmetic (repro-lint R1).
+    """
+    return options.reload_ranks is not None and options.reload_ranks != 0
+
+
+def compact_scope(
+    base: "SearchState | ArraySearchState",
+    options: PipelineOptions,
+    result: PipelineResult,
+) -> "SearchState | ArraySearchState":
+    """Re-pack the run onto ``G[M*]`` when ``M*`` pruned enough (§3.1).
+
+    The one compaction point of both level drivers, called straight
+    after ``M*``: ``base`` moves onto the :meth:`GraphCsr.induced_view`
+    of its candidates, and every later scope cut, fixpoint, walk,
+    enumeration and level union runs over arrays sized to ``M*`` instead
+    of ``G`` (the paper's system checkpoints and reloads the pruned graph
+    here).  Nothing observable moves: after the fixpoint every alive edge
+    joins two candidates and Obs. 1 only readmits edges between
+    candidates, all of which a vertex-induced view holds; the view keeps
+    vertex ids, so answers need no remapping and the run's
+    ``PartitionedGraph`` — keyed by id — reads the same ranks through
+    ``rank_arrays(view)``, hence the same message and visit counts.
+
+    Declines for a dict or naive ``base``, under a pool (its shm segment
+    and scope bitmaps are ``G``'s) and when rebalancing (which exports
+    the scope to a dict graph anyway).  ``result.scope_view``, the
+    ``scope_view`` span and the ``scope_view.*`` counters report the view.
+    """
+    if not (
+        isinstance(base, ArraySearchState)
+        and options.use_max_candidate_set
+        and options.worker_processes == 1
+        and options.load_balance == "none"
+        and not _reload_requested(options)
+    ):
+        return base
+    csr = base.csr
+    kept = base.num_active_vertices
+    if kept == csr.num_vertices or kept > options.aux_view_ratio * csr.num_vertices:
+        return base
+    with options.tracer.span("scope_view") as span:
+        view = csr.induced_view(base.vertex_active)
+        base = base.restrict_to_view(view)
+        edges = view.num_directed_edges // 2
+        span.add(
+            vertices=kept, edges=edges, kept_frac=kept / csr.num_vertices
+        )
+    result.scope_view = (kept, edges)
+    metrics = options.metrics
+    metrics.counter("scope_view.built").inc()
+    metrics.counter("scope_view.vertices").inc(kept)
+    metrics.counter("scope_view.edges").inc(edges)
+    return base
 
 
 def _finish_level(
@@ -748,7 +812,7 @@ def _pooled_level_array(
         )
         tasks.append(array_task(proto.id, scoped, warm_mask))
     csr = base_astate.csr
-    union = ArraySearchState.empty(base_astate.graph)
+    union = ArraySearchState.empty(csr)
     tracer = options.tracer
     for payload in pool.search_level(tasks):
         proto = protos.by_id(payload["proto_id"])

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..graph.graph import Edge, Graph
 
@@ -125,6 +125,9 @@ class PipelineResult:
         #: NLCC work-recycling cache counters (empty when recycling is off):
         #: hits/misses plus the cache's constraint and vertex-entry sizes
         self.nlcc_cache_stats: Dict[str, int] = {}
+        #: ``(vertices, edges)`` of the ``G[M*]`` view the run searched
+        #: instead of ``G`` (``pipeline.compact_scope``); None = searched ``G``
+        self.scope_view: Optional[Tuple[int, int]] = None
         #: why the run fell back to the dict level sweep (None = array path)
         self.array_fallback_reason: Optional[str] = None
         #: auxiliary pruned-view accounting (options.aux_views):
@@ -232,6 +235,9 @@ class PipelineResult:
                 "edges": self.candidate_set_edges,
                 "seconds": self.candidate_set_seconds,
             },
+            "scope_view": (
+                list(self.scope_view) if self.scope_view is not None else None
+            ),
             "levels": [
                 {
                     "distance": level.distance,

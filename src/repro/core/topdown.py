@@ -27,6 +27,7 @@ from .ordering import ConstraintPlanner
 from .pipeline import (
     PipelineOptions,
     _array_level_eligible,
+    compact_scope,
     compile_cache_totals,
     finish_run,
 )
@@ -113,6 +114,7 @@ def _run_exploratory(
         )
 
     result = PipelineResult(template.name, max_k, protos)
+    base = compact_scope(base, options, result)
     (
         result.candidate_set_vertices,
         result.candidate_set_edges,

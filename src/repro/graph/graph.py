@@ -42,7 +42,10 @@ class Graph:
         paper's setting).  Passing ``True`` raises :class:`GraphError`.
     """
 
-    __slots__ = ("_adj", "_labels", "_num_edges", "_edge_labels", "_csr_cache")
+    __slots__ = (
+        "_adj", "_labels", "_num_edges", "_edge_labels",
+        "_csr_cache", "_label_counts",
+    )
 
     def __init__(self, directed: bool = False) -> None:
         if directed:
@@ -56,6 +59,9 @@ class Graph:
         #: memoized frozen CSR view (see core/arraystate.GraphCsr); any
         #: mutation invalidates it so stale adjacency can never be reused
         self._csr_cache = None
+        #: memoized label histogram (see :meth:`label_counts`); dropped
+        #: with the CSR by every mutator
+        self._label_counts: Optional[Dict[int, int]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -65,7 +71,7 @@ class Graph:
         if vertex not in self._adj:
             self._adj[vertex] = set()
         self._labels[vertex] = label
-        self._csr_cache = None
+        self._csr_cache = self._label_counts = None
 
     def add_edge(self, u: int, v: int, label: Optional[int] = None) -> bool:
         """Add the undirected edge ``(u, v)``, optionally edge-labeled.
@@ -89,7 +95,7 @@ class Graph:
         self._num_edges += 1
         if label is not None:
             self._edge_labels[canonical_edge(u, v)] = label
-        self._csr_cache = None
+        self._csr_cache = self._label_counts = None
         return True
 
     def remove_edge(self, u: int, v: int) -> None:
@@ -101,7 +107,7 @@ class Graph:
             raise GraphError(f"edge ({u}, {v}) not in graph") from exc
         self._num_edges -= 1
         self._edge_labels.pop(canonical_edge(u, v), None)
-        self._csr_cache = None
+        self._csr_cache = self._label_counts = None
 
     def remove_vertex(self, vertex: int) -> None:
         """Remove ``vertex`` and all incident edges; raises if absent."""
@@ -113,7 +119,7 @@ class Graph:
             self._edge_labels.pop(canonical_edge(vertex, other), None)
         self._num_edges -= len(neighbors)
         del self._labels[vertex]
-        self._csr_cache = None
+        self._csr_cache = self._label_counts = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -188,11 +194,14 @@ class Graph:
         return set(self._labels.values())
 
     def label_counts(self) -> Dict[int, int]:
-        """Histogram of labels over vertices."""
-        counts: Dict[int, int] = {}
-        for label in self._labels.values():
-            counts[label] = counts.get(label, 0) + 1
-        return counts
+        """Histogram of labels over vertices (a copy; memoized)."""
+        counts = self._label_counts
+        if counts is None:
+            counts = {}
+            for label in self._labels.values():
+                counts[label] = counts.get(label, 0) + 1
+            self._label_counts = counts
+        return dict(counts)
 
     def vertices_with_label(self, label: int) -> List[int]:
         return [v for v, lab in self._labels.items() if lab == label]
@@ -283,7 +292,7 @@ class Graph:
 
     def __setstate__(self, state) -> None:
         self._adj, self._labels, self._num_edges, self._edge_labels = state
-        self._csr_cache = None
+        self._csr_cache = self._label_counts = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

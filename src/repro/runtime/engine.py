@@ -21,9 +21,10 @@ order), which the test suite relies on.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import deque
-from typing import Callable, Deque, Iterable, List, Optional
+from typing import Callable, Deque, Dict, Iterable, List, Optional
 
 from ..errors import EngineError
 from .messages import MessageStats
@@ -129,8 +130,8 @@ class Engine:
         self._queues: List[Deque[Visitor]] = [deque() for _ in range(pgraph.num_ranks)]
         self._context = Context(self)
         self._running = False
-        # Hot-path snapshots of the partitioning (read-only during a run).
-        self._assignment = pgraph.assignment
+        # Hot-path snapshots of the partitioning (read-only during a run);
+        # ``_assignment`` is taken on first use, see below.
         self._delegates = pgraph.delegates
         self._rank_node = [pgraph.node_of_rank(r) for r in range(pgraph.num_ranks)]
         # Per-traversal accounting accumulators, folded into `stats` at
@@ -145,6 +146,16 @@ class Engine:
         # Metric handles resolved once (hot paths pay one cell add each).
         self._m_traversals = self.metrics.counter("engine.traversals")
         self._m_batched_rounds = self.metrics.counter("engine.rounds_batched")
+
+    @functools.cached_property
+    def _assignment(self) -> Dict[int, int]:
+        """The partition's vertex → rank dict, taken at the first visitor.
+
+        Only per-visitor delivery reads it; an array-backend engine
+        accounts through ``pgraph.rank_arrays`` and never makes a hash
+        partition build its dict.
+        """
+        return self.pgraph.assignment
 
     # ------------------------------------------------------------------
     def _enqueue(self, visitor: Visitor, from_rank: Optional[int]) -> None:

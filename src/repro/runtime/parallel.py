@@ -208,7 +208,7 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
         csr = csr_of(graph)
         vertex_bits, edge_bits, warm_bits = task.data
         astate = ArraySearchState.from_scope_payload(
-            graph, csr, proto, vertex_bits, edge_bits
+            csr, proto, vertex_bits, edge_bits
         )
         if warm_bits is not None:
             warm_mask = unpack_bits(warm_bits, csr.num_vertices)

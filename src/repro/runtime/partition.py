@@ -32,7 +32,10 @@ class PartitionedGraph:
     num_ranks:
         Number of simulated MPI processes.
     assignment:
-        Explicit vertex → rank map; defaults to hash partitioning.
+        Explicit vertex → rank map; defaults to hash partitioning, which
+        is a pure function of the vertex id — :meth:`rank_arrays`
+        computes it vectorised and the ``assignment`` dict exists only
+        once something reads it.
     delegate_degree_threshold:
         Vertices with degree at or above this become *delegates*: every rank
         holds a copy, so visitor pushes to them are always rank-local (the
@@ -58,16 +61,14 @@ class PartitionedGraph:
         self.graph = graph
         self.num_ranks = num_ranks
         self.ranks_per_node = ranks_per_node
-        if assignment is None:
-            assignment = hash_assignment(graph.vertices(), num_ranks)
-        else:
+        if assignment is not None:
             bad = [v for v in graph.vertices() if v not in assignment]
             if bad:
                 raise PartitionError(f"{len(bad)} vertices missing from assignment")
             out_of_range = [r for r in assignment.values() if not 0 <= r < num_ranks]
             if out_of_range:
                 raise PartitionError("assignment contains out-of-range ranks")
-        self.assignment = assignment
+        self._assignment = assignment
         if delegate_degree_threshold is None:
             self.delegates: Set[int] = set()
         else:
@@ -79,6 +80,15 @@ class PartitionedGraph:
         self._rank_arrays: Dict[int, Tuple[Any, np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
+    @property
+    def assignment(self) -> Dict[int, int]:
+        """The vertex → rank map (a hash partition's is built on first read)."""
+        if self._assignment is None:
+            self._assignment = hash_assignment(
+                self.graph.vertices(), self.num_ranks
+            )
+        return self._assignment
+
     def rank_of(self, vertex: int) -> int:
         """Controller rank of ``vertex``."""
         try:
@@ -122,17 +132,21 @@ class PartitionedGraph:
         if cached is not None:
             return cached[1], cached[2]
         ranks = self.num_ranks
-        assignment = self.assignment
-        order = csr.order.tolist()
-        rank_of = np.fromiter(
-            (assignment[v] for v in order), dtype=np.int64, count=len(order)
-        )
+        assignment = self._assignment
+        if assignment is None:
+            rank_of = hash_ranks(csr.order, ranks)
+        else:
+            rank_of = np.fromiter(
+                (assignment[v] for v in csr.order.tolist()),
+                dtype=np.int64, count=csr.num_vertices,
+            )
         src_rank = rank_of[csr.src]
         dst_rank = rank_of[csr.indices]
         delegates = self.delegates
         if delegates:
             is_delegate = np.fromiter(
-                (v in delegates for v in order), dtype=bool, count=len(order)
+                (v in delegates for v in csr.order.tolist()),
+                dtype=bool, count=csr.num_vertices,
             )
             dst_rank = np.where(is_delegate[csr.indices], src_rank, dst_rank)
         code_dtype = np.min_scalar_type(ranks * ranks - 1)
@@ -197,6 +211,11 @@ class PartitionedGraph:
         )
 
 
+#: the multiplicative hash of :func:`hash_assignment` / :func:`hash_ranks`
+_HASH_MULTIPLIER = 0x9E3779B97F4A7C15
+_HASH_INCREMENT = 0x7F4A7C15
+
+
 def hash_assignment(vertices: Iterable[int], num_ranks: int) -> Dict[int, int]:
     """HavoqGT-style hash partitioning: rank = hash(vertex) mod ranks.
 
@@ -207,9 +226,21 @@ def hash_assignment(vertices: Iterable[int], num_ranks: int) -> Dict[int, int]:
         raise PartitionError("num_ranks must be positive")
     mask = (1 << 64) - 1
     return {
-        v: ((v * 0x9E3779B97F4A7C15 + 0x7F4A7C15) & mask) % num_ranks
+        v: ((v * _HASH_MULTIPLIER + _HASH_INCREMENT) & mask) % num_ranks
         for v in vertices
     }
+
+
+def hash_ranks(vertex_ids: np.ndarray, num_ranks: int) -> np.ndarray:
+    """:func:`hash_assignment` over an int64 id array, as int64 ranks.
+
+    The ids are reinterpreted as ``uint64`` (two's complement, so a
+    negative id reads as ``id mod 2**64``) and the multiply-add wraps
+    modulo ``2**64`` — exactly the dict version's ``& mask``.
+    """
+    hashed = vertex_ids.view(np.uint64) * np.uint64(_HASH_MULTIPLIER)
+    hashed += np.uint64(_HASH_INCREMENT)
+    return (hashed % np.uint64(num_ranks)).astype(np.int64)
 
 
 def block_assignment(vertices: Sequence[int], num_ranks: int) -> Dict[int, int]:

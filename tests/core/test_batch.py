@@ -22,13 +22,16 @@ from repro.core import (
     count_motifs,
     count_motifs_sequential,
     csr_of,
+    exploratory_search,
+    generate_prototypes,
     run_batch,
     run_pipeline,
 )
+from repro.core.arraystate import ArraySearchState
 from repro.errors import TemplateError
 from repro.graph import from_edges
-from repro.graph.graph import canonical_edge
-from repro.graph.generators import gnm_graph, plant_pattern
+from repro.graph.graph import Graph, canonical_edge
+from repro.graph.generators import gnm_graph, plant_pattern, planted_graph
 from repro.runtime.trace import Tracer
 
 
@@ -371,6 +374,107 @@ class TestInducedViewRemapping:
         csr = csr_of(self.graph())
         with pytest.raises(ValueError):
             csr.induced_view(np.ones(csr.num_vertices + 1, dtype=bool))
+
+
+# ------------------------------------------- views cost no Python loop
+class TestLazyViewMembers:
+    """``view.graph`` / ``view.index_of`` exist once a dict consumer asks."""
+
+    @pytest.fixture
+    def subgraph_calls(self, monkeypatch):
+        calls = []
+        eager = Graph.subgraph
+
+        def spy(graph, vertices):
+            calls.append(graph)
+            return eager(graph, vertices)
+
+        monkeypatch.setattr(Graph, "subgraph", spy)
+        return calls
+
+    def case(self):
+        graph = gnm_graph(90, 260, num_labels=3, seed=17)
+        for i, (u, v) in enumerate(sorted(graph.edges())):
+            if i % 4 == 0:
+                graph.add_edge(u, v, 7)  # relabel: edge labels must survive
+        csr = csr_of(graph)
+        keep = np.zeros(csr.num_vertices, dtype=bool)
+        keep[::2] = True
+        return graph, csr, keep
+
+    def test_members_equal_the_eager_values(self, subgraph_calls):
+        graph, csr, keep = self.case()
+        view = csr.induced_view(keep)
+        nested = view.induced_view(
+            np.arange(view.num_vertices) % 3 != 0
+        )
+        assert not subgraph_calls
+
+        for child, parent_graph in ((view, graph), (nested, None)):
+            ids = child.order.tolist()
+            assert child.index_of == {v: i for i, v in enumerate(ids)}
+            assert child.index_of is child.index_of  # built once
+            expected = (parent_graph or view.graph).subgraph(ids)
+            before = len(subgraph_calls)
+            assert child.graph == expected
+            assert child.graph is child.graph
+            assert len(subgraph_calls) == before + 1  # built once
+            # the view is its graph's CSR: csr_of() never rebuilds one
+            assert csr_of(child.graph) is child
+            assert child.graph.has_edge_labels
+        assert nested.graph == graph.subgraph(nested.order.tolist())
+
+    def test_array_states_do_not_build_them(self, subgraph_calls):
+        graph, csr, keep = self.case()
+        template = PatternTemplate.from_edges(
+            [(0, 1), (1, 2), (2, 0)], {0: 0, 1: 1, 2: 2}, name="tri"
+        )
+        state = ArraySearchState.initial(graph, template)
+        view = csr.induced_view(keep)
+        on_view = state.restrict_to_view(view)
+        proto = generate_prototypes(template, 1).at(1)[0]
+        scoped = on_view.for_prototype_search(proto)
+        union = ArraySearchState.empty(view)
+        union.absorb_solution(*scoped.copy().solution_masks())
+        scoped.deactivate_indices(np.arange(3))
+        scoped.active_counts(), scoped.active_vertices()
+        scoped.active_edge_list(), scoped.scope_payload()
+        assert not subgraph_calls and view._lazy == {}
+        # ... and a dict consumer does
+        exported = on_view.to_search_state()
+        assert exported.graph is view.graph and len(subgraph_calls) == 1
+        on_view.deactivate_vertex(int(view.order[0]))
+        assert set(view._lazy) == {"graph", "index_of"}
+
+    def test_unknown_attributes_still_raise(self):
+        _graph, csr, keep = self.case()
+        with pytest.raises(AttributeError):
+            csr.induced_view(keep).no_such_member
+        with pytest.raises(AttributeError):
+            csr.no_such_member
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda g, t, o: run_pipeline(g, t, 2, o),
+            lambda g, t, o: exploratory_search(g, t, max_k=2, options=o),
+        ],
+        ids=["run_pipeline", "exploratory_search"],
+    )
+    def test_default_runs_never_read_them(self, subgraph_calls, run):
+        template = PatternTemplate.from_edges(
+            [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)],
+            {0: 0, 1: 1, 2: 2, 3: 1}, name="diamond",
+        )
+        graph = planted_graph(
+            200, 500, template.edges(),
+            [template.label(v) for v in sorted(template.graph.vertices())],
+            copies=3, num_labels=6, seed=2,
+        )
+        result = run(graph, template, PipelineOptions(count_matches=True))
+        assert result.matched_vertices()
+        assert result.scope_view is not None  # the run did search a view
+        assert not subgraph_calls
 
 
 # -------------------------------------------------- fallback reporting

@@ -31,6 +31,7 @@ from repro.core.arraystate import (
     ArraySearchState,
     array_kernel_fixpoint,
     array_token_walk,
+    csr_of,
 )
 from repro.core.constraints import FULL_WALK_KIND
 from repro.core.kernels import compile_role_kernel, compile_walk_schedule
@@ -164,7 +165,7 @@ class TestAccountingParity:
     def test_rank_arrays_are_built_once_per_csr(self):
         graph, _template = wdc1_case()
         pgraph = PartitionedGraph(graph, 4, delegate_degree_threshold=8)
-        csr = ArraySearchState.empty(graph).csr
+        csr = csr_of(graph)
         rank_of, edge_code = pgraph.rank_arrays(csr)
         again = pgraph.rank_arrays(csr)
         assert again[0] is rank_of and again[1] is edge_code

@@ -47,6 +47,7 @@ from repro.core.arraystate import (
     array_kernel_fixpoint,
     array_token_walk,
     csr_of,
+    sorted_pair_table,
 )
 from repro.core.constraints import FULL_WALK_KIND
 from repro.core.enumeration import (
@@ -155,14 +156,38 @@ class TestEdgePositions:
         )
         view = csr_of(graph).induced_view(keep)
         check_edge_positions(view)
-        # a view of a view sorts its own table again
         check_edge_positions(view.induced_view(np.ones(view.num_vertices, bool)))
+
+    @SLOW
+    @given(data=st.data())
+    def test_a_view_inherits_its_parents_table(self, data):
+        # filtered by the kept-edge mask and renumbered, the parent's table
+        # is what an argsort of the view's own keys gives — at any depth,
+        # down to the empty view
+        csr = csr_of(data.draw(labeled_graphs()))
+        for _depth in range(3):
+            keep = data.draw(
+                st.lists(
+                    st.booleans(), min_size=csr.num_vertices,
+                    max_size=csr.num_vertices,
+                )
+            )
+            csr = csr.induced_view(np.array(keep, dtype=bool))
+            keys, edges = sorted_pair_table(
+                csr.src, csr.indices, csr.num_vertices
+            )
+            assert np.array_equal(csr.pair_keys, keys)
+            assert np.array_equal(csr.pair_edges, edges)
+            assert not csr.pair_keys.flags.writeable
+            assert not csr.pair_edges.flags.writeable
 
     def test_empty_view(self):
         csr = csr_of(gnm_graph(12, 30, num_labels=2, seed=1))
         view = csr.induced_view(np.zeros(csr.num_vertices, dtype=bool))
         assert view.num_vertices == view.num_directed_edges == 0
         check_edge_positions(view)
+        assert view.pair_keys.tolist() == [np.iinfo(np.int64).max]
+        assert view.pair_edges.tolist() == [-1]
         none = np.zeros(0, dtype=np.int64)
         assert view.edge_positions(none, none).shape == (0,)
 

@@ -127,6 +127,37 @@ class TestQueries:
         g.add_vertex(3, 1)
         assert g.label_counts()[1] == 2
 
+    def test_label_counts_memo_is_dropped_by_every_mutator(self):
+        import pickle
+
+        def histogram(graph):
+            counts = {}
+            for v in graph.vertices():
+                counts[graph.label(v)] = counts.get(graph.label(v), 0) + 1
+            return counts
+
+        g = triangle()
+        mutations = [
+            lambda: g.add_vertex(3, 1),       # new vertex
+            lambda: g.add_vertex(0, 9),       # relabel
+            lambda: g.add_edge(0, 3),
+            lambda: g.remove_edge(0, 3),
+            lambda: g.remove_vertex(1),
+        ]
+        for mutate in mutations:
+            assert g.label_counts() == histogram(g)
+            assert g._label_counts is not None
+            mutate()
+            assert g._label_counts is None
+            assert g.label_counts() == histogram(g)
+        # callers get a copy: scribbling on it does not poison the memo
+        g.label_counts()[9] = 1000
+        assert g.label_counts() == histogram(g)
+        # copies, derived graphs and unpickled graphs start without one
+        for other in (g.copy(), g.subgraph([0, 2]), pickle.loads(pickle.dumps(g))):
+            assert other._label_counts is None
+            assert other.label_counts() == histogram(other)
+
     def test_vertices_with_label(self):
         g = triangle()
         g.add_vertex(7, 2)

@@ -87,6 +87,14 @@ class GraphMachine(RuleBasedStateMachine):
             assert edge in self.model_edges
 
     @invariant()
+    def label_counts_memo_is_fresh(self):
+        # read after every step, so a mutator that kept a stale memo shows
+        counts = {}
+        for label in self.model_vertices.values():
+            counts[label] = counts.get(label, 0) + 1
+        assert self.graph.label_counts() == counts
+
+    @invariant()
     def degree_sum_is_twice_edges(self):
         total = sum(self.graph.degree(v) for v in self.graph.vertices())
         assert total == 2 * self.graph.num_edges

@@ -1,7 +1,9 @@
 """Tests for hash/delegate partitioning and the locality model."""
 
+import numpy as np
 import pytest
 
+from repro.core.arraystate import csr_of
 from repro.errors import PartitionError
 from repro.graph import from_edges
 from repro.graph.generators import webgraph
@@ -11,6 +13,7 @@ from repro.runtime import (
     block_assignment,
     hash_assignment,
 )
+from repro.runtime.partition import hash_ranks
 
 
 def star_graph(leaves=8):
@@ -139,3 +142,89 @@ class TestLocality:
     def test_bad_ranks_per_node(self):
         with pytest.raises(PartitionError):
             PartitionedGraph(star_graph(), 4, ranks_per_node=0)
+
+
+class TestRankArrays:
+    """The array backend's ranks: no dict for a hash partition, same values."""
+
+    #: ids around every width the uint64 multiply-add could get wrong
+    IDS = [
+        0, 1, 2, 7, -1, -2, -(2**31), 2**31 - 1, 2**32, 2**32 + 5,
+        2**40 + 3, -(2**40), 2**62 + 1, 2**63 - 1, -(2**63),
+    ]
+
+    def graph(self):
+        g = from_edges([(u, v) for u, v in zip(self.IDS, self.IDS[1:])])
+        for hub_leaf in self.IDS[2:8]:
+            if not g.has_edge(0, hub_leaf):
+                g.add_edge(0, hub_leaf)
+        return g
+
+    def views(self, graph):
+        csr = csr_of(graph)
+        keep = np.arange(csr.num_vertices) % 3 != 1
+        view = csr.induced_view(keep)
+        nested = view.induced_view(np.arange(view.num_vertices) % 2 == 0)
+        return csr, view, nested
+
+    def check(self, pgraph, csr):
+        rank_of, edge_code = pgraph.rank_arrays(csr)
+        order = csr.order.tolist()
+        expected = [pgraph.rank_of(v) for v in order]
+        assert rank_of.tolist() == expected
+        ranks = pgraph.num_ranks
+        for e in range(csr.num_directed_edges):
+            u, v = order[csr.src[e]], order[csr.indices[e]]
+            dst = pgraph.rank_of(u) if v in pgraph.delegates else pgraph.rank_of(v)
+            assert edge_code[e] == pgraph.rank_of(u) * ranks + dst
+
+    @pytest.mark.parametrize("ranks", [1, 3, 4, 7, 300])
+    def test_hash_ranks_equal_the_dict(self, ranks):
+        ids = np.array(self.IDS, dtype=np.int64)
+        assignment = hash_assignment(self.IDS, ranks)
+        assert hash_ranks(ids, ranks).tolist() == [assignment[v] for v in self.IDS]
+        assert hash_ranks(ids[:0], ranks).shape == (0,)
+
+    @pytest.mark.parametrize("threshold", [None, 3])
+    def test_hash_partition_builds_no_dict(self, threshold):
+        graph = self.graph()
+        pgraph = PartitionedGraph(
+            graph, 5, delegate_degree_threshold=threshold
+        )
+        arrays = [pgraph.rank_arrays(csr) for csr in self.views(graph)]
+        assert pgraph._assignment is None
+        assert bool(pgraph.delegates) == (threshold is not None)
+        # reading the dict afterwards materialises the same ranks
+        for csr in self.views(graph):
+            self.check(pgraph, csr)
+        assert pgraph.assignment == hash_assignment(graph.vertices(), 5)
+        assert arrays[0][0].tolist() == [
+            pgraph.assignment[v] for v in csr_of(graph).order.tolist()
+        ]
+
+    @pytest.mark.parametrize("threshold", [None, 3])
+    def test_block_and_explicit_assignments_on_views(self, threshold):
+        graph = self.graph()
+        block = block_assignment(sorted(graph.vertices()), 4)
+        pgraph = PartitionedGraph(
+            graph, 4, assignment=block, delegate_degree_threshold=threshold
+        )
+        assert pgraph.assignment is block
+        for csr in self.views(graph):
+            self.check(pgraph, csr)
+
+    def test_an_engine_leaves_the_dict_alone_until_a_visitor_needs_it(self):
+        from repro.runtime import Engine, Visitor
+
+        pgraph = PartitionedGraph(star_graph(), 3)
+        engine = Engine(pgraph)
+        engine.record_batched_round([[0] * 3] * 3, [0] * 3)
+        assert pgraph._assignment is None
+        engine.do_traversal(
+            [Visitor(0, None)],
+            lambda ctx, visitor: (
+                ctx.broadcast(0, [1, 2], None) if visitor.target == 0 else None
+            ),
+        )
+        assert pgraph._assignment is not None
+        assert engine.stats.total_messages == 2

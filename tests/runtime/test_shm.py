@@ -335,7 +335,7 @@ class TestPayloadParity:
             vertex_bits, edge_bits, warm_bits = task.data
             assert warm_bits is None
             rebuilt = ArraySearchState.from_scope_payload(
-                graph, csr, proto, vertex_bits, edge_bits
+                csr, proto, vertex_bits, edge_bits
             )
             assert np.array_equal(rebuilt.vertex_active, ascope.vertex_active)
             assert np.array_equal(rebuilt.edge_alive, ascope.edge_alive)
