@@ -380,6 +380,18 @@ def default_options(**overrides) -> PipelineOptions:
     return PipelineOptions(**base)
 
 
+def paper_tier_options(**overrides) -> PipelineOptions:
+    """The same configuration on the baseline dict tier: one visitor per
+    message, and every prototype checks its *complete* constraint list —
+    the array tier's plans may leave the pre-filters of a full walk out
+    (``ConstraintPlan.select``).  For the experiments whose subject is
+    the paper's message counts (E6 constraint ordering, E10)."""
+    return default_options(
+        role_kernel=False, delta_lcc=False, array_state=False,
+        array_nlcc=False, **overrides,
+    )
+
+
 #: (name, graph factory, template factory, k) rows of the Fig. 7 comparison
 def figure7_workloads() -> List[Tuple[str, object, object, int]]:
     return [

@@ -5,9 +5,9 @@ exported Chrome trace parses and contains the expected span taxonomy
 (``pipeline`` → ``level`` → ``prototype`` → ``lcc``/``nlcc`` → ``round``),
 then renders the ``repro trace`` report.  The same run also exports the
 always-on metrics snapshot via ``--metrics-out``, which is sanity-checked
-(the fixpoint counters must be populated) and rendered through ``repro
-metrics``.  Both files are left on disk so CI can upload them as build
-artifacts.
+(the fixpoint counters must be populated, the plan's pre-filter decision
+reported) and rendered through ``repro metrics``.  Both files are left
+on disk so CI can upload them as build artifacts.
 
 Run from the repo root::
 
@@ -102,6 +102,20 @@ def run(out_path: Path, metrics_path: Path) -> int:
             problems.append(f"metrics snapshot has no '{counter}' counts")
     if derived_metrics(snapshot)["dense_round_fraction"] is None:
         problems.append("metrics snapshot derives no dense-round fraction")
+    # which constraints ran is the plan's decision (ConstraintPlan.select):
+    # the cyclic k = 0 prototype has pre-filters to decide on
+    decided = [
+        counters.get(f"plan.prefilters_{verdict}") for verdict in ("skipped", "kept")
+    ]
+    if None in decided or sum(decided) <= 0:
+        problems.append(
+            f"metrics snapshot reports no plan decision (skipped, kept = {decided})"
+        )
+    if not any(
+        record["name"] == "prototype" and "plan_decision" in record["attrs"]
+        for record in records
+    ):
+        problems.append("no 'prototype' span carries a plan_decision attribute")
 
     if problems:
         print("trace smoke FAILED:")

@@ -1721,6 +1721,12 @@ def array_token_walk(
     else:
         start = holders
     out.tokens_launched = int(start.shape[0])
+    if out.tokens_launched == 0:
+        # nothing to walk (every initiator recycled, or none left): the
+        # seeds were visited, no message follows — and no adjacency is
+        # compacted for a frontier that does not exist
+        accounting.flush(round_started=round_started, worklist=0)
+        return out
 
     # Columns are replaced, never written in place, so column 0 may alias
     # ``checked_idx``.

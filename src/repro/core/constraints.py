@@ -27,7 +27,16 @@ cross-prototype work recycling of Obs. 2 (Fig. 3(b)).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..errors import ConstraintError
 from ..graph.algorithms import shortest_path, simple_cycles_upto
@@ -310,6 +319,17 @@ def is_tree(proto_graph: Graph) -> bool:
     return proto_graph.num_edges == proto_graph.num_vertices - 1
 
 
+class ConstraintSelection(NamedTuple):
+    """The non-local constraints to run on one live scope, and why."""
+
+    #: the complete list, or the full walk alone
+    constraints: List[NonLocalConstraint]
+    #: estimated rows of all pre-filters and of the full walk on the scope;
+    #: None when nothing was estimated because nothing could be skipped
+    prefilter_rows: Optional[float] = None
+    full_walk_rows: Optional[float] = None
+
+
 class ConstraintSet:
     """All constraints of one prototype, in checking order."""
 
@@ -330,6 +350,11 @@ class ConstraintSet:
             if constraint.kind == FULL_WALK_KIND:
                 return constraint
         return None
+
+    def select(self, astate=None) -> ConstraintSelection:
+        """An explicit set runs as given, whatever the scope (the lazy
+        :class:`~repro.core.ordering.ConstraintPlan` is what decides)."""
+        return ConstraintSelection(self.non_local)
 
     def __repr__(self) -> str:
         kinds = [c.kind for c in self.non_local]

@@ -30,12 +30,17 @@ from .constraints import (
     FULL_WALK_KIND,
     PATH_KIND,
     TDS_KIND,
+    ConstraintSelection,
     NonLocalConstraint,
     has_duplicate_labels,
     is_tree,
     reverse_visits_rarer_first,
 )
-from .cost_estimation import GraphStatistics, order_constraints_by_cost
+from .cost_estimation import (
+    GraphStatistics,
+    estimate_walk_cost,
+    order_constraints_by_cost,
+)
 from .prototypes import Prototype
 
 _KIND_PRIORITY = {CYCLE_KIND: 0, PATH_KIND: 1, TDS_KIND: 2, FULL_WALK_KIND: 3}
@@ -75,7 +80,7 @@ def order_constraints(
     baseline of the Fig. 9(b) ablation.
 
     ``measured`` (a :class:`~repro.runtime.metrics.ConstraintCostModel`)
-    supplies per-constraint wall times observed on earlier prototypes of
+    supplies per-constraint row counts observed on earlier prototypes of
     the same template; within a kind, measured-cheap constraints then run
     before measured-expensive ones, overriding the static length/
     frequency estimate.  Costs are quantized to coarse log2 buckets
@@ -187,6 +192,37 @@ class ConstraintPlan:
     def full_walk(self) -> Optional[NonLocalConstraint]:
         tail = self.non_local[-1:]  # every order puts the full walk last
         return tail[0] if tail and tail[0].kind == FULL_WALK_KIND else None
+
+    def select(self, astate=None) -> ConstraintSelection:
+        """The constraints worth running on the live scope ``astate``.
+
+        A plan that ends in the full walk owes its answer to that walk
+        alone — it reduces the scope to exactly the solution subgraph
+        whatever ran before it — so the CC / PC / TDS walks in front are
+        pre-filters: they can at best shrink the full walk to nothing.
+        When their estimated rows on this scope
+        (:func:`~repro.core.cost_estimation.estimate_walk_cost` over
+        :meth:`GraphStatistics.from_scope`) reach the full walk's, they
+        cannot pay and the full walk runs alone; otherwise the whole list
+        runs.  Decided from counts, so equal scopes decide equally, and
+        answered afresh per scope: a plan is shared, nothing is kept on it.
+
+        Without a full walk there is nothing to fall back on, and without
+        an array scope (``astate is None``: the dict tiers) the paper's
+        complete list runs; both skip nothing.
+        """
+        non_local = self.non_local
+        full_walk = self.full_walk()
+        if astate is None or full_walk is None or len(non_local) == 1:
+            return ConstraintSelection(non_local)
+        stats = GraphStatistics.from_scope(astate, self.proto_graph)
+        prefilter_rows = sum(
+            estimate_walk_cost(constraint, stats) for constraint in non_local[:-1]
+        )
+        full_walk_rows = estimate_walk_cost(full_walk, stats)
+        if prefilter_rows >= full_walk_rows:
+            non_local = [full_walk]
+        return ConstraintSelection(non_local, prefilter_rows, full_walk_rows)
 
 
 def estimate_prototype_cost(

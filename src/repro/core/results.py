@@ -38,6 +38,9 @@ class PrototypeSearchOutcome:
         self.post_lcc_vertices = 0
         self.post_lcc_edges = 0
         self.nlcc_constraints_checked = 0
+        #: pre-filters the plan left out because the full walk alone was
+        #: estimated no dearer (``ConstraintPlan.select``)
+        self.nlcc_constraints_skipped = 0
         self.nlcc_roles_eliminated = 0
         self.nlcc_recycled = 0
         #: token-walk work counters, recorded whether or not a tracer is
@@ -206,6 +209,9 @@ class PipelineResult:
         return {
             "constraints_checked": sum(
                 o.nlcc_constraints_checked for o in outcomes
+            ),
+            "constraints_skipped": sum(
+                o.nlcc_constraints_skipped for o in outcomes
             ),
             "roles_eliminated": sum(o.nlcc_roles_eliminated for o in outcomes),
             "recycled": sum(o.nlcc_recycled for o in outcomes),

@@ -5,9 +5,11 @@
 1. local constraint checking to a fixed point;
 2. each non-local constraint in the configured order, re-running LCC after
    any constraint that eliminated something (Alg. 2 lines #7–9) — the
-   list is read only if step 1 left a live vertex, which is the one
+   plan is asked only if step 1 left a live vertex, which is the one
    event that makes a lazy :class:`~repro.core.ordering.ConstraintPlan`
-   build;
+   build, and it answers for that scope: the pre-filters of a plan that
+   ends in the full walk run only where they are estimated cheaper than
+   it (:meth:`~repro.core.ordering.ConstraintPlan.select`);
 3. exactness: either the constraint set ends with the full-walk TDS check
    (which reduces the state to exactly the solution subgraph and counts
    match mappings as a by-product), the prototype is a distinct-labeled
@@ -94,11 +96,13 @@ def search_prototype(
     ``constraint_costs`` (a
     :class:`~repro.runtime.metrics.ConstraintCostModel`) carries
     measurements from earlier prototypes — a measured-cost re-sort of the
-    non-local constraint order.  Each NLCC constraint's wall time is fed
-    back into ``constraint_costs`` whenever one is supplied, so costs
-    recycle across the prototypes of a run (and across a batch when the
-    executor shares one options object).  Both consumers preserve the
-    match set exactly; see the respective docstrings.
+    non-local constraint order.  Each NLCC constraint's ``rows_expanded``
+    (a count, so the order is a function of the input; 0 on the dict
+    walk, which therefore keeps the static order) is fed back into
+    ``constraint_costs`` whenever one is supplied, so costs recycle across
+    the prototypes of a run (and across a batch when the executor shares
+    one options object).  Both consumers preserve the match set exactly;
+    see the respective docstrings.
     """
     outcome = PrototypeSearchOutcome(prototype)
     started = time.perf_counter()
@@ -120,6 +124,7 @@ def search_prototype(
         span.add(
             lcc_iterations=outcome.lcc_iterations,
             nlcc_constraints=outcome.nlcc_constraints_checked,
+            nlcc_constraints_skipped=outcome.nlcc_constraints_skipped,
             nlcc_eliminated=outcome.nlcc_roles_eliminated,
             nlcc_recycled=outcome.nlcc_recycled,
             nlcc_tokens=outcome.nlcc_tokens_launched,
@@ -179,12 +184,30 @@ def _search_prototype_body(
         outcome.post_lcc_edges,
     ) = counter.active_counts()
 
-    # Read (and so, for a lazy plan, built) only for a scope that
-    # survived LCC: most exploratory prototypes die right here.
-    non_local = constraint_set.non_local if outcome.post_lcc_vertices > 0 else []
+    # Asked (and so, for a lazy plan, built) only for a scope that
+    # survived LCC: most exploratory prototypes die right here.  The plan
+    # answers for the scope LCC left — see ConstraintPlan.select.
+    non_local = []
+    if outcome.post_lcc_vertices > 0:
+        selection = constraint_set.select(astate)
+        non_local = selection.constraints
+        skipped = len(constraint_set.non_local) - len(non_local)
+        outcome.nlcc_constraints_skipped = skipped
+        metrics = engine.metrics
+        metrics.counter("plan.prefilters_skipped").inc(skipped)
+        metrics.counter("plan.prefilters_kept").inc(
+            sum(c.kind != FULL_WALK_KIND for c in non_local)
+        )
+        if engine.tracer.enabled and selection.full_walk_rows is not None:
+            # lands on the enclosing ``prototype`` span
+            engine.tracer.current.attrs.update(
+                plan_decision="full-walk-only" if skipped else "complete-list",
+                plan_prefilter_rows=selection.prefilter_rows,
+                plan_full_walk_rows=selection.full_walk_rows,
+            )
     if adaptive and constraint_costs is not None:
         # Measured-cost re-sort (no-op until earlier prototypes have
-        # contributed above-resolution wall times).
+        # contributed above-resolution row counts).
         non_local = reorder_measured(non_local, constraint_costs)
     timing = constraint_costs is not None
     h_constraint = engine.metrics.histogram("nlcc.constraint_seconds")
@@ -201,9 +224,10 @@ def _search_prototype_body(
             kernel=kernel, astate=astate, array_nlcc=array_nlcc,
         )
         if timing:
-            wall = time.perf_counter() - constraint_started
-            constraint_costs.observe(constraint.key, wall)
-            h_constraint.observe(wall)
+            # the re-sort is keyed on a count so that equal inputs order
+            # equally; seconds only feed the histogram
+            constraint_costs.observe(constraint.key, result.rows_expanded)
+            h_constraint.observe(time.perf_counter() - constraint_started)
         outcome.nlcc_constraints_checked += 1
         outcome.nlcc_roles_eliminated += result.eliminated_roles
         outcome.nlcc_recycled += result.recycled_count

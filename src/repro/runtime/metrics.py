@@ -36,12 +36,13 @@ same contract as the tracer: metric values never cross process
 boundaries implicitly, only explicit ``export()`` payloads do.
 
 :class:`ConstraintCostModel` is the first adaptive-execution store built
-on the measured numbers: an EWMA of per-constraint NLCC wall seconds,
-keyed by constraint key, recycled across prototypes (and across a whole
-template-library batch when the executor shares one ``PipelineOptions``).
-``order_constraints`` consumes it through quantized log-scale buckets so
-that sub-resolution measurements (unit-test-sized workloads) never
-perturb the deterministic static order.
+on the measured numbers: an EWMA of the frontier rows each NLCC
+constraint's walk built — a count, not a time, so what it decides is a
+function of the input — keyed by constraint key, recycled across
+prototypes (and across a whole template-library batch when the executor
+shares one ``PipelineOptions``).  ``order_constraints`` consumes it
+through quantized log-scale buckets so that sub-resolution measurements
+(unit-test-sized workloads) never perturb the static order.
 """
 
 from __future__ import annotations
@@ -333,13 +334,14 @@ class MetricsRegistry:
 # ----------------------------------------------------------------------
 # Adaptive execution: measured per-constraint NLCC costs
 # ----------------------------------------------------------------------
-#: EWMA resolution floor (seconds): measurements below one tick quantize
-#: to bucket 0, so timing noise on test- and demo-sized workloads (where
-#: a whole constraint check finishes in milliseconds) can never reorder
-#: constraints away from the deterministic static order; at the massive-
-#: graph scale the paper targets, per-constraint walks run for seconds
-#: and land in clearly separated buckets
-COST_RESOLUTION_SECONDS = 0.05
+#: EWMA resolution floor (frontier rows; the array walk builds about ten
+#: million a second, so one tick is ~0.05 s of walking): measurements
+#: below one tick quantize to bucket 0, so test- and demo-sized workloads
+#: (where a whole constraint check builds a few thousand rows) never
+#: reorder constraints away from the static order; at the massive-graph
+#: scale the paper targets, per-constraint walks build many millions of
+#: rows and land in clearly separated buckets
+COST_RESOLUTION_ROWS = 500_000
 
 #: EWMA smoothing: new = (1 - alpha) * old + alpha * sample, matching the
 #: pool's seconds-per-unit rate model
@@ -347,7 +349,8 @@ COST_EWMA_ALPHA = 0.3
 
 
 class ConstraintCostModel:
-    """EWMA of measured per-constraint NLCC wall seconds.
+    """EWMA of measured per-constraint NLCC cost, in frontier rows built
+    (``NlccResult.rows_expanded``).
 
     Keys are ``NonLocalConstraint.key`` tuples — stable across prototypes
     of one template and across the members of a template-library batch
@@ -365,15 +368,15 @@ class ConstraintCostModel:
     def __setstate__(self, _state: Dict[str, object]) -> None:
         self._ewma = {}
 
-    def observe(self, key: object, seconds: float) -> None:
+    def observe(self, key: object, rows: float) -> None:
         old = self._ewma.get(key)
         self._ewma[key] = (
-            seconds
+            rows
             if old is None
-            else (1.0 - COST_EWMA_ALPHA) * old + COST_EWMA_ALPHA * seconds
+            else (1.0 - COST_EWMA_ALPHA) * old + COST_EWMA_ALPHA * rows
         )
 
-    def seconds(self, key: object) -> Optional[float]:
+    def rows(self, key: object) -> Optional[float]:
         return self._ewma.get(key)
 
     def bucket(self, key: object) -> int:
@@ -381,13 +384,12 @@ class ConstraintCostModel:
 
         Two constraints whose measured costs sit within the same power-
         of-two band compare equal, falling back to the static selectivity
-        order — the determinism guard for near-tied (and unmeasured)
-        constraints.
+        order for near-tied (and unmeasured) constraints.
         """
         ewma = self._ewma.get(key)
         if ewma is None:
             return 0
-        return int(ewma / COST_RESOLUTION_SECONDS).bit_length()
+        return int(ewma / COST_RESOLUTION_ROWS).bit_length()
 
     def __len__(self) -> int:
         return len(self._ewma)

@@ -258,6 +258,7 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
         "post_lcc_vertices": outcome.post_lcc_vertices,
         "post_lcc_edges": outcome.post_lcc_edges,
         "nlcc_constraints_checked": outcome.nlcc_constraints_checked,
+        "nlcc_constraints_skipped": outcome.nlcc_constraints_skipped,
         "nlcc_roles_eliminated": outcome.nlcc_roles_eliminated,
         "nlcc_recycled": outcome.nlcc_recycled,
         "nlcc_tokens_launched": outcome.nlcc_tokens_launched,
@@ -309,6 +310,7 @@ def payload_to_outcome(
     outcome.post_lcc_vertices = payload.get("post_lcc_vertices", 0)
     outcome.post_lcc_edges = payload.get("post_lcc_edges", 0)
     outcome.nlcc_constraints_checked = payload["nlcc_constraints_checked"]
+    outcome.nlcc_constraints_skipped = payload["nlcc_constraints_skipped"]
     outcome.nlcc_roles_eliminated = payload["nlcc_roles_eliminated"]
     outcome.nlcc_recycled = payload["nlcc_recycled"]
     outcome.nlcc_tokens_launched = payload.get("nlcc_tokens_launched", 0)

@@ -16,7 +16,10 @@ from repro.core.ordering import order_constraints, reorder_measured
 from repro.core.template import PatternTemplate
 from repro.graph import Graph
 from repro.graph.generators.random_labeled import gnm_graph
-from repro.runtime.metrics import ConstraintCostModel
+from repro.runtime.metrics import COST_RESOLUTION_ROWS, ConstraintCostModel
+
+#: one tick of the measured-cost model, in frontier rows
+TICK = COST_RESOLUTION_ROWS
 
 
 @lru_cache(maxsize=None)
@@ -148,16 +151,16 @@ class TestMeasuredConstraintReordering:
     def test_sub_resolution_measurements_keep_static_order(self):
         short_cycle, long_cycle, path = self._constraints()
         model = ConstraintCostModel()
-        model.observe(short_cycle.key, 0.001)
-        model.observe(long_cycle.key, 0.002)
+        model.observe(short_cycle.key, 1000)
+        model.observe(long_cycle.key, 2000)
         static = [short_cycle, long_cycle, path]
         assert reorder_measured(static, model) == static
 
     def test_measured_expensive_constraint_moves_back_within_kind(self):
         short_cycle, long_cycle, path = self._constraints()
         model = ConstraintCostModel()
-        model.observe(short_cycle.key, 8.0)   # measured pricey
-        model.observe(long_cycle.key, 0.1)    # measured cheap
+        model.observe(short_cycle.key, 160 * TICK)   # measured pricey
+        model.observe(long_cycle.key, 2 * TICK)    # measured cheap
         ordered = reorder_measured([short_cycle, long_cycle, path], model)
         # cycles still run before paths, but swap between themselves
         assert ordered == [long_cycle, short_cycle, path]
@@ -165,16 +168,16 @@ class TestMeasuredConstraintReordering:
     def test_kind_priority_never_overridden(self):
         short_cycle, long_cycle, path = self._constraints()
         model = ConstraintCostModel()
-        model.observe(short_cycle.key, 100.0)
-        model.observe(long_cycle.key, 100.0)
+        model.observe(short_cycle.key, 2000 * TICK)
+        model.observe(long_cycle.key, 2000 * TICK)
         ordered = reorder_measured([short_cycle, long_cycle, path], model)
         assert ordered[-1] is path or ordered[-1].kind == PATH_KIND
 
     def test_order_constraints_consumes_measured_buckets(self):
         short_cycle, long_cycle, path = self._constraints()
         model = ConstraintCostModel()
-        model.observe(short_cycle.key, 8.0)
-        model.observe(long_cycle.key, 0.1)
+        model.observe(short_cycle.key, 160 * TICK)
+        model.observe(long_cycle.key, 2 * TICK)
         freq = {1: 5, 2: 5, 3: 5, 4: 5}
         ordered = order_constraints(
             [short_cycle, long_cycle, path], freq, optimize=True,
@@ -182,3 +185,59 @@ class TestMeasuredConstraintReordering:
         )
         assert ordered[0].length == long_cycle.length
         assert ordered[0].kind == CYCLE_KIND
+
+
+class TestMeasuredReorderingIsCounted:
+    """The re-sort is keyed on rows built, so a run is a function of its
+    input: what wall-clock keys used to flip between two runs of one
+    process (``nlcc_cache`` hits, and with them the simulated seconds)
+    now repeats exactly."""
+
+    def census(self, graph):
+        from repro.core import count_motifs
+
+        # no full walk: every plan keeps its pre-filters, the walks the
+        # re-sort orders
+        options = PipelineOptions(
+            num_ranks=2, include_full_walk=False, verification="enumeration"
+        )
+        counts = count_motifs(graph, 4, options, batched=True)
+        document = counts.result.stats_document()
+        return counts.by_name(induced=False), {
+            "nlcc": document["nlcc"],
+            "nlcc_cache": document["nlcc_cache"],
+            "messages": document["messages"],
+            "simulated_seconds": document["totals"]["simulated_seconds"],
+        }
+
+    def test_two_batched_censuses_in_one_process_count_alike(self, monkeypatch):
+        import repro.core.search as search_module
+        import repro.runtime.metrics as metrics_module
+
+        graph = gnm_graph(100, 250, num_labels=1, seed=23)
+        for i in range(300):  # triangle dust
+            a, b, c = (1000 + 3 * i + j for j in range(3))
+            for v in (a, b, c):
+                graph.add_vertex(v, 0)
+            for u, v in ((a, b), (b, c), (c, a)):
+                graph.add_edge(u, v)
+
+        # a tick small enough for this graph's walks to land in different
+        # buckets, and proof that the re-sort then moves something
+        monkeypatch.setattr(metrics_module, "COST_RESOLUTION_ROWS", 256)
+        moved = []
+        raw = search_module.reorder_measured
+
+        def recording(constraints, measured):
+            ordered = raw(constraints, measured)
+            moved.append(ordered != list(constraints))
+            return ordered
+
+        monkeypatch.setattr(search_module, "reorder_measured", recording)
+        first = self.census(graph)
+        assert any(moved)
+        second = self.census(graph)
+        assert first[0] == second[0] and sum(first[0].values()) > 0
+        assert first[1]["nlcc_cache"]["hits"] > 0
+        assert first[1] == second[1]
+

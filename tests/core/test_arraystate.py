@@ -452,8 +452,14 @@ class TestResultStats:
         graph = planted_graph(
             50, 130, template.edges(), labels, copies=3, num_labels=4, seed=11
         )
+        # no full walk: the plan skips nothing, so the recycled
+        # pre-filters run and the cache sees traffic
         result = run_pipeline(
-            graph, template, 2, PipelineOptions(num_ranks=3)
+            graph, template, 2,
+            PipelineOptions(
+                num_ranks=3, include_full_walk=False,
+                verification="enumeration",
+            ),
         )
         assert set(result.nlcc_cache_stats) == {
             "hits", "misses", "constraints", "entries"

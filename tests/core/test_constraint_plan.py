@@ -18,7 +18,17 @@ Guards around :class:`repro.core.ordering.ConstraintPlan`:
 * an exploratory run reports its compile-cache traffic.
 
 ``fixtures/constraint_plan_parent.json`` was written by running the
-reference computations below against the parent commit's ``src``.
+reference computations below against the parent commit's ``src``.  Two
+things in it were re-recorded when the plan began to choose which
+constraints run (``ConstraintPlan.select``; its own tests are in
+``test_constraint_selection.py``), each by a script that asserted what
+must not move: the checked-constraint and message columns of
+``outcomes`` (prototype ids, solution digests and mapping counts equal;
+every plan of the six cases answers "the full walk alone" — the rows as
+first recorded live on as ``outcomes_complete_list`` and are what a plan
+held to its whole list must still produce), and the ``"walk-cost"``
+order of WDC-2 (the estimate became revisit-aware: the same constraints,
+permuted, the full walk still last).
 """
 
 import collections
@@ -318,32 +328,52 @@ def outcome_rows(result):
     ]
 
 
-class TestOutcomesPinnedFromParent:
-    @pytest.mark.parametrize("name", sorted(CASES))
-    def test_bottom_up(self, name):
-        _, graph, template, k = CASES[name]
-        result = run_pipeline(graph, template, k, PipelineOptions(count_matches=True))
-        assert outcome_rows(result) == PINS["outcomes"][name]["bottom-up"]
-
-    @pytest.mark.parametrize("name", sorted(CASES))
-    def test_top_down(self, name):
-        _, graph, template, k = CASES[name]
+def driver_outcomes(name, driver):
+    _, graph, template, k = CASES[name]
+    if driver == "top-down":
         result = exploratory_search(
             graph, template, max_k=k, stop_condition=never,
             options=PipelineOptions(count_matches=True),
         )
-        assert outcome_rows(result) == PINS["outcomes"][name]["top-down"]
+    else:
+        # pooled with recycling off: which worker's cache a task meets
+        # depends on timing, and with it the message count
+        pooled = dict(worker_processes=2, work_recycling=False)
+        options = PipelineOptions(
+            count_matches=True, **(pooled if driver == "pooled" else {})
+        )
+        result = run_pipeline(graph, template, k, options)
+    return outcome_rows(result)
+
+
+class TestOutcomesPinnedFromParent:
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bottom_up(self, name):
+        assert driver_outcomes(name, "bottom-up") == (
+            PINS["outcomes"][name]["bottom-up"]
+        )
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_top_down(self, name):
+        assert driver_outcomes(name, "top-down") == (
+            PINS["outcomes"][name]["top-down"]
+        )
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_pooled(self, name):
-        # recycling off: which worker's cache a task meets depends on
-        # timing, and with it the message count
-        _, graph, template, k = CASES[name]
-        options = PipelineOptions(
-            count_matches=True, worker_processes=2, work_recycling=False
+        assert driver_outcomes(name, "pooled") == PINS["outcomes"][name]["pooled"]
+
+    @pytest.mark.parametrize("driver", ["bottom-up", "top-down", "pooled"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_complete_lists_still_give_the_parents_counts(
+        self, complete_constraint_lists, name, driver
+    ):
+        # the rows as first recorded, checked-constraint and message
+        # columns included: a plan held to its whole list walks what the
+        # parent commit walked
+        assert driver_outcomes(name, driver) == (
+            PINS["outcomes_complete_list"][name][driver]
         )
-        result = run_pipeline(graph, template, k, options)
-        assert outcome_rows(result) == PINS["outcomes"][name]["pooled"]
 
 
 # ----------------------------------------------------------------------
@@ -401,8 +431,7 @@ def checked_keys(monkeypatch, tmp_path):
 
 
 class TestEveryDriverChecksInTheSameOrder:
-    @pytest.mark.parametrize("ordering", ORDERINGS, ids=str)
-    def test_inline_pooled_and_top_down_agree(self, checked_keys, ordering):
+    def three_drivers(self, checked_keys, ordering):
         _, graph, template, k = CASES["WDC-2"]
         # every scope cut from M* and every level searched, so the three
         # drivers hand each prototype the same starting scope; no
@@ -424,13 +453,31 @@ class TestEveryDriverChecksInTheSameOrder:
         top_down = checked_keys()
         assert inline and inline == pooled == top_down
 
-        # ... and that order is the eager reference's, cut where the
-        # scope emptied
         stats = GraphStatistics.from_graph(graph)
         for proto in generate_prototypes(template, k):
             sequence = inline.get(proto_key(proto.graph), [])
             reference = eager_reference(graph, proto.graph, ordering, stats)
-            assert sequence == [repr(c.key) for c in reference][: len(sequence)]
+            yield sequence, [repr(c.key) for c in reference]
+
+    @pytest.mark.parametrize("ordering", ORDERINGS, ids=str)
+    def test_inline_pooled_and_top_down_agree(self, checked_keys, ordering):
+        # ... and that order is the eager reference's: the whole list,
+        # cut where the scope emptied, or its last element — the full
+        # walk — alone
+        for sequence, keys in self.three_drivers(checked_keys, ordering):
+            assert sequence in (keys[: len(sequence)], keys[-1:])
+
+    @pytest.mark.parametrize("ordering", ORDERINGS, ids=str)
+    def test_complete_lists_agree_too(
+        self, checked_keys, complete_constraint_lists, ordering
+    ):
+        # every WDC-2 plan answers "the full walk alone"; held to the
+        # complete list, the drivers still walk it in one order
+        lengths = set()
+        for sequence, keys in self.three_drivers(checked_keys, ordering):
+            assert sequence == keys[: len(sequence)]
+            lengths.add(len(sequence))
+        assert max(lengths) > 1
 
     def test_walk_cost_is_a_different_order_here(self, checked_keys):
         # without this the parametrised test could not tell a driver that

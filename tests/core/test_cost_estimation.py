@@ -74,8 +74,9 @@ class TestCostAndSuccess:
     def test_impossible_walk_costs_nothing_downstream(self):
         stats = self.make_stats()
         impossible = cyc((0, 1, 2, 0), (1, 99, 1, 1))
+        # the seed frontier (one row per initiator) and not a row more
         assert estimate_walk_cost(impossible, stats) == pytest.approx(
-            stats.label_count(1) * 0.0 + 0.0
+            stats.label_count(1)
         )
         assert estimate_success_probability(impossible, stats) == 0.0
 

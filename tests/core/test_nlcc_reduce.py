@@ -379,7 +379,11 @@ def nlcc_counts(graph, template, ranks):
     return counts
 
 
+@pytest.mark.usefixtures("complete_constraint_lists")
 class TestPinnedCounts:
+    """The walks' own accounting, so every walk of the list runs (the
+    plans of both cases would otherwise answer "the full walk alone")."""
+
     def test_quick_storm(self):
         template = PatternTemplate.from_edges(
             [(0, 1), (1, 2), (2, 3), (3, 0)], {0: 0, 1: 1, 2: 1, 3: 0}

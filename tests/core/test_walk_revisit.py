@@ -483,7 +483,11 @@ def pipeline_counts(monkeypatch, graph, template, ranks):
     return counts, doc
 
 
+@pytest.mark.usefixtures("complete_constraint_lists")
 class TestPinnedFromParent:
+    """The walks' own accounting, so every walk of the list runs (the
+    plans of both cases would otherwise answer "the full walk alone")."""
+
     def test_quick_storm(self, monkeypatch):
         counts, doc = pipeline_counts(
             monkeypatch, storm_graph(40), c4_template(), 8
@@ -524,6 +528,7 @@ class TestPinnedFromParent:
 
 
 class TestRevisitHopsDoNotExpand:
+    @pytest.mark.usefixtures("complete_constraint_lists")
     def test_row_budget_on_the_full_storm_graph(self):
         result = run_pipeline(
             storm_graph(100), c4_template(), 1,
@@ -552,6 +557,109 @@ class TestRevisitHopsDoNotExpand:
         assert out.completions > 0  # every hop ran
         expansion_hops = schedule.length - 1 - len(revisit_hops(schedule))
         assert len(calls) == 2 * expansion_hops
+
+
+# ----------------------------------------------------------------------
+# (e') a walk that launches no token builds nothing
+# ----------------------------------------------------------------------
+class TestAWalkWithoutTokens:
+    """Every initiator recycled, or none left: the seeds are visited, one
+    round is flushed, and no alive adjacency is compacted for a frontier
+    that does not exist."""
+
+    def case(self):
+        template = PatternTemplate.from_edges(
+            [(0, 1), (1, 2), (2, 0)], labels={0: 0, 1: 1, 2: 2}
+        )
+        graph = gnm_graph(60, 200, num_labels=3, seed=4)
+        constraint = next(
+            c for c in non_local_of(graph, template) if c.kind == "cycle"
+        )
+        return graph, template, constraint
+
+    def second_pass(self, graph, template, constraint, array):
+        """Check the constraint twice against one cache; the second pass
+        finds every remaining initiator vouched for."""
+        from repro.core import NlccCache, SearchState, local_constraint_checking
+
+        kernel = compile_role_kernel(template.graph)
+        state = SearchState.initial(graph, template)
+        local_constraint_checking(state, template.graph, engine_for(graph))
+        astate = (
+            ArraySearchState.from_search_state(state, roles=kernel.roles)
+            if array else None
+        )
+        cache = NlccCache()
+        results = []
+        for _ in range(2):
+            stats = RecordingStats()
+            results.append(non_local_constraint_checking(
+                None if array else state, constraint,
+                engine_for(graph, stats), cache=cache, kernel=kernel,
+                astate=astate,
+            ))
+        first, second = results
+        assert first.tokens_launched > 0 and first.satisfied
+        return second, stats, (astate if array else state)
+
+    def test_fully_recycled_walk_equals_the_dict_walk(self):
+        graph, template, constraint = self.case()
+        dict_result, dict_stats, state = self.second_pass(
+            graph, template, constraint, array=False
+        )
+        result, stats, astate = self.second_pass(
+            graph, template, constraint, array=True
+        )
+        assert result.tokens_launched == 0 and result.rows_expanded == 0
+        assert result.recycled and result.recycled == result.checked
+        for field in ("checked", "satisfied", "recycled", "eliminated_roles",
+                      "completions", "tokens_launched"):
+            assert getattr(result, field) == getattr(dict_result, field)
+        # the engine saw what the dict walk's traversal showed it: one
+        # visit per seeded candidate, no message, one barrier
+        assert stats.matrix.tolist() == dict_stats.matrix.tolist()
+        assert not stats.matrix.any()
+        assert stats.visit_vector.tolist() == dict_stats.visit_vector.tolist()
+        assert stats.visit_vector.sum() == astate.num_active_vertices
+        assert stats.total_barriers == dict_stats.total_barriers == 1
+        assert set(astate.active_vertices()) == set(state.candidates)
+
+    @pytest.mark.parametrize("recycled_input", [True, False])
+    def test_nothing_is_compacted(self, monkeypatch, recycled_input):
+        graph, template, constraint = self.case()
+        kernel = compile_role_kernel(template.graph)
+        schedule = compile_walk_schedule(constraint)
+        astate = ArraySearchState.initial(graph, template)
+        array_kernel_fixpoint(astate, kernel, engine_for(graph))
+        if recycled_input:
+            # every holder of the source role is vouched for
+            recycled = np.sort(astate.csr.order)
+        else:
+            # ... or nobody holds it any more
+            recycled = None
+            bit = np.uint64(kernel.role_bit[constraint.source])
+            astate.role_mask &= ~bit
+        stats = RecordingStats()
+        calls = []
+        flatnonzero = np.flatnonzero
+        monkeypatch.setattr(
+            np, "flatnonzero",
+            lambda *a, **k: calls.append(1) or flatnonzero(*a, **k),
+        )
+        out = array_token_walk(
+            astate, schedule, kernel, engine_for(graph, stats),
+            recycled=recycled,
+        )
+        monkeypatch.undo()
+        assert not calls
+        assert out.tokens_launched == out.completions == out.rows_expanded == 0
+        assert (out.recycled_idx.shape[0] > 0) == recycled_input
+        assert out.recycled_idx.tolist() == (
+            out.checked_idx.tolist() if recycled_input else []
+        )
+        assert not stats.matrix.any()
+        assert stats.visit_vector.sum() == astate.num_active_vertices
+        assert stats.total_barriers == 1
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.core.template import PatternTemplate
 from repro.graph.generators import planted_graph
 from repro.runtime.metrics import (
     COST_EWMA_ALPHA,
+    COST_RESOLUTION_ROWS,
     NULL_METRICS,
     ConstraintCostModel,
     MetricsRegistry,
@@ -130,26 +131,28 @@ class TestRegistry:
 class TestConstraintCostModel:
     def test_first_sample_taken_verbatim(self):
         model = ConstraintCostModel()
-        model.observe("k", 1.0)
-        assert model.seconds("k") == 1.0
+        model.observe("k", 1000)
+        assert model.rows("k") == 1000
 
     def test_ewma_update(self):
         model = ConstraintCostModel()
-        model.observe("k", 1.0)
-        model.observe("k", 2.0)
-        expected = (1.0 - COST_EWMA_ALPHA) * 1.0 + COST_EWMA_ALPHA * 2.0
-        assert model.seconds("k") == pytest.approx(expected)
+        model.observe("k", 1000)
+        model.observe("k", 2000)
+        expected = (1.0 - COST_EWMA_ALPHA) * 1000 + COST_EWMA_ALPHA * 2000
+        assert model.rows("k") == pytest.approx(expected)
 
     def test_bucket_zero_for_unseen_and_sub_resolution(self):
         model = ConstraintCostModel()
         assert model.bucket("missing") == 0
-        model.observe("fast", 0.01)  # below COST_RESOLUTION_SECONDS
+        model.observe("fast", COST_RESOLUTION_ROWS // 5)
         assert model.bucket("fast") == 0
+        model.observe("dict walk", 0)  # the dict walk reports no rows
+        assert model.bucket("dict walk") == 0
 
     def test_buckets_separate_clearly_different_costs(self):
         model = ConstraintCostModel()
-        model.observe("cheap", 0.2)
-        model.observe("pricey", 8.0)
+        model.observe("cheap", 4 * COST_RESOLUTION_ROWS)
+        model.observe("pricey", 160 * COST_RESOLUTION_ROWS)
         assert 0 < model.bucket("cheap") < model.bucket("pricey")
 
     def test_pickles_empty(self):
