@@ -72,7 +72,8 @@ RESIDENT_CLASSES = frozenset({"GraphCsr", "RoleKernel"})
 
 #: calls returning an already-constructed resident instance
 RESIDENT_PRODUCERS = frozenset(
-    {"csr_of", "cached_role_kernel", "induced_view", "attach_shared_csr"}
+    {"csr_of", "cached_role_kernel", "from_columns", "induced_view",
+     "attach_shared_csr"}
 )
 
 #: methods of resident classes allowed to initialize ``self``
@@ -89,7 +90,7 @@ SUBMIT_METHODS = frozenset({"submit", "map", "apply_async"})
 
 #: GraphCsr slots that must stay integer-family dtypes
 INT_SLOTS = frozenset(
-    {"order", "indptr", "indices", "src", "mirror", "degrees",
+    {"order", "indptr", "indices", "src", "mirror", "pair_keys", "degrees",
      "zero_degree", "label_codes", "pair_code", "edge_label_codes"}
 )
 

@@ -59,9 +59,11 @@ __all__ = [
 ]
 
 #: modules holding the performance-critical kernels; several rules apply
-#: only here (matching by file name keeps fixture suites trivial to write)
+#: only here (matching by file name keeps fixture suites trivial to write).
+#: ``csr.py`` is the CSR half of what used to be ``arraystate.py``: its
+#: constructors stay under the hot-loop rule (R5) they were written under.
 HOT_MODULE_BASENAMES = frozenset(
-    {"lcc.py", "nlcc.py", "arraystate.py", "kernels.py"}
+    {"lcc.py", "nlcc.py", "arraystate.py", "csr.py", "kernels.py"}
 )
 
 #: the driver set every PipelineOptions field must be threaded through

@@ -8,12 +8,10 @@ frontiers and the level unions; the dict-of-sets
 public-API boundary (``to_search_state`` / ``write_back``) and by the
 dict tiers:
 
-* :class:`GraphCsr` — an immutable CSR snapshot of a background
-  :class:`~repro.graph.graph.Graph` (``indptr``/``indices`` with every
-  undirected edge stored once per direction, a ``mirror`` permutation
-  mapping each directed edge to its reverse, dense vertex-label codes,
-  per-edge canonical label-pair codes and optional edge-label codes),
-  memoized on the graph and invalidated by any mutation;
+* :class:`~repro.graph.csr.GraphCsr` — the immutable CSR of the
+  background graph — lives in :mod:`repro.graph.csr` (the graph layer
+  builds it straight from an edge-list file); ``GraphCsr``, ``csr_of``
+  and ``sorted_pair_table`` are re-exported here;
 * :class:`ArraySearchState` — per-vertex ``role_mask`` (uint64, same bit
   layout as :class:`~repro.core.kernels.RoleKernel`), a ``vertex_active``
   byte array and a per-directed-edge ``edge_alive`` byte array, with
@@ -54,6 +52,7 @@ from typing import (
 
 import numpy as np
 
+from ..graph.csr import GraphCsr, csr_of, sorted_pair_table  # noqa: F401
 from ..graph.graph import Graph
 from .kernels import RoleKernel
 from .state import SearchState, _label_pair
@@ -95,303 +94,6 @@ def _zero_masks(n: int, n_words: int) -> np.ndarray:
     if n_words == 1:
         return np.zeros(n, dtype=_U64)
     return np.zeros((n, n_words), dtype=_U64)
-
-
-# ----------------------------------------------------------------------
-# CSR snapshot
-# ----------------------------------------------------------------------
-def sorted_pair_table(
-    src: np.ndarray,
-    indices: np.ndarray,
-    num_vertices: int,
-    by_pair: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The ``(pair_keys, pair_edges)`` table behind ``GraphCsr.edge_positions``.
-
-    ``pair_keys`` holds ``src * n + dst`` of every directed edge in
-    ascending order and ``pair_edges`` the CSR position of each key; both
-    end in a sentinel (the largest int64 / ``-1``) so a probe needs no
-    bounds clamp.  ``by_pair`` is the edge permutation sorted by
-    ``(src, dst)`` when the caller already has it.
-    """
-    keys = src * np.int64(num_vertices) + indices
-    if by_pair is None:
-        by_pair = np.argsort(keys, kind="stable")
-    pair_keys = np.append(keys[by_pair], np.iinfo(np.int64).max)
-    pair_edges = np.append(by_pair, np.int64(-1))
-    pair_keys.flags.writeable = False
-    pair_edges.flags.writeable = False
-    return pair_keys, pair_edges
-
-
-class GraphCsr:
-    """Immutable CSR view of a background graph (memoized, see :func:`csr_of`).
-
-    Directed storage: each undirected edge appears once per direction;
-    edge ``e`` runs ``src[e] -> indices[e]`` (dense vertex indices), and
-    ``mirror[e]`` is the position of the reverse edge.  All arrays are
-    frozen — per-search mutable state lives in :class:`ArraySearchState`.
-    """
-
-    __slots__ = (
-        "graph",
-        "order",
-        "index_of",
-        "indptr",
-        "indices",
-        "src",
-        "mirror",
-        "pair_keys",
-        "pair_edges",
-        "degrees",
-        "zero_degree",
-        "label_codes",
-        "label_ids",
-        "num_labels",
-        "vid_gt",
-        "pair_code",
-        "edge_label_codes",
-        "edge_label_ids",
-        "num_vertices",
-        "num_directed_edges",
-        "parent",
-        "parent_vertex_index",
-        "parent_edge_index",
-        "_lazy",
-    )
-
-    def __init__(self, graph: Graph) -> None:
-        self.graph = graph
-        n = graph.num_vertices
-        m = 2 * graph.num_edges
-        self.num_vertices = n
-        self.num_directed_edges = m
-        order = np.fromiter(graph.vertices(), dtype=np.int64, count=n)
-        self.order = order
-        index_of = {int(v): i for i, v in enumerate(order)}
-        self.index_of = index_of
-
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        indices = np.empty(m, dtype=np.int64)
-        has_edge_labels = graph.has_edge_labels
-        edge_label_ids: Dict[int, int] = {}
-        ecodes = np.zeros(m, dtype=np.int64) if has_edge_labels else None
-        edge_label = graph.edge_label
-        pos = 0
-        for i, v in enumerate(order.tolist()):
-            for w in graph.neighbors(v):
-                indices[pos] = index_of[w]
-                if has_edge_labels:
-                    lab = edge_label(v, w)
-                    if lab is None:
-                        code = 0
-                    else:
-                        code = edge_label_ids.get(lab)
-                        if code is None:
-                            # 0 is reserved for unlabeled edges
-                            code = len(edge_label_ids) + 1
-                            edge_label_ids[lab] = code
-                    ecodes[pos] = code
-                pos += 1
-            indptr[i + 1] = pos
-        self.indptr = indptr
-        self.indices = indices
-        self.degrees = np.diff(indptr)
-        self.zero_degree = self.degrees == 0
-        self.src = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
-        self.edge_label_codes = ecodes
-        self.edge_label_ids = edge_label_ids
-
-        # Reverse-edge permutation: sorting edges by (src, dst) and by
-        # (dst, src) yields the same sequence of undirected pairs, so the
-        # k-th entries of the two orders are each other's reverses.
-        forward = np.lexsort((indices, self.src))
-        backward = np.lexsort((self.src, indices))
-        mirror = np.empty(m, dtype=np.int64)
-        mirror[forward] = backward
-        self.mirror = mirror
-        self.pair_keys, self.pair_edges = sorted_pair_table(
-            self.src, indices, n, forward
-        )
-
-        label_ids: Dict[int, int] = {}
-        raw_labels = [graph.label(v) for v in order.tolist()]
-        for lab in raw_labels:
-            if lab not in label_ids:
-                label_ids[lab] = len(label_ids)
-        self.label_ids = label_ids
-        self.num_labels = max(len(label_ids), 1)
-        self.label_codes = np.fromiter(
-            (label_ids[lab] for lab in raw_labels), dtype=np.int64, count=n
-        )
-
-        dst_vid = order[indices]
-        src_vid = order[self.src]
-        self.vid_gt = dst_vid > src_vid
-        lo = np.minimum(self.label_codes[self.src], self.label_codes[indices])
-        hi = np.maximum(self.label_codes[self.src], self.label_codes[indices])
-        self.pair_code = lo * np.int64(self.num_labels) + hi
-
-        for name in (
-            "order", "indptr", "indices", "src", "mirror", "degrees",
-            "zero_degree", "label_codes", "vid_gt", "pair_code",
-        ):
-            getattr(self, name).flags.writeable = False
-        if ecodes is not None:
-            ecodes.flags.writeable = False
-
-        self.parent = None
-        self.parent_vertex_index = None
-        self.parent_edge_index = None
-
-    def induced_view(self, vertex_mask: np.ndarray) -> "GraphCsr":
-        """Compact CSR over the vertices selected by ``vertex_mask``.
-
-        The auxiliary-graph primitive of the batch executor: once a level
-        union (or an M* scope) has pruned the background graph, the
-        surviving adjacency is packed into a dense sub-CSR so every later
-        search touches arrays sized to the pruned graph instead of ``G``.
-        The view is *vertex-induced*: every background edge between two
-        surviving vertices is kept (Obs. 1's readmission scans require
-        the full induced adjacency, not just currently-alive edges).
-
-        Original vertex ids are preserved in ``order`` — results read off
-        a view need no remapping.  The old<->new maps live in
-        ``parent_vertex_index`` (dense parent row indices of the kept
-        vertices) and ``parent_edge_index`` (parent directed-edge
-        positions of the kept edges); ``parent`` links back to the source
-        CSR.
-
-        Building a view runs no Python loop: everything is a gather
-        through the two index maps, and the sorted pair table is the
-        parent's, filtered.  The two dict-land members — ``graph`` (the
-        id-preserving ``graph.subgraph``, with the view installed as its
-        memoized CSR) and ``index_of`` — are built on first read (see
-        :meth:`__getattr__`), which only dict consumers do.
-        """
-        keep = np.asarray(vertex_mask, dtype=bool)
-        if keep.shape[0] != self.num_vertices:
-            raise ValueError(
-                f"vertex_mask has {keep.shape[0]} entries for a CSR of "
-                f"{self.num_vertices} vertices"
-            )
-        kept = np.nonzero(keep)[0]
-        n_new = int(kept.shape[0])
-        ids = self.order[kept]
-        edge_keep = keep[self.src] & keep[self.indices]
-        eidx = np.nonzero(edge_keep)[0]
-        m_new = int(eidx.shape[0])
-
-        view = GraphCsr.__new__(GraphCsr)
-        view._lazy = {}
-        view.parent = self
-        view.parent_vertex_index = kept
-        view.parent_edge_index = eidx
-        view.num_vertices = n_new
-        view.num_directed_edges = m_new
-        view.order = ids
-
-        # eidx is ascending and the parent's src is non-decreasing, so the
-        # remapped edges stay grouped (and row-ordered) by source row.
-        new_of_old = np.full(self.num_vertices, -1, dtype=np.int64)
-        new_of_old[kept] = np.arange(n_new, dtype=np.int64)
-        view.src = new_of_old[self.src[eidx]]
-        view.indices = new_of_old[self.indices[eidx]]
-        degrees = np.bincount(view.src, minlength=n_new).astype(np.int64)
-        indptr = np.zeros(n_new + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        view.indptr = indptr
-        view.degrees = degrees
-        view.zero_degree = degrees == 0
-
-        # A surviving edge's reverse also survives (same endpoint pair),
-        # so the parent mirror restricted to eidx permutes eidx itself.
-        pos_of_old = np.full(self.num_directed_edges, -1, dtype=np.int64)
-        pos_of_old[eidx] = np.arange(m_new, dtype=np.int64)
-        view.mirror = pos_of_old[self.mirror[eidx]]
-        # Renumbering is monotone in both endpoints, so the parent's
-        # (src, dst) order restricted to the kept edges is the view's.
-        by_pair = self.pair_edges[:-1]
-        view.pair_keys, view.pair_edges = sorted_pair_table(
-            view.src, view.indices, n_new,
-            pos_of_old[by_pair[edge_keep[by_pair]]],
-        )
-
-        view.label_codes = self.label_codes[kept]
-        view.label_ids = self.label_ids
-        view.num_labels = self.num_labels
-        view.vid_gt = self.vid_gt[eidx]
-        view.pair_code = self.pair_code[eidx]
-        view.edge_label_ids = self.edge_label_ids
-        if self.edge_label_codes is not None:
-            view.edge_label_codes = self.edge_label_codes[eidx]
-        else:
-            view.edge_label_codes = None
-
-        for name in (
-            "order", "indptr", "indices", "src", "mirror", "degrees",
-            "zero_degree", "label_codes", "vid_gt", "pair_code",
-        ):
-            getattr(view, name).flags.writeable = False
-        if view.edge_label_codes is not None:
-            view.edge_label_codes.flags.writeable = False
-        return view
-
-    def __getattr__(self, name: str):
-        """A view's ``graph`` / ``index_of``, built on first read.
-
-        Python only calls this for a slot that was never set, and
-        :meth:`induced_view` leaves exactly these two unset: an array
-        search never reads them, so a view costs no Python loop until a
-        dict consumer (``to_search_state``, ``deactivate_vertex``, the
-        match-extension probe, ``csr_of(view.graph)``) asks.  The values
-        are parked in the ``_lazy`` holder the view was constructed with
-        — the CSR itself stays store-free after construction (lint R10).
-        """
-        if name not in ("graph", "index_of"):
-            raise AttributeError(name)
-        lazy = self._lazy
-        if name not in lazy:
-            if name == "graph":
-                graph = self.parent.graph.subgraph(self.order.tolist())
-                graph._csr_cache = self
-                lazy[name] = graph
-            else:
-                lazy[name] = {
-                    int(v): i for i, v in enumerate(self.order.tolist())
-                }
-        return lazy[name]
-
-    def edge_positions(self, u_idx: np.ndarray, v_idx: np.ndarray) -> np.ndarray:
-        """CSR position of each directed edge ``u_idx[i] -> v_idx[i]``.
-
-        Dense vertex indices in, one int64 per pair out: the position
-        ``e`` with ``src[e] == u`` and ``indices[e] == v``, or ``-1`` when
-        the background graph has no such edge (one ``searchsorted``).
-        """
-        query = u_idx * np.int64(self.num_vertices) + v_idx
-        pos = np.searchsorted(self.pair_keys, query)
-        edge = self.pair_edges[pos]
-        edge[self.pair_keys[pos] != query] = -1
-        return edge
-
-    def label_pair_code(self, label_a: int, label_b: int) -> Optional[int]:
-        """Dense code of an unordered vertex-label pair, if both occur."""
-        a = self.label_ids.get(label_a)
-        b = self.label_ids.get(label_b)
-        if a is None or b is None:
-            return None
-        lo, hi = (a, b) if a <= b else (b, a)
-        return lo * self.num_labels + hi
-
-
-def csr_of(graph: Graph) -> GraphCsr:
-    """The graph's memoized CSR snapshot (rebuilt after any mutation)."""
-    cache = graph._csr_cache
-    if cache is None:
-        cache = GraphCsr(graph)
-        graph._csr_cache = cache
-    return cache
 
 
 def _role_bits(roles: Sequence[int]) -> Dict[int, int]:

@@ -8,12 +8,17 @@ The representation favours the access patterns of the matching pipeline:
 
 * adjacency is stored as ``dict[int, set[int]]`` because pruning deletes
   vertices and edges constantly and needs O(1) membership tests;
-* labels are stored per vertex in a parallel dict;
-* a CSR export (:meth:`Graph.to_csr`) is provided for analytics and for the
-  memory model, mirroring the CSR storage HavoqGT uses.
+* labels are stored per vertex in a parallel dict.
 
 Graphs are *simple* (no self loops, no parallel edges) and *undirected*
 (``(u, v)`` implies ``(v, u)``), matching §2 of the paper.
+
+The array stack searches a graph's frozen CSR
+(:func:`repro.graph.csr.csr_of`, memoized in ``_csr_cache``), and a graph
+read from a file *starts* as one: :meth:`Graph.over_csr` wraps a CSR in
+a graph whose dicts are built on the first read of one
+(:class:`_CsrBackedGraph`).  Sizes and the label histogram answer from
+the arrays, so a run that stays in array-land never builds them.
 """
 
 from __future__ import annotations
@@ -56,12 +61,24 @@ class Graph:
         #: optional edge labels (canonical edge -> label); empty when the
         #: graph is plain vertex-labeled, keeping every hot path unchanged
         self._edge_labels: Dict[Edge, int] = {}
-        #: memoized frozen CSR view (see core/arraystate.GraphCsr); any
-        #: mutation invalidates it so stale adjacency can never be reused
+        #: memoized frozen CSR (see graph/csr.GraphCsr); any mutation
+        #: invalidates it so stale adjacency can never be reused
         self._csr_cache = None
         #: memoized label histogram (see :meth:`label_counts`); dropped
         #: with the CSR by every mutator
         self._label_counts: Optional[Dict[int, int]] = None
+
+    @staticmethod
+    def over_csr(csr) -> "Graph":
+        """The graph a :class:`~repro.graph.csr.GraphCsr` describes.
+
+        Its four dict members stay unset until something reads one (see
+        :class:`_CsrBackedGraph`); from then on it is a plain ``Graph``.
+        """
+        graph = _CsrBackedGraph.__new__(_CsrBackedGraph)
+        graph._csr_cache = csr
+        graph._label_counts = None
+        return graph
 
     # ------------------------------------------------------------------
     # Construction
@@ -89,6 +106,7 @@ class Graph:
         if v in self._adj[u]:
             if label is not None:
                 self._edge_labels[canonical_edge(u, v)] = label
+                self._csr_cache = None
             return False
         self._adj[u].add(v)
         self._adj[v].add(u)
@@ -126,14 +144,16 @@ class Graph:
     # ------------------------------------------------------------------
     @property
     def num_vertices(self) -> int:
-        return len(self._adj)
+        csr = self._csr_cache
+        return len(self._adj) if csr is None else csr.num_vertices
 
     @property
     def num_edges(self) -> int:
-        return self._num_edges
+        csr = self._csr_cache
+        return self._num_edges if csr is None else csr.num_directed_edges // 2
 
     def __len__(self) -> int:
-        return len(self._adj)
+        return self.num_vertices
 
     def __contains__(self, vertex: int) -> bool:
         return vertex in self._adj
@@ -169,7 +189,11 @@ class Graph:
     @property
     def has_edge_labels(self) -> bool:
         """True if any edge carries a label."""
-        return bool(self._edge_labels)
+        csr = self._csr_cache
+        if csr is None:
+            return bool(self._edge_labels)
+        codes = csr.edge_label_codes
+        return codes is not None and bool(codes.any())
 
     def edge_label(self, u: int, v: int) -> Optional[int]:
         """The label of edge ``(u, v)``, or ``None`` if unlabeled/absent."""
@@ -197,9 +221,13 @@ class Graph:
         """Histogram of labels over vertices (a copy; memoized)."""
         counts = self._label_counts
         if counts is None:
-            counts = {}
-            for label in self._labels.values():
-                counts[label] = counts.get(label, 0) + 1
+            csr = self._csr_cache
+            if csr is not None:
+                counts = csr.label_histogram()
+            else:
+                counts = {}
+                for label in self._labels.values():
+                    counts[label] = counts.get(label, 0) + 1
             self._label_counts = counts
         return dict(counts)
 
@@ -263,27 +291,6 @@ class Graph:
             int(degrees.max()), float(degrees.mean()), float(degrees.std())
         )
 
-    def to_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Dict[int, int]]:
-        """Export as CSR arrays ``(offsets, targets, labels, id_map)``.
-
-        ``id_map`` maps original vertex ids to dense ``0..n-1`` indices.
-        Each undirected edge appears twice in ``targets`` (once per
-        direction), matching the storage model of Fig. 11.
-        """
-        order = list(self._adj)
-        id_map = {v: i for i, v in enumerate(order)}
-        offsets = np.zeros(len(order) + 1, dtype=np.int64)
-        targets = np.empty(2 * self._num_edges, dtype=np.int64)
-        labels = np.empty(len(order), dtype=np.int64)
-        pos = 0
-        for i, v in enumerate(order):
-            labels[i] = self._labels[v]
-            for w in self._adj[v]:
-                targets[pos] = id_map[w]
-                pos += 1
-            offsets[i + 1] = pos
-        return offsets, targets, labels, id_map
-
     def __getstate__(self):
         # The CSR cache holds numpy arrays plus a back-reference to the
         # graph; rebuild it lazily on the other side instead of shipping it
@@ -308,6 +315,38 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.num_vertices}, m={self.num_edges})"
+
+
+class _CsrBackedGraph(Graph):
+    """A graph whose dicts are not built yet (made by :meth:`Graph.over_csr`).
+
+    Python only calls ``__getattr__`` for a slot that was never set, which
+    is how the first read of a dict member lands here: all four are filled
+    from the CSR and the instance *becomes* a plain :class:`Graph`.  Every
+    mutator reads ``_adj`` before it drops ``_csr_cache``, so the dicts are
+    there by the time the CSR they come from is let go.
+
+    A subclass rather than a ``Graph.__getattr__``: a class that defines
+    ``__getattr__`` loses the interpreter's fast attribute path on every
+    instance, and every template and prototype is a ``Graph`` (measured
+    2.6x on ``label`` / ``neighbors`` / ``degree``, 8 % of a
+    ``clique-explore`` round).
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        if name not in ("_adj", "_labels", "_num_edges", "_edge_labels"):
+            raise AttributeError(name)
+        (
+            self._adj, self._labels, self._num_edges, self._edge_labels,
+        ) = self._csr_cache.dict_members()
+        self.__class__ = Graph
+        return getattr(self, name)
+
+    def __reduce_ex__(self, protocol):
+        self._adj  # pickled (and copied) as the plain Graph this becomes
+        return self.__reduce_ex__(protocol)
 
 
 class DegreeStatistics:

@@ -7,20 +7,31 @@ Two formats are supported:
 * **JSON** — a self-contained single-file format convenient for examples
   and checkpoint metadata.
 
-Lines starting with ``#`` are comments in the text formats.
+Lines starting with ``#`` are comments in the text formats, blank lines
+are skipped, and fields are separated by any run of blanks or tabs.
+The text readers parse a whole file at once into integer columns; a line
+of the wrong shape or a field that is not a 64-bit integer raises
+:class:`~repro.errors.GraphError` naming ``path:line``.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import compress
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, Tuple, Union
+
+import numpy as np
 
 from ..errors import GraphError
-from .builder import GraphBuilder
+from .csr import GraphCsr, first_appearance_codes
 from .graph import Graph
 
 PathLike = Union[str, Path]
+
+#: the bytes ``bytes.split()`` separates fields on
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[[9, 10, 11, 12, 13, 32]] = True
 
 
 def write_edge_list(graph: Graph, path: PathLike) -> None:
@@ -42,48 +53,120 @@ def write_labels(graph: Graph, path: PathLike) -> None:
             handle.write(f"{vertex} {graph.label(vertex)}\n")
 
 
+def _read_columns(
+    path: PathLike, min_width: int, max_width: int, shape: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Parse a text file of integer rows into ``(values, widths)``.
+
+    ``values`` holds every field of every data line in file order and
+    ``widths[i]`` the number of fields on the ``i``-th data line, each
+    within ``min_width..max_width``.  Nothing here loops over lines: the
+    fields per line are counted on the bytes, and the fields converted by
+    one ``np.array`` over ``bytes.split()``.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    text = np.frombuffer(data, dtype=np.uint8)
+    space = _SPACE[text]
+    after_space = np.empty_like(space)
+    after_space[:1] = True
+    after_space[1:] = space[:-1]
+    field_start = np.flatnonzero(after_space & ~space)
+    line_end = np.flatnonzero((text == 10) | (text == 13))
+    # fields before each line end; the last line may lack a terminator
+    upto = np.append(
+        np.searchsorted(field_start, line_end), field_start.shape[0]
+    )
+    per_line = np.diff(upto, prepend=0)
+    data_line = per_line > 0
+    first_byte = text[field_start[(upto - per_line)[data_line]]]
+    fields = data.split()
+    if (first_byte == ord("#")).any():
+        data_line[data_line] = first_byte != ord("#")
+        fields = list(compress(fields, np.repeat(data_line, per_line).tolist()))
+    widths = per_line[data_line]
+    well_formed = not ((widths < min_width) | (widths > max_width)).any()
+    if well_formed:
+        try:
+            return np.array(fields, dtype=np.int64), widths
+        except (ValueError, OverflowError):
+            pass
+    raise _first_error(path, data, min_width, max_width, shape)
+
+
+def _first_error(
+    path: PathLike, data: bytes, min_width: int, max_width: int, shape: str
+) -> GraphError:
+    """The error of the first line :func:`_read_columns` cannot take."""
+    for line_no, raw in enumerate(data.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith(b"#"):
+            continue
+        shown = line.decode("utf-8", "replace")
+        fields = line.split()
+        if not min_width <= len(fields) <= max_width:
+            return GraphError(f"{path}:{line_no}: expected {shape}, got {shown!r}")
+        for field in fields:
+            try:
+                fits = -(2 ** 63) <= int(field) < 2 ** 63
+            except ValueError:
+                fits = False
+            if not fits:
+                return GraphError(
+                    f"{path}:{line_no}: expected {shape} of 64-bit integers, "
+                    f"got {shown!r}"
+                )
+    return GraphError(f"{path}: expected lines of {shape}")
+
+
 def read_edge_list(path: PathLike, labels_path: PathLike = None) -> Graph:
     """Read an edge-list file (and optional label file) into a graph.
 
     Duplicate edges and self loops in the input are dropped, mirroring the
-    symmetrization step the paper applies to its raw datasets.
+    symmetrization step the paper applies to its raw datasets; a vertex
+    met only in self loops is not created.  Of the labels given to one
+    edge, in either direction, the last wins.  Vertices come in order of
+    first appearance in the edge file, then in the label file.
+
+    The file is parsed into columns and the graph's CSR built from them
+    (:meth:`GraphCsr.from_columns`); the returned graph is a facade over
+    that CSR whose dicts exist once something reads them
+    (:meth:`Graph.over_csr`) — ``csr_of`` on it is a memo hit.
     """
-    builder = GraphBuilder()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 2 or len(parts) > 3:
-                raise GraphError(
-                    f"{path}:{line_no}: expected 'u v [label]', got {line!r}"
-                )
-            builder.add_edge(
-                int(parts[0]),
-                int(parts[1]),
-                edge_label=int(parts[2]) if len(parts) == 3 else None,
-            )
+    values, widths = _read_columns(path, 2, 3, "'u v [label]'")
+    row = np.cumsum(widths) - widths  # offset of each line's first field
+    # a self loop is dropped here, before it can create its vertex
+    proper = values[row] != values[row + 1]
+    row, labelled = row[proper], (widths == 3)[proper]
+    ends = np.column_stack((values[row], values[row + 1])).ravel()
     if labels_path is not None:
-        builder.set_labels(read_label_file(labels_path))
-    return builder.build()
+        label_rows, _ = _read_columns(labels_path, 2, 2, "'vertex label'")
+    else:
+        label_rows = values[:0]
+    # vertex order: u0 v0 u1 v1 ... of the edge file, then the label file's ids
+    codes, order = first_appearance_codes(
+        np.concatenate((ends, label_rows[0::2]))
+    )
+    src, dst = codes[0:ends.shape[0]:2], codes[1:ends.shape[0]:2]
+    # a vertex labelled twice keeps its last label, an unlabelled one gets 0
+    last_row = np.full(order.shape[0], -1, dtype=np.int64)
+    np.maximum.at(
+        last_row, codes[ends.shape[0]:],
+        np.arange(label_rows.shape[0] // 2, dtype=np.int64),
+    )
+    given = last_row >= 0
+    labels = np.zeros(order.shape[0], dtype=np.int64)
+    labels[given] = label_rows[1::2][last_row[given]]
+    edge_labels = None
+    if labelled.any():
+        edge_labels = (src[labelled], dst[labelled], values[row[labelled] + 2])
+    return GraphCsr.from_columns(order, src, dst, labels, edge_labels).graph
 
 
 def read_label_file(path: PathLike) -> Dict[int, int]:
     """Read a ``vertex label`` file into a dict."""
-    labels: Dict[int, int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphError(
-                    f"{path}:{line_no}: expected 'vertex label', got {line!r}"
-                )
-            labels[int(parts[0])] = int(parts[1])
-    return labels
+    values, _ = _read_columns(path, 2, 2, "'vertex label'")
+    return dict(zip(values[0::2].tolist(), values[1::2].tolist()))
 
 
 def write_json(graph: Graph, path: PathLike) -> None:

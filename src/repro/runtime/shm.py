@@ -13,9 +13,10 @@ every frozen ``GraphCsr`` array into **one** named
   initializer;
 * each worker calls :func:`attach_shared_csr`, mapping the segment and
   rebuilding a ``GraphCsr`` whose numpy arrays are read-only views over
-  the shared buffer — zero copies, only the ``index_of`` dict (which
-  cannot live in a flat buffer) is rebuilt in O(V), and the sorted pair
-  table is re-derived from the shared ``src`` / ``indices``;
+  the shared buffer — zero copies; the pair-key table is re-derived from
+  the shared ``src`` / ``indices`` (one multiply-add: the rows arrive
+  sorted by destination) and the ``index_of`` dict, which cannot live in
+  a flat buffer, is built only if a dict consumer reads it;
 * the owner ``close()``s (context manager, pool shutdown or the module's
   ``atexit`` sweep) which unlinks the segment exactly once, so crashed
   runs don't leak ``/dev/shm`` entries.
@@ -38,7 +39,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.arraystate import GraphCsr
+    from ..graph.csr import GraphCsr
     from ..graph.graph import Graph
 
 __all__ = [
@@ -200,12 +201,13 @@ def attach_shared_csr(handle: SharedCsrHandle, graph: "Graph") -> "GraphCsr":
     """Map a shared segment and build a ``GraphCsr`` over its buffers.
 
     The returned CSR's arrays are read-only views into the segment — no
-    copies.  Only ``index_of`` (a Python dict, O(V)) and the sorted pair
-    table behind ``edge_positions`` (one argsort over the edges) are
-    rebuilt.  The caller is responsible for installing the result as the
-    graph's memoized CSR if desired (the pool initializer does).
+    copies.  Only the pair-key table behind ``edge_positions`` is rebuilt
+    (the owner's edge order is already the sorted one); ``index_of`` stays
+    lazy as on every CSR.  The caller is responsible for installing the
+    result as the graph's memoized CSR if desired (the pool initializer
+    does).
     """
-    from ..core.arraystate import GraphCsr, sorted_pair_table
+    from ..graph.csr import GraphCsr, sorted_pair_table
 
     version = handle.meta.get("payload_version")
     if version != PAYLOAD_VERSION:
@@ -219,7 +221,7 @@ def attach_shared_csr(handle: SharedCsrHandle, graph: "Graph") -> "GraphCsr":
         shm = shared_memory.SharedMemory(name=handle.name)
         _ATTACHED[handle.name] = shm
     csr = GraphCsr.__new__(GraphCsr)
-    csr.graph = graph
+    csr._lazy = {"graph": graph}
     for (slot, dtype, length, start) in handle.layout:
         view = np.frombuffer(
             shm.buf, dtype=np.dtype(dtype), count=length, offset=start
@@ -234,11 +236,8 @@ def attach_shared_csr(handle: SharedCsrHandle, graph: "Graph") -> "GraphCsr":
     csr.num_labels = meta["num_labels"]
     csr.label_ids = dict(meta["label_ids"])
     csr.edge_label_ids = dict(meta["edge_label_ids"])
-    csr.index_of = {int(v): i for i, v in enumerate(csr.order.tolist())}
     # derived from src / indices on the worker's side: not part of the payload
-    csr.pair_keys, csr.pair_edges = sorted_pair_table(
-        csr.src, csr.indices, csr.num_vertices
-    )
+    csr.pair_keys = sorted_pair_table(csr.src, csr.indices, csr.num_vertices)
     # View-parentage links never cross the wire: an attached CSR is always
     # a root snapshot from the worker's perspective.
     csr.parent = None

@@ -246,6 +246,37 @@ class TestR10ResidentImmutability:
             """}, rules=["R10"])
         assert report.clean, [v.render() for v in report.violations]
 
+    def test_column_constructor_is_construction_scope(self, tmp_path):
+        # GraphCsr.from_columns: a static constructor inside the class
+        # fills and freezes a local it allocated, in-place stores included
+        report = lint_files(tmp_path, {"csr.py": """            import numpy as np
+
+            class GraphCsr:
+                @staticmethod
+                def from_columns(order, src, dst):
+                    csr = GraphCsr.__new__(GraphCsr)
+                    csr.order = order
+                    csr.edge_label_codes = np.zeros(src.shape[0], dtype=np.int64)
+                    csr.edge_label_codes[dst] = 1
+                    csr.order.flags.writeable = False
+                    return csr
+            """}, rules=["R10"])
+        assert report.clean, [v.render() for v in report.violations]
+
+    def test_column_constructor_result_is_resident(self, tmp_path):
+        report = lint_files(tmp_path, {"helpers.py": """            from repro.graph.csr import GraphCsr
+
+            def f(order, src, dst, labels):
+                csr = GraphCsr.from_columns(order, src, dst, labels)
+                csr.degrees[0] = 1
+            """}, rules=["R10"])
+        assert rules_fired(report) == {"R10"}
+
+    def test_shipped_csr_module_is_clean(self):
+        path = REPO_SRC / "graph" / "csr.py"
+        report = run_lint(REPO_SRC, rule_ids=["R5", "R10", "R12"], paths=[path])
+        assert report.clean, [v.render() for v in report.violations]
+
     def test_refreeze_allowed_thaw_fires(self, tmp_path):
         report = lint_files(tmp_path, {"helpers.py": """\
             from repro.core.arraystate import csr_of

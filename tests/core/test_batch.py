@@ -30,7 +30,8 @@ from repro.core import (
 from repro.core.arraystate import ArraySearchState
 from repro.errors import TemplateError
 from repro.graph import from_edges
-from repro.graph.graph import Graph, canonical_edge
+from repro.graph.csr import GraphCsr
+from repro.graph.graph import canonical_edge
 from repro.graph.generators import gnm_graph, plant_pattern, planted_graph
 from repro.runtime.trace import Tracer
 
@@ -381,16 +382,17 @@ class TestLazyViewMembers:
     """``view.graph`` / ``view.index_of`` exist once a dict consumer asks."""
 
     @pytest.fixture
-    def subgraph_calls(self, monkeypatch):
-        calls = []
-        eager = Graph.subgraph
+    def dict_builds(self, monkeypatch):
+        """The CSRs whose graph facade had to build its dicts."""
+        built = []
+        eager = GraphCsr.dict_members
 
-        def spy(graph, vertices):
-            calls.append(graph)
-            return eager(graph, vertices)
+        def spy(csr):
+            built.append(csr)
+            return eager(csr)
 
-        monkeypatch.setattr(Graph, "subgraph", spy)
-        return calls
+        monkeypatch.setattr(GraphCsr, "dict_members", spy)
+        return built
 
     def case(self):
         graph = gnm_graph(90, 260, num_labels=3, seed=17)
@@ -402,29 +404,36 @@ class TestLazyViewMembers:
         keep[::2] = True
         return graph, csr, keep
 
-    def test_members_equal_the_eager_values(self, subgraph_calls):
+    def test_members_equal_the_eager_values(self, dict_builds):
         graph, csr, keep = self.case()
         view = csr.induced_view(keep)
         nested = view.induced_view(
             np.arange(view.num_vertices) % 3 != 0
         )
-        assert not subgraph_calls
 
-        for child, parent_graph in ((view, graph), (nested, None)):
+        for child in (view, nested):
             ids = child.order.tolist()
             assert child.index_of == {v: i for i, v in enumerate(ids)}
             assert child.index_of is child.index_of  # built once
-            expected = (parent_graph or view.graph).subgraph(ids)
-            before = len(subgraph_calls)
-            assert child.graph == expected
             assert child.graph is child.graph
-            assert len(subgraph_calls) == before + 1  # built once
             # the view is its graph's CSR: csr_of() never rebuilds one
             assert csr_of(child.graph) is child
+            # sizes and labels answer from the view's arrays ...
+            expected = graph.subgraph(ids)
+            assert child.graph.num_vertices == expected.num_vertices
+            assert child.graph.num_edges == expected.num_edges
+            assert child.graph.label_counts() == expected.label_counts()
             assert child.graph.has_edge_labels
-        assert nested.graph == graph.subgraph(nested.order.tolist())
+            assert child not in dict_builds
+            # ... and the dicts, built once from them, are the subgraph's
+            assert child.graph == expected
+            assert list(child.graph.vertices()) == ids
+            assert child.graph.neighbors(ids[0]) == expected.neighbors(ids[0])
+            assert dict_builds.count(child) == 1
+        # a view's graph is a facade over the view, never the root's dicts
+        assert dict_builds == [view, nested]
 
-    def test_array_states_do_not_build_them(self, subgraph_calls):
+    def test_array_states_do_not_build_them(self, dict_builds):
         graph, csr, keep = self.case()
         template = PatternTemplate.from_edges(
             [(0, 1), (1, 2), (2, 0)], {0: 0, 1: 1, 2: 2}, name="tri"
@@ -439,12 +448,14 @@ class TestLazyViewMembers:
         scoped.deactivate_indices(np.arange(3))
         scoped.active_counts(), scoped.active_vertices()
         scoped.active_edge_list(), scoped.scope_payload()
-        assert not subgraph_calls and view._lazy == {}
+        assert not dict_builds and view._lazy == {}
         # ... and a dict consumer does
         exported = on_view.to_search_state()
-        assert exported.graph is view.graph and len(subgraph_calls) == 1
+        assert exported.graph is view.graph
         on_view.deactivate_vertex(int(view.order[0]))
         assert set(view._lazy) == {"graph", "index_of"}
+        assert exported.graph.neighbors(int(view.order[1])) is not None
+        assert dict_builds == [view]
 
     def test_unknown_attributes_still_raise(self):
         _graph, csr, keep = self.case()
@@ -461,7 +472,7 @@ class TestLazyViewMembers:
         ],
         ids=["run_pipeline", "exploratory_search"],
     )
-    def test_default_runs_never_read_them(self, subgraph_calls, run):
+    def test_default_runs_never_read_them(self, dict_builds, run):
         template = PatternTemplate.from_edges(
             [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)],
             {0: 0, 1: 1, 2: 2, 3: 1}, name="diamond",
@@ -474,7 +485,7 @@ class TestLazyViewMembers:
         result = run(graph, template, PipelineOptions(count_matches=True))
         assert result.matched_vertices()
         assert result.scope_view is not None  # the run did search a view
-        assert not subgraph_calls
+        assert not dict_builds
 
 
 # -------------------------------------------------- fallback reporting

@@ -7,8 +7,11 @@ one edge back to the carried vertex up, and the messages the paper's model
 sends — one per alive out-edge of every frontier row, hit or miss — are
 charged in closed form when the walk flushes.  Guards:
 
-* (a) ``edge_positions`` answers every vertex pair correctly on a root
-  CSR, an ``induced_view`` and an ``attach_shared_csr`` CSR;
+* (a) ``edge_positions`` answers every vertex pair correctly, and the
+  order invariant that makes it gather-free holds (rows sorted by
+  destination, so ``pair_keys`` ascends in edge order), on a root CSR
+  built from a dict graph and from a file, an ``induced_view`` at any
+  depth and an ``attach_shared_csr`` CSR;
 * (b) array walk == dict walk on the rank-by-rank message matrix and the
   per-rank visit vector (not only totals), completions and satisfied
   initiators — hub graphs, edge labels, the multi-word mask layout,
@@ -58,6 +61,7 @@ from repro.core.enumeration import (
 from repro.core.kernels import compile_role_kernel, compile_walk_schedule
 from repro.graph.generators import gnm_graph
 from repro.graph.graph import Graph, canonical_edge
+from repro.graph.io import read_edge_list, write_edge_list, write_labels
 from repro.runtime import Engine, MessageStats, PartitionedGraph
 from repro.runtime.shm import SharedGraphCsr, attach_shared_csr, detach_all
 
@@ -119,8 +123,40 @@ def labeled_graphs(draw, max_vertices=14):
 # ----------------------------------------------------------------------
 # (a) the pair look-up
 # ----------------------------------------------------------------------
+def check_csr_invariants(csr):
+    """What every constructor owes ``edge_positions`` and the kernels."""
+    n, m = csr.num_vertices, csr.num_directed_edges
+    edges = np.arange(m, dtype=np.int64)
+    assert csr.indptr.tolist() == [0] + np.cumsum(csr.degrees).tolist()
+    assert (csr.src == np.repeat(np.arange(n), csr.degrees)).all()
+    # edges sorted by (src, dst): the key of an edge is its rank
+    keys = csr.src * np.int64(n) + csr.indices
+    assert np.array_equal(csr.pair_keys[:-1], keys)
+    assert csr.pair_keys[-1] == np.iinfo(np.int64).max
+    assert (np.diff(csr.pair_keys) > 0).all()
+    assert np.array_equal(
+        csr.pair_keys, sorted_pair_table(csr.src, csr.indices, n)
+    )
+    # mirror is the reverse-edge involution
+    assert (csr.mirror[csr.mirror] == edges).all()
+    assert (csr.src[csr.mirror] == csr.indices).all()
+    assert (csr.indices[csr.mirror] == csr.src).all()
+    assert (csr.src != csr.indices).all()
+    assert (csr.vid_gt == (csr.order[csr.indices] > csr.order[csr.src])).all()
+    for slot in (
+        "order", "indptr", "indices", "src", "mirror", "pair_keys", "degrees",
+        "zero_degree", "label_codes", "vid_gt", "pair_code",
+    ):
+        assert not getattr(csr, slot).flags.writeable, slot
+    if csr.edge_label_codes is not None:
+        assert not csr.edge_label_codes.flags.writeable
+        assert (csr.edge_label_codes[csr.mirror] == csr.edge_label_codes).all()
+    assert not hasattr(csr, "pair_edges")
+
+
 def check_edge_positions(csr):
     """Every ordered vertex pair: the edge's position, or -1."""
+    check_csr_invariants(csr)
     n = csr.num_vertices
     u, v = np.divmod(np.arange(n * n, dtype=np.int64), max(n, 1))
     found = csr.edge_positions(u, v)
@@ -143,6 +179,16 @@ class TestEdgePositions:
         check_edge_positions(csr_of(graph))
 
     @SLOW
+    @given(graph=labeled_graphs())
+    def test_root_csr_from_a_file(self, graph, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("csr")
+        write_edge_list(graph, folder / "g.el")
+        write_labels(graph, folder / "g.labels")
+        loaded = read_edge_list(folder / "g.el", folder / "g.labels")
+        check_edge_positions(csr_of(loaded))
+        assert loaded == graph
+
+    @SLOW
     @given(data=st.data())
     def test_induced_view(self, data):
         graph = data.draw(labeled_graphs())
@@ -161,9 +207,9 @@ class TestEdgePositions:
     @SLOW
     @given(data=st.data())
     def test_a_view_inherits_its_parents_table(self, data):
-        # filtered by the kept-edge mask and renumbered, the parent's table
-        # is what an argsort of the view's own keys gives — at any depth,
-        # down to the empty view
+        # renumbering is monotone, so the kept edges of a sorted parent are
+        # sorted: the view's keys ascend in its own edge order — at any
+        # depth, down to the empty view
         csr = csr_of(data.draw(labeled_graphs()))
         for _depth in range(3):
             keep = data.draw(
@@ -173,13 +219,11 @@ class TestEdgePositions:
                 )
             )
             csr = csr.induced_view(np.array(keep, dtype=bool))
-            keys, edges = sorted_pair_table(
-                csr.src, csr.indices, csr.num_vertices
+            check_csr_invariants(csr)
+            assert np.array_equal(
+                np.argsort(csr.pair_keys[:-1], kind="stable"),
+                np.arange(csr.num_directed_edges),
             )
-            assert np.array_equal(csr.pair_keys, keys)
-            assert np.array_equal(csr.pair_edges, edges)
-            assert not csr.pair_keys.flags.writeable
-            assert not csr.pair_edges.flags.writeable
 
     def test_empty_view(self):
         csr = csr_of(gnm_graph(12, 30, num_labels=2, seed=1))
@@ -187,7 +231,6 @@ class TestEdgePositions:
         assert view.num_vertices == view.num_directed_edges == 0
         check_edge_positions(view)
         assert view.pair_keys.tolist() == [np.iinfo(np.int64).max]
-        assert view.pair_edges.tolist() == [-1]
         none = np.zeros(0, dtype=np.int64)
         assert view.edge_positions(none, none).shape == (0,)
 
@@ -209,11 +252,8 @@ class TestEdgePositions:
         csr = csr_of(gnm_graph(40, 120, num_labels=2, seed=3))
         keys = csr.pair_keys[:-1]
         assert (np.diff(keys) > 0).all()
-        assert csr.pair_edges[-1] == -1
         with pytest.raises(ValueError):
             csr.pair_keys[0] = 0
-        with pytest.raises(ValueError):
-            csr.pair_edges[0] = 0
 
 
 # ----------------------------------------------------------------------

@@ -231,14 +231,3 @@ class TestStatisticsAndExport:
     def test_degree_statistics_iterable(self):
         d_max, d_avg, d_std = DegreeStatistics(3, 1.5, 0.5)
         assert (d_max, d_avg, d_std) == (3, 1.5, 0.5)
-
-    def test_to_csr_round_trip(self):
-        g = triangle()
-        offsets, targets, labels, id_map = g.to_csr()
-        assert offsets[-1] == 2 * g.num_edges
-        assert len(labels) == g.num_vertices
-        # Each vertex's slice contains its neighbors' dense ids.
-        for v in g.vertices():
-            i = id_map[v]
-            nbrs = {t for t in targets[offsets[i]:offsets[i + 1]]}
-            assert nbrs == {id_map[u] for u in g.neighbors(v)}
