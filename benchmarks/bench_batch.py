@@ -19,20 +19,16 @@ ways to run the census:
 Both paths must report **bit-identical** induced and non-induced counts
 for every motif — the speedup can never come from counting differently —
 and the batched run must report auxiliary-view reuse (pruned-view
-prototype searches) in its stats document.  The end-to-end ratio is
-tracked as ``speedup_batched_census`` in ``BENCH_HISTORY.jsonl`` by
-``compare_bench.py``; the acceptance bar is >=2x on MOTIF-BATCH.
+prototype searches) in its stats document.  The acceptance bar on the
+end-to-end ratio is >=2x on MOTIF-BATCH.
 
-Writes ``BENCH_BATCH.json`` at the repo root.  Run directly
-(``python benchmarks/bench_batch.py``) for the full suite, ``--smoke``
-for the CI-sized subset, or via pytest-benchmark.
+Run directly (``python benchmarks/bench_batch.py``) for the full suite,
+``--smoke`` for the CI-sized subset, or via pytest-benchmark.
 """
 
-import json
 import platform
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -45,7 +41,6 @@ from common import (
 )
 
 REPEATS = 3
-OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_BATCH.json"
 
 #: the workload the acceptance bar is pinned to
 ACCEPTANCE_WORKLOAD = "MOTIF-BATCH"
@@ -210,8 +205,6 @@ def test_batched_census_speedup(benchmark):
     payload = benchmark.pedantic(run_suite, rounds=1, iterations=1)
     report(payload)
     target = check_acceptance(payload)
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {OUTPUT}")
     assert target["speedup_batched_census"] >= SPEEDUP_BAR
 
 
@@ -231,8 +224,6 @@ def main(argv):
     payload = run_suite()
     report(payload)
     check_acceptance(payload)
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {OUTPUT}")
     return 0
 
 

@@ -14,7 +14,7 @@ import pytest
 from repro.analysis import format_count, format_seconds, format_table, speedup
 from repro.core import naive_search, run_pipeline
 from repro.core.patterns import wdc2_template
-from common import paper_tier_options, print_header, wdc_background
+from common import default_options, print_header, wdc_background
 
 
 @pytest.mark.benchmark(group="t57-messages")
@@ -26,8 +26,12 @@ def test_message_analysis(benchmark):
     def run_all():
         # both sides send the paper's messages: one visitor per message,
         # every constraint of every prototype checked
-        results["hgt"] = run_pipeline(graph, template, 2, paper_tier_options())
-        results["naive"] = naive_search(graph, template, 2, paper_tier_options())
+        results["hgt"] = run_pipeline(
+            graph, template, 2, default_options(backend="reference")
+        )
+        results["naive"] = naive_search(
+            graph, template, 2, default_options(backend="reference")
+        )
         return results
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)

@@ -19,12 +19,7 @@ from repro.analysis import format_count, format_seconds, format_table, speedup
 from repro.core import count_motifs, run_pipeline
 from repro.core.patterns import wdc2_template, wdc3_template
 from repro.graph.generators import gnm_graph
-from common import (
-    default_options,
-    paper_tier_options,
-    print_header,
-    wdc_background,
-)
+from common import default_options, print_header, wdc_background
 
 
 @pytest.mark.benchmark(group="fig9b-constraint-ordering")
@@ -35,9 +30,12 @@ def test_fig9b_constraint_ordering(benchmark):
 
     def run_all():
         # the paper's complete constraint lists: what is ordered here
-        results["ordered"] = run_pipeline(graph, template, 2, paper_tier_options())
+        results["ordered"] = run_pipeline(
+            graph, template, 2, default_options(backend="reference")
+        )
         results["unordered"] = run_pipeline(
-            graph, template, 2, paper_tier_options(constraint_ordering=False)
+            graph, template, 2,
+            default_options(backend="reference", constraint_ordering=False),
         )
         return results
 

@@ -6,41 +6,33 @@ packed-bitmap task payloads (``PoolTask`` kind ``"array"``).  Three
 measurements per workload:
 
 * *payload bytes* — the pickled wire size of every level-0/1 task in
-  legacy ``dict`` form vs packed ``array`` form (bitmaps over the shared
-  CSR); the acceptance bar is a >=10x reduction on SHM-NLCC-STRESS,
-  deterministic, no timer involved;
+  the reference backend's ``dict`` form vs the array backend's packed
+  ``array`` form (bitmaps over the shared CSR); the acceptance bar is a
+  >=10x reduction on SHM-NLCC-STRESS, deterministic, no timer involved;
 * *ship + setup* — round-trip ``pickle.dumps``/``loads`` plus the
   worker-side starting-state rebuild (dict: ``SearchState`` from
   candidate/edge lists; array: ``ArraySearchState.from_scope_payload``
   over the memoized CSR), best-of-``REPEATS``;
 * *pooled end to end* — ``run_pipeline`` with ``worker_processes=2``,
-  ``shm_pool`` on vs off, whole-call wall clock; the ratio is tracked as
-  ``speedup_shm_pool`` in ``BENCH_HISTORY.jsonl`` by ``compare_bench.py``.
+  whole-call wall clock; the pooled run and the sequential oracle must
+  report identical matched vertices and match mappings.
 
-Workload names carry an ``SHM-`` prefix so the history rows never
-collide with the kernel/NLCC benches' rows for the same graphs.  Both
-pooled modes and the sequential oracle must report identical matched
-vertices and match mappings — the speedup can never come from searching
-a different scope.
-
-Writes ``BENCH_PARALLEL.json`` at the repo root.  Run directly
-(``python benchmarks/bench_parallel.py``) for the full suite, ``--smoke``
-for the CI-sized subset, or via pytest-benchmark.
+Run directly (``python benchmarks/bench_parallel.py``) for the full
+suite, ``--smoke`` for the acceptance workload alone, or via
+pytest-benchmark.
 """
 
-import json
 import pickle
 import platform
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.analysis import format_table, speedup
 from repro.core import PipelineOptions, SearchState, run_pipeline
 from repro.core.arraystate import ArraySearchState, csr_of
-from repro.core.candidate_set import max_candidate_set
+from repro.core.candidate_set import max_candidate_arrays
 from repro.core.prototypes import generate_prototypes
 from repro.runtime import Engine, MessageStats, PartitionedGraph
 from repro.runtime.parallel import array_task, dict_task
@@ -54,7 +46,6 @@ from common import (
 )
 
 REPEATS = 3
-OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_PARALLEL.json"
 
 #: the workload the acceptance bar is pinned to
 ACCEPTANCE_WORKLOAD = "SHM-NLCC-STRESS"
@@ -65,7 +56,7 @@ WORKERS = 2
 #: edit distance of every run (level 1 has multiple prototypes → pooled)
 K = 1
 #: end-to-end pooled runs are seconds each — best-of-2 tames scheduler
-#: noise without stretching the gate
+#: noise
 PIPELINE_REPEATS = 2
 
 
@@ -79,13 +70,10 @@ def shm_workloads():
 
 
 def _options(**overrides):
-    """The array-eligible pool configuration (shm bitmaps by default)."""
-    base = dict(
-        num_ranks=DEFAULT_RANKS, count_matches=True,
-        array_state=True, array_nlcc=True,
+    """The array backend's configuration (pooled: shm bitmaps)."""
+    return PipelineOptions(
+        num_ranks=DEFAULT_RANKS, count_matches=True, **overrides
     )
-    base.update(overrides)
-    return PipelineOptions(**base)
 
 
 def _level_scopes(graph, template):
@@ -93,12 +81,8 @@ def _level_scopes(graph, template):
     engine = Engine(
         PartitionedGraph(graph, DEFAULT_RANKS), MessageStats(DEFAULT_RANKS)
     )
-    base_state = max_candidate_set(
-        graph, template, engine, array_state=True
-    )
-    base_astate = ArraySearchState.from_search_state(
-        base_state, roles=sorted(template.graph.vertices())
-    )
+    base_astate = max_candidate_arrays(graph, template, engine)
+    base_state = base_astate.to_search_state()
     scopes = []
     for proto in generate_prototypes(template, K, None):
         scopes.append((
@@ -145,12 +129,11 @@ def _ship_setup_once(graph, scopes, kind):
     return time.perf_counter() - start
 
 
-def _pipeline_once(graph, template, shm_pool):
+def _pipeline_once(graph, template):
     """One pooled end-to-end run; returns (wall, result digest)."""
     start = time.perf_counter()
     result = run_pipeline(
-        graph, template, K,
-        _options(worker_processes=WORKERS, shm_pool=shm_pool),
+        graph, template, K, _options(worker_processes=WORKERS)
     )
     wall = time.perf_counter() - start
     return wall, {
@@ -196,29 +179,17 @@ def run_suite(repeats=REPEATS, workloads=None, pipeline=True):
                 "matched_vertices": len(sequential.match_vectors),
                 "match_mappings": sequential.total_match_mappings(),
             }
-            pipe = {}
-            digests = {}
-            for label, shm_pool in (("dict", False), ("shm", True)):
-                best, digest = None, None
-                for _ in range(PIPELINE_REPEATS):
-                    wall, run_digest = _pipeline_once(
-                        graph, template, shm_pool
-                    )
-                    assert digest is None or run_digest == digest, (
-                        f"{name}: {label}-pooled results vary across runs"
-                    )
-                    digest = run_digest
-                    if best is None or wall < best:
-                        best = wall
-                pipe[label] = dict(wall_seconds=best, **digest)
-                digests[label] = digest
-            row["pipeline"] = pipe
-            row["speedup_shm_pool"] = speedup(
-                pipe["dict"]["wall_seconds"], pipe["shm"]["wall_seconds"]
-            )
-            row["results_equal"] = (
-                digests["dict"] == oracle and digests["shm"] == oracle
-            )
+            best, digest = None, None
+            for _ in range(PIPELINE_REPEATS):
+                wall, run_digest = _pipeline_once(graph, template)
+                assert digest is None or run_digest == digest, (
+                    f"{name}: pooled results vary across runs"
+                )
+                digest = run_digest
+                if best is None or wall < best:
+                    best = wall
+            row["pipeline"] = dict(wall_seconds=best, **digest)
+            row["results_equal"] = digest == oracle
         rows.append(row)
     return {
         "experiment": "E-P1 worker-pool payload shipping benchmark",
@@ -239,8 +210,7 @@ def run_suite(repeats=REPEATS, workloads=None, pipeline=True):
                 f">={PAYLOAD_REDUCTION_BAR:.0f}x smaller pickled task "
                 "payloads (array bitmaps vs dict lists) on "
                 f"{ACCEPTANCE_WORKLOAD}; identical matched vertices and "
-                "match mappings across sequential, dict-pooled and "
-                "shm-pooled runs"
+                "match mappings across sequential and pooled runs"
             ),
         },
         "workloads": rows,
@@ -276,15 +246,12 @@ def report(payload):
             f"{row['payload_bytes']['array'] / 1024:.1f}K",
             f"{row['payload_bytes_reduction']:.0f}x",
             f"{row['speedup_ship_setup']:.1f}x",
-            f"{pipe['dict']['wall_seconds']:.2f}s" if pipe else "-",
-            f"{pipe['shm']['wall_seconds']:.2f}s" if pipe else "-",
-            f"{row['speedup_shm_pool']:.2f}x" if pipe else "-",
+            f"{pipe['wall_seconds']:.2f}s" if pipe else "-",
             ("yes" if row["results_equal"] else "NO") if pipe else "-",
         ])
     print(format_table(
         ["workload", "V/E", "dict bytes", "array bytes", "reduction",
-         "ship speedup", "pool dict", "pool shm", "pool speedup",
-         "same results"],
+         "ship speedup", "pooled wall", "same results"],
         rows,
     ))
     print(f"* acceptance workload "
@@ -297,18 +264,11 @@ def test_shm_payload_reduction(benchmark):
     payload = benchmark.pedantic(run_suite, rounds=1, iterations=1)
     report(payload)
     target = check_acceptance(payload)
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {OUTPUT}")
     assert target["payload_bytes_reduction"] >= PAYLOAD_REDUCTION_BAR
 
 
 def smoke_suite():
-    """The CI-sized subset: acceptance workload only, fewer repeats.
-
-    Keeps the end-to-end pooled runs (single repeat) because the gate
-    tracks ``speedup_shm_pool`` across history; the deterministic
-    payload-bytes bar is what actually fails fast on a regression.
-    """
+    """The acceptance workload only, fewer repeats."""
     workloads = [w for w in shm_workloads() if w[0] == ACCEPTANCE_WORKLOAD]
     return run_suite(repeats=2, workloads=workloads, pipeline=True)
 
@@ -324,8 +284,6 @@ def main(argv):
     payload = run_suite()
     report(payload)
     check_acceptance(payload)
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {OUTPUT}")
     return 0
 
 

@@ -72,7 +72,7 @@ RESIDENT_CLASSES = frozenset({"GraphCsr", "RoleKernel"})
 
 #: calls returning an already-constructed resident instance
 RESIDENT_PRODUCERS = frozenset(
-    {"csr_of", "cached_role_kernel", "from_columns", "induced_view",
+    {"csr_of", "cached_kernel", "from_columns", "induced_view",
      "attach_shared_csr"}
 )
 

@@ -30,10 +30,11 @@ alone on the line directly above.  For a multi-line statement the
 comment may sit on the statement's *first* line (or alone above it) and
 covers violations anchored to any of its continuation lines.
 
-Rules come in two tiers: the per-file AST rules (R1–R8) always run;
-rules marked ``deep = True`` (R9–R13, the interprocedural call-graph /
-CFG / dataflow pass behind ``repro analyze``) join only when
-``run_lint(..., deep=True)`` or an explicit ``rule_ids`` selects them.
+Rules come in two tiers: the per-file AST rules (R1–R8; R4 retired)
+always run; rules marked ``deep = True`` (R9–R13, the interprocedural
+call-graph / CFG / dataflow pass behind ``repro analyze``) join only
+when ``run_lint(..., deep=True)`` or an explicit ``rule_ids`` selects
+them.
 """
 
 from __future__ import annotations

@@ -8,17 +8,13 @@ Each rule is motivated by a bug class this codebase has actually hit
   ``reload_ranks=0`` bug of the kernels PR).
 * **R2** ``options-threading`` — a new :class:`PipelineOptions` field is
   easy to define and forget in one of the six driver modules, silently
-  reverting the option for that execution path (as ``array_nlcc``
-  initially was for pooled workers).
+  reverting the option for that execution path (as the array NLCC
+  switch initially was for pooled workers).
 * **R3** ``tracer-guard`` — span/counter bookkeeping in the hot kernel
   modules must sit behind a ``tracer.enabled`` check so untraced runs
   stay zero-overhead.
-* **R4** ``fallback-parity`` — every array fast-path dispatch must keep
-  a reachable dict fallback branch next to it (the array kernels step
-  aside when the role kernel is off rather than fail), and the array
-  branch itself must route enumeration through
-  ``enumerate_matches_array`` — a dict ``enumerate_matches`` call there
-  silently re-pays the per-vertex backtracker the array path replaced.
+* R4 is retired: it guarded the dict fallbacks of the array dispatch
+  switches, which were collapsed into ``PipelineOptions.backend``.
 * **R5** ``hot-loop-hygiene`` — per-element Python loops over CSR
   arrays, ``np.append`` inside loops, and object-dtype arrays undo the
   vectorization the hot modules exist for.
@@ -49,7 +45,6 @@ from .framework import ModuleSource, Project, Rule, Violation, register_rule
 
 __all__ = [
     "BatchedTemplateExecutionRule",
-    "FallbackParityRule",
     "HotLoopHygieneRule",
     "MetricAccumulationRule",
     "OptionalIntTruthinessRule",
@@ -322,14 +317,15 @@ class OptionsThreadingRule(Rule):
     title = "options-threading parity"
     rationale = (
         "new PipelineOptions flags were silently dropped on some driver "
-        "paths (array_nlcc initially defaulted off in pooled workers)"
+        "paths (the array NLCC switch initially defaulted off in pooled "
+        "workers)"
     )
 
     #: keywords legitimately differing between search_prototype call
     #: sites: per-call state, caches, and features rejected by
     #: PipelineOptions.__post_init__ for that execution mode
     _SITE_SPECIFIC = frozenset(
-        {"cache", "recycle", "array_scope", "warm_mask", "collect_matches"}
+        {"cache", "recycle", "warm_mask", "collect_matches"}
     )
 
     def check_project(self, project: Project) -> Iterator[Violation]:
@@ -533,119 +529,6 @@ class TracerGuardRule(Rule):
             if isinstance(sub, ast.Name) and sub.id in guard_names:
                 return True
         return False
-
-
-# ----------------------------------------------------------------------
-# R4 — array fast-path fallback parity
-# ----------------------------------------------------------------------
-@register_rule
-class FallbackParityRule(Rule):
-    """Array-dispatch ``if``s must keep a reachable dict fallback.
-
-    A dispatch site counts as any ``if`` testing ``array_state`` /
-    ``array_nlcc`` (names, attributes or keywords-into-flags) or calling
-    ``supports_array_fixpoint``.  The fallback is reachable when the
-    ``if`` has an ``else``/``elif`` branch, or its body leaves the
-    function (return/raise/continue/break) with further statements
-    following in the same block.
-
-    Second check: on the *array* side of a dispatch (an ``if`` testing a
-    dispatch flag or an array-state name like ``astate``), enumeration
-    must go through ``enumerate_matches_array`` — a dict
-    ``enumerate_matches`` call there drops back to the per-vertex
-    backtracker while holding a live array state, defeating the takeover
-    the dispatch exists for.  Dict calls in the ``else`` branch are the
-    fallback and stay legal.
-    """
-
-    id = "R4"
-    title = "fallback parity"
-    rationale = (
-        "the array kernels must step aside (role kernel off) rather than "
-        "fail, and the array branch must not quietly re-enter the dict "
-        "backtracker it replaced"
-    )
-
-    _FLAG_NAMES = frozenset({"array_state", "array_nlcc"})
-    _DISPATCH_CALLS = frozenset({"supports_array_fixpoint"})
-    #: array-side state names: an ``if`` testing one of these selects the
-    #: array branch, where only the array enumerator may run
-    _ARRAY_STATE_NAMES = frozenset({"astate", "array_scope"})
-    _DICT_ENUMERATOR = "enumerate_matches"
-    _TERMINAL = (ast.Return, ast.Raise, ast.Continue, ast.Break)
-
-    def check_module(
-        self, project: Project, module: ModuleSource
-    ) -> Iterator[Violation]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.If):
-                continue
-            if self._is_array_branch_test(node.test):
-                yield from self._check_enum_bypass(module, node)
-            if not self._is_dispatch_test(node.test):
-                continue
-            if node.orelse:
-                continue
-            if self._body_exits_with_following_code(module, node):
-                continue
-            yield module.violation(
-                self,
-                node,
-                "array fast-path dispatch without a reachable dict fallback "
-                "branch (no else, and the body does not return into "
-                "fallback code)",
-            )
-
-    def _is_dispatch_test(self, test: ast.expr) -> bool:
-        for sub in ast.walk(test):
-            if isinstance(sub, ast.Name) and sub.id in self._FLAG_NAMES:
-                return True
-            if isinstance(sub, ast.Attribute) and sub.attr in self._FLAG_NAMES:
-                return True
-            if (isinstance(sub, ast.Call)
-                    and _call_name(sub) in self._DISPATCH_CALLS):
-                return True
-        return False
-
-    def _is_array_branch_test(self, test: ast.expr) -> bool:
-        if self._is_dispatch_test(test):
-            return True
-        for sub in ast.walk(test):
-            if (isinstance(sub, ast.Name)
-                    and sub.id in self._ARRAY_STATE_NAMES):
-                return True
-            if (isinstance(sub, ast.Attribute)
-                    and sub.attr in self._ARRAY_STATE_NAMES):
-                return True
-        return False
-
-    def _check_enum_bypass(
-        self, module: ModuleSource, node: ast.If
-    ) -> Iterator[Violation]:
-        """Dict ``enumerate_matches`` calls on the array branch body."""
-        for stmt in node.body:
-            for sub in ast.walk(stmt):
-                if (isinstance(sub, ast.Call)
-                        and _call_name(sub) == self._DICT_ENUMERATOR):
-                    yield module.violation(
-                        self,
-                        sub,
-                        "array-dispatch branch calls the dict backtracker "
-                        "enumerate_matches(...); with a live array state, "
-                        "enumeration must route through "
-                        "enumerate_matches_array",
-                    )
-
-    def _body_exits_with_following_code(
-        self, module: ModuleSource, node: ast.If
-    ) -> bool:
-        if not isinstance(node.body[-1], self._TERMINAL):
-            return False
-        parent = module.parents.get(node)
-        body = getattr(parent, "body", None)
-        if not isinstance(body, list) or node not in body:
-            return False
-        return body.index(node) < len(body) - 1
 
 
 # ----------------------------------------------------------------------

@@ -18,8 +18,8 @@ Python:
 * ``audit``       — run a search and verify its 100% precision/recall
   against brute force (small graphs);
 * ``lint``        — project-specific AST invariant checks (optional-int
-  truthiness, options threading, tracer guards, array/dict fallback
-  parity, hot-loop hygiene, batched template execution —
+  truthiness, options threading, tracer guards, hot-loop hygiene,
+  batched template execution —
   docs/INTERNALS.md §11);
 * ``analyze``     — interprocedural static analysis: the lint pass plus
   the call-graph/CFG/dataflow rules (shm use-after-release, resident
@@ -129,11 +129,6 @@ def _add_worker_arguments(parser: argparse.ArgumentParser) -> None:
              "(default 1 = in-process; >1 shares one graph CSR via "
              "shared memory)",
     )
-    parser.add_argument(
-        "--no-shm-pool", action="store_true",
-        help="ship pooled scopes as legacy dict payloads instead of "
-             "shared-memory bitmap payloads",
-    )
 
 
 def command_search(args: argparse.Namespace) -> int:
@@ -142,7 +137,7 @@ def command_search(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args)
     options = PipelineOptions(
         num_ranks=args.ranks, count_matches=args.count, tracer=tracer,
-        worker_processes=args.workers, shm_pool=not args.no_shm_pool,
+        worker_processes=args.workers,
     )
     result = run_pipeline(graph, template, args.k, options)
     if args.trace:
@@ -197,7 +192,7 @@ def command_explore(args: argparse.Namespace) -> int:
         graph, template, max_k=args.max_k,
         options=PipelineOptions(
             num_ranks=args.ranks, tracer=tracer,
-            worker_processes=args.workers, shm_pool=not args.no_shm_pool,
+            worker_processes=args.workers,
         ),
     )
     if args.trace:
@@ -287,7 +282,7 @@ def command_batch(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args)
     options = PipelineOptions(
         num_ranks=args.ranks, count_matches=args.count, tracer=tracer,
-        worker_processes=args.workers, shm_pool=not args.no_shm_pool,
+        worker_processes=args.workers,
         aux_views=not args.no_aux_views,
     )
     queries = []

@@ -1,12 +1,12 @@
 """Array-backed CSR search state and vectorized kernel fixpoints.
 
 This module mirrors the paper's actual system shape (§4: a static CSR
-with bit vectors for deactivation).  With the array stack on, a run's
+with bit vectors for deactivation).  On the ``array`` backend a run's
 whole level state lives here — M*, every prototype scope, the token
 frontiers and the level unions; the dict-of-sets
 :class:`~repro.core.state.SearchState` is materialized only at the
 public-API boundary (``to_search_state`` / ``write_back``) and by the
-dict tiers:
+set-based ``reference`` backend:
 
 * :class:`~repro.graph.csr.GraphCsr` — the immutable CSR of the
   background graph — lives in :mod:`repro.graph.csr` (the graph layer
@@ -18,10 +18,10 @@ dict tiers:
   vectorized ``initial`` seeding, ``active_counts``, deactivation,
   ``for_prototype_search`` label-pair filtering and the level-union
   fold ``absorb_solution``;
-* :func:`array_kernel_fixpoint` — the semi-naive arc-consistency loop of
-  :func:`~repro.core.kernels.kernel_fixpoint` with the per-vertex inbox
-  dicts replaced by boolean worklist arrays and the witness fold replaced
-  by one ``np.bitwise_or.reduceat`` over CSR segments per round.
+* :func:`array_kernel_fixpoint` — the semi-naive arc-consistency loop
+  over :class:`~repro.core.kernels.RoleKernel` bit tables, with boolean
+  worklist arrays instead of per-vertex inboxes and the witness fold as
+  one ``np.bitwise_or.reduceat`` over CSR segments per round.
 
 Exactness contract: every operation reproduces the dict semantics
 *bit-for-bit*, including its quirks — the asymmetric initial edge
@@ -32,12 +32,13 @@ untouched because only vertices with a non-empty mask are evaluated), and
 the full-round edge-dedup rule that skips a pair from the larger-id side
 only when the smaller endpoint is still a *candidate* (not merely mask
 non-empty).  ``tests/core/test_arraystate.py`` pins all of this against
-the dict path on randomized workloads.
+the set-based reference on randomized workloads.
 
 Message accounting is batched: instead of one Visitor object per edge
 delivery, each round folds a rank-by-rank ``np.bincount`` matrix and
 per-rank visit counts through :meth:`Engine.record_batched_round`, giving
-the same per-round message/visit totals as the delta dict path (the Safra
+one message per alive edge out of each re-broadcasting vertex — with
+``delta=False`` exactly the reference rounds' totals (the Safra
 termination-detection traffic is approximated at the minimal two circuits
 per round, so control-message counts — and therefore simulated makespans —
 may differ slightly from the object path; fixed points never do).
@@ -703,16 +704,6 @@ class _RoundAccounting:
 # ----------------------------------------------------------------------
 # Vectorized fixpoint
 # ----------------------------------------------------------------------
-def supports_array_fixpoint(kernel: RoleKernel) -> bool:
-    """Always true: the array path is total over role counts.
-
-    Historically false beyond 64 roles; the multi-word ``(n, n_words)``
-    mask layout lifted that limit, so every kernel now runs vectorized.
-    Kept for API compatibility with older dispatch sites.
-    """
-    return True
-
-
 #: adaptive dense-round switch floor: below this many role-holding
 #: vertices the sparse bookkeeping is too cheap to be worth replacing
 #: (and unit-test-sized graphs stay on the classic semi-naive schedule)
@@ -733,16 +724,27 @@ def array_kernel_fixpoint(
     warm_mask: Optional[np.ndarray] = None,
     adaptive: bool = False,
 ) -> int:
-    """Vectorized :func:`~repro.core.kernels.kernel_fixpoint` over ``astate``.
+    """Run the bitmask arc-consistency fixed point over ``astate`` in place.
 
-    Same fixed point, same number of rounds and same per-round message
-    and visit counts as the dict kernel path.  The persistent per-vertex
-    inbox dicts of the delta mode are replaced by an invariant: after
-    round 1, the inbox entry of ``v`` from ``u`` always equals ``u``'s
-    current mask whenever the directed edge ``u -> v`` is alive (changed
-    vertices re-broadcast; drops remove edges and entries together), so
-    the witness fold can be recomputed live each round as one masked
-    gather plus ``np.bitwise_or.reduceat`` over CSR rows.
+    ``mandatory_masks`` selects the rule applied per role bit: ``None`` is
+    LCC (Alg. 4 — a role survives iff *every* template neighbor is
+    witnessed by an active neighbor); a dict is max-candidate-set
+    generation (§3.1 — all *mandatory* neighbors and at least one template
+    neighbor witnessed; roles without template edges always survive).
+    Returns the number of rounds, the reference rounds' count (the final
+    no-change round is paid in both).
+
+    ``delta=True`` is the semi-naive mode: after round 1 only vertices
+    whose mask changed re-broadcast and only vertices whose witnesses
+    changed are re-evaluated — the same per-round states as the reference
+    rounds (an unchanged inbox re-derives the unchanged answer), fewer
+    messages.  ``delta=False`` re-broadcasts every round and sends exactly
+    the reference's messages.  Per-vertex inboxes are replaced by an
+    invariant: after round 1, the inbox entry of ``v`` from ``u`` always
+    equals ``u``'s current mask whenever the directed edge ``u -> v`` is
+    alive (changed vertices re-broadcast; drops remove edges and entries
+    together), so the witness fold can be recomputed live each round as
+    one masked gather plus ``np.bitwise_or.reduceat`` over CSR rows.
 
     ``warm_mask`` (a boolean vertex array) enables warm-start accounting
     for the very first round: only the flagged vertices are charged as
@@ -1551,30 +1553,6 @@ def array_token_walk(
     return out
 
 
-def run_array_fixpoint(
-    state: SearchState,
-    kernel: RoleKernel,
-    engine,
-    max_iterations: Optional[int] = None,
-    delta: bool = True,
-    mandatory_masks: Optional[Dict[int, int]] = None,
-) -> int:
-    """Round-trip a dict state through the vectorized fixpoint.
-
-    Imports ``state`` into an :class:`ArraySearchState` (kernel bit
-    layout), runs :func:`array_kernel_fixpoint`, and writes the result
-    back in place.  Returns the iteration count.
-    """
-    astate = ArraySearchState.from_search_state(state, roles=kernel.roles)
-    iterations = array_kernel_fixpoint(
-        astate, kernel, engine,
-        max_iterations=max_iterations, delta=delta,
-        mandatory_masks=mandatory_masks,
-    )
-    astate.write_back(state)
-    return iterations
-
-
 __all__ = [
     "ArraySearchState",
     "ArrayWalkOutcome",
@@ -1584,7 +1562,5 @@ __all__ = [
     "array_token_walk",
     "csr_of",
     "pack_bits",
-    "run_array_fixpoint",
-    "supports_array_fixpoint",
     "unpack_bits",
 ]

@@ -18,10 +18,10 @@ compiles the whole library once and shares everything shareable:
   with the containment rule shrinking every sparser search.
 * **Auxiliary views** — per-class pipelines re-materialize GraphMini
   style pruned CSRs (:meth:`GraphCsr.induced_view`) so sibling
-  prototype searches start from the pruned view instead of ``G``; the
-  :class:`~repro.runtime.parallel.TemplateBatchScheduler` additionally
-  packs a class's memoized ``M*`` scope into a view before the pipeline
-  even starts, and pooled runs ship views through the existing
+  prototype searches start from the pruned view instead of ``G``; for
+  pooled runs the :class:`~repro.runtime.parallel.TemplateBatchScheduler`
+  additionally packs a class's memoized ``M*`` scope into a view before
+  the pipeline even starts and ships it through the existing
   shared-memory machinery zero-copy.
 
 Per-query answers are read back off prototype outcomes (match counts are
@@ -39,7 +39,7 @@ from ..graph.graph import Graph, canonical_edge
 from ..graph.isomorphism import find_subgraph_isomorphisms
 from ..runtime.parallel import BatchJob, TemplateBatchScheduler
 from .candidate_set import CandidateSetMemo
-from .kernels import cached_role_kernel, kernel_cache_stats
+from .kernels import cached_kernel, kernel_cache_stats
 from .ordering import estimate_prototype_cost
 from .prototypes import (
     Prototype,
@@ -272,7 +272,7 @@ class TemplateLibrary:
             cls.prototypes = cached_prototypes(
                 cls.representative, k_run, self.max_prototypes
             )
-            cls.kernel = cached_role_kernel(cls.representative.graph)
+            cls.kernel = cached_kernel(cls.representative.graph)
 
     # ------------------------------------------------------------------
     def root_classes(self) -> List[TemplateClass]:
@@ -437,9 +437,6 @@ class BatchResult:
                     "reuse": cls.num_queries - 1,
                     "aux_views_built": result.aux_views_built if result else 0,
                     "aux_view_reuse": result.aux_view_reuse if result else 0,
-                    "array_fallback_reason": (
-                        result.array_fallback_reason if result else None
-                    ),
                 }
             )
         return {
@@ -505,8 +502,9 @@ def run_batch(
     Pass a pre-compiled ``library`` to reuse one compilation across
     graphs; otherwise the library is compiled from ``queries`` using
     ``options.max_prototypes`` as the budget.  Respects ``options``
-    verbatim — enable ``options.aux_views`` to let both the scheduler's
-    ``M*`` pre-pruning and the per-level re-materialization kick in.
+    verbatim — enable ``options.aux_views`` to let both the per-level
+    re-materialization and, for pooled runs, the scheduler's ``M*``
+    pre-pruning kick in.
     """
     from .pipeline import PipelineOptions
 

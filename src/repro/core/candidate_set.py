@@ -27,16 +27,12 @@ from .arraystate import (
     ArraySearchState,
     array_kernel_fixpoint,
 )
-from .kernels import (
-    cached_role_kernel,
-    kernel_fixpoint,
-    structural_fingerprint,
-)
+from .kernels import cached_kernel, structural_fingerprint
 from .lcc import _exchange_candidacies, _has_adjacent_pair
 from .state import SearchState
 from .template import PatternTemplate
 
-#: M* in the form the selected fixpoint tier produced it
+#: M* as the set-based or the vectorized fixpoint produced it
 MaxCandidateState = Union[SearchState, ArraySearchState]
 
 
@@ -49,9 +45,9 @@ class CandidateSetMemo:
     share a single background traversal.  The owner scopes one memo to
     one background graph and one options object; keys are the template's
     structural fingerprint plus its mandatory edges.  Entries are kept in
-    the form the fixpoint tier those options select produced them (array
-    states on the array path) and lookups return a fresh ``copy()``
-    because the pipeline mutates ``M*`` into per-level scopes.
+    the form the fixpoint that filled them produced (array states for the
+    ``array`` backend) and lookups return a fresh ``copy()`` because the
+    pipeline mutates ``M*`` into per-level scopes.
     """
 
     __slots__ = ("_states", "hits", "misses")
@@ -84,29 +80,19 @@ def max_candidate_set(
     graph,
     template: PatternTemplate,
     engine: Engine,
-    role_kernel: bool = True,
-    delta: bool = True,
-    array_state: bool = False,
     memo: Optional[CandidateSetMemo] = None,
-    adaptive: bool = False,
 ) -> SearchState:
-    """Compute ``M*`` as a :class:`SearchState` over ``graph``.
+    """Compute ``M*`` as a :class:`SearchState` with the set-based rounds.
 
-    ``role_kernel``/``delta``/``array_state`` select the bitmask,
-    semi-naive and vectorized-CSR hot paths; the fixed point is identical
-    either way.  On the array path this is :func:`max_candidate_arrays`
-    exported to dict form — the public-API boundary; the pipeline drivers
-    take the arrays directly and never pay that export.
-    ``memo`` (batched runs) returns a cached fixed point for a
-    structurally-identical template without touching the graph at all.
+    The ``reference`` backend's fixpoint: every active vertex broadcasts
+    its roles every round, one visitor per message — the visitor counts
+    of the paper's message analysis.  :func:`max_candidate_arrays`
+    reaches the same fixed point in array form.  ``memo`` (batched runs)
+    returns a cached fixed point for a structurally-identical template
+    without touching the graph at all.
     """
-    if role_kernel and array_state:
-        return max_candidate_arrays(
-            graph, template, engine, delta=delta, memo=memo, adaptive=adaptive
-        ).to_search_state()
     return _memoized_fixpoint(
-        template, engine, memo,
-        lambda: _dict_fixpoint(graph, template, engine, role_kernel, delta),
+        template, engine, memo, lambda: _dict_fixpoint(graph, template, engine)
     )
 
 
@@ -114,7 +100,6 @@ def max_candidate_arrays(
     graph,
     template: PatternTemplate,
     engine: Engine,
-    delta: bool = True,
     memo: Optional[CandidateSetMemo] = None,
     adaptive: bool = False,
 ) -> ArraySearchState:
@@ -127,10 +112,10 @@ def max_candidate_arrays(
     cascades are densest, so this is the switch's main beneficiary.
     """
     def fixpoint() -> ArraySearchState:
-        kernel = cached_role_kernel(template.graph)
+        kernel = cached_kernel(template.graph)
         astate = ArraySearchState.initial(graph, template)
         array_kernel_fixpoint(
-            astate, kernel, engine, delta=delta,
+            astate, kernel, engine,
             mandatory_masks=kernel.mandatory_masks(template.mandatory_edges),
             adaptive=adaptive,
         )
@@ -173,21 +158,10 @@ def _memoized_fixpoint(
 
 
 def _dict_fixpoint(
-    graph,
-    template: PatternTemplate,
-    engine: Engine,
-    role_kernel: bool,
-    delta: bool,
+    graph, template: PatternTemplate, engine: Engine
 ) -> SearchState:
-    """The dict-tier M* fixpoints (bitmask kernel or set-based)."""
+    """The set-based M* fixpoint."""
     state = SearchState.initial(graph, template)
-    if role_kernel:
-        kernel = cached_role_kernel(template.graph)
-        kernel_fixpoint(
-            state, kernel, engine, delta=delta,
-            mandatory_masks=kernel.mandatory_masks(template.mandatory_edges),
-        )
-        return state
     mandatory_neighbors = _mandatory_neighbor_map(template)
     template_graph = template.graph
     changed = True

@@ -32,9 +32,8 @@ from ..graph.isomorphism import canonical_form
 from ..runtime.engine import Engine
 from ..runtime.messages import MessageStats
 from ..runtime.partition import PartitionedGraph
-from .candidate_set import max_candidate_set
 from .ordering import ConstraintPlanner
-from .pipeline import PipelineOptions
+from .pipeline import PipelineOptions, max_candidate_scope
 from .prototypes import Prototype
 from .results import PrototypeSearchOutcome
 from .search import search_prototype
@@ -172,6 +171,9 @@ def run_flip_pipeline(
     Builds the family-wide candidate set once, then runs the standard
     per-prototype search for each variant with shared NLCC recycling;
     per-variant results carry the usual 100% precision/recall guarantee.
+    ``options`` apply as in :func:`~repro.core.pipeline.run_pipeline`:
+    backend, tracer, metrics registry, match counting and collection,
+    verification, adaptive re-sort and constraint costs.
     """
     options = options or PipelineOptions()
     wall_start = time.perf_counter()
@@ -186,8 +188,11 @@ def run_flip_pipeline(
         delegate_degree_threshold=options.delegate_degree_threshold,
         ranks_per_node=options.ranks_per_node,
     )
-    mcs_engine = Engine(pgraph, MessageStats(options.num_ranks), options.batch_size)
-    base_state = max_candidate_set(graph, envelope, mcs_engine)
+    mcs_engine = Engine(
+        pgraph, MessageStats(options.num_ranks), options.batch_size,
+        tracer=options.tracer, metrics=options.metrics,
+    )
+    base_state = max_candidate_scope(graph, envelope, mcs_engine, options)
     result.candidate_set_vertices = base_state.num_active_vertices
     result.total_simulated_seconds += options.cost_model.makespan(mcs_engine.stats)
 
@@ -200,7 +205,10 @@ def run_flip_pipeline(
         proto.name = variant.name
         state = base_state.for_prototype_search(proto)
         stats = MessageStats(options.num_ranks)
-        engine = Engine(pgraph, stats, options.batch_size)
+        engine = Engine(
+            pgraph, stats, options.batch_size,
+            tracer=options.tracer, metrics=options.metrics,
+        )
         outcome = search_prototype(
             state,
             proto,
@@ -211,6 +219,9 @@ def run_flip_pipeline(
             count_matches=options.count_matches,
             collect_matches=options.collect_matches,
             verification=options.verification,
+            backend=options.backend,
+            adaptive=options.adaptive,
+            constraint_costs=options.constraint_costs,
         )
         outcome.simulated_seconds = options.cost_model.makespan(stats)
         result.total_simulated_seconds += outcome.simulated_seconds

@@ -20,17 +20,9 @@ With these tables, the two LCC predicates collapse to integer operations:
 * *edge viability* (endpoints hold template-adjacent roles) becomes
   ``neighbor_masks[bit] & other_mask`` over the set bits of one endpoint.
 
-:func:`kernel_fixpoint` runs the arc-consistency fixed point over this
-representation for both LCC (Alg. 4) and max-candidate-set generation
-(§3.1 — pass ``mandatory_masks``), with an optional *semi-naive* (delta)
-mode: after the first full round, only vertices whose role mask changed
-re-broadcast, and only vertices whose inbox or active-edge set changed are
-re-evaluated.  Because role masks and edge sets only ever shrink, the
-per-round states are identical to the synchronous all-vertex rounds of the
-baseline (an unchanged inbox re-derives the unchanged answer), so the delta
-mode reaches the same fixed point in the same number of rounds while
-cutting visitor and message counts — which the simulated cost model turns
-into a shorter makespan.
+The tables feed the vectorized fixpoint, token walk and enumerator of
+:mod:`~repro.core.arraystate` (one uint64 role mask per vertex in the
+same bit order); the set-based reference execution needs none of them.
 """
 
 from __future__ import annotations
@@ -40,8 +32,6 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..graph.graph import Graph
 from ..runtime.metrics import MetricsRegistry
-from ..runtime.visitor import Visitor
-from .state import SearchState
 
 
 class RoleKernel:
@@ -142,7 +132,7 @@ class RoleKernel:
         return masks
 
 
-def compile_role_kernel(proto_graph: Graph) -> RoleKernel:
+def compile_kernel(proto_graph: Graph) -> RoleKernel:
     """Compile the bitmask tables for ``proto_graph``."""
     return RoleKernel(proto_graph)
 
@@ -172,8 +162,8 @@ _M_KERNEL_HITS = _KERNEL_CACHE_METRICS.counter("cache.kernel.hits")
 _M_KERNEL_MISSES = _KERNEL_CACHE_METRICS.counter("cache.kernel.misses")
 
 
-def cached_role_kernel(proto_graph: Graph) -> RoleKernel:
-    """Class-keyed :func:`compile_role_kernel` memoization.
+def cached_kernel(proto_graph: Graph) -> RoleKernel:
+    """Class-keyed :func:`compile_kernel` memoization.
 
     Prototype graphs recur heavily across a batch (label-isomorphic
     templates share prototype structures, and every level of a pipeline
@@ -297,244 +287,10 @@ def compile_walk_schedule(constraint) -> WalkSchedule:
     return WalkSchedule(constraint)
 
 
-def candidate_masks(state: SearchState, kernel: RoleKernel) -> Dict[int, int]:
-    """Snapshot ``state.candidates`` as per-vertex role bitmasks."""
-    mask_of = kernel.mask_of
-    return {v: mask_of(roles) for v, roles in state.candidates.items()}
-
-
-def kernel_fixpoint(
-    state: SearchState,
-    kernel: RoleKernel,
-    engine,
-    max_iterations: Optional[int] = None,
-    delta: bool = True,
-    mandatory_masks: Optional[Dict[int, int]] = None,
-) -> int:
-    """Run the bitmask arc-consistency fixed point over ``state`` in place.
-
-    ``mandatory_masks`` selects the rule applied per role bit:
-
-    * ``None`` — LCC (Alg. 4): a role survives iff *every* template
-      neighbor is witnessed by an active neighbor;
-    * a dict — max-candidate-set generation (§3.1): a role survives iff
-      all *mandatory* neighbors and at least one template neighbor are
-      witnessed (roles without template edges always survive).
-
-    ``delta=True`` enables the semi-naive worklist mode; ``delta=False``
-    mirrors the baseline's all-active re-broadcast exactly (including its
-    message counts).  Returns the number of rounds executed, matching the
-    baseline's count (the final no-change round is paid in both).
-    """
-    candidates = state.candidates
-    active_edges = state.active_edges
-    edge_label = state.graph.edge_label
-
-    masks = candidate_masks(state, kernel)
-    original = dict(masks)
-    #: persistent per-vertex inbox: v -> {active neighbor u -> u's mask}
-    inbox: Dict[int, Dict[int, int]] = {v: {} for v in masks}
-
-    neighbor_masks = kernel.neighbor_masks
-    mcs_mode = mandatory_masks is not None
-    edge_labeled = kernel.edge_labeled and not mcs_mode
-    any_neighbor_masks = kernel.any_neighbor_masks
-    labeled_neighbor_masks = kernel.labeled_neighbor_masks
-
-    #: vertices whose inbox gained an entry this traversal (re-evaluate)
-    received: Set[int] = set()
-
-    def visit(ctx, visitor: Visitor) -> None:
-        payload = visitor.payload
-        if payload is None:
-            vertex = visitor.target
-            mask = masks.get(vertex)
-            if not mask:
-                return
-            ctx.broadcast(vertex, active_edges.get(vertex, ()), (vertex, mask))
-        else:
-            target = visitor.target
-            box = inbox.get(target)
-            if box is not None:
-                box[payload[0]] = payload[1]
-                received.add(target)
-
-    def drop_vertex(vertex: int, pending: Set[int]) -> None:
-        """Deactivate ``vertex``; neighbors losing a witness re-evaluate."""
-        masks.pop(vertex, None)
-        inbox.pop(vertex, None)
-        candidates.pop(vertex, None)
-        for nbr in active_edges.pop(vertex, ()):
-            box = inbox.get(nbr)
-            if box is not None and vertex in box:
-                del box[vertex]
-                pending.add(nbr)
-            other = active_edges.get(nbr)
-            if other is not None:
-                other.discard(vertex)
-
-    def drop_edge(u: int, v: int, pending: Set[int]) -> None:
-        active_edges.get(u, set()).discard(v)
-        active_edges.get(v, set()).discard(u)
-        box = inbox.get(u)
-        if box is not None and v in box:
-            del box[v]
-            pending.add(u)
-        box = inbox.get(v)
-        if box is not None and u in box:
-            del box[u]
-            pending.add(v)
-
-    iterations = 0
-    broadcasters: Optional[Set[int]] = None  # None = all active vertices
-    pending: Set[int] = set()  # inbox shrank since last evaluation
-    while max_iterations is None or iterations < max_iterations:
-        iterations += 1
-        received.clear()
-        if broadcasters is None:
-            seeds = (Visitor(v) for v in list(candidates))
-        else:
-            seeds = (Visitor(v) for v in broadcasters)
-        engine.do_traversal(seeds, visit)
-
-        if broadcasters is None:
-            # Full rounds (round 1, and every non-delta round) evaluate
-            # every vertex: isolated candidates receive nothing but must
-            # still fail their support checks.
-            evaluate = list(masks)
-        else:
-            evaluate = list(received | pending)
-        pending = set()
-
-        # ---------------------------------------------- role refinement
-        changed_vertices: Set[int] = set()
-        eliminated = []
-        for vertex in evaluate:
-            mask = masks.get(vertex)
-            if not mask:
-                continue
-            box = inbox.get(vertex)
-            witnessed = 0
-            if box:
-                for received_mask in box.values():
-                    witnessed |= received_mask
-            if edge_labeled:
-                witnessed_by_label: Dict[Optional[int], int] = {}
-                if box:
-                    for nbr, received_mask in box.items():
-                        lab = edge_label(vertex, nbr)
-                        witnessed_by_label[lab] = (
-                            witnessed_by_label.get(lab, 0) | received_mask
-                        )
-            surviving = 0
-            remaining = mask
-            while remaining:
-                bit = remaining & -remaining
-                remaining ^= bit
-                if mcs_mode:
-                    required = neighbor_masks[bit]
-                    if not required or (
-                        not mandatory_masks[bit] & ~witnessed
-                        and required & witnessed
-                    ):
-                        surviving |= bit
-                elif edge_labeled:
-                    if any_neighbor_masks[bit] & ~witnessed:
-                        continue
-                    for wanted, required in labeled_neighbor_masks[bit].items():
-                        if required & ~witnessed_by_label.get(wanted, 0):
-                            break
-                    else:
-                        surviving |= bit
-                else:
-                    if not neighbor_masks[bit] & ~witnessed:
-                        surviving |= bit
-            if surviving != mask:
-                changed_vertices.add(vertex)
-                if surviving:
-                    masks[vertex] = surviving
-                else:
-                    eliminated.append(vertex)
-        for vertex in eliminated:
-            drop_vertex(vertex, pending)
-
-        # ---------------------------------------------- edge elimination
-        changed = bool(changed_vertices)
-        if broadcasters is None:
-            edge_scope = list(masks)
-            check_all_pairs = True
-        else:
-            edge_scope = [v for v in changed_vertices if v in masks]
-            check_all_pairs = False
-        for vertex in edge_scope:
-            mask_v = masks.get(vertex)
-            if not mask_v:
-                continue
-            for nbr in list(active_edges.get(vertex, ())):
-                if check_all_pairs and nbr < vertex and nbr in masks:
-                    continue  # the pair is handled from nbr's side
-                mask_u = masks.get(nbr)
-                if mask_u and _adjacent_pair(
-                    kernel, mask_v, mask_u,
-                    edge_label(vertex, nbr) if edge_labeled else None,
-                    edge_labeled,
-                ):
-                    continue
-                drop_edge(vertex, nbr, pending)
-                changed = True
-
-        if not changed:
-            break
-        if delta:
-            broadcasters = {v for v in changed_vertices if v in masks}
-        else:
-            broadcasters = None
-
-    # Write the surviving role masks back into the canonical set form.
-    roles_of = kernel.roles_of
-    for vertex, mask in masks.items():
-        if mask != original[vertex]:
-            candidates[vertex] = roles_of(mask)
-    return iterations
-
-
-def _adjacent_pair(
-    kernel: RoleKernel,
-    mask_a: int,
-    mask_b: int,
-    graph_edge_label: Optional[int],
-    edge_labeled: bool,
-) -> bool:
-    """Bitmask form of ``lcc._has_adjacent_pair``."""
-    if not edge_labeled:
-        neighbor_masks = kernel.neighbor_masks
-        remaining = mask_a
-        while remaining:
-            bit = remaining & -remaining
-            remaining ^= bit
-            if neighbor_masks[bit] & mask_b:
-                return True
-        return False
-    any_neighbor_masks = kernel.any_neighbor_masks
-    labeled_neighbor_masks = kernel.labeled_neighbor_masks
-    remaining = mask_a
-    while remaining:
-        bit = remaining & -remaining
-        remaining ^= bit
-        acceptable = any_neighbor_masks[bit]
-        by_label = labeled_neighbor_masks[bit]
-        if by_label and graph_edge_label is not None:
-            acceptable |= by_label.get(graph_edge_label, 0)
-        if acceptable & mask_b:
-            return True
-    return False
-
-
 __all__ = [
     "RoleKernel",
     "WalkSchedule",
-    "candidate_masks",
-    "compile_role_kernel",
+    "cached_kernel",
+    "compile_kernel",
     "compile_walk_schedule",
-    "kernel_fixpoint",
 ]

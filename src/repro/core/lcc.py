@@ -20,79 +20,67 @@ from typing import AbstractSet, Dict, Optional, Set
 from ..graph.graph import Graph
 from ..runtime.engine import Engine
 from ..runtime.visitor import Visitor
-from .arraystate import (
-    array_kernel_fixpoint,
-    run_array_fixpoint,
-)
-from .kernels import RoleKernel, compile_role_kernel, kernel_fixpoint
+from .arraystate import ArraySearchState, array_kernel_fixpoint
+from .kernels import RoleKernel, cached_kernel
 from .state import SearchState
 
 
 def local_constraint_checking(
-    state: Optional[SearchState],
+    state: "SearchState | ArraySearchState",
     proto_graph: Graph,
     engine: Engine,
     max_iterations: Optional[int] = None,
-    role_kernel: bool = True,
-    delta: bool = True,
     kernel: Optional[RoleKernel] = None,
-    array_state: bool = False,
-    astate=None,
     warm_mask=None,
     adaptive: bool = False,
 ) -> int:
-    """Prune ``state`` to the LCC fixed point for ``proto_graph``.
+    """Prune ``state`` to the LCC fixed point for ``proto_graph``, in place.
 
     Returns the number of iterations executed.  ``max_iterations`` bounds
     the loop (useful for ablation experiments); ``None`` runs to fixpoint.
 
-    ``role_kernel`` selects the bitmask hot path (:mod:`~repro.core.kernels`),
-    compiling ``proto_graph`` unless a prepared ``kernel`` is supplied;
-    ``delta`` additionally enables the semi-naive worklist mode, and
-    ``array_state`` the vectorized CSR fixpoint
-    (:mod:`~repro.core.arraystate` — multi-word role masks cover any
-    template width).  All variants reach the same fixed point in the same
-    number of rounds.
+    The state's type picks the execution.  A :class:`SearchState` runs
+    the set-based reference rounds below: every active vertex broadcasts
+    its roles every round, one visitor per message.  An
+    :class:`~repro.core.arraystate.ArraySearchState` runs the vectorized
+    semi-naive fixpoint (:func:`~repro.core.arraystate.array_kernel_fixpoint`)
+    over the prototype's bitmask ``kernel`` (compiled unless supplied).
+    Both reach the same fixed point in the same number of rounds; the
+    array rounds re-broadcast only what changed, so they send fewer
+    messages.
 
-    Passing a live ``astate`` (level-persistent array mode) runs the
-    vectorized fixpoint directly on it — no dict round trip; ``state`` is
-    not read (it may be ``None``).  ``warm_mask``
-    restricts the first round's broadcast accounting to the vertices whose
-    state actually differs from the parent scope it was derived from (the
-    warm-seeded worklist) — the fixed point and round count are unchanged.
-
-    ``adaptive`` (live-``astate`` path only) enables the metrics-driven
-    dense/sparse round switch in
-    :func:`~repro.core.arraystate.array_kernel_fixpoint`; the fixed point
-    is unchanged by construction.
+    Array-only: ``warm_mask`` restricts the first round's broadcast
+    accounting to the vertices whose state actually differs from the
+    parent scope it was derived from (the warm-seeded worklist), and
+    ``adaptive`` enables the metrics-driven dense/sparse round switch;
+    neither changes the fixed point or the round count.
 
     When the engine carries an enabled tracer, the whole fixpoint runs
     inside an ``lcc`` span counting iterations, pruned vertices/edges and
     message traffic (each round contributes its own child span).
     """
-    if kernel is None and role_kernel:
-        kernel = compile_role_kernel(proto_graph)
     tracer = engine.tracer
     stats = engine.stats
-    counter = astate if astate is not None else state
     if tracer.enabled:
-        before_vertices, before_edges = counter.active_counts()
+        before_vertices, before_edges = state.active_counts()
         before_messages = stats.total_messages
         before_remote = stats.total_remote_messages
     with stats.phase("lcc"), tracer.span("lcc") as span:
-        if astate is not None:
+        if isinstance(state, ArraySearchState):
             iterations = array_kernel_fixpoint(
-                astate, kernel, engine,
-                max_iterations=max_iterations, delta=delta,
+                state, kernel or cached_kernel(proto_graph), engine,
+                max_iterations=max_iterations,
                 warm_mask=warm_mask, adaptive=adaptive,
             )
         else:
-            iterations = _run_fixpoint(
-                state, proto_graph, engine, max_iterations, kernel, delta,
-                array_state,
-            )
+            iterations = 0
+            while max_iterations is None or iterations < max_iterations:
+                iterations += 1
+                received = _exchange_candidacies(state, engine)
+                if not _apply_round(state, proto_graph, received):
+                    break
     if tracer.enabled:
-        after_vertices, after_edges = counter.active_counts()
+        after_vertices, after_edges = state.active_counts()
         span.add(
             iterations=iterations,
             vertices_pruned=before_vertices - after_vertices,
@@ -100,35 +88,6 @@ def local_constraint_checking(
             messages=stats.total_messages - before_messages,
             remote_messages=stats.total_remote_messages - before_remote,
         )
-    return iterations
-
-
-def _run_fixpoint(
-    state: SearchState,
-    proto_graph: Graph,
-    engine: Engine,
-    max_iterations: Optional[int],
-    kernel: Optional[RoleKernel],
-    delta: bool,
-    array_state: bool,
-) -> int:
-    """Dispatch to the array / kernel / set-based fixpoint variant."""
-    if kernel is not None:
-        if array_state:
-            return run_array_fixpoint(
-                state, kernel, engine,
-                max_iterations=max_iterations, delta=delta,
-            )
-        return kernel_fixpoint(
-            state, kernel, engine,
-            max_iterations=max_iterations, delta=delta,
-        )
-    iterations = 0
-    while max_iterations is None or iterations < max_iterations:
-        iterations += 1
-        received = _exchange_candidacies(state, engine)
-        if not _apply_round(state, proto_graph, received):
-            break
     return iterations
 
 

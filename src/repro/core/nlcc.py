@@ -21,19 +21,20 @@ verified (vertex, role) pairs and traversed edges are recorded so the state
 can be reduced to exactly the solution subgraph, and the number of
 completed tokens equals the number of match mappings (used for counting).
 
-Two executions of the same walk are available:
+Two executions of the same walk are available, picked by the state's
+type:
 
-* the dict token walk below — one Python tuple per token, driven through
-  the engine's visitor callbacks;
-* the batched array frontier (:func:`~repro.core.arraystate.array_token_walk`)
-  — whole token generations as struct-of-arrays advanced one hop per
-  round over the CSR, with per-(vertex, hop, initiator) dedup.  A hop
-  back to a vertex the token already carries is one edge look-up per
-  row, not an expansion; the messages the model sends for it are charged
-  all the same.  Selected via ``array_nlcc=True`` (per-constraint round
-  trip through the array state) or by passing a live ``astate`` (the
-  level-persistent mode, no conversions).  Results are identical; only
-  message counts may shrink under dedup.
+* on a :class:`~repro.core.state.SearchState`, the reference token walk
+  below — one Python tuple per token, driven through the engine's
+  visitor callbacks;
+* on an :class:`~repro.core.arraystate.ArraySearchState`, the batched
+  array frontier (:func:`~repro.core.arraystate.array_token_walk`) —
+  whole token generations as struct-of-arrays advanced one hop per round
+  over the CSR, with per-(vertex, hop, initiator) dedup.  A hop back to a
+  vertex the token already carries is one edge look-up per row, not an
+  expansion; the messages the model sends for it are charged all the
+  same.  Results are identical; only message counts may shrink under
+  dedup.
 
 The array frontier's bookkeeping stays in arrays: the recycling cache is
 probed and extended as sorted vertex-id arrays
@@ -50,7 +51,7 @@ from ..graph.graph import canonical_edge
 from ..runtime.engine import Engine
 from ..runtime.visitor import Visitor
 from .constraints import FULL_WALK_KIND, NonLocalConstraint
-from .kernels import RoleKernel, candidate_masks, compile_walk_schedule
+from .kernels import RoleKernel, cached_kernel, compile_walk_schedule
 from .state import NlccCache, SearchState
 
 
@@ -106,11 +107,11 @@ class NlccResult:
         #: per completed full-walk token (array walk)
         self.completed_paths = None
         #: token rows collapsed by the array frontier's canonical fold
-        #: (always 0 on the dict path, which never dedups)
+        #: (always 0 on the reference walk, which never dedups)
         self.dedup_merged = 0
         #: rows the array frontier materialised — expansion rows plus
         #: revisit look-up probes; the engine's message counters hold what
-        #: the paper's model sends (always 0 on the dict path)
+        #: the paper's model sends (always 0 on the reference walk)
         self.rows_expanded = 0
 
     @property
@@ -216,14 +217,12 @@ class NlccResult:
 
 
 def non_local_constraint_checking(
-    state: Optional[SearchState],
+    state,
     constraint: NonLocalConstraint,
     engine: Engine,
     cache: Optional[NlccCache] = None,
     recycle: bool = True,
     kernel: Optional[RoleKernel] = None,
-    astate=None,
-    array_nlcc: bool = False,
 ) -> NlccResult:
     """Verify ``constraint`` over ``state`` in place; returns the outcome.
 
@@ -232,27 +231,20 @@ def non_local_constraint_checking(
     Recycling never applies to full walks: their completions double as the
     exact match evidence and must be recomputed per prototype.
 
-    With a compiled ``kernel`` (see :mod:`~repro.core.kernels`), the
-    per-hop role membership test becomes a single bitmask check against a
-    role-mask snapshot taken before the traversal (the state is only
-    mutated afterwards, so the snapshot stays valid throughout).
-
-    ``array_nlcc=True`` (requires a kernel within the mask width) runs the
-    batched array frontier instead, round-tripping ``state`` through an
-    :class:`~repro.core.arraystate.ArraySearchState` per constraint.
-    Passing a live ``astate`` skips the round trip entirely: the array
-    state is treated as authoritative and mutated in place; ``state`` is
-    not read (it may be ``None``).
+    A :class:`SearchState` runs the reference token walk; an
+    :class:`~repro.core.arraystate.ArraySearchState` runs the batched
+    array frontier over the prototype's bitmask ``kernel`` (compiled from
+    ``constraint.proto_graph`` unless supplied).
     """
-    if kernel is not None and (astate is not None or array_nlcc):
-        return _check_array(
-            state, constraint, engine, cache, recycle, kernel, astate
-        )
-    return _check_dict(state, constraint, engine, cache, recycle, kernel)
+    if isinstance(state, SearchState):
+        return _check_dict(state, constraint, engine, cache, recycle)
+    if kernel is None:
+        kernel = cached_kernel(constraint.proto_graph)
+    return _check_array(state, constraint, engine, cache, recycle, kernel)
 
 
 # ----------------------------------------------------------------------
-# Dict token walk
+# Reference token walk
 # ----------------------------------------------------------------------
 def _check_dict(
     state: SearchState,
@@ -260,7 +252,6 @@ def _check_dict(
     engine: Engine,
     cache: Optional[NlccCache],
     recycle: bool,
-    kernel: Optional[RoleKernel],
 ) -> NlccResult:
     walk = constraint.walk
     walk_len = len(walk)
@@ -279,27 +270,11 @@ def _check_dict(
     if hop_edge_labels is not None:
         graph_edge_label = state.graph.edge_label
 
-    # Bitmask fast path: snapshot role masks once; the per-hop role test
-    # is then one AND against the walk position's precompiled bit.
-    vmasks = None
-    if kernel is not None:
-        vmasks = candidate_masks(state, kernel)
-        role_bit = kernel.role_bit
-        source_bit = role_bit[source_role]
-        hop_bits = [role_bit[walk[hop]] for hop in range(walk_len)]
-
-    if kernel is None:
-        def visit(ctx, visitor: Visitor) -> None:
-            if visitor.payload is None:
-                _initiate(ctx, visitor.target)
-            else:
-                _advance(ctx, visitor.target, visitor.payload)
-    else:
-        def visit(ctx, visitor: Visitor) -> None:
-            if visitor.payload is None:
-                _initiate_kernel(ctx, visitor.target)
-            else:
-                _advance_kernel(ctx, visitor.target, visitor.payload)
+    def visit(ctx, visitor: Visitor) -> None:
+        if visitor.payload is None:
+            _initiate(ctx, visitor.target)
+        else:
+            _advance(ctx, visitor.target, visitor.payload)
 
     def _initiate(ctx, vertex: int) -> None:
         roles = candidates.get(vertex)
@@ -331,39 +306,6 @@ def _check_dict(
         if hop == walk_len - 1:
             # Closed walk: the identity check above already forced
             # vertex == token[0], the initiator.
-            result.completions += 1
-            result.satisfied.add(extended[0])
-            if is_full_walk:
-                _record_match(extended)
-            return
-        ctx.broadcast(vertex, active_edges.get(vertex, ()), extended)
-
-    def _initiate_kernel(ctx, vertex: int) -> None:
-        if not vmasks.get(vertex, 0) & source_bit:
-            return
-        result.checked.add(vertex)
-        if use_cache and cache.is_satisfied(constraint.key, vertex):
-            result.satisfied.add(vertex)
-            result.recycled.add(vertex)
-            return
-        ctx.broadcast(vertex, active_edges.get(vertex, ()), (vertex,))
-
-    def _advance_kernel(ctx, vertex: int, token: Tuple[int, ...]) -> None:
-        hop = len(token)  # position of `vertex` in the walk
-        if not vmasks.get(vertex, 0) & hop_bits[hop]:
-            return  # drop token
-        if hop_edge_labels is not None:
-            wanted = hop_edge_labels[hop]
-            if wanted is not None and graph_edge_label(token[-1], vertex) != wanted:
-                return
-        for position in same_positions[hop]:
-            if token[position] != vertex:
-                return
-        for position in diff_positions[hop]:
-            if token[position] == vertex:
-                return
-        extended = token + (vertex,)
-        if hop == walk_len - 1:
             result.completions += 1
             result.satisfied.add(extended[0])
             if is_full_walk:
@@ -450,28 +392,18 @@ def _reduce_to_confirmed(state: SearchState, result: NlccResult) -> None:
 # Array token frontier
 # ----------------------------------------------------------------------
 def _check_array(
-    state: Optional[SearchState],
+    astate,
     constraint: NonLocalConstraint,
     engine: Engine,
     cache: Optional[NlccCache],
     recycle: bool,
     kernel: RoleKernel,
-    astate,
 ) -> NlccResult:
-    """Run the constraint on the batched array frontier.
-
-    With ``astate=None`` the dict ``state`` is imported, checked, and
-    written back (the per-constraint round-trip mode); otherwise
-    ``astate`` is mutated in place and ``state`` is not read (the
-    level-persistent mode).
-    """
+    """Run the constraint on the batched array frontier, ``astate`` in place."""
     import numpy as np
 
-    from .arraystate import ArraySearchState, array_token_walk
+    from .arraystate import array_token_walk
 
-    sync_dict = astate is None
-    if sync_dict:
-        astate = ArraySearchState.from_search_state(state, roles=kernel.roles)
     is_full_walk = constraint.kind == FULL_WALK_KIND
     use_cache = recycle and cache is not None and not is_full_walk
     schedule = compile_walk_schedule(constraint)
@@ -564,8 +496,6 @@ def _check_array(
             messages=stats.total_messages - before_messages,
             remote_messages=stats.total_remote_messages - before_remote,
         )
-    if sync_dict:
-        astate.write_back(state)
     return result
 
 
@@ -602,7 +532,7 @@ def _reduce_to_confirmed_array(
     confirmed[walk_out.full_edges] = True
     confirmed |= confirmed[csr.mirror]
 
-    # Match evidence, identical to the dict walk's _record_match output.
+    # Match evidence, identical to the reference walk's _record_match output.
     # None of it is decoded here: the dense arrays are the stored form,
     # and NlccResult builds confirmed_roles / confirmed_edges /
     # completed_mappings from them only if a consumer asks.
@@ -614,7 +544,7 @@ def _reduce_to_confirmed_array(
         result.completed_paths = csr.order[paths]
         result._completed_mappings = None
 
-    # Reduction, mirroring the dict loop exactly: unconfirmed candidates
+    # Reduction, mirroring the reference loop exactly: unconfirmed candidates
     # deactivate (killing their edges both ways); survivors' roles are
     # replaced by their confirmed set; an unconfirmed alive edge dies only
     # when examined from its smaller-id endpoint's side with that endpoint

@@ -208,8 +208,8 @@ class ConstraintPlan:
         answered afresh per scope: a plan is shared, nothing is kept on it.
 
         Without a full walk there is nothing to fall back on, and without
-        an array scope (``astate is None``: the dict tiers) the paper's
-        complete list runs; both skip nothing.
+        an array scope (``astate is None``: the reference backend) the
+        paper's complete list runs; both skip nothing.
         """
         non_local = self.non_local
         full_walk = self.full_walk()

@@ -93,9 +93,9 @@ def _solution_astate(graph: Graph, outcome) -> ArraySearchState:
     The CSR of ``graph`` is memoized (:func:`~repro.core.arraystate.csr_of`),
     so re-enumeration after a pipeline run reuses the run's own CSR.
     """
-    from .kernels import cached_role_kernel
+    from .kernels import cached_kernel
 
-    kernel = cached_role_kernel(outcome.prototype.graph)
+    kernel = cached_kernel(outcome.prototype.graph)
     return ArraySearchState.from_search_state(
         _solution_state(graph, outcome), roles=kernel.roles
     )

@@ -83,21 +83,14 @@ class PipelineOptions:
     batch_size: int = 64
     #: search-space reduction: compute M* before any search (§3.1)
     use_max_candidate_set: bool = True
-    #: bitmask role kernels for the LCC/NLCC hot paths (results identical)
-    role_kernel: bool = True
-    #: semi-naive (delta/worklist) LCC fixpoint — fewer visitors/messages,
-    #: same fixed point; only effective together with ``role_kernel``
-    delta_lcc: bool = True
-    #: vectorized CSR/bit-vector fixpoint state (core/arraystate) for the
-    #: LCC and M* hot loops — same fixed points, batched visitor payloads;
-    #: only effective together with ``role_kernel``
-    array_state: bool = True
-    #: batched array token frontiers for NLCC (core/arraystate walk), plus
-    #: level-persistent array search state in the in-process pipeline —
-    #: identical results, token storms collapsed by the dedup fold; only
-    #: effective together with ``role_kernel`` and ``array_state``, and
-    #: falls back losslessly to the dict token walk otherwise
-    array_nlcc: bool = True
+    #: execution: "array" (level state in CSR bit vectors, vectorized
+    #: semi-naive fixpoints, batched token frontiers, pooled scopes shipped
+    #: as shared-memory bitmaps) or "reference" (the paper's visitor model
+    #: on dict-of-sets state: every active vertex re-broadcasts every LCC
+    #: round, one Python token per NLCC message, every prototype checks
+    #: its complete constraint list — the message and visit counts of the
+    #: paper's message analysis).  Answers are identical.
+    backend: str = "array"
     #: search-space reduction: containment rule across levels (Obs. 1)
     use_containment: bool = True
     #: redundant work elimination: recycle NLCC results (Obs. 2)
@@ -131,17 +124,16 @@ class PipelineOptions:
     max_prototypes: Optional[int] = 200_000
     #: OS worker processes that actually execute prototype searches in
     #: parallel (1 = in-process).  Orthogonal to `parallel_deployments`,
-    #: which models replica deployments in the simulated cost.
+    #: which models replica deployments in the simulated cost.  With the
+    #: array backend the workers share one graph CSR via a shared-memory
+    #: segment and scopes ship as packed bitmaps; the reference backend
+    #: ships dict payloads.
     worker_processes: int = 1
-    #: pooled runs share one graph CSR via a shared-memory segment and
-    #: ship scopes as packed bitmaps (when the array stack is eligible);
-    #: False forces the legacy per-task dict payloads
-    shm_pool: bool = True
     #: GraphMini-style auxiliary pruned graphs: when a level's solution
     #: union has pruned the scope far enough, pack the surviving
     #: adjacency into a compact ``GraphCsr.induced_view`` and run every
     #: remaining level on the view instead of ``G`` (in-process array
-    #: sweep only; results are bit-identical, original vertex ids are
+    #: backend only; results are bit-identical, original vertex ids are
     #: preserved)
     aux_views: bool = False
     #: materialize a view only when the scope keeps at most this fraction
@@ -171,6 +163,8 @@ class PipelineOptions:
     constraint_costs: object = field(default_factory=ConstraintCostModel)
 
     def __post_init__(self) -> None:
+        if self.backend not in ("reference", "array"):
+            raise PipelineError(f"unknown backend {self.backend!r}")
         if self.parallel_deployments <= 0:
             raise PipelineError("parallel_deployments must be positive")
         if self.load_balance not in ("none", "reshuffle"):
@@ -232,7 +226,8 @@ def run_pipeline(
     """
     options = options or PipelineOptions()
     with options.tracer.span(
-        "pipeline", template=template.name, k=k, mode="bottom-up"
+        "pipeline", template=template.name, k=k, mode="bottom-up",
+        backend=options.backend,
     ):
         return _run_bottom_up(
             graph, template, k, options, prototype_set, candidate_memo
@@ -259,7 +254,7 @@ def _run_bottom_up(
     )
     label_frequencies = planner.label_frequencies
 
-    result = PipelineResult(template.name, k, protos)
+    result = PipelineResult(template.name, k, protos, backend=options.backend)
     all_stats: List[MessageStats] = []
     cache = NlccCache() if options.work_recycling else None
     cost_model = options.cost_model
@@ -277,39 +272,25 @@ def _run_bottom_up(
         base_pgraph, mcs_stats, options.batch_size, tracer=tracer,
         metrics=options.metrics,
     )
-    # Level state stays array-resident whenever the array stack is on:
-    # M* comes straight out of the vectorized fixpoint, every prototype
-    # scope is cut from it (or from the previous level's union) in array
-    # form with a warm-seeded first LCC round, and each level's solution
-    # subgraphs are OR-ed into an array union.  A dict state exists only
-    # where a dict consumer asks for one (rebalancing, legacy pool
-    # payloads).
-    fallback_reason = array_fallback_reason(template, options)
-    array_level = fallback_reason is None
-    template_roles = sorted(template.graph.vertices())
+    # The backend fixes the state form of the whole run: on the array
+    # backend M* comes straight out of the vectorized fixpoint, every
+    # prototype scope is cut from it (or from the previous level's union)
+    # in array form with a warm-seeded first LCC round, and each level's
+    # solution subgraphs are OR-ed into an array union; the reference
+    # backend keeps all of it in dict-of-sets form.
+    array = options.backend == "array"
     base: "SearchState | ArraySearchState"
-    if array_level:
-        if options.use_max_candidate_set:
-            base = max_candidate_arrays(
-                graph, template, mcs_engine,
-                delta=options.delta_lcc, memo=candidate_memo,
-                adaptive=options.adaptive,
-            )
-        else:
-            base = ArraySearchState.initial(graph, template)
-    elif options.use_max_candidate_set:
-        base = max_candidate_set(
-            graph, template, mcs_engine,
-            role_kernel=options.role_kernel, delta=options.delta_lcc,
-            array_state=options.array_state,
-            memo=candidate_memo,
-            adaptive=options.adaptive,
+    if options.use_max_candidate_set:
+        base = max_candidate_scope(
+            graph, template, mcs_engine, options, memo=candidate_memo
         )
+    elif array:
+        base = ArraySearchState.initial(graph, template)
     else:
         base = SearchState.initial(graph, template)
     all_stats.append(mcs_stats)
     # a batch hands its pipelines an ``aux_views`` M* view as their graph
-    on_aux_view = array_level and base.csr.parent is not None
+    on_aux_view = array and base.csr.parent is not None
     base = compact_scope(base, options, result)
     (
         result.candidate_set_vertices,
@@ -326,7 +307,7 @@ def _run_bottom_up(
     infrastructure = 0.0
     rebalancing = options.load_balance == "reshuffle" or reload_requested
     if rebalancing:
-        pruned = _as_dict_state(base).to_graph()
+        pruned = (base.to_search_state() if array else base).to_graph()
         infrastructure += REBALANCE_COST_PER_EDGE * (
             2 * pruned.num_edges + pruned.num_vertices
         )
@@ -353,28 +334,13 @@ def _run_bottom_up(
         )
 
     # ------------------------------------------------------ level sweep
-    want_matches = options.count_matches or options.collect_matches
     # Per-child stored matches for the enumeration optimization: dense
-    # ArrayMatchSet tables on the array path, per-match dict lists
-    # otherwise (full-walk collections, dict-path searches).
+    # ArrayMatchSet tables on the array backend, per-match dict lists
+    # otherwise (full-walk collections, reference searches).
     stored_matches: Dict[int, Any] = {}
-    # The previous level's union, in the form the level that produced it
-    # used: array from in-process array sweeps and shm-pooled levels, dict
-    # from the dict tiers and legacy pool payloads.  The forms only ever
-    # meet when ``shm_pool=False`` mixes dict-pooled and in-process array
-    # levels; the conversions below cover exactly that.
+    #: the previous level's union, in the run's state form
     union_prev: "SearchState | ArraySearchState | None" = None
-    #: M* for the legacy dict pool payloads, exported at most once
-    dict_base: Optional[SearchState] = None
     deepest = protos.max_distance
-
-    if not array_level:
-        result.array_fallback_reason = fallback_reason
-        if tracer.enabled:
-            with tracer.span(
-                "array_fallback", reason=fallback_reason
-            ) as fb_span:
-                fb_span.add(dict_path_levels=deepest + 1)
 
     pool = None
     if options.worker_processes > 1:
@@ -393,20 +359,10 @@ def _run_bottom_up(
                 next_stored: Dict[int, Any] = {}
 
                 if pool is not None and len(protos.at(distance)) > 1:
-                    if pool.array_payloads:
-                        union_prev = _pooled_level_array(
-                            pool, protos, distance, deepest, base,
-                            union_prev, options, level, result,
-                        )
-                    else:
-                        if dict_base is None:
-                            dict_base = _as_dict_state(base)
-                        if union_prev is not None:
-                            union_prev = _as_dict_state(union_prev)
-                        union_prev = _pooled_level(
-                            pool, protos, distance, deepest, dict_base,
-                            union_prev, options, level, result,
-                        )
+                    union_prev = _pooled_level(
+                        pool, protos, distance, deepest, base,
+                        union_prev, options, level, result,
+                    )
                     _finish_level(
                         level, result, options, label_frequencies, union_prev,
                         rebalancing, distance, level_wall, span=level_span,
@@ -415,15 +371,11 @@ def _run_bottom_up(
                     continue
 
                 # Union of this level's solution subgraphs = next level's scope.
-                union: "SearchState | ArraySearchState"
-                if array_level:
-                    if isinstance(union_prev, SearchState):
-                        union_prev = ArraySearchState.from_search_state(
-                            union_prev, roles=template_roles
-                        )
-                    union = ArraySearchState.empty(base.csr)
-                else:
-                    union = SearchState.empty(graph)
+                union: "SearchState | ArraySearchState" = (
+                    ArraySearchState.empty(base.csr)
+                    if array
+                    else SearchState.empty(graph)
+                )
 
                 for proto in protos.at(distance):
                     extended = None
@@ -435,9 +387,10 @@ def _run_bottom_up(
                         )
                     if extended is not None:
                         outcome, proto_state = extended
-                        if array_level:
+                        if array:
                             proto_state = ArraySearchState.from_search_state(
-                                proto_state, roles=template_roles
+                                proto_state,
+                                roles=sorted(template.graph.vertices()),
                             )
                         next_stored[proto.id] = (
                             outcome.match_set
@@ -456,7 +409,7 @@ def _run_bottom_up(
                             tracer=tracer, metrics=options.metrics,
                         )
                         outcome = search_prototype(
-                            None if array_level else proto_state,
+                            proto_state,
                             proto,
                             planner.plan(proto.graph),
                             engine,
@@ -467,11 +420,7 @@ def _run_bottom_up(
                                 options.collect_matches or options.enumeration_optimization
                             ),
                             verification=options.verification,
-                            role_kernel=options.role_kernel,
-                            delta_lcc=options.delta_lcc,
-                            array_state=options.array_state,
-                            array_nlcc=options.array_nlcc,
-                            array_scope=proto_state if array_level else None,
+                            backend=options.backend,
                             warm_mask=warm_mask,
                             adaptive=options.adaptive,
                             constraint_costs=options.constraint_costs,
@@ -489,7 +438,7 @@ def _run_bottom_up(
                     if not options.collect_matches:
                         outcome.matches = None
                     level.outcomes.append(outcome)
-                    if array_level:
+                    if array:
                         union.absorb_solution(*proto_state.solution_masks())
                     else:
                         union.union_with(proto_state)
@@ -516,7 +465,7 @@ def _run_bottom_up(
                 # vertex id, which views preserve, so it stays.
                 if (
                     options.aux_views
-                    and array_level
+                    and array
                     and pool is None
                     and distance > 0
                     and options.use_containment
@@ -605,13 +554,6 @@ def finish_run(
     return result
 
 
-def _as_dict_state(state: "SearchState | ArraySearchState") -> SearchState:
-    """``state`` for a dict consumer (rebalancing, legacy pool payloads)."""
-    if isinstance(state, ArraySearchState):
-        return state.to_search_state()
-    return state
-
-
 def _initial_assignment(
     graph: Graph, num_ranks: int, options: PipelineOptions
 ) -> Optional[Dict[int, int]]:
@@ -656,9 +598,9 @@ def compact_scope(
     ``PartitionedGraph`` — keyed by id — reads the same ranks through
     ``rank_arrays(view)``, hence the same message and visit counts.
 
-    Declines for a dict or naive ``base``, under a pool (its shm segment
-    and scope bitmaps are ``G``'s) and when rebalancing (which exports
-    the scope to a dict graph anyway).  ``result.scope_view``, the
+    Declines for a reference or naive ``base``, under a pool (its shm
+    segment and scope bitmaps are ``G``'s) and when rebalancing (which
+    exports the scope to a dict graph anyway).  ``result.scope_view``, the
     ``scope_view`` span and the ``scope_view.*`` counters report the view.
     """
     if not (
@@ -749,22 +691,38 @@ def _pooled_level(
     protos: PrototypeSet,
     distance: int,
     deepest: int,
-    base_state: SearchState,
-    union_prev: Optional[SearchState],
+    base: "SearchState | ArraySearchState",
+    union_prev: "SearchState | ArraySearchState | None",
     options: PipelineOptions,
     level: LevelReport,
     result: PipelineResult,
-) -> SearchState:
-    """Execute one level's searches on the pool (legacy dict payloads)."""
-    from ..runtime.parallel import dict_task, payload_to_outcome
+) -> "SearchState | ArraySearchState":
+    """Execute one level's searches on the pool.
 
+    Scopes are cut by :func:`_starting_scope`.  On the array backend they
+    ship as packed bitmaps over the pool's shared CSR and workers return
+    packed solution bitmaps, OR-ed into an array union — no dict state is
+    ever materialized.  On the reference backend they ship as dict
+    payloads and the union is rebuilt from each outcome's solution lists.
+    Either union's roles stay empty: the next level's
+    ``for_prototype_search`` re-seeds them by label.
+    """
+    from ..runtime.parallel import array_task, dict_task, payload_to_outcome
+
+    array = isinstance(base, ArraySearchState)
     tasks = []
     for proto in protos.at(distance):
-        scoped, _ = _starting_scope(
-            proto, distance, deepest, base_state, union_prev, options
+        scoped, warm_mask = _starting_scope(
+            proto, distance, deepest, base, union_prev, options
         )
-        tasks.append(dict_task(proto.id, scoped))
-    union = SearchState.empty(base_state.graph)
+        tasks.append(
+            array_task(proto.id, scoped, warm_mask)
+            if array
+            else dict_task(proto.id, scoped)
+        )
+    union: "SearchState | ArraySearchState" = (
+        ArraySearchState.empty(base.csr) if array else SearchState.empty(base.graph)
+    )
     tracer = options.tracer
     for payload in pool.search_level(tasks):
         proto = protos.by_id(payload["proto_id"])
@@ -774,7 +732,13 @@ def _pooled_level(
         level.outcomes.append(outcome)
         for vertex in outcome.solution_vertices:
             result.match_vectors.setdefault(vertex, set()).add(proto.id)
-        # Rebuild the union scope from the exact solution subgraph.
+        if array:
+            vertex_bits, edge_bits = payload["solution_bits"]
+            union.absorb_solution(
+                unpack_bits(vertex_bits, base.csr.num_vertices),
+                unpack_bits(edge_bits, base.csr.num_directed_edges),
+            )
+            continue
         for vertex in outcome.solution_vertices:
             union.candidates.setdefault(vertex, set())
             union.active_edges.setdefault(vertex, set())
@@ -784,78 +748,19 @@ def _pooled_level(
     return union
 
 
-def _pooled_level_array(
-    pool: "PrototypeSearchPool",
-    protos: PrototypeSet,
-    distance: int,
-    deepest: int,
-    base_astate: "ArraySearchState",
-    union_aprev: Optional["ArraySearchState"],
+def max_candidate_scope(
+    graph: Graph,
+    template: PatternTemplate,
+    engine: Engine,
     options: PipelineOptions,
-    level: LevelReport,
-    result: PipelineResult,
-) -> "ArraySearchState":
-    """Execute one level's searches on the pool, arrays end to end.
-
-    Scopes are cut by :func:`_starting_scope` and shipped as packed
-    bitmaps over the pool's shared CSR — no dict ``SearchState`` is ever
-    materialized on this path.  Workers return packed solution bitmaps
-    that are OR-ed into an array-form union whose role masks stay zero,
-    exactly like the dict pooled union's empty candidate role sets.
-    """
-    from ..runtime.parallel import array_task, payload_to_outcome
-
-    tasks = []
-    for proto in protos.at(distance):
-        scoped, warm_mask = _starting_scope(
-            proto, distance, deepest, base_astate, union_aprev, options
+    memo: Optional["CandidateSetMemo"] = None,
+) -> "SearchState | ArraySearchState":
+    """``M*`` in the state form ``options.backend`` searches."""
+    if options.backend == "array":
+        return max_candidate_arrays(
+            graph, template, engine, memo=memo, adaptive=options.adaptive
         )
-        tasks.append(array_task(proto.id, scoped, warm_mask))
-    csr = base_astate.csr
-    union = ArraySearchState.empty(csr)
-    tracer = options.tracer
-    for payload in pool.search_level(tasks):
-        proto = protos.by_id(payload["proto_id"])
-        outcome = payload_to_outcome(
-            proto, payload, tracer=tracer, metrics=options.metrics
-        )
-        level.outcomes.append(outcome)
-        for vertex in outcome.solution_vertices:
-            result.match_vectors.setdefault(vertex, set()).add(proto.id)
-        vertex_bits, edge_bits = payload["solution_bits"]
-        union.absorb_solution(
-            unpack_bits(vertex_bits, csr.num_vertices),
-            unpack_bits(edge_bits, csr.num_directed_edges),
-        )
-    return union
-
-
-def array_fallback_reason(
-    template: PatternTemplate, options: PipelineOptions
-) -> Optional[str]:
-    """Why this run cannot keep level state in array form, or ``None``.
-
-    Only the explicit option switches remain: the array path is total —
-    multi-word role masks cover any template width, naive mode starts
-    from ``ArraySearchState.initial``, and the enumeration optimization
-    chains dense :class:`~repro.core.enumeration.ArrayMatchSet` tables —
-    so a run leaves array form only when the caller turned a stage of the
-    array stack off (role kernel + array LCC + array NLCC).  Batched runs
-    surface the returned string per class member so a library compile can
-    report exactly which templates lost the fast path.
-    """
-    if not options.role_kernel:
-        return "role_kernel disabled"
-    if not options.array_state:
-        return "array_state disabled"
-    if not options.array_nlcc:
-        return "array_nlcc disabled"
-    return None
-
-
-def _array_level_eligible(template: PatternTemplate, options: PipelineOptions) -> bool:
-    """Whether the in-process sweep can keep search state in array form."""
-    return array_fallback_reason(template, options) is None
+    return max_candidate_set(graph, template, engine, memo=memo)
 
 
 def _starting_scope(
@@ -873,8 +778,8 @@ def _starting_scope(
     previous level's union, ``warm_mask`` flags the vertices whose state
     actually differs from that union (activity changes plus endpoints of
     aliveness changes) — the surviving worklist that seeds the first LCC
-    round's broadcast accounting instead of a cold full broadcast.  Dict
-    scopes and scopes cut fresh from M* keep the cold broadcast
+    round's broadcast accounting instead of a cold full broadcast.
+    Reference scopes and scopes cut fresh from M* keep the cold broadcast
     (``warm_mask=None``).
     """
     use_union = (
@@ -911,10 +816,10 @@ def _try_extension(
 ) -> Optional[Tuple[PrototypeSearchOutcome, SearchState]]:
     """Derive this prototype's result from a child's stored matches (§4).
 
-    Children searched on the array path store dense
+    Children searched on the array backend store dense
     :class:`~repro.core.enumeration.ArrayMatchSet` tables; those extend
     through the batched array probe and keep the chain in array form.
-    Dict match lists (full-walk collections, dict-path searches) use the
+    Dict match lists (full-walk collections, reference searches) use the
     per-match probe.
     """
     from .enumeration import ArrayMatchSet, extend_from_child_matches_array

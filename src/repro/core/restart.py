@@ -30,8 +30,8 @@ from ..graph.graph import Graph
 from ..runtime.engine import Engine
 from ..runtime.messages import MessageStats
 from ..runtime.partition import PartitionedGraph
-from .candidate_set import max_candidate_set
-from .pipeline import PipelineOptions, run_pipeline
+from .arraystate import ArraySearchState
+from .pipeline import PipelineOptions, max_candidate_scope
 from .prototypes import generate_prototypes
 from .results import PipelineResult
 from .state import SearchState
@@ -91,7 +91,8 @@ def run_pipeline_with_checkpoints(
     }
 
     with options.tracer.span(
-        "pipeline", template=template.name, k=deepest, mode="checkpointed"
+        "pipeline", template=template.name, k=deepest, mode="checkpointed",
+        backend=options.backend,
     ):
         # Base candidate set (checkpointed as the pre-sweep state).
         pgraph = PartitionedGraph(
@@ -101,15 +102,13 @@ def run_pipeline_with_checkpoints(
         )
         engine = Engine(
             pgraph, MessageStats(options.num_ranks), options.batch_size,
-            tracer=options.tracer,
+            tracer=options.tracer, metrics=options.metrics,
         )
         if options.use_max_candidate_set:
-            base_state = max_candidate_set(
-                graph, template, engine,
-                role_kernel=options.role_kernel, delta=options.delta_lcc,
-                array_state=options.array_state,
-                adaptive=options.adaptive,
-            )
+            base_state = max_candidate_scope(graph, template, engine, options)
+            if isinstance(base_state, ArraySearchState):
+                # checkpoints are dict payloads; the searches re-import
+                base_state = base_state.to_search_state()
         else:
             base_state = SearchState.initial(graph, template)
         manifest["base_state"] = _state_payload(base_state)
@@ -153,7 +152,8 @@ def resume_pipeline(
         prev_union = None
     base_state = _restore_state(graph, manifest["base_state"])
     with options.tracer.span(
-        "pipeline", template=template.name, k=deepest, mode="checkpointed"
+        "pipeline", template=template.name, k=deepest, mode="checkpointed",
+        backend=options.backend,
     ):
         return _sweep(
             graph, template, protos, base_state, options,
@@ -185,7 +185,9 @@ def _sweep(
         graph, options.include_full_walk, options.constraint_ordering
     )
     cache = NlccCache() if options.work_recycling else None
-    result = PipelineResult(template.name, protos.max_distance, protos)
+    result = PipelineResult(
+        template.name, protos.max_distance, protos, backend=options.backend
+    )
     (
         result.candidate_set_vertices,
         result.candidate_set_edges,
@@ -248,10 +250,7 @@ def _sweep(
                     count_matches=options.count_matches,
                     collect_matches=options.collect_matches,
                     verification=options.verification,
-                    role_kernel=options.role_kernel,
-                    delta_lcc=options.delta_lcc,
-                    array_state=options.array_state,
-                    array_nlcc=options.array_nlcc,
+                    backend=options.backend,
                     adaptive=options.adaptive,
                     constraint_costs=options.constraint_costs,
                 )
@@ -289,6 +288,7 @@ def _sweep(
         lvl.search_seconds for lvl in result.levels
     )
     result.total_wall_seconds = time.perf_counter() - wall_start
+    result.metrics = options.metrics
     return result
 
 

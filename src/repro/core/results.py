@@ -109,11 +109,17 @@ class PipelineResult:
     """
 
     def __init__(
-        self, template_name: str, k: int, prototype_set: "PrototypeSet"
+        self,
+        template_name: str,
+        k: int,
+        prototype_set: "PrototypeSet",
+        backend: str = "array",
     ) -> None:
         self.template_name = template_name
         self.k = k
         self.prototype_set = prototype_set
+        #: the ``PipelineOptions.backend`` that produced this result
+        self.backend = backend
         #: vertex → frozenset of prototype ids (only matching vertices appear)
         self.match_vectors: Dict[int, Set[int]] = {}
         self.levels: List[LevelReport] = []
@@ -131,8 +137,6 @@ class PipelineResult:
         #: ``(vertices, edges)`` of the ``G[M*]`` view the run searched
         #: instead of ``G`` (``pipeline.compact_scope``); None = searched ``G``
         self.scope_view: Optional[Tuple[int, int]] = None
-        #: why the run fell back to the dict level sweep (None = array path)
-        self.array_fallback_reason: Optional[str] = None
         #: auxiliary pruned-view accounting (options.aux_views):
         #: views materialized, prototype searches that started on a view,
         #: and each view's (vertices, edges) size
@@ -231,6 +235,7 @@ class PipelineResult:
         return {
             "template": self.template_name,
             "k": self.k,
+            "backend": self.backend,
             "prototypes": len(self.prototype_set),
             "matched_vertices": len(self.match_vectors),
             "total_labels": self.total_labels_generated(),
@@ -269,7 +274,6 @@ class PipelineResult:
             ],
             "nlcc": self.nlcc_totals(),
             "nlcc_cache": dict(self.nlcc_cache_stats),
-            "array_fallback_reason": self.array_fallback_reason,
             "aux_views": {
                 "built": self.aux_views_built,
                 "reuse": self.aux_view_reuse,

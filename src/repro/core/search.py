@@ -22,7 +22,6 @@ from __future__ import annotations
 import time
 from typing import Optional, Union
 
-from ..errors import PipelineError
 from ..runtime.engine import Engine
 from .constraints import FULL_WALK_KIND, ConstraintSet
 from .enumeration import (
@@ -34,7 +33,7 @@ from .enumeration import (
     state_from_matches,
 )
 from .arraystate import ArraySearchState
-from .kernels import cached_role_kernel
+from .kernels import cached_kernel
 from .lcc import local_constraint_checking
 from .nlcc import non_local_constraint_checking
 from .ordering import ConstraintPlan, reorder_measured
@@ -44,7 +43,7 @@ from .state import NlccCache, SearchState
 
 
 def search_prototype(
-    state: Optional[SearchState],
+    state: "SearchState | ArraySearchState",
     prototype: Prototype,
     constraint_set: Union[ConstraintSet, ConstraintPlan],
     engine: Engine,
@@ -53,11 +52,7 @@ def search_prototype(
     count_matches: bool = False,
     collect_matches: bool = False,
     verification: str = "auto",
-    role_kernel: bool = True,
-    delta_lcc: bool = True,
-    array_state: bool = False,
-    array_nlcc: bool = False,
-    array_scope: Optional[ArraySearchState] = None,
+    backend: str = "array",
     warm_mask=None,
     adaptive: bool = False,
     constraint_costs=None,
@@ -73,23 +68,17 @@ def search_prototype(
     * ``"constraints"`` — never enumerate; the outcome's ``exact`` flag
       reports whether the constraint set alone guarantees exactness.
 
-    ``role_kernel`` compiles the prototype once into bitmask tables shared
-    by every LCC re-run and NLCC traversal of this search; ``delta_lcc``
-    enables the semi-naive LCC worklist and ``array_state`` the vectorized
-    CSR fixpoint.  All preserve results exactly.
-
-    With both ``array_state`` and ``array_nlcc`` the whole search body
-    runs on one persistent
-    :class:`~repro.core.arraystate.ArraySearchState` — every LCC fixpoint,
-    token walk and enumeration in array form — and the outcome's solution
-    sets are read off the arrays.  ``array_scope`` supplies that array
-    state pre-built by the caller (the level drivers and pool workers):
-    it is reduced in place to the solution subgraph, ``state`` is ignored
-    (pass ``None``) and no dict state is materialized at all.  Without
-    ``array_scope`` the caller's dict ``state`` is imported once and
-    overwritten once at the end.
-    ``warm_mask`` warm-seeds the first LCC round's broadcast accounting
-    (see :func:`~repro.core.lcc.local_constraint_checking`).
+    The state's type picks the execution.  An
+    :class:`~repro.core.arraystate.ArraySearchState` (what the level
+    drivers and pool workers hand over) runs the whole search body on
+    it — every LCC fixpoint, token walk and enumeration in array form
+    over the prototype's bitmask kernel — and the outcome's solution sets
+    are read off the arrays.  A :class:`SearchState` runs the set-based
+    reference when ``backend`` is ``"reference"``; with ``"array"`` it is
+    imported once, searched in array form and overwritten once at the
+    end.  Both reach the same solution subgraph.
+    ``warm_mask`` warm-seeds the first array LCC round's broadcast
+    accounting (see :func:`~repro.core.lcc.local_constraint_checking`).
 
     ``adaptive`` turns on the two metrics-driven consumers: the
     dense/sparse round switch inside the array LCC fixpoint and — when
@@ -97,12 +86,12 @@ def search_prototype(
     :class:`~repro.runtime.metrics.ConstraintCostModel`) carries
     measurements from earlier prototypes — a measured-cost re-sort of the
     non-local constraint order.  Each NLCC constraint's ``rows_expanded``
-    (a count, so the order is a function of the input; 0 on the dict
-    walk, which therefore keeps the static order) is fed back into
-    ``constraint_costs`` whenever one is supplied, so costs recycle across
-    the prototypes of a run (and across a batch when the executor shares
-    one options object).  Both consumers preserve the match set exactly;
-    see the respective docstrings.
+    (a count, so the order is a function of the input; 0 on the
+    reference walk, which therefore keeps the static order) is fed back
+    into ``constraint_costs`` whenever one is supplied, so costs recycle
+    across the prototypes of a run (and across a batch when the executor
+    shares one options object).  Both consumers preserve the match set
+    exactly; see the respective docstrings.
     """
     outcome = PrototypeSearchOutcome(prototype)
     started = time.perf_counter()
@@ -114,12 +103,19 @@ def search_prototype(
         label=prototype.name,
         distance=prototype.distance,
     ) as span:
+        scope = state
+        if backend == "array" and isinstance(state, SearchState):
+            scope = ArraySearchState.from_search_state(
+                state, roles=sorted(prototype.graph.vertices())
+            )
         _search_prototype_body(
-            state, prototype, constraint_set, engine, cache, recycle,
-            count_matches, collect_matches, verification, role_kernel,
-            delta_lcc, array_state, array_nlcc, array_scope, warm_mask,
+            scope, prototype, constraint_set, engine, cache, recycle,
+            count_matches, collect_matches, verification, warm_mask,
             adaptive, constraint_costs, outcome,
         )
+        if scope is not state:
+            # the caller's dict state is the in/out parameter
+            scope.write_back(state)
     if tracer.enabled:
         span.add(
             lcc_iterations=outcome.lcc_iterations,
@@ -137,7 +133,7 @@ def search_prototype(
 
 
 def _search_prototype_body(
-    state: Optional[SearchState],
+    state: "SearchState | ArraySearchState",
     prototype: Prototype,
     constraint_set: Union[ConstraintSet, ConstraintPlan],
     engine: Engine,
@@ -146,50 +142,30 @@ def _search_prototype_body(
     count_matches: bool,
     collect_matches: bool,
     verification: str,
-    role_kernel: bool,
-    delta_lcc: bool,
-    array_state: bool,
-    array_nlcc: bool,
-    array_scope: Optional[ArraySearchState],
     warm_mask,
     adaptive: bool,
     constraint_costs,
     outcome: PrototypeSearchOutcome,
 ) -> None:
     """Alg. 2 body; fills ``outcome`` (timing is the caller's job)."""
-    kernel = cached_role_kernel(prototype.graph) if role_kernel else None
-    astate = None
-    if kernel is not None and array_state and array_nlcc:
-        # Persistent array mode: LCC and NLCC share one array state for
-        # the whole search.
-        if array_scope is not None:
-            astate = array_scope
-        else:
-            astate = ArraySearchState.from_search_state(
-                state, roles=kernel.roles
-            )
-    elif array_scope is not None:
-        raise PipelineError(
-            "array_scope needs role_kernel, array_state and array_nlcc on"
-        )
-    counter = astate if astate is not None else state
+    in_arrays = isinstance(state, ArraySearchState)
+    # compiled once, shared by every LCC re-run and token walk
+    kernel = cached_kernel(prototype.graph) if in_arrays else None
     outcome.lcc_iterations = local_constraint_checking(
-        state, prototype.graph, engine,
-        role_kernel=role_kernel, delta=delta_lcc, kernel=kernel,
-        array_state=array_state, astate=astate, warm_mask=warm_mask,
+        state, prototype.graph, engine, kernel=kernel, warm_mask=warm_mask,
         adaptive=adaptive,
     )
     (
         outcome.post_lcc_vertices,
         outcome.post_lcc_edges,
-    ) = counter.active_counts()
+    ) = state.active_counts()
 
     # Asked (and so, for a lazy plan, built) only for a scope that
     # survived LCC: most exploratory prototypes die right here.  The plan
     # answers for the scope LCC left — see ConstraintPlan.select.
     non_local = []
     if outcome.post_lcc_vertices > 0:
-        selection = constraint_set.select(astate)
+        selection = constraint_set.select(state if in_arrays else None)
         non_local = selection.constraints
         skipped = len(constraint_set.non_local) - len(non_local)
         outcome.nlcc_constraints_skipped = skipped
@@ -216,12 +192,12 @@ def _search_prototype_body(
     full_walk_completions = 0
     full_walk_result = None
     for constraint in non_local:
-        if not counter.num_active_vertices:
+        if not state.num_active_vertices:
             break
         constraint_started = time.perf_counter() if timing else 0.0
         result = non_local_constraint_checking(
             state, constraint, engine, cache=cache, recycle=recycle,
-            kernel=kernel, astate=astate, array_nlcc=array_nlcc,
+            kernel=kernel,
         )
         if timing:
             # the re-sort is keyed on a count so that equal inputs order
@@ -244,22 +220,21 @@ def _search_prototype_body(
             full_walk_result = result
         elif result.changed:
             outcome.lcc_iterations += local_constraint_checking(
-                state, prototype.graph, engine,
-                role_kernel=role_kernel, delta=delta_lcc, kernel=kernel,
-                array_state=array_state, astate=astate, adaptive=adaptive,
+                state, prototype.graph, engine, kernel=kernel,
+                adaptive=adaptive,
             )
 
     constraints_exact = full_walk_ran or constraint_set.exact_without_full_walk
     need_enumeration = verification == "enumeration" or (
         verification == "auto" and not constraints_exact
     )
-    if astate is not None:
+    if in_arrays:
         # Array-native tail: enumeration (when needed) runs the vectorized
         # frontier backtracker on the array state directly and reduces it
         # in place.
         if need_enumeration:
-            match_set = enumerate_matches_array(prototype, astate)
-            astate_from_matches(astate, prototype, match_set)
+            match_set = enumerate_matches_array(prototype, state)
+            astate_from_matches(state, prototype, match_set)
             outcome.match_mappings = len(match_set)
             if collect_matches:
                 outcome.matches = match_set.mappings()
@@ -269,7 +244,7 @@ def _search_prototype_body(
                 # Each completed full-walk token already is an exact match.
                 outcome.matches = full_walk_result.completed_mappings
             else:
-                match_set = enumerate_matches_array(prototype, astate)
+                match_set = enumerate_matches_array(prototype, state)
                 outcome.matches = match_set.mappings()
                 outcome.match_set = match_set
             outcome.match_mappings = len(outcome.matches)
@@ -277,11 +252,8 @@ def _search_prototype_body(
             outcome.match_mappings = full_walk_completions
         elif count_matches:
             outcome.match_mappings = len(
-                enumerate_matches_array(prototype, astate)
+                enumerate_matches_array(prototype, state)
             )
-        if array_scope is None:
-            # the caller's dict state is the in/out parameter
-            astate.write_back(state)
     elif collect_matches and not need_enumeration:
         if full_walk_ran:
             # Each completed full-walk token already is an exact match.
@@ -308,5 +280,5 @@ def _search_prototype_body(
             prototype, outcome.match_mappings
         )
 
-    outcome.solution_vertices = set(counter.active_vertices())
-    outcome.solution_edges = set(counter.active_edge_list())
+    outcome.solution_vertices = set(state.active_vertices())
+    outcome.solution_edges = set(state.active_edge_list())

@@ -22,14 +22,13 @@ from ..runtime.engine import Engine
 from ..runtime.messages import MessageStats
 from ..runtime.partition import PartitionedGraph
 from .arraystate import ArraySearchState
-from .candidate_set import max_candidate_arrays, max_candidate_set
 from .ordering import ConstraintPlanner
 from .pipeline import (
     PipelineOptions,
-    _array_level_eligible,
     compact_scope,
     compile_cache_totals,
     finish_run,
+    max_candidate_scope,
 )
 from .prototypes import generate_prototypes
 from .results import LevelReport, PipelineResult
@@ -62,7 +61,8 @@ def exploratory_search(
     if max_k is None:
         max_k = template.max_meaningful_distance()
     with options.tracer.span(
-        "pipeline", template=template.name, k=max_k, mode="exploratory"
+        "pipeline", template=template.name, k=max_k, mode="exploratory",
+        backend=options.backend,
     ):
         return _run_exploratory(graph, template, max_k, stop_condition, options)
 
@@ -96,24 +96,10 @@ def _run_exploratory(
         pgraph, mcs_stats, options.batch_size, tracer=tracer,
         metrics=options.metrics,
     )
-    # Every exploratory scope derives from M*: with the array stack on it
-    # comes out of the fixpoint in array form and each prototype's scope
-    # is cut from it directly.
-    base: "SearchState | ArraySearchState"
-    if _array_level_eligible(template, options):
-        base = max_candidate_arrays(
-            graph, template, mcs_engine,
-            delta=options.delta_lcc, adaptive=options.adaptive,
-        )
-    else:
-        base = max_candidate_set(
-            graph, template, mcs_engine,
-            role_kernel=options.role_kernel, delta=options.delta_lcc,
-            array_state=options.array_state,
-            adaptive=options.adaptive,
-        )
+    # Every exploratory scope is cut from M*, in the backend's state form.
+    base = max_candidate_scope(graph, template, mcs_engine, options)
 
-    result = PipelineResult(template.name, max_k, protos)
+    result = PipelineResult(template.name, max_k, protos, backend=options.backend)
     base = compact_scope(base, options, result)
     (
         result.candidate_set_vertices,
@@ -194,15 +180,13 @@ def _inline_exploratory_level(
     tracer = options.tracer
     cost_model = options.cost_model
     for proto in protos.at(distance):
-        scope = base.for_prototype_search(proto)
-        in_arrays = isinstance(scope, ArraySearchState)
         stats = MessageStats(options.num_ranks)
         engine = Engine(
             pgraph, stats, options.batch_size, tracer=tracer,
             metrics=options.metrics,
         )
         outcome = search_prototype(
-            None if in_arrays else scope,
+            base.for_prototype_search(proto),
             proto,
             planner.plan(proto.graph),
             engine,
@@ -211,11 +195,7 @@ def _inline_exploratory_level(
             count_matches=options.count_matches,
             collect_matches=options.collect_matches,
             verification=options.verification,
-            role_kernel=options.role_kernel,
-            delta_lcc=options.delta_lcc,
-            array_state=options.array_state,
-            array_nlcc=options.array_nlcc,
-            array_scope=scope if in_arrays else None,
+            backend=options.backend,
             adaptive=options.adaptive,
             constraint_costs=options.constraint_costs,
         )
@@ -240,23 +220,21 @@ def _pooled_exploratory_level(
     """Search one exploratory level on the worker pool.
 
     Every scope is cut fresh from M* (no cross-level unions top-down), so
-    warm seeds never apply; with an array-eligible pool the scopes ship
-    as packed bitmaps over the shared CSR, otherwise as legacy dict
-    payloads.  Workers plan the constraints of the tasks they are handed.  Like
-    the bottom-up pooled path, worker message traces fold into the
-    per-outcome totals but not ``result.message_summary``.
+    warm seeds never apply; array scopes ship as packed bitmaps over the
+    shared CSR, reference scopes as dict payloads.  Workers plan the
+    constraints of the tasks they are handed.  Like the bottom-up pooled
+    path, worker message traces fold into the per-outcome totals but not
+    ``result.message_summary``.
     """
     from ..runtime.parallel import array_task, dict_task, payload_to_outcome
 
     tasks = []
     for proto in protos.at(distance):
         scope = base.for_prototype_search(proto)
-        if not isinstance(scope, ArraySearchState):
-            tasks.append(dict_task(proto.id, scope))
-        elif pool.array_payloads:
+        if isinstance(scope, ArraySearchState):
             tasks.append(array_task(proto.id, scope))
-        else:  # shm_pool off: legacy payloads from an array-resident M*
-            tasks.append(dict_task(proto.id, scope.to_search_state()))
+        else:
+            tasks.append(dict_task(proto.id, scope))
     tracer = options.tracer
     for payload in pool.search_level(tasks):
         proto = protos.by_id(payload["proto_id"])

@@ -10,7 +10,8 @@ zero-copy by every worker), rebuilds the prototype set deterministically,
 and keeps its own NLCC work-recycling cache across the tasks it serves —
 exactly the sharing a physical replica would have.
 
-Tasks ship as :class:`PoolTask` wire objects in one of two payload kinds:
+Tasks ship as :class:`PoolTask` wire objects in one of two payload kinds,
+one per ``PipelineOptions.backend``:
 
 * ``"array"`` — two ``np.packbits`` bitmaps (active vertices, alive
   directed edges) cut straight from the level scope's
@@ -19,11 +20,10 @@ Tasks ship as :class:`PoolTask` wire objects in one of two payload kinds:
   ``ArraySearchState.from_scope_payload``) and runs the search without
   ever materializing a dict state.  Results return as packed solution
   bitmaps the parent ORs into the level union.
-* ``"dict"`` — the legacy ``(candidates, edges)`` lists, used when the
-  array stack is off, the template exceeds the 64-bit mask width, or
-  ``options.shm_pool`` is disabled.  Candidate role sets ship unsorted;
-  determinism comes from :meth:`PrototypeSearchPool.search_level`
-  returning results in task order, not from payload ordering.
+* ``"dict"`` — the reference backend's ``(candidates, edges)`` lists.
+  Candidate role sets ship unsorted; determinism comes from
+  :meth:`PrototypeSearchPool.search_level` returning results in task
+  order, not from payload ordering.
 
 Results are identical to sequential execution (outcomes are pure
 functions of the shipped starting scope); only wall-clock changes.
@@ -60,7 +60,7 @@ class PoolTask:
 
     ``kind`` selects the payload format: ``"array"`` carries
     ``(vertex_bits, edge_bits, warm_bits_or_None)`` packed bitmaps over
-    the shared CSR, ``"dict"`` carries the legacy
+    the shared CSR, ``"dict"`` carries the reference backend's
     ``(candidates, edges)`` lists.  ``units`` is the scope size
     (active vertices + canonical active edges), precomputed at pack time
     so LPT ordering costs the same regardless of payload format.
@@ -103,7 +103,7 @@ def array_task(
 
 
 def dict_task(proto_id: int, state: "SearchState") -> PoolTask:
-    """Pack a dict scope into a legacy ``"dict"`` :class:`PoolTask`."""
+    """Pack a dict scope into a ``"dict"`` :class:`PoolTask`."""
     candidates, edges = state_to_payload(state)
     return PoolTask(
         proto_id, "dict", (candidates, edges), len(candidates) + len(edges)
@@ -163,10 +163,10 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
     """Search one prototype inside a worker; returns a plain-data outcome.
 
     ``"array"`` tasks reconstruct an :class:`ArraySearchState` over the
-    attached shared CSR and hand it to :func:`search_prototype` as the
-    ``array_scope`` — no dict state exists at any point.  Their result
-    payload additionally carries packed solution bitmaps
-    (``solution_bits``) for the parent's level union.
+    attached shared CSR and hand it to :func:`search_prototype` — no dict
+    state exists at any point.  Their result payload additionally carries
+    packed solution bitmaps (``solution_bits``) for the parent's level
+    union.
 
     When the shipped options carry an enabled tracer, the worker builds a
     fresh local :class:`~repro.runtime.trace.Tracer` (span forests never
@@ -199,20 +199,18 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
     tracer = Tracer() if tracing else NULL_TRACER
     registry = MetricsRegistry()
 
-    astate: Optional["ArraySearchState"] = None
-    state: Optional["SearchState"]
+    state: "SearchState | ArraySearchState"
     warm_mask = None
     if task.kind == "array":
         from ..core.arraystate import ArraySearchState, csr_of, unpack_bits
 
         csr = csr_of(graph)
         vertex_bits, edge_bits, warm_bits = task.data
-        astate = ArraySearchState.from_scope_payload(
+        state = ArraySearchState.from_scope_payload(
             csr, proto, vertex_bits, edge_bits
         )
         if warm_bits is not None:
             warm_mask = unpack_bits(warm_bits, csr.num_vertices)
-        state = None
     else:
         candidates_payload, edges_payload = task.data
         candidates = {v: set(roles) for v, roles in candidates_payload}
@@ -236,11 +234,7 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
         recycle=options.work_recycling,
         count_matches=options.count_matches,
         verification=options.verification,
-        role_kernel=options.role_kernel,
-        delta_lcc=options.delta_lcc,
-        array_state=options.array_state,
-        array_nlcc=options.array_nlcc,
-        array_scope=astate,
+        backend=options.backend,
         warm_mask=warm_mask,
         adaptive=options.adaptive,
         constraint_costs=options.constraint_costs,
@@ -250,7 +244,7 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
         "solution_vertices": sorted(outcome.solution_vertices),
         "solution_edges": sorted(outcome.solution_edges),
         "solution_bits": (
-            astate.solution_payload() if astate is not None else None
+            state.solution_payload() if task.kind == "array" else None
         ),
         "match_mappings": outcome.match_mappings,
         "distinct_matches": outcome.distinct_matches,
@@ -327,11 +321,10 @@ def payload_to_outcome(
 class PrototypeSearchPool:
     """A pool of replica workers executing prototype searches.
 
-    When ``options.shm_pool`` is on and the level sweep is array-eligible
-    (see ``_array_level_eligible``), the pool exports the graph's CSR to
-    a shared-memory segment at construction, workers attach zero-copy,
-    and :attr:`array_payloads` tells callers to ship packed-bitmap tasks.
-    Closing the pool unlinks the segment.
+    On the array backend the pool exports the graph's CSR to a
+    shared-memory segment at construction, workers attach zero-copy, and
+    callers ship packed-bitmap tasks; the reference backend exports
+    nothing and ships dict tasks.  Closing the pool unlinks the segment.
 
     Use as a context manager; submit per-level batches with
     :meth:`search_level`.
@@ -349,17 +342,11 @@ class PrototypeSearchPool:
             raise ValueError("a pool needs at least two processes")
         import multiprocessing as mp
 
-        from ..core.pipeline import _array_level_eligible
-
-        #: whether callers should ship packed array payloads
-        self.array_payloads: bool = bool(options.shm_pool) and (
-            _array_level_eligible(template, options)
-        )
         self._options = options
         self._processes = processes
         self._shm: Optional[Any] = None
         shm_handle: Optional["SharedCsrHandle"] = None
-        if self.array_payloads:
+        if options.backend == "array":
             from ..core.arraystate import csr_of
             from .shm import SharedGraphCsr
 
@@ -520,14 +507,16 @@ class TemplateBatchScheduler:
 
     Jobs run longest-estimate-first (the LPT order the pooled levels
     already use), each through one :func:`~repro.core.pipeline
-    .run_pipeline` sharing the batch's ``M*`` memo.  When the memoized
-    ``M*`` of a class prunes the background graph below
-    ``options.aux_view_ratio``, the surviving scope is packed into a
-    :meth:`GraphCsr.induced_view` and the whole pipeline runs over the
+    .run_pipeline` sharing the batch's ``M*`` memo.  In-process runs
+    compact onto ``G[M*]`` themselves (``pipeline.compact_scope``).  A
+    pooled array run cannot, so when the memoized ``M*`` of a class
+    prunes the background graph below ``options.aux_view_ratio`` the
+    scheduler packs the surviving scope into a
+    :meth:`GraphCsr.induced_view` and runs the whole pipeline over the
     view — and because ``PrototypeSearchPool`` exports ``csr_of(graph)``
-    of whatever graph it is built on, a pooled run over the view ships
-    the *pruned* arrays through the existing shared-memory segment, so
-    workers attach the auxiliary view zero-copy.
+    of whatever graph it is built on, the *pruned* arrays ship through
+    the existing shared-memory segment, so workers attach the auxiliary
+    view zero-copy.
     """
 
     def __init__(
@@ -559,16 +548,21 @@ class TemplateBatchScheduler:
         return results
 
     def _run_job(self, job: BatchJob) -> Any:
-        from ..core.pipeline import array_fallback_reason, run_pipeline
+        from ..core.pipeline import run_pipeline
 
         options = self.options
         run_graph = self.graph
         run_memo = self.memo
+        # An in-process run compacts onto G[M*] itself (compact_scope)
+        # and keeps the memo; a pooled one cannot — its workers attach
+        # the graph the pool exports — so it is handed the view as its
+        # graph here.
         if (
             run_memo is not None
             and options.aux_views
             and options.use_max_candidate_set
-            and array_fallback_reason(job.template, options) is None
+            and options.worker_processes > 1
+            and options.backend == "array"
         ):
             view_graph = self._mstar_view(job)
             if view_graph is not None:
@@ -610,11 +604,9 @@ class TemplateBatchScheduler:
             pgraph, MessageStats(options.num_ranks), options.batch_size,
             tracer=options.tracer,
         )
-        # _run_job only asks for a view when the array stack is on
         astate = max_candidate_arrays(
             graph, job.template, engine,
-            delta=options.delta_lcc, memo=self.memo,
-            adaptive=options.adaptive,
+            memo=self.memo, adaptive=options.adaptive,
         )
         vertices = astate.num_active_vertices
         csr = csr_of(graph)

@@ -5,7 +5,7 @@ the rule recognizes.  Never import this module.
 """
 
 from repro.core.arraystate import GraphCsr, csr_of
-from repro.core.kernels import cached_role_kernel
+from repro.core.kernels import cached_kernel
 
 
 class GraphCsr:  # shadows the real class: methods below are "its" methods
@@ -27,7 +27,7 @@ def mutate_memoized_csr(graph):
 
 
 def mutate_kernel(template):
-    kernel = cached_role_kernel(template)
+    kernel = cached_kernel(template)
     kernel.tables = {}  # R10: kernels are shared across processes
     return kernel
 

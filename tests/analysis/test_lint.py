@@ -34,9 +34,10 @@ def rules_fired(report):
 
 
 class TestRegistry:
-    def test_all_thirteen_rules_registered(self):
+    def test_all_twelve_rules_registered(self):
+        # R4 (fallback parity) is retired: its dispatch switches are gone
         assert set(all_rules()) == {
-            "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8",
+            "R1", "R2", "R3", "R5", "R6", "R7", "R8",
             "R9", "R10", "R11", "R12", "R13",
         }
 
@@ -55,7 +56,7 @@ class TestRegistry:
     def test_rules_run_in_natural_order(self, tmp_path):
         report = run_lint(tmp_path, deep=True)
         assert report.rules_run == [
-            "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8",
+            "R1", "R2", "R3", "R5", "R6", "R7", "R8",
             "R9", "R10", "R11", "R12", "R13",
         ]
 
@@ -153,11 +154,11 @@ class TestR2OptionsThreading:
         report = lint_files(tmp_path, {"search.py": """\
             def drive(state, proto, cs, engine, search_prototype):
                 search_prototype(state, proto, cs, engine,
-                                 role_kernel=True, array_state=True)
-                search_prototype(state, proto, cs, engine, role_kernel=True)
+                                 backend="array", adaptive=True)
+                search_prototype(state, proto, cs, engine, backend="array")
             """}, rules=["R2"])
         assert rules_fired(report) == {"R2"}
-        assert any("array_state" in v.message for v in report.violations)
+        assert any("adaptive" in v.message for v in report.violations)
 
     def test_threaded_options_are_clean(self, tmp_path):
         report = lint_files(tmp_path, {
@@ -182,8 +183,8 @@ class TestR2OptionsThreading:
         report = lint_files(tmp_path, {"search.py": """\
             def drive(state, proto, cs, engine, search_prototype, cache):
                 search_prototype(state, proto, cs, engine,
-                                 array_state=True, cache=cache)
-                search_prototype(state, proto, cs, engine, array_state=True)
+                                 backend="array", cache=cache)
+                search_prototype(state, proto, cs, engine, backend="array")
             """}, rules=["R2"])
         assert report.clean
 
@@ -221,59 +222,6 @@ class TestR3TracerGuard:
                     pass
                 span.add(rows=3)
             """}, rules=["R3"])
-        assert report.clean
-
-
-class TestR4FallbackParity:
-    def test_dispatch_without_fallback_fires(self, tmp_path):
-        report = lint_files(tmp_path, {"search.py": """\
-            def drive(options, kernel, astate, run_array, run_dict):
-                if options.array_state and kernel is not None:
-                    run_array(astate)
-                run_dict()
-            """}, rules=["R4"])
-        # the dict path runs unconditionally *after* the array path: the
-        # array branch neither returns nor has an else, so both execute.
-        assert rules_fired(report) == {"R4"}
-
-    def test_else_fallback_is_clean(self, tmp_path):
-        report = lint_files(tmp_path, {"search.py": """\
-            def drive(options, kernel, astate, run_array, run_dict):
-                if options.array_state and kernel is not None:
-                    run_array(astate)
-                else:
-                    run_dict()
-            """}, rules=["R4"])
-        assert report.clean
-
-    def test_return_then_fallback_is_clean(self, tmp_path):
-        report = lint_files(tmp_path, {"search.py": """\
-            def drive(options, kernel, astate, run_array, run_dict):
-                if options.array_state and kernel is not None:
-                    return run_array(astate)
-                return run_dict()
-            """}, rules=["R4"])
-        assert report.clean
-
-    def test_dict_enumeration_on_array_branch_fires(self, tmp_path):
-        report = lint_files(tmp_path, {"search.py": """\
-            def verify(prototype, state, astate, enumerate_matches):
-                if astate is not None:
-                    matches = list(enumerate_matches(prototype, state))
-                    return matches
-                return []
-            """}, rules=["R4"])
-        assert rules_fired(report) == {"R4"}
-
-    def test_array_enumerator_on_array_branch_is_clean(self, tmp_path):
-        report = lint_files(tmp_path, {"search.py": """\
-            def verify(prototype, state, astate, enumerate_matches,
-                       enumerate_matches_array):
-                if astate is not None:
-                    return enumerate_matches_array(prototype, astate)
-                return list(enumerate_matches(prototype, state))
-            """}, rules=["R4"])
-        # the dict call sits on the fallback side of the dispatch
         assert report.clean
 
 
@@ -400,8 +348,8 @@ class TestR7BatchedTemplateExecution:
 
     def test_loop_without_run_pipeline_is_clean(self, tmp_path):
         report = lint_files(tmp_path, {"compile.py": """\
-            def compile_all(templates, compile_role_kernel):
-                return [compile_role_kernel(t.graph) for t in templates]
+            def compile_all(templates, compile_kernel):
+                return [compile_kernel(t.graph) for t in templates]
 
             def walk(templates, visit):
                 for template in templates:
@@ -697,7 +645,7 @@ class TestRunnerCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("R1", "R2", "R3", "R4", "R5"):
+        for rule_id in ("R1", "R2", "R3", "R5"):
             assert rule_id in out
         assert "R13 [deep]" in out
 

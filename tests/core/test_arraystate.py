@@ -1,7 +1,7 @@
 """Equivalence tests for the array-backed CSR state (core/arraystate.py).
 
 The array state and vectorized fixpoints are pure performance work: every
-test here pins them to the dict-of-sets baseline — identical fixed points,
+test here pins them to the set-based reference — identical fixed points,
 identical iteration counts, identical message/visit totals, and lossless
 round-trip conversion — on the same randomized workloads as
 ``test_kernels.py``.
@@ -15,13 +15,14 @@ from repro.core import (
     PatternTemplate,
     PipelineOptions,
     SearchState,
-    compile_role_kernel,
+    array_kernel_fixpoint,
+    compile_kernel,
     csr_of,
     generate_prototypes,
     local_constraint_checking,
+    max_candidate_arrays,
     max_candidate_set,
     run_pipeline,
-    supports_array_fixpoint,
 )
 from repro.core.arraystate import MAX_ARRAY_ROLES, GraphCsr
 from repro.graph.graph import Graph
@@ -43,14 +44,32 @@ def array_snapshot(astate):
     return dict_snapshot(exported)
 
 
-def lcc_snapshot(graph, template, **config):
+def lcc_snapshot(graph, template, backend, max_iterations=None):
+    """LCC from the dict initial state: in place on the reference
+    backend; imported into an array state (as ``search_prototype`` does
+    for a dict caller) on the array backend."""
     proto = generate_prototypes(template, 0).at(0)[0]
     state = SearchState.initial(graph, template)
+    if backend == "array":
+        state = ArraySearchState.from_search_state(state)
     engine = engine_for(graph)
     iterations = local_constraint_checking(
-        state, proto.graph, engine, **config
+        state, proto.graph, engine, max_iterations=max_iterations
     )
+    if backend == "array":
+        return array_snapshot(state), iterations, engine.stats
     return dict_snapshot(state), iterations, engine.stats
+
+
+def full_round_snapshot(graph, template, delta):
+    """The array fixpoint run directly from ``ArraySearchState.initial``."""
+    proto = generate_prototypes(template, 0).at(0)[0]
+    astate = ArraySearchState.initial(graph, template)
+    engine = engine_for(graph)
+    iterations = array_kernel_fixpoint(
+        astate, compile_kernel(proto.graph), engine, delta=delta
+    )
+    return array_snapshot(astate), iterations, engine.stats
 
 
 class TestGraphCsr:
@@ -204,42 +223,35 @@ class TestLccEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_fixed_point_identical(self, seed):
         graph, template = random_case(seed)
-        base = lcc_snapshot(graph, template, role_kernel=False, delta=False)
-        arr = lcc_snapshot(
-            graph, template, role_kernel=True, delta=True, array_state=True
-        )
+        base = lcc_snapshot(graph, template, "reference")
+        arr = lcc_snapshot(graph, template, "array")
         assert arr[:2] == base[:2]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_full_round_mode_identical(self, seed):
         graph, template = random_case(seed)
-        base = lcc_snapshot(graph, template, role_kernel=False, delta=False)
-        arr = lcc_snapshot(
-            graph, template, role_kernel=True, delta=False, array_state=True
-        )
+        base = lcc_snapshot(graph, template, "reference")
+        arr = full_round_snapshot(graph, template, delta=False)
         assert arr[:2] == base[:2]
+        assert arr[2].total_messages == base[2].total_messages
+        assert arr[2].total_visits == base[2].total_visits
 
     @pytest.mark.parametrize("seed", range(8))
     def test_message_and_visit_parity_with_delta_kernel(self, seed):
-        # The batched accounting must reproduce the dict delta path's
-        # totals exactly (control/termination traffic is not compared).
+        # LCC on a state imported from dict form must send exactly what
+        # the semi-naive (delta) kernel sends from the seeded array state
+        # (control/termination traffic is not compared).
         graph, template = random_case(seed)
-        dlta = lcc_snapshot(graph, template, role_kernel=True, delta=True)
-        arr = lcc_snapshot(
-            graph, template, role_kernel=True, delta=True, array_state=True
-        )
+        dlta = full_round_snapshot(graph, template, delta=True)
+        arr = lcc_snapshot(graph, template, "array")
+        assert arr[:2] == dlta[:2]
         assert arr[2].total_messages == dlta[2].total_messages
         assert arr[2].total_visits == dlta[2].total_visits
 
     def test_max_iterations_bound_respected(self):
         graph, template = random_case(0)
-        base = lcc_snapshot(
-            graph, template, role_kernel=False, delta=False, max_iterations=1
-        )
-        arr = lcc_snapshot(
-            graph, template, role_kernel=True, delta=True,
-            array_state=True, max_iterations=1,
-        )
+        base = lcc_snapshot(graph, template, "reference", max_iterations=1)
+        arr = lcc_snapshot(graph, template, "array", max_iterations=1)
         assert arr[:2] == base[:2]
         assert arr[1] == 1
 
@@ -251,10 +263,12 @@ class TestLccEquivalence:
         for u, v in [(0, 1), (1, 2), (2, 0), (2, 3)]:
             graph.add_edge(u, v)
         for delta in (False, True):
-            state = SearchState.initial(graph, template)
-            local_constraint_checking(
-                state, template.graph, engine_for(graph),
-                role_kernel=True, delta=delta, array_state=True,
+            state = ArraySearchState.from_search_state(
+                SearchState.initial(graph, template)
+            )
+            array_kernel_fixpoint(
+                state, compile_kernel(template.graph), engine_for(graph),
+                delta=delta,
             )
             assert not state.is_active(9)
             assert state.is_active(2)
@@ -262,12 +276,10 @@ class TestLccEquivalence:
     def test_oversized_role_set_runs_multi_word_array_kernel(self):
         # Regression for the removed ">64 roles" dict fallback: the wide
         # template now runs the multi-word array kernel and must match the
-        # dict fixpoint bit-for-bit.
+        # reference fixpoint bit-for-bit.
         path = [(v, v + 1) for v in range(MAX_ARRAY_ROLES)]
         labels = {v: 1 for v in range(MAX_ARRAY_ROLES + 1)}
         template = PatternTemplate.from_edges(path, labels, name="wide")
-        kernel = compile_role_kernel(template.graph)
-        assert supports_array_fixpoint(kernel)
         graph_probe = Graph()
         graph_probe.add_vertex(0, 1)
         wide_state = ArraySearchState.initial(graph_probe, template)
@@ -278,16 +290,15 @@ class TestLccEquivalence:
         for v in range(5):
             graph.add_edge(v, v + 1)
         base_state = SearchState.initial(graph, template)
-        arr_state = SearchState.initial(graph, template)
+        arr_state = ArraySearchState.initial(graph, template)
+        assert arr_state.n_words == 2
         base_iters = local_constraint_checking(
-            base_state, template.graph, engine_for(graph),
-            role_kernel=True, delta=True,
+            base_state, template.graph, engine_for(graph)
         )
         arr_iters = local_constraint_checking(
-            arr_state, template.graph, engine_for(graph),
-            role_kernel=True, delta=True, array_state=True,
+            arr_state, template.graph, engine_for(graph)
         )
-        assert dict_snapshot(arr_state) == dict_snapshot(base_state)
+        assert array_snapshot(arr_state) == dict_snapshot(base_state)
         assert arr_iters == base_iters
 
 
@@ -316,10 +327,8 @@ class TestEdgeLabeledEquivalence:
             name="el",
         )
         graph = self.background(seed)
-        base = lcc_snapshot(graph, template, role_kernel=False, delta=False)
-        arr = lcc_snapshot(
-            graph, template, role_kernel=True, delta=True, array_state=True
-        )
+        base = lcc_snapshot(graph, template, "reference")
+        arr = lcc_snapshot(graph, template, "array")
         assert arr[:2] == base[:2]
 
     def test_wanted_label_absent_from_graph(self):
@@ -332,30 +341,33 @@ class TestEdgeLabeledEquivalence:
             name="ghost-label",
         )
         graph = self.background(0)
-        base = lcc_snapshot(graph, template, role_kernel=False, delta=False)
-        arr = lcc_snapshot(
-            graph, template, role_kernel=True, delta=True, array_state=True
-        )
+        base = lcc_snapshot(graph, template, "reference")
+        arr = lcc_snapshot(graph, template, "array")
         assert arr[:2] == base[:2]
 
 
 class TestMaxCandidateSetEquivalence:
-    def mcs(self, graph, template, **config):
+    def mcs(self, graph, template, backend):
         engine = engine_for(graph)
-        state = max_candidate_set(graph, template, engine, **config)
-        return dict_snapshot(state), engine.stats
+        if backend == "array":
+            snapshot = array_snapshot(
+                max_candidate_arrays(graph, template, engine)
+            )
+        else:
+            snapshot = dict_snapshot(
+                max_candidate_set(graph, template, engine)
+            )
+        return snapshot, engine.stats
 
     @pytest.mark.parametrize("seed", range(6))
     def test_mstar_identical(self, seed):
         graph, template = random_case(seed)
-        base = self.mcs(graph, template, role_kernel=False, delta=False)
-        dlta = self.mcs(graph, template, role_kernel=True, delta=True)
-        arr = self.mcs(
-            graph, template, role_kernel=True, delta=True, array_state=True
-        )
+        base = self.mcs(graph, template, "reference")
+        arr = self.mcs(graph, template, "array")
         assert arr[0] == base[0]
-        assert arr[1].total_messages == dlta[1].total_messages
-        assert arr[1].total_visits == dlta[1].total_visits
+        # semi-naive rounds: never more messages or visits
+        assert arr[1].total_messages <= base[1].total_messages
+        assert arr[1].total_visits <= base[1].total_visits
 
     def test_mandatory_edges_identical(self):
         template = PatternTemplate.from_edges(
@@ -367,10 +379,8 @@ class TestMaxCandidateSetEquivalence:
         graph = planted_graph(
             40, 110, template.edges(), labels, copies=2, num_labels=4, seed=3
         )
-        base = self.mcs(graph, template, role_kernel=False, delta=False)
-        arr = self.mcs(
-            graph, template, role_kernel=True, delta=True, array_state=True
-        )
+        base = self.mcs(graph, template, "reference")
+        arr = self.mcs(graph, template, "array")
         assert arr[0] == base[0]
 
 
@@ -410,7 +420,7 @@ class TestScopingParity:
 
 
 class TestPipelineEquivalence:
-    """End-to-end: the array_state knob never changes any result field."""
+    """End-to-end: the backend never changes any result field."""
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("seed", [11, 23])
@@ -424,10 +434,10 @@ class TestPipelineEquivalence:
             run_pipeline(
                 graph, template, k,
                 PipelineOptions(
-                    num_ranks=3, count_matches=True, array_state=array_state
+                    num_ranks=3, count_matches=True, backend=backend
                 ),
             )
-            for array_state in (False, True)
+            for backend in ("reference", "array")
         ]
         base, arr = results
         assert arr.match_vectors == base.match_vectors

@@ -490,6 +490,11 @@ class TestLazyViewMembers:
 
 # -------------------------------------------------- fallback reporting
 class TestArrayFallbackReporting:
+    """Which backend ran.  A run leaves the array path only when the
+    caller asks for the reference backend; the backend it ran lands in
+    the result, its stats document, the ``pipeline`` span and every batch
+    class result."""
+
     def case(self):
         graph = gnm_graph(80, 240, num_labels=2, seed=3)
         template = nlcc_stress_template()
@@ -499,14 +504,10 @@ class TestArrayFallbackReporting:
         graph, template = self.case()
         result = run_pipeline(
             graph, template, 0,
-            options(array_nlcc=False, count_matches=False),
+            options(backend="reference", count_matches=False),
         )
-        assert result.array_fallback_reason is not None
-        assert "array_nlcc" in result.array_fallback_reason
-        stats = result.stats_document()
-        assert (
-            stats["array_fallback_reason"] == result.array_fallback_reason
-        )
+        assert result.backend == "reference"
+        assert result.stats_document()["backend"] == "reference"
 
     def test_enumeration_optimization_stays_on_array_path(self):
         # Regression for a removed fallback reason: the enumeration
@@ -517,7 +518,7 @@ class TestArrayFallbackReporting:
         optimized = run_pipeline(
             graph, template, 1, options(enumeration_optimization=True)
         )
-        assert optimized.array_fallback_reason is None
+        assert optimized.backend == "array"
         plain = run_pipeline(graph, template, 1, options())
         assert optimized.matched_vertices() == plain.matched_vertices()
         assert (
@@ -532,44 +533,35 @@ class TestArrayFallbackReporting:
         naive = run_pipeline(
             graph, template, 0, options(use_max_candidate_set=False)
         )
-        assert naive.array_fallback_reason is None
+        assert naive.backend == "array"
         pruned = run_pipeline(graph, template, 0, options())
         assert naive.matched_vertices() == pruned.matched_vertices()
         assert naive.total_match_mappings() == pruned.total_match_mappings()
 
     def test_array_path_reports_no_reason(self):
         graph, template = self.case()
-        result = run_pipeline(graph, template, 0, options())
-        assert result.array_fallback_reason is None
-        assert result.stats_document()["array_fallback_reason"] is None
+        document = run_pipeline(graph, template, 0, options()).stats_document()
+        assert document["backend"] == "array"
+        assert not any("fallback" in key for key in document)
 
     def test_tracer_span_carries_the_reason(self):
         graph, template = self.case()
         tracer = Tracer()
         run_pipeline(
             graph, template, 0,
-            options(
-                array_nlcc=False, count_matches=False,
-                tracer=tracer,
-            ),
+            options(backend="reference", count_matches=False, tracer=tracer),
         )
-        spans = []
-        stack = list(tracer.roots)
-        while stack:
-            span = stack.pop()
-            spans.append(span)
-            stack.extend(span.children)
-        fallback = [s for s in spans if s.name == "array_fallback"]
-        assert len(fallback) == 1
-        assert "array_nlcc" in fallback[0].attrs["reason"]
+        (pipeline,) = tracer.find("pipeline")
+        assert pipeline.attrs["backend"] == "reference"
 
     def test_batch_stats_surface_per_class_reasons(self):
         graph, template = self.case()
-        opts = options(array_nlcc=False, count_matches=False)
+        opts = options(backend="reference", count_matches=False)
         batch = run_batch(graph, [BatchQuery(template, 0)], opts)
-        per_class = batch.stats_document()["per_class"]
-        assert len(per_class) == 1
-        assert "array_nlcc" in per_class[0]["array_fallback_reason"]
+        (result,) = batch.class_results.values()
+        assert result.stats_document()["backend"] == "reference"
+        (per_class,) = batch.stats_document()["per_class"]
+        assert not any("fallback" in key for key in per_class)
 
 
 class TestScheduleCostEstimates:

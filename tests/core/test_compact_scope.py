@@ -390,20 +390,12 @@ class TestBatched:
             },
         }
 
-    def assert_batches_agree(self, on, off, aux_views):
-        on_view, off_view = self.batch_view(on), self.batch_view(off)
-        if not aux_views:
-            assert on_view == off_view
-            return
-        # With aux_views the *scheduler* obeys the same ratio: it hands
-        # each pipeline G[M*] as its graph and drops the memo, so M* is
-        # charged again inside the run.  Everything after M* must agree.
-        assert on.scheduler.views_shipped and not off.scheduler.views_shipped
-        assert on_view["items"] == off_view["items"]
-        for name, view in on_view["classes"].items():
-            other = off_view["classes"][name]
-            assert view["match_vectors"] == other["match_vectors"]
-            assert view["levels"] == other["levels"]
+    def assert_batches_agree(self, on, off):
+        # in-process runs compact inside the pipeline and keep the memo:
+        # the scheduler ships no view of its own, with or without aux_views
+        assert not on.scheduler.views_shipped
+        assert not off.scheduler.views_shipped
+        assert self.batch_view(on) == self.batch_view(off)
 
     @pytest.mark.parametrize("aux_views", [False, True])
     def test_run_batch(self, aux_views):
@@ -420,11 +412,10 @@ class TestBatched:
         assert on["wdc1-k2"].matched_vertices
         assert on.memo.hits >= 1
         assert all(r.scope_view is None for r in off.class_results.values())
-        if not aux_views:
-            assert all(
-                r.scope_view is not None for r in on.class_results.values()
-            )
-        self.assert_batches_agree(on, off, aux_views)
+        assert all(
+            r.scope_view is not None for r in on.class_results.values()
+        )
+        self.assert_batches_agree(on, off)
 
     def test_motif_census(self):
         # count_motifs(batched=True) turns aux_views on itself
@@ -436,7 +427,7 @@ class TestBatched:
         for induced in (False, True):
             assert on.by_name(induced=induced) == off.by_name(induced=induced)
         assert sum(on.by_name(induced=False).values()) > 0
-        self.assert_batches_agree(on.batch, off.batch, aux_views=True)
+        self.assert_batches_agree(on.batch, off.batch)
 
 
 # ----------------------------------------------------------------------
@@ -574,8 +565,8 @@ class TestRunsThatDoNotCompact:
         result = self.reference(graph, template, 1, reload_ranks=0)
         assert result.scope_view is not None
 
-    @pytest.mark.parametrize("shm_pool", [True, False])
-    def test_pooled(self, shm_pool):
+    @pytest.mark.parametrize("array", [True, False])
+    def test_pooled(self, array):
         graph, template = planted_case(wdc1_template())
         compacted = self.reference(graph, template, 2, count_matches=True)
         for run in (
@@ -586,7 +577,8 @@ class TestRunsThatDoNotCompact:
         ):
             pooled = run(PipelineOptions(
                 num_ranks=4, aux_view_ratio=ON, count_matches=True,
-                worker_processes=2, shm_pool=shm_pool,
+                worker_processes=2,
+                backend="array" if array else "reference",
             ))
             assert pooled.scope_view is None
             for outcome in pooled.outcomes():

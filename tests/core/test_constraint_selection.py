@@ -6,7 +6,7 @@ scope: when the estimated rows of the CC / PC / TDS pre-filters reach the
 full walk's.  Guards:
 
 * (a) differential — every driver × feature of ``test_compact_scope.py``
-  (plus pooled with and without shm, checkpointed restart and flips) run
+  (plus pooled on both backends, checkpointed restart and flips) run
   with the rule and again held to the complete list
   (``complete_constraint_lists``) gives the same match vectors,
   per-prototype solution sets, mapping counts, collected matches and level
@@ -19,7 +19,7 @@ full walk's.  Guards:
 * (c) the graph it must skip on: the 12-edge WDC-4 prototype, 1 395
   pre-filters over 12 live vertices;
 * (d) nothing is skipped without a full walk, from an explicit
-  ``ConstraintSet``, or on a dict tier;
+  ``ConstraintSet``, or on the reference backend;
 * (e) the decision is a function of counts: invariant under a vertex-id
   permutation, equal inline / pooled / top-down, and reported (outcome,
   stats document, registry counters, ``prototype`` span).
@@ -53,7 +53,6 @@ from repro.core.constraints import (
 )
 from repro.core.cost_estimation import GraphStatistics, estimate_walk_cost
 from repro.core.flips import run_flip_pipeline
-from repro.core.kernels import cached_role_kernel
 from repro.core.arraystate import ArraySearchState
 from repro.core.ordering import ConstraintPlan, ConstraintPlanner
 from repro.core.restart import resume_pipeline, run_pipeline_with_checkpoints
@@ -150,7 +149,8 @@ def assert_same_answer_fewer_walks(ruled, complete, walks=True):
         assert skipped(ruled) > 0
         assert checked(ruled) < checked(complete)
     else:
-        # nothing to decide: no prototype of the run has a cyclic plan
+        # nothing to decide: no prototype of the run has a cyclic plan,
+        # or the run is on the reference backend
         assert (skipped(ruled), checked(ruled)) == (0, checked(complete))
 
 
@@ -166,9 +166,15 @@ FEATURES = {
     )
 }
 FEATURES["pooled-shm"] = {"worker_processes": 2, "count_matches": True}
+#: dict payloads: the reference backend, which checks complete lists
 FEATURES["pooled-pickled"] = {
-    "worker_processes": 2, "shm_pool": False, "count_matches": True,
+    "worker_processes": 2, "backend": "reference", "count_matches": True,
 }
+
+
+def decides(feature):
+    """Whether the rule has anything to decide under ``feature``."""
+    return FEATURES[feature].get("backend") != "reference"
 
 
 class TestBottomUp:
@@ -186,7 +192,8 @@ class TestBottomUp:
         # with the extension the k = 2 trees are searched (no walks) and
         # every level above is derived from their matches
         assert_same_answer_fewer_walks(
-            ruled, complete, walks=not feature.startswith("extension")
+            ruled, complete,
+            walks=decides(feature) and not feature.startswith("extension"),
         )
 
     @pytest.mark.parametrize(
@@ -292,7 +299,7 @@ class TestExploratory:
             ),
         )
         assert len(ruled.levels) == 3 and ruled.matched_vertices()
-        assert_same_answer_fewer_walks(ruled, complete)
+        assert_same_answer_fewer_walks(ruled, complete, walks=decides(feature))
 
     def test_more_than_64_roles_and_the_default_stop(
         self, monkeypatch, scopes_estimated
@@ -398,7 +405,8 @@ class TestRestartAndFlips:
     def test_flips_run_the_dict_tier_and_so_the_complete_list(self):
         graph, template = planted_case(wdc1_template())
         flipped = run_flip_pipeline(
-            graph, template, flips=1, options=PipelineOptions(count_matches=True)
+            graph, template, flips=1,
+            options=PipelineOptions(count_matches=True, backend="reference"),
         )
         assert flipped.matched_vertices()
         searched = [o for o in flipped.outcomes.values() if o.post_lcc_vertices]
@@ -412,6 +420,29 @@ class TestRestartAndFlips:
         assert original.solution_vertices == reference.solution_vertices
         assert original.solution_edges == reference.solution_edges
         assert original.match_mappings == reference.match_mappings
+
+    def test_flips_on_the_array_backend_decide_like_the_pipeline(self):
+        graph, template = planted_case(wdc1_template())
+        flipped = run_flip_pipeline(
+            graph, template, flips=1, options=PipelineOptions(count_matches=True)
+        )
+        complete = run_flip_pipeline(
+            graph, template, flips=1,
+            options=PipelineOptions(count_matches=True, backend="reference"),
+        )
+        assert flipped.match_vectors == complete.match_vectors
+        for name, outcome in complete.outcomes.items():
+            other = flipped.outcomes[name]
+            assert other.solution_vertices == outcome.solution_vertices
+            assert other.solution_edges == outcome.solution_edges
+            assert other.match_mappings == outcome.match_mappings
+        original = flipped.outcomes[flipped.variants[0].name]
+        reference = run_pipeline(
+            graph, template, 0, PipelineOptions(count_matches=True)
+        ).outcomes()[0]
+        assert original.nlcc_constraints_skipped == (
+            reference.nlcc_constraints_skipped
+        ) > 0
 
 
 class TestAgainstBruteForce:
@@ -644,14 +675,7 @@ class TestNothingIsSkipped:
         assert counters["plan.prefilters_kept"] == checked(result)
 
     @pytest.mark.parametrize(
-        "tier",
-        [
-            {"array_nlcc": False},
-            {"array_state": False, "array_nlcc": False},
-            {"role_kernel": False, "delta_lcc": False, "array_state": False,
-             "array_nlcc": False},
-        ],
-        ids=["array-lcc-dict-nlcc", "kernel-dict", "baseline-dict"],
+        "tier", [{"backend": "reference"}], ids=["baseline-dict"]
     )
     def test_on_a_dict_tier(self, tier):
         graph, template = planted_case(wdc1_template())
@@ -674,14 +698,10 @@ class TestNothingIsSkipped:
         assert explicit.full_walk() is not None and len(explicit.non_local) > 1
 
         def search(constraint_set):
-            kernel = cached_role_kernel(proto.graph)
-            scope = ArraySearchState.from_search_state(
-                SearchState.initial(graph, template), roles=kernel.roles
-            )
+            scope = ArraySearchState.initial(graph, template)
             engine = Engine(PartitionedGraph(graph, 2), MessageStats(2))
             return search_prototype(
-                None, proto, constraint_set, engine, count_matches=True,
-                array_state=True, array_nlcc=True, array_scope=scope,
+                scope, proto, constraint_set, engine, count_matches=True
             )
 
         as_given = search(explicit)

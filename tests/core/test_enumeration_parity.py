@@ -1,9 +1,9 @@
 """Parity properties for the vectorized match enumerator and wide masks.
 
 ``enumerate_matches_array`` is pure performance work: on every input the
-mapping *set* it produces must be bit-exact with the dict backtracker
-(:func:`enumerate_matches`), including edge-labeled and wildcard pattern
-edges — only the enumeration order may differ.  Likewise the multi-word
+mapping *set* it produces must be bit-exact with the reference backend's
+dict backtracker (:func:`enumerate_matches`), including edge-labeled and
+wildcard pattern edges — only the enumeration order may differ.  Likewise the multi-word
 ``(n, n_words)`` role-mask layout must reach the same fixed point as the
 single-word fast path on the same seeds.  These tests pin both contracts
 on the randomized workloads of ``test_kernels.py``.
@@ -16,7 +16,7 @@ from repro.core import (
     ArraySearchState,
     PatternTemplate,
     SearchState,
-    compile_role_kernel,
+    compile_kernel,
     generate_prototypes,
     local_constraint_checking,
     max_candidate_set,
@@ -26,7 +26,7 @@ from repro.core.enumeration import (
     enumerate_matches,
     enumerate_matches_array,
 )
-from repro.core.kernels import cached_role_kernel
+from repro.core.kernels import cached_kernel
 from repro.graph.graph import Graph
 
 from test_kernels import engine_for, random_case
@@ -44,14 +44,12 @@ def verification_state(seed, proto_index, k=1):
     protos = generate_prototypes(template, k).all()
     proto = protos[proto_index % len(protos)]
     scoped = state.for_prototype_search(proto)
-    local_constraint_checking(
-        scoped, proto.graph, engine_for(graph), array_state=True
-    )
+    local_constraint_checking(scoped, proto.graph, engine_for(graph))
     return proto, scoped
 
 
 def astate_for(proto, state, min_words=1):
-    kernel = cached_role_kernel(proto.graph)
+    kernel = cached_kernel(proto.graph)
     return ArraySearchState.from_search_state(
         state, roles=kernel.roles, min_words=min_words
     )
@@ -127,9 +125,7 @@ class TestEdgeLabelEnumerationParity:
     def pruned(self, graph, template):
         proto = generate_prototypes(template, 0).at(0)[0]
         state = SearchState.initial(graph, template)
-        local_constraint_checking(
-            state, proto.graph, engine_for(graph), array_state=True
-        )
+        local_constraint_checking(state, proto.graph, engine_for(graph))
         return proto, state
 
     @pytest.mark.parametrize("seed", range(6))
@@ -158,7 +154,7 @@ class TestWideFixpointParity:
         # Same seeds as the enumeration parity suite: forcing the wide
         # layout must not change the LCC fixed point or round count.
         graph, template = random_case(seed)
-        kernel = compile_role_kernel(template.graph)
+        kernel = compile_kernel(template.graph)
         snapshots = []
         for min_words in (1, 2):
             astate = ArraySearchState.initial(

@@ -127,3 +127,28 @@ class TestFlipPipeline:
             if any(v.graph.degree(w) == 3 for w in v.graph.vertices())
         ]
         assert any(name in with_matches for name in star_variants)
+
+    @pytest.mark.parametrize("backend", ["array", "reference"])
+    def test_options_reach_every_engine(self, backend):
+        # tracer and metrics registry thread into the M* engine and every
+        # variant's search, like the level drivers'
+        from repro.runtime.trace import Tracer
+
+        template = base_template()
+        graph = planted_graph(
+            40, 80, template.edges(), [1, 2, 3, 4], copies=2,
+            num_labels=5, seed=19,
+        )
+        tracer = Tracer()
+        options = PipelineOptions(num_ranks=2, tracer=tracer, backend=backend)
+        result = run_flip_pipeline(graph, template, flips=1, options=options)
+        assert len(tracer.find("prototype")) == len(result.variants)
+        assert len(tracer.find("max_candidate_set")) == 1
+        counters = options.metrics.snapshot()["counters"]
+        assert counters["engine.traversals"] + counters.get(
+            "engine.rounds_batched", 0
+        ) > 0
+        plain = run_flip_pipeline(
+            graph, template, flips=1, options=PipelineOptions(num_ranks=2)
+        )
+        assert result.match_vectors == plain.match_vectors

@@ -1,20 +1,24 @@
 """Equivalence tests for the bitmask role kernels (core/kernels.py).
 
-The kernel and delta paths are pure performance work: every test here pins
-them to the baseline set-based implementations — identical fixed points,
-identical iteration counts, and (for the non-delta kernel) identical
-message counts.
+The kernels drive the array backend's fixpoints, which are pure
+performance work: every test here pins them to the set-based reference —
+identical fixed points, identical iteration counts, and (for full rounds,
+``delta=False``) identical message counts; the semi-naive rounds only
+ever send fewer.
 """
 
 import pytest
 
 from repro.core import (
+    ArraySearchState,
     PatternTemplate,
     PipelineOptions,
     SearchState,
-    compile_role_kernel,
+    array_kernel_fixpoint,
+    compile_kernel,
     generate_prototypes,
     local_constraint_checking,
+    max_candidate_arrays,
     max_candidate_set,
     run_pipeline,
 )
@@ -62,13 +66,22 @@ def random_case(seed):
     return graph, template
 
 
-def lcc_snapshot(graph, template, role_kernel, delta):
+def lcc_snapshot(graph, template, mode):
+    """LCC fixed point, rounds and stats of one execution ``mode``:
+    ``"reference"`` (set-based rounds), ``"array"`` (semi-naive array
+    rounds) or ``"array-full"`` (array rounds with ``delta=False``)."""
     proto = generate_prototypes(template, 0).at(0)[0]
-    state = SearchState.initial(graph, template)
     engine = engine_for(graph)
-    iterations = local_constraint_checking(
-        state, proto.graph, engine, role_kernel=role_kernel, delta=delta
-    )
+    if mode == "reference":
+        state = SearchState.initial(graph, template)
+        iterations = local_constraint_checking(state, proto.graph, engine)
+    else:
+        astate = ArraySearchState.initial(graph, template)
+        iterations = array_kernel_fixpoint(
+            astate, compile_kernel(proto.graph), engine,
+            delta=mode == "array",
+        )
+        state = astate.to_search_state()
     return (
         dict(state.candidates),
         sorted(state.active_edge_list()),
@@ -82,7 +95,7 @@ class TestRoleKernelTables:
         return template_pool()[0]
 
     def test_role_bits_are_a_bijection(self):
-        kernel = compile_role_kernel(self.template().graph)
+        kernel = compile_kernel(self.template().graph)
         bits = set(kernel.role_bit.values())
         assert len(bits) == len(kernel.roles)
         assert all(bit & (bit - 1) == 0 for bit in bits)  # powers of two
@@ -90,27 +103,27 @@ class TestRoleKernelTables:
             assert kernel.bit_role[bit] == role
 
     def test_mask_roundtrip(self):
-        kernel = compile_role_kernel(self.template().graph)
+        kernel = compile_kernel(self.template().graph)
         for subset in ({0}, {1, 3}, {0, 1, 2, 3}, set()):
             assert kernel.roles_of(kernel.mask_of(subset)) == subset
         assert kernel.mask_of(kernel.roles) == kernel.full_mask
 
     def test_neighbor_masks_mirror_template_adjacency(self):
         template = self.template()
-        kernel = compile_role_kernel(template.graph)
+        kernel = compile_kernel(template.graph)
         for role in kernel.roles:
             mask = kernel.neighbor_masks[kernel.role_bit[role]]
             assert kernel.roles_of(mask) == set(template.graph.neighbors(role))
 
     def test_label_role_masks(self):
         template = template_pool()[1]  # labels 1,2,1,2
-        kernel = compile_role_kernel(template.graph)
+        kernel = compile_kernel(template.graph)
         assert kernel.roles_of(kernel.label_role_masks[1]) == {0, 2}
         assert kernel.roles_of(kernel.label_role_masks[2]) == {1, 3}
 
     def test_mandatory_masks(self):
         template = self.template()
-        kernel = compile_role_kernel(template.graph)
+        kernel = compile_kernel(template.graph)
         masks = kernel.mandatory_masks([(2, 3)])
         assert kernel.roles_of(masks[kernel.role_bit[2]]) == {3}
         assert kernel.roles_of(masks[kernel.role_bit[3]]) == {2}
@@ -122,7 +135,7 @@ class TestRoleKernelTables:
             labels={0: 1, 1: 2, 2: 3},
             edge_labels={(0, 1): 7},
         )
-        kernel = compile_role_kernel(template.graph)
+        kernel = compile_kernel(template.graph)
         assert kernel.edge_labeled
         bit0 = kernel.role_bit[0]
         assert kernel.roles_of(kernel.any_neighbor_masks[bit0]) == {2}
@@ -133,21 +146,22 @@ class TestLccEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_fixed_point_identical(self, seed):
         graph, template = random_case(seed)
-        base = lcc_snapshot(graph, template, role_kernel=False, delta=False)
-        kern = lcc_snapshot(graph, template, role_kernel=True, delta=False)
-        dlta = lcc_snapshot(graph, template, role_kernel=True, delta=True)
+        base = lcc_snapshot(graph, template, "reference")
+        full = lcc_snapshot(graph, template, "array-full")
+        dlta = lcc_snapshot(graph, template, "array")
         # Same candidates, same active edges, same number of rounds.
-        assert kern[:3] == base[:3]
+        assert full[:3] == base[:3]
         assert dlta[:3] == base[:3]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_message_counts(self, seed):
         graph, template = random_case(seed)
-        base = lcc_snapshot(graph, template, role_kernel=False, delta=False)
-        kern = lcc_snapshot(graph, template, role_kernel=True, delta=False)
-        dlta = lcc_snapshot(graph, template, role_kernel=True, delta=True)
-        # The non-delta kernel replays the baseline broadcast schedule.
-        assert kern[3].total_messages == base[3].total_messages
+        base = lcc_snapshot(graph, template, "reference")
+        full = lcc_snapshot(graph, template, "array-full")
+        dlta = lcc_snapshot(graph, template, "array")
+        # Full array rounds replay the reference broadcast schedule.
+        assert full[3].total_messages == base[3].total_messages
+        assert full[3].total_visits == base[3].total_visits
         # Delta only ever *skips* re-broadcasts.
         assert dlta[3].total_messages <= base[3].total_messages
 
@@ -160,11 +174,11 @@ class TestLccEquivalence:
             graph.add_vertex(v, lab)
         for u, v in [(0, 1), (1, 2), (2, 0), (2, 3)]:
             graph.add_edge(u, v)
+        kernel = compile_kernel(template.graph)
         for delta in (False, True):
-            state = SearchState.initial(graph, template)
-            local_constraint_checking(
-                state, template.graph, engine_for(graph),
-                role_kernel=True, delta=delta,
+            state = ArraySearchState.initial(graph, template)
+            array_kernel_fixpoint(
+                state, kernel, engine_for(graph), delta=delta
             )
             assert not state.is_active(9)
             assert state.is_active(2)
@@ -197,20 +211,33 @@ class TestEdgeLabeledEquivalence:
             name="el",
         )
         graph = self.background(seed)
-        base = lcc_snapshot(graph, template, role_kernel=False, delta=False)
-        kern = lcc_snapshot(graph, template, role_kernel=True, delta=False)
-        dlta = lcc_snapshot(graph, template, role_kernel=True, delta=True)
-        assert kern[:3] == base[:3]
+        base = lcc_snapshot(graph, template, "reference")
+        full = lcc_snapshot(graph, template, "array-full")
+        dlta = lcc_snapshot(graph, template, "array")
+        assert full[:3] == base[:3]
         assert dlta[:3] == base[:3]
-        assert kern[3].total_messages == base[3].total_messages
+        assert full[3].total_messages == base[3].total_messages
 
 
 class TestMaxCandidateSetEquivalence:
-    def mcs_snapshot(self, graph, template, role_kernel, delta):
+    def mcs_snapshot(self, graph, template, mode):
         engine = engine_for(graph)
-        state = max_candidate_set(
-            graph, template, engine, role_kernel=role_kernel, delta=delta
-        )
+        if mode == "reference":
+            state = max_candidate_set(graph, template, engine)
+        elif mode == "array":
+            state = max_candidate_arrays(
+                graph, template, engine
+            ).to_search_state()
+        else:  # full array rounds, under the template's mandatory masks
+            kernel = compile_kernel(template.graph)
+            astate = ArraySearchState.initial(graph, template)
+            array_kernel_fixpoint(
+                astate, kernel, engine, delta=False,
+                mandatory_masks=kernel.mandatory_masks(
+                    template.mandatory_edges
+                ),
+            )
+            state = astate.to_search_state()
         return (
             dict(state.candidates),
             sorted(state.active_edge_list()),
@@ -220,12 +247,12 @@ class TestMaxCandidateSetEquivalence:
     @pytest.mark.parametrize("seed", range(6))
     def test_mstar_identical(self, seed):
         graph, template = random_case(seed)
-        base = self.mcs_snapshot(graph, template, role_kernel=False, delta=False)
-        kern = self.mcs_snapshot(graph, template, role_kernel=True, delta=False)
-        dlta = self.mcs_snapshot(graph, template, role_kernel=True, delta=True)
-        assert kern[:2] == base[:2]
+        base = self.mcs_snapshot(graph, template, "reference")
+        full = self.mcs_snapshot(graph, template, "array-full")
+        dlta = self.mcs_snapshot(graph, template, "array")
+        assert full[:2] == base[:2]
         assert dlta[:2] == base[:2]
-        assert kern[2].total_messages == base[2].total_messages
+        assert full[2].total_messages == base[2].total_messages
         assert dlta[2].total_messages <= base[2].total_messages
 
     def test_mandatory_edges_identical(self):
@@ -238,20 +265,14 @@ class TestMaxCandidateSetEquivalence:
         graph = planted_graph(
             40, 110, template.edges(), labels, copies=2, num_labels=4, seed=3
         )
-        base = self.mcs_snapshot(graph, template, role_kernel=False, delta=False)
-        for delta in (False, True):
-            other = self.mcs_snapshot(graph, template, role_kernel=True, delta=delta)
+        base = self.mcs_snapshot(graph, template, "reference")
+        for mode in ("array-full", "array"):
+            other = self.mcs_snapshot(graph, template, mode)
             assert other[:2] == base[:2]
 
 
 class TestPipelineEquivalence:
-    """End-to-end: kernel and delta knobs never change any result field."""
-
-    VARIANTS = [
-        dict(role_kernel=False, delta_lcc=False),
-        dict(role_kernel=True, delta_lcc=False),
-        dict(role_kernel=True, delta_lcc=True),
-    ]
+    """End-to-end: the backend never changes any result field."""
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("seed", [11, 23])
@@ -261,21 +282,19 @@ class TestPipelineEquivalence:
         graph = planted_graph(
             50, 130, template.edges(), labels, copies=3, num_labels=4, seed=seed
         )
-        results = [
+        base, result = [
             run_pipeline(
                 graph, template, k,
-                PipelineOptions(num_ranks=3, count_matches=True, **variant),
+                PipelineOptions(num_ranks=3, count_matches=True, backend=backend),
             )
-            for variant in self.VARIANTS
+            for backend in ("reference", "array")
         ]
-        base = results[0]
-        for result in results[1:]:
-            assert result.match_vectors == base.match_vectors
-            for proto in base.prototype_set:
-                ours = result.outcome_for(proto.id)
-                ref = base.outcome_for(proto.id)
-                assert ours.solution_vertices == ref.solution_vertices
-                assert ours.solution_edges == ref.solution_edges
-                assert ours.match_mappings == ref.match_mappings
-                assert ours.lcc_iterations == ref.lcc_iterations
-                assert ours.exact == ref.exact
+        assert result.match_vectors == base.match_vectors
+        for proto in base.prototype_set:
+            ours = result.outcome_for(proto.id)
+            ref = base.outcome_for(proto.id)
+            assert ours.solution_vertices == ref.solution_vertices
+            assert ours.solution_edges == ref.solution_edges
+            assert ours.match_mappings == ref.match_mappings
+            assert ours.lcc_iterations == ref.lcc_iterations
+            assert ours.exact == ref.exact

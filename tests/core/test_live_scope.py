@@ -10,7 +10,7 @@ Five guards around the array-resident level state:
 * the token frontier expanded over alive out-edges only produces the same
   rows, in the same order, as expanding over the full background row and
   filtering — the reference implementation kept below;
-* the in-process array level union equals the dict tier's union;
+* the in-process array level union equals the reference backend's union;
 * the walk recycles by probing the cache's sorted id array with its live
   initiators, and launches tokens for exactly the others.
 """
@@ -26,6 +26,7 @@ from repro.core import (
     exploratory_search,
     generate_constraints,
     run_pipeline,
+    run_pipeline_with_checkpoints,
 )
 from repro.core.arraystate import (
     ArraySearchState,
@@ -34,7 +35,7 @@ from repro.core.arraystate import (
     csr_of,
 )
 from repro.core.constraints import FULL_WALK_KIND
-from repro.core.kernels import compile_role_kernel, compile_walk_schedule
+from repro.core.kernels import compile_kernel, compile_walk_schedule
 from repro.core.patterns import wdc1_template
 from repro.graph.generators import gnm_graph, planted_graph
 from repro.runtime import Engine, MessageStats, PartitionedGraph
@@ -104,10 +105,13 @@ class TestNoDictStateOnDefaultPath:
         assert sum(counts.by_name(induced=False).values()) > 0
         assert conversions == dict.fromkeys(CONVERSIONS, 0)
 
-    def test_the_guard_sees_a_dict_tier_run(self, conversions):
+    def test_the_guard_sees_a_dict_tier_run(self, conversions, tmp_path):
+        # a checkpointed run keeps its level state in dict form: M* is
+        # exported once, every array search imports and writes back
         graph, template = wdc1_case()
-        run_pipeline(graph, template, 1, PipelineOptions(array_nlcc=False))
+        run_pipeline_with_checkpoints(graph, template, 1, tmp_path)
         assert conversions["to_search_state"] > 0
+        assert conversions["from_search_state"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +201,7 @@ def hub_state():
     for v in spokes:
         graph.add_edge(hub, v)
     template = c4_template()
-    kernel = compile_role_kernel(template.graph)
+    kernel = compile_kernel(template.graph)
     astate = ArraySearchState.initial(graph, template)
     for v in sorted(graph.neighbors(hub))[::2]:
         astate.deactivate_edge(hub, v)
@@ -285,7 +289,7 @@ class TestAliveOnlyExpansion:
 
 
 # ----------------------------------------------------------------------
-# (d) in-process array union == dict-tier union
+# (d) in-process array union == reference-backend union
 # ----------------------------------------------------------------------
 def path6_case():
     graph = gnm_graph(600, 2000, num_labels=4, seed=7)
@@ -307,13 +311,13 @@ class TestLevelUnionParity:
     def test_array_union_equals_dict_union(self, case, k):
         graph, template = case()
         levels = {}
-        for array_state in (True, False):
+        for backend in ("array", "reference"):
             result = run_pipeline(
                 graph, template, k,
-                PipelineOptions(num_ranks=4, array_state=array_state),
+                PipelineOptions(num_ranks=4, backend=backend),
             )
-            assert (result.array_fallback_reason is None) == array_state
-            levels[array_state] = [
+            assert result.backend == backend
+            levels[backend] = [
                 (
                     level.distance, level.union_vertices, level.union_edges,
                     [
@@ -323,8 +327,8 @@ class TestLevelUnionParity:
                 )
                 for level in result.levels
             ]
-        assert levels[True] == levels[False]
-        assert any(union_edges for _, _, union_edges, _ in levels[True])
+        assert levels["array"] == levels["reference"]
+        assert any(union_edges for _, _, union_edges, _ in levels["array"])
 
 
 # ----------------------------------------------------------------------

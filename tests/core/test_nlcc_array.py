@@ -1,11 +1,11 @@
-"""Array-NLCC vs dict-NLCC equivalence (the batched token frontier).
+"""Array-NLCC vs reference-NLCC equivalence (the batched token frontier).
 
-Every test runs the same walk twice — dict token visitors vs the batched
-array frontier (``array_nlcc=True``) — and asserts identical observable
-results: final state, checked/satisfied/recycled sets, eliminations,
-completions, confirmed roles/edges, and (for full walks) the exact match
-mappings.  The array path may merge token rows (``dedup_merged``) but
-must never change what the walk concludes.
+Every test runs the same walk twice — the reference backend's dict token
+visitors vs the array backend's batched frontier — and asserts identical
+observable results: final state, checked/satisfied/recycled sets,
+eliminations, completions, confirmed roles/edges, and (for full walks)
+the exact match mappings.  The array walk may merge token rows
+(``dedup_merged``) but must never change what the walk concludes.
 """
 
 from collections import Counter
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core import (
+    ArraySearchState,
     NlccCache,
     PatternTemplate,
     PipelineOptions,
@@ -24,7 +25,7 @@ from repro.core import (
     non_local_constraint_checking,
     run_pipeline,
 )
-from repro.core.kernels import compile_role_kernel
+from repro.core.kernels import compile_kernel
 from repro.core.ordering import order_constraints
 from repro.graph.generators import gnm_graph
 from repro.graph.graph import Graph
@@ -62,21 +63,31 @@ def result_digest(result):
     )
 
 
-def run_constraints(graph, template, constraints, array_nlcc, cache=None,
+def post_lcc_state(graph, template, engine, array):
+    """The reference LCC fixed point, in array form when ``array``."""
+    state = SearchState.initial(graph, template)
+    local_constraint_checking(state, template.graph, engine)
+    if array:
+        return ArraySearchState.from_search_state(
+            state, roles=compile_kernel(template.graph).roles
+        )
+    return state
+
+
+def run_constraints(graph, template, constraints, array, cache=None,
                     recycle=False):
     """Fresh post-LCC state, then every constraint in order; returns
-    (state snapshot, [result digests], engine stats)."""
-    state = SearchState.initial(graph, template)
+    (state snapshot, [result digests])."""
     engine = engine_for(graph)
-    local_constraint_checking(state, template.graph, engine)
-    kernel = compile_role_kernel(template.graph)
+    state = post_lcc_state(graph, template, engine, array)
     digests = []
     for constraint in constraints:
         result = non_local_constraint_checking(
             state, constraint, engine, cache=cache, recycle=recycle,
-            kernel=kernel, array_nlcc=array_nlcc,
         )
         digests.append(result_digest(result))
+    if array:
+        state = state.to_search_state()
     return state_snapshot(state), digests
 
 
@@ -86,7 +97,7 @@ def all_constraints(graph, template):
 
 
 class TestWalkEquivalence:
-    """Dict walk and array frontier agree constraint by constraint."""
+    """Reference walk and array frontier agree constraint by constraint."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_c4_all_constraint_kinds(self, seed):
@@ -168,14 +179,11 @@ class TestHubStormDedup:
         # Rerun one cycle constraint directly to observe the merge counter:
         # in a single-label clique the two free interior positions of the
         # length-5 cycle walk occur in both orders for every vertex pair.
-        state = SearchState.initial(graph, template)
         engine = engine_for(graph)
-        local_constraint_checking(state, template.graph, engine)
-        kernel = compile_role_kernel(template.graph)
+        state = post_lcc_state(graph, template, engine, array=True)
         cycle = next(c for c in constraints if c.kind == "cycle")
         result = non_local_constraint_checking(
-            state, cycle, engine, recycle=False, kernel=kernel,
-            array_nlcc=True,
+            state, cycle, engine, recycle=False
         )
         assert result.dedup_merged > 0
         assert result.satisfied == result.checked
@@ -191,19 +199,19 @@ class TestCacheParity:
         graph = gnm_graph(50, 140, num_labels=3, seed=2)
         return template, graph
 
-    @pytest.mark.parametrize("array_nlcc", [False, True])
-    def test_second_run_recycles(self, array_nlcc):
+    @pytest.mark.parametrize("array", [False, True])
+    def test_second_run_recycles(self, array):
         template, graph = self.template_and_graph()
         constraints = [
             c for c in all_constraints(graph, template) if c.kind == "cycle"
         ]
         cache = NlccCache()
         _snap1, first = run_constraints(
-            graph, template, constraints, array_nlcc, cache=cache,
+            graph, template, constraints, array, cache=cache,
             recycle=True,
         )
         _snap2, second = run_constraints(
-            graph, template, constraints, array_nlcc, cache=cache,
+            graph, template, constraints, array, cache=cache,
             recycle=True,
         )
         # first pass recycles nothing, second recycles every satisfied
@@ -217,21 +225,22 @@ class TestCacheParity:
             c for c in all_constraints(graph, template) if c.kind == "cycle"
         ]
         counters = {}
-        for array_nlcc in (False, True):
+        for array in (False, True):
             cache = NlccCache()
             for _ in range(2):
                 run_constraints(
-                    graph, template, constraints, array_nlcc, cache=cache,
+                    graph, template, constraints, array, cache=cache,
                     recycle=True,
                 )
-            counters[array_nlcc] = (cache.hits, cache.misses)
+            counters[array] = (cache.hits, cache.misses)
         assert counters[False] == counters[True]
 
 
 class TestLazyInitiatorSets:
     """The array walk keeps checked / satisfied / recycled as dense index
-    arrays; the vertex-id sets appear on first read and equal the dict
-    walk's, and the counts the search loop reads decode nothing."""
+    arrays; the vertex-id sets appear on first read and equal the
+    reference walk's, and the counts the search loop reads decode
+    nothing."""
 
     def run_both(self, seed, stride):
         template = PatternTemplate.from_edges(
@@ -242,20 +251,17 @@ class TestLazyInitiatorSets:
         constraints = [
             c for c in all_constraints(graph, template) if c.kind != "tds_full"
         ]
-        kernel = compile_role_kernel(template.graph)
         results = {}
-        for array_nlcc in (False, True):
+        for array in (False, True):
             # a cache that vouches for every stride-th vertex, live or not
             cache = NlccCache()
             for constraint in constraints:
                 cache.mark_satisfied(constraint.key, range(0, 60, stride))
-            state = SearchState.initial(graph, template)
             engine = engine_for(graph)
-            local_constraint_checking(state, template.graph, engine)
-            results[array_nlcc] = [
+            state = post_lcc_state(graph, template, engine, array)
+            results[array] = [
                 non_local_constraint_checking(
-                    state, constraint, engine, cache=cache, kernel=kernel,
-                    array_nlcc=array_nlcc,
+                    state, constraint, engine, cache=cache
                 )
                 for constraint in constraints
             ]
@@ -291,9 +297,9 @@ class TestLazyInitiatorSets:
 
 @pytest.mark.usefixtures("complete_constraint_lists")
 class TestPipelineEquivalence:
-    """run_pipeline with array_nlcc off vs on is observably identical
-    when both run the same walks: the dict tier always checks the
-    complete list, so the array tier is held to it here."""
+    """run_pipeline on the reference vs the array backend is observably
+    identical when both run the same walks: the reference backend always
+    checks the complete list, so the array backend is held to it here."""
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_end_to_end(self, k):
@@ -303,12 +309,12 @@ class TestPipelineEquivalence:
         )
         graph = gnm_graph(80, 220, num_labels=2, seed=5)
         results = {}
-        for array_nlcc in (False, True):
+        for backend in ("reference", "array"):
             options = PipelineOptions(
-                num_ranks=4, count_matches=True, array_nlcc=array_nlcc
+                num_ranks=4, count_matches=True, backend=backend
             )
             result = run_pipeline(graph, template, k, options)
-            results[array_nlcc] = (
+            results[backend] = (
                 {v: frozenset(p) for v, p in result.match_vectors.items()},
                 result.total_match_mappings(),
                 [
@@ -319,7 +325,7 @@ class TestPipelineEquivalence:
                     for level in result.levels for o in level.outcomes
                 ],
             )
-        assert results[False] == results[True]
+        assert results["reference"] == results["array"]
 
     def test_stats_document_counters_without_tracer(self):
         template = PatternTemplate.from_edges(
@@ -328,17 +334,17 @@ class TestPipelineEquivalence:
         )
         graph = gnm_graph(80, 220, num_labels=2, seed=5)
         docs = {}
-        for array_nlcc in (False, True):
+        for backend in ("reference", "array"):
             options = PipelineOptions(
-                num_ranks=4, count_matches=True, array_nlcc=array_nlcc
+                num_ranks=4, count_matches=True, backend=backend
             )
             doc = run_pipeline(graph, template, 1, options).stats_document()
-            docs[array_nlcc] = doc["nlcc"]
+            docs[backend] = doc["nlcc"]
         for nlcc in docs.values():
             assert nlcc["tokens_launched"] > 0
             assert nlcc["completions"] > 0
         # everything except the array-only dedup counter agrees
         for field in ("constraints_checked", "roles_eliminated", "recycled",
                       "tokens_launched", "completions"):
-            assert docs[False][field] == docs[True][field]
-        assert docs[False]["dedup_merged"] == 0
+            assert docs["reference"][field] == docs["array"][field]
+        assert docs["reference"]["dedup_merged"] == 0

@@ -41,7 +41,7 @@ from repro.core.arraystate import (
     array_token_walk,
 )
 from repro.core.constraints import FULL_WALK_KIND, NonLocalConstraint
-from repro.core.kernels import compile_role_kernel, compile_walk_schedule
+from repro.core.kernels import compile_kernel, compile_walk_schedule
 from repro.graph.generators import gnm_graph
 from repro.graph.graph import Graph, canonical_edge
 from repro.graph.isomorphism import find_subgraph_isomorphisms
@@ -152,8 +152,7 @@ def check_reduce_parity(astate, constraint, kernel):
         state, constraint, engine_for(state.graph), kernel=kernel
     )
     array_result = non_local_constraint_checking(
-        None, constraint, engine_for(astate.graph), kernel=kernel,
-        astate=astate,
+        astate, constraint, engine_for(astate.graph), kernel=kernel
     )
 
     assert dict_snapshot(astate.to_search_state()) == dict_snapshot(state)
@@ -178,7 +177,7 @@ def check_reduce_parity(astate, constraint, kernel):
 # ----------------------------------------------------------------------
 class TestCarriedEdges:
     def walk(self, graph, template):
-        kernel = compile_role_kernel(template.graph)
+        kernel = compile_kernel(template.graph)
         astate = ArraySearchState.initial(graph, template)
         array_kernel_fixpoint(astate, kernel, engine_for(graph))
         schedule = compile_walk_schedule(full_walk_of(graph, template))
@@ -223,7 +222,7 @@ class TestCarriedEdges:
             [(0, 1), (1, 2), (2, 0)], labels={0: 0, 1: 1, 2: 2}
         )
         graph = gnm_graph(30, 90, num_labels=3, seed=1)
-        kernel = compile_role_kernel(template.graph)
+        kernel = compile_kernel(template.graph)
         astate = ArraySearchState.initial(graph, template)
         cycle = next(
             c for c in generate_constraints(
@@ -253,7 +252,7 @@ class TestReduceParity:
     ):
         template = data.draw(templates(edge_labels))
         graph = data.draw(graphs(edge_labels))
-        kernel = compile_role_kernel(template.graph)
+        kernel = compile_kernel(template.graph)
         astate = ArraySearchState.initial(graph, template, min_words=min_words)
         if run_lcc:
             # without it, edges into non-candidates are alive one way only
@@ -286,7 +285,7 @@ class TestReduceParity:
             FULL_WALK_KIND, walk, [template.label(v) for v in walk],
             template.graph,
         )
-        kernel = compile_role_kernel(template.graph)
+        kernel = compile_kernel(template.graph)
         astate = ArraySearchState.initial(graph, template)
         result = check_reduce_parity(astate, constraint, kernel)
         assert result.completions > 0
@@ -311,7 +310,7 @@ class TestReduceParity:
         for u, v in ((0, 100), (100, 101), (101, 102), (102, 0),
                      (103, 104), (104, 2)):
             graph.add_edge(u, v)
-        kernel = compile_role_kernel(template.graph)
+        kernel = compile_kernel(template.graph)
         astate = ArraySearchState.initial(graph, template)
         assert astate.n_words == 2
         result = check_reduce_parity(
@@ -339,11 +338,11 @@ class TestAgainstBruteForce:
             for u, v in template.edges():
                 match_edges.add(canonical_edge(mapping[u], mapping[v]))
 
-        kernel = compile_role_kernel(template.graph)
+        kernel = compile_kernel(template.graph)
         astate = ArraySearchState.initial(graph, template)
         result = non_local_constraint_checking(
-            None, full_walk_of(graph, template), engine_for(graph),
-            kernel=kernel, astate=astate,
+            astate, full_walk_of(graph, template), engine_for(graph),
+            kernel=kernel,
         )
         assert result.confirmed_edges <= match_edges  # precision
         assert result.confirmed_edges >= match_edges  # recall

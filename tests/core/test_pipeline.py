@@ -233,6 +233,10 @@ class TestOptionValidation:
         with pytest.raises(PipelineError):
             PipelineOptions(prototype_cost_source="oracle")
 
+    def test_bad_backend(self):
+        with pytest.raises(PipelineError, match="backend"):
+            PipelineOptions(backend="kernel")
+
     def test_naive_options_disable_optimizations(self):
         opts = naive_options(PipelineOptions(num_ranks=7))
         assert opts.num_ranks == 7

@@ -33,6 +33,33 @@ class TestCheckpointedRun:
         )
         assert checkpointed.match_vectors == plain.match_vectors
 
+    def test_registry_includes_the_mstar_traversal(self, tmp_path):
+        from repro.core import max_candidate_arrays
+        from repro.runtime import Engine, MessageStats, PartitionedGraph
+        from repro.runtime.metrics import MetricsRegistry
+
+        def rounds(registry):
+            counters = registry.snapshot()["counters"]
+            return sum(
+                counters.get(f"fixpoint.rounds_{kind}", 0)
+                for kind in ("dense", "sparse")
+            )
+
+        graph, template = workload()
+        mstar = MetricsRegistry()
+        max_candidate_arrays(
+            graph, template,
+            Engine(PartitionedGraph(graph, 2), MessageStats(2), metrics=mstar),
+        )
+        options = PipelineOptions(num_ranks=2)
+        result = run_pipeline_with_checkpoints(
+            graph, template, K, tmp_path, options
+        )
+        assert result.metrics is options.metrics
+        lcc_rounds = sum(o.lcc_iterations for o in result.outcomes())
+        assert rounds(mstar) > 0 and lcc_rounds > 0
+        assert rounds(options.metrics) == rounds(mstar) + lcc_rounds
+
     def test_manifest_written(self, tmp_path):
         graph, template = workload()
         run_pipeline_with_checkpoints(

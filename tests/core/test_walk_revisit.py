@@ -58,7 +58,7 @@ from repro.core.enumeration import (
     extend_from_child_matches,
     extend_from_child_matches_array,
 )
-from repro.core.kernels import compile_role_kernel, compile_walk_schedule
+from repro.core.kernels import compile_kernel, compile_walk_schedule
 from repro.graph.generators import gnm_graph
 from repro.graph.graph import Graph, canonical_edge
 from repro.graph.io import read_edge_list, write_edge_list, write_labels
@@ -336,7 +336,7 @@ class TestTrafficParity:
             edges, labels, edge_labels=required
         )
         graph = data.draw(hub_graphs())
-        kernel = compile_role_kernel(template.graph)
+        kernel = compile_kernel(template.graph)
         astate = ArraySearchState.initial(graph, template, min_words=min_words)
         if run_lcc:
             array_kernel_fixpoint(astate, kernel, engine_for(graph))
@@ -369,7 +369,7 @@ class TestTrafficParity:
             graph.add_vertex(v, label)
         for u, v in ((10, 11), (11, 12), (12, 10), (12, 13)):
             graph.add_edge(u, v)
-        kernel = compile_role_kernel(template.graph)
+        kernel = compile_kernel(template.graph)
         constraint = next(
             c for c in non_local_of(graph, template)
             if c.kind == "cycle" and c.walk == (0, 1, 2, 0)
@@ -444,7 +444,7 @@ def clique4_case():
 class TestRowOrder:
     def test_tds_of_a_4_clique(self):
         graph, template, constraint = clique4_case()
-        kernel = compile_role_kernel(template.graph)
+        kernel = compile_kernel(template.graph)
         schedule = compile_walk_schedule(constraint)
         assert len(revisit_hops(schedule)) >= 3
         astate = ArraySearchState.initial(graph, template)
@@ -468,7 +468,7 @@ class TestRowOrder:
 
         vid = astate.csr.order
         result = non_local_constraint_checking(
-            None, constraint, engine_for(graph), kernel=kernel, astate=astate
+            astate, constraint, engine_for(graph), kernel=kernel
         )
         assert result.completed_paths.tolist() == [
             vid[list(p)].tolist() for p, _ in reference
@@ -582,7 +582,7 @@ class TestRevisitHopsDoNotExpand:
 
     def test_np_repeat_runs_on_expansion_hops_only(self, monkeypatch):
         graph, template, constraint = clique4_case()
-        kernel = compile_role_kernel(template.graph)
+        kernel = compile_kernel(template.graph)
         schedule = compile_walk_schedule(constraint)
         astate = ArraySearchState.initial(graph, template)
         calls = []
@@ -622,7 +622,7 @@ class TestAWalkWithoutTokens:
         finds every remaining initiator vouched for."""
         from repro.core import NlccCache, SearchState, local_constraint_checking
 
-        kernel = compile_role_kernel(template.graph)
+        kernel = compile_kernel(template.graph)
         state = SearchState.initial(graph, template)
         local_constraint_checking(state, template.graph, engine_for(graph))
         astate = (
@@ -634,9 +634,8 @@ class TestAWalkWithoutTokens:
         for _ in range(2):
             stats = RecordingStats()
             results.append(non_local_constraint_checking(
-                None if array else state, constraint,
+                astate if array else state, constraint,
                 engine_for(graph, stats), cache=cache, kernel=kernel,
-                astate=astate,
             ))
         first, second = results
         assert first.tokens_launched > 0 and first.satisfied
@@ -667,7 +666,7 @@ class TestAWalkWithoutTokens:
     @pytest.mark.parametrize("recycled_input", [True, False])
     def test_nothing_is_compacted(self, monkeypatch, recycled_input):
         graph, template, constraint = self.case()
-        kernel = compile_role_kernel(template.graph)
+        kernel = compile_kernel(template.graph)
         schedule = compile_walk_schedule(constraint)
         astate = ArraySearchState.initial(graph, template)
         array_kernel_fixpoint(astate, kernel, engine_for(graph))

@@ -12,7 +12,8 @@ from them and returns a :class:`Graph` *over* that CSR.  Guards:
   dict consumer sees the graph the builder would have built, and a
   mutator's first touch builds the dicts before it lets the CSR go;
 * (d) the default drivers never build the dicts of a loaded graph, and a
-  dict-tier run on the same graph still returns the brute-force answer.
+  reference-backend run on the same graph still returns the brute-force
+  answer.
 """
 
 import pickle
@@ -407,7 +408,7 @@ class TestDefaultRunsNeverBuildTheDicts:
         graph = read_edge_list(edges, labels)
         result = run_pipeline(
             graph, DIAMOND, 0,
-            PipelineOptions(array_state=False, count_matches=True),
+            PipelineOptions(backend="reference", count_matches=True),
         )
         assert dict_builds == [csr_of(graph)]
         assert result.matched_vertices() == brute_force_vertices(expected, DIAMOND)

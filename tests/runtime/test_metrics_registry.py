@@ -224,7 +224,7 @@ class TestOverheadBudget:
         absolute epsilon absorbs scheduler jitter on runs this short.
         """
         from repro.core.arraystate import ArraySearchState, array_kernel_fixpoint
-        from repro.core.kernels import cached_role_kernel
+        from repro.core.kernels import cached_kernel
         from repro.graph.generators.random_labeled import gnm_graph
         from repro.runtime.engine import Engine
         from repro.runtime.messages import MessageStats
@@ -235,7 +235,7 @@ class TestOverheadBudget:
         template = PatternTemplate.from_edges(
             [(v, v + 1) for v in range(7)], labels, name="overhead-path8"
         )
-        kernel = cached_role_kernel(template.graph)
+        kernel = cached_kernel(template.graph)
 
         def best_of(metrics, repeats=3):
             best = float("inf")

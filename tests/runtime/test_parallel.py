@@ -68,45 +68,44 @@ class TestWorkerProcesses:
         )
 
     def test_array_paths_forwarded_to_workers(self):
-        # Workers read options.array_state/array_nlcc directly; a dropped
-        # keyword would silently fall back to the dict path in-pool while
-        # the sequential run used the array kernels.
+        # Workers read options.backend directly; a dropped keyword would
+        # silently run another execution in-pool than the sequential run.
         graph, template = workload(seed=54)
-        knobs = dict(
-            num_ranks=2, count_matches=True,
-            array_state=True, array_nlcc=True,
-        )
-        sequential = run_pipeline(
-            graph, template, 1, PipelineOptions(**knobs)
-        )
-        pooled = run_pipeline(
-            graph, template, 1,
-            PipelineOptions(worker_processes=2, **knobs),
-        )
-        assert pooled.match_vectors == sequential.match_vectors
-        for proto in sequential.prototype_set:
-            seq_outcome = sequential.outcome_for(proto.id)
-            par_outcome = pooled.outcome_for(proto.id)
-            assert (
-                par_outcome.nlcc_tokens_launched
-                == seq_outcome.nlcc_tokens_launched
+        for backend in ("array", "reference"):
+            knobs = dict(num_ranks=2, count_matches=True, backend=backend)
+            sequential = run_pipeline(
+                graph, template, 1, PipelineOptions(**knobs)
             )
-            assert (
-                par_outcome.distinct_matches == seq_outcome.distinct_matches
+            pooled = run_pipeline(
+                graph, template, 1,
+                PipelineOptions(worker_processes=2, **knobs),
             )
+            assert pooled.match_vectors == sequential.match_vectors
+            for proto in sequential.prototype_set:
+                seq_outcome = sequential.outcome_for(proto.id)
+                par_outcome = pooled.outcome_for(proto.id)
+                assert (
+                    par_outcome.nlcc_tokens_launched
+                    == seq_outcome.nlcc_tokens_launched
+                )
+                assert (
+                    par_outcome.nlcc_constraints_checked
+                    == seq_outcome.nlcc_constraints_checked
+                )
+                assert (
+                    par_outcome.distinct_matches
+                    == seq_outcome.distinct_matches
+                )
 
     def test_dict_payload_fallback_identical(self):
-        # shm_pool=False forces the legacy dict payloads even when the
-        # array stack is on; results must not depend on the wire format.
+        # the reference backend ships dict payloads; results must not
+        # depend on the backend or the wire format
         graph, template = workload(seed=55)
-        knobs = dict(
-            num_ranks=2, count_matches=True,
-            array_state=True, array_nlcc=True,
-        )
+        knobs = dict(num_ranks=2, count_matches=True)
         sequential = run_pipeline(graph, template, 1, PipelineOptions(**knobs))
         pooled = run_pipeline(
             graph, template, 1,
-            PipelineOptions(worker_processes=2, shm_pool=False, **knobs),
+            PipelineOptions(worker_processes=2, backend="reference", **knobs),
         )
         assert pooled.match_vectors == sequential.match_vectors
         for proto in sequential.prototype_set:

@@ -105,11 +105,7 @@ def nlcc_workload():
 
 
 def array_options(**overrides):
-    base = dict(
-        num_ranks=2, count_matches=True, array_state=True, array_nlcc=True
-    )
-    base.update(overrides)
-    return PipelineOptions(**base)
+    return PipelineOptions(num_ranks=2, count_matches=True, **overrides)
 
 
 def assert_results_equal(got, want, stats=False):
@@ -265,7 +261,6 @@ class TestPoolLifecycle:
         pool = PrototypeSearchPool(
             graph, template, 1, array_options(worker_processes=2), 2
         )
-        assert pool.array_payloads
         name = pool._shm.name
         assert name in shm_segments()
         # An unknown prototype id blows up inside the worker; the pool
@@ -305,13 +300,12 @@ class TestPoolLifecycle:
             run_pipeline(graph, template, 1, array_options(worker_processes=2))
         assert_no_segments()
 
-    def test_shm_pool_off_exports_nothing(self):
+    def test_reference_backend_exports_nothing(self):
         graph, template = kernel_workload()
         with PrototypeSearchPool(
             graph, template, 1,
-            array_options(worker_processes=2, shm_pool=False), 2,
+            array_options(worker_processes=2, backend="reference"), 2,
         ) as pool:
-            assert not pool.array_payloads
             assert pool._shm is None
             assert_no_segments()
 
@@ -364,7 +358,11 @@ class TestPayloadParity:
         assert len(pickle.dumps(packed)) * 10 < len(pickle.dumps(legacy))
 
 
+@pytest.mark.usefixtures("complete_constraint_lists")
 class TestPooledParity:
+    """Both backends run the complete lists here, so the pooled runs'
+    walk statistics are comparable across backends."""
+
     @pytest.mark.parametrize("workload", [kernel_workload, nlcc_workload])
     def test_pipeline_matches_sequential(self, workload):
         graph, template = workload()
@@ -374,7 +372,7 @@ class TestPooledParity:
         )
         pooled_dict = run_pipeline(
             graph, template, 1,
-            array_options(worker_processes=2, shm_pool=False),
+            array_options(worker_processes=2, backend="reference"),
         )
         assert_results_equal(pooled_shm, sequential)
         assert_results_equal(pooled_dict, sequential)
@@ -400,11 +398,11 @@ class TestPooledParity:
         graph, template = nlcc_workload()
         first = run_pipeline(
             graph, template, 1,
-            array_options(worker_processes=2, shm_pool=False),
+            array_options(worker_processes=2, backend="reference"),
         )
         second = run_pipeline(
             graph, template, 1,
-            array_options(worker_processes=2, shm_pool=False),
+            array_options(worker_processes=2, backend="reference"),
         )
         shm = run_pipeline(
             graph, template, 1, array_options(worker_processes=2)
