@@ -61,11 +61,14 @@ __all__ = [
 
 #: modules holding the performance-critical kernels; several rules apply
 #: only here (matching by file name keeps fixture suites trivial to write).
-#: ``csr.py`` is the CSR half of what used to be ``arraystate.py``: its
-#: constructors stay under the hot-loop rule (R5) they were written under.
-HOT_MODULE_BASENAMES = frozenset(
-    {"lcc.py", "nlcc.py", "arraystate.py", "csr.py", "kernels.py"}
-)
+#: ``csr.py`` is the CSR the array backend runs on: its constructors stay
+#: under the hot-loop rule (R5) they were written under.
+HOT_MODULE_BASENAMES = frozenset({"lcc.py", "nlcc.py", "csr.py", "kernels.py"})
+
+#: packages whose every module is hot: the array backend's state, fixpoint,
+#: token walk and round accounting (matched by directory name, so generic
+#: module names inside them never make a same-named module elsewhere hot)
+HOT_PACKAGE_DIRS = frozenset({"arraystate"})
 
 #: the driver set every PipelineOptions field must be threaded through
 DRIVER_BASENAMES = frozenset(
@@ -140,7 +143,10 @@ class ModuleSource:
     # ------------------------------------------------------------------
     @property
     def is_hot(self) -> bool:
-        return self.basename in HOT_MODULE_BASENAMES
+        return (
+            self.basename in HOT_MODULE_BASENAMES
+            or self.path.parent.name in HOT_PACKAGE_DIRS
+        )
 
     @property
     def is_driver(self) -> bool:

@@ -1,7 +1,7 @@
 """The project-specific rules behind ``repro lint``.
 
 Each rule is motivated by a bug class this codebase has actually hit
-(see docs/INTERNALS.md §11 for the full write-ups):
+(see docs/INTERNALS.md §10 for the full write-ups):
 
 * **R1** ``optional-int-truthiness`` — ``if x:`` on int / Optional[int]
   option and counter fields conflates 0 with None/absent (the

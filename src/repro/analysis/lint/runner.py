@@ -218,7 +218,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="project-specific AST invariant checks "
-                    "(see docs/INTERNALS.md §11)",
+                    "(see docs/INTERNALS.md §10)",
     )
     add_lint_arguments(parser)
     return lint_from_args(parser.parse_args(argv))

@@ -20,15 +20,15 @@ Python:
 * ``lint``        — project-specific AST invariant checks (optional-int
   truthiness, options threading, tracer guards, hot-loop hygiene,
   batched template execution —
-  docs/INTERNALS.md §11);
+  docs/INTERNALS.md §10);
 * ``analyze``     — interprocedural static analysis: the lint pass plus
   the call-graph/CFG/dataflow rules (shm use-after-release, resident
   immutability, pickles-empty export, dtype contract, options
-  threading — docs/INTERNALS.md §16);
+  threading — docs/INTERNALS.md §14);
 * ``batch``       — template-library batch search: several template JSON
   files run through one compiled library sharing kernels, prototypes,
   the ``M*`` traversal and auxiliary pruned views (docs/INTERNALS.md
-  §13);
+  §12);
 * ``motifs``      — 3/4/5-vertex motif census of an edge-list graph;
   ``--batched`` routes it through the batch executor;
 * ``generate``    — write one of the synthetic datasets to disk;
@@ -463,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = commands.add_parser(
         "lint",
-        help="project-specific AST invariant checks (INTERNALS.md §11)",
+        help="project-specific AST invariant checks (INTERNALS.md §10)",
     )
     from .analysis.lint.runner import add_lint_arguments
 
@@ -473,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = commands.add_parser(
         "analyze",
         help="interprocedural static analysis — call-graph/CFG/dataflow "
-             "rules R9+ on top of the lint pass (INTERNALS.md §16)",
+             "rules R9+ on top of the lint pass (INTERNALS.md §14)",
     )
     add_lint_arguments(analyze)
     analyze.set_defaults(func=command_lint, deep=True)

@@ -81,7 +81,6 @@ class GraphStatistics:
         one ``count_nonzero`` per direction of every prototype edge.  A
         vertex that is active with an empty role set counts for no role.
         """
-        role_mask = astate.role_mask
         csr = astate.csr
         alive = np.flatnonzero(astate.edge_alive)
         src, dst = csr.src[alive], csr.indices[alive]
@@ -89,9 +88,8 @@ class GraphStatistics:
         at_src: Dict[int, np.ndarray] = {}
         at_dst: Dict[int, np.ndarray] = {}
         for role in proto_graph.vertices():
-            word, offset = divmod(astate.role_bit[role].bit_length() - 1, 64)
-            column = role_mask if role_mask.ndim == 1 else role_mask[:, word]
-            holds = (column & np.uint64(1 << offset)) != 0
+            column, bit = astate.role_column(role)
+            holds = (column & bit) != 0
             vertex_counts[role] = int(np.count_nonzero(holds))
             at_src[role], at_dst[role] = holds[src], holds[dst]
         pair_edge_counts: Dict[Tuple[int, int], int] = {}

@@ -30,6 +30,7 @@ from ..graph.isomorphism import (
     automorphism_count,
     find_subgraph_isomorphisms,
 )
+from .arraystate.searchstate import rows_nonzero
 from .prototypes import Prototype
 from .state import SearchState
 
@@ -129,20 +130,9 @@ def enumerate_matches_array(
     empty = ArrayMatchSet(
         tuple(order), np.zeros((0, len(order)), dtype=np.int64), csr
     )
-    role_bit = astate.role_bit
-    if any(pv not in role_bit for pv in order):
+    if any(pv not in astate.role_bit for pv in order):
         return empty
-
-    role_mask = astate.role_mask
-    wide = role_mask.ndim > 1
-
-    def role_column(pv: int) -> Tuple[np.ndarray, np.uint64]:
-        """The uint64 mask column holding ``pv``'s bit, plus that bit."""
-        bit = role_bit[pv]
-        if wide:
-            word, offset = divmod(bit.bit_length() - 1, 64)
-            return role_mask[:, word], np.uint64(1 << offset)
-        return role_mask, np.uint64(bit)
+    role_column = astate.role_column
 
     # Pruned view: an edge exists iff its smaller->larger slot is alive
     # with both endpoints active (the same asymmetric-aliveness rule
@@ -391,21 +381,11 @@ def astate_from_matches(astate, prototype: Prototype, match_set):
     an :class:`ArrayMatchSet` over the same CSR.
     """
     csr = astate.csr
-    role_bit = astate.role_bit
-    role_mask = astate.role_mask
-    wide = role_mask.ndim > 1
-    new_mask = np.zeros_like(role_mask)
     rows = match_set.rows
     col_of = {pv: col for col, pv in enumerate(match_set.order)}
-    for col, pv in enumerate(match_set.order):
-        holds = np.zeros(csr.num_vertices, dtype=bool)
-        holds[rows[:, col]] = True
-        bit = role_bit[pv]
-        if wide:
-            word, offset = divmod(bit.bit_length() - 1, 64)
-            new_mask[holds, word] |= np.uint64(1 << offset)
-        else:
-            new_mask[holds] |= np.uint64(bit)
+    new_mask = astate.masks_of(
+        (pv, rows[:, col]) for col, pv in enumerate(match_set.order)
+    )
 
     alive = np.zeros_like(astate.edge_alive)
     proto_edges = list(prototype.graph.edges())
@@ -419,10 +399,6 @@ def astate_from_matches(astate, prototype: Prototype, match_set):
         alive[csr.mirror[slot]] = True
 
     astate.role_mask = new_mask
-    astate.vertex_active = (
-        (new_mask != np.uint64(0)).any(axis=1)
-        if wide
-        else new_mask != np.uint64(0)
-    )
+    astate.vertex_active = rows_nonzero(new_mask)
     astate.edge_alive = alive
     return astate

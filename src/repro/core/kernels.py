@@ -20,9 +20,9 @@ With these tables, the two LCC predicates collapse to integer operations:
 * *edge viability* (endpoints hold template-adjacent roles) becomes
   ``neighbor_masks[bit] & other_mask`` over the set bits of one endpoint.
 
-The tables feed the vectorized fixpoint, token walk and enumerator of
-:mod:`~repro.core.arraystate` (one uint64 role mask per vertex in the
-same bit order); the set-based reference execution needs none of them.
+The tables feed the vectorized fixpoint and token walk of
+:mod:`~repro.core.arraystate` (role masks per vertex in the same bit
+order); the set-based reference execution needs none of them.
 """
 
 from __future__ import annotations

@@ -94,8 +94,8 @@ class NlccResult:
         #: backing stores of :attr:`confirmed_roles`, :attr:`confirmed_edges`
         #: and :attr:`completed_mappings`.  The dict walk fills them
         #: eagerly; the array walk sets them to None and keeps the dense
-        #: evidence instead — ``_confirmed_dense`` = (csr, kernel, vertex ×
-        #: mask-word role-bit matrix, per-directed-edge flag array) and
+        #: evidence instead — ``_confirmed_dense`` = (csr, kernel, per-vertex
+        #: role masks in the state's layout, per-directed-edge flag array) and
         #: ``completed_walk``/``completed_paths`` — decoded on first access.
         self._confirmed_roles: Optional[Dict[int, Set[int]]] = {}
         self._confirmed_edges: Optional[Set[Tuple[int, int]]] = set()
@@ -144,14 +144,14 @@ class NlccResult:
     def confirmed_roles(self) -> Dict[int, Set[int]]:
         """For full walks: vertex id -> roles some completed token gave it."""
         if self._confirmed_roles is None:
+            from .arraystate.searchstate import mask_ints, rows_nonzero
+
             csr, kernel, words, _ = self._confirmed_dense
-            held = words.any(axis=1).nonzero()[0]
+            held = rows_nonzero(words).nonzero()[0]
             self._confirmed_roles = {
-                vertex: kernel.roles_of(
-                    sum(word << (64 * w) for w, word in enumerate(row))
-                )
-                for vertex, row in zip(
-                    csr.order[held].tolist(), words[held].tolist()
+                vertex: kernel.roles_of(mask)
+                for vertex, mask in zip(
+                    csr.order[held].tolist(), mask_ints(words[held])
                 )
             }
         return self._confirmed_roles
@@ -453,23 +453,7 @@ def _check_array(
                 ~satisfied[walk_out.checked_idx]
             ]
             if elim_idx.shape[0]:
-                src_bit = kernel.role_bit[constraint.source]
-                if astate.role_mask.ndim == 1:
-                    bit = np.uint64(src_bit)
-                    astate.role_mask[elim_idx] &= ~bit
-                    dead = elim_idx[
-                        astate.role_mask[elim_idx] == np.uint64(0)
-                    ]
-                else:
-                    word, offset = divmod(src_bit.bit_length() - 1, 64)
-                    astate.role_mask[elim_idx, word] &= ~np.uint64(
-                        1 << offset
-                    )
-                    dead = elim_idx[
-                        ~(
-                            astate.role_mask[elim_idx] != np.uint64(0)
-                        ).any(axis=1)
-                    ]
+                dead = astate.clear_role_bit(elim_idx, constraint.source)
                 if dead.shape[0]:
                     astate.deactivate_indices(dead)
                 result.eliminated_roles = int(elim_idx.shape[0])
@@ -511,23 +495,21 @@ def _reduce_to_confirmed_array(
     """
     import numpy as np
 
+    from .arraystate.searchstate import rows_nonzero, rows_where
+
     csr = astate.csr
-    n = csr.num_vertices
     walk = schedule.walk
     paths = walk_out.full_paths
     before = astate.num_active_vertices
 
-    # confirmed role bits, one column per mask word
-    words = np.zeros((n, astate.n_words), dtype=np.uint64)
-    for position, role in enumerate(walk):
-        if schedule.same_positions[position]:
-            # a revisited role: the identity check pinned this column to
-            # the role's first position, already scattered
-            continue
-        holds = np.zeros(n, dtype=bool)
-        holds[paths[:, position]] = True
-        word, offset = divmod(kernel.role_bit[role].bit_length() - 1, 64)
-        words[holds, word] |= np.uint64(1 << offset)
+    # confirmed role bits, in the state's mask layout; a revisited role is
+    # skipped — the identity check pinned its column to the role's first
+    # position, already scattered
+    words = astate.masks_of(
+        (role, paths[:, position])
+        for position, role in enumerate(walk)
+        if not schedule.same_positions[position]
+    )
     confirmed = np.zeros(csr.num_directed_edges, dtype=bool)
     confirmed[walk_out.full_edges] = True
     confirmed |= confirmed[csr.mirror]
@@ -550,11 +532,10 @@ def _reduce_to_confirmed_array(
     # when examined from its smaller-id endpoint's side with that endpoint
     # still a candidate — the same asymmetric-aliveness quirk the dict
     # state preserves.
-    drop_idx = np.nonzero(astate.vertex_active & ~words.any(axis=1))[0]
+    drop_idx = np.nonzero(astate.vertex_active & ~rows_nonzero(words))[0]
     if drop_idx.shape[0]:
         astate.deactivate_indices(drop_idx)
-    kept = np.where(astate.vertex_active[:, None], words, np.uint64(0))
-    astate.role_mask = kept if astate.n_words > 1 else kept[:, 0]
+    astate.role_mask = rows_where(astate.vertex_active, words)
     alive = astate.edge_alive
     kill_idx = np.nonzero(
         alive & csr.vid_gt & astate.vertex_active[csr.src] & ~confirmed

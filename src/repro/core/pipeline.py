@@ -27,7 +27,9 @@ from ..graph.graph import Graph
 from ..runtime.engine import Engine
 from ..runtime.messages import CostModel, MessageStats
 from ..runtime.metrics import ConstraintCostModel, MetricsRegistry
-from ..runtime.partition import PartitionedGraph, balanced_assignment, hash_assignment
+from ..runtime.partition import (
+    PartitionedGraph, degree_packing, graph_degrees, hash_assignment,
+)
 from ..runtime.trace import NULL_TRACER
 from .arraystate import ArraySearchState, unpack_bits
 from .enumeration import (
@@ -307,14 +309,14 @@ def _run_bottom_up(
     infrastructure = 0.0
     rebalancing = options.load_balance == "reshuffle" or reload_requested
     if rebalancing:
-        pruned = (base.to_search_state() if array else base).to_graph()
+        vertices, degrees = _pruned_degrees(base)
         infrastructure += REBALANCE_COST_PER_EDGE * (
-            2 * pruned.num_edges + pruned.num_vertices
+            sum(degrees) + len(vertices)
         )
         assignment = _initial_assignment(graph, deployment_ranks, options)
         if assignment is None:
             assignment = hash_assignment(graph.vertices(), deployment_ranks)
-        assignment.update(balanced_assignment(pruned, deployment_ranks))
+        assignment.update(degree_packing(vertices, degrees, deployment_ranks))
         search_pgraph = PartitionedGraph(
             graph,
             deployment_ranks,
@@ -577,6 +579,20 @@ def _reload_requested(options: PipelineOptions) -> bool:
     flag or the rank arithmetic (repro-lint R1).
     """
     return options.reload_ranks is not None and options.reload_ranks != 0
+
+
+def _pruned_degrees(
+    base: "SearchState | ArraySearchState",
+) -> Tuple[List[int], List[int]]:
+    """Vertices and degrees of the pruned graph the reshuffle packs (§4).
+
+    The array backend reads both off its bitmaps
+    (:meth:`ArraySearchState.active_degrees`); the reference backend
+    materializes the pruned graph.  Same vertices, order and degrees.
+    """
+    if isinstance(base, ArraySearchState):
+        return base.active_degrees()
+    return graph_degrees(base.to_graph())
 
 
 def compact_scope(

@@ -145,7 +145,7 @@ class GraphCsr:
     edge ``e`` runs ``src[e] -> indices[e]`` (dense vertex indices), rows
     are sorted by destination, and ``mirror[e]`` is the position of the
     reverse edge.  All arrays are frozen — per-search mutable state lives
-    in :class:`~repro.core.arraystate.ArraySearchState`.
+    in :class:`~repro.core.arraystate.searchstate.ArraySearchState`.
     """
 
     __slots__ = (

@@ -423,11 +423,13 @@ class PrototypeSearchPool:
             range(len(tasks)),
             key=lambda i: (-self._task_cost(tasks[i]), i),
         )
-        futures: Dict[int, "Future[Dict[str, Any]]"] = {
-            i: self._pool.submit(_search_task, tasks[i]) for i in order
-        }
         results: List[Dict[str, Any]] = []
         try:
+            # inside the try: a worker that dies while later tasks are
+            # still being submitted breaks the executor at ``submit``
+            futures: Dict[int, "Future[Dict[str, Any]]"] = {
+                i: self._pool.submit(_search_task, tasks[i]) for i in order
+            }
             for i in range(len(tasks)):
                 result = futures[i].result()
                 self._record_result(tasks[i], result)

@@ -258,12 +258,30 @@ def balanced_assignment(graph: Graph, num_ranks: int) -> Dict[int, int]:
     Used by the load-balancing step (§4): after pruning, active vertices are
     reshuffled so edge-endpoint load is even across ranks.
     """
+    return degree_packing(*graph_degrees(graph), num_ranks)
+
+
+def graph_degrees(graph: Graph) -> Tuple[List[int], List[int]]:
+    """``graph``'s vertices in iteration order and their degrees."""
+    vertices = list(graph.vertices())
+    return vertices, [graph.degree(v) for v in vertices]
+
+
+def degree_packing(
+    vertices: Sequence[int], degrees: Sequence[int], num_ranks: int
+) -> Dict[int, int]:
+    """Largest-degree-first bin packing of ``vertices`` onto ranks.
+
+    ``degrees[i]`` is the degree of ``vertices[i]``; ties keep the order
+    of ``vertices``.  Each vertex goes to the least-loaded rank and adds
+    its degree plus one to that rank's load.
+    """
     if num_ranks <= 0:
         raise PartitionError("num_ranks must be positive")
     loads = [0] * num_ranks
     assignment: Dict[int, int] = {}
-    for vertex in sorted(graph.vertices(), key=graph.degree, reverse=True):
+    for i in sorted(range(len(vertices)), key=degrees.__getitem__, reverse=True):
         rank = loads.index(min(loads))
-        assignment[vertex] = rank
-        loads[rank] += graph.degree(vertex) + 1
+        assignment[vertices[i]] = rank
+        loads[rank] += degrees[i] + 1
     return assignment

@@ -24,6 +24,7 @@ def lint_files(root, files, rules=None, baseline=None):
     paths = []
     for name, source in files.items():
         path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
         paths.append(path)
     return run_lint(root, rule_ids=rules, baseline=baseline, paths=paths)
@@ -237,7 +238,7 @@ class TestR5HotLoopHygiene:
         assert rules_fired(report) == {"R5"}
 
     def test_np_append_in_loop_fires(self, tmp_path):
-        report = lint_files(tmp_path, {"arraystate.py": """\
+        report = lint_files(tmp_path, {"arraystate/fixpoint.py": """\
             import numpy as np
 
             def grow():
@@ -275,6 +276,26 @@ class TestR5HotLoopHygiene:
                 return [v for v in csr.indices]
             """}, rules=["R5"])
         assert report.clean
+
+    def test_every_array_backend_module_is_hot(self, tmp_path):
+        # the package's modules are hot by directory, whatever their
+        # names; core/state.py, beside it, stays cold
+        loop = """\
+            def scan(csr):
+                total = 0
+                for v in csr.indices:
+                    total += v
+                return total
+            """
+        report = lint_files(tmp_path, {
+            "core/arraystate/fixpoint.py": loop,
+            "core/arraystate/walk.py": loop,
+            "core/state.py": loop,
+        }, rules=["R5"])
+        assert rules_fired(report) == {"R5"}
+        assert sorted(v.path for v in report.violations) == [
+            "core/arraystate/fixpoint.py", "core/arraystate/walk.py",
+        ]
 
 
 class TestR6SharedMemoryLifecycle:
@@ -416,7 +437,7 @@ class TestR8MetricAccumulation:
 
     def test_non_metric_accumulation_is_clean(self, tmp_path):
         # ordinary accumulators (offsets, degrees) are not metrics
-        report = lint_files(tmp_path, {"arraystate.py": """\
+        report = lint_files(tmp_path, {"arraystate/accounting.py": """\
             def fold(totals, rows):
                 for row in rows:
                     totals["offset"] += row

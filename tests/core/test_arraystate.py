@@ -1,4 +1,4 @@
-"""Equivalence tests for the array-backed CSR state (core/arraystate.py).
+"""Equivalence tests for the array-backed CSR state (the core/arraystate package).
 
 The array state and vectorized fixpoints are pure performance work: every
 test here pins them to the set-based reference — identical fixed points,

@@ -21,7 +21,9 @@ delegates, containment off, enumeration-only verification and
 ``aux_views`` level views nested on top.  Then the title's contract,
 directly: precision and recall against the brute-force matcher with the
 compaction on.  Last, the runs that must *not* compact — pooled,
-rebalanced, naive — say so and still agree.
+rebalanced, naive — say so and still agree (the rebalanced and naive ones
+with brute force too), and the reshuffle's degree packing, read off the
+bitmaps, equals the one of the materialized pruned graph.
 """
 
 import hypothesis.strategies as st
@@ -29,11 +31,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core import (
+    ArraySearchState,
     PatternTemplate,
     PipelineOptions,
     count_motifs,
     exploratory_search,
     generate_prototypes,
+    max_candidate_arrays,
     run_pipeline,
 )
 from repro.core.batch import BatchQuery, run_batch
@@ -43,6 +47,8 @@ from repro.core.wildcards import WILDCARD, run_wildcard_pipeline
 from repro.graph.generators import gnm_graph, planted_graph
 from repro.graph.graph import Graph
 from repro.graph.isomorphism import find_subgraph_isomorphisms
+from repro.runtime import Engine, MessageStats, PartitionedGraph
+from repro.runtime.partition import balanced_assignment, degree_packing
 
 #: ``aux_view_ratio`` values that force the M* view on / off
 ON = 1.0
@@ -559,6 +565,38 @@ class TestRunsThatDoNotCompact:
             other = compacted.outcome_for(outcome.proto_id)
             assert outcome.solution_edges == other.solution_edges
             assert outcome.match_mappings == other.match_mappings
+        assert_precise_and_complete(result, brute_force(graph, template, 2))
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda: planted_case(wdc1_template()),
+            edge_labeled_case,
+            mandatory_case,
+            wide_case,
+            lambda: (dusty_graph(), clique_template(3, labels=[0, 0, 0])),
+        ],
+        ids=["WDC-1", "edge-labels", "mandatory", "wide", "dusty"],
+    )
+    def test_reshuffle_packs_the_arrays_like_the_pruned_graph(self, case):
+        # The reshuffle reads vertex order and degrees off the bitmaps;
+        # the packing must equal the one of the materialized pruned graph,
+        # on M* and on the unpruned label seeding (whose edges toward
+        # non-candidates are alive in one direction only).
+        graph, template = case()
+        engine = Engine(PartitionedGraph(graph, 4), MessageStats(4))
+        for scope in (
+            ArraySearchState.initial(graph, template),
+            max_candidate_arrays(graph, template, engine),
+        ):
+            vertices, degrees = scope.active_degrees()
+            pruned = scope.to_search_state().to_graph()
+            assert vertices == list(pruned.vertices())
+            assert sum(degrees) == 2 * pruned.num_edges
+            for ranks in (1, 3, 4):
+                assert degree_packing(vertices, degrees, ranks) == (
+                    balanced_assignment(pruned, ranks)
+                )
 
     def test_reload_ranks_zero_is_no_reload(self):
         graph, template = planted_case(wdc1_template())

@@ -148,26 +148,120 @@ class TestEdgeLabelEnumerationParity:
         assert len(enumerate_matches_array(proto, astate_for(proto, state))) == 0
 
 
+def fixpoint_report(graph, template, kernel, min_words, **kwargs):
+    """Run the array fixpoint from label seeding; return all it reported.
+
+    That is the state (masks as ``(n, words)``, activity, aliveness), the
+    round count, every rank-by-rank message matrix and visit vector
+    handed to the engine, the engine's stats, and the ``fixpoint.*``
+    metrics (five counters and the worklist histogram).
+    """
+    engine = engine_for(graph)
+    rounds = []
+    record = engine.record_batched_round
+
+    def recording(matrix, visits, *args, **kw):
+        rounds.append((matrix, visits))
+        record(matrix, visits, *args, **kw)
+
+    engine.record_batched_round = recording
+    astate = ArraySearchState.initial(graph, template, min_words=min_words)
+    assert astate.n_words == min_words
+    iterations = array_kernel_fixpoint(astate, kernel, engine, **kwargs)
+    snapshot = engine.metrics.snapshot()
+    metrics = {
+        name: value
+        for kind in ("counters", "histograms")
+        for name, value in snapshot[kind].items()
+        if name.startswith("fixpoint.")
+    }
+    assert len(metrics) == 6
+    return {
+        "masks": astate.role_mask.reshape(graph.num_vertices, -1),
+        "vertex_active": astate.vertex_active,
+        "edge_alive": astate.edge_alive,
+        "iterations": iterations,
+        "rounds": rounds,
+        "supersteps": engine.stats.total_barriers,
+        "stats": engine.stats.summary(),
+        "intervals": engine.stats.intervals,
+        "metrics": metrics,
+    }
+
+
+def edge_labeled_case(seed):
+    suite = TestEdgeLabelEnumerationParity()
+    return suite.background(seed), suite.template()
+
+
+def cascade_case(_seed):
+    """The adaptive switch's 2 200-vertex cascade; it has one shape."""
+    from test_adaptive import cascade_workload
+
+    return cascade_workload()
+
+
+#: mode -> (case factory, seeds, fixpoint keyword arguments given the kernel)
+FIXPOINT_MODES = {
+    "lcc": (random_case, range(8), lambda kernel, n: {}),
+    "mstar": (
+        random_case,
+        range(8),
+        lambda kernel, n: {"mandatory_masks": kernel.mandatory_masks([])},
+    ),
+    "mstar-mandatory": (
+        random_case,
+        range(8),
+        lambda kernel, n: {
+            "mandatory_masks": kernel.mandatory_masks([(0, 1)])
+        },
+    ),
+    "edge-labeled": (edge_labeled_case, range(8), lambda kernel, n: {}),
+    "warm": (
+        random_case,
+        range(8),
+        lambda kernel, n: {
+            "warm_mask": np.random.default_rng(n).random(n) < 0.5
+        },
+    ),
+    "full-rounds": (
+        random_case, range(8), lambda kernel, n: {"delta": False}
+    ),
+    "adaptive": (cascade_case, range(1), lambda kernel, n: {"adaptive": True}),
+}
+
+
 class TestWideFixpointParity:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_multi_word_fixpoint_matches_single_word(self, seed):
-        # Same seeds as the enumeration parity suite: forcing the wide
-        # layout must not change the LCC fixed point or round count.
-        graph, template = random_case(seed)
+    """The ``(n, 2)``-word layout of a <= 64-role template runs the very
+    same fixpoint as the single-word layout: same fixed point, rounds,
+    messages, supersteps and metrics, in every mode of the fixpoint."""
+
+    @pytest.mark.parametrize("mode, seed", [
+        (mode, seed)
+        for mode, (_, seeds, _) in sorted(FIXPOINT_MODES.items())
+        for seed in seeds
+    ])
+    def test_multi_word_fixpoint_matches_single_word(self, mode, seed):
+        make_case, _, make_kwargs = FIXPOINT_MODES[mode]
+        graph, template = make_case(seed)
         kernel = compile_kernel(template.graph)
-        snapshots = []
-        for min_words in (1, 2):
-            astate = ArraySearchState.initial(
-                graph, template, min_words=min_words
-            )
-            assert astate.n_words == min_words
-            iterations = array_kernel_fixpoint(
-                astate, kernel, engine_for(graph)
-            )
-            exported = astate.to_search_state()
-            snapshots.append((
-                iterations,
-                {v: frozenset(r) for v, r in exported.candidates.items()},
-                sorted(exported.active_edge_list()),
-            ))
-        assert snapshots[0] == snapshots[1]
+        kwargs = make_kwargs(kernel, graph.num_vertices)
+        narrow, wide = (
+            fixpoint_report(graph, template, kernel, words, **kwargs)
+            for words in (1, 2)
+        )
+        assert np.array_equal(narrow["masks"], wide["masks"][:, :1])
+        assert not wide["masks"][:, 1].any()
+        for key in ("vertex_active", "edge_alive"):
+            assert np.array_equal(narrow[key], wide[key])
+        for key in (
+            "iterations", "rounds", "supersteps", "stats", "intervals",
+            "metrics",
+        ):
+            assert narrow[key] == wide[key], key
+        if mode == "edge-labeled":
+            assert kernel.edge_labeled
+        if mode == "adaptive":
+            assert narrow["metrics"]["fixpoint.rounds_adaptive_dense"] > 0
+        # the fixpoint did real work on every case of the grid
+        assert narrow["iterations"] > 1
