@@ -5,8 +5,10 @@ with bit vectors for deactivation).  On the ``array`` backend a run's
 whole level state lives here — M*, every prototype scope, the token
 frontiers and the level unions; the dict-of-sets
 :class:`~repro.core.state.SearchState` is materialized only at the
-public-API boundary (``to_search_state`` / ``write_back``) and by the
-set-based ``reference`` backend.
+public-API boundary (``to_search_state`` / ``from_search_state``) and by
+the set-based ``reference`` backend.  A scope rebuilt from outside a run
+(a checkpoint, a derived prototype, a re-enumerated outcome) is given by
+ids: ``ArraySearchState.from_ids``.
 
 * :mod:`.searchstate` — :class:`ArraySearchState` (per-vertex role
   masks, ``vertex_active``, per-directed-edge ``edge_alive``) and the

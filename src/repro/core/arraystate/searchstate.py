@@ -147,8 +147,8 @@ def _label_mask_table(
     """Per-label-code union of the role bits carrying that label.
 
     Indexing the table by ``csr.label_codes`` seeds every vertex with all
-    roles of its label — the common core of ``initial``,
-    ``for_prototype_search`` and the pooled scope-payload reconstruction.
+    roles of its label — the common core of ``initial`` and
+    :func:`_label_seeded`.
     """
     if n_words is None:
         n_words = _num_words(len(roles))
@@ -161,6 +161,16 @@ def _label_mask_table(
     if by_code:
         table[list(by_code)] = mask_table(list(by_code.values()), n_words)
     return table
+
+
+def _label_seeded(
+    csr: GraphCsr, template, active: np.ndarray
+) -> Tuple[List[int], np.ndarray]:
+    """``template``'s roles in kernel order, and masks giving every
+    ``active`` vertex all roles of its label (zero elsewhere)."""
+    roles = sorted(template.vertices())
+    table = _label_mask_table(csr, template, roles, _role_bits(roles))
+    return roles, rows_where(active, table[csr.label_codes])
 
 
 def pack_bits(flags: np.ndarray) -> bytes:
@@ -308,6 +318,46 @@ class ArraySearchState:
         return cls(csr, roles, role_mask, vertex_active, edge_alive)
 
     @classmethod
+    def from_ids(
+        cls,
+        csr: GraphCsr,
+        vertices: Iterable[int],
+        edges: Iterable[Tuple[int, int]],
+        template=None,
+    ) -> "ArraySearchState":
+        """The scope holding exactly ``vertices`` and the undirected ``edges``.
+
+        A scope as ids — what checkpoints store, derived prototypes and
+        re-enumerated outcomes hand over — over any CSR holding them.
+        Roles are seeded by label from ``template``'s vertices, or left
+        empty (``for_prototype_search`` resets them by label anyway).
+        Raises ``ValueError`` for an id or a pair ``csr`` lacks.
+        """
+        index_of = csr.index_of
+        pairs = list(edges)
+        try:
+            vertex_idx = np.fromiter(map(index_of.__getitem__, vertices), np.int64)
+            ends = np.fromiter(
+                (index_of[v] for pair in pairs for v in pair), np.int64
+            )
+        except KeyError as exc:
+            raise ValueError(f"vertex {exc} is not in the graph") from None
+        positions = csr.edge_positions(ends[0::2], ends[1::2])
+        if (positions < 0).any():
+            raise ValueError(f"{pairs[int(np.argmin(positions))]} is not an edge")
+        vertex_active = np.zeros(csr.num_vertices, dtype=bool)
+        vertex_active[vertex_idx] = True
+        edge_alive = np.zeros(csr.num_directed_edges, dtype=bool)
+        edge_alive[positions] = True
+        edge_alive[csr.mirror[positions]] = True
+        if template is None:
+            roles: List[int] = []
+            role_mask = _zero_masks(csr.num_vertices, 1)
+        else:
+            roles, role_mask = _label_seeded(csr, template, vertex_active)
+        return cls(csr, roles, role_mask, vertex_active, edge_alive)
+
+    @classmethod
     def from_scope_payload(
         cls,
         csr: GraphCsr,
@@ -323,12 +373,9 @@ class ArraySearchState:
         ``vertex_active`` bitmap is bit-identical to the sender's array —
         two bitmaps replace the whole dict payload.
         """
-        roles = sorted(prototype.graph.vertices())
-        role_bit = _role_bits(roles)
         vertex_active = unpack_bits(vertex_bits, csr.num_vertices)
         edge_alive = unpack_bits(edge_bits, csr.num_directed_edges)
-        mask_by_code = _label_mask_table(csr, prototype.graph, roles, role_bit)
-        role_mask = rows_where(vertex_active, mask_by_code[csr.label_codes])
+        roles, role_mask = _label_seeded(csr, prototype.graph, vertex_active)
         return cls(csr, roles, role_mask, vertex_active, edge_alive)
 
     def scope_payload(self) -> Tuple[bytes, bytes]:
@@ -386,7 +433,8 @@ class ArraySearchState:
         self.edge_alive |= edge_mask
 
     # ------------------------------------------------------------------
-    def _build_dicts(self) -> Tuple[Dict[int, Set[int]], Dict[int, Set[int]]]:
+    def to_search_state(self) -> SearchState:
+        """Lossless export to a fresh dict :class:`SearchState`."""
         csr = self.csr
         indptr = csr.indptr
         indices = csr.indices
@@ -409,18 +457,7 @@ class ArraySearchState:
             s, e = int(indptr[i]), int(indptr[i + 1])
             nbrs = indices[s:e][alive[s:e]]
             active_edges[order_list[i]] = {order_list[t] for t in nbrs.tolist()}
-        return candidates, active_edges
-
-    def to_search_state(self) -> SearchState:
-        """Lossless export to a fresh dict :class:`SearchState`."""
-        candidates, active_edges = self._build_dicts()
         return SearchState(self.graph, candidates, active_edges)
-
-    def write_back(self, state: SearchState) -> None:
-        """Overwrite ``state`` in place with this array state's content."""
-        candidates, active_edges = self._build_dicts()
-        state.candidates = candidates
-        state.active_edges = active_edges
 
     def copy(self) -> "ArraySearchState":
         return ArraySearchState(
@@ -560,10 +597,7 @@ class ArraySearchState:
         """
         csr = self.csr
         proto_graph = prototype.graph
-        roles = sorted(proto_graph.vertices())
-        role_bit = _role_bits(roles)
-        mask_by_code = _label_mask_table(csr, proto_graph, roles, role_bit)
-        new_mask = rows_where(self.vertex_active, mask_by_code[csr.label_codes])
+        roles, new_mask = _label_seeded(csr, proto_graph, self.vertex_active)
         new_active = rows_nonzero(new_mask)
 
         adjacent_codes = set()

@@ -219,7 +219,6 @@ def run_flip_pipeline(
             count_matches=options.count_matches,
             collect_matches=options.collect_matches,
             verification=options.verification,
-            backend=options.backend,
             adaptive=options.adaptive,
             constraint_costs=options.constraint_costs,
         )

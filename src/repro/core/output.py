@@ -28,10 +28,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..errors import PipelineError
 from ..graph.graph import Edge, Graph
-from .arraystate import ArraySearchState
+from .arraystate import ArraySearchState, csr_of
 from .enumeration import enumerate_matches_array
 from .results import PipelineResult
-from .state import SearchState
 
 PathLike = Union[str, Path]
 
@@ -69,7 +68,9 @@ def enumerate_all_matches(
     """Form (iii): yield ``(prototype name, mapping)`` for every exact match.
 
     Uses the stored match lists when the run collected them; otherwise
-    re-enumerates on each prototype's (small, exact) solution subgraph.
+    re-enumerates on each prototype's (small, exact) solution subgraph,
+    rebuilt from its ids over ``graph``'s memoized CSR — the run's own —
+    with roles seeded by label.
     """
     for outcome in result.outcomes():
         if outcome.matches is not None:
@@ -79,44 +80,15 @@ def enumerate_all_matches(
             for mapping in matches:
                 yield outcome.name, mapping
             continue
-        astate = _solution_astate(graph, outcome)
+        astate = ArraySearchState.from_ids(
+            csr_of(graph), outcome.solution_vertices, outcome.solution_edges,
+            template=outcome.prototype.graph,
+        )
         match_set = enumerate_matches_array(
             outcome.prototype, astate, limit=limit_per_prototype
         )
         for mapping in match_set.mappings():
             yield outcome.name, mapping
-
-
-def _solution_astate(graph: Graph, outcome) -> ArraySearchState:
-    """Array view of one outcome's exact solution subgraph.
-
-    The CSR of ``graph`` is memoized (:func:`~repro.core.arraystate.csr_of`),
-    so re-enumeration after a pipeline run reuses the run's own CSR.
-    """
-    from .kernels import cached_kernel
-
-    kernel = cached_kernel(outcome.prototype.graph)
-    return ArraySearchState.from_search_state(
-        _solution_state(graph, outcome), roles=kernel.roles
-    )
-
-
-def _solution_state(graph: Graph, outcome) -> SearchState:
-    """Rebuild a SearchState over one outcome's exact solution subgraph."""
-    roles_by_label: Dict[int, Set[int]] = {}
-    proto_graph = outcome.prototype.graph
-    for w in proto_graph.vertices():
-        roles_by_label.setdefault(proto_graph.label(w), set()).add(w)
-    candidates = {}
-    for vertex in outcome.solution_vertices:
-        roles = roles_by_label.get(graph.label(vertex))
-        if roles:
-            candidates[vertex] = set(roles)
-    active_edges: Dict[int, Set[int]] = {v: set() for v in candidates}
-    for u, v in outcome.solution_edges:
-        active_edges.setdefault(u, set()).add(v)
-        active_edges.setdefault(v, set()).add(u)
-    return SearchState(graph, candidates, active_edges)
 
 
 def participation_rates(

@@ -15,15 +15,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from ..runtime.parallel import PrototypeSearchPool
+    from .restart import Checkpoint
 
 from ..errors import PipelineError
-from ..graph.graph import Graph
+from ..graph.graph import Graph, canonical_edge
 from ..runtime.engine import Engine
 from ..runtime.messages import CostModel, MessageStats
 from ..runtime.metrics import ConstraintCostModel, MetricsRegistry
@@ -32,11 +33,7 @@ from ..runtime.partition import (
 )
 from ..runtime.trace import NULL_TRACER
 from .arraystate import ArraySearchState, unpack_bits
-from .enumeration import (
-    distinct_match_count,
-    extend_from_child_matches,
-    state_from_matches,
-)
+from .enumeration import distinct_match_count, extend_from_child_matches
 from .candidate_set import (
     CandidateSetMemo,
     max_candidate_arrays,
@@ -243,8 +240,15 @@ def _run_bottom_up(
     options: PipelineOptions,
     prototype_set: Optional[PrototypeSet],
     candidate_memo: Optional["CandidateSetMemo"] = None,
+    checkpoint: Optional["Checkpoint"] = None,
 ) -> PipelineResult:
-    """Alg. 1 body; the caller owns the enclosing ``pipeline`` span."""
+    """Alg. 1 body; the caller owns the enclosing ``pipeline`` span.
+
+    ``checkpoint`` (:mod:`repro.core.restart`) persists ``base`` after
+    :func:`compact_scope` and every finished level; a resumed run takes
+    ``base``, the last finished level's union and the finished levels'
+    reports from it instead of searching them again.
+    """
     tracer = options.tracer
     wall_start = time.perf_counter()
     compile_caches_before = compile_cache_totals()
@@ -282,7 +286,9 @@ def _run_bottom_up(
     # backend keeps all of it in dict-of-sets form.
     array = options.backend == "array"
     base: "SearchState | ArraySearchState"
-    if options.use_max_candidate_set:
+    if checkpoint is not None and checkpoint.resuming:
+        base = checkpoint.restored_base(graph, array)
+    elif options.use_max_candidate_set:
         base = max_candidate_scope(
             graph, template, mcs_engine, options, memo=candidate_memo
         )
@@ -299,6 +305,8 @@ def _run_bottom_up(
         result.candidate_set_edges,
     ) = base.active_counts()
     result.candidate_set_seconds = cost_model.makespan(mcs_stats)
+    #: the previous level's union, in the run's state form
+    union_prev = None if checkpoint is None else checkpoint.start(base, result)
 
     # ---------------------------------------------- search deployment
     reload_requested = _reload_requested(options)
@@ -340,9 +348,9 @@ def _run_bottom_up(
     # ArrayMatchSet tables on the array backend, per-match dict lists
     # otherwise (full-walk collections, reference searches).
     stored_matches: Dict[int, Any] = {}
-    #: the previous level's union, in the run's state form
-    union_prev: "SearchState | ArraySearchState | None" = None
     deepest = protos.max_distance
+    # a resumed run starts below the last level its checkpoint finished
+    first = result.levels[-1].distance - 1 if result.levels else deepest
 
     pool = None
     if options.worker_processes > 1:
@@ -354,104 +362,102 @@ def _run_bottom_up(
         )
 
     try:
-        for distance in range(deepest, -1, -1):
+        for distance in range(first, -1, -1):
             with tracer.span("level", distance=distance) as level_span:
                 level_wall = time.perf_counter()
                 level = LevelReport(distance)
                 next_stored: Dict[int, Any] = {}
+                # Union of this level's solution subgraphs = next level's scope.
+                union: "SearchState | ArraySearchState"
 
                 if pool is not None and len(protos.at(distance)) > 1:
-                    union_prev = _pooled_level(
+                    union = _pooled_level(
                         pool, protos, distance, deepest, base,
                         union_prev, options, level, result,
                     )
-                    _finish_level(
-                        level, result, options, label_frequencies, union_prev,
-                        rebalancing, distance, level_wall, span=level_span,
+                else:
+                    union = (
+                        ArraySearchState.empty(base.csr)
+                        if array
+                        else SearchState.empty(graph)
                     )
-                    stored_matches = {}
-                    continue
-
-                # Union of this level's solution subgraphs = next level's scope.
-                union: "SearchState | ArraySearchState" = (
-                    ArraySearchState.empty(base.csr)
-                    if array
-                    else SearchState.empty(graph)
-                )
-
-                for proto in protos.at(distance):
-                    extended = None
-                    if options.enumeration_optimization and distance < deepest:
-                        # base's graph: the derived state must sit on
-                        # the CSR the level's union and scopes use
-                        extended = _try_extension(
-                            proto, stored_matches, base.graph
-                        )
-                    if extended is not None:
-                        outcome, proto_state = extended
-                        if array:
-                            proto_state = ArraySearchState.from_search_state(
-                                proto_state,
-                                roles=sorted(template.graph.vertices()),
+                    for proto in protos.at(distance):
+                        outcome = None
+                        if options.enumeration_optimization and distance < deepest:
+                            outcome = _try_extension(proto, stored_matches, graph)
+                        if outcome is not None:
+                            # derived on the CSR the level's union and
+                            # scopes use
+                            proto_state = scope_from_ids(
+                                base, outcome.solution_vertices,
+                                outcome.solution_edges,
                             )
-                        next_stored[proto.id] = (
-                            outcome.match_set
-                            if outcome.match_set is not None
-                            else outcome.matches
-                        )
-                    else:
-                        proto_state, warm_mask = _starting_scope(
-                            proto, distance, deepest, base, union_prev, options
-                        )
-                        if on_aux_view:
-                            result.aux_view_reuse += 1
-                        stats = MessageStats(deployment_ranks)
-                        engine = Engine(
-                            search_pgraph, stats, options.batch_size,
-                            tracer=tracer, metrics=options.metrics,
-                        )
-                        outcome = search_prototype(
-                            proto_state,
-                            proto,
-                            planner.plan(proto.graph),
-                            engine,
-                            cache=cache,
-                            recycle=options.work_recycling,
-                            count_matches=options.count_matches,
-                            collect_matches=(
-                                options.collect_matches or options.enumeration_optimization
-                            ),
-                            verification=options.verification,
-                            backend=options.backend,
-                            warm_mask=warm_mask,
-                            adaptive=options.adaptive,
-                            constraint_costs=options.constraint_costs,
-                        )
-                        outcome.simulated_seconds = cost_model.makespan(stats)
-                        outcome.messages = stats.total_messages
-                        outcome.remote_messages = stats.total_remote_messages
-                        all_stats.append(stats)
-                        if outcome.matches is not None and options.enumeration_optimization:
                             next_stored[proto.id] = (
                                 outcome.match_set
                                 if outcome.match_set is not None
                                 else outcome.matches
                             )
-                    if not options.collect_matches:
-                        outcome.matches = None
-                    level.outcomes.append(outcome)
-                    if array:
-                        union.absorb_solution(*proto_state.solution_masks())
-                    else:
-                        union.union_with(proto_state)
-                    for vertex in outcome.solution_vertices:
-                        result.match_vectors.setdefault(vertex, set()).add(proto.id)
+                        else:
+                            proto_state, warm_mask = _starting_scope(
+                                proto, distance, deepest, base, union_prev,
+                                options,
+                            )
+                            if on_aux_view:
+                                result.aux_view_reuse += 1
+                            stats = MessageStats(deployment_ranks)
+                            engine = Engine(
+                                search_pgraph, stats, options.batch_size,
+                                tracer=tracer, metrics=options.metrics,
+                            )
+                            outcome = search_prototype(
+                                proto_state,
+                                proto,
+                                planner.plan(proto.graph),
+                                engine,
+                                cache=cache,
+                                recycle=options.work_recycling,
+                                count_matches=options.count_matches,
+                                collect_matches=(
+                                    options.collect_matches
+                                    or options.enumeration_optimization
+                                ),
+                                verification=options.verification,
+                                warm_mask=warm_mask,
+                                adaptive=options.adaptive,
+                                constraint_costs=options.constraint_costs,
+                            )
+                            outcome.simulated_seconds = cost_model.makespan(stats)
+                            outcome.messages = stats.total_messages
+                            outcome.remote_messages = stats.total_remote_messages
+                            all_stats.append(stats)
+                            if (
+                                outcome.matches is not None
+                                and options.enumeration_optimization
+                            ):
+                                next_stored[proto.id] = (
+                                    outcome.match_set
+                                    if outcome.match_set is not None
+                                    else outcome.matches
+                                )
+                        if not options.collect_matches:
+                            outcome.matches = None
+                        level.outcomes.append(outcome)
+                        if array:
+                            union.absorb_solution(*proto_state.solution_masks())
+                        else:
+                            union.union_with(proto_state)
+                        for vertex in outcome.solution_vertices:
+                            result.match_vectors.setdefault(vertex, set()).add(
+                                proto.id
+                            )
 
                 union_prev = union
                 _finish_level(
                     level, result, options, label_frequencies, union,
                     rebalancing, distance, level_wall, span=level_span,
                 )
+                if checkpoint is not None:
+                    checkpoint.level_done(level, result, union)
                 stored_matches = next_stored
 
                 # GraphMini-style auxiliary graph: once the union has
@@ -754,13 +760,10 @@ def _pooled_level(
                 unpack_bits(vertex_bits, base.csr.num_vertices),
                 unpack_bits(edge_bits, base.csr.num_directed_edges),
             )
-            continue
-        for vertex in outcome.solution_vertices:
-            union.candidates.setdefault(vertex, set())
-            union.active_edges.setdefault(vertex, set())
-        for u, v in outcome.solution_edges:
-            union.active_edges.setdefault(u, set()).add(v)
-            union.active_edges.setdefault(v, set()).add(u)
+        else:
+            union.union_with(scope_from_ids(
+                union, outcome.solution_vertices, outcome.solution_edges
+            ))
     return union
 
 
@@ -829,14 +832,16 @@ def _try_extension(
     proto: Prototype,
     stored_matches: Dict[int, Any],
     graph: Graph,
-) -> Optional[Tuple[PrototypeSearchOutcome, SearchState]]:
+) -> Optional[PrototypeSearchOutcome]:
     """Derive this prototype's result from a child's stored matches (§4).
 
     Children searched on the array backend store dense
     :class:`~repro.core.enumeration.ArrayMatchSet` tables; those extend
-    through the batched array probe and keep the chain in array form.
-    Dict match lists (full-walk collections, reference searches) use the
-    per-match probe.
+    through the batched array probe.  Dict match lists (full-walk
+    collections, reference searches) use the per-match probe on
+    ``graph``.  The outcome carries the solution as vertex and edge ids;
+    the caller turns them into the run's state form
+    (:func:`scope_from_ids`).
     """
     from .enumeration import ArrayMatchSet, extend_from_child_matches_array
 
@@ -860,15 +865,32 @@ def _try_extension(
         outcome.match_set = match_set
         outcome.match_mappings = len(matches)
         outcome.distinct_matches = distinct_match_count(proto, len(matches))
-        state = state_from_matches(SearchState.empty(graph), proto, matches)
-        outcome.solution_vertices = set(state.candidates)
-        outcome.solution_edges = set(state.active_edge_list())
+        proto_edges = list(proto.graph.edges())
+        outcome.solution_vertices = {v for m in matches for v in m.values()}
+        outcome.solution_edges = {
+            canonical_edge(m[u], m[v]) for m in matches for u, v in proto_edges
+        }
         outcome.exact = True
         outcome.wall_seconds = time.perf_counter() - started
         # Simulated cost: one edge probe per child match.
         outcome.simulated_seconds = 1.0e-7 * max(len(stored), 1)
-        return outcome, state
+        return outcome
     return None
+
+
+def scope_from_ids(
+    form: "SearchState | ArraySearchState",
+    vertices: Iterable[int],
+    edges: Iterable[Tuple[int, int]],
+) -> "SearchState | ArraySearchState":
+    """The scope of ``vertices`` / ``edges`` in ``form``'s state form.
+
+    Over ``form``'s CSR (array) or graph (reference), so it lines up with
+    the run's current base — a root, the ``M*`` view or a level view.
+    """
+    if isinstance(form, ArraySearchState):
+        return ArraySearchState.from_ids(form.csr, vertices, edges)
+    return SearchState.from_ids(form.graph, vertices, edges)
 
 
 def merge_message_stats(stats_list: List[MessageStats]) -> Dict[str, object]:

@@ -2,60 +2,49 @@
 
 The paper's system checkpoints the execution state between edit-distance
 levels — that is what allows it to *reload* the pruned graph on a
-rebalanced or smaller deployment and resume the sweep.  This module makes
-the same capability available around :func:`~repro.core.pipeline.run_pipeline`:
+rebalanced or smaller deployment and resume the sweep.  Here that is a
+hook of :func:`~repro.core.pipeline.run_pipeline`'s own level loop
+(:class:`Checkpoint`), so a checkpointed run honours every option:
 
-* :func:`run_pipeline_with_checkpoints` saves, after the candidate set and
-  after every completed level, everything needed to resume: the level
-  union's active vertices/edges, the per-vertex match vectors so far, and
-  the per-prototype solution subgraphs;
-* :func:`resume_pipeline` restores that state and continues the bottom-up
-  sweep from the first incomplete level — on the same or a different
-  deployment size (the reload scenario of §5.4).
+* :func:`run_pipeline_with_checkpoints` saves the compacted candidate set,
+  and after every finished level its union, the per-prototype solution
+  subgraphs and the match vectors so far;
+* :func:`resume_pipeline` restores that state and continues the sweep
+  below the last finished level — on the same or a different deployment
+  size (the reload scenario of §5.4).
 
-Resumed runs produce results identical to uninterrupted ones (validated by
-the failure-injection tests), because the containment rule only needs the
-previous level's union.
+A scope is saved as what it *is* on either backend: sorted vertex ids and
+canonical edge pairs.  No roles (``for_prototype_search`` resets them by
+label) and no bitmaps (their positions belong to one CSR, and the
+compacted base lives on a view).  Resumed runs answer like uninterrupted
+ones, because the containment rule only needs the previous level's union.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Union
+from typing import Any, Dict, List, Optional, Union
 
 from ..errors import CheckpointError
+from ..graph.csr import csr_of
 from ..graph.graph import Graph
-from ..runtime.engine import Engine
-from ..runtime.messages import MessageStats
-from ..runtime.partition import PartitionedGraph
 from .arraystate import ArraySearchState
-from .pipeline import PipelineOptions, max_candidate_scope
-from .prototypes import generate_prototypes
-from .results import PipelineResult
+from .pipeline import PipelineOptions, _run_bottom_up, scope_from_ids
+from .results import LevelReport, PipelineResult, PrototypeSearchOutcome
 from .state import SearchState
 from .template import PatternTemplate
 
 PathLike = Union[str, Path]
+State = Union[SearchState, ArraySearchState]
 
 MANIFEST = "pipeline_checkpoint.json"
 
-
-def _state_payload(state: SearchState) -> Dict:
-    return {
-        "candidates": {str(v): sorted(state.roles(v)) for v in state.active_vertices()},
-        "edges": state.active_edge_list(),
-    }
-
-
-def _restore_state(graph: Graph, payload: Dict) -> SearchState:
-    candidates = {int(v): set(roles) for v, roles in payload["candidates"].items()}
-    active_edges: Dict[int, Set[int]] = {v: set() for v in candidates}
-    for u, v in payload["edges"]:
-        active_edges.setdefault(int(u), set()).add(int(v))
-        active_edges.setdefault(int(v), set()).add(int(u))
-    return SearchState(graph, candidates, active_edges)
+#: manifest layout version; bumped whenever a key changes meaning
+FORMAT = 2
+#: keys every manifest carries from its first write on
+_REQUIRED = ("template", "k", "graph", "base", "completed_levels",
+             "match_vectors", "outcomes")
 
 
 def run_pipeline_with_checkpoints(
@@ -75,50 +64,17 @@ def run_pipeline_with_checkpoints(
     options = options or PipelineOptions()
     directory = Path(checkpoint_dir)
     directory.mkdir(parents=True, exist_ok=True)
-
-    # Delegate the actual searching to run_pipeline level by level: run the
-    # full sweep but capture state via the per-level union recomputation.
-    # For checkpointing we re-execute the sweep explicitly.
-    protos = generate_prototypes(template, k, options.max_prototypes)
-    deepest = protos.max_distance
-
-    manifest = {
+    manifest: Dict[str, Any] = {
+        "format": FORMAT,
         "template": template.name,
-        "k": deepest,
+        "k": k,
+        "graph": _fingerprint(graph),
         "completed_levels": [],
         "match_vectors": {},
         "outcomes": {},
     }
-
-    with options.tracer.span(
-        "pipeline", template=template.name, k=deepest, mode="checkpointed",
-        backend=options.backend,
-    ):
-        # Base candidate set (checkpointed as the pre-sweep state).
-        pgraph = PartitionedGraph(
-            graph, options.num_ranks,
-            delegate_degree_threshold=options.delegate_degree_threshold,
-            ranks_per_node=options.ranks_per_node,
-        )
-        engine = Engine(
-            pgraph, MessageStats(options.num_ranks), options.batch_size,
-            tracer=options.tracer, metrics=options.metrics,
-        )
-        if options.use_max_candidate_set:
-            base_state = max_candidate_scope(graph, template, engine, options)
-            if isinstance(base_state, ArraySearchState):
-                # checkpoints are dict payloads; the searches re-import
-                base_state = base_state.to_search_state()
-        else:
-            base_state = SearchState.initial(graph, template)
-        manifest["base_state"] = _state_payload(base_state)
-        _write_manifest(directory, manifest)
-
-        return _sweep(
-            graph, template, protos, base_state, options,
-            manifest, directory, start_level=deepest,
-            fail_after_level=fail_after_level,
-        )
+    checkpoint = Checkpoint(directory, manifest, fail_after_level)
+    return _run(graph, template, k, options, checkpoint)
 
 
 def resume_pipeline(
@@ -135,84 +91,79 @@ def resume_pipeline(
     options = options or PipelineOptions()
     directory = Path(checkpoint_dir)
     manifest = _read_manifest(directory)
-    if manifest["template"] != template.name:
-        raise CheckpointError(
-            f"checkpoint is for template {manifest['template']!r}, "
-            f"not {template.name!r}"
-        )
-    protos = generate_prototypes(template, manifest["k"], options.max_prototypes)
-    completed = manifest["completed_levels"]
-    deepest = protos.max_distance
-    if completed:
-        start_level = min(completed) - 1
-        union_payload = manifest[f"union_after_{min(completed)}"]
-        prev_union = _restore_state(graph, union_payload)
-    else:
-        start_level = deepest
-        prev_union = None
-    base_state = _restore_state(graph, manifest["base_state"])
+    _check(manifest, graph, template, directory / MANIFEST)
+    checkpoint = Checkpoint(directory, manifest)
+    return _run(graph, template, manifest["k"], options, checkpoint)
+
+
+def _run(
+    graph: Graph,
+    template: PatternTemplate,
+    k: int,
+    options: PipelineOptions,
+    checkpoint: "Checkpoint",
+) -> PipelineResult:
     with options.tracer.span(
-        "pipeline", template=template.name, k=deepest, mode="checkpointed",
+        "pipeline", template=template.name, k=k, mode="checkpointed",
         backend=options.backend,
     ):
-        return _sweep(
-            graph, template, protos, base_state, options,
-            manifest, directory, start_level=start_level,
-            prev_union=prev_union,
+        return _run_bottom_up(
+            graph, template, k, options, None, checkpoint=checkpoint
         )
 
 
-def _sweep(
-    graph,
-    template,
-    protos,
-    base_state,
-    options,
-    manifest,
-    directory,
-    start_level,
-    prev_union=None,
-    fail_after_level=None,
-):
-    """Run levels ``start_level .. 0``, checkpointing after each."""
-    from .ordering import ConstraintPlanner
-    from .search import search_prototype
-    from .state import NlccCache
+class Checkpoint:
+    """The checkpoint hook of one run of ``pipeline._run_bottom_up``.
 
-    wall_start = time.perf_counter()
-    tracer = options.tracer
-    planner = ConstraintPlanner(
-        graph, options.include_full_walk, options.constraint_ordering
-    )
-    cache = NlccCache() if options.work_recycling else None
-    result = PipelineResult(
-        template.name, protos.max_distance, protos, backend=options.backend
-    )
-    (
-        result.candidate_set_vertices,
-        result.candidate_set_edges,
-    ) = base_state.active_counts()
+    The level loop calls :meth:`restored_base` in place of ``M*`` when
+    :attr:`resuming`, :meth:`start` once ``base`` is compacted, and
+    :meth:`level_done` after every finished level.  Only this module
+    knows the manifest's layout.
+    """
 
-    # Restore previously completed work into the result object.
-    for vertex, ids in manifest["match_vectors"].items():
-        result.match_vectors[int(vertex)] = set(ids)
-    restored_outcomes = dict(manifest["outcomes"])
+    def __init__(
+        self,
+        directory: Path,
+        manifest: Dict[str, Any],
+        fail_after_level: Optional[int] = None,
+    ) -> None:
+        self.directory = directory
+        self.manifest = manifest
+        self.fail_after_level = fail_after_level
+        #: the manifest already holds a base: this run resumes it
+        self.resuming = "base" in manifest
 
-    pgraph = PartitionedGraph(
-        graph, options.num_ranks,
-        delegate_degree_threshold=options.delegate_degree_threshold,
-        ranks_per_node=options.ranks_per_node,
-    )
+    def restored_base(self, graph: Graph, array: bool) -> State:
+        """The checkpointed candidate set, over ``graph``'s root CSR."""
+        form: State = (
+            ArraySearchState.empty(csr_of(graph)) if array
+            else SearchState.empty(graph)
+        )
+        return self._restore("base", form)
 
-    from .results import LevelReport, PrototypeSearchOutcome
+    def start(self, base: State, result: PipelineResult) -> Optional[State]:
+        """Save ``base``, or restore the finished levels into ``result``.
 
-    deepest = protos.max_distance
-    for distance in range(deepest, -1, -1):
-        level = LevelReport(distance)
-        if distance > start_level:
-            # Already completed before the interruption: rebuild outcomes.
-            for proto in protos.at(distance):
-                payload = restored_outcomes[str(proto.id)]
+        Returns the previous level's union in ``base``'s state form and
+        over its CSR (``None`` before the first level).
+        """
+        manifest = self.manifest
+        if not self.resuming:
+            manifest["base"] = _scope_ids(base)
+            self._write()
+            return None
+        for vertex, ids in manifest["match_vectors"].items():
+            result.match_vectors[int(vertex)] = set(ids)
+        completed = manifest["completed_levels"]
+        for distance in completed:
+            level = LevelReport(distance)
+            for proto in result.prototype_set.at(distance):
+                payload = manifest["outcomes"].get(str(proto.id))
+                if payload is None:
+                    raise CheckpointError(
+                        f"checkpoint in {self.directory} has no outcome "
+                        f"for prototype {proto.id}"
+                    )
                 outcome = PrototypeSearchOutcome(proto)
                 outcome.solution_vertices = set(payload["vertices"])
                 outcome.solution_edges = {
@@ -220,90 +171,97 @@ def _sweep(
                 }
                 level.outcomes.append(outcome)
             result.levels.append(level)
-            continue
+        if not completed:
+            return None
+        return self._restore(f"union_after_{completed[-1]}", base)
 
-        union = SearchState.empty(graph)
-        with tracer.span("level", distance=distance) as level_span:
-            for proto in protos.at(distance):
-                if (
-                    options.use_containment
-                    and distance < deepest
-                    and prev_union is not None
-                    and proto.child_links
-                ):
-                    link = proto.child_links[0]
-                    a, b = link.removed_edge
-                    pair = (template.graph.label(a), template.graph.label(b))
-                    state = prev_union.for_prototype_search(
-                        proto, readmit_label_pairs=[pair]
-                    )
-                else:
-                    state = base_state.for_prototype_search(proto)
-                stats = MessageStats(options.num_ranks)
-                engine = Engine(
-                    pgraph, stats, options.batch_size, tracer=tracer,
-                    metrics=options.metrics,
-                )
-                outcome = search_prototype(
-                    state, proto, planner.plan(proto.graph), engine,
-                    cache=cache, recycle=options.work_recycling,
-                    count_matches=options.count_matches,
-                    collect_matches=options.collect_matches,
-                    verification=options.verification,
-                    backend=options.backend,
-                    adaptive=options.adaptive,
-                    constraint_costs=options.constraint_costs,
-                )
-                outcome.simulated_seconds = options.cost_model.makespan(stats)
-                level.outcomes.append(outcome)
-                union.union_with(state)
-                for vertex in outcome.solution_vertices:
-                    result.match_vectors.setdefault(vertex, set()).add(proto.id)
-                manifest["outcomes"][str(proto.id)] = {
-                    "vertices": sorted(outcome.solution_vertices),
-                    "edges": sorted(outcome.solution_edges),
-                }
-            level.union_vertices, level.union_edges = union.active_counts()
-            level_span.add(
-                prototypes=len(level.outcomes),
-                union_vertices=level.union_vertices,
-                union_edges=level.union_edges,
-            )
-        level.search_seconds = sum(o.simulated_seconds for o in level.outcomes)
-        result.levels.append(level)
-        prev_union = union
-
-        manifest["completed_levels"].append(distance)
-        manifest[f"union_after_{distance}"] = _state_payload(union)
+    def level_done(
+        self, level: LevelReport, result: PipelineResult, union: State
+    ) -> None:
+        """Persist one finished level (then inject the requested failure)."""
+        manifest = self.manifest
+        for outcome in level.outcomes:
+            manifest["outcomes"][str(outcome.proto_id)] = {
+                "vertices": sorted(outcome.solution_vertices),
+                "edges": sorted(outcome.solution_edges),
+            }
+        manifest["completed_levels"].append(level.distance)
+        manifest[f"union_after_{level.distance}"] = _scope_ids(union)
         manifest["match_vectors"] = {
             str(v): sorted(ids) for v, ids in result.match_vectors.items()
         }
-        _write_manifest(directory, manifest)
-        if fail_after_level is not None and distance == fail_after_level:
+        self._write()
+        if level.distance == self.fail_after_level:
             raise RuntimeError(
-                f"injected failure after checkpointing level {distance}"
+                f"injected failure after checkpointing level {level.distance}"
             )
 
-    result.total_simulated_seconds = sum(
-        lvl.search_seconds for lvl in result.levels
-    )
-    result.total_wall_seconds = time.perf_counter() - wall_start
-    result.metrics = options.metrics
-    return result
+    # ------------------------------------------------------------------
+    def _restore(self, key: str, form: State) -> State:
+        """The scope saved under ``key``, in ``form``'s state form and CSR."""
+        payload = self.manifest[key]
+        try:
+            return scope_from_ids(form, payload["vertices"], payload["edges"])
+        except ValueError as exc:
+            raise CheckpointError(
+                f"checkpoint in {self.directory} does not fit this graph: {exc}"
+            ) from exc
+
+    def _write(self) -> None:
+        path = self.directory / MANIFEST
+        tmp = self.directory / (MANIFEST + ".tmp")
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump(self.manifest, handle)
+        tmp.replace(path)  # atomic on POSIX: a crash never corrupts the manifest
 
 
-def _write_manifest(directory: Path, manifest: Dict) -> None:
-    path = directory / MANIFEST
-    tmp = directory / (MANIFEST + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle)
-    tmp.replace(path)  # atomic on POSIX: a crash never corrupts the manifest
+def _scope_ids(state: State) -> Dict[str, List[Any]]:
+    """What a scope is on either backend: sorted vertex and edge ids."""
+    return {
+        "vertices": sorted(state.active_vertices()),
+        "edges": sorted(state.active_edge_list()),
+    }
 
 
-def _read_manifest(directory: Path) -> Dict:
+def _fingerprint(graph: Graph) -> Dict[str, int]:
+    return {"num_vertices": graph.num_vertices, "num_edges": graph.num_edges}
+
+
+def _check(
+    manifest: Dict[str, Any],
+    graph: Graph,
+    template: PatternTemplate,
+    path: Path,
+) -> None:
+    """Reject a manifest this run cannot resume (``CheckpointError``)."""
+    if manifest.get("format") != FORMAT:
+        raise CheckpointError(
+            f"{path} has checkpoint format {manifest.get('format')!r}, "
+            f"this version reads {FORMAT}"
+        )
+    missing = [key for key in _REQUIRED if key not in manifest]
+    completed = manifest.get("completed_levels") or []
+    if completed and f"union_after_{completed[-1]}" not in manifest:
+        missing.append(f"union_after_{completed[-1]}")
+    if missing:
+        raise CheckpointError(f"{path} lacks {', '.join(missing)}")
+    if manifest["template"] != template.name:
+        raise CheckpointError(
+            f"checkpoint is for template {manifest['template']!r}, "
+            f"not {template.name!r}"
+        )
+    if manifest["graph"] != _fingerprint(graph):
+        raise CheckpointError(
+            f"checkpoint is for a graph of {manifest['graph']}, "
+            f"not {_fingerprint(graph)}"
+        )
+
+
+def _read_manifest(directory: Path) -> Dict[str, Any]:
     path = directory / MANIFEST
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            manifest: Dict[str, Any] = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint manifest {path}: {exc}") from exc
+    return manifest

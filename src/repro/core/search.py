@@ -20,10 +20,13 @@
 from __future__ import annotations
 
 import time
-from typing import Optional, Union
+from typing import List, Optional, Union
+
+import numpy as np
 
 from ..runtime.engine import Engine
-from .constraints import FULL_WALK_KIND, ConstraintSet
+from ..runtime.metrics import ConstraintCostModel
+from .constraints import FULL_WALK_KIND, ConstraintSet, NonLocalConstraint
 from .enumeration import (
     astate_from_matches,
     count_match_mappings,
@@ -35,7 +38,7 @@ from .enumeration import (
 from .arraystate import ArraySearchState
 from .kernels import cached_kernel
 from .lcc import local_constraint_checking
-from .nlcc import non_local_constraint_checking
+from .nlcc import NlccResult, non_local_constraint_checking
 from .ordering import ConstraintPlan, reorder_measured
 from .prototypes import Prototype
 from .results import PrototypeSearchOutcome
@@ -52,10 +55,9 @@ def search_prototype(
     count_matches: bool = False,
     collect_matches: bool = False,
     verification: str = "auto",
-    backend: str = "array",
-    warm_mask=None,
+    warm_mask: Optional[np.ndarray] = None,
     adaptive: bool = False,
-    constraint_costs=None,
+    constraint_costs: Optional[ConstraintCostModel] = None,
 ) -> PrototypeSearchOutcome:
     """Reduce ``state`` to the prototype's solution subgraph, in place.
 
@@ -68,15 +70,15 @@ def search_prototype(
     * ``"constraints"`` — never enumerate; the outcome's ``exact`` flag
       reports whether the constraint set alone guarantees exactness.
 
-    The state's type picks the execution.  An
-    :class:`~repro.core.arraystate.ArraySearchState` (what the level
-    drivers and pool workers hand over) runs the whole search body on
-    it — every LCC fixpoint, token walk and enumeration in array form
-    over the prototype's bitmask kernel — and the outcome's solution sets
-    are read off the arrays.  A :class:`SearchState` runs the set-based
-    reference when ``backend`` is ``"reference"``; with ``"array"`` it is
-    imported once, searched in array form and overwritten once at the
-    end.  Both reach the same solution subgraph.
+    The state's type picks the execution, as it does for LCC and NLCC.
+    An :class:`~repro.core.arraystate.ArraySearchState` (what the array
+    backend's drivers and pool workers hand over) runs the whole search
+    body on it — every LCC fixpoint, token walk and enumeration in array
+    form over the prototype's bitmask kernel — and the outcome's solution
+    sets are read off the arrays.  A :class:`SearchState` runs the
+    set-based reference.  Both reach the same solution subgraph; a caller
+    holding a dict state that wants the array path wraps it with
+    ``ArraySearchState.from_search_state`` first.
     ``warm_mask`` warm-seeds the first array LCC round's broadcast
     accounting (see :func:`~repro.core.lcc.local_constraint_checking`).
 
@@ -103,19 +105,11 @@ def search_prototype(
         label=prototype.name,
         distance=prototype.distance,
     ) as span:
-        scope = state
-        if backend == "array" and isinstance(state, SearchState):
-            scope = ArraySearchState.from_search_state(
-                state, roles=sorted(prototype.graph.vertices())
-            )
         _search_prototype_body(
-            scope, prototype, constraint_set, engine, cache, recycle,
+            state, prototype, constraint_set, engine, cache, recycle,
             count_matches, collect_matches, verification, warm_mask,
             adaptive, constraint_costs, outcome,
         )
-        if scope is not state:
-            # the caller's dict state is the in/out parameter
-            scope.write_back(state)
     if tracer.enabled:
         span.add(
             lcc_iterations=outcome.lcc_iterations,
@@ -142,9 +136,9 @@ def _search_prototype_body(
     count_matches: bool,
     collect_matches: bool,
     verification: str,
-    warm_mask,
+    warm_mask: Optional[np.ndarray],
     adaptive: bool,
-    constraint_costs,
+    constraint_costs: Optional[ConstraintCostModel],
     outcome: PrototypeSearchOutcome,
 ) -> None:
     """Alg. 2 body; fills ``outcome`` (timing is the caller's job)."""
@@ -163,7 +157,7 @@ def _search_prototype_body(
     # Asked (and so, for a lazy plan, built) only for a scope that
     # survived LCC: most exploratory prototypes die right here.  The plan
     # answers for the scope LCC left — see ConstraintPlan.select.
-    non_local = []
+    non_local: List[NonLocalConstraint] = []
     if outcome.post_lcc_vertices > 0:
         selection = constraint_set.select(state if in_arrays else None)
         non_local = selection.constraints
@@ -185,21 +179,18 @@ def _search_prototype_body(
         # Measured-cost re-sort (no-op until earlier prototypes have
         # contributed above-resolution row counts).
         non_local = reorder_measured(non_local, constraint_costs)
-    timing = constraint_costs is not None
     h_constraint = engine.metrics.histogram("nlcc.constraint_seconds")
 
-    full_walk_ran = False
-    full_walk_completions = 0
-    full_walk_result = None
+    full_walk_result: Optional[NlccResult] = None
     for constraint in non_local:
         if not state.num_active_vertices:
             break
-        constraint_started = time.perf_counter() if timing else 0.0
+        constraint_started = time.perf_counter()
         result = non_local_constraint_checking(
             state, constraint, engine, cache=cache, recycle=recycle,
             kernel=kernel,
         )
-        if timing:
+        if constraint_costs is not None:
             # the re-sort is keyed on a count so that equal inputs order
             # equally; seconds only feed the histogram
             constraint_costs.observe(constraint.key, result.rows_expanded)
@@ -211,8 +202,6 @@ def _search_prototype_body(
         outcome.nlcc_completions += result.completions
         outcome.nlcc_dedup_merged += result.dedup_merged
         if constraint.kind == FULL_WALK_KIND:
-            full_walk_ran = True
-            full_walk_completions = result.completions
             # Keep the whole result: the array walk stores completions
             # as a dense path matrix, and reading .completed_mappings
             # here would materialize per-match dicts even when no one
@@ -224,11 +213,13 @@ def _search_prototype_body(
                 adaptive=adaptive,
             )
 
-    constraints_exact = full_walk_ran or constraint_set.exact_without_full_walk
+    constraints_exact = (
+        full_walk_result is not None or constraint_set.exact_without_full_walk
+    )
     need_enumeration = verification == "enumeration" or (
         verification == "auto" and not constraints_exact
     )
-    if in_arrays:
+    if isinstance(state, ArraySearchState):
         # Array-native tail: enumeration (when needed) runs the vectorized
         # frontier backtracker on the array state directly and reduces it
         # in place.
@@ -240,7 +231,7 @@ def _search_prototype_body(
                 outcome.matches = match_set.mappings()
                 outcome.match_set = match_set
         elif collect_matches:
-            if full_walk_ran:
+            if full_walk_result is not None:
                 # Each completed full-walk token already is an exact match.
                 outcome.matches = full_walk_result.completed_mappings
             else:
@@ -248,14 +239,14 @@ def _search_prototype_body(
                 outcome.matches = match_set.mappings()
                 outcome.match_set = match_set
             outcome.match_mappings = len(outcome.matches)
-        elif full_walk_ran:
-            outcome.match_mappings = full_walk_completions
+        elif full_walk_result is not None:
+            outcome.match_mappings = full_walk_result.completions
         elif count_matches:
             outcome.match_mappings = len(
                 enumerate_matches_array(prototype, state)
             )
     elif collect_matches and not need_enumeration:
-        if full_walk_ran:
+        if full_walk_result is not None:
             # Each completed full-walk token already is an exact match.
             outcome.matches = full_walk_result.completed_mappings
         else:
@@ -269,8 +260,8 @@ def _search_prototype_body(
         outcome.match_mappings = len(matches)
         if collect_matches:
             outcome.matches = matches
-    elif full_walk_ran:
-        outcome.match_mappings = full_walk_completions
+    elif full_walk_result is not None:
+        outcome.match_mappings = full_walk_result.completions
     elif count_matches:
         outcome.match_mappings = count_match_mappings(prototype, state)
 

@@ -70,6 +70,22 @@ class SearchState:
         active_edges = {v: set(graph.neighbors(v)) for v in candidates}
         return cls(graph, candidates, active_edges)
 
+    @classmethod
+    def from_ids(
+        cls, graph: Graph, vertices: Iterable[int], edges: Iterable[Edge]
+    ) -> "SearchState":
+        """The scope holding exactly ``vertices`` and the undirected ``edges``.
+
+        Roles stay empty: ``for_prototype_search`` resets them by label
+        (see ``ArraySearchState.from_ids``).
+        """
+        candidates: Dict[int, Set[int]] = {v: set() for v in vertices}
+        active_edges: Dict[int, Set[int]] = {v: set() for v in candidates}
+        for u, v in edges:
+            active_edges.setdefault(u, set()).add(v)
+            active_edges.setdefault(v, set()).add(u)
+        return cls(graph, candidates, active_edges)
+
     def copy(self) -> "SearchState":
         return SearchState(
             self.graph,

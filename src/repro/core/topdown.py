@@ -195,7 +195,6 @@ def _inline_exploratory_level(
             count_matches=options.count_matches,
             collect_matches=options.collect_matches,
             verification=options.verification,
-            backend=options.backend,
             adaptive=options.adaptive,
             constraint_costs=options.constraint_costs,
         )

@@ -234,7 +234,6 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
         recycle=options.work_recycling,
         count_matches=options.count_matches,
         verification=options.verification,
-        backend=options.backend,
         warm_mask=warm_mask,
         adaptive=options.adaptive,
         constraint_costs=options.constraint_costs,

@@ -46,8 +46,8 @@ def array_snapshot(astate):
 
 def lcc_snapshot(graph, template, backend, max_iterations=None):
     """LCC from the dict initial state: in place on the reference
-    backend; imported into an array state (as ``search_prototype`` does
-    for a dict caller) on the array backend."""
+    backend; imported into an array state with ``from_search_state`` on
+    the array backend."""
     proto = generate_prototypes(template, 0).at(0)[0]
     state = SearchState.initial(graph, template)
     if backend == "array":
@@ -160,13 +160,52 @@ class TestRoundTripConversion:
         assert astate.is_active(some)
         assert array_snapshot(astate) == dict_snapshot(state)
 
-    def test_write_back_overwrites_in_place(self):
-        graph, template = random_case(2)
+
+class TestFromIds:
+    """A scope given by vertex and edge ids, in either state form."""
+
+    def scope(self, seed=2):
+        graph, template = random_case(seed)
         state = SearchState.initial(graph, template)
-        astate = ArraySearchState.from_search_state(state)
-        astate.deactivate_vertex(next(iter(state.candidates)))
-        astate.write_back(state)
-        assert dict_snapshot(state) == array_snapshot(astate)
+        for victim in sorted(state.candidates)[:3]:
+            state.deactivate_vertex(victim)
+        return graph, template, state
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_both_forms_hold_exactly_the_ids(self, seed):
+        graph, _template, state = self.scope(seed)
+        vertices = sorted(state.candidates)
+        edges = sorted(state.active_edge_list())
+        astate = ArraySearchState.from_ids(csr_of(graph), vertices, edges)
+        restored = SearchState.from_ids(graph, vertices, edges)
+        for scope in (astate, restored):
+            assert sorted(scope.active_vertices()) == vertices
+            assert sorted(scope.active_edge_list()) == edges
+        assert astate.roles == []
+        assert all(not roles for roles in restored.candidates.values())
+
+    def test_template_seeds_roles_by_label(self):
+        graph, template, state = self.scope()
+        astate = ArraySearchState.from_ids(
+            csr_of(graph), state.candidates, state.active_edge_list(),
+            template=template,
+        )
+        labeled = state.for_prototype_search(
+            generate_prototypes(template, 0).at(0)[0]
+        )
+        assert {
+            v: frozenset(r) for v, r in astate.to_search_state().candidates.items()
+        } == {v: frozenset(r) for v, r in labeled.candidates.items()}
+
+    def test_unknown_vertex_and_non_edge_rejected(self):
+        graph, _template, state = self.scope()
+        csr = csr_of(graph)
+        with pytest.raises(ValueError, match="not in the graph"):
+            ArraySearchState.from_ids(csr, [10 ** 9], [])
+        u = next(iter(state.candidates))
+        v = next(w for w in graph.vertices() if w != u and not graph.has_edge(u, w))
+        with pytest.raises(ValueError, match="not an edge"):
+            ArraySearchState.from_ids(csr, [u, v], [(u, v)])
 
 
 class TestMutationParity:

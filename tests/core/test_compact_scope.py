@@ -20,11 +20,14 @@ wildcards, mandatory edges, a > 64-role template, block partitioning,
 delegates, containment off, enumeration-only verification and
 ``aux_views`` level views nested on top.  Then the title's contract,
 directly: precision and recall against the brute-force matcher with the
-compaction on.  Last, the runs that must *not* compact — pooled,
+compaction on — also for a checkpointed run resumed after a crash at each
+level, and for every edge-flip variant, on both backends.  Last, the runs that must *not* compact — pooled,
 rebalanced, naive — say so and still agree (the rebalanced and naive ones
 with brute force too), and the reshuffle's degree packing, read off the
 bitmaps, equals the one of the materialized pruned graph.
 """
+
+import tempfile
 
 import hypothesis.strategies as st
 import pytest
@@ -38,9 +41,12 @@ from repro.core import (
     exploratory_search,
     generate_prototypes,
     max_candidate_arrays,
+    resume_pipeline,
     run_pipeline,
+    run_pipeline_with_checkpoints,
 )
 from repro.core.batch import BatchQuery, run_batch
+from repro.core.flips import run_flip_pipeline
 from repro.core.patterns import wdc1_template, wdc2_template, wdc3_template
 from repro.core.template import clique_template
 from repro.core.wildcards import WILDCARD, run_wildcard_pipeline
@@ -530,6 +536,49 @@ class TestAgainstBruteForce:
             ),
         )
         assert_precise_and_complete(result, brute_force(graph, template, k))
+
+    @SLOW
+    @given(
+        small_templates(), small_graphs(), st.integers(0, 2),
+        st.sampled_from(["array", "reference"]),
+    )
+    def test_resumed_after_a_crash_at_every_level(
+        self, template, graph, k, backend
+    ):
+        k = min(k, template.max_meaningful_distance())
+        truth = brute_force(graph, template, k)
+        for crash in range(generate_prototypes(template, k).max_distance, -1, -1):
+            options = PipelineOptions(
+                num_ranks=2, aux_view_ratio=ON, backend=backend
+            )
+            with tempfile.TemporaryDirectory() as directory:
+                with pytest.raises(RuntimeError, match="injected failure"):
+                    run_pipeline_with_checkpoints(
+                        graph, template, k, directory, options,
+                        fail_after_level=crash,
+                    )
+                result = resume_pipeline(graph, template, directory, options)
+            assert_precise_and_complete(result, truth, counted=False)
+
+    @SLOW
+    @given(
+        small_templates(), small_graphs(),
+        st.sampled_from(["array", "reference"]),
+    )
+    def test_flips(self, template, graph, backend):
+        result = run_flip_pipeline(
+            graph, template, flips=1,
+            options=PipelineOptions(num_ranks=2, backend=backend),
+        )
+        for variant in result.variants:
+            truth = {
+                v
+                for mapping in find_subgraph_isomorphisms(variant.graph, graph)
+                for v in mapping.values()
+            }
+            found = result.outcomes[variant.name].solution_vertices
+            assert found <= truth, f"precision: {found - truth} are no match"
+            assert truth <= found, f"recall: missed {truth - found}"
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import (
+    ArraySearchState,
     PatternTemplate,
     SearchState,
     count_match_mappings,
@@ -109,7 +110,10 @@ class TestExtension:
 
 class TestSearchPrototype:
     def run_search(self, t, g, proto, **kwargs):
-        state = SearchState.initial(g, t).for_prototype_search(proto)
+        state = ArraySearchState.from_search_state(
+            SearchState.initial(g, t).for_prototype_search(proto),
+            roles=sorted(proto.graph.vertices()),
+        )
         return (
             search_prototype(
                 state,
@@ -153,7 +157,10 @@ class TestSearchPrototype:
     def test_constraints_only_mode_without_full_walk_is_superset(self):
         t, g = template(), graph()
         proto = generate_prototypes(t, 0).at(0)[0]
-        state = SearchState.initial(g, t).for_prototype_search(proto)
+        state = ArraySearchState.from_search_state(
+            SearchState.initial(g, t).for_prototype_search(proto),
+            roles=sorted(proto.graph.vertices()),
+        )
         outcome = search_prototype(
             state,
             proto,

@@ -2,8 +2,9 @@
 
 Five guards around the array-resident level state:
 
-* default-option runs never cross into dict state — no
-  ``from_search_state`` / ``to_search_state`` / ``_build_dicts`` call;
+* array runs never cross into dict state — no ``from_search_state`` /
+  ``to_search_state`` call, with default options, the enumeration
+  optimization or a checkpointed run and its resume;
 * message/visit accounting through the once-per-CSR rank arrays is pinned
   to the values the per-constraint accounting produced (with delegates,
   and on auxiliary views, whose CSR must get rank arrays of its own);
@@ -25,6 +26,7 @@ from repro.core import (
     count_motifs,
     exploratory_search,
     generate_constraints,
+    resume_pipeline,
     run_pipeline,
     run_pipeline_with_checkpoints,
 )
@@ -61,7 +63,7 @@ def wdc1_case():
 # ----------------------------------------------------------------------
 # (a) no dict state on the default path
 # ----------------------------------------------------------------------
-CONVERSIONS = ("from_search_state", "to_search_state", "_build_dicts")
+CONVERSIONS = ("from_search_state", "to_search_state")
 
 
 @pytest.fixture
@@ -105,13 +107,31 @@ class TestNoDictStateOnDefaultPath:
         assert sum(counts.by_name(induced=False).values()) > 0
         assert conversions == dict.fromkeys(CONVERSIONS, 0)
 
-    def test_the_guard_sees_a_dict_tier_run(self, conversions, tmp_path):
-        # a checkpointed run keeps its level state in dict form: M* is
-        # exported once, every array search imports and writes back
+    def test_enumeration_optimization(self, conversions):
+        # derived prototypes come back as solution ids, cut in array form
         graph, template = wdc1_case()
-        run_pipeline_with_checkpoints(graph, template, 1, tmp_path)
-        assert conversions["to_search_state"] > 0
-        assert conversions["from_search_state"] > 0
+        result = run_pipeline(
+            graph, template, 2,
+            PipelineOptions(enumeration_optimization=True, count_matches=True),
+        )
+        assert result.total_match_mappings() > 0
+        assert conversions == dict.fromkeys(CONVERSIONS, 0)
+
+    def test_checkpointed_run_and_resume(self, conversions, tmp_path):
+        # checkpoints store ids; restoring them builds array state directly
+        graph, template = wdc1_case()
+        with pytest.raises(RuntimeError, match="injected failure"):
+            run_pipeline_with_checkpoints(
+                graph, template, 2, tmp_path, fail_after_level=1
+            )
+        result = resume_pipeline(graph, template, tmp_path)
+        assert result.matched_vertices()
+        assert conversions == dict.fromkeys(CONVERSIONS, 0)
+
+    def test_the_guard_sees_a_crossing(self, conversions):
+        graph, template = wdc1_case()
+        ArraySearchState.initial(graph, template).to_search_state()
+        assert conversions == {"from_search_state": 0, "to_search_state": 1}
 
 
 # ----------------------------------------------------------------------

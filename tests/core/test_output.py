@@ -14,7 +14,7 @@ from repro.core.output import (
 )
 from repro.core.template import PatternTemplate
 from repro.errors import PipelineError
-from repro.graph.generators import planted_graph
+from repro.graph.generators import gnm_graph, planted_graph
 from repro.graph.isomorphism import find_subgraph_isomorphisms
 
 EDGES = [(0, 1), (1, 2), (2, 0)]
@@ -85,6 +85,33 @@ class TestDerivedForms:
             (n, tuple(sorted(m.items()))) for n, m in fresh if n == "k0_p0"
         }
         assert stored_keys == fresh_k0
+
+
+    def test_re_enumeration_equals_the_collected_matches(self):
+        # repeated labels: the solution scope's roles are seeded by label
+        template = PatternTemplate.from_edges(
+            [(0, 1), (1, 2), (2, 3), (3, 0)], {0: 0, 1: 1, 2: 1, 3: 0},
+            name="c4",
+        )
+        graph = gnm_graph(60, 160, num_labels=2, seed=5)
+        result = run_pipeline(
+            graph, template, 1,
+            PipelineOptions(num_ranks=2, collect_matches=True),
+        )
+
+        def key(mapping):
+            return tuple(sorted(mapping.items()))
+
+        collected = {}
+        for outcome in result.outcomes():
+            if outcome.matches:
+                collected[outcome.name] = {key(m) for m in outcome.matches}
+            outcome.matches = None
+        assert sum(map(len, collected.values())) > 0
+        re_enumerated = {}
+        for name, mapping in enumerate_all_matches(result, graph):
+            re_enumerated.setdefault(name, set()).add(key(mapping))
+        assert re_enumerated == collected
 
 
 class TestWriters:

@@ -1,9 +1,12 @@
 """Failure-injection tests for pipeline checkpoint/restart."""
 
+import json
+
 import pytest
 
 from repro.core import PipelineOptions, run_pipeline
 from repro.core.restart import (
+    MANIFEST,
     resume_pipeline,
     run_pipeline_with_checkpoints,
 )
@@ -24,7 +27,53 @@ def workload(seed=33):
     return graph, template
 
 
+def report(result):
+    """Everything an uninterrupted checkpointed run must share with
+    ``run_pipeline``."""
+    return {
+        "match_vectors": result.match_vectors,
+        "outcomes": [
+            (o.proto_id, o.solution_vertices, o.solution_edges, o.messages)
+            for o in result.outcomes()
+        ],
+        "message_summary": result.message_summary,
+        "nlcc_cache_stats": result.nlcc_cache_stats,
+        "candidate_set_seconds": result.candidate_set_seconds,
+        "total_simulated_seconds": result.total_simulated_seconds,
+    }
+
+
+#: options a checkpointed run used to drop on the floor.  Pooled workers
+#: recycle NLCC results and measured costs across whichever tasks they
+#: happen to serve, so the pooled case turns both off to be deterministic.
+GRID = {
+    "default": {},
+    "extension": {"enumeration_optimization": True, "count_matches": True},
+    "aux-views": {"aux_views": True, "aux_view_ratio": 1.0},
+    "reshuffle": {"load_balance": "reshuffle"},
+    "reload": {"reload_ranks": 1},
+    "deployments": {"parallel_deployments": 2},
+    "pool": {"worker_processes": 2, "work_recycling": False, "adaptive": False},
+}
+
+
 class TestCheckpointedRun:
+    @pytest.mark.parametrize("backend", ["array", "reference"])
+    @pytest.mark.parametrize("feature", sorted(GRID))
+    def test_reports_what_run_pipeline_reports(self, tmp_path, backend, feature):
+        graph, template = workload()
+
+        def options():
+            return PipelineOptions(num_ranks=2, backend=backend, **GRID[feature])
+
+        plain = run_pipeline(graph, template, K, options())
+        checkpointed = run_pipeline_with_checkpoints(
+            graph, template, K, tmp_path, options()
+        )
+        assert report(checkpointed) == report(plain)
+        assert checkpointed.message_summary["total_messages"] > 0
+        assert checkpointed.nlcc_cache_stats or not options().work_recycling
+
     def test_uninterrupted_run_matches_plain_pipeline(self, tmp_path):
         graph, template = workload()
         plain = run_pipeline(graph, template, K, PipelineOptions(num_ranks=2))
@@ -121,3 +170,57 @@ class TestCrashAndResume:
         graph, template = workload()
         with pytest.raises(CheckpointError):
             resume_pipeline(graph, template, tmp_path / "nope")
+
+
+class TestManifestMismatch:
+    """A manifest that does not fit the resumed run raises CheckpointError."""
+
+    def crashed(self, tmp_path):
+        graph, template = workload()
+        with pytest.raises(RuntimeError, match="injected failure"):
+            run_pipeline_with_checkpoints(
+                graph, template, K, tmp_path, PipelineOptions(num_ranks=2),
+                fail_after_level=1,
+            )
+        return graph, template
+
+    def edit(self, tmp_path, change):
+        path = tmp_path / MANIFEST
+        manifest = json.loads(path.read_text())
+        change(manifest)
+        path.write_text(json.dumps(manifest))
+
+    def test_other_graph(self, tmp_path):
+        graph, template = self.crashed(tmp_path)
+        other = graph.copy()
+        other.add_vertex(10 ** 6, LABELS[0])
+        other.add_edge(10 ** 6, 0)
+        with pytest.raises(CheckpointError, match="graph"):
+            resume_pipeline(other, template, tmp_path)
+
+    def test_other_format_version(self, tmp_path):
+        graph, template = self.crashed(tmp_path)
+        self.edit(tmp_path, lambda manifest: manifest.update(format=1))
+        with pytest.raises(CheckpointError, match="format"):
+            resume_pipeline(graph, template, tmp_path)
+
+    def test_missing_union(self, tmp_path):
+        graph, template = self.crashed(tmp_path)
+        self.edit(tmp_path, lambda manifest: manifest.pop("union_after_1"))
+        with pytest.raises(CheckpointError, match="union_after_1"):
+            resume_pipeline(graph, template, tmp_path)
+
+    def test_missing_completed_levels(self, tmp_path):
+        graph, template = self.crashed(tmp_path)
+        self.edit(tmp_path, lambda manifest: manifest.pop("completed_levels"))
+        with pytest.raises(CheckpointError, match="completed_levels"):
+            resume_pipeline(graph, template, tmp_path)
+
+    def test_ids_the_graph_does_not_hold(self, tmp_path):
+        graph, template = self.crashed(tmp_path)
+        self.edit(
+            tmp_path,
+            lambda manifest: manifest["base"]["vertices"].append(10 ** 9),
+        )
+        with pytest.raises(CheckpointError, match="does not fit"):
+            resume_pipeline(graph, template, tmp_path)

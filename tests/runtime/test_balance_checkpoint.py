@@ -97,6 +97,7 @@ class TestCheckpoint:
     def test_restore_resumes_search(self, tmp_path):
         """Failure injection: interrupt after pruning, restore, finish."""
         from repro.core import (
+            ArraySearchState,
             PatternTemplate,
             SearchState,
             generate_constraints,
@@ -139,7 +140,7 @@ class TestCheckpoint:
         )
         engine2 = Engine(PartitionedGraph(g, 2), MessageStats(2))
         outcome = search_prototype(
-            resumed,
+            ArraySearchState.from_search_state(resumed),
             proto,
             generate_constraints(proto.graph),
             engine2,
@@ -149,7 +150,8 @@ class TestCheckpoint:
         direct_state = SearchState.initial(g, template)
         engine3 = Engine(PartitionedGraph(g, 2), MessageStats(2))
         direct = search_prototype(
-            direct_state, proto, generate_constraints(proto.graph), engine3
+            ArraySearchState.from_search_state(direct_state),
+            proto, generate_constraints(proto.graph), engine3,
         )
         assert outcome.solution_vertices == direct.solution_vertices
         assert outcome.solution_edges == direct.solution_edges

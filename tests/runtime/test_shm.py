@@ -25,7 +25,6 @@ import pytest
 from repro.core import PipelineOptions, run_pipeline
 from repro.core.arraystate import ArraySearchState, csr_of
 from repro.core.candidate_set import max_candidate_set
-from repro.core.state import SearchState
 from repro.core.template import PatternTemplate
 from repro.core.topdown import exploratory_search
 from repro.errors import WorkerPoolError
@@ -335,8 +334,7 @@ class TestPayloadParity:
             assert np.array_equal(rebuilt.edge_alive, ascope.edge_alive)
             assert np.array_equal(rebuilt.role_mask, ascope.role_mask)
             dict_scope = base_state.for_prototype_search(proto)
-            state = SearchState.empty(graph)
-            rebuilt.write_back(state)
+            state = rebuilt.to_search_state()
             assert state.candidates == dict_scope.candidates
             assert state.active_edges == dict_scope.active_edges
 
