@@ -6,8 +6,11 @@ exported Chrome trace parses and contains the expected span taxonomy
 then renders the ``repro trace`` report.  The same run also exports the
 always-on metrics snapshot via ``--metrics-out``, which is sanity-checked
 (the fixpoint counters must be populated, the plan's pre-filter decision
-reported) and rendered through ``repro metrics``.  Both files are left
-on disk so CI can upload them as build artifacts.
+reported) and rendered through ``repro metrics``, and prints its run
+report (``--json``), which the trace must agree with: schema 1, the same
+per-level counts, and the ``pipeline`` span's messages equal to the
+report's.  Both files are left on disk so CI can upload them as build
+artifacts.
 
 Run from the repo root::
 
@@ -16,6 +19,8 @@ Run from the repo root::
 """
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 import tempfile
@@ -24,7 +29,7 @@ from pathlib import Path
 from repro.cli import main as cli_main
 from repro.analysis.metricsreport import derived_metrics, load_snapshot
 from repro.analysis.metricsreport import render_report as render_metrics
-from repro.analysis.tracereport import load_trace, render_report
+from repro.analysis.tracereport import level_breakdown, load_trace, render_report
 from repro.graph import io as graph_io
 from repro.graph.generators import planted_graph
 
@@ -58,14 +63,17 @@ def run(out_path: Path, metrics_path: Path) -> int:
         "name": "tri+tail",
     }))
 
-    rc = cli_main([
-        "search", str(graph_path), "--labels", str(labels_path),
-        str(template_path), "-k", "1", "--trace", str(out_path),
-        "--metrics-out", str(metrics_path),
-    ])
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli_main([
+            "search", str(graph_path), "--labels", str(labels_path),
+            str(template_path), "-k", "1", "--trace", str(out_path),
+            "--metrics-out", str(metrics_path), "--json",
+        ])
     if rc != 0:
         print(f"traced search failed with exit code {rc}")
         return 1
+    report = json.loads(stdout.getvalue())
 
     records = load_trace(out_path)
     names = {record["name"] for record in records}
@@ -117,6 +125,8 @@ def run(out_path: Path, metrics_path: Path) -> int:
     ):
         problems.append("no 'prototype' span carries a plan_decision attribute")
 
+    problems.extend(report_problems(report, records))
+
     if problems:
         print("trace smoke FAILED:")
         for problem in problems:
@@ -130,6 +140,47 @@ def run(out_path: Path, metrics_path: Path) -> int:
     print()
     print(render_metrics(snapshot))
     return 0
+
+
+def span_total(record, counter, children_of) -> float:
+    """``counter`` of a span: its own when it has one (counters are
+    inclusive), else the sum of its children's."""
+    if counter in record["counters"]:
+        return record["counters"][counter]
+    return sum(
+        span_total(child, counter, children_of)
+        for child in children_of.get(record["span_id"], ())
+    )
+
+
+def report_problems(report, records):
+    """Where the run report (``--json``) and the trace disagree."""
+    problems = []
+    if report.get("schema") != 1:
+        problems.append(f"run report schema is {report.get('schema')!r}, not 1")
+    keys = ("distance", "prototypes", "union_vertices", "union_edges",
+            "post_lcc_vertices", "post_lcc_edges")
+    traced = sorted(
+        tuple(row[key] for key in keys) for row in level_breakdown(records)
+    )
+    reported = sorted(
+        tuple(level[key] for key in keys) for level in report["levels"]
+    )
+    if not traced or traced != reported:
+        problems.append(
+            f"per-level {keys} differ: trace {traced}, report {reported}"
+        )
+    children_of = {}
+    for record in records:
+        children_of.setdefault(record["parent_id"], []).append(record)
+    (pipeline,) = children_of[None]
+    messages = span_total(pipeline, "messages", children_of)
+    if messages != report["messages"]["total_messages"]:
+        problems.append(
+            f"pipeline span counts {messages} messages, the report "
+            f"{report['messages']['total_messages']}"
+        )
+    return problems
 
 
 def main(argv) -> int:

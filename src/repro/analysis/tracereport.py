@@ -31,11 +31,24 @@ __all__ = [
     "span_tree_lines",
 ]
 
-#: counters shown in the per-constraint table, in display order
-_CONSTRAINT_COUNTERS = [
-    "checked", "cache_hits", "tokens_launched", "completions",
-    "eliminated_roles", "messages",
-]
+#: per-constraint table column -> ``nlcc`` span counter (registry window
+#: or phase traffic), in display order
+_CONSTRAINT_COUNTERS = {
+    "cache_hits": "cache.nlcc.hits",
+    "tokens_launched": "nlcc.tokens_launched",
+    "completions": "nlcc.completions",
+    "eliminated_roles": "nlcc.roles_eliminated",
+    "messages": "messages",
+}
+
+#: per-level table column -> ``level`` span counter (registry window)
+_LEVEL_COUNTERS = {
+    "prototypes": "level.prototypes",
+    "union_vertices": "level.union_vertices",
+    "union_edges": "level.union_edges",
+    "post_lcc_vertices": "search.post_lcc_vertices",
+    "post_lcc_edges": "search.post_lcc_edges",
+}
 
 
 def load_trace(path) -> List[Dict[str, object]]:
@@ -177,7 +190,8 @@ def constraint_breakdown(records) -> List[Dict[str, object]]:
     Groups by (kind, source role, walk length) — one row per distinct
     non-local constraint shape, summed across prototypes and levels,
     sorted by time descending.  This is the table that shows which
-    constraint the search spent its pruning budget on.
+    constraint the search spent its pruning budget on.  ``checked``
+    initiators are the launched tokens plus the cache hits.
     """
     buckets: Dict[tuple, Dict[str, object]] = {}
     for record in records:
@@ -191,12 +205,14 @@ def constraint_breakdown(records) -> List[Dict[str, object]]:
         bucket = buckets.setdefault(key, {
             "kind": key[0], "source": key[1], "walk_length": key[2],
             "count": 0, "total_s": 0.0,
-            **{name: 0 for name in _CONSTRAINT_COUNTERS},
+            **{column: 0 for column in _CONSTRAINT_COUNTERS},
         })
         bucket["count"] += 1
         bucket["total_s"] += record["dur"]
-        for name in _CONSTRAINT_COUNTERS:
-            bucket[name] += record["counters"].get(name, 0)
+        for column, counter in _CONSTRAINT_COUNTERS.items():
+            bucket[column] += record["counters"].get(counter, 0)
+    for bucket in buckets.values():
+        bucket["checked"] = bucket["tokens_launched"] + bucket["cache_hits"]
     return sorted(buckets.values(), key=lambda b: -b["total_s"])
 
 
@@ -210,11 +226,10 @@ def level_breakdown(records) -> List[Dict[str, object]]:
         rows.append({
             "distance": record["attrs"].get("distance"),
             "total_s": record["dur"],
-            "prototypes": counters.get("prototypes", 0),
-            "union_vertices": counters.get("union_vertices", 0),
-            "union_edges": counters.get("union_edges", 0),
-            "post_lcc_vertices": counters.get("post_lcc_vertices", 0),
-            "post_lcc_edges": counters.get("post_lcc_edges", 0),
+            **{
+                column: counters.get(counter, 0)
+                for column, counter in _LEVEL_COUNTERS.items()
+            },
         })
     rows.sort(key=lambda r: (r["distance"] is None, r["distance"]))
     return rows

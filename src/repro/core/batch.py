@@ -48,7 +48,7 @@ from .prototypes import (
     cached_prototypes,
     prototype_cache_stats,
 )
-from .results import PipelineResult, PrototypeSearchOutcome
+from .results import SCHEMA, PipelineResult, PrototypeSearchOutcome
 from .template import PatternTemplate
 
 
@@ -440,6 +440,7 @@ class BatchResult:
                 }
             )
         return {
+            "schema": SCHEMA,
             "queries": len(library.queries),
             "classes": len(library.classes),
             "root_runs": len(self.class_results),
@@ -520,10 +521,11 @@ def run_batch(
     memo = CandidateSetMemo()
     scheduler = TemplateBatchScheduler(graph, options, memo=memo)
     started = time.perf_counter()
+    metrics = options.metrics
     with options.tracer.span(
-        "batch", queries=len(queries), classes=len(library.classes),
-        families=len(library.families),
-    ) as span:
+        "batch", metrics=metrics, queries=len(queries),
+        classes=len(library.classes), families=len(library.families),
+    ):
         class_results = scheduler.run(library.jobs(graph))
         items: Dict[str, BatchItemResult] = {}
         for cls in library.classes:
@@ -545,17 +547,8 @@ def run_batch(
                     query, cls.name, cls.family is not None, result, outcome, iso
                 )
         wall = time.perf_counter() - started
-        metrics = options.metrics
         metrics.counter("cache.mstar_memo.hits").inc(memo.hits)
         metrics.counter("cache.mstar_memo.misses").inc(memo.misses)
-        if options.tracer.enabled:
-            totals = sum(r.aux_views_built for r in class_results.values())
-            span.add(
-                root_runs=len(class_results),
-                mstar_hits=memo.hits,
-                aux_views_built=totals,
-                views_shipped=scheduler.views_shipped,
-            )
     return BatchResult(
         library,
         items,

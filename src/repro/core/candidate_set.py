@@ -130,28 +130,13 @@ def _memoized_fixpoint(
     memo: Optional[CandidateSetMemo],
     fixpoint: Callable[[], MaxCandidateState],
 ) -> MaxCandidateState:
-    """Memo lookup, then ``fixpoint()`` under the M* stats phase and span."""
+    """Memo lookup, then ``fixpoint()`` in the engine's M* phase."""
     if memo is not None:
         cached = memo.get(template)
         if cached is not None:
             return cached
-    tracer = engine.tracer
-    stats = engine.stats
-    if tracer.enabled:
-        before_messages = stats.total_messages
-        before_remote = stats.total_remote_messages
-    with stats.phase("max_candidate_set"), tracer.span(
-        "max_candidate_set"
-    ) as span:
+    with engine.phase("max_candidate_set"):
         state = fixpoint()
-    if tracer.enabled:
-        vertices, edges = state.active_counts()
-        span.add(
-            vertices=vertices,
-            edges=edges,
-            messages=stats.total_messages - before_messages,
-            remote_messages=stats.total_remote_messages - before_remote,
-        )
     if memo is not None:
         memo.put(template, state)
     return state

@@ -55,17 +55,11 @@ def local_constraint_checking(
     ``adaptive`` enables the metrics-driven dense/sparse round switch;
     neither changes the fixed point or the round count.
 
-    When the engine carries an enabled tracer, the whole fixpoint runs
-    inside an ``lcc`` span counting iterations, pruned vertices/edges and
-    message traffic (each round contributes its own child span).
+    The fixpoint runs in the engine's ``lcc`` phase (and, when tracing,
+    its ``lcc`` span, each round a child span) and counts its iterations
+    in ``lcc.iterations``.
     """
-    tracer = engine.tracer
-    stats = engine.stats
-    if tracer.enabled:
-        before_vertices, before_edges = state.active_counts()
-        before_messages = stats.total_messages
-        before_remote = stats.total_remote_messages
-    with stats.phase("lcc"), tracer.span("lcc") as span:
+    with engine.phase("lcc"):
         if isinstance(state, ArraySearchState):
             iterations = array_kernel_fixpoint(
                 state, kernel or cached_kernel(proto_graph), engine,
@@ -79,15 +73,7 @@ def local_constraint_checking(
                 received = _exchange_candidacies(state, engine)
                 if not _apply_round(state, proto_graph, received):
                     break
-    if tracer.enabled:
-        after_vertices, after_edges = state.active_counts()
-        span.add(
-            iterations=iterations,
-            vertices_pruned=before_vertices - after_vertices,
-            edges_pruned=before_edges - after_edges,
-            messages=stats.total_messages - before_messages,
-            remote_messages=stats.total_remote_messages - before_remote,
-        )
+        engine.metrics.counter("lcc.iterations").inc(iterations)
     return iterations
 
 

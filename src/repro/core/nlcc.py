@@ -324,22 +324,14 @@ def _check_dict(
             )
         result.completed_mappings.append(mapping)
 
-    tracer = engine.tracer
-    stats = engine.stats
-    if tracer.enabled:
-        before_messages = stats.total_messages
-        before_remote = stats.total_remote_messages
-    with stats.phase("nlcc"), tracer.span(
-        "nlcc",
-        kind=constraint.kind,
-        source=source_role,
-        walk_length=walk_len,
-    ) as span:
+    with engine.phase(
+        "nlcc", kind=constraint.kind, source=source_role, walk_length=walk_len,
+    ):
         seeds = (Visitor(v) for v in list(state.candidates))
         engine.do_traversal(seeds, visit)
 
         # Post-processing pushes no messages but belongs to the constraint's
-        # attribution window, so it stays inside the span and stats phase.
+        # attribution window, so it stays inside the phase.
         if is_full_walk:
             _reduce_to_confirmed(state, result)
         else:
@@ -350,24 +342,23 @@ def _check_dict(
                 cache.mark_satisfied(
                     constraint.key, result.satisfied - result.recycled
                 )
-    if use_cache:
-        metrics = engine.metrics
-        metrics.counter("cache.nlcc.hits").inc(len(result.recycled))
-        metrics.counter("cache.nlcc.misses").inc(
-            len(result.checked) - len(result.recycled)
-        )
-    if tracer.enabled:
-        span.add(
-            checked=len(result.checked),
-            satisfied=len(result.satisfied),
-            cache_hits=len(result.recycled),
-            tokens_launched=result.tokens_launched,
-            completions=result.completions,
-            eliminated_roles=result.eliminated_roles,
-            messages=stats.total_messages - before_messages,
-            remote_messages=stats.total_remote_messages - before_remote,
-        )
+        _count(engine, result, use_cache)
     return result
+
+
+def _count(engine: Engine, result: NlccResult, use_cache: bool) -> None:
+    """Account one checked constraint in the run's registry."""
+    metrics = engine.metrics
+    metrics.counter("nlcc.constraints_checked").inc()
+    metrics.counter("nlcc.roles_eliminated").inc(result.eliminated_roles)
+    metrics.counter("nlcc.tokens_launched").inc(result.tokens_launched)
+    metrics.counter("nlcc.completions").inc(result.completions)
+    metrics.counter("nlcc.dedup_merged").inc(result.dedup_merged)
+    metrics.counter("nlcc.rows_expanded").inc(result.rows_expanded)
+    if use_cache:
+        # every checked initiator probed the cache once
+        metrics.counter("cache.nlcc.hits").inc(result.recycled_count)
+        metrics.counter("cache.nlcc.misses").inc(result.tokens_launched)
 
 
 def _reduce_to_confirmed(state: SearchState, result: NlccResult) -> None:
@@ -411,27 +402,16 @@ def _check_array(
     csr = astate.csr
     order = csr.order
 
-    tracer = engine.tracer
-    stats = engine.stats
-    if tracer.enabled:
-        before_messages = stats.total_messages
-        before_remote = stats.total_remote_messages
-    with stats.phase("nlcc"), tracer.span(
-        "nlcc",
-        kind=constraint.kind,
-        source=constraint.source,
+    with engine.phase(
+        "nlcc", kind=constraint.kind, source=constraint.source,
         walk_length=schedule.length,
-    ) as span:
+    ):
         walk_out = array_token_walk(
             astate, schedule, kernel, engine,
             recycled=cache.satisfied(constraint.key) if use_cache else None,
             dedup=not is_full_walk,
             collect_paths=is_full_walk,
         )
-        checked = int(walk_out.checked_idx.shape[0])
-        hits = int(walk_out.recycled_idx.shape[0])
-        if use_cache:
-            cache.record_bulk(hits=hits, misses=checked - hits)
         result._checked = result._satisfied = result._recycled = None
         result._initiators = (
             order, walk_out.checked_idx, walk_out.satisfied_idx,
@@ -462,24 +442,7 @@ def _check_array(
                 cache.mark_satisfied(
                     constraint.key, order[walk_out.satisfied_idx]
                 )
-    metrics = engine.metrics
-    metrics.counter("nlcc.rows_expanded").inc(walk_out.rows_expanded)
-    if use_cache:
-        metrics.counter("cache.nlcc.hits").inc(hits)
-        metrics.counter("cache.nlcc.misses").inc(checked - hits)
-    if tracer.enabled:
-        span.add(
-            checked=checked,
-            satisfied=int(walk_out.satisfied_idx.shape[0]) + hits,
-            cache_hits=hits,
-            tokens_launched=walk_out.tokens_launched,
-            completions=result.completions,
-            eliminated_roles=result.eliminated_roles,
-            dedup_merged=result.dedup_merged,
-            rows_expanded=result.rows_expanded,
-            messages=stats.total_messages - before_messages,
-            remote_messages=stats.total_remote_messages - before_remote,
-        )
+        _count(engine, result, use_cache)
     return result
 
 

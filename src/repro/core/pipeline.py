@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterable, List, NamedTuple, Optional, Tuple,
+)
 
 import numpy as np
 
@@ -225,8 +227,8 @@ def run_pipeline(
     """
     options = options or PipelineOptions()
     with options.tracer.span(
-        "pipeline", template=template.name, k=k, mode="bottom-up",
-        backend=options.backend,
+        "pipeline", metrics=options.metrics, template=template.name, k=k,
+        mode="bottom-up", backend=options.backend,
     ):
         return _run_bottom_up(
             graph, template, k, options, prototype_set, candidate_memo
@@ -250,8 +252,8 @@ def _run_bottom_up(
     reports from it instead of searching them again.
     """
     tracer = options.tracer
-    wall_start = time.perf_counter()
-    compile_caches_before = compile_cache_totals()
+    metrics = options.metrics
+    started = start_run(options)
     protos = prototype_set or generate_prototypes(
         template, k, max_prototypes=options.max_prototypes
     )
@@ -266,17 +268,11 @@ def _run_bottom_up(
     cost_model = options.cost_model
 
     # ------------------------------------------------------------- M*
-    base_pgraph = PartitionedGraph(
-        graph,
-        options.num_ranks,
-        assignment=_initial_assignment(graph, options.num_ranks, options),
-        delegate_degree_threshold=options.delegate_degree_threshold,
-        ranks_per_node=options.ranks_per_node,
-    )
+    base_pgraph = partition(graph, options.num_ranks, options)
     mcs_stats = MessageStats(options.num_ranks)
     mcs_engine = Engine(
         base_pgraph, mcs_stats, options.batch_size, tracer=tracer,
-        metrics=options.metrics,
+        metrics=metrics,
     )
     # The backend fixes the state form of the whole run: on the array
     # backend M* comes straight out of the vectorized fixpoint, every
@@ -299,7 +295,7 @@ def _run_bottom_up(
     all_stats.append(mcs_stats)
     # a batch hands its pipelines an ``aux_views`` M* view as their graph
     on_aux_view = array and base.csr.parent is not None
-    base = compact_scope(base, options, result)
+    base = compact_scope(base, options)
     (
         result.candidate_set_vertices,
         result.candidate_set_edges,
@@ -310,13 +306,13 @@ def _run_bottom_up(
 
     # ---------------------------------------------- search deployment
     reload_requested = _reload_requested(options)
-    search_ranks = (
-        options.reload_ranks if reload_requested else options.num_ranks
-    )
-    deployment_ranks = max(1, search_ranks // options.parallel_deployments)
     infrastructure = 0.0
     rebalancing = options.load_balance == "reshuffle" or reload_requested
     if rebalancing:
+        deployment_ranks = _replica_ranks(
+            options.reload_ranks if reload_requested else options.num_ranks,
+            options,
+        )
         vertices, degrees = _pruned_degrees(base)
         infrastructure += REBALANCE_COST_PER_EDGE * (
             sum(degrees) + len(vertices)
@@ -325,23 +321,9 @@ def _run_bottom_up(
         if assignment is None:
             assignment = hash_assignment(graph.vertices(), deployment_ranks)
         assignment.update(degree_packing(vertices, degrees, deployment_ranks))
-        search_pgraph = PartitionedGraph(
-            graph,
-            deployment_ranks,
-            assignment=assignment,
-            delegate_degree_threshold=options.delegate_degree_threshold,
-            ranks_per_node=options.ranks_per_node,
-        )
-    elif deployment_ranks == options.num_ranks:
-        search_pgraph = base_pgraph
+        search_pgraph = partition(graph, deployment_ranks, options, assignment)
     else:
-        search_pgraph = PartitionedGraph(
-            graph,
-            deployment_ranks,
-            assignment=_initial_assignment(graph, deployment_ranks, options),
-            delegate_degree_threshold=options.delegate_degree_threshold,
-            ranks_per_node=options.ranks_per_node,
-        )
+        search_pgraph = deployment_partition(graph, base_pgraph, options)
 
     # ------------------------------------------------------ level sweep
     # Per-child stored matches for the enumeration optimization: dense
@@ -361,26 +343,30 @@ def _run_bottom_up(
             options.worker_processes,
         )
 
+    aux_view_reuse = metrics.counter("aux_view.reuse")
     try:
         for distance in range(first, -1, -1):
-            with tracer.span("level", distance=distance) as level_span:
-                level_wall = time.perf_counter()
+            with tracer.span("level", metrics=metrics, distance=distance):
+                level_start = (time.perf_counter(), metrics.mark())
                 level = LevelReport(distance)
                 next_stored: Dict[int, Any] = {}
                 # Union of this level's solution subgraphs = next level's scope.
                 union: "SearchState | ArraySearchState"
 
                 if pool is not None and len(protos.at(distance)) > 1:
-                    union = _pooled_level(
-                        pool, protos, distance, deepest, base,
-                        union_prev, options, level, result,
+                    union = pooled_level(
+                        pool,
+                        (
+                            (proto, *_starting_scope(
+                                proto, distance, deepest, base, union_prev,
+                                options,
+                            ))
+                            for proto in protos.at(distance)
+                        ),
+                        base, options, level, result, all_stats,
                     )
                 else:
-                    union = (
-                        ArraySearchState.empty(base.csr)
-                        if array
-                        else SearchState.empty(graph)
-                    )
+                    union = empty_union(base)
                     for proto in protos.at(distance):
                         outcome = None
                         if options.enumeration_optimization and distance < deepest:
@@ -403,33 +389,15 @@ def _run_bottom_up(
                                 options,
                             )
                             if on_aux_view:
-                                result.aux_view_reuse += 1
-                            stats = MessageStats(deployment_ranks)
-                            engine = Engine(
-                                search_pgraph, stats, options.batch_size,
-                                tracer=tracer, metrics=options.metrics,
-                            )
-                            outcome = search_prototype(
-                                proto_state,
-                                proto,
-                                planner.plan(proto.graph),
-                                engine,
-                                cache=cache,
-                                recycle=options.work_recycling,
-                                count_matches=options.count_matches,
+                                aux_view_reuse.inc()
+                            outcome = search_in_process(
+                                proto, proto_state, warm_mask, search_pgraph,
+                                planner, cache, options, all_stats,
                                 collect_matches=(
                                     options.collect_matches
                                     or options.enumeration_optimization
                                 ),
-                                verification=options.verification,
-                                warm_mask=warm_mask,
-                                adaptive=options.adaptive,
-                                constraint_costs=options.constraint_costs,
                             )
-                            outcome.simulated_seconds = cost_model.makespan(stats)
-                            outcome.messages = stats.total_messages
-                            outcome.remote_messages = stats.total_remote_messages
-                            all_stats.append(stats)
                             if (
                                 outcome.matches is not None
                                 and options.enumeration_optimization
@@ -441,20 +409,16 @@ def _run_bottom_up(
                                 )
                         if not options.collect_matches:
                             outcome.matches = None
-                        level.outcomes.append(outcome)
+                        record_outcome(level, outcome, result)
                         if array:
                             union.absorb_solution(*proto_state.solution_masks())
                         else:
                             union.union_with(proto_state)
-                        for vertex in outcome.solution_vertices:
-                            result.match_vectors.setdefault(vertex, set()).add(
-                                proto.id
-                            )
 
                 union_prev = union
-                _finish_level(
-                    level, result, options, label_frequencies, union,
-                    rebalancing, distance, level_wall, span=level_span,
+                finish_level(
+                    level, result, options, label_frequencies,
+                    union.active_counts(), rebalancing, level_start,
                 )
                 if checkpoint is not None:
                     checkpoint.level_done(level, result, union)
@@ -487,22 +451,18 @@ def _run_bottom_up(
                         for p in protos.at(d)
                     )
                 ):
-                    view = base.csr.induced_view(union.vertex_active)
-                    base = base.restrict_to_view(view)
-                    union_prev = union.restrict_to_view(view)
+                    with tracer.span(
+                        "aux_view", metrics=metrics, distance=distance
+                    ):
+                        view = base.csr.induced_view(union.vertex_active)
+                        base = base.restrict_to_view(view)
+                        union_prev = union.restrict_to_view(view)
+                        size = (view.num_vertices, view.num_directed_edges // 2)
+                        metrics.counter("aux_view.built").inc()
+                        metrics.counter("aux_view.vertices").inc(size[0])
+                        metrics.counter("aux_view.edges").inc(size[1])
                     on_aux_view = True
-                    result.aux_views_built += 1
-                    result.aux_view_sizes.append(
-                        (view.num_vertices, view.num_directed_edges // 2)
-                    )
-                    if tracer.enabled:
-                        with tracer.span(
-                            "aux_view", distance=distance
-                        ) as view_span:
-                            view_span.add(
-                                vertices=view.num_vertices,
-                                edges=view.num_directed_edges // 2,
-                            )
+                    result.aux_view_sizes.append(size)
     finally:
         if pool is not None:
             pool.close()
@@ -516,9 +476,7 @@ def _run_bottom_up(
         + sum(level.search_seconds for level in result.levels)
         + result.total_infrastructure_seconds
     )
-    return finish_run(
-        result, options, all_stats, cache, compile_caches_before, wall_start
-    )
+    return finish_run(result, options, all_stats, cache, started)
 
 
 def compile_cache_totals() -> Dict[str, Dict[str, int]]:
@@ -529,37 +487,95 @@ def compile_cache_totals() -> Dict[str, Dict[str, int]]:
     }
 
 
+class RunStart(NamedTuple):
+    """What :func:`finish_run` measures a run against."""
+
+    wall: float
+    compile_caches: Dict[str, Dict[str, int]]
+    mark: Dict[str, float]
+
+
+def start_run(options: PipelineOptions) -> RunStart:
+    """Open a run's wall clock, compile-cache snapshot and registry window."""
+    return RunStart(
+        time.perf_counter(), compile_cache_totals(), options.metrics.mark()
+    )
+
+
 def finish_run(
     result: PipelineResult,
     options: PipelineOptions,
     all_stats: List[MessageStats],
     cache: Optional[NlccCache],
-    compile_caches_before: Dict[str, Dict[str, int]],
-    wall_start: float,
+    started: RunStart,
 ) -> PipelineResult:
     """Run epilogue shared by the bottom-up and exploratory drivers.
 
-    Wall time, merged message accounting, NLCC cache counters and the
-    run's share of the process-wide compile caches' traffic — the delta
-    against the :func:`compile_cache_totals` snapshot taken at its entry.
+    Wall time, merged message accounting, the NLCC cache's size, the
+    run's share of the process-wide compile caches' traffic (the delta
+    against the snapshot :func:`start_run` took) and the registry's
+    window over the run (``result.counts``).
     """
-    result.total_wall_seconds = time.perf_counter() - wall_start
+    metrics = options.metrics
+    result.total_wall_seconds = time.perf_counter() - started.wall
     result.message_summary = merge_message_stats(all_stats)
     if cache is not None:
-        constraints, entries = cache.size()
-        result.nlcc_cache_stats = {
-            "hits": cache.hits,
-            "misses": cache.misses,
-            "constraints": constraints,
-            "entries": entries,
-        }
+        result.nlcc_cache_size = cache.size()
     for name, after in compile_cache_totals().items():
         for kind in ("hits", "misses"):
-            delta = after[kind] - compile_caches_before[name][kind]
+            delta = after[kind] - started.compile_caches[name][kind]
             if delta:
-                options.metrics.counter(f"{name}.{kind}").inc(delta)
-    result.metrics = options.metrics
+                metrics.counter(f"{name}.{kind}").inc(delta)
+    result.counts = metrics.since(started.mark)
+    result.metrics = metrics
     return result
+
+
+def charge(
+    outcome: PrototypeSearchOutcome,
+    stats: MessageStats,
+    options: PipelineOptions,
+    all_stats: List[MessageStats],
+) -> None:
+    """Charge one prototype search's traffic to its outcome and the run."""
+    outcome.simulated_seconds = options.cost_model.makespan(stats)
+    outcome.messages = stats.total_messages
+    outcome.remote_messages = stats.total_remote_messages
+    all_stats.append(stats)
+
+
+def partition(
+    graph: Graph,
+    ranks: int,
+    options: PipelineOptions,
+    assignment: Optional[Dict[int, int]] = None,
+) -> PartitionedGraph:
+    """``graph`` on ``ranks`` ranks, as ``options`` partitions it."""
+    return PartitionedGraph(
+        graph,
+        ranks,
+        assignment=(
+            assignment if assignment is not None
+            else _initial_assignment(graph, ranks, options)
+        ),
+        delegate_degree_threshold=options.delegate_degree_threshold,
+        ranks_per_node=options.ranks_per_node,
+    )
+
+
+def _replica_ranks(ranks: int, options: PipelineOptions) -> int:
+    """Ranks of one of ``options.parallel_deployments`` replicas."""
+    return max(1, ranks // options.parallel_deployments)
+
+
+def deployment_partition(
+    graph: Graph, base_pgraph: PartitionedGraph, options: PipelineOptions
+) -> PartitionedGraph:
+    """The partition one replica deployment searches prototypes on (§4)."""
+    ranks = _replica_ranks(options.num_ranks, options)
+    if ranks == options.num_ranks:
+        return base_pgraph
+    return partition(graph, ranks, options)
 
 
 def _initial_assignment(
@@ -604,7 +620,6 @@ def _pruned_degrees(
 def compact_scope(
     base: "SearchState | ArraySearchState",
     options: PipelineOptions,
-    result: PipelineResult,
 ) -> "SearchState | ArraySearchState":
     """Re-pack the run onto ``G[M*]`` when ``M*`` pruned enough (§3.1).
 
@@ -622,8 +637,8 @@ def compact_scope(
 
     Declines for a reference or naive ``base``, under a pool (its shm
     segment and scope bitmaps are ``G``'s) and when rebalancing (which
-    exports the scope to a dict graph anyway).  ``result.scope_view``, the
-    ``scope_view`` span and the ``scope_view.*`` counters report the view.
+    exports the scope to a dict graph anyway).  The ``scope_view.*``
+    counters report the view (``PipelineResult.scope_view`` reads them).
     """
     if not (
         isinstance(base, ArraySearchState)
@@ -637,36 +652,30 @@ def compact_scope(
     kept = base.num_active_vertices
     if kept == csr.num_vertices or kept > options.aux_view_ratio * csr.num_vertices:
         return base
-    with options.tracer.span("scope_view") as span:
+    metrics = options.metrics
+    with options.tracer.span("scope_view", metrics=metrics):
         view = csr.induced_view(base.vertex_active)
         base = base.restrict_to_view(view)
-        edges = view.num_directed_edges // 2
-        span.add(
-            vertices=kept, edges=edges, kept_frac=kept / csr.num_vertices
-        )
-    result.scope_view = (kept, edges)
-    metrics = options.metrics
-    metrics.counter("scope_view.built").inc()
-    metrics.counter("scope_view.vertices").inc(kept)
-    metrics.counter("scope_view.edges").inc(edges)
+        metrics.counter("scope_view.built").inc()
+        metrics.counter("scope_view.vertices").inc(kept)
+        metrics.counter("scope_view.edges").inc(view.num_directed_edges // 2)
     return base
 
 
-def _finish_level(
+def finish_level(
     level: LevelReport,
     result: PipelineResult,
     options: PipelineOptions,
     label_frequencies: Dict[int, int],
-    union: "SearchState | ArraySearchState",
+    union_sizes: Tuple[int, int],
     rebalancing: bool,
-    distance: int,
-    level_wall: float,
-    span: Any = None,
+    level_start: Tuple[float, Dict[str, float]],
 ) -> None:
-    """Shared level epilogue: scheduling time, union sizes, bookkeeping.
+    """Level epilogue of both drivers: scheduling time, union sizes.
 
-    ``span`` is the level's trace span (or a null span); the computed
-    union/post-LCC sizes double as its counters.
+    ``union_sizes`` is the level union's ``(vertices, edges)``;
+    ``level_start`` is the level's ``perf_counter`` stamp and registry
+    mark; the level's counts (``level.counts``) are the window since.
     """
     costs = [o.simulated_seconds for o in level.outcomes]
     if options.parallel_deployments > 1 and len(costs) > 1:
@@ -685,75 +694,112 @@ def _finish_level(
         level.search_seconds = parallel_makespan(costs, batches)
     else:
         level.search_seconds = sum(costs)
-    # One O(E) pass for the union sizes, shared by the report fields and
-    # the rebalancing cost below (num_active_edges itself is O(E)).
-    union_vertices, union_edges = union.active_counts()
-    level.union_vertices = union_vertices
-    level.union_edges = union_edges
-    level.post_lcc_vertices = sum(o.post_lcc_vertices for o in level.outcomes)
-    level.post_lcc_edges = sum(o.post_lcc_edges for o in level.outcomes)
-    if span is not None:
-        span.add(
-            prototypes=len(level.outcomes),
-            union_vertices=union_vertices,
-            union_edges=union_edges,
-            post_lcc_vertices=level.post_lcc_vertices,
-            post_lcc_edges=level.post_lcc_edges,
-        )
-    if rebalancing and distance > 0:
+    union_vertices, union_edges = union_sizes
+    metrics = options.metrics
+    metrics.counter("level.prototypes").inc(len(level.outcomes))
+    metrics.counter("level.union_vertices").inc(union_vertices)
+    metrics.counter("level.union_edges").inc(union_edges)
+    if rebalancing and level.distance > 0:
         level.infrastructure_seconds = REBALANCE_COST_PER_EDGE * (
             2 * union_edges + union_vertices
         )
+    level_wall, mark = level_start
+    level.counts = metrics.since(mark)
     level.wall_seconds = time.perf_counter() - level_wall
     result.levels.append(level)
 
 
-def _pooled_level(
-    pool: "PrototypeSearchPool",
-    protos: PrototypeSet,
-    distance: int,
-    deepest: int,
+def empty_union(
     base: "SearchState | ArraySearchState",
-    union_prev: "SearchState | ArraySearchState | None",
+) -> "SearchState | ArraySearchState":
+    """An empty level union in ``base``'s state form and over its CSR."""
+    if isinstance(base, ArraySearchState):
+        return ArraySearchState.empty(base.csr)
+    return SearchState.empty(base.graph)
+
+
+def search_in_process(
+    proto: Prototype,
+    scope: "SearchState | ArraySearchState",
+    warm_mask: Optional[Any],
+    pgraph: PartitionedGraph,
+    planner: ConstraintPlanner,
+    cache: Optional[NlccCache],
+    options: PipelineOptions,
+    all_stats: List[MessageStats],
+    collect_matches: bool,
+) -> PrototypeSearchOutcome:
+    """One prototype search on ``pgraph``, charged to the run."""
+    stats = MessageStats(pgraph.num_ranks)
+    engine = Engine(
+        pgraph, stats, options.batch_size, tracer=options.tracer,
+        metrics=options.metrics,
+    )
+    outcome = search_prototype(
+        scope,
+        proto,
+        planner.plan(proto.graph),
+        engine,
+        cache=cache,
+        recycle=options.work_recycling,
+        count_matches=options.count_matches,
+        collect_matches=collect_matches,
+        verification=options.verification,
+        warm_mask=warm_mask,
+        adaptive=options.adaptive,
+        constraint_costs=options.constraint_costs,
+    )
+    charge(outcome, stats, options, all_stats)
+    return outcome
+
+
+def record_outcome(
+    level: LevelReport, outcome: PrototypeSearchOutcome, result: PipelineResult
+) -> None:
+    """Add a searched prototype to its level and to the match vectors."""
+    level.outcomes.append(outcome)
+    for vertex in outcome.solution_vertices:
+        result.match_vectors.setdefault(vertex, set()).add(outcome.proto_id)
+
+
+def pooled_level(
+    pool: "PrototypeSearchPool",
+    scopes: Iterable[Tuple[Prototype, Any, Optional[Any]]],
+    base: "SearchState | ArraySearchState",
     options: PipelineOptions,
     level: LevelReport,
     result: PipelineResult,
+    all_stats: List[MessageStats],
 ) -> "SearchState | ArraySearchState":
-    """Execute one level's searches on the pool.
+    """Execute one level's searches on the pool; returns the level's union.
 
-    Scopes are cut by :func:`_starting_scope`.  On the array backend they
-    ship as packed bitmaps over the pool's shared CSR and workers return
-    packed solution bitmaps, OR-ed into an array union — no dict state is
-    ever materialized.  On the reference backend they ship as dict
-    payloads and the union is rebuilt from each outcome's solution lists.
-    Either union's roles stay empty: the next level's
-    ``for_prototype_search`` re-seeds them by label.
+    ``scopes`` holds each prototype's starting scope and warm mask, in
+    ``base``'s state form.  On the array backend they ship as packed
+    bitmaps over the pool's shared CSR and workers return packed solution
+    bitmaps, OR-ed into an array union — no dict state is ever
+    materialized.  On the reference backend they ship as dict payloads
+    and the union is rebuilt from each outcome's solution lists.  Either
+    union's roles stay empty: the next level's ``for_prototype_search``
+    re-seeds them by label.  Each worker's ``MessageStats`` is charged to
+    the run like an in-process search's.
     """
     from ..runtime.parallel import array_task, dict_task, payload_to_outcome
 
     array = isinstance(base, ArraySearchState)
     tasks = []
-    for proto in protos.at(distance):
-        scoped, warm_mask = _starting_scope(
-            proto, distance, deepest, base, union_prev, options
-        )
+    by_id = {}
+    for proto, scope, warm_mask in scopes:
+        by_id[proto.id] = proto
         tasks.append(
-            array_task(proto.id, scoped, warm_mask)
+            array_task(proto.id, scope, warm_mask)
             if array
-            else dict_task(proto.id, scoped)
+            else dict_task(proto.id, scope)
         )
-    union: "SearchState | ArraySearchState" = (
-        ArraySearchState.empty(base.csr) if array else SearchState.empty(base.graph)
-    )
-    tracer = options.tracer
+    union = empty_union(base)
     for payload in pool.search_level(tasks):
-        proto = protos.by_id(payload["proto_id"])
-        outcome = payload_to_outcome(
-            proto, payload, tracer=tracer, metrics=options.metrics
-        )
-        level.outcomes.append(outcome)
-        for vertex in outcome.solution_vertices:
-            result.match_vectors.setdefault(vertex, set()).add(proto.id)
+        outcome = payload_to_outcome(by_id[payload["proto_id"]], payload, options)
+        charge(outcome, payload["stats"], options, all_stats)
+        record_outcome(level, outcome, result)
         if array:
             vertex_bits, edge_bits = payload["solution_bits"]
             union.absorb_solution(

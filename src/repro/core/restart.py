@@ -104,8 +104,8 @@ def _run(
     checkpoint: "Checkpoint",
 ) -> PipelineResult:
     with options.tracer.span(
-        "pipeline", template=template.name, k=k, mode="checkpointed",
-        backend=options.backend,
+        "pipeline", metrics=options.metrics, template=template.name, k=k,
+        mode="checkpointed", backend=options.backend,
     ):
         return _run_bottom_up(
             graph, template, k, options, None, checkpoint=checkpoint

@@ -2,16 +2,60 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Set, Tuple,
+)
 
 from ..graph.graph import Edge, Graph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .prototypes import Prototype, PrototypeSet
 
+#: layout version of :meth:`PipelineResult.stats_document`
+SCHEMA = 1
+
+#: the ``nlcc`` section of the run report: key -> registry counter
+NLCC_COUNTERS = {
+    "constraints_checked": "nlcc.constraints_checked",
+    "constraints_skipped": "plan.prefilters_skipped",
+    "roles_eliminated": "nlcc.roles_eliminated",
+    "recycled": "cache.nlcc.hits",
+    "tokens_launched": "nlcc.tokens_launched",
+    "completions": "nlcc.completions",
+    "dedup_merged": "nlcc.dedup_merged",
+}
+
+
+class Count:
+    """Read-only int view of one registry counter in the owner's ``counts``.
+
+    ``counts`` is a window of the run's
+    :class:`~repro.runtime.metrics.MetricsRegistry`
+    (:meth:`~repro.runtime.metrics.MetricsRegistry.since`): what the
+    registry counted over a prototype search, a level or a run.
+    """
+
+    def __init__(self, counter: str) -> None:
+        self.counter = counter
+
+    def __get__(self, owner: Any, _type: Any = None) -> Any:
+        if owner is None:
+            return self
+        return int(owner.counts.get(self.counter, 0))
+
 
 class PrototypeSearchOutcome:
-    """Everything recorded while searching one prototype."""
+    """Everything recorded while searching one prototype.
+
+    ``counts`` is the registry's window over the search; a pooled
+    outcome's is the worker's exported registry.
+    """
+
+    lcc_iterations = Count("lcc.iterations")
+    #: active (vertices, edges) right after the initial LCC fixpoint —
+    #: attributes how much pruning LCC did before the NLCC walks ran
+    post_lcc_vertices = Count("search.post_lcc_vertices")
+    post_lcc_edges = Count("search.post_lcc_edges")
 
     def __init__(self, prototype: "Prototype") -> None:
         self.prototype = prototype
@@ -32,23 +76,8 @@ class PrototypeSearchOutcome:
         #: optimization chain stay in array form across levels.  Never
         #: serialized.
         self.match_set = None
-        self.lcc_iterations = 0
-        #: active (vertices, edges) right after the initial LCC fixpoint —
-        #: attributes how much pruning LCC did before the NLCC walks ran
-        self.post_lcc_vertices = 0
-        self.post_lcc_edges = 0
-        self.nlcc_constraints_checked = 0
-        #: pre-filters the plan left out because the full walk alone was
-        #: estimated no dearer (``ConstraintPlan.select``)
-        self.nlcc_constraints_skipped = 0
-        self.nlcc_roles_eliminated = 0
-        self.nlcc_recycled = 0
-        #: token-walk work counters, recorded whether or not a tracer is
-        #: attached: initiators that actually launched a token, walk
-        #: completions, and frontier rows collapsed by the array dedup fold
-        self.nlcc_tokens_launched = 0
-        self.nlcc_completions = 0
-        self.nlcc_dedup_merged = 0
+        #: registry counter name -> what the search counted
+        self.counts: Dict[str, float] = {}
         self.exact = True
         #: simulated parallel seconds for this prototype's search
         self.simulated_seconds = 0.0
@@ -68,18 +97,23 @@ class PrototypeSearchOutcome:
 
 
 class LevelReport:
-    """Per-edit-distance-level breakdown (the stacks of Figs. 6 and 8)."""
+    """Per-edit-distance-level breakdown (the stacks of Figs. 6 and 8).
+
+    ``counts`` is the registry's window over the level.
+    """
+
+    #: union-of-solution-subgraph sizes after this level (|V*_k| row)
+    union_vertices = Count("level.union_vertices")
+    union_edges = Count("level.union_edges")
+    #: summed post-LCC active counts over this level's prototype
+    #: searches (attribution of LCC vs NLCC pruning work)
+    post_lcc_vertices = Count("search.post_lcc_vertices")
+    post_lcc_edges = Count("search.post_lcc_edges")
 
     def __init__(self, distance: int) -> None:
         self.distance = distance
         self.outcomes: List[PrototypeSearchOutcome] = []
-        #: union-of-solution-subgraph sizes after this level (|V*_k| row)
-        self.union_vertices = 0
-        self.union_edges = 0
-        #: summed post-LCC active counts over this level's prototype
-        #: searches (attribution of LCC vs NLCC pruning work)
-        self.post_lcc_vertices = 0
-        self.post_lcc_edges = 0
+        self.counts: Dict[str, float] = {}
         #: simulated seconds spent searching this level (after scheduling)
         self.search_seconds = 0.0
         #: simulated seconds of infrastructure management for this level
@@ -106,7 +140,13 @@ class PipelineResult:
 
     The primary product is the per-vertex *approximate match vector*
     (Def. 3): for each vertex, the set of prototype ids it participates in.
+    ``counts`` is the registry's window over the run.
     """
+
+    #: auxiliary pruned views (options.aux_views) materialized, and
+    #: prototype searches that started on a view
+    aux_views_built = Count("aux_view.built")
+    aux_view_reuse = Count("aux_view.reuse")
 
     def __init__(
         self,
@@ -131,17 +171,11 @@ class PipelineResult:
         self.total_infrastructure_seconds = 0.0
         #: aggregated message accounting across all engines of the run
         self.message_summary: Dict[str, object] = {}
-        #: NLCC work-recycling cache counters (empty when recycling is off):
-        #: hits/misses plus the cache's constraint and vertex-entry sizes
-        self.nlcc_cache_stats: Dict[str, int] = {}
-        #: ``(vertices, edges)`` of the ``G[M*]`` view the run searched
-        #: instead of ``G`` (``pipeline.compact_scope``); None = searched ``G``
-        self.scope_view: Optional[Tuple[int, int]] = None
-        #: auxiliary pruned-view accounting (options.aux_views):
-        #: views materialized, prototype searches that started on a view,
-        #: and each view's (vertices, edges) size
-        self.aux_views_built = 0
-        self.aux_view_reuse = 0
+        self.counts: Dict[str, float] = {}
+        #: (constraints, vertex entries) of the NLCC work-recycling cache;
+        #: None when recycling is off
+        self.nlcc_cache_size: Optional[Tuple[int, int]] = None
+        #: each auxiliary view's (vertices, edges) size
         self.aux_view_sizes: List[tuple] = []
         #: the run's :class:`~repro.runtime.metrics.MetricsRegistry`
         #: (worker registries already merged in); None until the pipeline
@@ -203,36 +237,45 @@ class PipelineResult:
                 return level
         raise KeyError(f"no level at distance {distance}")
 
-    def nlcc_totals(self) -> Dict[str, int]:
-        """Aggregated NLCC token-walk counters over every prototype search.
+    @property
+    def scope_view(self) -> Optional[Tuple[int, int]]:
+        """``(vertices, edges)`` of the ``G[M*]`` view the run searched
+        instead of ``G`` (``pipeline.compact_scope``); None = searched ``G``."""
+        if not self.counts.get("scope_view.built"):
+            return None
+        return (
+            int(self.counts.get("scope_view.vertices", 0)),
+            int(self.counts.get("scope_view.edges", 0)),
+        )
 
-        Computed straight from the outcomes, so they are populated even
-        when tracing is disabled (the tracer only adds per-span copies).
-        """
-        outcomes = self.outcomes()
+    @property
+    def nlcc_cache_stats(self) -> Dict[str, int]:
+        """NLCC work-recycling cache hits, misses and sizes (empty when
+        recycling is off)."""
+        if self.nlcc_cache_size is None:
+            return {}
+        constraints, entries = self.nlcc_cache_size
         return {
-            "constraints_checked": sum(
-                o.nlcc_constraints_checked for o in outcomes
-            ),
-            "constraints_skipped": sum(
-                o.nlcc_constraints_skipped for o in outcomes
-            ),
-            "roles_eliminated": sum(o.nlcc_roles_eliminated for o in outcomes),
-            "recycled": sum(o.nlcc_recycled for o in outcomes),
-            "tokens_launched": sum(o.nlcc_tokens_launched for o in outcomes),
-            "completions": sum(o.nlcc_completions for o in outcomes),
-            "dedup_merged": sum(o.nlcc_dedup_merged for o in outcomes),
+            "hits": int(self.counts.get("cache.nlcc.hits", 0)),
+            "misses": int(self.counts.get("cache.nlcc.misses", 0)),
+            "constraints": constraints,
+            "entries": entries,
         }
 
     def stats_document(self) -> Dict[str, object]:
         """Machine-readable run summary (the CLI's ``--json`` output).
 
-        Everything is plain JSON-serializable data: totals, candidate-set
-        sizes, per-level breakdowns, NLCC cache counters and the aggregated
-        message summary.  Match vectors are summarized (counts), not
-        dumped — use the dedicated output writers for full vectors.
+        Everything is plain JSON-serializable data, layout version
+        ``"schema"``.  Counts come from their one producer: ``messages``
+        from the run's merged ``MessageStats``, every other count from a
+        window of the run's registry (``nlcc``, ``nlcc_cache``,
+        ``scope_view``, ``aux_views`` and the per-level sizes), and
+        ``metrics`` is the registry's snapshot.  Match vectors are
+        summarized (counts), not dumped — use the dedicated output writers
+        for full vectors.
         """
         return {
+            "schema": SCHEMA,
             "template": self.template_name,
             "k": self.k,
             "backend": self.backend,
@@ -257,23 +300,22 @@ class PipelineResult:
                     "union_edges": level.union_edges,
                     "post_lcc_vertices": level.post_lcc_vertices,
                     "post_lcc_edges": level.post_lcc_edges,
-                    "nlcc_tokens_launched": sum(
-                        o.nlcc_tokens_launched for o in level.outcomes
-                    ),
-                    "nlcc_completions": sum(
-                        o.nlcc_completions for o in level.outcomes
-                    ),
-                    "nlcc_dedup_merged": sum(
-                        o.nlcc_dedup_merged for o in level.outcomes
-                    ),
+                    **{
+                        f"nlcc_{key}": int(level.counts.get(f"nlcc.{key}", 0))
+                        for key in ("tokens_launched", "completions",
+                                    "dedup_merged")
+                    },
                     "search_seconds": level.search_seconds,
                     "infrastructure_seconds": level.infrastructure_seconds,
                     "wall_seconds": level.wall_seconds,
                 }
                 for level in self.levels
             ],
-            "nlcc": self.nlcc_totals(),
-            "nlcc_cache": dict(self.nlcc_cache_stats),
+            "nlcc": {
+                key: int(self.counts.get(counter, 0))
+                for key, counter in NLCC_COUNTERS.items()
+            },
+            "nlcc_cache": self.nlcc_cache_stats,
             "aux_views": {
                 "built": self.aux_views_built,
                 "reuse": self.aux_view_reuse,

@@ -94,34 +94,27 @@ def search_prototype(
     across the prototypes of a run (and across a batch when the executor
     shares one options object).  Both consumers preserve the match set
     exactly; see the respective docstrings.
+
+    What the search counted is ``outcome.counts``: the window of
+    ``engine.metrics`` over it.
     """
     outcome = PrototypeSearchOutcome(prototype)
     started = time.perf_counter()
-    tracer = engine.tracer
-
-    with tracer.span(
+    metrics = engine.metrics
+    mark = metrics.mark()
+    with engine.tracer.span(
         "prototype",
+        metrics=metrics,
         proto=prototype.id,
         label=prototype.name,
         distance=prototype.distance,
-    ) as span:
+    ):
         _search_prototype_body(
             state, prototype, constraint_set, engine, cache, recycle,
             count_matches, collect_matches, verification, warm_mask,
             adaptive, constraint_costs, outcome,
         )
-    if tracer.enabled:
-        span.add(
-            lcc_iterations=outcome.lcc_iterations,
-            nlcc_constraints=outcome.nlcc_constraints_checked,
-            nlcc_constraints_skipped=outcome.nlcc_constraints_skipped,
-            nlcc_eliminated=outcome.nlcc_roles_eliminated,
-            nlcc_recycled=outcome.nlcc_recycled,
-            nlcc_tokens=outcome.nlcc_tokens_launched,
-            nlcc_dedup_merged=outcome.nlcc_dedup_merged,
-            solution_vertices=len(outcome.solution_vertices),
-            solution_edges=len(outcome.solution_edges),
-        )
+    outcome.counts = metrics.since(mark)
     outcome.wall_seconds = time.perf_counter() - started
     return outcome
 
@@ -145,25 +138,23 @@ def _search_prototype_body(
     in_arrays = isinstance(state, ArraySearchState)
     # compiled once, shared by every LCC re-run and token walk
     kernel = cached_kernel(prototype.graph) if in_arrays else None
-    outcome.lcc_iterations = local_constraint_checking(
+    local_constraint_checking(
         state, prototype.graph, engine, kernel=kernel, warm_mask=warm_mask,
         adaptive=adaptive,
     )
-    (
-        outcome.post_lcc_vertices,
-        outcome.post_lcc_edges,
-    ) = state.active_counts()
+    post_lcc_vertices, post_lcc_edges = state.active_counts()
+    metrics = engine.metrics
+    metrics.counter("search.post_lcc_vertices").inc(post_lcc_vertices)
+    metrics.counter("search.post_lcc_edges").inc(post_lcc_edges)
 
     # Asked (and so, for a lazy plan, built) only for a scope that
     # survived LCC: most exploratory prototypes die right here.  The plan
     # answers for the scope LCC left — see ConstraintPlan.select.
     non_local: List[NonLocalConstraint] = []
-    if outcome.post_lcc_vertices > 0:
+    if post_lcc_vertices > 0:
         selection = constraint_set.select(state if in_arrays else None)
         non_local = selection.constraints
         skipped = len(constraint_set.non_local) - len(non_local)
-        outcome.nlcc_constraints_skipped = skipped
-        metrics = engine.metrics
         metrics.counter("plan.prefilters_skipped").inc(skipped)
         metrics.counter("plan.prefilters_kept").inc(
             sum(c.kind != FULL_WALK_KIND for c in non_local)
@@ -179,7 +170,7 @@ def _search_prototype_body(
         # Measured-cost re-sort (no-op until earlier prototypes have
         # contributed above-resolution row counts).
         non_local = reorder_measured(non_local, constraint_costs)
-    h_constraint = engine.metrics.histogram("nlcc.constraint_seconds")
+    h_constraint = metrics.histogram("nlcc.constraint_seconds")
 
     full_walk_result: Optional[NlccResult] = None
     for constraint in non_local:
@@ -195,12 +186,6 @@ def _search_prototype_body(
             # equally; seconds only feed the histogram
             constraint_costs.observe(constraint.key, result.rows_expanded)
             h_constraint.observe(time.perf_counter() - constraint_started)
-        outcome.nlcc_constraints_checked += 1
-        outcome.nlcc_roles_eliminated += result.eliminated_roles
-        outcome.nlcc_recycled += result.recycled_count
-        outcome.nlcc_tokens_launched += result.tokens_launched
-        outcome.nlcc_completions += result.completions
-        outcome.nlcc_dedup_merged += result.dedup_merged
         if constraint.kind == FULL_WALK_KIND:
             # Keep the whole result: the array walk stores completions
             # as a dense path matrix, and reading .completed_mappings
@@ -208,7 +193,7 @@ def _search_prototype_body(
             # collects them.
             full_walk_result = result
         elif result.changed:
-            outcome.lcc_iterations += local_constraint_checking(
+            local_constraint_checking(
                 state, prototype.graph, engine, kernel=kernel,
                 adaptive=adaptive,
             )

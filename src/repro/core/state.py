@@ -282,38 +282,22 @@ class NlccCache:
     newly satisfied ids, so no per-vertex Python object is ever built on
     that path.  Ids, not dense indices: the cache outlives every scope
     and auxiliary view, and may hold vertices a later scope dropped.
+    The walks that probe it count its hits and misses in the run's
+    registry (``cache.nlcc.hits`` / ``cache.nlcc.misses``).
     """
 
     def __init__(self) -> None:
         self._satisfied: Dict[Hashable, np.ndarray] = {}
-        self.hits = 0
-        self.misses = 0
 
     def is_satisfied(self, key: Hashable, vertex: int) -> bool:
         ids = self.satisfied(key)
         pos = int(np.searchsorted(ids, vertex))
-        hit = pos < ids.shape[0] and int(ids[pos]) == vertex
-        if hit:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return hit
-
-    def record_bulk(self, hits: int, misses: int) -> None:
-        """Fold a vectorized lookup's counts into the hit/miss counters.
-
-        The array token walk tests a whole initiator frontier against the
-        cache in one probe; this keeps its counter totals identical to
-        the dict path's one :meth:`is_satisfied` call per checked vertex.
-        """
-        self.hits += hits
-        self.misses += misses
+        return pos < ids.shape[0] and int(ids[pos]) == vertex
 
     def satisfied(self, key: Hashable) -> np.ndarray:
         """Sorted unique ids cached as satisfied for ``key`` (read-only).
 
-        Empty for an unknown key.  Does **not** touch the hit/miss
-        counters (callers account via :meth:`record_bulk`).
+        Empty for an unknown key.
         """
         return self._satisfied.get(key, _NO_IDS)
 

@@ -24,7 +24,10 @@ from __future__ import annotations
 import functools
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional
+from contextlib import contextmanager
+from typing import (
+    Callable, ContextManager, Deque, Dict, Iterable, Iterator, List, Optional,
+)
 
 from ..errors import EngineError
 from .messages import MessageStats
@@ -156,6 +159,31 @@ class Engine:
         partition build its dict.
         """
         return self.pgraph.assignment
+
+    def phase(self, name: str, **attrs: object) -> ContextManager[None]:
+        """Attribute the block to ``MessageStats`` phase ``name``, and trace it.
+
+        The phase and its span open together: with tracing on, the span
+        ``name`` carries the registry's window over the block plus the
+        phase's traffic (``messages``, ``remote_messages``, ``visits``,
+        ``supersteps``).
+        """
+        if not self.tracer.enabled:
+            return self.stats.phase(name)
+        return self._traced_phase(name, attrs)
+
+    @contextmanager
+    def _traced_phase(
+        self, name: str, attrs: Dict[str, object]
+    ) -> Iterator[None]:
+        stats = self.stats
+        with stats.phase(name), self.tracer.span(
+            name, metrics=self.metrics, **attrs
+        ) as span:
+            before = stats.traffic()
+            yield
+            after = stats.traffic()
+            span.add(**{key: after[key] - before[key] for key in after})
 
     # ------------------------------------------------------------------
     def _enqueue(self, visitor: Visitor, from_rank: Optional[int]) -> None:

@@ -199,6 +199,15 @@ class MessageStats:
     def total_barriers(self) -> int:
         return sum(c.barriers for c in self.phases.values())
 
+    def traffic(self) -> Dict[str, int]:
+        """Totals so far: messages, remote messages, visits, supersteps."""
+        return {
+            "messages": self.total_messages,
+            "remote_messages": self.total_remote_messages,
+            "visits": self.total_visits,
+            "supersteps": self.total_barriers,
+        }
+
     def remote_fraction(self) -> float:
         total = self.total_messages
         return self.total_remote_messages / total if total else 0.0

@@ -35,6 +35,13 @@ Pickling a registry transports nothing (``__getstate__`` → ``{}``), the
 same contract as the tracer: metric values never cross process
 boundaries implicitly, only explicit ``export()`` payloads do.
 
+The registry is the one producer of a run's counts (the engine's
+``MessageStats`` keeps the model's traffic).  Everything that reports a
+count over part of a run — a prototype search, a level, the run, a trace
+span — reads a *window*: :meth:`MetricsRegistry.mark` at its start,
+:meth:`MetricsRegistry.since` at its end, which returns the counters
+that moved in between.
+
 :class:`ConstraintCostModel` is the first adaptive-execution store built
 on the measured numbers: an EWMA of the frontier rows each NLCC
 constraint's walk built — a count, not a time, so what it decides is a
@@ -52,13 +59,11 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 __all__ = [
-    "NULL_METRICS",
     "ConstraintCostModel",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullMetricsRegistry",
 ]
 
 #: log2 buckets: index = bit_length(int(value)), clamped to the last slot
@@ -129,64 +134,6 @@ class Histogram:
         return self._buckets.tolist()
 
 
-class _NullInstrument:
-    """Shared no-op counter/gauge/histogram of :data:`NULL_METRICS`."""
-
-    __slots__ = ()
-    name = "null"
-    value = 0.0
-    count = 0
-    sum = 0.0
-    buckets: List[int] = []
-
-    def inc(self, _amount: float = 1.0) -> None:
-        pass
-
-    def set(self, _value: float) -> None:
-        pass
-
-    def observe(self, _value: float) -> None:
-        pass
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetricsRegistry:
-    """Disabled registry: every instrument is the shared no-op.
-
-    The measurement baseline for the <2% overhead bar, and the explicit
-    off-switch for callers that want literally zero accounting.
-    """
-
-    __slots__ = ()
-    enabled = False
-
-    def counter(self, _name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, _name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, _name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def export(self) -> Dict[str, object]:
-        return {}
-
-    def merge(self, _payload: Dict[str, object]) -> None:
-        pass
-
-    def snapshot(self) -> Dict[str, object]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def __repr__(self) -> str:
-        return "NullMetricsRegistry()"
-
-
-NULL_METRICS = NullMetricsRegistry()
-
-
 class MetricsRegistry:
     """A process-local set of named counters, gauges and histograms.
 
@@ -250,6 +197,21 @@ class MetricsRegistry:
             yield name, self._histograms[name]
 
     # ------------------------------------------------------------------
+    def mark(self) -> Dict[str, float]:
+        """Every counter's value now: the start of a window."""
+        return {name: c._cell[0] for name, c in self._counters.items()}
+
+    def since(self, mark: Dict[str, float]) -> Dict[str, float]:
+        """The counters that moved since ``mark``, by how much."""
+        window = {}
+        before = mark.get
+        for name, counter in self._counters.items():
+            delta = counter._cell[0] - before(name, 0.0)
+            if delta:
+                window[name] = float(delta)
+        return window
+
+    # ------------------------------------------------------------------
     def export(self) -> Dict[str, object]:
         """Pack the registry into plain arrays for a result payload.
 
@@ -287,14 +249,21 @@ class MetricsRegistry:
             )
         return payload
 
-    def merge(self, payload: Optional[Dict[str, object]]) -> None:
-        """Fold an :meth:`export` payload into this registry (additive)."""
+    def merge(self, payload: Optional[Dict[str, object]]) -> Dict[str, float]:
+        """Fold an :meth:`export` payload into this registry (additive).
+
+        Returns the payload's nonzero counters: the window a fresh
+        per-task registry exported.
+        """
+        window: Dict[str, float] = {}
         if not payload:
-            return
+            return window
         if "counters" in payload:
             names, values = payload["counters"]  # type: ignore[misc]
             for name, value in zip(names, values.tolist()):
                 self.counter(name).inc(value)
+                if value:
+                    window[name] = value
         if "gauges" in payload:
             names, values = payload["gauges"]  # type: ignore[misc]
             for name, value in zip(names, values.tolist()):
@@ -306,6 +275,7 @@ class MetricsRegistry:
                 histogram = self.histogram(name)
                 histogram._buckets += buckets[i]
                 histogram._sum[0] += float(sums[i])
+        return window
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:

@@ -26,9 +26,9 @@ one per ``PipelineOptions.backend``:
   order, not from payload ordering.
 
 Results are identical to sequential execution (outcomes are pure
-functions of the shipped starting scope); only wall-clock changes.
-Simulated makespans are computed inside the workers from their own
-message traces.
+functions of the shipped starting scope); only wall-clock changes.  Each
+task ships its ``MessageStats`` and its registry's export home, and the
+parent charges both to the run exactly as it does an in-process search.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from ..core.template import PatternTemplate
     from ..graph.graph import Graph
     from .shm import SharedCsrHandle
-    from .trace import Tracer
 
 #: per-worker state, populated by the pool initializer
 _WORKER: Dict[str, Any] = {}
@@ -125,9 +124,9 @@ def _init_worker(
     reads the one shared copy.
     """
     from ..core.ordering import ConstraintPlanner
+    from ..core.pipeline import partition
     from ..core.prototypes import generate_prototypes
     from ..core.state import NlccCache
-    from .partition import PartitionedGraph
 
     if shm_handle is not None:
         from .shm import attach_shared_csr
@@ -150,12 +149,7 @@ def _init_worker(
         cache=NlccCache() if options.work_recycling else None,
         # one partition per worker: its hash assignment and per-CSR rank
         # arrays are shared by every task the worker serves
-        pgraph=PartitionedGraph(
-            graph,
-            options.num_ranks,
-            delegate_degree_threshold=options.delegate_degree_threshold,
-            ranks_per_node=options.ranks_per_node,
-        ),
+        pgraph=partition(graph, options.num_ranks, options),
     )
 
 
@@ -173,12 +167,13 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
     cross process boundaries implicitly — pickled tracers arrive empty)
     and returns its closed spans as payloads for the parent to graft.
 
-    Metrics follow the same grafting model but are always on: each task
+    Counts follow the same grafting model but are always on: each task
     accounts into a fresh per-task
     :class:`~repro.runtime.metrics.MetricsRegistry` (fresh, not the
     worker-lifetime options registry, so totals are never double-counted
     across tasks) whose packed :meth:`export` rides the payload for the
-    parent to :meth:`merge`.  The worker-lifetime
+    parent to :meth:`merge`, and into a fresh ``MessageStats``, shipped
+    whole.  The worker-lifetime
     ``options.constraint_costs`` model, by contrast, deliberately spans
     tasks: measured NLCC costs recycle across every prototype this
     worker serves.
@@ -247,20 +242,8 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
         ),
         "match_mappings": outcome.match_mappings,
         "distinct_matches": outcome.distinct_matches,
-        "lcc_iterations": outcome.lcc_iterations,
-        "post_lcc_vertices": outcome.post_lcc_vertices,
-        "post_lcc_edges": outcome.post_lcc_edges,
-        "nlcc_constraints_checked": outcome.nlcc_constraints_checked,
-        "nlcc_constraints_skipped": outcome.nlcc_constraints_skipped,
-        "nlcc_roles_eliminated": outcome.nlcc_roles_eliminated,
-        "nlcc_recycled": outcome.nlcc_recycled,
-        "nlcc_tokens_launched": outcome.nlcc_tokens_launched,
-        "nlcc_completions": outcome.nlcc_completions,
-        "nlcc_dedup_merged": outcome.nlcc_dedup_merged,
         "exact": outcome.exact,
-        "simulated_seconds": options.cost_model.makespan(stats),
-        "messages": stats.total_messages,
-        "remote_messages": stats.total_remote_messages,
+        "stats": stats,
         "wall_seconds": outcome.wall_seconds,
         "trace_spans": (
             [span.to_payload() for span in tracer.roots] if tracing else None
@@ -273,46 +256,34 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
 def payload_to_outcome(
     proto: "Prototype",
     payload: Dict[str, Any],
-    tracer: Optional["Tracer"] = None,
-    metrics: Optional[Any] = None,
+    options: "PipelineOptions",
 ) -> "PrototypeSearchOutcome":
     """Rebuild a :class:`PrototypeSearchOutcome` from a worker's payload.
 
-    When ``tracer`` is given and the payload carries worker spans, the
-    span tree is grafted under the currently open span, labeled with the
-    worker pid (``perf_counter`` is CLOCK_MONOTONIC, shared across forked
-    workers, so timestamps line up).  When ``metrics`` (the parent run's
-    :class:`~repro.runtime.metrics.MetricsRegistry`) is given, the
-    worker's exported per-task registry is folded in additively — the
-    cross-process half of the bit-exact counter-parity contract.
+    Worker spans, if the payload carries any, are grafted under the
+    currently open span of ``options.tracer``, labeled with the worker
+    pid (``perf_counter`` is CLOCK_MONOTONIC, shared across forked
+    workers, so timestamps line up).  The worker's exported per-task
+    registry is folded into ``options.metrics`` additively — the
+    cross-process half of the bit-exact counter-parity contract — and is
+    the outcome's ``counts``.  Its ``MessageStats`` (``payload["stats"]``)
+    is the caller's to charge.
     """
     from ..core.results import PrototypeSearchOutcome
 
-    if tracer is not None and payload.get("trace_spans"):
-        tracer.attach(payload["trace_spans"], worker=payload.get("trace_worker"))
-    if metrics is not None:
-        metrics.merge(payload.get("metrics"))
+    if payload.get("trace_spans"):
+        options.tracer.attach(
+            payload["trace_spans"], worker=payload.get("trace_worker")
+        )
     outcome = PrototypeSearchOutcome(proto)
+    outcome.counts = options.metrics.merge(payload.get("metrics"))
     outcome.solution_vertices = set(payload["solution_vertices"])
     outcome.solution_edges = {
         (int(u), int(v)) for u, v in payload["solution_edges"]
     }
     outcome.match_mappings = payload["match_mappings"]
     outcome.distinct_matches = payload["distinct_matches"]
-    outcome.lcc_iterations = payload["lcc_iterations"]
-    outcome.post_lcc_vertices = payload.get("post_lcc_vertices", 0)
-    outcome.post_lcc_edges = payload.get("post_lcc_edges", 0)
-    outcome.nlcc_constraints_checked = payload["nlcc_constraints_checked"]
-    outcome.nlcc_constraints_skipped = payload["nlcc_constraints_skipped"]
-    outcome.nlcc_roles_eliminated = payload["nlcc_roles_eliminated"]
-    outcome.nlcc_recycled = payload["nlcc_recycled"]
-    outcome.nlcc_tokens_launched = payload.get("nlcc_tokens_launched", 0)
-    outcome.nlcc_completions = payload.get("nlcc_completions", 0)
-    outcome.nlcc_dedup_merged = payload.get("nlcc_dedup_merged", 0)
     outcome.exact = payload["exact"]
-    outcome.simulated_seconds = payload["simulated_seconds"]
-    outcome.messages = payload["messages"]
-    outcome.remote_messages = payload["remote_messages"]
     outcome.wall_seconds = payload["wall_seconds"]
     return outcome
 
@@ -587,22 +558,15 @@ class TemplateBatchScheduler:
         """
         from ..core.arraystate import csr_of
         from ..core.candidate_set import max_candidate_arrays
-        from ..core.pipeline import _initial_assignment
+        from ..core.pipeline import partition
         from .engine import Engine
         from .messages import MessageStats
-        from .partition import PartitionedGraph
 
         options = self.options
         graph = self.graph
-        pgraph = PartitionedGraph(
-            graph,
-            options.num_ranks,
-            assignment=_initial_assignment(graph, options.num_ranks, options),
-            delegate_degree_threshold=options.delegate_degree_threshold,
-            ranks_per_node=options.ranks_per_node,
-        )
         engine = Engine(
-            pgraph, MessageStats(options.num_ranks), options.batch_size,
+            partition(graph, options.num_ranks, options),
+            MessageStats(options.num_ranks), options.batch_size,
             tracer=options.tracer,
         )
         astate = max_candidate_arrays(

@@ -1,13 +1,17 @@
-"""Hierarchical span tracing with typed counters for the search pipeline.
+"""Hierarchical span tracing for the search pipeline.
 
 The paper's evaluation lives on per-phase attribution — Figs. 6/8/10
 break time-to-solution into per-prototype, per-constraint and per-level
 costs, and §5.7 accounts messages and load imbalance.  This module is the
 first-class subsystem behind those tables: a :class:`Tracer` records a
 tree of timed :class:`Span` objects (``pipeline`` → ``level`` →
-``prototype`` → ``lcc``/``nlcc`` → ``round``), each span carrying wall
-time plus attached counters (vertices/edges pruned, messages, remote
-messages, token walks, NLCC cache hits/misses, worklist sizes).
+``prototype`` → ``lcc``/``nlcc`` → ``round``).  The tracer produces time
+only.  A span's counters are read from the two producers of counts: the
+window of the run's :class:`~repro.runtime.metrics.MetricsRegistry` over
+the span (``tracer.span(name, metrics=registry)``), and — for the spans
+the engine opens together with a ``MessageStats`` phase
+(:meth:`repro.runtime.engine.Engine.phase`) — that phase's traffic.
+Counters are inclusive: a span's window covers its children's.
 
 Design rules:
 
@@ -46,6 +50,8 @@ from typing import (
     cast,
 )
 
+from .metrics import MetricsRegistry
+
 #: anything ``open()`` accepts for the exporter paths
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -58,18 +64,21 @@ class Span:
     A span is its own context manager: entering stamps ``start_s`` and
     pushes it on the owning tracer's stack, exiting stamps ``end_s``.
     ``attrs`` are identity (what was traced: prototype id, level
-    distance, constraint kind); ``counters`` are additive measurements
-    (messages, pruned vertices) accumulated via :meth:`add`.
+    distance, constraint kind); ``counters`` are measurements over the
+    span: the window of ``metrics`` (a
+    :class:`~repro.runtime.metrics.MetricsRegistry`) from entry to exit,
+    plus whatever :meth:`add` accumulates.
     """
 
     __slots__ = ("name", "attrs", "start_s", "end_s", "counters", "children",
-                 "_tracer")
+                 "_tracer", "_metrics", "_mark")
 
     def __init__(
         self,
         name: str,
         attrs: Optional[Dict[str, object]] = None,
         tracer: Optional["Tracer"] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.name = name
         self.attrs: Dict[str, object] = attrs or {}
@@ -78,6 +87,8 @@ class Span:
         self.counters: Dict[str, float] = {}
         self.children: List["Span"] = []
         self._tracer = tracer
+        self._metrics = metrics
+        self._mark: Optional[Dict[str, float]] = None
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "Span":
@@ -90,6 +101,8 @@ class Span:
         else:
             tracer.roots.append(self)
         stack.append(self)
+        if self._metrics is not None:
+            self._mark = self._metrics.mark()
         self.start_s = time.perf_counter()
         return self
 
@@ -97,6 +110,8 @@ class Span:
         self.end_s = time.perf_counter()
         if self._tracer is not None:
             self._tracer._stack.pop()
+        if self._metrics is not None and self._mark is not None:
+            self.add(**self._metrics.since(self._mark))
         return False
 
     # ------------------------------------------------------------------
@@ -121,10 +136,14 @@ class Span:
         )
 
     def total(self, counter: str) -> float:
-        """Sum of ``counter`` over this span's whole subtree."""
-        return self.counters.get(counter, 0) + sum(
-            child.total(counter) for child in self.children
-        )
+        """``counter`` over this span's subtree.
+
+        Counters are inclusive, so a span that carries ``counter`` already
+        covers its children; only a span without it sums theirs.
+        """
+        if counter in self.counters:
+            return self.counters[counter]
+        return sum(child.total(counter) for child in self.children)
 
     def walk(self, depth: int = 0) -> Iterator[Tuple["Span", int]]:
         """Depth-first preorder iteration of the subtree."""
@@ -264,9 +283,18 @@ class Tracer:
         self._stack = []
 
     # ------------------------------------------------------------------
-    def span(self, name: str, **attrs: object) -> Span:
-        """A new span, child of the currently open one (root if none)."""
-        return Span(name, attrs, self)
+    def span(
+        self,
+        name: str,
+        metrics: Optional[MetricsRegistry] = None,
+        **attrs: object,
+    ) -> Span:
+        """A new span, child of the currently open one (root if none).
+
+        With ``metrics``, the registry's window over the span becomes its
+        counters.
+        """
+        return Span(name, attrs, self, metrics)
 
     @property
     def current(self) -> Optional[Span]:

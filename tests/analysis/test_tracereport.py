@@ -20,22 +20,26 @@ def make_tracer():
     tracer = Tracer()
     with tracer.span("pipeline", template="tri", k=1, mode="bottom-up"):
         with tracer.span("level", distance=1) as level:
-            level.add(
-                prototypes=2, union_vertices=10, union_edges=12,
-                post_lcc_vertices=20, post_lcc_edges=22,
-            )
+            level.add(**{
+                "level.prototypes": 2, "level.union_vertices": 10,
+                "level.union_edges": 12, "search.post_lcc_vertices": 20,
+                "search.post_lcc_edges": 22,
+            })
             with tracer.span("prototype", proto=1, label="k1_p0", distance=1):
                 with tracer.span("lcc") as lcc:
-                    lcc.add(messages=30, vertices_pruned=4)
+                    lcc.add(messages=30, **{"lcc.iterations": 4})
                 with tracer.span(
                     "nlcc", kind="cycle", source=0, walk_length=4
                 ) as nlcc:
-                    nlcc.add(
-                        checked=5, cache_hits=2, tokens_launched=3,
-                        completions=1, eliminated_roles=2, messages=12,
-                    )
+                    nlcc.add(messages=12, **{
+                        "cache.nlcc.hits": 2, "nlcc.tokens_launched": 3,
+                        "nlcc.completions": 1, "nlcc.roles_eliminated": 2,
+                    })
         with tracer.span("level", distance=0) as level:
-            level.add(prototypes=1, union_vertices=3, union_edges=3)
+            level.add(**{
+                "level.prototypes": 1, "level.union_vertices": 3,
+                "level.union_edges": 3,
+            })
     return tracer
 
 
@@ -67,7 +71,7 @@ class TestLoadTrace:
 
     def test_counters_survive(self, records):
         nlcc = next(r for r in records if r["name"] == "nlcc")
-        assert nlcc["counters"]["checked"] == 5
+        assert nlcc["counters"]["nlcc.tokens_launched"] == 3
         assert nlcc["attrs"]["kind"] == "cycle"
 
     def test_empty_file(self, tmp_path):
@@ -86,7 +90,7 @@ class TestBreakdowns:
     def test_phase_breakdown_counts_and_counters(self, records):
         phases = {b["name"]: b for b in phase_breakdown(records)}
         assert phases["level"]["count"] == 2
-        assert phases["level"]["counters"]["prototypes"] == 3
+        assert phases["level"]["counters"]["level.prototypes"] == 3
         assert phases["nlcc"]["counters"]["messages"] == 12
         # self time of the pipeline excludes its levels
         pipeline = phases["pipeline"]

@@ -46,6 +46,7 @@ from repro.core import (
     run_pipeline_with_checkpoints,
 )
 from repro.core.batch import BatchQuery, run_batch
+from repro.core.results import NLCC_COUNTERS
 from repro.core.flips import run_flip_pipeline
 from repro.core.patterns import wdc1_template, wdc2_template, wdc3_template
 from repro.core.template import clique_template
@@ -172,14 +173,10 @@ def outcome_view(outcome):
         "simulated_seconds": outcome.simulated_seconds,
         "lcc_iterations": outcome.lcc_iterations,
         "post_lcc": (outcome.post_lcc_vertices, outcome.post_lcc_edges),
-        "nlcc": (
-            outcome.nlcc_constraints_checked,
-            outcome.nlcc_roles_eliminated,
-            outcome.nlcc_recycled,
-            outcome.nlcc_tokens_launched,
-            outcome.nlcc_completions,
-            outcome.nlcc_dedup_merged,
-        ),
+        "nlcc": {
+            key: outcome.counts.get(counter, 0)
+            for key, counter in NLCC_COUNTERS.items()
+        },
     }
 
 
@@ -704,8 +701,8 @@ class TestScopeViewIsReported:
         ]
         assert len(spans) == 1
         assert spans[0].counters == {
-            "vertices": vertices, "edges": edges,
-            "kept_frac": vertices / graph.num_vertices,
+            "scope_view.built": 1, "scope_view.vertices": vertices,
+            "scope_view.edges": edges,
         }
 
     def test_default_ratio_leaves_a_mostly_kept_graph_alone(self):

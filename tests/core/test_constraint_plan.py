@@ -321,7 +321,7 @@ def outcome_rows(result):
             digest(o.solution_vertices),
             digest([list(edge) for edge in o.solution_edges]),
             o.match_mappings,
-            o.nlcc_constraints_checked,
+            o.counts.get("nlcc.constraints_checked", 0),
             o.messages,
         ]
         for o in sorted(result.outcomes(), key=lambda o: o.prototype.id)

@@ -112,11 +112,11 @@ def answer(result):
 
 
 def skipped(result):
-    return result.nlcc_totals()["constraints_skipped"]
+    return result.stats_document()["nlcc"]["constraints_skipped"]
 
 
 def checked(result):
-    return result.nlcc_totals()["constraints_checked"]
+    return result.stats_document()["nlcc"]["constraints_checked"]
 
 
 def with_complete_lists(monkeypatch, run):
@@ -411,12 +411,12 @@ class TestRestartAndFlips:
         assert flipped.matched_vertices()
         searched = [o for o in flipped.outcomes.values() if o.post_lcc_vertices]
         assert searched
-        assert all(o.nlcc_constraints_skipped == 0 for o in flipped.outcomes.values())
+        assert all(o.counts.get("plan.prefilters_skipped", 0) == 0 for o in flipped.outcomes.values())
         original = flipped.outcomes[flipped.variants[0].name]
         reference = run_pipeline(
             graph, template, 0, PipelineOptions(count_matches=True)
         ).outcomes()[0]
-        assert reference.nlcc_constraints_skipped > 0
+        assert reference.counts.get("plan.prefilters_skipped", 0) > 0
         assert original.solution_vertices == reference.solution_vertices
         assert original.solution_edges == reference.solution_edges
         assert original.match_mappings == reference.match_mappings
@@ -440,8 +440,8 @@ class TestRestartAndFlips:
         reference = run_pipeline(
             graph, template, 0, PipelineOptions(count_matches=True)
         ).outcomes()[0]
-        assert original.nlcc_constraints_skipped == (
-            reference.nlcc_constraints_skipped
+        assert original.counts.get("plan.prefilters_skipped", 0) == (
+            reference.counts.get("plan.prefilters_skipped", 0)
         ) > 0
 
 
@@ -629,8 +629,8 @@ class TestTheCliqueSkipsItsPreFilters:
         planned = [o for o in result.outcomes() if o.post_lcc_vertices]
         assert [o.prototype.num_edges for o in planned] == [12]
         (outcome,) = planned
-        assert outcome.nlcc_constraints_skipped == 1395
-        assert outcome.nlcc_constraints_checked == 1
+        assert outcome.counts.get("plan.prefilters_skipped", 0) == 1395
+        assert outcome.counts.get("nlcc.constraints_checked", 0) == 1
         assert (skipped(result), checked(result)) == (1395, 1)
         assert len(tracer.find("nlcc")) == 1
 
@@ -647,7 +647,7 @@ class TestTheCliqueSkipsItsPreFilters:
         # template edge two alive edges
         assert span.attrs["plan_full_walk_rows"] < 12
         assert span.attrs["plan_prefilter_rows"] > 1395 * 2
-        assert span.counters["nlcc_constraints_skipped"] == 1395
+        assert span.counters["plan.prefilters_skipped"] == 1395
 
 
 # ----------------------------------------------------------------------
@@ -706,10 +706,10 @@ class TestNothingIsSkipped:
 
         as_given = search(explicit)
         planned = search(ConstraintPlanner(graph).plan(proto.graph))
-        assert as_given.nlcc_constraints_skipped == 0
-        assert as_given.nlcc_constraints_checked == len(explicit.non_local)
-        assert planned.nlcc_constraints_skipped == len(explicit.non_local) - 1
-        assert planned.nlcc_constraints_checked == 1
+        assert as_given.counts.get("plan.prefilters_skipped", 0) == 0
+        assert as_given.counts.get("nlcc.constraints_checked", 0) == len(explicit.non_local)
+        assert planned.counts.get("plan.prefilters_skipped", 0) == len(explicit.non_local) - 1
+        assert planned.counts.get("nlcc.constraints_checked", 0) == 1
         assert outcome_answer(as_given) == outcome_answer(planned)
         assert as_given.match_mappings > 0
 
@@ -750,7 +750,7 @@ def decisions(result, tracer):
     }
     return {
         o.proto_id: (
-            o.nlcc_constraints_skipped, o.nlcc_constraints_checked,
+            o.counts.get("plan.prefilters_skipped", 0), o.counts.get("nlcc.constraints_checked", 0),
             by_proto[o.proto_id],
         )
         for o in result.outcomes()
@@ -823,7 +823,10 @@ class TestTheDecisionIsAFunctionOfCounts:
             s for s in complete_tracer.find("prototype")
             if s.attrs["proto"] == kept.proto_id
         ]
-        per_walk = ("rows_expanded", "messages", "tokens_launched", "completions")
+        per_walk = (
+            "nlcc.rows_expanded", "messages", "nlcc.tokens_launched",
+            "nlcc.completions",
+        )
         assert [
             [walk.counters[name] for name in per_walk]
             for walk in kept_span.find("nlcc")
@@ -845,7 +848,7 @@ class TestTheDecisionIsAFunctionOfCounts:
         def decided(result):
             return {
                 o.proto_id: (
-                    o.nlcc_constraints_skipped, o.nlcc_constraints_checked
+                    o.counts.get("plan.prefilters_skipped", 0), o.counts.get("nlcc.constraints_checked", 0)
                 )
                 for o in result.outcomes()
             }

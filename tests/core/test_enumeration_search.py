@@ -184,7 +184,7 @@ class TestSearchPrototype:
         proto = generate_prototypes(t, 0).at(0)[0]
         outcome, _ = self.run_search(t, g, proto)
         assert outcome.exact
-        assert outcome.nlcc_constraints_checked == 0
+        assert outcome.counts.get("nlcc.constraints_checked", 0) == 0
         reference = {
             v for m in find_subgraph_isomorphisms(t.graph, g) for v in m.values()
         }

@@ -30,10 +30,13 @@ from repro.core.ordering import order_constraints
 from repro.graph.generators import gnm_graph
 from repro.graph.graph import Graph
 from repro.runtime import Engine, MessageStats, PartitionedGraph
+from repro.runtime.metrics import MetricsRegistry
 
 
-def engine_for(graph, ranks=4):
-    return Engine(PartitionedGraph(graph, ranks), MessageStats(ranks))
+def engine_for(graph, ranks=4, metrics=None):
+    return Engine(
+        PartitionedGraph(graph, ranks), MessageStats(ranks), metrics=metrics
+    )
 
 
 def state_snapshot(state):
@@ -75,10 +78,10 @@ def post_lcc_state(graph, template, engine, array):
 
 
 def run_constraints(graph, template, constraints, array, cache=None,
-                    recycle=False):
+                    recycle=False, metrics=None):
     """Fresh post-LCC state, then every constraint in order; returns
     (state snapshot, [result digests])."""
-    engine = engine_for(graph)
+    engine = engine_for(graph, metrics=metrics)
     state = post_lcc_state(graph, template, engine, array)
     digests = []
     for constraint in constraints:
@@ -227,12 +230,16 @@ class TestCacheParity:
         counters = {}
         for array in (False, True):
             cache = NlccCache()
+            metrics = MetricsRegistry()
             for _ in range(2):
                 run_constraints(
                     graph, template, constraints, array, cache=cache,
-                    recycle=True,
+                    recycle=True, metrics=metrics,
                 )
-            counters[array] = (cache.hits, cache.misses)
+            counters[array] = (
+                metrics.counter("cache.nlcc.hits").value,
+                metrics.counter("cache.nlcc.misses").value,
+            )
         assert counters[False] == counters[True]
 
 

@@ -50,4 +50,4 @@ def test_wdc2_counts_are_pinned(mode, run):
     assert result.total_labels_generated() == 724
     assert result.stats_document()["backend"] == "reference"
     # the paper's complete constraint lists, nothing left out
-    assert result.nlcc_totals()["constraints_skipped"] == 0
+    assert result.stats_document()["nlcc"]["constraints_skipped"] == 0

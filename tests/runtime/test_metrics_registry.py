@@ -13,10 +13,8 @@ from repro.graph.generators import planted_graph
 from repro.runtime.metrics import (
     COST_EWMA_ALPHA,
     COST_RESOLUTION_ROWS,
-    NULL_METRICS,
     ConstraintCostModel,
     MetricsRegistry,
-    NullMetricsRegistry,
 )
 
 EDGES = [(0, 1), (1, 2), (2, 0), (2, 3)]
@@ -116,16 +114,26 @@ class TestRegistry:
         clone.counter("c").inc()  # still usable
         assert clone.counter("c").value == 1.0
 
-    def test_null_registry_is_inert(self):
-        assert NULL_METRICS.enabled is False
-        assert isinstance(NULL_METRICS, NullMetricsRegistry)
-        NULL_METRICS.counter("c").inc()
-        NULL_METRICS.gauge("g").set(1.0)
-        NULL_METRICS.histogram("h").observe(1.0)
-        assert NULL_METRICS.export() == {}
-        assert NULL_METRICS.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
+    def test_window_holds_the_counters_that_moved(self):
+        registry = MetricsRegistry()
+        registry.counter("before").inc(4)
+        registry.counter("still").inc(1)
+        mark = registry.mark()
+        registry.counter("before").inc(3)
+        registry.counter("new").inc(2)
+        registry.gauge("g").set(5)
+        assert registry.since(mark) == {"before": 3.0, "new": 2.0}
+        assert registry.since(registry.mark()) == {}
+
+    def test_merge_returns_the_exported_window(self):
+        worker = MetricsRegistry()
+        worker.counter("a").inc(2)
+        worker.counter("zero")
+        parent = MetricsRegistry()
+        parent.counter("a").inc(1)
+        assert parent.merge(worker.export()) == {"a": 2.0}
+        assert parent.counter("a").value == 3.0
+        assert parent.merge(None) == {}
 
 
 class TestConstraintCostModel:
@@ -215,6 +223,21 @@ class TestCrossProcessParity:
         assert pooled.match_vectors == sequential.match_vectors
 
 
+class _Inert:
+    """A registry whose every instrument does nothing: the no-metrics
+    baseline of the overhead budget."""
+
+    def inc(self, _amount=1.0):
+        pass
+
+    set = observe = inc
+
+    def counter(self, _name):
+        return self
+
+    gauge = histogram = counter
+
+
 @pytest.mark.microbench
 class TestOverheadBudget:
     def test_enabled_registry_within_two_percent_of_disabled(self):
@@ -249,8 +272,8 @@ class TestOverheadBudget:
                 best = min(best, time.perf_counter() - started)
             return best
 
-        best_of(NULL_METRICS, repeats=1)  # warm numpy/kernel caches
-        disabled = best_of(NULL_METRICS)
+        best_of(_Inert(), repeats=1)  # warm numpy/kernel caches
+        disabled = best_of(_Inert())
         enabled = best_of(MetricsRegistry())
         assert enabled <= disabled * 1.02 + 0.010
 

@@ -85,12 +85,12 @@ class TestWorkerProcesses:
                 seq_outcome = sequential.outcome_for(proto.id)
                 par_outcome = pooled.outcome_for(proto.id)
                 assert (
-                    par_outcome.nlcc_tokens_launched
-                    == seq_outcome.nlcc_tokens_launched
+                    par_outcome.counts.get("nlcc.tokens_launched", 0)
+                    == seq_outcome.counts.get("nlcc.tokens_launched", 0)
                 )
                 assert (
-                    par_outcome.nlcc_constraints_checked
-                    == seq_outcome.nlcc_constraints_checked
+                    par_outcome.counts.get("nlcc.constraints_checked", 0)
+                    == seq_outcome.counts.get("nlcc.constraints_checked", 0)
                 )
                 assert (
                     par_outcome.distinct_matches
@@ -186,6 +186,6 @@ class TestWorkerInitDoesNotPlan:
             assert par_outcome.solution_edges == seq_outcome.solution_edges
             assert par_outcome.match_mappings == seq_outcome.match_mappings
             assert (
-                par_outcome.nlcc_constraints_checked
-                == seq_outcome.nlcc_constraints_checked
+                par_outcome.counts.get("nlcc.constraints_checked", 0)
+                == seq_outcome.counts.get("nlcc.constraints_checked", 0)
             )

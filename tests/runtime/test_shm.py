@@ -125,8 +125,8 @@ def assert_results_equal(got, want, stats=False):
         assert g.distinct_matches == w.distinct_matches
         if stats:
             assert (
-                g.nlcc_tokens_launched + g.nlcc_recycled
-                == w.nlcc_tokens_launched + w.nlcc_recycled
+                g.counts.get("nlcc.tokens_launched", 0) + g.counts.get("cache.nlcc.hits", 0)
+                == w.counts.get("nlcc.tokens_launched", 0) + w.counts.get("cache.nlcc.hits", 0)
             )
             assert g.lcc_iterations == w.lcc_iterations
             assert g.post_lcc_vertices == w.post_lcc_vertices

@@ -7,6 +7,7 @@ import pytest
 from repro.core.pipeline import PipelineOptions, run_pipeline
 from repro.core.template import PatternTemplate
 from repro.graph.generators import planted_graph
+from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.trace import NULL_TRACER, NullTracer, Span, Tracer
 
 TEMPLATE_EDGES = [(0, 1), (1, 2), (2, 0), (2, 3)]
@@ -99,14 +100,31 @@ class TestCounters:
 
     def test_total_sums_subtree(self):
         tracer = Tracer()
-        with tracer.span("proto") as proto:
-            proto.add(messages=1)
-            with tracer.span("lcc") as lcc:
-                lcc.add(messages=5)
-            with tracer.span("nlcc") as nlcc:
-                nlcc.add(messages=7)
-        assert proto.total("messages") == 13
+        with tracer.span("level") as level:
+            with tracer.span("proto") as proto:
+                with tracer.span("lcc") as lcc:
+                    lcc.add(messages=5)
+                    tracer.record_span("round", 0.0, 1.0, counters={"messages": 5})
+                with tracer.span("nlcc") as nlcc:
+                    nlcc.add(messages=7)
+        # a span without the counter sums its children's; one that carries
+        # it already covers them (counters are inclusive)
+        assert proto.total("messages") == 12
+        assert level.total("messages") == 12
+        assert lcc.total("messages") == 5
         assert proto.total("absent") == 0
+
+    def test_counters_are_the_registry_window_over_the_span(self):
+        tracer = Tracer()
+        metrics = MetricsRegistry()
+        metrics.counter("before").inc(3)
+        with tracer.span("outer", metrics=metrics) as outer:
+            metrics.counter("before").inc(1)
+            with tracer.span("inner", metrics=metrics) as inner:
+                metrics.counter("inside").inc(2)
+            outer.add(messages=4)
+        assert inner.counters == {"inside": 2.0}
+        assert outer.counters == {"before": 1.0, "inside": 2.0, "messages": 4}
 
     def test_record_span_inserts_closed_child(self):
         tracer = Tracer()
@@ -225,9 +243,13 @@ class TestExporters:
         assert rounds and any(
             s.counters.get("messages", 0) > 0 for s in rounds
         )
-        # lcc spans carry pruning counters and contain their rounds
+        # lcc spans carry their window and phase traffic, and contain
+        # their rounds
         lcc = tracer.find("lcc")[0]
-        assert "vertices_pruned" in lcc.counters
+        assert lcc.counters["lcc.iterations"] >= 1
+        assert lcc.counters["messages"] == sum(
+            c.counters["messages"] for c in lcc.children
+        )
         assert all(c.name == "round" for c in lcc.children)
 
 
