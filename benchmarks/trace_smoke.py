@@ -7,10 +7,12 @@ then renders the ``repro trace`` report.  The same run also exports the
 always-on metrics snapshot via ``--metrics-out``, which is sanity-checked
 (the fixpoint counters must be populated, the plan's pre-filter decision
 reported) and rendered through ``repro metrics``, and prints its run
-report (``--json``), which the trace must agree with: schema 1, the same
-per-level counts, and the ``pipeline`` span's messages equal to the
-report's.  Both files are left on disk so CI can upload them as build
-artifacts.
+report (``--json``), which the trace must agree with: the schema of
+``repro.core.results.SCHEMA``, the same per-level counts, and the
+``pipeline`` span's messages equal to the report's.  Last, ``repro batch
+--json`` runs on the same graph in-process and with ``--workers 2``: both
+documents must carry that schema and the same per-class messages.  Both
+files are left on disk so CI can upload them as build artifacts.
 
 Run from the repo root::
 
@@ -30,6 +32,7 @@ from repro.cli import main as cli_main
 from repro.analysis.metricsreport import derived_metrics, load_snapshot
 from repro.analysis.metricsreport import render_report as render_metrics
 from repro.analysis.tracereport import level_breakdown, load_trace, render_report
+from repro.core.results import SCHEMA
 from repro.graph import io as graph_io
 from repro.graph.generators import planted_graph
 
@@ -63,17 +66,14 @@ def run(out_path: Path, metrics_path: Path) -> int:
         "name": "tri+tail",
     }))
 
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        rc = cli_main([
-            "search", str(graph_path), "--labels", str(labels_path),
-            str(template_path), "-k", "1", "--trace", str(out_path),
-            "--metrics-out", str(metrics_path), "--json",
-        ])
+    rc, report = cli_json([
+        "search", str(graph_path), "--labels", str(labels_path),
+        str(template_path), "-k", "1", "--trace", str(out_path),
+        "--metrics-out", str(metrics_path), "--json",
+    ])
     if rc != 0:
         print(f"traced search failed with exit code {rc}")
         return 1
-    report = json.loads(stdout.getvalue())
 
     records = load_trace(out_path)
     names = {record["name"] for record in records}
@@ -126,6 +126,10 @@ def run(out_path: Path, metrics_path: Path) -> int:
         problems.append("no 'prototype' span carries a plan_decision attribute")
 
     problems.extend(report_problems(report, records))
+    problems.extend(batch_problems([
+        "batch", str(graph_path), "--labels", str(labels_path),
+        str(template_path), "-k", "1", "--json",
+    ]))
 
     if problems:
         print("trace smoke FAILED:")
@@ -142,6 +146,40 @@ def run(out_path: Path, metrics_path: Path) -> int:
     return 0
 
 
+def cli_json(argv):
+    """``repro argv``'s exit code and the JSON document it printed."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli_main(argv)
+    return rc, json.loads(stdout.getvalue()) if rc == 0 else None
+
+
+def batch_problems(argv):
+    """Where a pooled ``repro batch --json`` disagrees with the in-process
+    one: each must carry the current schema and the same per-class
+    messages."""
+    problems = []
+    messages = {}
+    for workers in ("1", "2"):
+        rc, document = cli_json(argv + ["--workers", workers])
+        if rc != 0:
+            return [f"batch with --workers {workers} exited with {rc}"]
+        if document.get("schema") != SCHEMA:
+            problems.append(
+                f"batch document (--workers {workers}) schema is "
+                f"{document.get('schema')!r}, not {SCHEMA}"
+            )
+        messages[workers] = {
+            row["name"]: row["messages"] for row in document["per_class"]
+        }
+    if not messages["1"] or messages["1"] != messages["2"]:
+        problems.append(
+            f"per-class batch messages differ: in-process {messages['1']}, "
+            f"--workers 2 {messages['2']}"
+        )
+    return problems
+
+
 def span_total(record, counter, children_of) -> float:
     """``counter`` of a span: its own when it has one (counters are
     inclusive), else the sum of its children's."""
@@ -156,8 +194,10 @@ def span_total(record, counter, children_of) -> float:
 def report_problems(report, records):
     """Where the run report (``--json``) and the trace disagree."""
     problems = []
-    if report.get("schema") != 1:
-        problems.append(f"run report schema is {report.get('schema')!r}, not 1")
+    if report.get("schema") != SCHEMA:
+        problems.append(
+            f"run report schema is {report.get('schema')!r}, not {SCHEMA}"
+        )
     keys = ("distance", "prototypes", "union_vertices", "union_edges",
             "post_lcc_vertices", "post_lcc_edges")
     traced = sorted(

@@ -283,7 +283,6 @@ def command_batch(args: argparse.Namespace) -> int:
     options = PipelineOptions(
         num_ranks=args.ranks, count_matches=args.count, tracer=tracer,
         worker_processes=args.workers,
-        aux_views=not args.no_aux_views,
     )
     queries = []
     for index, path in enumerate(args.templates):
@@ -313,8 +312,7 @@ def command_batch(args: argparse.Namespace) -> int:
           f"root runs: {document['root_runs']}")
     print(f"M* memo: {document['mstar_memo']['hits']} hits, "
           f"{document['mstar_memo']['misses']} misses; "
-          f"aux views: {aux['built']} built, {aux['reuse']} reused searches, "
-          f"{aux['shipped']} shipped")
+          f"aux views: {aux['built']} built, {aux['reuse']} reused searches")
     schedule_rows = [
         [entry["name"], f"{entry['cost_estimate']:.3g}",
          format_seconds(entry["wall_seconds"])]
@@ -491,10 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("-k", type=int, default=0,
                        help="edit distance for every query (default 0)")
     batch.add_argument("--count", action="store_true", help="count matches")
-    batch.add_argument(
-        "--no-aux-views", action="store_true",
-        help="disable the GraphMini-style auxiliary pruned views",
-    )
     batch.add_argument(
         "--json", action="store_true",
         help="print the batch stats document (per-class reuse counters) "

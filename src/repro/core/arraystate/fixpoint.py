@@ -40,9 +40,9 @@ from .searchstate import (
 
 _ZERO = np.uint64(0)
 
-#: adaptive dense-round switch floor: below this many role-holding
-#: vertices the sparse bookkeeping is too cheap to be worth replacing
-#: (and unit-test-sized graphs stay on the classic semi-naive schedule)
+#: dense-round switch floor: below this many role-holding vertices the
+#: sparse bookkeeping is too cheap to be worth replacing (and
+#: unit-test-sized graphs stay on the classic semi-naive schedule)
 ADAPTIVE_MIN_VERTICES = 1024
 
 #: switch to a dense round when the worklist covers at least this
@@ -78,7 +78,6 @@ def array_kernel_fixpoint(
     delta: bool = True,
     mandatory_masks: Optional[Dict[int, int]] = None,
     warm_mask: Optional[np.ndarray] = None,
-    adaptive: bool = False,
 ) -> int:
     """Run the bitmask arc-consistency fixed point over ``astate`` in place.
 
@@ -113,11 +112,11 @@ def array_kernel_fixpoint(
     point *and* the iteration count are bit-identical to a cold start;
     only the round-1 message/visit charge shrinks.
 
-    ``adaptive`` enables the metrics-driven dense/sparse round switch:
-    when the semi-naive worklist of the *next* round — re-broadcasters
-    plus the ``pending`` vertices forced to re-evaluate by witness loss
-    (elimination cascades flow almost entirely through ``pending``) —
-    would cover at least :data:`ADAPTIVE_DENSITY_THRESHOLD` of the
+    The semi-naive mode switches rounds dense by rule: when the worklist
+    of the *next* round — re-broadcasters plus the ``pending`` vertices
+    forced to re-evaluate by witness loss (elimination cascades flow
+    almost entirely through ``pending``) — would cover at least
+    :data:`ADAPTIVE_DENSITY_THRESHOLD` of the
     surviving role-holding vertices (and the scope is at least
     :data:`ADAPTIVE_MIN_VERTICES` large), the round runs dense —
     evaluating every nonzero vertex, like ``delta=False`` — instead of
@@ -349,22 +348,21 @@ def array_kernel_fixpoint(
             break
         if delta:
             broadcasters = changed_vertices & nonzero
-            if adaptive:
-                scope_count = int(np.count_nonzero(nonzero))
-                if scope_count >= ADAPTIVE_MIN_VERTICES:
-                    # The round's true worklist: re-broadcasters plus the
-                    # witness-loss re-evaluations queued in `pending`
-                    # (elimination cascades have *empty* broadcaster sets
-                    # — all their work arrives via `pending`).
-                    worklist_count = int(
-                        np.count_nonzero(broadcasters | (pending & nonzero))
-                    )
-                    if worklist_count >= ADAPTIVE_DENSITY_THRESHOLD * scope_count:
-                        # The worklist is most of the scope: run the next
-                        # round dense (delta=False semantics, a superset
-                        # of the sparse evaluation — same fixed point).
-                        broadcasters = None
-                        m_adaptive.inc()
+            scope_count = int(np.count_nonzero(nonzero))
+            if scope_count >= ADAPTIVE_MIN_VERTICES:
+                # The round's true worklist: re-broadcasters plus the
+                # witness-loss re-evaluations queued in `pending`
+                # (elimination cascades have *empty* broadcaster sets —
+                # all their work arrives via `pending`).
+                worklist_count = int(
+                    np.count_nonzero(broadcasters | (pending & nonzero))
+                )
+                if worklist_count >= ADAPTIVE_DENSITY_THRESHOLD * scope_count:
+                    # The worklist is most of the scope: run the next
+                    # round dense (delta=False semantics, a superset of
+                    # the sparse evaluation — same fixed point).
+                    broadcasters = None
+                    m_adaptive.inc()
         else:
             broadcasters = None
     return iterations

@@ -16,13 +16,13 @@ compiles the whole library once and shares everything shareable:
   the 4-clique's distance-2 prototype, so one 4-clique pipeline at
   ``k_eff`` answers six motif queries in a single bottom-up sweep,
   with the containment rule shrinking every sparser search.
-* **Auxiliary views** — per-class pipelines re-materialize GraphMini
-  style pruned CSRs (:meth:`GraphCsr.induced_view`) so sibling
-  prototype searches start from the pruned view instead of ``G``; for
-  pooled runs the :class:`~repro.runtime.parallel.TemplateBatchScheduler`
-  additionally packs a class's memoized ``M*`` scope into a view before
-  the pipeline even starts and ships it through the existing
-  shared-memory machinery zero-copy.
+* **Auxiliary views** — each in-process array class pipeline
+  re-materializes GraphMini-style pruned CSRs
+  (:meth:`GraphCsr.induced_view`, ``pipeline.AUX_VIEW_RATIO``) so
+  sibling prototype searches start from the pruned view instead of
+  ``G``.  A pooled class pipeline searches ``G``.
+* **Schedule** — class pipelines run longest-estimate-first (LPT, the
+  order the pooled levels use).
 
 Per-query answers are read back off prototype outcomes (match counts are
 isomorphism-invariant; absorbed queries map onto the root's prototypes
@@ -37,10 +37,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from ..errors import PrototypeError, TemplateError
 from ..graph.graph import Graph, canonical_edge
 from ..graph.isomorphism import find_subgraph_isomorphisms
-from ..runtime.parallel import BatchJob, TemplateBatchScheduler
 from .candidate_set import CandidateSetMemo
 from .kernels import cached_kernel, kernel_cache_stats
 from .ordering import estimate_prototype_cost
+from .pipeline import PipelineOptions, run_pipeline
 from .prototypes import (
     Prototype,
     PrototypeSet,
@@ -50,6 +50,31 @@ from .prototypes import (
 )
 from .results import SCHEMA, PipelineResult, PrototypeSearchOutcome
 from .template import PatternTemplate
+
+
+class BatchJob:
+    """One per-class root pipeline of a template-library batch.
+
+    Plain data: the class representative template, the edit distance the
+    root runs at (the max over its absorbed family members), the shared
+    prototype set, and a scheduling cost estimate.
+    """
+
+    __slots__ = ("name", "template", "k", "prototype_set", "cost")
+
+    def __init__(
+        self,
+        name: str,
+        template: PatternTemplate,
+        k: int,
+        prototype_set: PrototypeSet,
+        cost: float,
+    ) -> None:
+        self.name = name
+        self.template = template
+        self.k = k
+        self.prototype_set = prototype_set
+        self.cost = cost
 
 
 class BatchQuery:
@@ -283,7 +308,7 @@ class TemplateLibrary:
         ]
 
     def jobs(self, graph: Graph) -> List[BatchJob]:
-        """Scheduler jobs for ``graph`` (costs need its label counts)."""
+        """Root pipeline jobs for ``graph`` (costs need its label counts)."""
         label_frequencies = graph.label_counts()
         jobs = []
         for cls in self.root_classes():
@@ -358,7 +383,7 @@ class BatchResult:
         library: TemplateLibrary,
         items: Dict[str, BatchItemResult],
         class_results: Dict[str, PipelineResult],
-        scheduler: TemplateBatchScheduler,
+        schedule: Dict[str, float],
         memo: CandidateSetMemo,
         cache_deltas: Dict[str, Dict[str, int]],
         wall_seconds: float,
@@ -367,7 +392,8 @@ class BatchResult:
         self.library = library
         self.items = items
         self.class_results = class_results
-        self.scheduler = scheduler
+        #: root job name → scheduling cost estimate, in execution order
+        self.schedule = schedule
         self.memo = memo
         self.cache_deltas = cache_deltas
         self.wall_seconds = wall_seconds
@@ -385,38 +411,33 @@ class BatchResult:
 
     # ------------------------------------------------------------------
     def schedule_costs(self) -> List[Dict[str, object]]:
-        """Scheduler estimate vs measured wall, per root job, in LPT order.
+        """Cost estimate vs measured wall, per root job, in LPT order.
 
-        ``cost_estimate`` is the frequency-model number the scheduler
+        ``cost_estimate`` is the frequency-model number :func:`run_batch`
         ordered jobs by (:func:`~repro.core.ordering
         .estimate_prototype_cost`, arbitrary units); ``wall_seconds`` is
         the root pipeline's measured wall.  Side-by-side they show how
         faithful the static model's *ordering* was — the units differ, so
         only the relative shape is meaningful.
         """
-        scheduler = self.scheduler
         return [
             {
                 "name": name,
-                "cost_estimate": scheduler.costs.get(name, 0.0),
+                "cost_estimate": cost,
                 "wall_seconds": (
                     self.class_results[name].total_wall_seconds
                     if name in self.class_results
                     else 0.0
                 ),
             }
-            for name in scheduler.order
+            for name, cost in self.schedule.items()
         ]
 
     def aux_view_totals(self) -> Dict[str, int]:
         """Auxiliary-view reuse summed over every class pipeline."""
         built = sum(r.aux_views_built for r in self.class_results.values())
         reuse = sum(r.aux_view_reuse for r in self.class_results.values())
-        return {
-            "built": built,
-            "reuse": reuse,
-            "shipped": self.scheduler.views_shipped,
-        }
+        return {"built": built, "reuse": reuse}
 
     def stats_document(self) -> Dict[str, object]:
         """Machine-readable batch summary (the CLI's ``--json`` output)."""
@@ -437,6 +458,11 @@ class BatchResult:
                     "reuse": cls.num_queries - 1,
                     "aux_views_built": result.aux_views_built if result else 0,
                     "aux_view_reuse": result.aux_view_reuse if result else 0,
+                    # the root pipeline's model traffic, pooled or not
+                    "messages": (
+                        result.message_summary["total_messages"]
+                        if result else 0
+                    ),
                 }
             )
         return {
@@ -452,15 +478,12 @@ class BatchResult:
                 }
                 for family in library.families
             ],
-            "schedule": list(self.scheduler.order),
+            "schedule": list(self.schedule),
             "schedule_costs": self.schedule_costs(),
             "mstar_memo": {"hits": self.memo.hits, "misses": self.memo.misses},
             "kernel_cache": dict(self.cache_deltas["kernel"]),
             "prototype_cache": dict(self.cache_deltas["prototype"]),
-            "aux_views": {
-                **self.aux_view_totals(),
-                "view_sizes": [list(s) for s in self.scheduler.view_sizes],
-            },
+            "aux_views": self.aux_view_totals(),
             "per_class": per_class,
             "items": {
                 name: {
@@ -503,12 +526,11 @@ def run_batch(
     Pass a pre-compiled ``library`` to reuse one compilation across
     graphs; otherwise the library is compiled from ``queries`` using
     ``options.max_prototypes`` as the budget.  Respects ``options``
-    verbatim — enable ``options.aux_views`` to let both the per-level
-    re-materialization and, for pooled runs, the scheduler's ``M*``
-    pre-pruning kick in.
+    verbatim.  Root jobs run longest-estimate-first, every one through
+    :func:`~repro.core.pipeline.run_pipeline` with the batch's shared
+    ``M*`` memo, so a pooled batch charges each class the traffic an
+    in-process one does.
     """
-    from .pipeline import PipelineOptions
-
     if options is None:
         options = PipelineOptions()
     if library is None:
@@ -519,14 +541,20 @@ def run_batch(
     kernel_before = kernel_cache_stats()
     proto_before = prototype_cache_stats()
     memo = CandidateSetMemo()
-    scheduler = TemplateBatchScheduler(graph, options, memo=memo)
+    schedule: Dict[str, float] = {}
     started = time.perf_counter()
     metrics = options.metrics
     with options.tracer.span(
         "batch", metrics=metrics, queries=len(queries),
         classes=len(library.classes), families=len(library.families),
     ):
-        class_results = scheduler.run(library.jobs(graph))
+        class_results: Dict[str, PipelineResult] = {}
+        for job in sorted(library.jobs(graph), key=lambda j: (-j.cost, j.name)):
+            schedule[job.name] = job.cost
+            class_results[job.name] = run_pipeline(
+                graph, job.template, job.k, options,
+                prototype_set=job.prototype_set, candidate_memo=memo,
+            )
         items: Dict[str, BatchItemResult] = {}
         for cls in library.classes:
             if cls.family is not None:
@@ -553,7 +581,7 @@ def run_batch(
         library,
         items,
         class_results,
-        scheduler,
+        schedule,
         memo,
         {
             "kernel": _cache_delta(kernel_before, kernel_cache_stats()),
@@ -566,6 +594,7 @@ def run_batch(
 
 __all__ = [
     "BatchItemResult",
+    "BatchJob",
     "BatchQuery",
     "BatchResult",
     "TemplateClass",

@@ -101,15 +101,13 @@ def max_candidate_arrays(
     template: PatternTemplate,
     engine: Engine,
     memo: Optional[CandidateSetMemo] = None,
-    adaptive: bool = False,
 ) -> ArraySearchState:
     """``M*`` straight from the vectorized fixpoint, in array form.
 
     Seeds the label candidates as an :class:`ArraySearchState` and prunes
     it with :func:`array_kernel_fixpoint` under the template's mandatory
-    masks.  ``adaptive`` enables the fixpoint's metrics-driven dense/sparse
-    round switch — the full-graph M* fixpoint is where elimination
-    cascades are densest, so this is the switch's main beneficiary.
+    masks.  The full-graph M* fixpoint is where elimination cascades are
+    densest, so it is the main user of the fixpoint's dense rounds.
     """
     def fixpoint() -> ArraySearchState:
         kernel = cached_kernel(template.graph)
@@ -117,7 +115,6 @@ def max_candidate_arrays(
         array_kernel_fixpoint(
             astate, kernel, engine,
             mandatory_masks=kernel.mandatory_masks(template.mandatory_edges),
-            adaptive=adaptive,
         )
         return astate
 

@@ -172,8 +172,8 @@ def run_flip_pipeline(
     per-prototype search for each variant with shared NLCC recycling;
     per-variant results carry the usual 100% precision/recall guarantee.
     ``options`` apply as in :func:`~repro.core.pipeline.run_pipeline`:
-    backend, tracer, metrics registry, match counting and collection,
-    verification, adaptive re-sort and constraint costs.
+    backend, tracer, metrics registry, match counting and collection and
+    verification.
     """
     options = options or PipelineOptions()
     wall_start = time.perf_counter()
@@ -219,8 +219,6 @@ def run_flip_pipeline(
             count_matches=options.count_matches,
             collect_matches=options.collect_matches,
             verification=options.verification,
-            adaptive=options.adaptive,
-            constraint_costs=options.constraint_costs,
         )
         outcome.simulated_seconds = options.cost_model.makespan(stats)
         result.total_simulated_seconds += outcome.simulated_seconds

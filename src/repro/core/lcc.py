@@ -32,7 +32,6 @@ def local_constraint_checking(
     max_iterations: Optional[int] = None,
     kernel: Optional[RoleKernel] = None,
     warm_mask=None,
-    adaptive: bool = False,
 ) -> int:
     """Prune ``state`` to the LCC fixed point for ``proto_graph``, in place.
 
@@ -51,9 +50,8 @@ def local_constraint_checking(
 
     Array-only: ``warm_mask`` restricts the first round's broadcast
     accounting to the vertices whose state actually differs from the
-    parent scope it was derived from (the warm-seeded worklist), and
-    ``adaptive`` enables the metrics-driven dense/sparse round switch;
-    neither changes the fixed point or the round count.
+    parent scope it was derived from (the warm-seeded worklist); it
+    changes neither the fixed point nor the round count.
 
     The fixpoint runs in the engine's ``lcc`` phase (and, when tracing,
     its ``lcc`` span, each round a child span) and counts its iterations
@@ -63,8 +61,7 @@ def local_constraint_checking(
         if isinstance(state, ArraySearchState):
             iterations = array_kernel_fixpoint(
                 state, kernel or cached_kernel(proto_graph), engine,
-                max_iterations=max_iterations,
-                warm_mask=warm_mask, adaptive=adaptive,
+                max_iterations=max_iterations, warm_mask=warm_mask,
             )
         else:
             iterations = 0

@@ -23,7 +23,6 @@ from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..graph.graph import Graph
-from ..runtime.metrics import ConstraintCostModel
 from . import constraints as constraint_builder
 from .constraints import (
     CYCLE_KIND,
@@ -67,7 +66,6 @@ def order_constraints(
     constraints: Sequence[NonLocalConstraint],
     label_frequencies: Optional[Dict[int, int]] = None,
     optimize: bool = True,
-    measured: Optional[ConstraintCostModel] = None,
 ) -> List[NonLocalConstraint]:
     """Checking order for one prototype's non-local constraints.
 
@@ -78,15 +76,6 @@ def order_constraints(
     constraints whose early labels are rare run before frequent ones.
     Disabling ``optimize`` preserves only the kind/length order — the
     baseline of the Fig. 9(b) ablation.
-
-    ``measured`` (a :class:`~repro.runtime.metrics.ConstraintCostModel`)
-    supplies per-constraint row counts observed on earlier prototypes of
-    the same template; within a kind, measured-cheap constraints then run
-    before measured-expensive ones, overriding the static length/
-    frequency estimate.  Costs are quantized to coarse log2 buckets
-    (the paper reorders from a *measured* previous run — §5.4), so
-    sub-resolution measurements all land in bucket 0 and the static
-    order is preserved exactly; the kind order is never overridden.
     """
     def base_key(constraint: NonLocalConstraint) -> Tuple[int, int]:
         return (_KIND_PRIORITY.get(constraint.kind, 9), constraint.length)
@@ -98,38 +87,14 @@ def order_constraints(
 
     def opt_key(constraint: NonLocalConstraint) -> Tuple[Any, ...]:
         freqs = tuple(label_frequencies.get(lab, 0) for lab in constraint.labels)
-        bucket = measured.bucket(constraint.key) if measured is not None else 0
         return (
             _KIND_PRIORITY.get(constraint.kind, 9),
-            bucket,
             constraint.length,
             freqs,
             constraint.key,
         )
 
     return sorted(oriented, key=opt_key)
-
-
-def reorder_measured(
-    constraints: Sequence[NonLocalConstraint],
-    measured: Optional[ConstraintCostModel],
-) -> List[NonLocalConstraint]:
-    """Stable re-sort of an already-ordered constraint list by measured cost.
-
-    ``measured`` is a :class:`~repro.runtime.metrics.ConstraintCostModel`;
-    within each kind, constraints in cheaper measured log2 buckets move
-    ahead of more expensive ones while ties (including every unmeasured
-    constraint, bucket 0) keep the incoming static order — so an empty or
-    sub-resolution model returns the input order unchanged.  The kind
-    order is never overridden: exactness relies on the full walk running
-    after every other pruning constraint.
-    """
-    ordered = list(constraints)
-    if measured is None or not len(measured):
-        return ordered
-    bucket = measured.bucket
-    ordered.sort(key=lambda c: (_KIND_PRIORITY.get(c.kind, 9), bucket(c.key)))
-    return ordered
 
 
 class ConstraintPlanner:

@@ -8,7 +8,9 @@ across prototypes, and producing the per-vertex approximate match vectors.
 
 Every optimization of §4/§5.4 is a :class:`PipelineOptions` knob, so the
 ablation benchmarks (naïve / X / Y / Z scenarios of Fig. 8) are plain
-option combinations of the same code path.
+option combinations of the same code path.  What the array backend
+decides by a fixed rule over exact counts — the ``M*`` and level views
+(:data:`AUX_VIEW_RATIO`), the fixpoint's dense rounds — is not an option.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from ..errors import PipelineError
 from ..graph.graph import Graph, canonical_edge
 from ..runtime.engine import Engine
 from ..runtime.messages import CostModel, MessageStats
-from ..runtime.metrics import ConstraintCostModel, MetricsRegistry
+from ..runtime.metrics import MetricsRegistry
 from ..runtime.partition import (
     PartitionedGraph, degree_packing, graph_degrees, hash_assignment,
 )
@@ -68,7 +70,9 @@ class PipelineOptions:
     of Fig. 8 — bottom-up with search-space reduction and work recycling);
     set ``load_balance``/``reload_ranks``/``parallel_deployments`` for
     scenario Z, or disable groups of options for the ablations and the
-    naïve baseline (see :func:`repro.core.naive.naive_options`).
+    naïve baseline (see :func:`repro.core.naive.naive_options`).  The
+    ``M*`` and level views and the fixpoint's dense-round switch have no
+    field: they apply wherever they are sound.
     """
 
     #: simulated MPI ranks of the primary deployment
@@ -130,21 +134,6 @@ class PipelineOptions:
     #: segment and scopes ship as packed bitmaps; the reference backend
     #: ships dict payloads.
     worker_processes: int = 1
-    #: GraphMini-style auxiliary pruned graphs: when a level's solution
-    #: union has pruned the scope far enough, pack the surviving
-    #: adjacency into a compact ``GraphCsr.induced_view`` and run every
-    #: remaining level on the view instead of ``G`` (in-process array
-    #: backend only; results are bit-identical, original vertex ids are
-    #: preserved)
-    aux_views: bool = False
-    #: materialize a view only when the scope keeps at most this fraction
-    #: of the current CSR's vertices.  One rule, two places: it decides
-    #: the ``M*`` view every in-process array run searches instead of
-    #: ``G`` (:func:`compact_scope`; independent of ``aux_views``) and the
-    #: ``aux_views`` level views, re-checked per level so views nest as
-    #: the sweep keeps pruning.  1.0 compacts whenever anything was
-    #: pruned; a tiny value never does.
-    aux_view_ratio: float = 0.6
     #: span tracer (:class:`repro.runtime.trace.Tracer`) threaded into
     #: every engine of the run; the default NULL_TRACER records nothing
     #: and costs one attribute check per guarded site.
@@ -153,15 +142,6 @@ class PipelineOptions:
     #: and merged with pooled workers' exported registries; snapshot
     #: surfaces as ``stats_document["metrics"]`` and ``repro metrics``
     metrics: object = field(default_factory=MetricsRegistry)
-    #: metrics-driven adaptive execution: the dense/sparse round switch in
-    #: the array LCC fixpoint and the measured-cost NLCC constraint
-    #: re-sort — both preserve the match set exactly (see
-    #: :func:`repro.core.search.search_prototype`)
-    adaptive: bool = True
-    #: EWMA store of measured per-constraint NLCC wall seconds, recycled
-    #: across prototypes (and across a batch when the executor shares one
-    #: options object); consulted only when ``adaptive`` is on
-    constraint_costs: object = field(default_factory=ConstraintCostModel)
 
     def __post_init__(self) -> None:
         if self.backend not in ("reference", "array"):
@@ -186,8 +166,6 @@ class PipelineOptions:
             )
         if self.worker_processes < 1:
             raise PipelineError("worker_processes must be at least 1")
-        if not 0.0 < self.aux_view_ratio <= 1.0:
-            raise PipelineError("aux_view_ratio must be in (0, 1]")
         if self.worker_processes > 1 and (
             self.collect_matches or self.enumeration_optimization
         ):
@@ -200,6 +178,14 @@ class PipelineOptions:
 
 #: simulated seconds per active edge to checkpoint + reload a pruned graph
 REBALANCE_COST_PER_EDGE = 2.0e-6
+
+#: re-pack the run onto a GraphMini-style ``GraphCsr.induced_view`` once
+#: its scope keeps at most this fraction of the current CSR's vertices.
+#: One rule, two places: the ``M*`` view (:func:`compact_scope`) and the
+#: level views of the bottom-up sweep, re-checked per level so views nest
+#: as the sweep keeps pruning.  Views keep vertex ids and every alive
+#: edge, so answers and message counts are the same on and off a view.
+AUX_VIEW_RATIO = 0.6
 
 
 def run_pipeline(
@@ -293,8 +279,6 @@ def _run_bottom_up(
     else:
         base = SearchState.initial(graph, template)
     all_stats.append(mcs_stats)
-    # a batch hands its pipelines an ``aux_views`` M* view as their graph
-    on_aux_view = array and base.csr.parent is not None
     base = compact_scope(base, options)
     (
         result.candidate_set_vertices,
@@ -344,6 +328,7 @@ def _run_bottom_up(
         )
 
     aux_view_reuse = metrics.counter("aux_view.reuse")
+    on_aux_view = False
     try:
         for distance in range(first, -1, -1):
             with tracer.span("level", metrics=metrics, distance=distance):
@@ -434,17 +419,17 @@ def _run_bottom_up(
                 # restricted scopes are bit-identical to the full-graph
                 # ones.  Views nest as later levels keep pruning (on top
                 # of compact_scope's M* view); the partition is keyed by
-                # vertex id, which views preserve, so it stays.
+                # vertex id, which views preserve, so it stays.  A pool
+                # keeps ``G``: its workers attach ``G``'s shm segment.
                 if (
-                    options.aux_views
-                    and array
+                    array
                     and pool is None
                     and distance > 0
                     and options.use_containment
                     and not rebalancing
                     and level.union_vertices > 0
                     and level.union_vertices
-                    <= options.aux_view_ratio * base.csr.num_vertices
+                    <= AUX_VIEW_RATIO * base.csr.num_vertices
                     and all(
                         p.child_links
                         for d in range(distance)
@@ -650,7 +635,7 @@ def compact_scope(
         return base
     csr = base.csr
     kept = base.num_active_vertices
-    if kept == csr.num_vertices or kept > options.aux_view_ratio * csr.num_vertices:
+    if kept == csr.num_vertices or kept > AUX_VIEW_RATIO * csr.num_vertices:
         return base
     metrics = options.metrics
     with options.tracer.span("scope_view", metrics=metrics):
@@ -746,8 +731,6 @@ def search_in_process(
         collect_matches=collect_matches,
         verification=options.verification,
         warm_mask=warm_mask,
-        adaptive=options.adaptive,
-        constraint_costs=options.constraint_costs,
     )
     charge(outcome, stats, options, all_stats)
     return outcome
@@ -822,9 +805,7 @@ def max_candidate_scope(
 ) -> "SearchState | ArraySearchState":
     """``M*`` in the state form ``options.backend`` searches."""
     if options.backend == "array":
-        return max_candidate_arrays(
-            graph, template, engine, memo=memo, adaptive=options.adaptive
-        )
+        return max_candidate_arrays(graph, template, engine, memo=memo)
     return max_candidate_set(graph, template, engine, memo=memo)
 
 

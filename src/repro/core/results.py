@@ -11,8 +11,11 @@ from ..graph.graph import Edge, Graph
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .prototypes import Prototype, PrototypeSet
 
-#: layout version of :meth:`PipelineResult.stats_document`
-SCHEMA = 1
+#: layout version of :meth:`PipelineResult.stats_document` and of the
+#: batch document (``BatchResult.stats_document``).  2: the batch
+#: document's ``aux_views`` lost ``shipped`` and ``view_sizes``, and each
+#: ``per_class`` entry gained its root pipeline's ``messages``.
+SCHEMA = 2
 
 #: the ``nlcc`` section of the run report: key -> registry counter
 NLCC_COUNTERS = {
@@ -143,8 +146,8 @@ class PipelineResult:
     ``counts`` is the registry's window over the run.
     """
 
-    #: auxiliary pruned views (options.aux_views) materialized, and
-    #: prototype searches that started on a view
+    #: level views (``pipeline.AUX_VIEW_RATIO``) materialized, and
+    #: prototype searches that started on a level view
     aux_views_built = Count("aux_view.built")
     aux_view_reuse = Count("aux_view.reuse")
 

@@ -25,7 +25,6 @@ from typing import List, Optional, Union
 import numpy as np
 
 from ..runtime.engine import Engine
-from ..runtime.metrics import ConstraintCostModel
 from .constraints import FULL_WALK_KIND, ConstraintSet, NonLocalConstraint
 from .enumeration import (
     astate_from_matches,
@@ -39,7 +38,7 @@ from .arraystate import ArraySearchState
 from .kernels import cached_kernel
 from .lcc import local_constraint_checking
 from .nlcc import NlccResult, non_local_constraint_checking
-from .ordering import ConstraintPlan, reorder_measured
+from .ordering import ConstraintPlan
 from .prototypes import Prototype
 from .results import PrototypeSearchOutcome
 from .state import NlccCache, SearchState
@@ -56,8 +55,6 @@ def search_prototype(
     collect_matches: bool = False,
     verification: str = "auto",
     warm_mask: Optional[np.ndarray] = None,
-    adaptive: bool = False,
-    constraint_costs: Optional[ConstraintCostModel] = None,
 ) -> PrototypeSearchOutcome:
     """Reduce ``state`` to the prototype's solution subgraph, in place.
 
@@ -81,19 +78,8 @@ def search_prototype(
     ``ArraySearchState.from_search_state`` first.
     ``warm_mask`` warm-seeds the first array LCC round's broadcast
     accounting (see :func:`~repro.core.lcc.local_constraint_checking`).
-
-    ``adaptive`` turns on the two metrics-driven consumers: the
-    dense/sparse round switch inside the array LCC fixpoint and — when
-    ``constraint_costs`` (a
-    :class:`~repro.runtime.metrics.ConstraintCostModel`) carries
-    measurements from earlier prototypes — a measured-cost re-sort of the
-    non-local constraint order.  Each NLCC constraint's ``rows_expanded``
-    (a count, so the order is a function of the input; 0 on the
-    reference walk, which therefore keeps the static order) is fed back
-    into ``constraint_costs`` whenever one is supplied, so costs recycle
-    across the prototypes of a run (and across a batch when the executor
-    shares one options object).  Both consumers preserve the match set
-    exactly; see the respective docstrings.
+    Non-local constraints run in the plan's static order (§5.4); each
+    one's wall seconds land in the ``nlcc.constraint_seconds`` histogram.
 
     What the search counted is ``outcome.counts``: the window of
     ``engine.metrics`` over it.
@@ -112,7 +98,7 @@ def search_prototype(
         _search_prototype_body(
             state, prototype, constraint_set, engine, cache, recycle,
             count_matches, collect_matches, verification, warm_mask,
-            adaptive, constraint_costs, outcome,
+            outcome,
         )
     outcome.counts = metrics.since(mark)
     outcome.wall_seconds = time.perf_counter() - started
@@ -130,8 +116,6 @@ def _search_prototype_body(
     collect_matches: bool,
     verification: str,
     warm_mask: Optional[np.ndarray],
-    adaptive: bool,
-    constraint_costs: Optional[ConstraintCostModel],
     outcome: PrototypeSearchOutcome,
 ) -> None:
     """Alg. 2 body; fills ``outcome`` (timing is the caller's job)."""
@@ -139,8 +123,7 @@ def _search_prototype_body(
     # compiled once, shared by every LCC re-run and token walk
     kernel = cached_kernel(prototype.graph) if in_arrays else None
     local_constraint_checking(
-        state, prototype.graph, engine, kernel=kernel, warm_mask=warm_mask,
-        adaptive=adaptive,
+        state, prototype.graph, engine, kernel=kernel, warm_mask=warm_mask
     )
     post_lcc_vertices, post_lcc_edges = state.active_counts()
     metrics = engine.metrics
@@ -166,10 +149,6 @@ def _search_prototype_body(
                 plan_prefilter_rows=selection.prefilter_rows,
                 plan_full_walk_rows=selection.full_walk_rows,
             )
-    if adaptive and constraint_costs is not None:
-        # Measured-cost re-sort (no-op until earlier prototypes have
-        # contributed above-resolution row counts).
-        non_local = reorder_measured(non_local, constraint_costs)
     h_constraint = metrics.histogram("nlcc.constraint_seconds")
 
     full_walk_result: Optional[NlccResult] = None
@@ -181,11 +160,7 @@ def _search_prototype_body(
             state, constraint, engine, cache=cache, recycle=recycle,
             kernel=kernel,
         )
-        if constraint_costs is not None:
-            # the re-sort is keyed on a count so that equal inputs order
-            # equally; seconds only feed the histogram
-            constraint_costs.observe(constraint.key, result.rows_expanded)
-            h_constraint.observe(time.perf_counter() - constraint_started)
+        h_constraint.observe(time.perf_counter() - constraint_started)
         if constraint.kind == FULL_WALK_KIND:
             # Keep the whole result: the array walk stores completions
             # as a dense path matrix, and reading .completed_mappings
@@ -194,8 +169,7 @@ def _search_prototype_body(
             full_walk_result = result
         elif result.changed:
             local_constraint_checking(
-                state, prototype.graph, engine, kernel=kernel,
-                adaptive=adaptive,
+                state, prototype.graph, engine, kernel=kernel
             )
 
     constraints_exact = (

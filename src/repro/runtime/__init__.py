@@ -3,22 +3,18 @@
 In-process reproduction of the MPI substrate the paper builds on: hash and
 delegate partitioning, an asynchronous vertex-centric visitor engine with
 quiescence detection, message accounting (local / remote / cross-network),
-a parallel cost model, load balancing, and checkpointing.
+and a parallel cost model.
 """
 
-from .balance import rebalance_cost, reload_on, reshuffle
-from .checkpoint import load_checkpoint, save_checkpoint
 from .engine import Context, Engine
 from .messages import CostModel, MessageStats, PhaseCounters
 from .parallel import PrototypeSearchPool, state_to_payload
 from .partition import (
     PartitionedGraph,
-    balanced_assignment,
     block_assignment,
     hash_assignment,
 )
 from .quiescence import SafraDetector
-from .store import DistributedGraphStore, RankShard
 from .trace import NULL_TRACER, NullTracer, Span, Tracer
 from .visitor import Visitor
 
@@ -31,20 +27,12 @@ __all__ = [
     "NullTracer",
     "PartitionedGraph",
     "PhaseCounters",
-    "DistributedGraphStore",
     "PrototypeSearchPool",
-    "RankShard",
     "SafraDetector",
     "Span",
     "Tracer",
     "Visitor",
-    "balanced_assignment",
     "block_assignment",
     "hash_assignment",
-    "load_checkpoint",
-    "rebalance_cost",
-    "reload_on",
-    "reshuffle",
-    "save_checkpoint",
     "state_to_payload",
 ]

@@ -41,15 +41,6 @@ count over part of a run — a prototype search, a level, the run, a trace
 span — reads a *window*: :meth:`MetricsRegistry.mark` at its start,
 :meth:`MetricsRegistry.since` at its end, which returns the counters
 that moved in between.
-
-:class:`ConstraintCostModel` is the first adaptive-execution store built
-on the measured numbers: an EWMA of the frontier rows each NLCC
-constraint's walk built — a count, not a time, so what it decides is a
-function of the input — keyed by constraint key, recycled across
-prototypes (and across a whole template-library batch when the executor
-shares one ``PipelineOptions``).  ``order_constraints`` consumes it
-through quantized log-scale buckets so that sub-resolution measurements
-(unit-test-sized workloads) never perturb the static order.
 """
 
 from __future__ import annotations
@@ -59,7 +50,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 __all__ = [
-    "ConstraintCostModel",
     "Counter",
     "Gauge",
     "Histogram",
@@ -299,70 +289,3 @@ class MetricsRegistry:
             f"gauges={len(self._gauges)}, "
             f"histograms={len(self._histograms)})"
         )
-
-
-# ----------------------------------------------------------------------
-# Adaptive execution: measured per-constraint NLCC costs
-# ----------------------------------------------------------------------
-#: EWMA resolution floor (frontier rows; the array walk builds about ten
-#: million a second, so one tick is ~0.05 s of walking): measurements
-#: below one tick quantize to bucket 0, so test- and demo-sized workloads
-#: (where a whole constraint check builds a few thousand rows) never
-#: reorder constraints away from the static order; at the massive-graph
-#: scale the paper targets, per-constraint walks build many millions of
-#: rows and land in clearly separated buckets
-COST_RESOLUTION_ROWS = 500_000
-
-#: EWMA smoothing: new = (1 - alpha) * old + alpha * sample, matching the
-#: pool's seconds-per-unit rate model
-COST_EWMA_ALPHA = 0.3
-
-
-class ConstraintCostModel:
-    """EWMA of measured per-constraint NLCC cost, in frontier rows built
-    (``NlccResult.rows_expanded``).
-
-    Keys are ``NonLocalConstraint.key`` tuples — stable across prototypes
-    of one template and across the members of a template-library batch
-    class, which is what lets measurements recycle.  Like the registry,
-    the model pickles to empty: each pooled worker grows its own from the
-    tasks it serves.
-    """
-
-    def __init__(self) -> None:
-        self._ewma: Dict[object, float] = {}
-
-    def __getstate__(self) -> Dict[str, object]:
-        return {}
-
-    def __setstate__(self, _state: Dict[str, object]) -> None:
-        self._ewma = {}
-
-    def observe(self, key: object, rows: float) -> None:
-        old = self._ewma.get(key)
-        self._ewma[key] = (
-            rows
-            if old is None
-            else (1.0 - COST_EWMA_ALPHA) * old + COST_EWMA_ALPHA * rows
-        )
-
-    def rows(self, key: object) -> Optional[float]:
-        return self._ewma.get(key)
-
-    def bucket(self, key: object) -> int:
-        """Quantized cost: log2 bucket of EWMA / resolution (0 if unseen).
-
-        Two constraints whose measured costs sit within the same power-
-        of-two band compare equal, falling back to the static selectivity
-        order for near-tied (and unmeasured) constraints.
-        """
-        ewma = self._ewma.get(key)
-        if ewma is None:
-            return 0
-        return int(ewma / COST_RESOLUTION_ROWS).bit_length()
-
-    def __len__(self) -> int:
-        return len(self._ewma)
-
-    def __repr__(self) -> str:
-        return f"ConstraintCostModel(constraints={len(self._ewma)})"

@@ -173,10 +173,7 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
     worker-lifetime options registry, so totals are never double-counted
     across tasks) whose packed :meth:`export` rides the payload for the
     parent to :meth:`merge`, and into a fresh ``MessageStats``, shipped
-    whole.  The worker-lifetime
-    ``options.constraint_costs`` model, by contrast, deliberately spans
-    tasks: measured NLCC costs recycle across every prototype this
-    worker serves.
+    whole.
     """
     import os
 
@@ -230,8 +227,6 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
         count_matches=options.count_matches,
         verification=options.verification,
         warm_mask=warm_mask,
-        adaptive=options.adaptive,
-        constraint_costs=options.constraint_costs,
     )
     return {
         "proto_id": task.proto_id,
@@ -446,140 +441,3 @@ def state_to_payload(state: "SearchState") -> Tuple[List[Any], List[Any]]:
     candidates = [(v, list(state.candidates[v])) for v in state.candidates]
     edges = state.active_edge_list()
     return candidates, edges
-
-
-class BatchJob:
-    """One per-class root pipeline of a template-library batch.
-
-    Plain data: the class representative template, the edit distance the
-    root runs at (the max over its absorbed family members), the shared
-    prototype set, and a scheduling cost estimate.  Built by
-    :mod:`repro.core.batch`, executed by :class:`TemplateBatchScheduler`.
-    """
-
-    __slots__ = ("name", "template", "k", "prototype_set", "cost")
-
-    def __init__(
-        self,
-        name: str,
-        template: "PatternTemplate",
-        k: int,
-        prototype_set: Any,
-        cost: float,
-    ) -> None:
-        self.name = name
-        self.template = template
-        self.k = k
-        self.prototype_set = prototype_set
-        self.cost = cost
-
-
-class TemplateBatchScheduler:
-    """Cost-ordered executor for a batch's per-class root pipelines.
-
-    Jobs run longest-estimate-first (the LPT order the pooled levels
-    already use), each through one :func:`~repro.core.pipeline
-    .run_pipeline` sharing the batch's ``M*`` memo.  In-process runs
-    compact onto ``G[M*]`` themselves (``pipeline.compact_scope``).  A
-    pooled array run cannot, so when the memoized ``M*`` of a class
-    prunes the background graph below ``options.aux_view_ratio`` the
-    scheduler packs the surviving scope into a
-    :meth:`GraphCsr.induced_view` and runs the whole pipeline over the
-    view — and because ``PrototypeSearchPool`` exports ``csr_of(graph)``
-    of whatever graph it is built on, the *pruned* arrays ship through
-    the existing shared-memory segment, so workers attach the auxiliary
-    view zero-copy.
-    """
-
-    def __init__(
-        self,
-        graph: "Graph",
-        options: "PipelineOptions",
-        memo: Optional[Any] = None,
-    ) -> None:
-        self.graph = graph
-        self.options = options
-        #: shared :class:`~repro.core.candidate_set.CandidateSetMemo`
-        self.memo = memo
-        #: job names in execution (LPT) order
-        self.order: List[str] = []
-        #: per-job scheduling cost estimates, recorded as jobs run — the
-        #: batch report pairs them with measured pipeline walls
-        self.costs: Dict[str, float] = {}
-        #: auxiliary M*-views materialized (pooled runs ship them zero-copy)
-        self.views_shipped = 0
-        self.view_sizes: List[Tuple[int, int]] = []
-
-    def run(self, jobs: List[BatchJob]) -> Dict[str, Any]:
-        """Execute every job; returns ``{job name: PipelineResult}``."""
-        results: Dict[str, Any] = {}
-        for job in sorted(jobs, key=lambda j: (-j.cost, j.name)):
-            self.order.append(job.name)
-            self.costs[job.name] = job.cost
-            results[job.name] = self._run_job(job)
-        return results
-
-    def _run_job(self, job: BatchJob) -> Any:
-        from ..core.pipeline import run_pipeline
-
-        options = self.options
-        run_graph = self.graph
-        run_memo = self.memo
-        # An in-process run compacts onto G[M*] itself (compact_scope)
-        # and keeps the memo; a pooled one cannot — its workers attach
-        # the graph the pool exports — so it is handed the view as its
-        # graph here.
-        if (
-            run_memo is not None
-            and options.aux_views
-            and options.use_max_candidate_set
-            and options.worker_processes > 1
-            and options.backend == "array"
-        ):
-            view_graph = self._mstar_view(job)
-            if view_graph is not None:
-                run_graph = view_graph
-                # Memoized states live over the full graph; the view's
-                # (identical, see candidate_set) M* recomputes cheaply.
-                run_memo = None
-        return run_pipeline(
-            run_graph, job.template, job.k, options,
-            prototype_set=job.prototype_set, candidate_memo=run_memo,
-        )
-
-    def _mstar_view(self, job: BatchJob) -> Optional["Graph"]:
-        """``G[M*]`` as an induced-view graph when M* prunes enough.
-
-        Rerunning the arc-consistency fixed point on the vertex-induced
-        view converges to the same fixed point (every surviving role's
-        witnesses are surviving candidates, so all derivations carry
-        over), which makes the pipeline-over-view bit-identical to the
-        pipeline-over-``G``.
-        """
-        from ..core.arraystate import csr_of
-        from ..core.candidate_set import max_candidate_arrays
-        from ..core.pipeline import partition
-        from .engine import Engine
-        from .messages import MessageStats
-
-        options = self.options
-        graph = self.graph
-        engine = Engine(
-            partition(graph, options.num_ranks, options),
-            MessageStats(options.num_ranks), options.batch_size,
-            tracer=options.tracer,
-        )
-        astate = max_candidate_arrays(
-            graph, job.template, engine,
-            memo=self.memo, adaptive=options.adaptive,
-        )
-        vertices = astate.num_active_vertices
-        csr = csr_of(graph)
-        if vertices == 0 or vertices > options.aux_view_ratio * csr.num_vertices:
-            return None
-        view = csr.induced_view(astate.vertex_active)
-        self.views_shipped += 1
-        self.view_sizes.append(
-            (view.num_vertices, view.num_directed_edges // 2)
-        )
-        return view.graph

@@ -252,15 +252,6 @@ def block_assignment(vertices: Sequence[int], num_ranks: int) -> Dict[int, int]:
     return {v: min(i // block, num_ranks - 1) for i, v in enumerate(vertices)}
 
 
-def balanced_assignment(graph: Graph, num_ranks: int) -> Dict[int, int]:
-    """Greedy balanced partitioning by degree (largest-first bin packing).
-
-    Used by the load-balancing step (§4): after pruning, active vertices are
-    reshuffled so edge-endpoint load is even across ranks.
-    """
-    return degree_packing(*graph_degrees(graph), num_ranks)
-
-
 def graph_degrees(graph: Graph) -> Tuple[List[int], List[int]]:
     """``graph``'s vertices in iteration order and their degrees."""
     vertices = list(graph.vertices())

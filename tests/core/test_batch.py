@@ -27,6 +27,7 @@ from repro.core import (
     run_batch,
     run_pipeline,
 )
+import repro.core.pipeline as pipeline_module
 from repro.core.arraystate import ArraySearchState
 from repro.errors import TemplateError
 from repro.graph import from_edges
@@ -257,17 +258,18 @@ class TestBatchedSequentialParity:
         assert stats["root_runs"] == 1
         assert all(batch[q.name].absorbed for q in queries)
 
-    def test_aux_views_do_not_change_answers(self):
+    def test_aux_views_do_not_change_answers(self, monkeypatch):
         graph = dusty_motif_graph()
         clique = clique_template(4, labels=[0, 0, 0, 0], name="clique4")
         path = PatternTemplate.from_edges(
             [(0, 1), (1, 2), (2, 3)], {v: 0 for v in range(4)}, name="path4"
         )
         queries = [BatchQuery(clique, 0), BatchQuery(path, 0)]
-        plain = run_batch(graph, queries, options(aux_views=False))
-        viewed = assert_batch_matches_sequential(
-            graph, queries, options(aux_views=True)
-        )
+        with monkeypatch.context() as patch:
+            # a tiny ratio builds no view at all
+            patch.setattr(pipeline_module, "AUX_VIEW_RATIO", 1e-9)
+            plain = run_batch(graph, queries, options())
+        viewed = assert_batch_matches_sequential(graph, queries, options())
         for query in queries:
             assert (
                 viewed[query.name].matched_vertices
@@ -283,6 +285,41 @@ class TestBatchedSequentialParity:
         assert totals["built"] > 0
         assert totals["reuse"] > 0
         assert plain.aux_view_totals()["built"] == 0
+
+
+class TestPooledBatch:
+    """A pooled batch charges each class what the in-process batch does:
+    every class pipeline, pooled or not, computes its own ``M*`` on ``G``
+    (or takes it from the batch's memo) inside ``run_pipeline``."""
+
+    def test_reports_the_in_process_counts(self):
+        ring = PatternTemplate.from_edges(
+            [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0)],
+            {v: v + 1 for v in range(5)}, name="ring",
+        )
+        tri = PatternTemplate.from_edges(
+            [(0, 1), (1, 2), (2, 0)], {0: 1, 1: 2, 2: 3}, name="tri"
+        )
+        graph = planted_graph(
+            300, 700, ring.edges(), [1, 2, 3, 4, 5], copies=3, seed=4
+        )
+        queries = [BatchQuery(ring, 1), BatchQuery(tri, 0)]
+
+        def documents(workers):
+            batch = run_batch(graph, queries, options(
+                work_recycling=False, worker_processes=workers,
+            ))
+            return {
+                name: result.stats_document()
+                for name, result in batch.class_results.items()
+            }
+
+        inline, pooled = documents(1), documents(2)
+        assert sorted(pooled) == sorted(inline) == ["class0:ring", "class1:tri"]
+        for name, document in inline.items():
+            for key in ("messages", "candidate_set", "nlcc"):
+                assert pooled[name][key] == document[key], (name, key)
+            assert "max_candidate_set" in document["messages"]["phases"]
 
 
 class TestMotifCensusParity:

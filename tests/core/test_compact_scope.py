@@ -1,10 +1,11 @@
 """Searching ``G[M*]`` instead of ``G`` changes nothing one can observe.
 
 Both in-process level drivers re-pack the run onto the ``induced_view`` of
-``M*`` right after computing it (``pipeline.compact_scope``).  The rule is
-``PipelineOptions.aux_view_ratio``: 1.0 compacts whenever ``M*`` dropped a
-vertex, a tiny value never does, so every case below runs one query both
-ways and compares
+``M*`` right after computing it (``pipeline.compact_scope``), and the
+bottom-up sweep re-packs again onto level views as its unions prune.  The
+rule is ``pipeline.AUX_VIEW_RATIO``: patched to 1.0 it compacts whenever
+anything was pruned, to a tiny value never, so every case below runs one
+query both ways and compares
 
 * the answer — match vectors, per-prototype solution vertices / edges,
   mapping counts and the collected mappings themselves;
@@ -17,8 +18,8 @@ over driver × feature: ``run_pipeline``, ``exploratory_search``,
 optimization (whose derived states must land on the view's CSR — the
 defect this suite was written for), collected matches, edge labels,
 wildcards, mandatory edges, a > 64-role template, block partitioning,
-delegates, containment off, enumeration-only verification and
-``aux_views`` level views nested on top.  Then the title's contract,
+delegates, containment off and enumeration-only verification, with level
+views nested on top.  Then the title's contract,
 directly: precision and recall against the brute-force matcher with the
 compaction on — also for a checkpointed run resumed after a crash at each
 level, and for every edge-flip variant, on both backends.  Last, the runs that must *not* compact — pooled,
@@ -27,7 +28,9 @@ with brute force too), and the reshuffle's degree packing, read off the
 bitmaps, equals the one of the materialized pruned graph.
 """
 
+import contextlib
 import tempfile
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -45,6 +48,7 @@ from repro.core import (
     run_pipeline,
     run_pipeline_with_checkpoints,
 )
+import repro.core.pipeline as pipeline_module
 from repro.core.batch import BatchQuery, run_batch
 from repro.core.results import NLCC_COUNTERS
 from repro.core.flips import run_flip_pipeline
@@ -55,11 +59,20 @@ from repro.graph.generators import gnm_graph, planted_graph
 from repro.graph.graph import Graph
 from repro.graph.isomorphism import find_subgraph_isomorphisms
 from repro.runtime import Engine, MessageStats, PartitionedGraph
-from repro.runtime.partition import balanced_assignment, degree_packing
+from repro.runtime.partition import degree_packing, graph_degrees
 
-#: ``aux_view_ratio`` values that force the M* view on / off
+#: ``pipeline.AUX_VIEW_RATIO`` values that force the M* and level views
+#: on / off
 ON = 1.0
 OFF = 1e-9
+
+
+@contextlib.contextmanager
+def view_ratio(value):
+    """Run the block with ``pipeline.AUX_VIEW_RATIO`` set to ``value``."""
+    with mock.patch.object(pipeline_module, "AUX_VIEW_RATIO", value):
+        yield
+
 
 SLOW = settings(
     max_examples=40,
@@ -203,9 +216,11 @@ def run_view(result):
 
 
 def both_ways(run, **options):
-    """``run(PipelineOptions)`` with the M* view forced on, then off."""
-    on = run(PipelineOptions(aux_view_ratio=ON, **options))
-    off = run(PipelineOptions(aux_view_ratio=OFF, **options))
+    """``run(PipelineOptions)`` with the views forced on, then off."""
+    with view_ratio(ON):
+        on = run(PipelineOptions(**options))
+    with view_ratio(OFF):
+        off = run(PipelineOptions(**options))
     return on, off
 
 
@@ -239,7 +254,9 @@ BOTTOM_UP_FEATURES = {
         "include_full_walk": False, "verification": "enumeration",
         "count_matches": True,
     },
-    "aux-views": {"aux_views": True},
+    # no option of its own: ``both_ways`` builds a level view wherever
+    # one is sound; this column also checks that run against brute force
+    "aux-views": {"count_matches": True},
     "no-recycling": {"work_recycling": False},
     "walk-cost": {"constraint_ordering": "walk-cost"},
     "deployments": {"parallel_deployments": 2},
@@ -256,6 +273,9 @@ class TestBottomUp:
         )
         assert on.matched_vertices()
         assert_compaction_is_invisible(on, off)
+        if feature == "aux-views":
+            assert on.aux_views_built > 0
+            assert_precise_and_complete(on, brute_force(graph, template, 2))
 
     @pytest.mark.parametrize(
         "make_template, k",
@@ -274,21 +294,20 @@ class TestBottomUp:
         assert_compaction_is_invisible(on, off)
 
     def test_aux_views_nest_on_the_mstar_view(self):
+        # the default rule builds level views; a tiny ratio builds none
         graph, template = planted_case(wdc1_template())
-        on = run_pipeline(
-            graph, template, 2,
-            PipelineOptions(num_ranks=4, aux_views=True, aux_view_ratio=ON),
-        )
-        plain = run_pipeline(
-            graph, template, 2,
-            PipelineOptions(num_ranks=4, aux_view_ratio=OFF),
-        )
+        on = run_pipeline(graph, template, 2, PipelineOptions(num_ranks=4))
+        with view_ratio(OFF):
+            plain = run_pipeline(
+                graph, template, 2, PipelineOptions(num_ranks=4)
+            )
         # level views sit inside the M* view and keep their own counters
-        assert on.aux_views_built == 2
+        assert on.aux_views_built > 0 and on.aux_view_reuse > 0
         assert all(
             size[0] <= on.scope_view[0] for size in on.aux_view_sizes
         )
         assert plain.aux_views_built == plain.aux_view_reuse == 0
+        assert plain.scope_view is None
         assert run_view(on) == run_view(plain)
 
     def test_edge_labels(self):
@@ -400,14 +419,12 @@ class TestBatched:
         }
 
     def assert_batches_agree(self, on, off):
-        # in-process runs compact inside the pipeline and keep the memo:
-        # the scheduler ships no view of its own, with or without aux_views
-        assert not on.scheduler.views_shipped
-        assert not off.scheduler.views_shipped
         assert self.batch_view(on) == self.batch_view(off)
 
-    @pytest.mark.parametrize("aux_views", [False, True])
-    def test_run_batch(self, aux_views):
+    # the views must stay invisible with NLCC work recycling (Obs. 2) on
+    # and off
+    @pytest.mark.parametrize("work_recycling", [False, True])
+    def test_run_batch(self, work_recycling):
         graph, wdc1 = planted_case(wdc1_template())
         queries = [
             BatchQuery(wdc1, 2, name="wdc1-k2"),
@@ -416,7 +433,8 @@ class TestBatched:
         ]
         on, off = both_ways(
             lambda options: run_batch(graph, queries, options),
-            num_ranks=4, count_matches=True, aux_views=aux_views,
+            num_ranks=4, count_matches=True,
+            work_recycling=work_recycling,
         )
         assert on["wdc1-k2"].matched_vertices
         assert on.memo.hits >= 1
@@ -427,7 +445,6 @@ class TestBatched:
         self.assert_batches_agree(on, off)
 
     def test_motif_census(self):
-        # count_motifs(batched=True) turns aux_views on itself
         graph = dusty_graph()
         on, off = both_ways(
             lambda options: count_motifs(graph, 4, options, batched=True),
@@ -501,13 +518,14 @@ class TestAgainstBruteForce:
     )
     def test_bottom_up(self, template, graph, k, feature):
         k = min(k, template.max_meaningful_distance())
-        result = run_pipeline(
-            graph, template, k,
-            PipelineOptions(**{
-                "num_ranks": 2, "aux_view_ratio": ON, "count_matches": True,
-                **BOTTOM_UP_FEATURES[feature],
-            }),
-        )
+        with view_ratio(ON):
+            result = run_pipeline(
+                graph, template, k,
+                PipelineOptions(**{
+                    "num_ranks": 2, "count_matches": True,
+                    **BOTTOM_UP_FEATURES[feature],
+                }),
+            )
         truth = brute_force(graph, template, k)
         assert_precise_and_complete(result, truth)
         vectors = {}
@@ -526,12 +544,11 @@ class TestAgainstBruteForce:
     @given(small_templates(), small_graphs())
     def test_exploratory(self, template, graph):
         k = min(2, template.max_meaningful_distance())
-        result = exploratory_search(
-            graph, template, max_k=k, stop_condition=lambda level: False,
-            options=PipelineOptions(
-                num_ranks=2, aux_view_ratio=ON, count_matches=True
-            ),
-        )
+        with view_ratio(ON):
+            result = exploratory_search(
+                graph, template, max_k=k, stop_condition=lambda level: False,
+                options=PipelineOptions(num_ranks=2, count_matches=True),
+            )
         assert_precise_and_complete(result, brute_force(graph, template, k))
 
     @SLOW
@@ -545,10 +562,8 @@ class TestAgainstBruteForce:
         k = min(k, template.max_meaningful_distance())
         truth = brute_force(graph, template, k)
         for crash in range(generate_prototypes(template, k).max_distance, -1, -1):
-            options = PipelineOptions(
-                num_ranks=2, aux_view_ratio=ON, backend=backend
-            )
-            with tempfile.TemporaryDirectory() as directory:
+            options = PipelineOptions(num_ranks=2, backend=backend)
+            with view_ratio(ON), tempfile.TemporaryDirectory() as directory:
                 with pytest.raises(RuntimeError, match="injected failure"):
                     run_pipeline_with_checkpoints(
                         graph, template, k, directory, options,
@@ -583,10 +598,10 @@ class TestAgainstBruteForce:
 # ----------------------------------------------------------------------
 class TestRunsThatDoNotCompact:
     def reference(self, graph, template, k, **extra):
-        return run_pipeline(
-            graph, template, k,
-            PipelineOptions(num_ranks=4, aux_view_ratio=ON, **extra),
-        )
+        with view_ratio(ON):
+            return run_pipeline(
+                graph, template, k, PipelineOptions(num_ranks=4, **extra)
+            )
 
     @pytest.mark.parametrize(
         "extra",
@@ -641,7 +656,7 @@ class TestRunsThatDoNotCompact:
             assert sum(degrees) == 2 * pruned.num_edges
             for ranks in (1, 3, 4):
                 assert degree_packing(vertices, degrees, ranks) == (
-                    balanced_assignment(pruned, ranks)
+                    degree_packing(*graph_degrees(pruned), ranks)
                 )
 
     def test_reload_ranks_zero_is_no_reload(self):
@@ -659,11 +674,11 @@ class TestRunsThatDoNotCompact:
                 graph, template, max_k=2, options=options
             ),
         ):
-            pooled = run(PipelineOptions(
-                num_ranks=4, aux_view_ratio=ON, count_matches=True,
-                worker_processes=2,
-                backend="array" if array else "reference",
-            ))
+            with view_ratio(ON):
+                pooled = run(PipelineOptions(
+                    num_ranks=4, count_matches=True, worker_processes=2,
+                    backend="array" if array else "reference",
+                ))
             assert pooled.scope_view is None
             for outcome in pooled.outcomes():
                 other = compacted.outcome_for(outcome.proto_id)
@@ -707,7 +722,7 @@ class TestScopeViewIsReported:
 
     def test_default_ratio_leaves_a_mostly_kept_graph_alone(self):
         # unlabeled clique on an unlabeled graph: M* keeps whatever has a
-        # neighbour, far more than aux_view_ratio of G
+        # neighbour, far more than AUX_VIEW_RATIO of G
         graph = gnm_graph(60, 200, num_labels=1, seed=13)
         result = run_pipeline(
             graph, clique_template(3, labels=[0, 0, 0]), 1, PipelineOptions()

@@ -434,11 +434,10 @@ class TestEveryDriverChecksInTheSameOrder:
     def three_drivers(self, checked_keys, ordering):
         _, graph, template, k = CASES["WDC-2"]
         # every scope cut from M* and every level searched, so the three
-        # drivers hand each prototype the same starting scope; no
-        # measured-cost re-sort, which depends on what was searched before
+        # drivers hand each prototype the same starting scope
         knobs = dict(
             constraint_ordering=ordering, use_containment=False,
-            work_recycling=False, adaptive=False,
+            work_recycling=False,
         )
         run_pipeline(graph, template, k, PipelineOptions(**knobs))
         inline = checked_keys()
@@ -488,8 +487,7 @@ class TestEveryDriverChecksInTheSameOrder:
             exploratory_search(
                 graph, template, max_k=k, stop_condition=never,
                 options=PipelineOptions(
-                    constraint_ordering=ordering, work_recycling=False,
-                    adaptive=False,
+                    constraint_ordering=ordering, work_recycling=False
                 ),
             )
             sequences[ordering] = checked_keys()

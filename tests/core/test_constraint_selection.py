@@ -45,6 +45,7 @@ from repro.core import (
     wdc3_template,
     wdc4_template,
 )
+import repro.core.pipeline as pipeline_module
 from repro.core.batch import BatchQuery, run_batch
 from repro.core.constraints import (
     FULL_WALK_KIND,
@@ -67,6 +68,8 @@ from repro.runtime.trace import Tracer
 from test_adaptive import nlcc_shape_workload
 from test_compact_scope import (
     BOTTOM_UP_FEATURES,
+    OFF,
+    ON,
     SLOW,
     brute_force,
     canonical_matches,
@@ -76,6 +79,7 @@ from test_compact_scope import (
     planted_case,
     small_graphs,
     small_templates,
+    view_ratio,
     wide_case,
 )
 
@@ -172,6 +176,12 @@ FEATURES["pooled-pickled"] = {
 }
 
 
+def ratio(feature):
+    """The ``pipeline.AUX_VIEW_RATIO`` a column runs at: "aux-views"
+    builds a level view wherever one is sound, the others keep the rule."""
+    return ON if feature == "aux-views" else pipeline_module.AUX_VIEW_RATIO
+
+
 def decides(feature):
     """Whether the rule has anything to decide under ``feature``."""
     return FEATURES[feature].get("backend") != "reference"
@@ -181,13 +191,14 @@ class TestBottomUp:
     @pytest.mark.parametrize("feature", sorted(FEATURES))
     def test_wdc1(self, monkeypatch, feature):
         graph, template = planted_case(wdc1_template())
-        ruled, complete = with_complete_lists(
-            monkeypatch,
-            lambda: run_pipeline(
-                graph, template, 2,
-                PipelineOptions(num_ranks=4, **FEATURES[feature]),
-            ),
-        )
+        with view_ratio(ratio(feature)):
+            ruled, complete = with_complete_lists(
+                monkeypatch,
+                lambda: run_pipeline(
+                    graph, template, 2,
+                    PipelineOptions(num_ranks=4, **FEATURES[feature]),
+                ),
+            )
         assert ruled.matched_vertices()
         # with the extension the k = 2 trees are searched (no walks) and
         # every level above is derived from their matches
@@ -333,6 +344,7 @@ class TestBatched:
             },
         }
 
+    # views never built (tiny ratio) / built wherever sound (ratio 1.0)
     @pytest.mark.parametrize("aux_views", [False, True])
     def test_run_batch(self, monkeypatch, aux_views):
         graph, wdc1 = planted_case(wdc1_template())
@@ -341,15 +353,14 @@ class TestBatched:
             BatchQuery(wdc1, 1, name="wdc1-k1"),
             BatchQuery(wdc2_template(), 1, name="wdc2-k1"),
         ]
-        ruled, complete = with_complete_lists(
-            monkeypatch,
-            lambda: run_batch(
-                graph, queries,
-                PipelineOptions(
-                    num_ranks=4, count_matches=True, aux_views=aux_views
+        with view_ratio(ON if aux_views else OFF):
+            ruled, complete = with_complete_lists(
+                monkeypatch,
+                lambda: run_batch(
+                    graph, queries,
+                    PipelineOptions(num_ranks=4, count_matches=True),
                 ),
-            ),
-        )
+            )
         assert ruled["wdc1-k2"].matched_vertices
         assert self.batch_answer(ruled) == self.batch_answer(complete)
         assert sum(map(skipped, ruled.class_results.values())) > 0

@@ -36,6 +36,7 @@ from repro.core.arraystate import (
     array_token_walk,
     csr_of,
 )
+import repro.core.pipeline as pipeline_module
 from repro.core.constraints import FULL_WALK_KIND
 from repro.core.kernels import compile_kernel, compile_walk_schedule
 from repro.core.patterns import wdc1_template
@@ -162,16 +163,20 @@ OUTCOME_MESSAGES = [
 
 
 class TestAccountingParity:
+    # "aux-views" patches ``pipeline.AUX_VIEW_RATIO`` to 1.0: a level view
+    # wherever one is sound, not only where the rule finds it worth it
     @pytest.mark.parametrize(
-        "extra, remote, phases, views",
+        "extra, ratio, remote, phases, views",
         [
-            ({}, 2885, PLAIN_PHASES, 0),
-            ({"delegate_degree_threshold": 8}, 2571, DELEGATE_PHASES, 0),
-            ({"aux_views": True, "aux_view_ratio": 1.0}, 2885, PLAIN_PHASES, 2),
+            ({}, None, 2885, PLAIN_PHASES, 1),
+            ({"delegate_degree_threshold": 8}, None, 2571, DELEGATE_PHASES, 1),
+            ({}, 1.0, 2885, PLAIN_PHASES, 2),
         ],
         ids=["plain", "delegates", "aux-views"],
     )
-    def test_wdc1_k2(self, extra, remote, phases, views):
+    def test_wdc1_k2(self, monkeypatch, extra, ratio, remote, phases, views):
+        if ratio is not None:
+            monkeypatch.setattr(pipeline_module, "AUX_VIEW_RATIO", ratio)
         graph, template = wdc1_case()
         result = run_pipeline(
             graph, template, 2, PipelineOptions(num_ranks=4, **extra)

@@ -13,8 +13,12 @@ checkpointed run.
 against the commit before the report was derived from windows.  Wall
 seconds and the process-wide compile-cache counters (whose traffic
 depends on what ran earlier in the process) are left out.  Every value
-it holds is unchanged; the report only gained the keys in :data:`ADDED`
-and the registry counters in :data:`NEW_COUNTERS`.
+it holds is unchanged, except that the batch document lost the keys in
+:data:`REMOVED` (``schema`` 2); the report only gained the keys in
+:data:`ADDED` and the registry counters in :data:`NEW_COUNTERS`.  Every
+case runs with ``pipeline.AUX_VIEW_RATIO`` patched to 1.0, so the
+in-process array runs build the ``M*`` view and a level view wherever one
+is sound.
 
 The other tests hold the report to what each count's producer saw: an
 exploratory level's scheduling against the bottom-up sweep's, a pooled
@@ -26,6 +30,7 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -42,7 +47,9 @@ from repro.core import (
     run_batch,
     run_pipeline,
 )
+import repro.core.pipeline as pipeline_module
 from repro.core.restart import run_pipeline_with_checkpoints
+from repro.core.results import SCHEMA
 from repro.graph.generators import planted_graph
 from repro.runtime.trace import Tracer
 
@@ -53,8 +60,13 @@ K = 2
 BACKENDS = ("array", "reference")
 DRIVERS = ("bottom-up", "exploratory", "batch", "checkpointed")
 
-#: keys the report gained: its layout version
-ADDED = {"schema"}
+#: keys the report gained: its layout version, and in schema 2 each
+#: batch class's messages
+ADDED = {"schema"} | {f"per_class.{i}.messages" for i in range(3)}
+
+#: keys the batch document lost in schema 2, with the pooled batch's own
+#: ``M*`` view (``run_batch`` runs every class through ``run_pipeline``)
+REMOVED = {"aux_views.shipped", "aux_views.view_sizes"}
 
 #: registry counters that are new, because the registry now produces the
 #: counts that were hand-copied onto outcomes, results and spans
@@ -89,10 +101,7 @@ def workload(seed=33):
 
 
 def options(backend, **overrides):
-    base = dict(
-        num_ranks=2, backend=backend, count_matches=True, aux_views=True,
-        aux_view_ratio=1.0,
-    )
+    base = dict(num_ranks=2, backend=backend, count_matches=True)
     base.update(overrides)
     return PipelineOptions(**base)
 
@@ -117,6 +126,11 @@ def batch_queries(template):
 
 def documents(driver, backend, workdir):
     """``{name: stats document}`` of one driver on one backend."""
+    with mock.patch.object(pipeline_module, "AUX_VIEW_RATIO", 1.0):
+        return _documents(driver, backend, workdir)
+
+
+def _documents(driver, backend, workdir):
     graph, template = workload()
     if driver == "bottom-up":
         return {"run": run_pipeline(graph, template, K, options(backend))
@@ -202,11 +216,13 @@ def test_report_matches_parent(pinned, tmp_path, driver, backend):
     new_counters = {f"metrics.counters.{counter}" for counter in NEW_COUNTERS}
     for name, document in found.items():
         now, then = flat(document), flat(expected[name])
+        assert not REMOVED & set(now), name
+        then = {path: v for path, v in then.items() if path not in REMOVED}
         added = set(now) - set(then)
         assert added <= ADDED | new_counters, (name, sorted(added))
         assert {path: now.get(path) for path in then} == then, name
         if "schema" in now:
-            assert now["schema"] == 1
+            assert now["schema"] == SCHEMA == 2
 
 
 #: the counts of a level in the report (its seconds are left out)
@@ -244,7 +260,7 @@ class TestExploratoryLevels:
         def searched(driver, deployments):
             result = run(driver, graph, template, PipelineOptions(
                 num_ranks=4, backend=backend, parallel_deployments=deployments,
-                use_containment=False, work_recycling=False, adaptive=False,
+                use_containment=False, work_recycling=False,
             ))
             return {
                 level.distance: level.search_seconds for level in result.levels

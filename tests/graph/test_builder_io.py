@@ -125,14 +125,6 @@ class TestEdgeLabelRoundTrips:
         write_json(g, path)
         assert read_json(path) == g
 
-    def test_checkpoint_round_trip_with_labels(self, tmp_path):
-        from repro.runtime import load_checkpoint, save_checkpoint
-
-        g = self.make()
-        save_checkpoint(tmp_path / "c.json", g, {0: [1]})
-        restored, _state, _meta = load_checkpoint(tmp_path / "c.json")
-        assert restored == g
-
     def test_malformed_four_column_line(self, tmp_path):
         path = tmp_path / "bad.edges"
         path.write_text("0 1 2 3\n")

@@ -1,4 +1,4 @@
-"""Tests for the always-on metrics registry and its adaptive consumers."""
+"""Tests for the always-on metrics registry."""
 
 import json
 import pickle
@@ -10,12 +10,7 @@ import pytest
 from repro.core import PipelineOptions, run_pipeline
 from repro.core.template import PatternTemplate
 from repro.graph.generators import planted_graph
-from repro.runtime.metrics import (
-    COST_EWMA_ALPHA,
-    COST_RESOLUTION_ROWS,
-    ConstraintCostModel,
-    MetricsRegistry,
-)
+from repro.runtime.metrics import MetricsRegistry
 
 EDGES = [(0, 1), (1, 2), (2, 0), (2, 3)]
 LABELS = [1, 2, 3, 4]
@@ -136,47 +131,12 @@ class TestRegistry:
         assert parent.merge(None) == {}
 
 
-class TestConstraintCostModel:
-    def test_first_sample_taken_verbatim(self):
-        model = ConstraintCostModel()
-        model.observe("k", 1000)
-        assert model.rows("k") == 1000
-
-    def test_ewma_update(self):
-        model = ConstraintCostModel()
-        model.observe("k", 1000)
-        model.observe("k", 2000)
-        expected = (1.0 - COST_EWMA_ALPHA) * 1000 + COST_EWMA_ALPHA * 2000
-        assert model.rows("k") == pytest.approx(expected)
-
-    def test_bucket_zero_for_unseen_and_sub_resolution(self):
-        model = ConstraintCostModel()
-        assert model.bucket("missing") == 0
-        model.observe("fast", COST_RESOLUTION_ROWS // 5)
-        assert model.bucket("fast") == 0
-        model.observe("dict walk", 0)  # the dict walk reports no rows
-        assert model.bucket("dict walk") == 0
-
-    def test_buckets_separate_clearly_different_costs(self):
-        model = ConstraintCostModel()
-        model.observe("cheap", 4 * COST_RESOLUTION_ROWS)
-        model.observe("pricey", 160 * COST_RESOLUTION_ROWS)
-        assert 0 < model.bucket("cheap") < model.bucket("pricey")
-
-    def test_pickles_empty(self):
-        model = ConstraintCostModel()
-        model.observe("k", 1.0)
-        clone = pickle.loads(pickle.dumps(model))
-        assert len(clone) == 0
-        assert len(model) == 1
-
-
 class TestCrossProcessParity:
     def test_pooled_counters_match_sequential_bit_exactly(self):
         graph, template = workload()
         options = dict(
             num_ranks=2, count_matches=True, work_recycling=False,
-            enumeration_optimization=False, adaptive=False,
+            enumeration_optimization=False,
         )
         seq_options = PipelineOptions(**options)
         sequential = run_pipeline(graph, template, 1, seq_options)
@@ -211,13 +171,12 @@ class TestCrossProcessParity:
         graph, template = workload(seed=53)
         sequential = run_pipeline(
             graph, template, 1,
-            PipelineOptions(num_ranks=2, count_matches=True, adaptive=True),
+            PipelineOptions(num_ranks=2, count_matches=True),
         )
         pooled = run_pipeline(
             graph, template, 1,
             PipelineOptions(
-                num_ranks=2, count_matches=True, adaptive=True,
-                worker_processes=2,
+                num_ranks=2, count_matches=True, worker_processes=2
             ),
         )
         assert pooled.match_vectors == sequential.match_vectors

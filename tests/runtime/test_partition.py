@@ -9,11 +9,15 @@ from repro.graph import from_edges
 from repro.graph.generators import webgraph
 from repro.runtime import (
     PartitionedGraph,
-    balanced_assignment,
     block_assignment,
     hash_assignment,
 )
-from repro.runtime.partition import hash_ranks
+from repro.runtime.partition import degree_packing, graph_degrees, hash_ranks
+
+
+def balanced_assignment(graph, num_ranks):
+    """The reshuffle's largest-degree-first packing of ``graph``."""
+    return degree_packing(*graph_degrees(graph), num_ranks)
 
 
 def star_graph(leaves=8):
