@@ -1,23 +1,24 @@
 """CI smoke check for the tracing layer.
 
-Runs a small traced ``repro search`` through the real CLI, asserts the
-exported Chrome trace parses and contains the expected span taxonomy
-(``pipeline`` → ``level`` → ``prototype`` → ``lcc``/``nlcc`` → ``round``),
-then renders the ``repro trace`` report.  The same run also exports the
-always-on metrics snapshot via ``--metrics-out``, which is sanity-checked
-(the fixpoint counters must be populated, the plan's pre-filter decision
-reported) and rendered through ``repro metrics``, and prints its run
-report (``--json``), which the trace must agree with: the schema of
-``repro.core.results.SCHEMA``, the same per-level counts, and the
-``pipeline`` span's messages equal to the report's.  Last, ``repro batch
---json`` runs on the same graph in-process and with ``--workers 2``: both
-documents must carry that schema and the same per-class messages.  Both
-files are left on disk so CI can upload them as build artifacts.
+Runs a small traced ``repro search --trace out.json --json`` through the
+real CLI and loads the one file it writes the way ``repro report`` does.
+The trace must parse, carry the expected span taxonomy (``pipeline`` →
+``level`` → ``prototype`` → ``lcc``/``nlcc`` → ``round``) under a single
+``pipeline`` root as recorded, and carry the run's stats document
+(``otherData["stats"]``) equal to the one ``--json`` printed.  That
+document is sanity-checked (the schema of ``repro.core.results.SCHEMA``,
+populated fixpoint counters, a dense-round fraction, the plan's
+pre-filter decision) and must agree with the spans: each ``level`` span's
+own counters equal the document's per-level counts, and the ``pipeline``
+span's messages equal the document's.  Then ``repro batch --json`` runs
+on the same graph in-process and with ``--workers 2``: both documents
+must carry that schema and the same per-class messages.  Last,
+``repro report`` renders the trace.  The trace is left on disk so CI can
+upload it as a build artifact.
 
 Run from the repo root::
 
-    PYTHONPATH=src python benchmarks/trace_smoke.py \
-        [--out trace.json] [--metrics-out metrics.json]
+    PYTHONPATH=src python benchmarks/trace_smoke.py [--out trace.json]
 """
 
 import argparse
@@ -29,15 +30,20 @@ import tempfile
 from pathlib import Path
 
 from repro.cli import main as cli_main
-from repro.analysis.metricsreport import derived_metrics, load_snapshot
-from repro.analysis.metricsreport import render_report as render_metrics
-from repro.analysis.tracereport import level_breakdown, load_trace, render_report
+from repro.analysis.runreport import derived_metrics, load_report
 from repro.core.results import SCHEMA
 from repro.graph import io as graph_io
 from repro.graph.generators import planted_graph
 
 TEMPLATE_EDGES = [(0, 1), (1, 2), (2, 0), (2, 3)]
 TEMPLATE_LABELS = [1, 2, 3, 4]
+
+#: the registry counter each ``level`` span carries for the report's
+#: per-level ``prototypes``, ``union_*`` and ``post_lcc_*``, in that order
+LEVEL_COUNTERS = (
+    "level.prototypes", "level.union_vertices", "level.union_edges",
+    "search.post_lcc_vertices", "search.post_lcc_edges",
+)
 
 #: spans the exported trace must contain, with the parent each must have
 EXPECTED_NESTING = {
@@ -50,7 +56,7 @@ EXPECTED_NESTING = {
 }
 
 
-def run(out_path: Path, metrics_path: Path) -> int:
+def run(out_path: Path) -> int:
     workdir = Path(tempfile.mkdtemp(prefix="trace_smoke_"))
     graph = planted_graph(
         60, 150, TEMPLATE_EDGES, TEMPLATE_LABELS, copies=3, seed=11
@@ -68,17 +74,18 @@ def run(out_path: Path, metrics_path: Path) -> int:
 
     rc, report = cli_json([
         "search", str(graph_path), "--labels", str(labels_path),
-        str(template_path), "-k", "1", "--trace", str(out_path),
-        "--metrics-out", str(metrics_path), "--json",
+        str(template_path), "-k", "1", "--trace", str(out_path), "--json",
     ])
     if rc != 0:
         print(f"traced search failed with exit code {rc}")
         return 1
 
-    records = load_trace(out_path)
+    document, records = load_report(out_path)
     names = {record["name"] for record in records}
     by_id = {record["span_id"]: record for record in records}
     problems = []
+    if document != report:
+        problems.append("the trace's stats document differs from --json's")
     for name, parent in EXPECTED_NESTING.items():
         if name not in names:
             problems.append(f"no '{name}' span in the trace")
@@ -103,13 +110,13 @@ def run(out_path: Path, metrics_path: Path) -> int:
     ):
         problems.append("no 'round' span carries a positive message counter")
 
-    snapshot = load_snapshot(metrics_path)
-    counters = snapshot["counters"]
+    snapshot = document.get("metrics", {})
+    counters = snapshot.get("counters", {})
     for counter in ("fixpoint.rounds_dense", "engine.rounds_batched"):
         if counters.get(counter, 0) <= 0:
-            problems.append(f"metrics snapshot has no '{counter}' counts")
+            problems.append(f"stats document has no '{counter}' counts")
     if derived_metrics(snapshot)["dense_round_fraction"] is None:
-        problems.append("metrics snapshot derives no dense-round fraction")
+        problems.append("stats document derives no dense-round fraction")
     # which constraints ran is the plan's decision (ConstraintPlan.select):
     # the cyclic k = 0 prototype has pre-filters to decide on
     decided = [
@@ -117,7 +124,7 @@ def run(out_path: Path, metrics_path: Path) -> int:
     ]
     if None in decided or sum(decided) <= 0:
         problems.append(
-            f"metrics snapshot reports no plan decision (skipped, kept = {decided})"
+            f"stats document reports no plan decision (skipped, kept = {decided})"
         )
     if not any(
         record["name"] == "prototype" and "plan_decision" in record["attrs"]
@@ -138,12 +145,9 @@ def run(out_path: Path, metrics_path: Path) -> int:
         return 1
 
     print(f"trace smoke OK: {len(records)} spans, {len(names)} kinds -> "
-          f"{out_path}; metrics snapshot -> {metrics_path}")
+          f"{out_path}")
     print()
-    print(render_report(records))
-    print()
-    print(render_metrics(snapshot))
-    return 0
+    return cli_main(["report", str(out_path)])
 
 
 def cli_json(argv):
@@ -201,7 +205,10 @@ def report_problems(report, records):
     keys = ("distance", "prototypes", "union_vertices", "union_edges",
             "post_lcc_vertices", "post_lcc_edges")
     traced = sorted(
-        tuple(row[key] for key in keys) for row in level_breakdown(records)
+        (record["attrs"].get("distance"),)
+        + tuple(record["counters"].get(counter, 0) for counter in LEVEL_COUNTERS)
+        for record in records
+        if record["name"] == "level"
     )
     reported = sorted(
         tuple(level[key] for key in keys) for level in report["levels"]
@@ -229,12 +236,8 @@ def main(argv) -> int:
         "--out", type=Path, default=Path("trace.json"),
         help="where to leave the exported trace (default: ./trace.json)",
     )
-    parser.add_argument(
-        "--metrics-out", type=Path, default=Path("metrics.json"),
-        help="where to leave the metrics snapshot (default: ./metrics.json)",
-    )
     args = parser.parse_args(argv)
-    return run(args.out, args.metrics_out)
+    return run(args.out)
 
 
 if __name__ == "__main__":

@@ -18,10 +18,12 @@ from .report import (
     series,
     speedup,
 )
-from .tracereport import (
+from .runreport import (
+    RunReport,
     constraint_breakdown,
-    level_breakdown,
-    load_trace,
+    derived_metrics,
+    level_table,
+    load_report,
     phase_breakdown,
     render_report,
     span_tree_lines,
@@ -30,19 +32,21 @@ from .tracereport import (
 __all__ = [
     "AuditReport",
     "PrototypeAudit",
+    "RunReport",
     "audit_match_vectors",
     "audit_result",
     "bar_chart",
     "constraint_breakdown",
     "dataset_row",
     "datasets_table",
+    "derived_metrics",
     "dynamic_state_bytes",
     "format_bytes",
     "format_count",
     "format_seconds",
     "format_table",
-    "level_breakdown",
-    "load_trace",
+    "level_table",
+    "load_report",
     "memory_breakdown",
     "phase_breakdown",
     "relative_breakdown",

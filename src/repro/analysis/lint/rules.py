@@ -29,8 +29,8 @@ Each rule is motivated by a bug class this codebase has actually hit
 * **R8** ``metric-accumulation`` — hot-module cache/metric counting via
   ad-hoc ``stats["hits"] += 1`` dicts (or bare attribute counters) never
   reaches the always-on :class:`MetricsRegistry`, so the numbers are
-  invisible to ``repro metrics``, cross-process merging and the run
-  report; updates must go through registry counter handles.
+  invisible to cross-process merging and the run report
+  (``repro report``); updates must go through registry counter handles.
 
 All rules are pure AST passes — no imports of the checked code, so the
 linter runs on any snapshot of the tree, broken or not.
@@ -768,10 +768,10 @@ class MetricAccumulationRule(Rule):
     kept) or a bare ``self.misses += 1`` attribute counter lives and
     dies in its own module: it never reaches the always-on
     :class:`~repro.runtime.metrics.MetricsRegistry`, so the count is
-    invisible to ``repro metrics``, is dropped on the floor by the
-    pooled workers' export/merge path, and never reaches the run
-    report.  Hot modules accumulate through a resolved
-    ``metrics.counter(...)``/``histogram(...)`` handle instead.
+    dropped on the floor by the pooled workers' export/merge path and
+    never reaches the run report (``repro report``).  Hot modules
+    accumulate through a resolved ``metrics.counter(...)`` /
+    ``histogram(...)`` handle instead.
     """
 
     id = "R8"

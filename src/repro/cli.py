@@ -4,17 +4,12 @@ Gives downstream users file-based access to the pipeline without writing
 Python:
 
 * ``search``      — approximate matching on an edge-list graph with a JSON
-  template, emitting per-vertex match vectors; ``--json`` dumps the full
-  run statistics, ``--trace PATH`` records a span trace;
+  template, emitting per-vertex match vectors;
 * ``explore``     — top-down exploratory search: relax the template until
   the first matches appear (§5.5's WDC-4 scenario);
-* ``trace``       — render the per-phase / per-constraint / per-level
-  breakdown of a trace written by ``search --trace`` or
-  ``explore --trace``;
-* ``metrics``     — render the always-on metrics snapshot written by
-  ``--metrics-out`` (or embedded in ``--json`` output): derived cache
-  hit ratios, dense-round fraction, pool utilization, raw instrument
-  tables; exports JSON or Prometheus text;
+* ``report``      — render a run's stats document (per-level sizes,
+  messages, derived ratios, counter / gauge / histogram tables) and, from
+  a trace, its span tree and per-phase / per-constraint breakdowns;
 * ``audit``       — run a search and verify its 100% precision/recall
   against brute force (small graphs);
 * ``lint``        — project-specific AST invariant checks (optional-int
@@ -33,6 +28,11 @@ Python:
   ``--batched`` routes it through the batch executor;
 * ``generate``    — write one of the synthetic datasets to disk;
 * ``datasets``    — print the Table 1-style summary of the built-in datasets.
+
+Every run command (``search``, ``explore``, ``batch``) writes the same two
+artefacts: ``--json`` prints the run's stats document, ``--trace PATH``
+writes a Chrome trace (Perfetto) carrying that document under
+``otherData["stats"]``.  ``repro report`` reads either.
 
 Template JSON format::
 
@@ -54,6 +54,7 @@ from typing import Optional, Sequence
 from .analysis.audit import audit_result
 from .analysis.datasets import datasets_table, standard_datasets
 from .analysis.report import format_seconds, format_table
+from .analysis.runreport import level_table, load_report, render_report
 from .core import (
     PatternTemplate,
     PipelineOptions,
@@ -72,23 +73,12 @@ def _make_tracer(args: argparse.Namespace):
     return Tracer() if getattr(args, "trace", None) else NULL_TRACER
 
 
-def _write_trace(tracer, path: str) -> None:
-    """Export by extension: ``.jsonl`` → flat records, else Chrome JSON."""
-    if path.endswith(".jsonl"):
-        tracer.write_jsonl(path)
-    else:
-        tracer.write_chrome_trace(path)
-    # stderr so `--json` stdout stays machine-parseable
-    print(f"trace written to {path}", file=sys.stderr)
-
-
-def _write_metrics(result, path: str) -> None:
-    """Export the run's metrics snapshot (``.prom`` → Prometheus text)."""
-    from .analysis.metricsreport import write_snapshot
-
-    snapshot = result.metrics.snapshot() if result.metrics is not None else {}
-    write_snapshot(path, snapshot)
-    print(f"metrics snapshot written to {path}", file=sys.stderr)
+def _write_trace(args: argparse.Namespace, tracer, document) -> None:
+    """``--trace``: the Chrome trace, with the run's stats document."""
+    if args.trace:
+        tracer.write_chrome_trace(args.trace, stats=document)
+        # stderr so `--json` stdout stays machine-parseable
+        print(f"trace written to {args.trace}", file=sys.stderr)
 
 
 def load_template(path: str) -> PatternTemplate:
@@ -114,11 +104,15 @@ def _add_common_graph_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_metrics_argument(parser: argparse.ArgumentParser) -> None:
+def _add_artefact_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--metrics-out",
-        help="write the run's always-on metrics snapshot "
-             "(.prom = Prometheus text, else JSON with derived ratios)",
+        "--json", action="store_true",
+        help="print the run's stats document as JSON instead of tables",
+    )
+    parser.add_argument(
+        "--trace",
+        help="record a span trace: Chrome trace-event JSON for Perfetto, "
+             "carrying the stats document (render with `repro report`)",
     )
 
 
@@ -140,13 +134,10 @@ def command_search(args: argparse.Namespace) -> int:
         worker_processes=args.workers,
     )
     result = run_pipeline(graph, template, args.k, options)
-    if args.trace:
-        _write_trace(tracer, args.trace)
-    if args.metrics_out:
-        _write_metrics(result, args.metrics_out)
-
+    document = result.stats_document()
+    _write_trace(args, tracer, document)
     if args.json:
-        print(json.dumps(result.stats_document(), indent=1))
+        print(json.dumps(document, indent=1))
         return 0
 
     print(f"prototypes: {len(result.prototype_set)} "
@@ -155,10 +146,7 @@ def command_search(args: argparse.Namespace) -> int:
           f"labels: {result.total_labels_generated()}")
     if args.count:
         print(f"match mappings: {result.total_match_mappings()}")
-    for level in result.levels:
-        print(f"  k={level.distance}: {level.num_prototypes} prototypes, "
-              f"post-LCC {level.post_lcc_vertices}v/{level.post_lcc_edges}e, "
-              f"union {level.union_vertices}v/{level.union_edges}e")
+    print(level_table(document["levels"]))
     if result.nlcc_cache_stats:
         cache = result.nlcc_cache_stats
         print(f"nlcc cache: {cache['hits']} hits, {cache['misses']} misses, "
@@ -167,7 +155,7 @@ def command_search(args: argparse.Namespace) -> int:
     print(f"simulated time: {format_seconds(result.total_simulated_seconds)}")
 
     if args.output:
-        document = {
+        vectors = {
             "template": template.name,
             "k": result.k,
             "prototypes": {
@@ -179,7 +167,7 @@ def command_search(args: argparse.Namespace) -> int:
             },
         }
         with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=1)
+            json.dump(vectors, handle, indent=1)
         print(f"match vectors written to {args.output}")
     return 0
 
@@ -195,16 +183,13 @@ def command_explore(args: argparse.Namespace) -> int:
             worker_processes=args.workers,
         ),
     )
-    if args.trace:
-        _write_trace(tracer, args.trace)
-    if args.metrics_out:
-        _write_metrics(result, args.metrics_out)
+    document = result.stats_document()
+    _write_trace(args, tracer, document)
+    if args.json:
+        print(json.dumps(document, indent=1))
+        return 0
     stop = stopping_distance(result)
-    rows = [
-        [level.distance, level.num_prototypes, level.union_vertices]
-        for level in result.levels
-    ]
-    print(format_table(["k", "prototypes", "matched vertices"], rows))
+    print(level_table(document["levels"]))
     if stop is None:
         searched = result.levels[-1].distance if result.levels else 0
         print(f"no matches within k<={searched}")
@@ -213,41 +198,13 @@ def command_explore(args: argparse.Namespace) -> int:
     return 0
 
 
-def command_trace(args: argparse.Namespace) -> int:
-    from .analysis.tracereport import load_trace, render_report
-
+def command_report(args: argparse.Namespace) -> int:
     try:
-        records = load_trace(args.trace_file)
-    except (ValueError, json.JSONDecodeError) as error:
-        print(f"error: cannot parse trace {args.trace_file}: {error}",
-              file=sys.stderr)
+        report = load_report(args.file)
+    except ValueError as error:  # json.JSONDecodeError is a ValueError
+        print(f"error: cannot parse {args.file}: {error}", file=sys.stderr)
         return 2
-    print(render_report(records, tree_depth=args.depth))
-    return 0
-
-
-def command_metrics(args: argparse.Namespace) -> int:
-    from .analysis.metricsreport import (
-        load_snapshot,
-        render_report,
-        to_json,
-        write_snapshot,
-    )
-
-    try:
-        snapshot = load_snapshot(args.metrics_file)
-    except (ValueError, json.JSONDecodeError) as error:
-        print(f"error: cannot parse metrics {args.metrics_file}: {error}",
-              file=sys.stderr)
-        return 2
-    if args.out:
-        write_snapshot(args.out, snapshot)
-        print(f"metrics snapshot written to {args.out}", file=sys.stderr)
-        return 0
-    if args.json:
-        print(json.dumps(to_json(snapshot), indent=1))
-        return 0
-    print(render_report(snapshot))
+    print(render_report(report, tree_depth=args.depth))
     return 0
 
 
@@ -289,11 +246,10 @@ def command_batch(args: argparse.Namespace) -> int:
         template = load_template(path)
         queries.append(BatchQuery(template, args.k, name=f"q{index}:{template.name}"))
     batch = run_batch(graph, queries, options)
-    if args.trace:
-        _write_trace(tracer, args.trace)
-
+    document = batch.stats_document()
+    _write_trace(args, tracer, document)
     if args.json:
-        print(json.dumps(batch.stats_document(), indent=1))
+        print(json.dumps(document, indent=1))
         return 0
 
     rows = [
@@ -306,7 +262,6 @@ def command_batch(args: argparse.Namespace) -> int:
     print(format_table(
         ["query", "class", "absorbed", "matched vertices", "mappings"], rows
     ))
-    document = batch.stats_document()
     aux = document["aux_views"]
     print(f"classes: {document['classes']} over {document['queries']} queries; "
           f"root runs: {document['root_runs']}")
@@ -396,16 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("-k", type=int, default=1, help="edit distance")
     search.add_argument("--count", action="store_true", help="count matches")
     search.add_argument("--output", help="write match vectors as JSON")
-    search.add_argument(
-        "--json", action="store_true",
-        help="print the full run statistics as JSON instead of tables",
-    )
-    search.add_argument(
-        "--trace",
-        help="record a span trace (.jsonl = flat records, else Chrome "
-             "trace-event JSON for Perfetto)",
-    )
-    _add_metrics_argument(search)
+    _add_artefact_arguments(search)
     search.set_defaults(func=command_search)
 
     explore = commands.add_parser(
@@ -416,40 +362,17 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("template", help="template JSON file")
     explore.add_argument("--max-k", type=int, default=None,
                          help="relaxation bound (default: until disconnect)")
-    explore.add_argument(
-        "--trace",
-        help="record a span trace (.jsonl = flat records, else Chrome "
-             "trace-event JSON for Perfetto)",
-    )
-    _add_metrics_argument(explore)
+    _add_artefact_arguments(explore)
     explore.set_defaults(func=command_explore)
 
-    trace = commands.add_parser(
-        "trace", help="render the breakdown report of an exported trace"
+    report = commands.add_parser(
+        "report",
+        help="render a run's stats document (--json) or trace (--trace)",
     )
-    trace.add_argument("trace_file", help="trace written by --trace")
-    trace.add_argument("--depth", type=int, default=3,
-                       help="span-tree display depth (default 3)")
-    trace.set_defaults(func=command_trace)
-
-    metrics = commands.add_parser(
-        "metrics",
-        help="render a metrics snapshot written by --metrics-out "
-             "(or embedded in --json output)",
-    )
-    metrics.add_argument(
-        "metrics_file",
-        help="metrics snapshot JSON (bare, or a --json stats document)",
-    )
-    metrics.add_argument(
-        "--json", action="store_true",
-        help="print the snapshot plus derived ratios as JSON",
-    )
-    metrics.add_argument(
-        "--out",
-        help="re-export to a file (.prom = Prometheus text, else JSON)",
-    )
-    metrics.set_defaults(func=command_metrics)
+    report.add_argument("file", help="a --json stats document or --trace file")
+    report.add_argument("--depth", type=int, default=3,
+                        help="span-tree display depth (default 3)")
+    report.set_defaults(func=command_report)
 
     audit = commands.add_parser(
         "audit", help="verify precision/recall against brute force"
@@ -489,16 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("-k", type=int, default=0,
                        help="edit distance for every query (default 0)")
     batch.add_argument("--count", action="store_true", help="count matches")
-    batch.add_argument(
-        "--json", action="store_true",
-        help="print the batch stats document (per-class reuse counters) "
-             "as JSON",
-    )
-    batch.add_argument(
-        "--trace",
-        help="record a span trace (.jsonl = flat records, else Chrome "
-             "trace-event JSON for Perfetto)",
-    )
+    _add_artefact_arguments(batch)
     batch.set_defaults(func=command_batch)
 
     motifs = commands.add_parser("motifs", help="motif census")

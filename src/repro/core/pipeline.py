@@ -140,7 +140,7 @@ class PipelineOptions:
     tracer: object = NULL_TRACER
     #: always-on metrics registry threaded into every engine of the run
     #: and merged with pooled workers' exported registries; snapshot
-    #: surfaces as ``stats_document["metrics"]`` and ``repro metrics``
+    #: surfaces as ``stats_document["metrics"]``, rendered by ``repro report``
     metrics: object = field(default_factory=MetricsRegistry)
 
     def __post_init__(self) -> None:

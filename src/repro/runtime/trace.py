@@ -23,15 +23,15 @@ Design rules:
   processes build their own tracer and ship closed spans home as plain
   payload dicts (:meth:`Span.to_payload`), which the parent grafts under
   its current span with :meth:`Tracer.attach`.
-* **Two export formats.**  :meth:`Tracer.write_chrome_trace` emits Chrome
-  trace-event JSON (loadable in ``chrome://tracing`` / Perfetto);
-  :meth:`Tracer.write_jsonl` emits one flat JSON record per closed span.
-  Both embed ``span_id``/``parent_id`` so
-  :mod:`repro.analysis.tracereport` reconstructs the exact tree.
+* **One export format.**  :meth:`Tracer.write_chrome_trace` emits Chrome
+  trace-event JSON (loadable in ``chrome://tracing`` / Perfetto), with
+  the run's stats document under ``otherData["stats"]``.  Each event
+  embeds ``span_id``/``parent_id``, so :mod:`repro.analysis.runreport`
+  reconstructs the exact tree.
 
 Timestamps are raw ``time.perf_counter`` values (CLOCK_MONOTONIC — shared
 by forked worker processes, so merged spans stay on one timebase); the
-exporters rebase them to the earliest span start.
+exporter rebases them to the earliest span start.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import (
 
 from .metrics import MetricsRegistry
 
-#: anything ``open()`` accepts for the exporter paths
+#: anything ``open()`` accepts for the exporter path
 PathLike = Union[str, "os.PathLike[str]"]
 
 __all__ = ["NULL_TRACER", "NullTracer", "Span", "Tracer"]
@@ -392,12 +392,16 @@ class Tracer:
             emit(root, None, 0)
         return records
 
-    def to_chrome_trace(self) -> Dict[str, object]:
+    def to_chrome_trace(
+        self, stats: Optional[Dict[str, object]] = None
+    ) -> Dict[str, object]:
         """Chrome trace-event JSON document (``chrome://tracing``/Perfetto).
 
         One complete (``ph: "X"``) event per span; worker-grafted spans
         get their own ``tid`` (from the ``worker`` attr) so per-worker
-        timelines render as separate tracks.
+        timelines render as separate tracks.  ``stats``, the run's stats
+        document, goes under ``otherData["stats"]``, which trace viewers
+        ignore.
         """
         events: List[Dict[str, object]] = []
         for record in self._flat_records():
@@ -417,21 +421,22 @@ class Tracer:
                     "counters": record["counters"],
                 },
             })
+        other: Dict[str, object] = {"producer": "repro tracer"}
+        if stats is not None:
+            other["stats"] = stats
         return {
             "traceEvents": events,
             "displayTimeUnit": "ms",
-            "otherData": {"producer": "repro tracer"},
+            "otherData": other,
         }
 
-    def write_chrome_trace(self, path: PathLike) -> None:
+    def write_chrome_trace(
+        self, path: PathLike, stats: Optional[Dict[str, object]] = None
+    ) -> None:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_chrome_trace(), handle, indent=1, default=str)
-
-    def write_jsonl(self, path: PathLike) -> None:
-        """One flat JSON record per span, preorder (grep/pandas friendly)."""
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in self._flat_records():
-                handle.write(json.dumps(record, default=str) + "\n")
+            json.dump(
+                self.to_chrome_trace(stats), handle, indent=1, default=str
+            )
 
     def __repr__(self) -> str:
         spans = sum(1 for _ in self.walk())

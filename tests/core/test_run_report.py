@@ -34,11 +34,7 @@ from unittest import mock
 
 import pytest
 
-from repro.analysis.tracereport import (
-    constraint_breakdown,
-    level_breakdown,
-    load_trace,
-)
+from repro.analysis.runreport import constraint_breakdown, load_report
 from repro.core import (
     BatchQuery,
     PatternTemplate,
@@ -305,18 +301,34 @@ def test_trace_tells_what_the_report_tells(tmp_path, backend, workers):
     assert pipeline.total("messages") == messages["total_messages"]
     assert pipeline.total("remote_messages") == messages["remote_messages"]
 
-    path = tmp_path / "trace.json"
-    tracer.write_chrome_trace(path)
-    records = load_trace(path)
-    levels = {
-        row["distance"]: row for row in level_breakdown(records)
+    # one tree as recorded: a pooled level grafts its workers' spans
+    # under the open `level` span, so nothing is left to re-parent
+    flat = tracer._flat_records()
+    by_id = {record["span_id"]: record for record in flat}
+    assert [r["name"] for r in flat if r["parent_id"] is None] == ["pipeline"]
+    grafted = [r for r in flat if "worker" in r["attrs"]]
+    assert bool(grafted) == (workers > 1)
+    assert all(by_id[r["parent_id"]]["name"] == "level" for r in grafted)
+
+    spans = {
+        span.attrs["distance"]: span.counters for span in tracer.find("level")
     }
     for level in document["levels"]:
-        row = levels[level["distance"]]
-        for key in ("prototypes", "union_vertices", "union_edges",
-                    "post_lcc_vertices", "post_lcc_edges"):
-            assert row[key] == level[key], key
-    rows = constraint_breakdown(records)
+        counters = spans[level["distance"]]
+        for key, counter in (
+            ("prototypes", "level.prototypes"),
+            ("union_vertices", "level.union_vertices"),
+            ("union_edges", "level.union_edges"),
+            ("post_lcc_vertices", "search.post_lcc_vertices"),
+            ("post_lcc_edges", "search.post_lcc_edges"),
+        ):
+            assert counters.get(counter, 0) == level[key], key
+
+    path = tmp_path / "trace.json"
+    tracer.write_chrome_trace(path, stats=document)
+    report = load_report(path)
+    assert report.document == json.loads(json.dumps(document))
+    rows = constraint_breakdown(report.spans)
     nlcc = document["nlcc"]
     for column, key in (
         ("tokens_launched", "tokens_launched"),

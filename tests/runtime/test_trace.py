@@ -197,7 +197,7 @@ class TestExporters:
         return tracer
 
     def test_chrome_trace_round_trip(self, tmp_path):
-        from repro.analysis.tracereport import load_trace
+        from repro.analysis.runreport import load_report
 
         tracer = self._traced_run()
         path = tmp_path / "trace.json"
@@ -206,7 +206,7 @@ class TestExporters:
         assert "traceEvents" in document
         assert all(e["ph"] == "X" for e in document["traceEvents"])
 
-        records = load_trace(path)
+        records = load_report(path).spans
         original = tracer._flat_records()
         assert len(records) == len(original)
         for got, want in zip(records, original):
@@ -216,17 +216,6 @@ class TestExporters:
             assert got["depth"] == want["depth"]
             assert got["counters"] == want["counters"]
             assert got["dur"] == pytest.approx(want["dur"], abs=1e-5)
-
-    def test_jsonl_round_trip(self, tmp_path):
-        from repro.analysis.tracereport import load_trace
-
-        tracer = self._traced_run()
-        path = tmp_path / "trace.jsonl"
-        tracer.write_jsonl(path)
-        records = load_trace(path)
-        original = tracer._flat_records()
-        assert len(records) == len(original)
-        assert [r["name"] for r in records] == [r["name"] for r in original]
 
     def test_span_taxonomy(self):
         tracer = self._traced_run()

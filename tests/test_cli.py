@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.analysis.runreport import load_report
 from repro.cli import build_parser, load_template, main
 from repro.graph import io as graph_io
 from repro.graph.generators import planted_graph
@@ -86,8 +87,6 @@ class TestSearchCommand:
     def test_trace_flag_writes_parseable_trace(
         self, graph_files, tmp_path, capsys
     ):
-        from repro.analysis.tracereport import load_trace
-
         graph_path, labels_path, template_path = graph_files
         trace_path = tmp_path / "run.json"
         code = main([
@@ -98,49 +97,81 @@ class TestSearchCommand:
         assert code == 0
         captured = capsys.readouterr()
         # the trace notice goes to stderr so --json stdout stays parseable
-        json.loads(captured.out)
+        document = json.loads(captured.out)
         assert str(trace_path) in captured.err
-        records = load_trace(trace_path)
-        names = {r["name"] for r in records}
+        report = load_report(trace_path)
+        assert report.document == document
+        names = {r["name"] for r in report.spans}
         assert {"pipeline", "level", "prototype", "lcc"} <= names
 
-
-class TestTraceCommand:
-    def _traced_search(self, graph_files, trace_path):
+    def test_search_json_embeds_metrics(self, graph_files, capsys):
         graph_path, labels_path, template_path = graph_files
         code = main([
             "search", str(graph_path), str(template_path),
-            "--labels", str(labels_path), "-k", "1", "--ranks", "2",
-            "--trace", str(trace_path),
+            "--labels", str(labels_path), "--ranks", "2", "--json",
         ])
         assert code == 0
+        document = json.loads(capsys.readouterr().out)
+        assert "metrics" in document
+        assert document["metrics"]["counters"]["fixpoint.rounds_dense"] >= 1
 
-    def test_trace_report(self, graph_files, tmp_path, capsys):
-        trace_path = tmp_path / "run.json"
-        self._traced_search(graph_files, trace_path)
+
+class TestReportCommand:
+    #: sections every search artefact renders, from its stats document
+    STATS = ("== per-level breakdown ==", "== messages ==", "== derived ==",
+             "== counters ==")
+    #: sections only a trace renders, from its spans
+    SPANS = ("== span tree", "== per-phase breakdown ==")
+
+    def _search(self, graph_files, tmp_path, capsys, flag):
+        graph_path, labels_path, template_path = graph_files
+        path = tmp_path / "run.json"
+        argv = [
+            "search", str(graph_path), str(template_path),
+            "--labels", str(labels_path), "-k", "1", "--ranks", "2",
+        ]
+        if flag == "--trace":
+            assert main(argv + ["--trace", str(path)]) == 0
+        else:
+            assert main(argv + ["--json"]) == 0
+            path.write_text(capsys.readouterr().out)
         capsys.readouterr()
-        code = main(["trace", str(trace_path)])
+        return path
+
+    def test_report_renders_trace(self, graph_files, tmp_path, capsys):
+        path = self._search(graph_files, tmp_path, capsys, "--trace")
+        code = main(["report", str(path), "--depth", "2"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "== span tree" in out
-        assert "== per-phase breakdown ==" in out
-        assert "== per-level breakdown ==" in out
-        assert "pipeline" in out
+        for section in self.STATS + self.SPANS:
+            assert section in out
+        assert "pipeline [" in out
 
-    def test_trace_report_jsonl(self, graph_files, tmp_path, capsys):
-        trace_path = tmp_path / "run.jsonl"
-        self._traced_search(graph_files, trace_path)
-        capsys.readouterr()
-        code = main(["trace", str(trace_path), "--depth", "2"])
+    def test_report_renders_stats_document(
+        self, graph_files, tmp_path, capsys
+    ):
+        path = self._search(graph_files, tmp_path, capsys, "--json")
+        code = main(["report", str(path)])
         assert code == 0
-        assert "== per-phase breakdown ==" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        for section in self.STATS:
+            assert section in out
+        assert "fixpoint.rounds_dense" in out
+        assert "== span tree" not in out
 
-    def test_trace_rejects_garbage(self, tmp_path, capsys):
+    @pytest.mark.parametrize("content", [
+        "{not json",
+        "[1, 2]",
+        '"x"',
+        '{"not": "a trace"}',
+        '{"schema": 2, "metrics": {"counters": {"a": "x"}}}',
+    ], ids=["not-json", "array", "string", "neither", "text-counter"])
+    def test_report_rejects_malformed_input(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.json"
-        bad.write_text("{\"not\": \"a trace\"}")
-        code = main(["trace", str(bad)])
+        bad.write_text(content)
+        code = main(["report", str(bad)])
         assert code == 2
-        assert "error" in capsys.readouterr().err
+        assert f"error: cannot parse {bad}" in capsys.readouterr().err
 
 
 class TestMotifsCommand:
@@ -208,18 +239,19 @@ class TestExploreCommand:
         assert "no matches" in capsys.readouterr().out
 
     def test_explore_trace(self, graph_files, tmp_path, capsys):
-        from repro.analysis.tracereport import load_trace
-
         graph_path, labels_path, template_path = graph_files
         trace_path = tmp_path / "explore.json"
         code = main([
             "explore", str(graph_path), str(template_path),
             "--labels", str(labels_path), "--ranks", "2",
-            "--trace", str(trace_path),
+            "--trace", str(trace_path), "--json",
         ])
         assert code == 0
-        records = load_trace(trace_path)
-        root = next(r for r in records if r["parent_id"] is None)
+        document = json.loads(capsys.readouterr().out)
+        assert document["levels"]
+        report = load_report(trace_path)
+        assert report.document == document
+        root = next(r for r in report.spans if r["parent_id"] is None)
         assert root["name"] == "pipeline"
         assert root["attrs"]["mode"] == "exploratory"
 
@@ -286,65 +318,6 @@ class TestAuditCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "overall exact: True" in out
-
-
-class TestMetricsCommand:
-    def _write_snapshot(self, graph_files, tmp_path, capsys):
-        graph_path, labels_path, template_path = graph_files
-        metrics_path = tmp_path / "metrics.json"
-        code = main([
-            "search", str(graph_path), str(template_path),
-            "--labels", str(labels_path), "-k", "1", "--ranks", "2",
-            "--metrics-out", str(metrics_path),
-        ])
-        assert code == 0
-        captured = capsys.readouterr()
-        assert f"metrics snapshot written to {metrics_path}" in captured.err
-        return metrics_path
-
-    def test_metrics_out_then_report(self, graph_files, tmp_path, capsys):
-        metrics_path = self._write_snapshot(graph_files, tmp_path, capsys)
-        code = main(["metrics", str(metrics_path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "== derived ==" in out
-        assert "== counters ==" in out
-        assert "fixpoint.rounds_dense" in out
-
-    def test_metrics_json_includes_derived_block(
-        self, graph_files, tmp_path, capsys
-    ):
-        metrics_path = self._write_snapshot(graph_files, tmp_path, capsys)
-        code = main(["metrics", str(metrics_path), "--json"])
-        assert code == 0
-        document = json.loads(capsys.readouterr().out)
-        assert "derived" in document
-        assert document["counters"]["fixpoint.rounds_dense"] >= 1
-
-    def test_metrics_out_prom_conversion(self, graph_files, tmp_path, capsys):
-        metrics_path = self._write_snapshot(graph_files, tmp_path, capsys)
-        prom_path = tmp_path / "metrics.prom"
-        code = main(["metrics", str(metrics_path), "--out", str(prom_path)])
-        assert code == 0
-        assert "# TYPE repro_fixpoint_rounds_dense counter" in prom_path.read_text()
-
-    def test_search_json_embeds_metrics(self, graph_files, capsys):
-        graph_path, labels_path, template_path = graph_files
-        code = main([
-            "search", str(graph_path), str(template_path),
-            "--labels", str(labels_path), "--ranks", "2", "--json",
-        ])
-        assert code == 0
-        document = json.loads(capsys.readouterr().out)
-        assert "metrics" in document
-        assert document["metrics"]["counters"]["fixpoint.rounds_dense"] >= 1
-
-    def test_metrics_rejects_garbage(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code = main(["metrics", str(bad)])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
 
 
 class TestBatchScheduleOutput:
