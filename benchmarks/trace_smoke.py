@@ -12,8 +12,12 @@ pre-filter decision) and must agree with the spans: each ``level`` span's
 own counters equal the document's per-level counts, and the ``pipeline``
 span's messages equal the document's.  Then ``repro batch --json`` runs
 on the same graph in-process and with ``--workers 2``: both documents
-must carry that schema and the same per-class messages.  Last,
-``repro report`` renders the trace.  The trace is left on disk so CI can
+must carry that schema and the same per-class messages.  A second
+traced search runs on a graph where under 60 % of the vertices carry a
+template label, so ``M*`` runs on the label view: its document's
+``scope_view`` must be set and no larger than the label-eligible count
+of the label file, equal ``--json``'s, and render.  Last, ``repro
+report`` renders the first trace.  The trace is left on disk so CI can
 upload it as a build artifact.
 
 Run from the repo root::
@@ -38,6 +42,10 @@ from repro.graph.generators import planted_graph
 TEMPLATE_EDGES = [(0, 1), (1, 2), (2, 0), (2, 3)]
 TEMPLATE_LABELS = [1, 2, 3, 4]
 
+#: background labels of the sparse-label graph: 40 % of its vertices
+#: carry a template label (the first graph's default gives 86 %)
+SPARSE_NUM_LABELS = 12
+
 #: the registry counter each ``level`` span carries for the report's
 #: per-level ``prototypes``, ``union_*`` and ``post_lcc_*``, in that order
 LEVEL_COUNTERS = (
@@ -56,16 +64,22 @@ EXPECTED_NESTING = {
 }
 
 
-def run(out_path: Path) -> int:
-    workdir = Path(tempfile.mkdtemp(prefix="trace_smoke_"))
+def write_graph(workdir: Path, stem: str, **planted):
+    """A planted copy of the template as ``stem.edges`` + ``stem.labels``."""
     graph = planted_graph(
-        60, 150, TEMPLATE_EDGES, TEMPLATE_LABELS, copies=3, seed=11
+        60, 150, TEMPLATE_EDGES, TEMPLATE_LABELS, copies=3, seed=11, **planted
     )
-    graph_path = workdir / "graph.edges"
-    labels_path = workdir / "graph.labels"
-    template_path = workdir / "template.json"
+    graph_path = workdir / f"{stem}.edges"
+    labels_path = workdir / f"{stem}.labels"
     graph_io.write_edge_list(graph, graph_path)
     graph_io.write_labels(graph, labels_path)
+    return graph_path, labels_path
+
+
+def run(out_path: Path) -> int:
+    workdir = Path(tempfile.mkdtemp(prefix="trace_smoke_"))
+    graph_path, labels_path = write_graph(workdir, "graph")
+    template_path = workdir / "template.json"
     template_path.write_text(json.dumps({
         "edges": [list(edge) for edge in TEMPLATE_EDGES],
         "labels": {str(i): l for i, l in enumerate(TEMPLATE_LABELS)},
@@ -137,6 +151,7 @@ def run(out_path: Path) -> int:
         "batch", str(graph_path), "--labels", str(labels_path),
         str(template_path), "-k", "1", "--json",
     ]))
+    problems.extend(label_view_problems(workdir, template_path))
 
     if problems:
         print("trace smoke FAILED:")
@@ -156,6 +171,44 @@ def cli_json(argv):
     with contextlib.redirect_stdout(stdout):
         rc = cli_main(argv)
     return rc, json.loads(stdout.getvalue()) if rc == 0 else None
+
+
+def label_view_problems(workdir: Path, template_path: Path):
+    """Where a traced search on the sparse-label graph does not report
+    the label view ``M*`` ran on."""
+    graph_path, labels_path = write_graph(
+        workdir, "sparse", num_labels=SPARSE_NUM_LABELS
+    )
+    labels = graph_io.read_label_file(labels_path)
+    eligible = sum(label in TEMPLATE_LABELS for label in labels.values())
+    if eligible >= 0.6 * len(labels):
+        return [f"the sparse-label graph has {eligible} of {len(labels)} "
+                f"vertices label-eligible"]
+    trace_path = workdir / "sparse_trace.json"
+    rc, report = cli_json([
+        "search", str(graph_path), "--labels", str(labels_path),
+        str(template_path), "-k", "1", "--trace", str(trace_path), "--json",
+    ])
+    if rc != 0:
+        return [f"traced search on the sparse-label graph exited with {rc}"]
+    problems = []
+    document, _records = load_report(trace_path)
+    if document != report:
+        problems.append(
+            "the sparse-label trace's stats document differs from --json's"
+        )
+    view = report.get("scope_view")
+    if view is None or view[0] > eligible:
+        problems.append(
+            f"sparse-label scope_view {view} is not a view of at most the "
+            f"{eligible} label-eligible vertices"
+        )
+    rendered = io.StringIO()
+    with contextlib.redirect_stdout(rendered):
+        rc = cli_main(["report", str(trace_path)])
+    if rc != 0 or not rendered.getvalue():
+        problems.append(f"repro report on the sparse-label trace exited {rc}")
+    return problems
 
 
 def batch_problems(argv):

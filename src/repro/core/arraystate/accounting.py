@@ -46,15 +46,20 @@ class _RoundAccounting:
         seed_idx: np.ndarray,
         edge_idx: np.ndarray,
         round_started: Optional[float] = None,
+        carried: Optional[np.ndarray] = None,
     ) -> None:
         """Account one broadcast round: seeds visited, one message/edge.
 
         ``round_started`` (set only while tracing) stamps the per-round
-        trace span recorded by :meth:`Engine.record_batched_round`.
+        trace span recorded by :meth:`Engine.record_batched_round`;
+        ``carried`` is a flat rank-pair message count (see
+        :func:`cut_traffic`) charged in the same flush.
         """
         self.begin()
         self.add_seed_visits(seed_idx)
         self.add_edge_traffic(edge_idx)
+        if carried is not None:
+            self._matrix += carried
         self.flush(round_started, worklist=int(seed_idx.shape[0]))
 
     # -------------------------------------------------- multi-hop batches
@@ -118,3 +123,20 @@ class _RoundAccounting:
         )
         self._matrix = None
         self._visits = None
+
+
+def cut_traffic(pgraph, csr: GraphCsr, keep: np.ndarray) -> np.ndarray:
+    """Flat rank-pair message counts of the edges leaving ``keep``.
+
+    One message along each directed edge of ``csr`` from a ``keep``
+    vertex to one outside it, coded as in
+    :meth:`~repro.runtime.partition.PartitionedGraph.rank_arrays` but
+    for those edges only (``pgraph.edge_codes``), summed into the
+    ``ranks * ranks`` layout :meth:`_RoundAccounting.record_round`
+    folds in.
+    """
+    cut = np.nonzero(keep[csr.src] & ~keep[csr.indices])[0]
+    order = csr.order
+    ranks = pgraph.num_ranks
+    codes = pgraph.edge_codes(order[csr.src[cut]], order[csr.indices[cut]])
+    return np.bincount(codes, minlength=ranks * ranks)

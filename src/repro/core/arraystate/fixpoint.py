@@ -13,12 +13,14 @@ adapters, taken once per call.
 Exactness contract: every round reproduces the dict semantics
 *bit-for-bit*, including its quirks — the asymmetric initial edge
 aliveness (edges from candidates toward non-candidate neighbors are alive
-until pruned; the reverse direction never was), candidates holding empty
-role sets (the pooled-level union creates them; they survive every round
-untouched because only vertices with a non-empty mask are evaluated), and
-the full-round edge-dedup rule that skips a pair from the larger-id side
-only when the smaller endpoint is still a *candidate* (not merely mask
-non-empty).  ``tests/core/test_arraystate.py`` pins all of this against
+until pruned; the reverse direction never was; when ``M*`` runs on the
+label view instead of ``G`` those edges are not in the CSR, and the
+``carried`` argument charges their round-1 messages in closed form),
+candidates holding empty role sets (the pooled-level union creates them;
+they survive every round untouched because only vertices with a
+non-empty mask are evaluated), and the full-round edge-dedup rule that
+skips a pair from the larger-id side only when the smaller endpoint is
+still a *candidate* (not merely mask non-empty).  ``tests/core/test_arraystate.py`` pins all of this against
 the set-based reference on randomized workloads, and
 ``tests/core/test_enumeration_parity.py`` pins the two layouts to each
 other in every mode.
@@ -78,6 +80,7 @@ def array_kernel_fixpoint(
     delta: bool = True,
     mandatory_masks: Optional[Dict[int, int]] = None,
     warm_mask: Optional[np.ndarray] = None,
+    carried: Optional[np.ndarray] = None,
 ) -> int:
     """Run the bitmask arc-consistency fixed point over ``astate`` in place.
 
@@ -111,6 +114,14 @@ def array_kernel_fixpoint(
     (every nonzero vertex is still refined in round 1), so the fixed
     point *and* the iteration count are bit-identical to a cold start;
     only the round-1 message/visit charge shrinks.
+
+    ``carried`` is the round-1 traffic of edges ``astate.csr`` does not
+    hold: :func:`~repro.core.arraystate.accounting.cut_traffic` of the
+    label view ``M*`` runs on, whose candidates' edges toward unlabelled
+    neighbours the same round on ``G`` sends one message along and then
+    drops.  It is folded into round 1's flush, and a non-empty cut counts
+    round 1 as changed (on ``G`` those drops change it), so the rounds,
+    messages and visits equal the fixpoint's on ``G``.
 
     The semi-naive mode switches rounds dense by rule: when the worklist
     of the *next* round — re-broadcasters plus the ``pending`` vertices
@@ -336,7 +347,12 @@ def array_kernel_fixpoint(
                 alive[drop_idx] = False
                 alive[rev] = False
 
-        accounting.record_round(seed_idx, sent_idx, round_started)
+        if iterations == 1 and carried is not None and carried.any():
+            changed = True  # on G, round 1 drops the carried edges
+        accounting.record_round(
+            seed_idx, sent_idx, round_started,
+            carried if iterations == 1 else None,
+        )
         if broadcasters is None:
             m_dense.inc()
         else:

@@ -173,6 +173,18 @@ def _label_seeded(
     return roles, rows_where(active, table[csr.label_codes])
 
 
+def label_eligible(csr: GraphCsr, template) -> np.ndarray:
+    """Vertices of ``csr`` whose label some role of ``template`` carries."""
+    codes = [
+        csr.label_ids[label]
+        for label in {template.label(role) for role in template.vertices()}
+        if label in csr.label_ids
+    ]
+    by_code = np.zeros(csr.num_labels, dtype=bool)
+    by_code[codes] = True
+    return by_code[csr.label_codes]
+
+
 def pack_bits(flags: np.ndarray) -> bytes:
     """Wire form of a boolean array: ``np.packbits`` bitmap bytes."""
     return np.packbits(flags).tobytes()
@@ -240,7 +252,13 @@ class ArraySearchState:
         ``min_words`` forces the multi-word layout even for <=64-role
         templates (the parity suites run both layouts this way).
         """
-        csr = csr_of(graph)
+        return cls.seeded(csr_of(graph), template, min_words)
+
+    @classmethod
+    def seeded(
+        cls, csr: GraphCsr, template, min_words: int = 1
+    ) -> "ArraySearchState":
+        """:meth:`initial` over any CSR — ``G``'s or a view of it."""
         roles = sorted(template.vertices())
         role_bit = _role_bits(roles)
         n_words = max(_num_words(len(roles)), min_words)

@@ -21,12 +21,17 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple, Union
 
+import numpy as np
+
 from ..runtime.engine import Engine
 from ..graph.graph import canonical_edge
 from .arraystate import (
     ArraySearchState,
     array_kernel_fixpoint,
+    csr_of,
 )
+from .arraystate.accounting import cut_traffic
+from .arraystate.searchstate import label_eligible
 from .kernels import cached_kernel, structural_fingerprint
 from .lcc import _exchange_candidacies, _has_adjacent_pair
 from .state import SearchState
@@ -101,6 +106,8 @@ def max_candidate_arrays(
     template: PatternTemplate,
     engine: Engine,
     memo: Optional[CandidateSetMemo] = None,
+    view_rule: Optional[Callable[[int, int], bool]] = None,
+    min_words: int = 1,
 ) -> ArraySearchState:
     """``M*`` straight from the vectorized fixpoint, in array form.
 
@@ -108,13 +115,33 @@ def max_candidate_arrays(
     it with :func:`array_kernel_fixpoint` under the template's mandatory
     masks.  The full-graph M* fixpoint is where elimination cascades are
     densest, so it is the main user of the fixpoint's dense rounds.
+
+    ``M*`` starts from a label match, so a vertex whose label no role
+    carries is never a candidate.  When ``view_rule(label-eligible
+    vertices, vertices of G)`` holds (the caller's view rule,
+    ``pipeline.takes_view``; ``None`` never cuts), the fixpoint runs on
+    the label view — the :meth:`GraphCsr.induced_view` of the eligible
+    vertices — instead of ``G``, and the state it returns lives on that
+    view.  ``G``'s round 1 also sends one message along each candidate's
+    edge toward an ineligible neighbour and then drops it; those edges'
+    traffic (:func:`cut_traffic`) is charged in closed form, so rounds,
+    messages and visits are ``G``'s.  ``min_words`` forces the
+    multi-word mask layout, as in :meth:`ArraySearchState.initial`.
     """
     def fixpoint() -> ArraySearchState:
         kernel = cached_kernel(template.graph)
-        astate = ArraySearchState.initial(graph, template)
+        csr = csr_of(graph)
+        carried = None
+        if view_rule is not None:
+            eligible = label_eligible(csr, template)
+            if view_rule(int(np.count_nonzero(eligible)), csr.num_vertices):
+                carried = cut_traffic(engine.pgraph, csr, eligible)
+                csr = csr.induced_view(eligible)
+        astate = ArraySearchState.seeded(csr, template, min_words)
         array_kernel_fixpoint(
             astate, kernel, engine,
             mandatory_masks=kernel.mandatory_masks(template.mandatory_edges),
+            carried=carried,
         )
         return astate
 

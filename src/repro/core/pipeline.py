@@ -181,10 +181,14 @@ REBALANCE_COST_PER_EDGE = 2.0e-6
 
 #: re-pack the run onto a GraphMini-style ``GraphCsr.induced_view`` once
 #: its scope keeps at most this fraction of the current CSR's vertices.
-#: One rule, two places: the ``M*`` view (:func:`compact_scope`) and the
-#: level views of the bottom-up sweep, re-checked per level so views nest
-#: as the sweep keeps pruning.  Views keep vertex ids and every alive
-#: edge, so answers and message counts are the same on and off a view.
+#: One rule, three places: the label view ``M*`` runs on
+#: (``max_candidate_arrays``) and the ``M*`` view nested on it
+#: (:func:`compact_scope`), both through :func:`takes_view`, and the level
+#: views of the bottom-up sweep, re-checked per level so views nest as
+#: the sweep keeps pruning.  Views keep vertex ids and every alive edge
+#: (the label view's fixpoint charges the cut edges' first round in
+#: closed form), so answers and message counts are the same on and off a
+#: view.
 AUX_VIEW_RATIO = 0.6
 
 
@@ -602,6 +606,26 @@ def _pruned_degrees(
     return graph_degrees(base.to_graph())
 
 
+def takes_view(kept: int, total: int, options: PipelineOptions) -> bool:
+    """Whether a run moves onto the induced view of ``kept`` of the
+    current CSR's ``total`` vertices.
+
+    The rule of the label view ``M*`` runs on and of the ``M*`` view
+    :func:`compact_scope` nests on it: the array backend, something
+    dropped and at most :data:`AUX_VIEW_RATIO` kept.  It declines under a
+    pool (its shm segment and scope bitmaps are ``G``'s) and when
+    rebalancing (which exports the scope to a dict graph anyway).
+    """
+    return (
+        options.backend == "array"
+        and options.worker_processes == 1
+        and options.load_balance == "none"
+        and not _reload_requested(options)
+        and kept < total
+        and kept <= AUX_VIEW_RATIO * total
+    )
+
+
 def compact_scope(
     base: "SearchState | ArraySearchState",
     options: PipelineOptions,
@@ -610,39 +634,38 @@ def compact_scope(
 
     The one compaction point of both level drivers, called straight
     after ``M*``: ``base`` moves onto the :meth:`GraphCsr.induced_view`
-    of its candidates, and every later scope cut, fixpoint, walk,
-    enumeration and level union runs over arrays sized to ``M*`` instead
-    of ``G`` (the paper's system checkpoints and reloads the pruned graph
-    here).  Nothing observable moves: after the fixpoint every alive edge
-    joins two candidates and Obs. 1 only readmits edges between
-    candidates, all of which a vertex-induced view holds; the view keeps
-    vertex ids, so answers need no remapping and the run's
-    ``PartitionedGraph`` — keyed by id — reads the same ranks through
-    ``rank_arrays(view)``, hence the same message and visit counts.
+    of its candidates — nested on the label view ``M*`` ran on, when it
+    ran on one — and every later scope cut, fixpoint, walk, enumeration
+    and level union runs over arrays sized to ``M*`` instead of ``G``
+    (the paper's system checkpoints and reloads the pruned graph here).
+    Nothing observable moves: after the fixpoint every alive edge joins
+    two candidates and Obs. 1 only readmits edges between candidates,
+    all of which a vertex-induced view holds; the view keeps vertex ids,
+    so answers need no remapping and the run's ``PartitionedGraph`` —
+    keyed by id — reads the same ranks through ``rank_arrays(view)``,
+    hence the same message and visit counts.
 
-    Declines for a reference or naive ``base``, under a pool (its shm
-    segment and scope bitmaps are ``G``'s) and when rebalancing (which
-    exports the scope to a dict graph anyway).  The ``scope_view.*``
-    counters report the view (``PipelineResult.scope_view`` reads them).
+    Whether to nest is :func:`takes_view`, and a reference or naive
+    ``base`` never moves.  The ``scope_view.*`` counters report the
+    innermost view the levels search — ``G[M*]`` or, when ``M*`` kept
+    more than :data:`AUX_VIEW_RATIO` of it, the label view
+    (``PipelineResult.scope_view`` reads them).
     """
     if not (
-        isinstance(base, ArraySearchState)
-        and options.use_max_candidate_set
-        and options.worker_processes == 1
-        and options.load_balance == "none"
-        and not _reload_requested(options)
+        isinstance(base, ArraySearchState) and options.use_max_candidate_set
     ):
         return base
     csr = base.csr
-    kept = base.num_active_vertices
-    if kept == csr.num_vertices or kept > AUX_VIEW_RATIO * csr.num_vertices:
+    nest = takes_view(base.num_active_vertices, csr.num_vertices, options)
+    if not nest and csr.parent is None:
         return base
     metrics = options.metrics
     with options.tracer.span("scope_view", metrics=metrics):
-        view = csr.induced_view(base.vertex_active)
-        base = base.restrict_to_view(view)
+        if nest:
+            base = base.restrict_to_view(csr.induced_view(base.vertex_active))
+        view = base.csr
         metrics.counter("scope_view.built").inc()
-        metrics.counter("scope_view.vertices").inc(kept)
+        metrics.counter("scope_view.vertices").inc(view.num_vertices)
         metrics.counter("scope_view.edges").inc(view.num_directed_edges // 2)
     return base
 
@@ -803,9 +826,13 @@ def max_candidate_scope(
     options: PipelineOptions,
     memo: Optional["CandidateSetMemo"] = None,
 ) -> "SearchState | ArraySearchState":
-    """``M*`` in the state form ``options.backend`` searches."""
+    """``M*`` in the state form ``options.backend`` searches — on the
+    array backend over the label view when :func:`takes_view` holds."""
     if options.backend == "array":
-        return max_candidate_arrays(graph, template, engine, memo=memo)
+        return max_candidate_arrays(
+            graph, template, engine, memo=memo,
+            view_rule=lambda kept, total: takes_view(kept, total, options),
+        )
     return max_candidate_set(graph, template, engine, memo=memo)
 
 

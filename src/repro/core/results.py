@@ -242,8 +242,10 @@ class PipelineResult:
 
     @property
     def scope_view(self) -> Optional[Tuple[int, int]]:
-        """``(vertices, edges)`` of the ``G[M*]`` view the run searched
-        instead of ``G`` (``pipeline.compact_scope``); None = searched ``G``."""
+        """``(vertices, edges)`` of the innermost view the levels searched
+        instead of ``G`` — ``G[M*]``, or the label view ``M*`` ran on
+        when ``M*`` kept too much of it (``pipeline.compact_scope``);
+        None = searched ``G``."""
         if not self.counts.get("scope_view.built"):
             return None
         return (

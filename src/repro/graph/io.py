@@ -10,16 +10,17 @@ Two formats are supported:
 Lines starting with ``#`` are comments in the text formats, blank lines
 are skipped, and fields are separated by any run of blanks or tabs.
 The text readers parse a whole file at once into integer columns; a line
-of the wrong shape or a field that is not a 64-bit integer raises
+of the wrong shape, a field that is not a 64-bit integer or a label line
+giving a vertex a second, different label raises
 :class:`~repro.errors.GraphError` naming ``path:line``.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import compress
+from itertools import compress, islice
 from pathlib import Path
-from typing import Dict, Tuple, Union
+from typing import Dict, Iterator, Tuple, Union
 
 import numpy as np
 
@@ -98,10 +99,7 @@ def _first_error(
     path: PathLike, data: bytes, min_width: int, max_width: int, shape: str
 ) -> GraphError:
     """The error of the first line :func:`_read_columns` cannot take."""
-    for line_no, raw in enumerate(data.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith(b"#"):
-            continue
+    for line_no, line in _data_lines(data):
         shown = line.decode("utf-8", "replace")
         fields = line.split()
         if not min_width <= len(fields) <= max_width:
@@ -119,14 +117,54 @@ def _first_error(
     return GraphError(f"{path}: expected lines of {shape}")
 
 
+def _data_lines(data: bytes) -> Iterator[Tuple[int, bytes]]:
+    """``(line number, stripped line)`` of each data line of a text file:
+    the lines :func:`_read_columns` reads, in file order."""
+    for line_no, raw in enumerate(data.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith(b"#"):
+            yield line_no, line
+
+
+def _first_label_rows(
+    path: PathLike, codes: np.ndarray, labels: np.ndarray, num_vertices: int
+) -> np.ndarray:
+    """Each vertex's first line of a label file, as a data-line index.
+
+    ``codes[i]`` is the dense vertex of the label file's ``i``-th data
+    line and ``labels[i]`` the label it gives; a vertex no line lists
+    reads ``-1``.  A vertex may be listed again with the same label; the
+    first line that gives it a different one raises ``GraphError``
+    naming ``path:line``.
+    """
+    rows = codes.shape[0]
+    first = np.full(num_vertices, rows, dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(rows, dtype=np.int64))
+    conflicts = np.flatnonzero(labels != labels[first[codes]])
+    if conflicts.shape[0]:
+        row = int(conflicts[0])
+        with open(path, "rb") as handle:
+            data = handle.read()
+        line_no, line = next(islice(_data_lines(data), row, None))
+        earlier = int(labels[first[codes[row]]])
+        raise GraphError(
+            f"{path}:{line_no}: vertex already labelled {earlier}, got "
+            f"{line.decode('utf-8', 'replace')!r}"
+        )
+    first[first == rows] = -1
+    return first
+
+
 def read_edge_list(path: PathLike, labels_path: PathLike = None) -> Graph:
     """Read an edge-list file (and optional label file) into a graph.
 
     Duplicate edges and self loops in the input are dropped, mirroring the
     symmetrization step the paper applies to its raw datasets; a vertex
     met only in self loops is not created.  Of the labels given to one
-    edge, in either direction, the last wins.  Vertices come in order of
-    first appearance in the edge file, then in the label file.
+    edge, in either direction, the last wins.  A vertex the label file
+    lists twice must get the same label both times (else ``GraphError``
+    names the line).  Vertices come in order of first appearance in the
+    edge file, then in the label file.
 
     The file is parsed into columns and the graph's CSR built from them
     (:meth:`GraphCsr.from_columns`); the returned graph is a facade over
@@ -148,15 +186,14 @@ def read_edge_list(path: PathLike, labels_path: PathLike = None) -> Graph:
         np.concatenate((ends, label_rows[0::2]))
     )
     src, dst = codes[0:ends.shape[0]:2], codes[1:ends.shape[0]:2]
-    # a vertex labelled twice keeps its last label, an unlabelled one gets 0
-    last_row = np.full(order.shape[0], -1, dtype=np.int64)
-    np.maximum.at(
-        last_row, codes[ends.shape[0]:],
-        np.arange(label_rows.shape[0] // 2, dtype=np.int64),
+    # an unlabelled vertex gets 0
+    label_values = label_rows[1::2]
+    first_row = _first_label_rows(
+        labels_path, codes[ends.shape[0]:], label_values, order.shape[0]
     )
-    given = last_row >= 0
+    given = first_row >= 0
     labels = np.zeros(order.shape[0], dtype=np.int64)
-    labels[given] = label_rows[1::2][last_row[given]]
+    labels[given] = label_values[first_row[given]]
     edge_labels = None
     if labelled.any():
         edge_labels = (src[labelled], dst[labelled], values[row[labelled] + 2])
@@ -164,9 +201,16 @@ def read_edge_list(path: PathLike, labels_path: PathLike = None) -> Graph:
 
 
 def read_label_file(path: PathLike) -> Dict[int, int]:
-    """Read a ``vertex label`` file into a dict."""
+    """Read a ``vertex label`` file into a dict.
+
+    A vertex listed twice must get the same label both times; the first
+    line that gives it another raises ``GraphError`` naming ``path:line``.
+    """
     values, _ = _read_columns(path, 2, 2, "'vertex label'")
-    return dict(zip(values[0::2].tolist(), values[1::2].tolist()))
+    codes, order = first_appearance_codes(values[0::2])
+    labels = values[1::2]
+    first_row = _first_label_rows(path, codes, labels, order.shape[0])
+    return dict(zip(order.tolist(), labels[first_row].tolist()))
 
 
 def write_json(graph: Graph, path: PathLike) -> None:

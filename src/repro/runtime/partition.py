@@ -132,22 +132,11 @@ class PartitionedGraph:
         if cached is not None:
             return cached[1], cached[2]
         ranks = self.num_ranks
-        assignment = self._assignment
-        if assignment is None:
-            rank_of = hash_ranks(csr.order, ranks)
-        else:
-            rank_of = np.fromiter(
-                (assignment[v] for v in csr.order.tolist()),
-                dtype=np.int64, count=csr.num_vertices,
-            )
+        rank_of = self._ranks(csr.order)
         src_rank = rank_of[csr.src]
         dst_rank = rank_of[csr.indices]
-        delegates = self.delegates
-        if delegates:
-            is_delegate = np.fromiter(
-                (v in delegates for v in csr.order.tolist()),
-                dtype=bool, count=csr.num_vertices,
-            )
+        is_delegate = self._delegate_flags(csr.order)
+        if is_delegate is not None:
             dst_rank = np.where(is_delegate[csr.indices], src_rank, dst_rank)
         code_dtype = np.min_scalar_type(ranks * ranks - 1)
         if code_dtype.itemsize == 8:
@@ -157,6 +146,38 @@ class PartitionedGraph:
         # the CSR rides along so its id() cannot be reused while cached
         self._rank_arrays[id(csr)] = (csr, rank_of, edge_code)
         return rank_of, edge_code
+
+    def edge_codes(self, src_ids: np.ndarray, dst_ids: np.ndarray) -> np.ndarray:
+        """``src_rank * num_ranks + dst_rank`` of the directed edges
+        ``src_ids[i] -> dst_ids[i]`` (int64 id arrays), delegates charged
+        as in :meth:`rank_arrays` — for a few edges outside any CSR the
+        run holds rank arrays of."""
+        src_rank = self._ranks(src_ids)
+        dst_rank = self._ranks(dst_ids)
+        is_delegate = self._delegate_flags(dst_ids)
+        if is_delegate is not None:
+            dst_rank = np.where(is_delegate, src_rank, dst_rank)
+        return src_rank * self.num_ranks + dst_rank
+
+    def _ranks(self, ids: np.ndarray) -> np.ndarray:
+        """Controller ranks of the int64 vertex ids ``ids``, as int64."""
+        assignment = self._assignment
+        if assignment is None:
+            return hash_ranks(ids, self.num_ranks)
+        return np.fromiter(
+            (assignment[v] for v in ids.tolist()),
+            dtype=np.int64, count=ids.shape[0],
+        )
+
+    def _delegate_flags(self, ids: np.ndarray) -> Optional[np.ndarray]:
+        """Which of ``ids`` are delegates (``None`` when there are none)."""
+        delegates = self.delegates
+        if not delegates:
+            return None
+        return np.fromiter(
+            (v in delegates for v in ids.tolist()),
+            dtype=bool, count=ids.shape[0],
+        )
 
     # ------------------------------------------------------------------
     def vertices_of_rank(self, rank: int) -> List[int]:

@@ -36,6 +36,8 @@ from repro.graph.graph import canonical_edge
 from repro.graph.generators import gnm_graph, plant_pattern, planted_graph
 from repro.runtime.trace import Tracer
 
+from test_compact_scope import assert_view_between_mstar_and_labels
+
 
 def options(**overrides):
     base = dict(num_ranks=2, count_matches=True)
@@ -521,7 +523,8 @@ class TestLazyViewMembers:
         )
         result = run(graph, template, PipelineOptions(count_matches=True))
         assert result.matched_vertices()
-        assert result.scope_view is not None  # the run did search a view
+        # the run did search a view: G[M*] or the label view M* ran on
+        assert_view_between_mstar_and_labels(result, graph, template)
         assert not dict_builds
 
 

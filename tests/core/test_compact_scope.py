@@ -224,6 +224,22 @@ def both_ways(run, **options):
     return on, off
 
 
+def label_eligible_count(graph, template):
+    """Vertices of ``graph`` whose label some role of ``template`` carries."""
+    labels = {template.label(v) for v in template.vertices()}
+    return sum(graph.label(v) in labels for v in graph.vertices())
+
+
+def assert_view_between_mstar_and_labels(result, graph, template):
+    """The searched view holds ``M*`` and sits inside the label view."""
+    assert result.scope_view is not None
+    assert (
+        result.candidate_set_vertices
+        <= result.scope_view[0]
+        <= label_eligible_count(graph, template)
+    )
+
+
 def assert_compaction_is_invisible(on, off):
     assert off.scope_view is None
     assert on.scope_view is not None
@@ -301,7 +317,9 @@ class TestBottomUp:
             plain = run_pipeline(
                 graph, template, 2, PipelineOptions(num_ranks=4)
             )
-        # level views sit inside the M* view and keep their own counters
+        # level views sit inside the M* view (or the label view it ran
+        # on) and keep their own counters
+        assert_view_between_mstar_and_labels(on, graph, template)
         assert on.aux_views_built > 0 and on.aux_view_reuse > 0
         assert all(
             size[0] <= on.scope_view[0] for size in on.aux_view_sizes
@@ -700,9 +718,10 @@ class TestScopeViewIsReported:
             graph, template, 1, PipelineOptions(num_ranks=4, tracer=tracer)
         )
         vertices, edges = result.scope_view
-        # vertex-induced: M*'s vertices, and every background edge among
-        # them — the alive ones and those Obs. 1 may readmit
-        assert vertices == result.candidate_set_vertices
+        # vertex-induced: M*'s vertices or, when M* kept more than
+        # AUX_VIEW_RATIO of them, the label view's, and every background
+        # edge among them — the alive ones and those Obs. 1 may readmit
+        assert_view_between_mstar_and_labels(result, graph, template)
         assert edges >= result.candidate_set_edges
         document = result.stats_document()
         assert document["scope_view"] == [vertices, edges]

@@ -105,6 +105,19 @@ def built_line_by_line(rows, label_rows):
     return builder.build()
 
 
+def first_conflicting_line(label_rows):
+    """Line number of the first label row giving a vertex a second,
+    different label (``rendered`` writes one line per row), or None."""
+    given = {}
+    for line, row in enumerate(label_rows or (), start=1):
+        if isinstance(row, str):
+            continue
+        vertex, label = row
+        if given.setdefault(vertex, label) != label:
+            return line
+    return None
+
+
 def assert_same_graph(loaded, expected):
     assert list(loaded.vertices()) == list(expected.vertices())
     assert loaded.labels() == expected.labels()
@@ -123,6 +136,15 @@ class TestDifferential:
         if label_bytes is not None:
             labels_path = tmp_path / "g.labels"
             labels_path.write_bytes(label_bytes)
+        conflict = first_conflicting_line(label_rows)
+        if conflict is not None:
+            # a vertex listed again with another label is refused
+            for read in (read_label_file, lambda path: read_edge_list(
+                tmp_path / "g.el", path
+            )):
+                with pytest.raises(GraphError, match=rf"g\.labels:{conflict}: "):
+                    read(labels_path)
+            return
         expected = built_line_by_line(rows, label_rows)
         loaded = read_edge_list(tmp_path / "g.el", labels_path)
         # sizes and histogram first: they answer from the arrays
@@ -153,7 +175,8 @@ class TestDifferential:
             "6 6 1\n"
             "1 5"
         )
-        (tmp_path / "g.labels").write_text("3 1\n40 2\n3 6\n5 1\n")
+        # an identical repeat is accepted (another label is refused below)
+        (tmp_path / "g.labels").write_text("3 6\n40 2\n3 6\n5 1\n")
         graph = read_edge_list(tmp_path / "g.el", tmp_path / "g.labels")
         assert list(graph.vertices()) == [5, 3, -2, 1, 40]
         assert graph.labels() == {5: 1, 3: 6, -2: 0, 1: 0, 40: 2}
@@ -214,6 +237,31 @@ class TestParseFailures:
             read_label_file(path)
         with pytest.raises(GraphError, match=rf"bad\.labels:{line}: "):
             read_edge_list(tmp_path / "g.el", path)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("0 5\n0 6\n", 2),
+            ("# c\n0 5\n\n1 2\n0 5\r\n1 3\n0 6\n", 6),
+            ("0 5\n1 2\n0 5\n1 2\n", None),   # identical repeats
+        ],
+        ids=["conflict", "first-conflict-after-repeats", "identical-repeat"],
+    )
+    def test_a_vertex_labelled_twice(self, tmp_path, text, line):
+        (tmp_path / "g.el").write_text("0 1\n")
+        path = tmp_path / "twice.labels"
+        path.write_text(text)
+        if line is None:
+            assert read_label_file(path) == {0: 5, 1: 2}
+            assert read_edge_list(tmp_path / "g.el", path).labels() == {
+                0: 5, 1: 2,
+            }
+            return
+        for read in (read_label_file, lambda p: read_edge_list(
+            tmp_path / "g.el", p
+        )):
+            with pytest.raises(GraphError, match=rf"twice\.labels:{line}: "):
+                read(path)
 
     def test_the_message_shows_the_line(self, tmp_path):
         path = tmp_path / "bad.el"

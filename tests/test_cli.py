@@ -69,6 +69,18 @@ class TestSearchCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_a_vertex_labelled_twice_is_refused(self, graph_files, capsys):
+        graph_path, labels_path, template_path = graph_files
+        with labels_path.open("a") as handle:
+            handle.write("0 1\n0 2\n")
+        code = main([
+            "search", str(graph_path), str(template_path),
+            "--labels", str(labels_path),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "graph.labels:" in err
+
     def test_json_output_is_machine_readable(self, graph_files, capsys):
         graph_path, labels_path, template_path = graph_files
         code = main([
