@@ -16,9 +16,13 @@ must carry that schema and the same per-class messages.  A second
 traced search runs on a graph where under 60 % of the vertices carry a
 template label, so ``M*`` runs on the label view: its document's
 ``scope_view`` must be set and no larger than the label-eligible count
-of the label file, equal ``--json``'s, and render.  Last, ``repro
-report`` renders the first trace.  The trace is left on disk so CI can
-upload it as a build artifact.
+of the label file, equal ``--json``'s, and render.  ``repro audit`` then
+checks the pipeline on both graphs against brute force at k = 1 and must
+exit 0 (precision, recall and match counts exact): the tail makes the
+template non-Eulerian, so its full walk walks an edge back and takes the
+retrace path of the array token walk.  Last, ``repro report`` renders
+the first trace.  The trace is left on disk so CI can upload it as a
+build artifact.
 
 Run from the repo root::
 
@@ -151,7 +155,16 @@ def run(out_path: Path) -> int:
         "batch", str(graph_path), "--labels", str(labels_path),
         str(template_path), "-k", "1", "--json",
     ]))
-    problems.extend(label_view_problems(workdir, template_path))
+    sparse_path, sparse_labels_path = write_graph(
+        workdir, "sparse", num_labels=SPARSE_NUM_LABELS
+    )
+    problems.extend(label_view_problems(
+        workdir, sparse_path, sparse_labels_path, template_path
+    ))
+    for edges, labels in (
+        (graph_path, labels_path), (sparse_path, sparse_labels_path),
+    ):
+        problems.extend(audit_problems(edges, labels, template_path))
 
     if problems:
         print("trace smoke FAILED:")
@@ -173,12 +186,23 @@ def cli_json(argv):
     return rc, json.loads(stdout.getvalue()) if rc == 0 else None
 
 
-def label_view_problems(workdir: Path, template_path: Path):
+def audit_problems(graph_path: Path, labels_path: Path, template_path: Path):
+    """Where ``repro audit`` at k = 1 finds the run inexact."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli_main([
+            "audit", str(graph_path), "--labels", str(labels_path),
+            str(template_path), "-k", "1",
+        ])
+    if rc != 0:
+        return [f"repro audit on {graph_path.name} exited with {rc}"]
+    return []
+
+
+def label_view_problems(
+    workdir: Path, graph_path: Path, labels_path: Path, template_path: Path
+):
     """Where a traced search on the sparse-label graph does not report
     the label view ``M*`` ran on."""
-    graph_path, labels_path = write_graph(
-        workdir, "sparse", num_labels=SPARSE_NUM_LABELS
-    )
     labels = graph_io.read_label_file(labels_path)
     eligible = sum(label in TEMPLATE_LABELS for label in labels.values())
     if eligible >= 0.6 * len(labels):

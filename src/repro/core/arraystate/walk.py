@@ -19,13 +19,16 @@ class ArrayWalkOutcome:
 
     ``satisfied_idx`` holds initiators whose token completed (recycled
     initiators are *not* included — callers union them).  Full walks
-    (``collect_paths=True``) also return their completed tokens, one row
-    each, in completion order: ``full_paths`` (completions × walk length)
-    holds the dense vertex index at every walk position — each row an
-    exact match mapping — and ``full_edges`` (completions × hops) the CSR
-    edge position taken at every hop, so ``full_edges[r, j]`` runs
-    ``full_paths[r, j] -> full_paths[r, j + 1]``.  Both stay ``None``
-    otherwise.
+    (``collect_paths=True``) also hand over their completed tokens as the
+    walk's own columns, one entry per completion, in completion order:
+    ``path_cols[p]`` holds the dense vertex index at walk position ``p``
+    — one row across them is an exact match mapping — and
+    ``edge_cols[j]`` the CSR edge position taken at hop ``j + 1``, which
+    runs ``path_cols[j] -> path_cols[j + 1]``.  Columns may alias one
+    another (a retrace hop appends a carried column) and are never
+    written.  ``full_paths`` (completions × walk length) and
+    ``full_edges`` (completions × hops) stack them on read.  All four
+    are ``None`` on a walk that does not collect paths.
 
     Two volumes describe the walk: the engine's message counters hold
     what the paper's model *sends* (one message per alive out-edge of
@@ -42,8 +45,8 @@ class ArrayWalkOutcome:
         "completions",
         "dedup_merged",
         "rows_expanded",
-        "full_paths",
-        "full_edges",
+        "path_cols",
+        "edge_cols",
     )
 
     def __init__(self) -> None:
@@ -54,8 +57,22 @@ class ArrayWalkOutcome:
         self.completions = 0
         self.dedup_merged = 0
         self.rows_expanded = 0
-        self.full_paths: Optional[np.ndarray] = None
-        self.full_edges: Optional[np.ndarray] = None
+        self.path_cols: Optional[List[np.ndarray]] = None
+        self.edge_cols: Optional[List[np.ndarray]] = None
+
+    @property
+    def full_paths(self) -> Optional[np.ndarray]:
+        """``path_cols`` stacked into one completions × walk-length matrix."""
+        if self.path_cols is None:
+            return None
+        return np.stack(self.path_cols, axis=1)
+
+    @property
+    def full_edges(self) -> Optional[np.ndarray]:
+        """``edge_cols`` stacked into one completions × hops matrix."""
+        if self.edge_cols is None:
+            return None
+        return np.stack(self.edge_cols, axis=1)
 
 
 def array_token_walk(
@@ -92,6 +109,17 @@ def array_token_walk(
     take of one earlier column.  Survivors gather every column once and
     append the new frontier vertex as the next column.
 
+    A full walk's *retrace* hop (``schedule.retrace[hop]`` = ``j``: the
+    hop walks hop ``j``'s template edge backwards, as every walk that
+    covers a non-Eulerian template must) looks nothing up: its edge is
+    ``csr.mirror`` of the edge column the token carries for hop ``j``,
+    its target the carried column ``j - 1``, and the role bit, edge label
+    and identity checks all held when hop ``j`` bound them.  Only
+    ``edge_alive`` of the mirror — aliveness in this hop's direction — is
+    tested; when every row passes, the rows stay as they are and the
+    carried column itself is appended.  Rows, their order and every count
+    (``rows_expanded`` included, one probe per row) are the look-up's.
+
     Per-(vertex, hop, initiator) dedup: after each hop, the *free* path
     columns (never again read for equality, symmetric in all future
     ``diff`` checks) are sorted per row — ``minimum`` / ``maximum`` when
@@ -110,9 +138,10 @@ def array_token_walk(
     Full-walk constraints (``collect_paths``) never fold: every completed
     path is itself the match evidence.  They carry one more column per
     hop, the CSR edge position the token took — known at the moment of
-    the hop — and return it with the vertex columns, each stacked once at
-    completion (:class:`ArrayWalkOutcome`), so the NLCC reduction marks
-    the walked edges by position instead of searching for them.
+    the hop — and hand both column lists over as they stand at completion
+    (:class:`ArrayWalkOutcome`, nothing stacked), so the NLCC reduction
+    scatters role bits and walked edges straight from the columns instead
+    of searching for them.
 
     Message accounting mirrors the dict walk's single traversal: one
     message per alive out-edge of every frontier row (receiver-side drops,
@@ -134,6 +163,7 @@ def array_token_walk(
         raise ValueError("array state and kernel must share one role layout")
     walk = schedule.walk
     walk_len = schedule.length
+    retrace = schedule.retrace
     indices = csr.indices
     dedup = dedup and not collect_paths
     #: per hop, the mask column holding its role and the role's bit in it
@@ -152,8 +182,9 @@ def array_token_walk(
 
     out = ArrayWalkOutcome()
     if collect_paths:
-        out.full_paths = np.zeros((0, walk_len), dtype=np.int64)
-        out.full_edges = np.zeros((0, walk_len - 1), dtype=np.int64)
+        none = np.zeros(0, dtype=np.int64)
+        out.path_cols = [none] * walk_len
+        out.edge_cols = [none] * (walk_len - 1)
     tracing = engine.tracer.enabled
     round_started = time.perf_counter() if tracing else None
     accounting = _RoundAccounting(engine, csr)
@@ -208,63 +239,86 @@ def array_token_walk(
             break
         frontiers.append(cur)
         same = schedule.same_positions[hop]
-        if same:
-            # Revisit hop: only the edge back to the carried vertex can
-            # survive the identity check below, so look that one edge up
-            # (alive in *this* direction) instead of expanding the row.
-            # A miss reads slot -1 — some edge's flag: rows that got past
-            # hop 1 crossed an alive edge — and the sign test masks it.
-            edge = csr.edge_positions(cur, cols[same[0]])
-            live = edge_alive[edge]
-            live &= edge >= 0
-            row_id = np.nonzero(live)[0]
-            edge = edge[row_id]
+        back = retrace[hop] if collect_paths else None
+        if back is not None:
+            # Retrace hop: back along hop ``back``'s edge, to the column
+            # it bound, so only aliveness in this direction is new.
+            edge = csr.mirror[edge_cols[back - 1]]
             out.rows_expanded += int(cur.shape[0])
+            live = edge_alive[edge]
+            if not live.all():
+                row_id = np.nonzero(live)[0]
+                if row_id.shape[0] == 0:
+                    break
+                edge = edge[row_id]
+                weights = weights[row_id]
+                cols = [c[row_id] for c in cols]
+                edge_cols = [e[row_id] for e in edge_cols]
+            cols.append(cols[back - 1])
+            edge_cols.append(edge)
         else:
-            counts = alive_degree[cur]
-            total = int(counts.sum())
-            if total == 0:
-                break
-            row_id = np.repeat(np.arange(cur.shape[0], dtype=np.int64), counts)
-            # position of each expanded row inside ``alive_edges``: its
-            # vertex's start plus its rank among the vertex's alive edges
-            first = np.cumsum(counts) - counts
-            edge = alive_edges[
-                np.repeat(alive_start[cur] - first, counts)
-                + np.arange(total, dtype=np.int64)
-            ]
-            out.rows_expanded += total
+            if same:
+                # Revisit hop: only the edge back to the carried vertex can
+                # survive the identity check below, so look that one edge
+                # up (alive in *this* direction) instead of expanding the
+                # row.  A miss reads slot -1 — some edge's flag: rows that
+                # got past hop 1 crossed an alive edge — and the sign test
+                # masks it.
+                edge = csr.edge_positions(cur, cols[same[0]])
+                live = edge_alive[edge]
+                live &= edge >= 0
+                row_id = np.nonzero(live)[0]
+                edge = edge[row_id]
+                out.rows_expanded += int(cur.shape[0])
+            else:
+                counts = alive_degree[cur]
+                total = int(counts.sum())
+                if total == 0:
+                    break
+                row_id = np.repeat(
+                    np.arange(cur.shape[0], dtype=np.int64), counts
+                )
+                # position of each expanded row inside ``alive_edges``: its
+                # vertex's start plus its rank among the vertex's alive
+                # edges
+                first = np.cumsum(counts) - counts
+                edge = alive_edges[
+                    np.repeat(alive_start[cur] - first, counts)
+                    + np.arange(total, dtype=np.int64)
+                ]
+                out.rows_expanded += total
 
-        dst = indices[edge]
-        column, bit = hop_roles[hop]
-        ok = (column[dst] & bit) != _ZERO
-        if hop_codes is not None and hop_codes[hop] is not None:
-            ok &= ecodes[edge] == hop_codes[hop]
-        for position in schedule.same_positions[hop]:
-            ok &= cols[position][row_id] == dst
-        for position in schedule.diff_positions[hop]:
-            ok &= cols[position][row_id] != dst
-        row_id = row_id[ok]
-        if row_id.shape[0] == 0:
-            break
-        # rebind rather than append ``dst[ok]``: releasing the
-        # expansion-sized array before the gathers lowers the peak RSS
-        dst = dst[ok]
-        weights = weights[row_id]
-        cols = [c[row_id] for c in cols]
-        cols.append(dst)
-        if collect_paths:
-            edge_cols = [e[row_id] for e in edge_cols]
-            edge_cols.append(edge[ok])
+            dst = indices[edge]
+            column, bit = hop_roles[hop]
+            ok = (column[dst] & bit) != _ZERO
+            if hop_codes is not None and hop_codes[hop] is not None:
+                ok &= ecodes[edge] == hop_codes[hop]
+            for position in same:
+                ok &= cols[position][row_id] == dst
+            for position in schedule.diff_positions[hop]:
+                ok &= cols[position][row_id] != dst
+            row_id = row_id[ok]
+            if row_id.shape[0] == 0:
+                break
+            # rebind rather than append ``dst[ok]``: releasing the
+            # expansion-sized array before the gathers lowers the peak RSS
+            dst = dst[ok]
+            weights = weights[row_id]
+            cols = [c[row_id] for c in cols]
+            cols.append(dst)
+            if collect_paths:
+                edge_cols = [e[row_id] for e in edge_cols]
+                edge_cols.append(edge[ok])
 
         if hop == walk_len - 1:
-            # Closed walk: the same-position check above forced a return
-            # to column 0, the initiator.
+            # Closed walk: the same-position check above (or, on a retrace
+            # hop, the carried column) returned the token to column 0, the
+            # initiator.
             out.completions = int(weights.sum())
             out.satisfied_idx = np.unique(cols[0])
             if collect_paths:
-                out.full_paths = np.stack(cols, axis=1)
-                out.full_edges = np.stack(edge_cols, axis=1)
+                out.path_cols = cols
+                out.edge_cols = edge_cols
             break
 
         if dedup:
@@ -278,7 +332,7 @@ def array_token_walk(
                 block.sort(axis=1)
                 for j, position in enumerate(free):
                     cols[position] = block[:, j]
-            rows = row_id.shape[0]
+            rows = weights.shape[0]
             if rows > 1:
                 order = np.lexsort(cols)
                 sorted_cols = [c[order] for c in cols]

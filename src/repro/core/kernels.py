@@ -202,8 +202,9 @@ def clear_kernel_cache() -> None:
 
 @functools.lru_cache(maxsize=4096)
 def _identity_tables(pattern: Tuple[int, ...]):
-    """``(same_positions, diff_positions, pinned, free)`` of one identity
-    pattern (``NonLocalConstraint.key[2]``), one tuple entry per hop.
+    """``(same_positions, diff_positions, pinned, free, retrace)`` of one
+    identity pattern (``NonLocalConstraint.key[2]``), one tuple entry per
+    hop.
 
     The tables depend on nothing but which walk positions name the same
     template vertex, so every constraint with that pattern shares one
@@ -226,14 +227,27 @@ def _identity_tables(pattern: Tuple[int, ...]):
             held.update(p for p in same_positions[later] if p <= hop)
         pinned.append(tuple(sorted(held)))
         free.append(tuple(p for p in range(1, hop) if p not in held))
-    return same_positions, diff_positions, tuple(pinned), tuple(free)
+    retrace = tuple(
+        next(
+            (
+                j for j in range(1, hop)
+                if pattern[j] == pattern[hop - 1]
+                and pattern[j - 1] == pattern[hop]
+            ),
+            None,
+        )
+        for hop in range(length)
+    )
+    return (
+        same_positions, diff_positions, tuple(pinned), tuple(free), retrace
+    )
 
 
 class WalkSchedule:
     """Per-hop obligations of one non-local constraint's closed walk.
 
     Shared by the dict token walk and the array frontier
-    (:func:`~repro.core.arraystate.array_token_walk`).  The four position
+    (:func:`~repro.core.arraystate.array_token_walk`).  The five position
     tables are per *identity pattern* (:func:`_identity_tables`, cached),
     read-only tuples; ``walk`` and ``hop_edge_labels`` are per constraint:
 
@@ -248,6 +262,12 @@ class WalkSchedule:
       appears symmetrically in every future ``diff`` check, so free
       column values can be reordered (sorted) without changing any future
       token behavior.  Freedom is monotone: once free, always free.
+    * ``retrace[h]`` — the first earlier hop ``j`` that hop ``h`` walks
+      backwards (``j`` leaves the template vertex ``h`` enters and enters
+      the one ``h`` leaves), or ``None``.  Such a hop is a revisit hop
+      over the same undirected template edge, so a full walk, which
+      carries the CSR edge of every hop, finds its edge as the mirror of
+      hop ``j``'s instead of looking it up.
     * ``hop_edge_labels`` — per-hop required edge labels (``None`` = any),
       populated only for edge-labeled prototypes.
     """
@@ -259,6 +279,7 @@ class WalkSchedule:
         "diff_positions",
         "pinned",
         "free",
+        "retrace",
         "hop_edge_labels",
     )
 
@@ -272,6 +293,7 @@ class WalkSchedule:
             self.diff_positions,
             self.pinned,
             self.free,
+            self.retrace,
         ) = _identity_tables(constraint.key[2])
         self.hop_edge_labels = None
         proto_graph = getattr(constraint, "proto_graph", None)

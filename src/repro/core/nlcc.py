@@ -32,9 +32,10 @@ type:
   whole token generations as struct-of-arrays advanced one hop per round
   over the CSR, with per-(vertex, hop, initiator) dedup.  A hop back to a
   vertex the token already carries is one edge look-up per row, not an
-  expansion; the messages the model sends for it are charged all the
-  same.  Results are identical; only message counts may shrink under
-  dedup.
+  expansion — and on a full walk, a hop back along an edge the token
+  already took is a gather of that edge's mirror; the messages the model
+  sends for either are charged all the same.  Results are identical;
+  only message counts may shrink under dedup.
 
 The array frontier's bookkeeping stays in arrays: the recycling cache is
 probed and extended as sorted vertex-id arrays
@@ -71,7 +72,8 @@ class NlccResult:
         "_confirmed_dense",
         "_completed_mappings",
         "completed_walk",
-        "completed_paths",
+        "_completed_paths",
+        "_path_cols",
         "dedup_merged",
         "rows_expanded",
     )
@@ -95,17 +97,18 @@ class NlccResult:
         #: and :attr:`completed_mappings`.  The dict walk fills them
         #: eagerly; the array walk sets them to None and keeps the dense
         #: evidence instead — ``_confirmed_dense`` = (csr, kernel, per-vertex
-        #: role masks in the state's layout, per-directed-edge flag array) and
-        #: ``completed_walk``/``completed_paths`` — decoded on first access.
+        #: role masks in the state's layout, per-directed-edge flag array),
+        #: ``completed_walk`` and ``_path_cols`` — decoded on first access.
         self._confirmed_roles: Optional[Dict[int, Set[int]]] = {}
         self._confirmed_edges: Optional[Set[Tuple[int, int]]] = set()
         self._confirmed_dense = None
         self._completed_mappings: Optional[list] = []
         #: walk role sequence of the dense match evidence (array walk)
         self.completed_walk: Optional[Tuple[int, ...]] = None
-        #: completions-by-walk-length matrix of graph vertex ids, one row
-        #: per completed full-walk token (array walk)
-        self.completed_paths = None
+        #: backing store of :attr:`completed_paths`, and the walk's dense
+        #: vertex columns it is decoded from (array walk)
+        self._completed_paths = None
+        self._path_cols = None
         #: token rows collapsed by the array frontier's canonical fold
         #: (always 0 on the reference walk, which never dedups)
         self.dedup_merged = 0
@@ -171,6 +174,23 @@ class NlccResult:
                 )
             )
         return self._confirmed_edges
+
+    @property
+    def completed_paths(self):
+        """For full walks on the array frontier: a completions × walk
+        length matrix of graph vertex ids, one row per completed token
+        (``None`` without completions and on the reference walk).
+
+        Stacked and decoded from the walk's columns on first read, so a
+        run that only counts matches never builds it.
+        """
+        if self._completed_paths is None and self._path_cols is not None:
+            import numpy as np
+
+            csr = self._confirmed_dense[0]
+            self._completed_paths = csr.order[np.stack(self._path_cols, axis=1)]
+            self._path_cols = None
+        return self._completed_paths
 
     @property
     def completed_mappings(self) -> list:
@@ -452,9 +472,10 @@ def _reduce_to_confirmed_array(
     """Array form of :func:`_reduce_to_confirmed` (full-walk reduction).
 
     The walk hands over, per completed token, the vertex at every walk
-    position and the CSR edge taken at every hop, so "confirmed" is two
-    scatters — role bits by vertex, a flag by edge position (plus its
-    mirror) — with nothing to sort or search.
+    position and the CSR edge taken at every hop, one column each, so
+    "confirmed" is two sets of scatters — role bits by vertex, a flag by
+    edge position (plus its mirror) — with nothing to stack, sort or
+    search.
     """
     import numpy as np
 
@@ -462,19 +483,23 @@ def _reduce_to_confirmed_array(
 
     csr = astate.csr
     walk = schedule.walk
-    paths = walk_out.full_paths
+    path_cols = walk_out.path_cols
     before = astate.num_active_vertices
 
     # confirmed role bits, in the state's mask layout; a revisited role is
     # skipped — the identity check pinned its column to the role's first
     # position, already scattered
     words = astate.masks_of(
-        (role, paths[:, position])
+        (role, path_cols[position])
         for position, role in enumerate(walk)
         if not schedule.same_positions[position]
     )
+    # a retrace hop's edge column is the mirror of an earlier hop's, which
+    # the mirror pass below adds
     confirmed = np.zeros(csr.num_directed_edges, dtype=bool)
-    confirmed[walk_out.full_edges] = True
+    for hop, edges in enumerate(walk_out.edge_cols, start=1):
+        if schedule.retrace[hop] is None:
+            confirmed[edges] = True
     confirmed |= confirmed[csr.mirror]
 
     # Match evidence, identical to the reference walk's _record_match output.
@@ -484,9 +509,9 @@ def _reduce_to_confirmed_array(
     result._confirmed_roles = None
     result._confirmed_edges = None
     result._confirmed_dense = (csr, kernel, words, confirmed)
-    if paths.shape[0]:
+    if path_cols[0].shape[0]:
         result.completed_walk = tuple(walk)
-        result.completed_paths = csr.order[paths]
+        result._path_cols = path_cols
         result._completed_mappings = None
 
     # Reduction, mirroring the reference loop exactly: unconfirmed candidates

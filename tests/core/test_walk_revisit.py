@@ -24,7 +24,13 @@ charged in closed form when the walk flushes.  Guards:
   (``rows_expanded`` against the message count, which the old expansion
   equalled), and a revisit hop never calls ``np.repeat``;
 * (f) source guards, and the enumeration helpers that moved onto the
-  same look-up.
+  same look-up;
+* (g) a full walk's *retrace* hops — back along a template edge the token
+  already took — gather the mirror of the carried edge instead of
+  looking it up: ``schedule.retrace`` names exactly those hops, a retrace
+  hop never calls ``edge_positions``, and aliveness is tested in the
+  hop's own direction (rows, edges and order against the token-at-a-time
+  reference, traffic and completions against the dict walk).
 """
 
 import hashlib
@@ -34,7 +40,7 @@ import json
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 
 from repro.core import (
     PatternTemplate,
@@ -59,6 +65,7 @@ from repro.core.enumeration import (
     extend_from_child_matches_array,
 )
 from repro.core.kernels import compile_kernel, compile_walk_schedule
+from repro.graph.csr import GraphCsr
 from repro.graph.generators import gnm_graph
 from repro.graph.graph import Graph, canonical_edge
 from repro.graph.io import read_edge_list, write_edge_list, write_labels
@@ -746,3 +753,169 @@ class TestChildMatchExtension:
             assert sorted(map(key, by_array)) == sorted(map(key, by_dict))
             extended += len(by_array)
         assert extended > 0
+
+
+# ----------------------------------------------------------------------
+# (g) retrace hops gather the carried edge's mirror
+# ----------------------------------------------------------------------
+def full_walk_of(graph, template):
+    return next(
+        c for c in non_local_of(graph, template) if c.kind == FULL_WALK_KIND
+    )
+
+
+def check_retrace_walk(astate, constraint, kernel):
+    """Rows, edges and their order against the token-at-a-time reference,
+    traffic and completions against the dict walk."""
+    schedule = compile_walk_schedule(constraint)
+    reference, sent = reference_full_walk(astate, schedule, kernel)
+    out, stats = check_traffic_parity(astate, constraint, kernel)
+    assert out.full_paths.tolist() == [list(p) for p, _ in reference]
+    assert out.full_edges.tolist() == [list(e) for _, e in reference]
+    assert int(stats.matrix.sum()) == sent
+    return out
+
+
+def path_case():
+    """a - b - {c, d}: the full walk a b c b a walks both edges back."""
+    template = PatternTemplate.from_edges(
+        [(0, 1), (1, 2)], labels={0: 0, 1: 1, 2: 2}
+    )
+    graph = Graph()
+    for v, label in ((10, 0), (11, 1), (12, 2), (13, 2)):
+        graph.add_vertex(v, label)
+    for u, v in ((10, 11), (11, 12), (11, 13)):
+        graph.add_edge(u, v)
+    return graph, template, full_walk_of(graph, template)
+
+
+class TestRetraceHops:
+    def test_the_path_walk_retraces_both_edges(self):
+        _graph, _template, constraint = path_case()
+        schedule = compile_walk_schedule(constraint)
+        assert constraint.walk == (0, 1, 2, 1, 0)
+        assert schedule.retrace == (None, None, None, 2, 1)
+
+    @pytest.mark.parametrize("hop", [1, 2])
+    @pytest.mark.parametrize("direction", ["return", "forward"])
+    def test_one_way_alive_walked_edge(self, hop, direction):
+        # Aliveness is per direction.  With only the return direction of
+        # a walked edge dead, the token crosses it and drops at the
+        # retrace hop; with only the forward direction dead, it never
+        # crosses it.  Hop 2's edge is b -> c: the walk over b -> d still
+        # completes.
+        graph, template, constraint = path_case()
+        kernel = compile_kernel(template.graph)
+        astate = ArraySearchState.initial(graph, template)
+        csr = astate.csr
+        u, v = ((10, 11), (11, 12))[hop - 1]
+        forward = int(csr.edge_positions(
+            np.array([csr.index_of[u]]), np.array([csr.index_of[v]])
+        )[0])
+        killed = forward if direction == "forward" else int(csr.mirror[forward])
+        astate.edge_alive[killed] = False
+
+        out = check_retrace_walk(astate, constraint, kernel)
+        assert out.completions == (0 if hop == 1 else 1)
+        if hop == 2:
+            assert csr.order[out.full_paths[0]].tolist() == [10, 11, 13, 11, 10]
+
+    def test_every_edge_alive_both_ways(self):
+        graph, template, constraint = path_case()
+        kernel = compile_kernel(template.graph)
+        astate = ArraySearchState.initial(graph, template)
+        out = check_retrace_walk(astate, constraint, kernel)
+        assert out.completions == 2
+        # the retrace hops appended the carried columns themselves
+        assert out.path_cols[3] is out.path_cols[1]
+        assert out.path_cols[4] is out.path_cols[0]
+
+    @SLOW
+    @given(
+        data=st.data(),
+        shape=st.sampled_from(["diamond", "tailed-triangle", "path"]),
+    )
+    def test_one_way_edges_taken_from_a_first_walk(self, data, shape):
+        if shape == "path":
+            edges, labels = [(0, 1), (1, 2), (2, 3)], {0: 0, 1: 1, 2: 1, 3: 0}
+        else:
+            edges, labels = TEMPLATES[shape]
+        template = PatternTemplate.from_edges(edges, labels)
+        graph = data.draw(hub_graphs())
+        kernel = compile_kernel(template.graph)
+        constraint = full_walk_of(graph, template)
+        schedule = compile_walk_schedule(constraint)
+        assert any(back is not None for back in schedule.retrace)
+        astate = ArraySearchState.initial(graph, template)
+        first = array_token_walk(
+            astate, schedule, kernel, engine_for(graph), collect_paths=True
+        )
+        assume(first.completions > 0)
+        walked = np.unique(first.full_edges).tolist()
+        one_way = data.draw(
+            st.lists(st.sampled_from(walked), min_size=1, max_size=4)
+        )
+        astate.edge_alive[one_way] = False
+        check_retrace_walk(astate, constraint, kernel)
+
+    def test_a_retrace_hop_probes_nothing(self, monkeypatch):
+        graph, template, constraint = clique4_case()
+        kernel = compile_kernel(template.graph)
+        schedule = compile_walk_schedule(constraint)
+        retrace_hops = [
+            hop for hop, back in enumerate(schedule.retrace) if back is not None
+        ]
+        assert retrace_hops
+        astate = ArraySearchState.initial(graph, template)
+        calls = []
+        positions = GraphCsr.edge_positions
+        monkeypatch.setattr(
+            GraphCsr, "edge_positions",
+            lambda *a, **k: calls.append(1) or positions(*a, **k),
+        )
+        out = array_token_walk(
+            astate, schedule, kernel, engine_for(graph), collect_paths=True
+        )
+        monkeypatch.undo()
+        assert out.completions > 0  # every hop ran
+        assert len(calls) == len(revisit_hops(schedule)) - len(retrace_hops)
+
+
+@st.composite
+def connected_templates(draw):
+    """A connected template of 2-6 vertices with repeated labels."""
+    n = draw(st.integers(2, 6))
+    edges = {
+        canonical_edge(v, draw(st.integers(0, v - 1))) for v in range(1, n)
+    }
+    for _ in range(draw(st.integers(0, n))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if u != v:
+            edges.add(canonical_edge(u, v))
+    labels = {v: draw(st.integers(0, 2)) for v in range(n)}
+    return PatternTemplate.from_edges(sorted(edges), labels)
+
+
+@SLOW
+@given(template=connected_templates(), orient=st.booleans())
+def test_retrace_names_exactly_the_reversed_hops(template, orient):
+    frequencies = {label: 1 + label for label in range(3)}
+    constraints = generate_constraints(
+        template.graph, frequencies, True, orient=orient
+    ).non_local
+    (full,) = [c for c in constraints if c.kind == FULL_WALK_KIND]
+    schedule = compile_walk_schedule(full)
+    walk = full.walk
+    assert len(schedule.retrace) == schedule.length
+    for hop in range(1, schedule.length):
+        reversed_hops = [
+            j for j in range(1, hop)
+            if walk[j] == walk[hop - 1] and walk[j - 1] == walk[hop]
+        ]
+        back = schedule.retrace[hop]
+        if reversed_hops:
+            assert schedule.same_positions[hop]  # a revisit hop
+            assert back in reversed_hops
+        else:
+            assert back is None
+    assert schedule.retrace[0] is None
