@@ -6,10 +6,9 @@ Each rule is motivated by a bug class this codebase has actually hit
 * **R1** ``optional-int-truthiness`` — ``if x:`` on int / Optional[int]
   option and counter fields conflates 0 with None/absent (the
   ``reload_ranks=0`` bug of the kernels PR).
-* **R2** ``options-threading`` — a new :class:`PipelineOptions` field is
-  easy to define and forget in one of the six driver modules, silently
-  reverting the option for that execution path (as the array NLCC
-  switch initially was for pooled workers).
+* **R2** ``options-consumed`` — a :class:`PipelineOptions` field that no
+  driver module reads is a dead knob: setting it changes nothing and no
+  error says so.
 * **R3** ``tracer-guard`` — span/counter bookkeeping in the hot kernel
   modules must sit behind a ``tracer.enabled`` check so untraced runs
   stay zero-overhead.
@@ -295,37 +294,24 @@ class OptionalIntTruthinessRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# R2 — options threading parity
+# R2 — options consumed
 # ----------------------------------------------------------------------
 @register_rule
 class OptionsThreadingRule(Rule):
     """Every ``PipelineOptions`` field must actually reach the drivers.
 
-    Two checks:
-
-    1. every field declared on the ``PipelineOptions`` dataclass is read
-       (``something.field``) in at least one driver module outside the
-       dataclass body itself — a field nobody consumes is a silently
-       dead knob;
-    2. the ``search_prototype(...)`` call sites across the drivers agree
-       on the option keywords they forward (modulo per-site arguments),
-       so a flag threaded into the in-process path cannot silently stay
-       off in the pooled-worker path.
+    Every field declared on the ``PipelineOptions`` dataclass is read
+    (``something.field``) in at least one driver module outside the
+    dataclass body itself — a field nobody consumes is a silently dead
+    knob.  (Which keywords a prototype search receives needs no check:
+    ``pipeline.search_one`` is the one ``search_prototype`` call.)
     """
 
     id = "R2"
-    title = "options-threading parity"
+    title = "options consumed"
     rationale = (
-        "new PipelineOptions flags were silently dropped on some driver "
-        "paths (the array NLCC switch initially defaulted off in pooled "
-        "workers)"
-    )
-
-    #: keywords legitimately differing between search_prototype call
-    #: sites: per-call state, caches, and features rejected by
-    #: PipelineOptions.__post_init__ for that execution mode
-    _SITE_SPECIFIC = frozenset(
-        {"cache", "recycle", "warm_mask", "collect_matches"}
+        "PipelineOptions fields outlived their last reader: a set flag "
+        "changed nothing and no error said so"
     )
 
     def check_project(self, project: Project) -> Iterator[Violation]:
@@ -333,7 +319,6 @@ class OptionsThreadingRule(Rule):
         options = self._find_options_class(project)
         if options is not None:
             yield from self._check_consumption(project, drivers, *options)
-        yield from self._check_call_parity(drivers)
 
     # ------------------------------------------------------------------
     def _find_options_class(
@@ -380,34 +365,6 @@ class OptionsThreadingRule(Rule):
                     f"PipelineOptions.{name} is never read in any driver "
                     f"module (search/pipeline/topdown/restart/parallel/"
                     f"naive) — dead or dropped option",
-                )
-
-    def _check_call_parity(
-        self, drivers: List[ModuleSource]
-    ) -> Iterator[Violation]:
-        sites: List[Tuple[ModuleSource, ast.Call, Set[str]]] = []
-        for module in drivers:
-            for node in ast.walk(module.tree):
-                if (isinstance(node, ast.Call)
-                        and _call_name(node) == "search_prototype"):
-                    keywords = {
-                        kw.arg for kw in node.keywords if kw.arg is not None
-                    }
-                    sites.append((module, node, keywords))
-        if len(sites) < 2:
-            return
-        union: Set[str] = set()
-        for _, _, keywords in sites:
-            union |= keywords
-        required = union - self._SITE_SPECIFIC
-        for module, node, keywords in sites:
-            missing = sorted(required - keywords)
-            if missing:
-                yield module.violation(
-                    self,
-                    node,
-                    "search_prototype call drops option keyword(s) other "
-                    f"driver sites forward: {', '.join(missing)}",
                 )
 
 

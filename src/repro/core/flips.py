@@ -29,14 +29,20 @@ from ..errors import TemplateError
 from ..graph.algorithms import is_connected
 from ..graph.graph import Graph, canonical_edge
 from ..graph.isomorphism import canonical_form
-from ..runtime.engine import Engine
 from ..runtime.messages import MessageStats
-from ..runtime.partition import PartitionedGraph
-from .ordering import ConstraintPlanner
-from .pipeline import PipelineOptions, max_candidate_scope
+from .pipeline import (
+    PipelineOptions,
+    charge,
+    compact_scope,
+    deployment_partition,
+    max_candidate_scope,
+    merge_message_stats,
+    partition,
+    planner_for,
+    search_one,
+)
 from .prototypes import Prototype
 from .results import PrototypeSearchOutcome
-from .search import search_prototype
 from .state import NlccCache
 from .template import PatternTemplate
 
@@ -143,6 +149,9 @@ class FlipResult:
         self.candidate_set_vertices = 0
         self.total_simulated_seconds = 0.0
         self.total_wall_seconds = 0.0
+        #: the family's merged message accounting (``M*`` and every
+        #: variant search), as ``PipelineResult.message_summary``
+        self.message_summary: Dict[str, object] = {}
 
     def matched_vertices(self) -> Set[int]:
         return set(self.match_vectors)
@@ -168,12 +177,15 @@ def run_flip_pipeline(
 ) -> FlipResult:
     """Exact matching over every variant within ``flips`` edge swaps.
 
-    Builds the family-wide candidate set once, then runs the standard
-    per-prototype search for each variant with shared NLCC recycling;
-    per-variant results carry the usual 100% precision/recall guarantee.
-    ``options`` apply as in :func:`~repro.core.pipeline.run_pipeline`:
-    backend, tracer, metrics registry, match counting and collection and
-    verification.
+    Builds the family-wide candidate set once, then runs the drivers'
+    per-prototype search (:func:`~repro.core.pipeline.search_one`) for
+    each variant with shared NLCC recycling; per-variant results carry the
+    usual 100% precision/recall guarantee.  ``options`` apply as in
+    :func:`~repro.core.pipeline.run_pipeline`: backend, partition
+    (strategy, delegates, ranks per node, replica deployments), the
+    ``M*`` view, tracer, metrics registry, match counting and collection.
+    Each variant's traffic is charged to its outcome like a level
+    prototype's.
     """
     options = options or PipelineOptions()
     wall_start = time.perf_counter()
@@ -182,48 +194,32 @@ def run_flip_pipeline(
     result.variants = variants
 
     envelope = envelope_template(template, variants)
-    pgraph = PartitionedGraph(
-        graph,
-        options.num_ranks,
-        delegate_degree_threshold=options.delegate_degree_threshold,
-        ranks_per_node=options.ranks_per_node,
+    base_pgraph = partition(graph, options.num_ranks, options)
+    mcs_stats = MessageStats(options.num_ranks)
+    base_state = compact_scope(
+        max_candidate_scope(graph, envelope, base_pgraph, mcs_stats, options),
+        options,
     )
-    mcs_engine = Engine(
-        pgraph, MessageStats(options.num_ranks), options.batch_size,
-        tracer=options.tracer, metrics=options.metrics,
-    )
-    base_state = max_candidate_scope(graph, envelope, mcs_engine, options)
     result.candidate_set_vertices = base_state.num_active_vertices
-    result.total_simulated_seconds += options.cost_model.makespan(mcs_engine.stats)
+    result.total_simulated_seconds += options.cost_model.makespan(mcs_stats)
+    all_stats = [mcs_stats]
 
-    planner = ConstraintPlanner(
-        graph, options.include_full_walk, options.constraint_ordering
-    )
+    search_pgraph = deployment_partition(graph, base_pgraph, options)
+    planner = planner_for(graph, options)
     cache = NlccCache() if options.work_recycling else None
     for index, variant in enumerate(variants):
         proto = Prototype(index, 0, index, variant.graph.copy(), variant)
         proto.name = variant.name
-        state = base_state.for_prototype_search(proto)
-        stats = MessageStats(options.num_ranks)
-        engine = Engine(
-            pgraph, stats, options.batch_size,
-            tracer=options.tracer, metrics=options.metrics,
+        outcome, stats = search_one(
+            proto, base_state.for_prototype_search(proto), None,
+            search_pgraph, planner, cache, options, options.tracer,
+            options.metrics, collect_matches=options.collect_matches,
         )
-        outcome = search_prototype(
-            state,
-            proto,
-            planner.plan(proto.graph),
-            engine,
-            cache=cache,
-            recycle=options.work_recycling,
-            count_matches=options.count_matches,
-            collect_matches=options.collect_matches,
-            verification=options.verification,
-        )
-        outcome.simulated_seconds = options.cost_model.makespan(stats)
+        charge(outcome, stats, options, all_stats)
         result.total_simulated_seconds += outcome.simulated_seconds
         result.outcomes[variant.name] = outcome
         for vertex in outcome.solution_vertices:
             result.match_vectors.setdefault(vertex, set()).add(variant.name)
+    result.message_summary = merge_message_stats(all_stats)
     result.total_wall_seconds = time.perf_counter() - wall_start
     return result

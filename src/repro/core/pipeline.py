@@ -72,7 +72,10 @@ class PipelineOptions:
     scenario Z, or disable groups of options for the ablations and the
     naïve baseline (see :func:`repro.core.naive.naive_options`).  The
     ``M*`` and level views and the fixpoint's dense-round switch have no
-    field: they apply wherever they are sound.
+    field: they apply wherever they are sound.  Neither have the engine's
+    visitor batch (every engine runs with its default) nor a verification
+    mode: a prototype whose constraints are not exact on their own is
+    verified by enumeration, every other one is not.
     """
 
     #: simulated MPI ranks of the primary deployment
@@ -84,8 +87,6 @@ class PipelineOptions:
     #: initial vertex-to-rank assignment: "hash" (HavoqGT default) or
     #: "block" (contiguous ids — skew-prone, the no-load-balancing strawman)
     partition_strategy: str = "hash"
-    #: visitors processed per rank before the scheduler rotates
-    batch_size: int = 64
     #: search-space reduction: compute M* before any search (§3.1)
     use_max_candidate_set: bool = True
     #: execution: "array" (level state in CSR bit vectors, vectorized
@@ -104,10 +105,10 @@ class PipelineOptions:
     #: False (kind/length order only), or "walk-cost" (the [65]-style
     #: statistics-driven pruning-efficiency order)
     constraint_ordering: object = True
-    #: append the exactness-guaranteeing full-walk TDS check ("auto"/True/False)
+    #: append the exactness-guaranteeing full-walk TDS check
+    #: ("auto"/True/False); a prototype whose constraints are not exact
+    #: without it is verified by enumeration (see search_prototype)
     include_full_walk: object = "auto"
-    #: "auto" | "enumeration" | "constraints" (see search_prototype)
-    verification: str = "auto"
     #: count match mappings / distinct matches per prototype
     count_matches: bool = False
     #: keep the enumerated match mappings in each outcome
@@ -150,8 +151,6 @@ class PipelineOptions:
             raise PipelineError("parallel_deployments must be positive")
         if self.load_balance not in ("none", "reshuffle"):
             raise PipelineError(f"unknown load_balance mode {self.load_balance!r}")
-        if self.verification not in ("auto", "enumeration", "constraints"):
-            raise PipelineError(f"unknown verification mode {self.verification!r}")
         if self.prototype_cost_source not in ("estimate", "measured"):
             raise PipelineError(
                 f"unknown prototype_cost_source {self.prototype_cost_source!r}"
@@ -247,9 +246,7 @@ def _run_bottom_up(
     protos = prototype_set or generate_prototypes(
         template, k, max_prototypes=options.max_prototypes
     )
-    planner = ConstraintPlanner(
-        graph, options.include_full_walk, options.constraint_ordering
-    )
+    planner = planner_for(graph, options)
     label_frequencies = planner.label_frequencies
 
     result = PipelineResult(template.name, k, protos, backend=options.backend)
@@ -260,10 +257,6 @@ def _run_bottom_up(
     # ------------------------------------------------------------- M*
     base_pgraph = partition(graph, options.num_ranks, options)
     mcs_stats = MessageStats(options.num_ranks)
-    mcs_engine = Engine(
-        base_pgraph, mcs_stats, options.batch_size, tracer=tracer,
-        metrics=metrics,
-    )
     # The backend fixes the state form of the whole run: on the array
     # backend M* comes straight out of the vectorized fixpoint, every
     # prototype scope is cut from it (or from the previous level's union)
@@ -276,7 +269,8 @@ def _run_bottom_up(
         base = checkpoint.restored_base(graph, array)
     elif options.use_max_candidate_set:
         base = max_candidate_scope(
-            graph, template, mcs_engine, options, memo=candidate_memo
+            graph, template, base_pgraph, mcs_stats, options,
+            memo=candidate_memo,
         )
     elif array:
         base = ArraySearchState.initial(graph, template)
@@ -327,8 +321,7 @@ def _run_bottom_up(
         from ..runtime.parallel import PrototypeSearchPool
 
         pool = PrototypeSearchPool(
-            graph, template, protos.max_distance, options,
-            options.worker_processes,
+            protos, planner, search_pgraph, options, options.worker_processes
         )
 
     aux_view_reuse = metrics.counter("aux_view.reuse")
@@ -379,14 +372,15 @@ def _run_bottom_up(
                             )
                             if on_aux_view:
                                 aux_view_reuse.inc()
-                            outcome = search_in_process(
+                            outcome, stats = search_one(
                                 proto, proto_state, warm_mask, search_pgraph,
-                                planner, cache, options, all_stats,
+                                planner, cache, options, tracer, metrics,
                                 collect_matches=(
                                     options.collect_matches
                                     or options.enumeration_optimization
                                 ),
                             )
+                            charge(outcome, stats, options, all_stats)
                             if (
                                 outcome.matches is not None
                                 and options.enumeration_optimization
@@ -531,6 +525,13 @@ def charge(
     outcome.messages = stats.total_messages
     outcome.remote_messages = stats.total_remote_messages
     all_stats.append(stats)
+
+
+def planner_for(graph: Graph, options: PipelineOptions) -> ConstraintPlanner:
+    """The run's constraint planner, as ``options`` orders constraints."""
+    return ConstraintPlanner(
+        graph, options.include_full_walk, options.constraint_ordering
+    )
 
 
 def partition(
@@ -726,7 +727,7 @@ def empty_union(
     return SearchState.empty(base.graph)
 
 
-def search_in_process(
+def search_one(
     proto: Prototype,
     scope: "SearchState | ArraySearchState",
     warm_mask: Optional[Any],
@@ -734,15 +735,22 @@ def search_in_process(
     planner: ConstraintPlanner,
     cache: Optional[NlccCache],
     options: PipelineOptions,
-    all_stats: List[MessageStats],
-    collect_matches: bool,
-) -> PrototypeSearchOutcome:
-    """One prototype search on ``pgraph``, charged to the run."""
+    tracer: Any,
+    metrics: Any,
+    collect_matches: bool = False,
+) -> Tuple[PrototypeSearchOutcome, MessageStats]:
+    """One prototype search (Alg. 2) on ``pgraph``: the outcome and the
+    traffic it cost.
+
+    The one place a search engine is built — for the level drivers, the
+    flip family and every pool task alike, so a search's counts depend on
+    the partition it is handed and nothing else.  It accounts into
+    ``tracer`` and ``metrics`` (the run's own, or a pool task's fresh
+    ones); charging the returned stats is the caller's job
+    (:func:`charge`).
+    """
     stats = MessageStats(pgraph.num_ranks)
-    engine = Engine(
-        pgraph, stats, options.batch_size, tracer=options.tracer,
-        metrics=options.metrics,
-    )
+    engine = Engine(pgraph, stats, tracer=tracer, metrics=metrics)
     outcome = search_prototype(
         scope,
         proto,
@@ -752,11 +760,9 @@ def search_in_process(
         recycle=options.work_recycling,
         count_matches=options.count_matches,
         collect_matches=collect_matches,
-        verification=options.verification,
         warm_mask=warm_mask,
     )
-    charge(outcome, stats, options, all_stats)
-    return outcome
+    return outcome, stats
 
 
 def record_outcome(
@@ -822,12 +828,17 @@ def pooled_level(
 def max_candidate_scope(
     graph: Graph,
     template: PatternTemplate,
-    engine: Engine,
+    pgraph: PartitionedGraph,
+    stats: MessageStats,
     options: PipelineOptions,
     memo: Optional["CandidateSetMemo"] = None,
 ) -> "SearchState | ArraySearchState":
-    """``M*`` in the state form ``options.backend`` searches — on the
-    array backend over the label view when :func:`takes_view` holds."""
+    """``M*`` on ``pgraph``, its traffic charged to ``stats``, in the
+    state form ``options.backend`` searches — on the array backend over
+    the label view when :func:`takes_view` holds."""
+    engine = Engine(
+        pgraph, stats, tracer=options.tracer, metrics=options.metrics
+    )
     if options.backend == "array":
         return max_candidate_arrays(
             graph, template, engine, memo=memo,
@@ -924,7 +935,6 @@ def _try_extension(
         outcome.solution_edges = {
             canonical_edge(m[u], m[v]) for m in matches for u, v in proto_edges
         }
-        outcome.exact = True
         outcome.wall_seconds = time.perf_counter() - started
         # Simulated cost: one edge probe per child match.
         outcome.simulated_seconds = 1.0e-7 * max(len(stored), 1)

@@ -81,7 +81,6 @@ class PrototypeSearchOutcome:
         self.match_set = None
         #: registry counter name -> what the search counted
         self.counts: Dict[str, float] = {}
-        self.exact = True
         #: simulated parallel seconds for this prototype's search
         self.simulated_seconds = 0.0
         self.wall_seconds = 0.0

@@ -14,7 +14,9 @@
    (which reduces the state to exactly the solution subgraph and counts
    match mappings as a by-product), the prototype is a distinct-labeled
    tree (LCC fixed point is provably exact), or — when the caller disabled
-   the full walk — an enumeration-based verification pass.
+   the full walk — an enumeration-based verification pass.  That is the
+   one rule: enumerate exactly when the constraints are not exact, so every
+   outcome is the exact solution subgraph.
 """
 
 from __future__ import annotations
@@ -53,19 +55,13 @@ def search_prototype(
     recycle: bool = True,
     count_matches: bool = False,
     collect_matches: bool = False,
-    verification: str = "auto",
     warm_mask: Optional[np.ndarray] = None,
 ) -> PrototypeSearchOutcome:
     """Reduce ``state`` to the prototype's solution subgraph, in place.
 
-    ``verification``:
-
-    * ``"auto"`` — trust the constraint set when it guarantees exactness
-      (full walk included, or distinct-labeled tree); otherwise fall back
-      to enumeration;
-    * ``"enumeration"`` — always verify by enumeration;
-    * ``"constraints"`` — never enumerate; the outcome's ``exact`` flag
-      reports whether the constraint set alone guarantees exactness.
+    The constraint set is trusted when it guarantees exactness (full walk
+    included, or a distinct-labeled tree); otherwise the search ends in
+    enumeration, which reduces ``state`` to the union of the matches.
 
     The state's type picks the execution, as it does for LCC and NLCC.
     An :class:`~repro.core.arraystate.ArraySearchState` (what the array
@@ -97,8 +93,7 @@ def search_prototype(
     ):
         _search_prototype_body(
             state, prototype, constraint_set, engine, cache, recycle,
-            count_matches, collect_matches, verification, warm_mask,
-            outcome,
+            count_matches, collect_matches, warm_mask, outcome,
         )
     outcome.counts = metrics.since(mark)
     outcome.wall_seconds = time.perf_counter() - started
@@ -114,7 +109,6 @@ def _search_prototype_body(
     recycle: bool,
     count_matches: bool,
     collect_matches: bool,
-    verification: str,
     warm_mask: Optional[np.ndarray],
     outcome: PrototypeSearchOutcome,
 ) -> None:
@@ -172,11 +166,8 @@ def _search_prototype_body(
                 state, prototype.graph, engine, kernel=kernel
             )
 
-    constraints_exact = (
+    need_enumeration = not (
         full_walk_result is not None or constraint_set.exact_without_full_walk
-    )
-    need_enumeration = verification == "enumeration" or (
-        verification == "auto" and not constraints_exact
     )
     if isinstance(state, ArraySearchState):
         # Array-native tail: enumeration (when needed) runs the vectorized
@@ -224,7 +215,6 @@ def _search_prototype_body(
     elif count_matches:
         outcome.match_mappings = count_match_mappings(prototype, state)
 
-    outcome.exact = constraints_exact or need_enumeration
     if outcome.match_mappings is not None and (count_matches or collect_matches):
         outcome.distinct_matches = distinct_match_count(
             prototype, outcome.match_mappings

@@ -18,20 +18,20 @@ import time
 from typing import Callable, List, Optional
 
 from ..graph.graph import Graph
-from ..runtime.engine import Engine
 from ..runtime.messages import MessageStats
-from .ordering import ConstraintPlanner
 from .pipeline import (
     PipelineOptions,
+    charge,
     compact_scope,
     deployment_partition,
     finish_level,
     finish_run,
     max_candidate_scope,
     partition,
+    planner_for,
     pooled_level,
     record_outcome,
-    search_in_process,
+    search_one,
     start_run,
 )
 from .prototypes import generate_prototypes
@@ -87,19 +87,15 @@ def _run_exploratory(
     metrics = options.metrics
     started = start_run(options)
     protos = generate_prototypes(template, max_k, options.max_prototypes)
-    planner = ConstraintPlanner(
-        graph, options.include_full_walk, options.constraint_ordering
-    )
+    planner = planner_for(graph, options)
     cache = NlccCache() if options.work_recycling else None
 
     pgraph = partition(graph, options.num_ranks, options)
     mcs_stats = MessageStats(options.num_ranks)
-    mcs_engine = Engine(
-        pgraph, mcs_stats, options.batch_size, tracer=tracer, metrics=metrics,
-    )
     # Every exploratory scope is cut from M*, in the backend's state form.
     base = compact_scope(
-        max_candidate_scope(graph, template, mcs_engine, options), options
+        max_candidate_scope(graph, template, pgraph, mcs_stats, options),
+        options,
     )
 
     result = PipelineResult(template.name, max_k, protos, backend=options.backend)
@@ -116,7 +112,7 @@ def _run_exploratory(
         from ..runtime.parallel import PrototypeSearchPool
 
         pool = PrototypeSearchPool(
-            graph, template, max_k, options, options.worker_processes
+            protos, planner, search_pgraph, options, options.worker_processes
         )
 
     try:
@@ -135,11 +131,12 @@ def _run_exploratory(
                     )
                 else:
                     for proto in protos.at(distance):
-                        outcome = search_in_process(
+                        outcome, stats = search_one(
                             proto, base.for_prototype_search(proto), None,
-                            search_pgraph, planner, cache, options, all_stats,
-                            collect_matches=options.collect_matches,
+                            search_pgraph, planner, cache, options, tracer,
+                            metrics, collect_matches=options.collect_matches,
                         )
+                        charge(outcome, stats, options, all_stats)
                         record_outcome(level, outcome, result)
                 # An exploratory level's union counts its vertices only:
                 # the answer fingerprints recorded for the exploratory

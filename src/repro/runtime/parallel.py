@@ -4,11 +4,15 @@ The pipeline's ``parallel_deployments`` option *models* replica
 deployments in the simulated cost; this module additionally *executes*
 prototype searches on worker processes, cutting wall-clock time on
 multi-core machines.  Each worker behaves like one replica deployment of
-§4: it attaches to the background graph's shared-memory CSR (one copy of
-the frozen arrays, exported by :mod:`repro.runtime.shm` and mapped
-zero-copy by every worker), rebuilds the prototype set deterministically,
-and keeps its own NLCC work-recycling cache across the tasks it serves —
-exactly the sharing a physical replica would have.
+§4: it receives the run's prototype set, constraint planner and search
+partition (the deployment, reload or reshuffle partition the in-process
+searches use) through the fork, attaches to the background graph's
+shared-memory CSR (one copy of the frozen arrays, exported by
+:mod:`repro.runtime.shm` and mapped zero-copy by every worker), and keeps
+its own NLCC work-recycling cache across the tasks it serves — exactly
+the sharing a physical replica would have.  A task is one call of the
+drivers' own search (:func:`~repro.core.pipeline.search_one`), so a
+pooled search is charged what the same search costs in-process.
 
 Tasks ship as :class:`PoolTask` wire objects in one of two payload kinds,
 one per ``PipelineOptions.backend``:
@@ -42,12 +46,12 @@ from ..errors import WorkerPoolError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from ..core.arraystate import ArraySearchState
+    from ..core.ordering import ConstraintPlanner
     from ..core.pipeline import PipelineOptions
-    from ..core.prototypes import Prototype
+    from ..core.prototypes import Prototype, PrototypeSet
     from ..core.results import PrototypeSearchOutcome
     from ..core.state import SearchState
-    from ..core.template import PatternTemplate
-    from ..graph.graph import Graph
+    from .partition import PartitionedGraph
     from .shm import SharedCsrHandle
 
 #: per-worker state, populated by the pool initializer
@@ -110,24 +114,24 @@ def dict_task(proto_id: int, state: "SearchState") -> PoolTask:
 
 
 def _init_worker(
-    graph: "Graph",
-    template: "PatternTemplate",
-    k: int,
+    prototypes: "PrototypeSet",
+    planner: "ConstraintPlanner",
+    pgraph: "PartitionedGraph",
     options: "PipelineOptions",
     shm_handle: Optional["SharedCsrHandle"] = None,
 ) -> None:
-    """Runs once per worker process: build the shared per-replica state.
+    """Runs once per worker process: keep the run's parts, attach the CSR.
 
+    The prototype set, planner and search partition are the run's own
+    (they arrive through the fork); the worker only adds its NLCC cache.
     When the pool exported the graph's CSR to shared memory, the worker
     attaches to the segment and installs the zero-copy view as the
     graph's memoized CSR, so every ``csr_of(graph)`` in the search stack
     reads the one shared copy.
     """
-    from ..core.ordering import ConstraintPlanner
-    from ..core.pipeline import partition
-    from ..core.prototypes import generate_prototypes
     from ..core.state import NlccCache
 
+    graph = pgraph.graph
     if shm_handle is not None:
         from .shm import attach_shared_csr
 
@@ -136,20 +140,12 @@ def _init_worker(
         except (FileNotFoundError, OSError):  # pragma: no cover - attach race
             pass  # csr_of() rebuilds locally; results are unaffected
 
-    protos = generate_prototypes(template, k, options.max_prototypes)
     _WORKER.update(
-        graph=graph,
         options=options,
-        prototypes={p.id: p for p in protos},
-        # constraints are planned per task, and only for a scope that
-        # survives LCC: init does not scale with the prototype count
-        planner=ConstraintPlanner(
-            graph, options.include_full_walk, options.constraint_ordering
-        ),
+        prototypes={p.id: p for p in prototypes},
+        planner=planner,
+        pgraph=pgraph,
         cache=NlccCache() if options.work_recycling else None,
-        # one partition per worker: its hash assignment and per-CSR rank
-        # arrays are shared by every task the worker serves
-        pgraph=partition(graph, options.num_ranks, options),
     )
 
 
@@ -157,10 +153,10 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
     """Search one prototype inside a worker; returns a plain-data outcome.
 
     ``"array"`` tasks reconstruct an :class:`ArraySearchState` over the
-    attached shared CSR and hand it to :func:`search_prototype` — no dict
-    state exists at any point.  Their result payload additionally carries
-    packed solution bitmaps (``solution_bits``) for the parent's level
-    union.
+    attached shared CSR and hand it to the drivers' own
+    :func:`~repro.core.pipeline.search_one` — no dict state exists at any
+    point.  Their result payload additionally carries packed solution
+    bitmaps (``solution_bits``) for the parent's level union.
 
     When the shipped options carry an enabled tracer, the worker builds a
     fresh local :class:`~repro.runtime.trace.Tracer` (span forests never
@@ -177,14 +173,13 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
     """
     import os
 
-    from ..core.search import search_prototype
+    from ..core.pipeline import search_one
     from ..core.state import SearchState
-    from .engine import Engine
-    from .messages import MessageStats
     from .metrics import MetricsRegistry
     from .trace import NULL_TRACER, Tracer
 
-    graph = _WORKER["graph"]
+    pgraph = _WORKER["pgraph"]
+    graph = pgraph.graph
     options = _WORKER["options"]
     proto = _WORKER["prototypes"][task.proto_id]
     tracing = getattr(options.tracer, "enabled", False)
@@ -212,21 +207,9 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
             active_edges.setdefault(v, set()).add(u)
         state = SearchState(graph, candidates, active_edges)
 
-    stats = MessageStats(options.num_ranks)
-    engine = Engine(
-        _WORKER["pgraph"], stats, options.batch_size,
-        tracer=tracer, metrics=registry,
-    )
-    outcome = search_prototype(
-        state,
-        proto,
-        _WORKER["planner"].plan(proto.graph),
-        engine,
-        cache=_WORKER["cache"],
-        recycle=options.work_recycling,
-        count_matches=options.count_matches,
-        verification=options.verification,
-        warm_mask=warm_mask,
+    outcome, stats = search_one(
+        proto, state, warm_mask, pgraph, _WORKER["planner"],
+        _WORKER["cache"], options, tracer, registry,
     )
     return {
         "proto_id": task.proto_id,
@@ -237,7 +220,6 @@ def _search_task(task: PoolTask) -> Dict[str, Any]:
         ),
         "match_mappings": outcome.match_mappings,
         "distinct_matches": outcome.distinct_matches,
-        "exact": outcome.exact,
         "stats": stats,
         "wall_seconds": outcome.wall_seconds,
         "trace_spans": (
@@ -278,7 +260,6 @@ def payload_to_outcome(
     }
     outcome.match_mappings = payload["match_mappings"]
     outcome.distinct_matches = payload["distinct_matches"]
-    outcome.exact = payload["exact"]
     outcome.wall_seconds = payload["wall_seconds"]
     return outcome
 
@@ -286,7 +267,10 @@ def payload_to_outcome(
 class PrototypeSearchPool:
     """A pool of replica workers executing prototype searches.
 
-    On the array backend the pool exports the graph's CSR to a
+    ``prototypes``, ``planner`` and ``pgraph`` are the run's prototype
+    set, constraint planner and search partition; every worker searches
+    with them, so a task costs what it costs in-process.  On the array
+    backend the pool exports the partitioned graph's CSR to a
     shared-memory segment at construction, workers attach zero-copy, and
     callers ship packed-bitmap tasks; the reference backend exports
     nothing and ships dict tasks.  Closing the pool unlinks the segment.
@@ -297,9 +281,9 @@ class PrototypeSearchPool:
 
     def __init__(
         self,
-        graph: "Graph",
-        template: "PatternTemplate",
-        k: int,
+        prototypes: "PrototypeSet",
+        planner: "ConstraintPlanner",
+        pgraph: "PartitionedGraph",
         options: "PipelineOptions",
         processes: int,
     ) -> None:
@@ -315,7 +299,7 @@ class PrototypeSearchPool:
             from ..core.arraystate import csr_of
             from .shm import SharedGraphCsr
 
-            self._shm = SharedGraphCsr(csr_of(graph))
+            self._shm = SharedGraphCsr(csr_of(pgraph.graph))
             shm_handle = self._shm.handle
             options.metrics.gauge("shm.segment_bytes").set(
                 float(self._shm.nbytes)
@@ -324,7 +308,7 @@ class PrototypeSearchPool:
             max_workers=processes,
             mp_context=mp.get_context("fork"),
             initializer=_init_worker,
-            initargs=(graph, template, k, options, shm_handle),
+            initargs=(prototypes, planner, pgraph, options, shm_handle),
         )
         #: measured wall seconds of the last search of each prototype
         self._wall_history: Dict[int, float] = {}

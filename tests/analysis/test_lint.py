@@ -151,16 +151,6 @@ class TestR2OptionsThreading:
         assert rules_fired(report) == {"R2"}
         assert any("dead_knob" in v.message for v in report.violations)
 
-    def test_call_site_keyword_parity_fires(self, tmp_path):
-        report = lint_files(tmp_path, {"search.py": """\
-            def drive(state, proto, cs, engine, search_prototype):
-                search_prototype(state, proto, cs, engine,
-                                 backend="array", adaptive=True)
-                search_prototype(state, proto, cs, engine, backend="array")
-            """}, rules=["R2"])
-        assert rules_fired(report) == {"R2"}
-        assert any("adaptive" in v.message for v in report.violations)
-
     def test_threaded_options_are_clean(self, tmp_path):
         report = lint_files(tmp_path, {
             "pipeline.py": """\
@@ -176,17 +166,6 @@ class TestR2OptionsThreading:
                     return (options.num_ranks, options.verification)
                 """,
         }, rules=["R2"])
-        assert report.clean
-
-    def test_site_specific_keywords_allowed(self, tmp_path):
-        # ``cache``/``recycle`` legitimately differ between the pooled
-        # worker and the in-process driver call sites.
-        report = lint_files(tmp_path, {"search.py": """\
-            def drive(state, proto, cs, engine, search_prototype, cache):
-                search_prototype(state, proto, cs, engine,
-                                 backend="array", cache=cache)
-                search_prototype(state, proto, cs, engine, backend="array")
-            """}, rules=["R2"])
         assert report.clean
 
 

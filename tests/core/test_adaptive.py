@@ -126,9 +126,7 @@ class TestCountsRepeatInOneProcess:
         from repro.core import count_motifs
 
         # no full walk: every plan keeps its pre-filters
-        options = PipelineOptions(
-            num_ranks=2, include_full_walk=False, verification="enumeration"
-        )
+        options = PipelineOptions(num_ranks=2, include_full_walk=False)
         counts = count_motifs(graph, 4, options, batched=True)
         document = counts.result.stats_document()
         return counts.by_name(induced=False), {

@@ -180,7 +180,6 @@ def outcome_view(outcome):
         "mappings": outcome.match_mappings,
         "distinct": outcome.distinct_matches,
         "matches": canonical_matches(outcome.matches),
-        "exact": outcome.exact,
         "messages": outcome.messages,
         "remote_messages": outcome.remote_messages,
         "simulated_seconds": outcome.simulated_seconds,
@@ -266,10 +265,7 @@ BOTTOM_UP_FEATURES = {
         "ranks_per_node": 2,
     },
     "no-containment": {"use_containment": False},
-    "enumeration-only": {
-        "include_full_walk": False, "verification": "enumeration",
-        "count_matches": True,
-    },
+    "enumeration-only": {"include_full_walk": False, "count_matches": True},
     # no option of its own: ``both_ways`` builds a level view wherever
     # one is sound; this column also checks that run against brute force
     "aux-views": {"count_matches": True},

@@ -98,7 +98,6 @@ def outcome_answer(outcome):
         "mappings": outcome.match_mappings,
         "distinct": outcome.distinct_matches,
         "matches": canonical_matches(outcome.matches),
-        "exact": outcome.exact,
     }
 
 
@@ -674,7 +673,6 @@ class TestNothingIsSkipped:
             graph, template, 2,
             PipelineOptions(
                 num_ranks=4, count_matches=True, include_full_walk=False,
-                verification="enumeration",
             ),
         )
         assert skipped(default) > 0

@@ -109,7 +109,7 @@ class TestExtension:
 
 
 class TestSearchPrototype:
-    def run_search(self, t, g, proto, **kwargs):
+    def run_search(self, t, g, proto, include_full_walk="auto", **kwargs):
         state = ArraySearchState.from_search_state(
             SearchState.initial(g, t).for_prototype_search(proto),
             roles=sorted(proto.graph.vertices()),
@@ -118,7 +118,9 @@ class TestSearchPrototype:
             search_prototype(
                 state,
                 proto,
-                generate_constraints(proto.graph),
+                generate_constraints(
+                    proto.graph, include_full_walk=include_full_walk
+                ),
                 engine_for(g),
                 **kwargs,
             ),
@@ -133,7 +135,6 @@ class TestSearchPrototype:
         expected = {v for m in reference for v in m.values()}
         assert outcome.solution_vertices == expected
         assert outcome.match_mappings == len(reference)
-        assert outcome.exact
 
     def test_collect_matches(self):
         t, g = template(), graph()
@@ -145,36 +146,17 @@ class TestSearchPrototype:
                 assert g.has_edge(m[u], m[v])
 
     def test_enumeration_verification_mode(self):
+        # without the full walk the cyclic prototype's constraints are not
+        # exact, so the search ends in enumeration by rule
         t, g = template(), graph()
         proto = generate_prototypes(t, 0).at(0)[0]
         auto, _ = self.run_search(t, g, proto, count_matches=True)
         enum, _ = self.run_search(
-            t, g, proto, count_matches=True, verification="enumeration"
+            t, g, proto, include_full_walk=False, count_matches=True
         )
         assert enum.solution_vertices == auto.solution_vertices
+        assert enum.solution_edges == auto.solution_edges
         assert enum.match_mappings == auto.match_mappings
-
-    def test_constraints_only_mode_without_full_walk_is_superset(self):
-        t, g = template(), graph()
-        proto = generate_prototypes(t, 0).at(0)[0]
-        state = ArraySearchState.from_search_state(
-            SearchState.initial(g, t).for_prototype_search(proto),
-            roles=sorted(proto.graph.vertices()),
-        )
-        outcome = search_prototype(
-            state,
-            proto,
-            generate_constraints(proto.graph, include_full_walk=False),
-            engine_for(g),
-            verification="constraints",
-        )
-        assert not outcome.exact  # cyclic template, no full walk, no enumeration
-        reference = {
-            v
-            for m in find_subgraph_isomorphisms(proto.graph, g)
-            for v in m.values()
-        }
-        assert reference <= outcome.solution_vertices
 
     def test_tree_prototype_exact_without_walk(self):
         t = PatternTemplate.from_edges(
@@ -183,7 +165,6 @@ class TestSearchPrototype:
         g = planted_graph(40, 80, t.edges(), [1, 2, 3], copies=2, seed=5)
         proto = generate_prototypes(t, 0).at(0)[0]
         outcome, _ = self.run_search(t, g, proto)
-        assert outcome.exact
         assert outcome.counts.get("nlcc.constraints_checked", 0) == 0
         reference = {
             v for m in find_subgraph_isomorphisms(t.graph, g) for v in m.values()

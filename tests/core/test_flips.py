@@ -1,5 +1,8 @@
 """Tests for edge-flip template variants."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core import PatternTemplate, PipelineOptions
@@ -21,6 +24,20 @@ def base_template():
         labels={0: 1, 1: 2, 2: 3, 3: 4},
         name="p4",
     )
+
+
+def flip_case(name):
+    """The flip grid's two workloads: the path planted, or a star planted
+    that only a flip of the path matches."""
+    template = base_template()
+    if name == "path":
+        planted, edges, seed = template.edges(), 80, 19
+    else:
+        planted, edges, seed = [(1, 0), (1, 2), (1, 3)], 70, 23
+    graph = planted_graph(
+        40, edges, planted, [1, 2, 3, 4], copies=2, num_labels=5, seed=seed,
+    )
+    return graph, template
 
 
 class TestVariantGeneration:
@@ -80,11 +97,7 @@ class TestEnvelope:
 
 class TestFlipPipeline:
     def test_precision_and_recall_per_variant(self):
-        template = base_template()
-        graph = planted_graph(
-            40, 80, template.edges(), [1, 2, 3, 4], copies=2,
-            num_labels=5, seed=19,
-        )
+        graph, template = flip_case("path")
         result = run_flip_pipeline(
             graph, template, flips=1, options=PipelineOptions(num_ranks=2)
         )
@@ -97,11 +110,7 @@ class TestFlipPipeline:
             assert result.outcomes[variant.name].solution_vertices == expected
 
     def test_match_vectors_union(self):
-        template = base_template()
-        graph = planted_graph(
-            40, 80, template.edges(), [1, 2, 3, 4], copies=2,
-            num_labels=5, seed=19,
-        )
+        graph, template = flip_case("path")
         result = run_flip_pipeline(
             graph, template, flips=1, options=PipelineOptions(num_ranks=2)
         )
@@ -113,11 +122,7 @@ class TestFlipPipeline:
 
     def test_finds_flipped_structure_the_template_misses(self):
         """Plant a star; the path template only matches via a flip."""
-        template = base_template()
-        star_edges = [(1, 0), (1, 2), (1, 3)]  # star centered at vertex 1
-        graph = planted_graph(
-            40, 70, star_edges, [1, 2, 3, 4], copies=2, num_labels=5, seed=23,
-        )
+        graph, template = flip_case("star")
         result = run_flip_pipeline(
             graph, template, flips=1, options=PipelineOptions(num_ranks=2)
         )
@@ -134,11 +139,7 @@ class TestFlipPipeline:
         # variant's search, like the level drivers'
         from repro.runtime.trace import Tracer
 
-        template = base_template()
-        graph = planted_graph(
-            40, 80, template.edges(), [1, 2, 3, 4], copies=2,
-            num_labels=5, seed=19,
-        )
+        graph, template = flip_case("path")
         tracer = Tracer()
         options = PipelineOptions(num_ranks=2, tracer=tracer, backend=backend)
         result = run_flip_pipeline(graph, template, flips=1, options=options)
@@ -152,3 +153,94 @@ class TestFlipPipeline:
             graph, template, flips=1, options=PipelineOptions(num_ranks=2)
         )
         assert result.match_vectors == plain.match_vectors
+
+
+def answer_digest(result):
+    """Match vectors and every variant's solution subgraph, hashed."""
+    document = {
+        "vectors": sorted(
+            (v, sorted(names)) for v, names in result.match_vectors.items()
+        ),
+        "variants": [
+            (
+                variant.name,
+                sorted(result.outcomes[variant.name].solution_vertices),
+                sorted(result.outcomes[variant.name].solution_edges),
+            )
+            for variant in result.variants
+        ],
+    }
+    return hashlib.sha256(json.dumps(document).encode()).hexdigest()[:16]
+
+
+#: ``answer_digest`` of each case's answers; no backend or partition
+#: option may move them
+ANSWER_DIGESTS = {"path": "ee0817453aaa283b", "star": "5d87c209a0f62a80"}
+
+
+class TestFlipsChargedLikeAnySearch:
+    @pytest.mark.parametrize("backend", ["array", "reference"])
+    def test_outcome_messages_are_its_engines_counts(self, backend, monkeypatch):
+        import repro.core.pipeline as pipeline
+
+        engine_counts = {}
+        search = pipeline.search_prototype
+
+        def recording(state, proto, plan, engine, **kwargs):
+            outcome = search(state, proto, plan, engine, **kwargs)
+            engine_counts[proto.name] = (
+                engine.stats.total_messages, engine.stats.total_remote_messages
+            )
+            return outcome
+
+        monkeypatch.setattr(pipeline, "search_prototype", recording)
+        graph, template = flip_case("path")
+        result = run_flip_pipeline(
+            graph, template, flips=1,
+            options=PipelineOptions(num_ranks=2, backend=backend),
+        )
+        assert set(engine_counts) == set(result.outcomes)
+        for name, outcome in result.outcomes.items():
+            charged = (outcome.messages, outcome.remote_messages)
+            assert charged == engine_counts[name]
+            assert outcome.messages > 0
+        assert sum(o.remote_messages for o in result.outcomes.values()) > 0
+        summary = result.message_summary
+        assert summary["total_messages"] > sum(
+            o.messages for o in result.outcomes.values()
+        )  # plus the family's M*
+
+    @pytest.mark.parametrize("backend", ["array", "reference"])
+    def test_partition_strategy_reaches_the_searches(self, backend):
+        graph, template = flip_case("path")
+        hashed, blocked = (
+            run_flip_pipeline(
+                graph, template, flips=1,
+                options=PipelineOptions(
+                    num_ranks=2, backend=backend, partition_strategy=strategy
+                ),
+            )
+            for strategy in ("hash", "block")
+        )
+
+        def remote(result):
+            return sum(o.remote_messages for o in result.outcomes.values())
+
+        assert remote(blocked) != remote(hashed)
+        assert blocked.total_simulated_seconds != hashed.total_simulated_seconds
+        assert blocked.match_vectors == hashed.match_vectors
+
+    @pytest.mark.parametrize("case", sorted(ANSWER_DIGESTS))
+    @pytest.mark.parametrize("backend", ["array", "reference"])
+    @pytest.mark.parametrize("strategy", ["hash", "block"])
+    @pytest.mark.parametrize("deployments", [1, 2])
+    def test_answers_unchanged(self, case, backend, strategy, deployments):
+        graph, template = flip_case(case)
+        result = run_flip_pipeline(
+            graph, template, flips=1,
+            options=PipelineOptions(
+                num_ranks=2, backend=backend, partition_strategy=strategy,
+                parallel_deployments=deployments,
+            ),
+        )
+        assert answer_digest(result) == ANSWER_DIGESTS[case]

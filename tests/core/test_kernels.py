@@ -297,4 +297,3 @@ class TestPipelineEquivalence:
             assert ours.solution_edges == ref.solution_edges
             assert ours.match_mappings == ref.match_mappings
             assert ours.lcc_iterations == ref.lcc_iterations
-            assert ours.exact == ref.exact

@@ -74,7 +74,7 @@ class TestPrecisionRecall:
         g, t = graph(), template()
         auto = run_pipeline(g, t, 1, PipelineOptions(num_ranks=3))
         enum = run_pipeline(
-            g, t, 1, PipelineOptions(num_ranks=3, verification="enumeration")
+            g, t, 1, PipelineOptions(num_ranks=3, include_full_walk=False)
         )
         assert auto.match_vectors == enum.match_vectors
 
@@ -95,8 +95,7 @@ class TestOptionEquivalence:
             PipelineOptions(num_ranks=6, reload_ranks=2),
             PipelineOptions(num_ranks=6, parallel_deployments=3),
             PipelineOptions(num_ranks=3, delegate_degree_threshold=8),
-            PipelineOptions(num_ranks=3, include_full_walk=False,
-                            verification="enumeration"),
+            PipelineOptions(num_ranks=3, include_full_walk=False),
             PipelineOptions(num_ranks=3, count_matches=True,
                             enumeration_optimization=True),
             PipelineOptions(num_ranks=1),
@@ -224,10 +223,6 @@ class TestOptionValidation:
     def test_bad_load_balance(self):
         with pytest.raises(PipelineError):
             PipelineOptions(load_balance="magic")
-
-    def test_bad_verification(self):
-        with pytest.raises(PipelineError):
-            PipelineOptions(verification="hope")
 
     def test_bad_cost_source(self):
         with pytest.raises(PipelineError):

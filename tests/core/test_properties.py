@@ -103,8 +103,7 @@ class TestPipelineExactness:
         auto = run_pipeline(graph, template, 1, PipelineOptions(num_ranks=2))
         enum = run_pipeline(
             graph, template, 1,
-            PipelineOptions(num_ranks=2, verification="enumeration",
-                            include_full_walk=False),
+            PipelineOptions(num_ranks=2, include_full_walk=False),
         )
         assert auto.match_vectors == enum.match_vectors
 

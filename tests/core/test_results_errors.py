@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.core import PipelineOptions, run_pipeline
+from repro.core import (
+    PipelineOptions,
+    SearchState,
+    generate_constraints,
+    generate_prototypes,
+    run_pipeline,
+    search_prototype,
+)
 from repro.core.results import LevelReport, PipelineResult, PrototypeSearchOutcome
 from repro.core.template import PatternTemplate
 from repro.errors import (
@@ -18,6 +25,7 @@ from repro.errors import (
     TemplateError,
 )
 from repro.graph.generators import planted_graph
+from repro.runtime import Engine, PartitionedGraph
 
 
 class TestErrorHierarchy:
@@ -115,15 +123,24 @@ class TestBatchSizeInvariance:
         template = PatternTemplate.from_edges(
             edges, {i: l for i, l in enumerate(labels)}, name="t"
         )
-        reference = run_pipeline(
-            graph, template, 1, PipelineOptions(num_ranks=3, batch_size=64)
-        )
-        result = run_pipeline(
-            graph, template, 1,
-            PipelineOptions(num_ranks=3, batch_size=batch_size),
-        )
-        assert result.match_vectors == reference.match_vectors
-        assert (
-            result.message_summary["total_messages"]
-            == reference.message_summary["total_messages"]
-        )
+        protos = generate_prototypes(template, 1)
+
+        def search(batch):
+            # the reference state runs the visitor engine, whose rank
+            # rotation ``batch_size`` sets
+            engine = Engine(PartitionedGraph(graph, 3), batch_size=batch)
+            found = []
+            for proto in protos:
+                state = SearchState.initial(graph, template)
+                outcome = search_prototype(
+                    state.for_prototype_search(proto), proto,
+                    generate_constraints(proto.graph), engine,
+                    count_matches=True,
+                )
+                found.append((
+                    outcome.solution_vertices, outcome.solution_edges,
+                    outcome.match_mappings,
+                ))
+            return found, engine.stats.total_messages
+
+        assert search(batch_size) == search(64)

@@ -9,6 +9,7 @@ from repro.core import (
     run_pipeline,
 )
 from repro.core.patterns import wdc4_template
+from repro.core.pipeline import partition, planner_for
 from repro.core.template import PatternTemplate
 from repro.errors import PipelineError
 from repro.graph.generators import planted_graph
@@ -128,6 +129,41 @@ class TestWorkerProcesses:
             PipelineOptions(worker_processes=0)
 
 
+class TestPooledCountsEqualInProcess:
+    """A worker searches on the run's own search partition, so a pooled
+    run is charged exactly what the in-process run is."""
+
+    @pytest.mark.parametrize("backend", ["array", "reference"])
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            dict(parallel_deployments=2),
+            dict(reload_ranks=2),
+            dict(load_balance="reshuffle"),
+            dict(partition_strategy="block"),
+        ],
+        ids=["deployments", "reload", "reshuffle", "block"],
+    )
+    def test_message_summary_and_answers_equal(self, knobs, backend):
+        graph, template = workload(seed=53)
+        runs = [
+            run_pipeline(
+                graph, template, 1,
+                PipelineOptions(
+                    num_ranks=4, backend=backend, worker_processes=processes,
+                    **knobs,
+                ),
+            )
+            for processes in (1, 2)
+        ]
+        in_process, pooled = runs
+        assert pooled.message_summary == in_process.message_summary
+        assert (
+            pooled.total_simulated_seconds == in_process.total_simulated_seconds
+        )
+        assert pooled.match_vectors == in_process.match_vectors
+
+
 class TestWorkerInitDoesNotPlan:
     """Workers plan the task they are handed, not the whole template."""
 
@@ -163,8 +199,14 @@ class TestWorkerInitDoesNotPlan:
 
         monkeypatch.setattr(constraints_module, "generate_constraints", counting)
         monkeypatch.setattr(parallel, "_WORKER", {})
-        parallel._init_worker(graph, template, 4, PipelineOptions(num_ranks=2))
+        options = PipelineOptions(num_ranks=2)
+        pgraph = partition(graph, options.num_ranks, options)
+        parallel._init_worker(
+            generate_prototypes(template, 4), planner_for(graph, options),
+            pgraph, options,
+        )
         assert len(parallel._WORKER["prototypes"]) == 57
+        assert parallel._WORKER["pgraph"] is pgraph
         assert not builds
 
     def test_pooled_level_returns_the_in_process_answer(self):

@@ -25,6 +25,8 @@ import pytest
 from repro.core import PipelineOptions, run_pipeline
 from repro.core.arraystate import ArraySearchState, csr_of
 from repro.core.candidate_set import max_candidate_set
+from repro.core.pipeline import partition, planner_for
+from repro.core.prototypes import generate_prototypes
 from repro.core.template import PatternTemplate
 from repro.core.topdown import exploratory_search
 from repro.errors import WorkerPoolError
@@ -105,6 +107,16 @@ def nlcc_workload():
 
 def array_options(**overrides):
     return PipelineOptions(num_ranks=2, count_matches=True, **overrides)
+
+
+def pool_for(graph, template, options):
+    """A two-worker pool over the run's parts, as the drivers build it."""
+    return PrototypeSearchPool(
+        generate_prototypes(template, 1),
+        planner_for(graph, options),
+        partition(graph, options.num_ranks, options),
+        options, 2,
+    )
 
 
 def assert_results_equal(got, want, stats=False):
@@ -257,9 +269,7 @@ class TestPoolLifecycle:
 
     def test_worker_exception_does_not_leak(self):
         graph, template = kernel_workload()
-        pool = PrototypeSearchPool(
-            graph, template, 1, array_options(worker_processes=2), 2
-        )
+        pool = pool_for(graph, template, array_options(worker_processes=2))
         name = pool._shm.name
         assert name in shm_segments()
         # An unknown prototype id blows up inside the worker; the pool
@@ -280,9 +290,7 @@ class TestPoolLifecycle:
         # tasks run the stand-in and the executor breaks.
         monkeypatch.setattr(parallel, "_search_task", _die_in_worker)
         graph, template = kernel_workload()
-        pool = PrototypeSearchPool(
-            graph, template, 1, array_options(worker_processes=2), 2
-        )
+        pool = pool_for(graph, template, array_options(worker_processes=2))
         name = pool._shm.name
         tasks = [PoolTask(i, "array", (b"", b"", None), 1) for i in range(3)]
         with deadline(60), pytest.raises(WorkerPoolError) as raised:
@@ -301,9 +309,9 @@ class TestPoolLifecycle:
 
     def test_reference_backend_exports_nothing(self):
         graph, template = kernel_workload()
-        with PrototypeSearchPool(
-            graph, template, 1,
-            array_options(worker_processes=2, backend="reference"), 2,
+        with pool_for(
+            graph, template,
+            array_options(worker_processes=2, backend="reference"),
         ) as pool:
             assert pool._shm is None
             assert_no_segments()
@@ -315,13 +323,11 @@ class TestPayloadParity:
         csr = csr_of(graph)
         options = array_options()
         pgraph = PartitionedGraph(graph, options.num_ranks)
-        engine = Engine(pgraph, MessageStats(options.num_ranks), options.batch_size)
+        engine = Engine(pgraph, MessageStats(options.num_ranks))
         base_state = max_candidate_set(graph, template, engine)
         base_astate = ArraySearchState.from_search_state(
             base_state, roles=sorted(template.graph.vertices())
         )
-        from repro.core.prototypes import generate_prototypes
-
         for proto in generate_prototypes(template, 1, None):
             ascope = base_astate.for_prototype_search(proto)
             task = array_task(proto.id, ascope)
@@ -342,12 +348,11 @@ class TestPayloadParity:
         graph, template = kernel_workload()
         options = array_options()
         pgraph = PartitionedGraph(graph, options.num_ranks)
-        engine = Engine(pgraph, MessageStats(options.num_ranks), options.batch_size)
+        engine = Engine(pgraph, MessageStats(options.num_ranks))
         base_state = max_candidate_set(graph, template, engine)
         base_astate = ArraySearchState.from_search_state(
             base_state, roles=sorted(template.graph.vertices())
         )
-        from repro.core.prototypes import generate_prototypes
         from repro.runtime.parallel import dict_task
 
         proto = next(iter(generate_prototypes(template, 1, None)))
