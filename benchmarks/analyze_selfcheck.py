@@ -2,15 +2,16 @@
 
 Three assertions, in order of what usually breaks first:
 
-* **armed** — every deep rule R9–R13 fires on its known-bad fixture
-  under ``tests/analysis/fixtures/``.  A rule that stops firing there
-  has been silently defanged (a refactor broke its call-graph or CFG
-  plumbing) and would report the real tree as "clean" forever after.
+* **armed** — every deep rule (R10, R12, R13) fires on its known-bad
+  fixture under ``tests/analysis/fixtures/``.  A rule that stops firing
+  there has been silently defanged (a refactor broke its call-graph or
+  effects plumbing) and would report the real tree as "clean" forever
+  after.
 * **clean** — the full deep run over ``src/repro`` reports zero
   violations.  Genuine findings are fixed, not baselined away, so any
   violation here is a regression in the runtime/core code itself.
-* **fast** — the deep run (call graph + per-function CFGs + effect
-  summaries + five interprocedural rules over the whole tree) finishes
+* **fast** — the deep run (call graph + effect summaries + three
+  interprocedural rules over the whole tree) finishes
   inside ``BUDGET_SECONDS`` wall-clock.  The analyzer runs on every
   push; an accidental quadratic blowup in the fixpoints must fail CI,
   not quietly triple the job time.
@@ -38,7 +39,7 @@ FIXTURES = REPO_ROOT / "tests" / "analysis" / "fixtures"
 #: hard wall-clock ceiling for the full-tree deep run (seconds)
 BUDGET_SECONDS = 30.0
 
-DEEP_RULES = ("R9", "R10", "R11", "R12", "R13")
+DEEP_RULES = ("R10", "R12", "R13")
 
 
 def main(argv=None) -> int:

@@ -100,95 +100,6 @@ def imdb_background():
     )
 
 
-#: kernel-stress workload size (E-P1)
-KERNEL_STRESS_VERTICES = 8000
-KERNEL_STRESS_EDGES = 26000
-KERNEL_STRESS_LABELS = 4
-
-
-@lru_cache(maxsize=None)
-def kernel_stress_background():
-    """Low-label-diversity G(n, m) graph: the LCC-fixpoint stress workload.
-
-    Four uniform labels over 8K vertices / 26K edges give every vertex a
-    multi-role candidate set and a long pruning cascade.
-    """
-    from repro.graph.generators.random_labeled import gnm_graph
-
-    return gnm_graph(
-        KERNEL_STRESS_VERTICES, KERNEL_STRESS_EDGES,
-        num_labels=KERNEL_STRESS_LABELS, seed=7,
-    )
-
-
-@lru_cache(maxsize=None)
-def kernel_stress_template():
-    """8-vertex path with cycling labels: every candidate holds ~2 roles."""
-    from repro.core.template import PatternTemplate
-
-    labels = {v: v % KERNEL_STRESS_LABELS for v in range(8)}
-    edges = [(v, v + 1) for v in range(7)]
-    return PatternTemplate.from_edges(edges, labels, name="stress-path8")
-
-
-#: NLCC-stress workload size — token storms through high-degree hubs.
-#: Token counts scale with (sum of squared degrees / sum of degrees)
-#: ^walk_hops, so hub degree is the knob that turns this exponential.
-NLCC_STRESS_VERTICES = 2000
-NLCC_STRESS_EDGES = 6000
-NLCC_STRESS_LABELS = 2
-NLCC_STRESS_HUBS = 4
-NLCC_STRESS_HUB_DEGREE = 150
-
-
-@lru_cache(maxsize=None)
-def nlcc_stress_background():
-    """Two-label G(n, m) graph with planted high-degree hubs.
-
-    Two labels mean every vertex holds several candidate roles of the C4
-    template below, and each hub fans every incoming token out ~150 ways —
-    the combinatorial token-storm regime the batched array frontier's
-    per-(vertex, hop, initiator) dedup fold is built to collapse.
-    """
-    import numpy as np
-
-    from repro.graph.generators.random_labeled import gnm_graph
-
-    graph = gnm_graph(
-        NLCC_STRESS_VERTICES, NLCC_STRESS_EDGES,
-        num_labels=NLCC_STRESS_LABELS, seed=13,
-    )
-    rng = np.random.default_rng(17)
-    hubs = rng.choice(NLCC_STRESS_VERTICES, size=NLCC_STRESS_HUBS, replace=False)
-    for hub in hubs.tolist():
-        spokes = rng.choice(
-            NLCC_STRESS_VERTICES, size=NLCC_STRESS_HUB_DEGREE, replace=False
-        )
-        for v in spokes.tolist():
-            if v != hub and not graph.has_edge(hub, v):
-                graph.add_edge(hub, v)
-    return graph
-
-
-@lru_cache(maxsize=None)
-def nlcc_stress_template():
-    """A C4 with mirrored repeated labels (0-1-1-0).
-
-    The 4-cycle yields length-5 closed-walk cycle constraints whose hop-3
-    frontier has two free path positions; because those two positions
-    carry the *same* label, interior vertices can appear in either order
-    and the per-(vertex, hop, initiator) dedup fold actually merges the
-    swapped rows (alternating labels would make the free positions
-    label-distinct and the fold a no-op).  The repeated labels also
-    trigger path constraints and the full-walk TDS check.
-    """
-    from repro.core.template import PatternTemplate
-
-    labels = {0: 0, 1: 1, 2: 1, 3: 0}
-    edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
-    return PatternTemplate.from_edges(edges, labels, name="stress-c4")
-
-
 #: MOTIF-BATCH workload shape — a small unlabeled core surrounded by
 #: "dust": thousands of sub-motif-sized components that no 4-vertex motif
 #: can touch, but that every per-template pipeline must scan end to end

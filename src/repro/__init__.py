@@ -46,7 +46,6 @@ from .errors import (
     PrototypeError,
     ReproError,
     TemplateError,
-    WorkerPoolError,
 )
 from .graph import Graph
 
@@ -68,7 +67,6 @@ __all__ = [
     "PrototypeSet",
     "ReproError",
     "TemplateError",
-    "WorkerPoolError",
     "analysis",
     "baselines",
     "core",

@@ -1,10 +1,10 @@
 """Project-wide call graph over a lint :class:`~.framework.Project`.
 
-The deep rules (R9–R13) reason about properties that cross function
-boundaries — a helper that closes a shared-memory segment on behalf of
-its caller, an ``options`` parameter dropped three calls above the leaf
-that reads it.  This module resolves the project's call sites into a
-name-indexed graph good enough for those checks:
+The deep rules (R10, R12, R13) reason about properties that cross
+function boundaries — a dtype returned through a helper, an ``options``
+parameter dropped three calls above the leaf that reads it.  This module
+resolves the project's call sites into a name-indexed graph good enough
+for those checks:
 
 * **Definition index** — every module-level function and every method,
   keyed by qualified name ``"pkg/mod.py::func"`` /
@@ -22,9 +22,8 @@ name-indexed graph good enough for those checks:
   does not define (numpy, stdlib, dynamic dispatch through variables)
   are recorded as unresolved sites with
   :attr:`CallSite.external` = True; each rule decides what the safe
-  assumption is for its property (e.g. the effects pass assumes an
-  external callee neither closes nor mutates what it is handed, while
-  R12 treats values returned by external calls as unknown-dtype).
+  assumption is for its property (e.g. R12 treats values returned by
+  external calls as unknown-dtype).
 
 All of it is a pure AST pass — no imports of the analyzed code.
 """
@@ -349,7 +348,7 @@ class CallGraph:
                 resolved = self.class_method(cls, method)
                 if resolved is not None:
                     return (resolved,), False
-            # module-qualified helper call: shm.attach_shared_csr(...)
+            # module-qualified helper call: io.read_edge_list(...)
             if isinstance(receiver, ast.Name):
                 for qname in self._by_name.get(method, ()):
                     if qname.split("::")[0].endswith(f"{receiver.id}.py"):
@@ -402,7 +401,7 @@ class CallGraph:
 
         The same module-local → import-alias → unique-project-name
         cascade call resolution uses, for rules that meet function
-        *references* (``pool.submit(worker, ...)``) rather than calls.
+        *references* (``callbacks.append(handler)``) rather than calls.
         """
         target = self._imports.get(module.rel_path, {}).get(name, name)
         local = f"{module.rel_path}::{target}"

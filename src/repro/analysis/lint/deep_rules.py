@@ -1,27 +1,19 @@
-"""The interprocedural rules (R9–R13) behind ``repro analyze``.
+"""The interprocedural rules (R10, R12, R13) behind ``repro analyze``.
 
-These rules reason across function boundaries — call graph, CFG,
-dataflow, effect summaries — and are therefore slower and subtler than
-the per-file passes in :mod:`.rules`.  They carry ``deep = True``: the
-default ``repro lint`` run skips them, ``repro analyze`` /
-``repro lint --deep`` / an explicit ``--rule R9`` runs them.
+These rules reason across function boundaries — call graph and effect
+summaries — and are therefore slower and subtler than the per-file
+passes in :mod:`.rules`.  They carry ``deep = True``: the default
+``repro lint`` run skips them, ``repro analyze`` / ``repro lint --deep``
+/ an explicit ``--rule R10`` runs them.
 
 Each rule guards one contract that has no runtime tripwire:
 
-* **R9** ``shm-use-after-release`` — a shared-memory segment (or a view
-  derived from one) must not be touched after ``close()``/``unlink()``
-  released it, including releases a helper performed on the caller's
-  behalf.  Reading a closed segment is a use-after-free that numpy
-  cannot detect: the mapping is gone or recycled.
 * **R10** ``resident-state-immutability`` — :class:`GraphCsr` /
   :class:`RoleKernel` instances are frozen after construction
   (``.setflags(write=False)`` is the runtime boundary); no attribute
   rebinding or in-place array stores afterwards, because the instances
-  are shared across worker processes and memoized caches.
-* **R11** ``pickles-empty-export`` — types that deliberately pickle to
-  empty (``Tracer``, ``MetricsRegistry``) lose all worker-side state at
-  the process boundary; workers must export that state into the result
-  payload and the parent must merge it.
+  are memoized (``csr_of``, ``cached_kernel``) and shared by every run,
+  view and cache entry that holds the reference.
 * **R12** ``dtype-contract`` — CSR arrays are fixed-width integers;
   object-dtype escapes and silent int→float upcasts (numpy's float64
   default, true division) defeat the vectorized kernels or crash
@@ -36,11 +28,9 @@ Each rule guards one contract that has no runtime tripwire:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
-from .callgraph import CallGraph, CallSite, annotation_class, callgraph_of
-from .cfg import BranchMarker, WithExit, build_cfg
-from .dataflow import Analysis, solve, statement_facts
+from .callgraph import CallGraph, annotation_class, callgraph_of
 from .effects import (
     EffectsIndex,
     dtype_label,
@@ -50,43 +40,21 @@ from .effects import (
 from .framework import ModuleSource, Project, Rule, Violation, register_rule
 
 __all__ = [
-    "ShmUseAfterReleaseRule",
     "ResidentStateImmutabilityRule",
-    "PicklesEmptyExportRule",
     "DtypeContractRule",
     "OptionsThreadingDeepRule",
 ]
-
-#: constructors/attachers whose result is (or wraps) a shared-memory
-#: mapping — the values R9 tracks
-SHM_SOURCES = frozenset(
-    {"share_csr", "attach_shared_csr", "SharedGraphCsr", "SharedMemory"}
-)
-
-#: the wrapper module implementing the ownership protocol itself —
-#: close-then-unlink inside it is the protocol, not a violation
-SHM_WRAPPER_BASENAMES = frozenset({"shm.py"})
 
 #: classes whose instances are immutable once constructed
 RESIDENT_CLASSES = frozenset({"GraphCsr", "RoleKernel"})
 
 #: calls returning an already-constructed resident instance
 RESIDENT_PRODUCERS = frozenset(
-    {"csr_of", "cached_kernel", "from_columns", "induced_view",
-     "attach_shared_csr"}
+    {"csr_of", "cached_kernel", "from_columns", "induced_view"}
 )
 
 #: methods of resident classes allowed to initialize ``self``
 CONSTRUCTION_METHODS = frozenset({"__init__", "__new__", "__post_init__"})
-
-#: types whose ``__reduce__`` ships no state across the process boundary
-PICKLES_EMPTY_TYPES = frozenset({"Tracer", "MetricsRegistry"})
-
-#: methods that move pickles-empty state into a picklable payload
-EXPORT_METHODS = frozenset({"export", "to_payload"})
-
-#: executor methods that ship a callable to another process
-SUBMIT_METHODS = frozenset({"submit", "map", "apply_async"})
 
 #: GraphCsr slots that must stay integer-family dtypes
 INT_SLOTS = frozenset(
@@ -105,302 +73,6 @@ def _call_final_name(node: ast.Call) -> str:
     return ""
 
 
-def _is_shm_source(node: ast.expr) -> bool:
-    return (
-        isinstance(node, ast.Call)
-        and _call_final_name(node) in SHM_SOURCES
-    )
-
-
-def _shallow_nodes(statement: object) -> Iterator[ast.AST]:
-    """AST nodes belonging to *this* statement, not to nested bodies.
-
-    CFG blocks hold compound statements (With/For) whose ``.body`` lives
-    in other blocks — a naive ``ast.walk`` would double-count it.
-    """
-    if isinstance(statement, BranchMarker):
-        yield from ast.walk(statement.test)
-    elif isinstance(statement, WithExit):
-        return
-    elif isinstance(statement, (ast.With, ast.AsyncWith)):
-        for item in statement.items:
-            yield from ast.walk(item.context_expr)
-            if item.optional_vars is not None:
-                yield from ast.walk(item.optional_vars)
-    elif isinstance(statement, (ast.For, ast.AsyncFor)):
-        yield from ast.walk(statement.target)
-        yield from ast.walk(statement.iter)
-    elif isinstance(
-        statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    ):
-        return
-    elif isinstance(statement, ast.stmt):
-        yield from ast.walk(statement)
-
-
-def _assigned_names(statement: object) -> Set[str]:
-    """Local names (re)bound by this statement."""
-    names: Set[str] = set()
-    if isinstance(statement, ast.Assign):
-        for target in statement.targets:
-            for node in ast.walk(target):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-    elif isinstance(statement, ast.AnnAssign):
-        if isinstance(statement.target, ast.Name) and statement.value:
-            names.add(statement.target.id)
-    elif isinstance(statement, (ast.With, ast.AsyncWith)):
-        for item in statement.items:
-            if isinstance(item.optional_vars, ast.Name):
-                names.add(item.optional_vars.id)
-    elif isinstance(statement, (ast.For, ast.AsyncFor)):
-        for node in ast.walk(statement.target):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-    elif isinstance(statement, ast.Delete):
-        for target in statement.targets:
-            if isinstance(target, ast.Name):
-                names.add(target.id)
-    return names
-
-
-# ----------------------------------------------------------------------
-# R9: use of shared memory after release
-# ----------------------------------------------------------------------
-class _ReleaseState:
-    """Per-function context shared by the R9 transfer function."""
-
-    def __init__(
-        self,
-        roots: Set[str],
-        derived: Dict[str, Set[str]],
-        sites: Dict[int, CallSite],
-        effects: EffectsIndex,
-    ) -> None:
-        self.roots = roots            #: names bound to shm segments
-        self.derived = derived        #: name -> shm roots it aliases
-        self.sites = sites            #: id(call node) -> CallSite
-        self.effects = effects
-
-    def roots_of(self, name: str) -> Set[str]:
-        if name in self.roots:
-            return {name}
-        return self.derived.get(name, set())
-
-    def releases(self, statement: object) -> Set[str]:
-        released: Set[str] = set()
-        if isinstance(statement, WithExit):
-            for item in statement.items:
-                if _is_shm_source(item.context_expr) and isinstance(
-                    item.optional_vars, ast.Name
-                ):
-                    released.add(item.optional_vars.id)
-            return released
-        for node in _shallow_nodes(statement):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if (isinstance(func, ast.Attribute)
-                    and func.attr in ("close", "unlink")
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id in self.roots):
-                released.add(func.value.id)
-                continue
-            site = self.sites.get(id(node))
-            if site is None:
-                continue
-            for callee_qname in site.callees:
-                callee = self.effects.graph.functions.get(callee_qname)
-                callee_fx = self.effects.by_qname.get(callee_qname)
-                if callee is None or callee_fx is None:
-                    continue
-                if not callee_fx.closes:
-                    continue
-                for arg, param in map_arguments(node, callee):
-                    if (isinstance(arg, ast.Name)
-                            and arg.id in self.roots
-                            and param in callee_fx.closes):
-                        released.add(arg.id)
-        return released
-
-
-class _ReleaseAnalysis(Analysis):
-    """Forward may-analysis: names released on *some* path so far."""
-
-    may = True
-
-    def __init__(self, state: _ReleaseState) -> None:
-        self.state = state
-
-    def transfer(self, fact, statement):
-        released = set(fact)
-        released |= self.state.releases(statement)
-        # a rebind installs a fresh value under the name
-        released -= _assigned_names(statement)
-        return frozenset(released)
-
-
-@register_rule
-class ShmUseAfterReleaseRule(Rule):
-    """Shared-memory views must not be used after close()/unlink()."""
-
-    id = "R9"
-    title = "shm-use-after-release"
-    deep = True
-    rationale = (
-        "reading a numpy view into a closed SharedMemory segment is a "
-        "use-after-free the interpreter cannot catch — the mapping is "
-        "unmapped (crash) or recycled (silent garbage)"
-    )
-    contract = (
-        "A name bound to a shared-memory segment (share_csr, "
-        "attach_shared_csr, SharedGraphCsr, SharedMemory) — or any view "
-        "derived from one — must not be read after a path on which it "
-        "was released via .close()/.unlink(), whether the release "
-        "happened inline, at a with-block exit, or inside a helper the "
-        "segment was passed to.  Re-calling .close()/.unlink() stays "
-        "legal (the wrapper is idempotent), and rebinding the name "
-        "starts a fresh lifetime."
-    )
-    example_bad = (
-        "shared = share_csr(csr)\n"
-        "view = shared.view()\n"
-        "shared.close()\n"
-        "total = view.indptr[-1]   # R9: view derived from closed segment\n"
-    )
-    example_good = (
-        "shared = share_csr(csr)\n"
-        "view = shared.view()\n"
-        "total = view.indptr[-1]\n"
-        "shared.close()            # release strictly after the last use\n"
-    )
-
-    def check_project(self, project: Project) -> Iterator[Violation]:
-        graph = callgraph_of(project)
-        effects = effects_of(project)
-        for qname, info in graph.functions.items():
-            module = info.module
-            if module.basename in SHM_WRAPPER_BASENAMES:
-                continue
-            yield from self._check_function(
-                module, qname, info.node, graph, effects
-            )
-
-    # ------------------------------------------------------------------
-    def _collect(
-        self, func_node: ast.AST
-    ) -> Tuple[Set[str], Dict[str, Set[str]]]:
-        """(shm-rooted names, derived-name -> roots) for one function."""
-        roots: Set[str] = set()
-        for node in ast.walk(func_node):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name) and _is_shm_source(
-                    node.value
-                ):
-                    roots.add(target.id)
-            elif isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    if _is_shm_source(item.context_expr) and isinstance(
-                        item.optional_vars, ast.Name
-                    ):
-                        roots.add(item.optional_vars.id)
-        derived: Dict[str, Set[str]] = {}
-        for _round in range(3):  # alias-of-alias chains are shallow
-            changed = False
-            for node in ast.walk(func_node):
-                if not (isinstance(node, ast.Assign)
-                        and len(node.targets) == 1
-                        and isinstance(node.targets[0], ast.Name)):
-                    continue
-                target = node.targets[0].id
-                if target in roots or _is_shm_source(node.value):
-                    continue
-                sources: Set[str] = set()
-                for sub in ast.walk(node.value):
-                    if isinstance(sub, ast.Name):
-                        if sub.id in roots:
-                            sources.add(sub.id)
-                        else:
-                            sources |= derived.get(sub.id, set())
-                if sources - derived.get(target, set()):
-                    derived.setdefault(target, set()).update(sources)
-                    changed = True
-            if not changed:
-                break
-        return roots, derived
-
-    def _check_function(
-        self,
-        module: ModuleSource,
-        qname: str,
-        func_node: ast.AST,
-        graph: CallGraph,
-        effects: EffectsIndex,
-    ) -> Iterator[Violation]:
-        roots, derived = self._collect(func_node)
-        if not roots:
-            return
-        sites = {
-            id(site.node): site
-            for site in graph.calls_from.get(qname, ())
-        }
-        state = _ReleaseState(roots, derived, sites, effects)
-        analysis = _ReleaseAnalysis(state)
-        cfg = build_cfg(func_node)
-        in_facts = solve(cfg, analysis)
-        reported: Set[int] = set()
-        for statement, fact in statement_facts(cfg, analysis, in_facts):
-            if not fact:
-                continue
-            for node in _shallow_nodes(statement):
-                if not (isinstance(node, ast.Name)
-                        and isinstance(node.ctx, ast.Load)):
-                    continue
-                hit = state.roots_of(node.id) & fact
-                if not hit:
-                    continue
-                if self._is_release_receiver(node, module):
-                    continue  # re-close/unlink is idempotent, allowed
-                if node.id not in state.roots and not self._dereferences(
-                    node, module
-                ):
-                    # derived names may hold scalar copies (shared.size);
-                    # only a dereference provably touches the mapping
-                    continue
-                if id(node) in reported:
-                    continue
-                reported.add(id(node))
-                root = ", ".join(sorted(hit))
-                yield module.violation(
-                    self, node,
-                    f"'{node.id}' used after shared-memory segment "
-                    f"'{root}' was released on some path "
-                    f"(close()/unlink() already ran)",
-                )
-
-    @staticmethod
-    def _dereferences(node: ast.Name, module: ModuleSource) -> bool:
-        """True when the use reads through the value (attr/subscript)."""
-        parent = module.parents.get(node)
-        return (
-            (isinstance(parent, ast.Attribute) and parent.value is node)
-            or (isinstance(parent, ast.Subscript)
-                and parent.value is node)
-        )
-
-    @staticmethod
-    def _is_release_receiver(node: ast.Name, module: ModuleSource) -> bool:
-        parent = module.parents.get(node)
-        grand = module.parents.get(parent) if parent is not None else None
-        return (
-            isinstance(parent, ast.Attribute)
-            and parent.attr in ("close", "unlink")
-            and isinstance(grand, ast.Call)
-            and grand.func is parent
-        )
-
-
 # ----------------------------------------------------------------------
 # R10: resident state is immutable after construction
 # ----------------------------------------------------------------------
@@ -412,9 +84,9 @@ class ResidentStateImmutabilityRule(Rule):
     title = "resident-state-immutability"
     deep = True
     rationale = (
-        "GraphCsr and RoleKernel instances are memoized and shared "
-        "across worker processes; a post-construction store corrupts "
-        "every holder of the reference and desynchronizes shm copies"
+        "GraphCsr and RoleKernel instances are memoized and shared by "
+        "every run, view and cache entry holding the reference; a "
+        "post-construction store corrupts all of them at once"
     )
     contract = (
         "After construction ends (the .setflags(write=False) freeze), "
@@ -588,171 +260,6 @@ class ResidentStateImmutabilityRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# R11: pickles-empty worker state must be exported and merged
-# ----------------------------------------------------------------------
-@register_rule
-class PicklesEmptyExportRule(Rule):
-    """Worker-side Tracer/MetricsRegistry state must cross the boundary."""
-
-    id = "R11"
-    title = "pickles-empty-export"
-    deep = True
-    rationale = (
-        "Tracer and MetricsRegistry pickle to empty by design; state "
-        "accumulated inside a worker process silently evaporates unless "
-        "the worker exports it into the result payload and the parent "
-        "merges it"
-    )
-    contract = (
-        "A function shipped to a worker (via executor submit/map/"
-        "apply_async or a pool initializer) that constructs a "
-        "pickles-empty type (Tracer, MetricsRegistry) and mutates it "
-        "must call .export()/.to_payload() on that instance before "
-        "returning, and the submitting module must merge worker "
-        "payloads parent-side (a .merge(...) call)."
-    )
-    example_bad = (
-        "def _task(payload):\n"
-        "    registry = MetricsRegistry()\n"
-        "    registry.incr('steps', run(payload))\n"
-        "    return {'ok': True}     # R11: registry state dropped\n"
-    )
-    example_good = (
-        "def _task(payload):\n"
-        "    registry = MetricsRegistry()\n"
-        "    registry.incr('steps', run(payload))\n"
-        "    return {'ok': True, 'metrics': registry.export()}\n"
-        "# parent: outcome.metrics.merge(payload['metrics'])\n"
-    )
-
-    def check_project(self, project: Project) -> Iterator[Violation]:
-        graph = callgraph_of(project)
-        entries, submit_sites = self._worker_entries(project, graph)
-        if not entries:
-            return
-        dropping: Set[str] = set()
-        for entry_qname in sorted(entries):
-            info = graph.functions.get(entry_qname)
-            if info is None:
-                continue
-            module_path = entry_qname.split("::", 1)[0]
-            for qname in sorted(graph.reachable_from({entry_qname})):
-                if qname.split("::", 1)[0] != module_path:
-                    continue  # cross-module helpers: parent-side code
-                reached = graph.functions[qname]
-                for violation in self._check_worker_function(
-                    reached.module, reached.node
-                ):
-                    dropping.add(entry_qname)
-                    yield violation
-        # parent side: a module that ships workers touching
-        # pickles-empty state must merge the payloads back
-        for module, node, worker_qnames in submit_sites:
-            touches = any(
-                self._constructs_pickles_empty(graph, q)
-                for q in worker_qnames
-            )
-            if touches and not self._module_merges(module):
-                yield module.violation(
-                    self, node,
-                    "worker payloads carry pickles-empty state "
-                    "(Tracer/MetricsRegistry) but this module never "
-                    "merges it parent-side (.merge(...) missing)",
-                )
-
-    # ------------------------------------------------------------------
-    def _worker_entries(
-        self, project: Project, graph: CallGraph
-    ) -> Tuple[Set[str], List[Tuple[ModuleSource, ast.AST, Tuple[str, ...]]]]:
-        entries: Set[str] = set()
-        submit_sites: List[
-            Tuple[ModuleSource, ast.AST, Tuple[str, ...]]
-        ] = []
-        for module in project.modules:
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                referenced: List[str] = []
-                is_submit = False
-                if (isinstance(func, ast.Attribute)
-                        and func.attr in SUBMIT_METHODS
-                        and node.args
-                        and isinstance(node.args[0], ast.Name)):
-                    referenced.append(node.args[0].id)
-                    is_submit = True
-                for keyword in node.keywords:
-                    if keyword.arg == "initializer" and isinstance(
-                        keyword.value, ast.Name
-                    ):
-                        referenced.append(keyword.value.id)
-                resolved: List[str] = []
-                for name in referenced:
-                    resolved.extend(graph.resolve_name(module, name))
-                entries.update(resolved)
-                if is_submit and resolved:
-                    submit_sites.append((module, node, tuple(resolved)))
-        return entries, submit_sites
-
-    def _check_worker_function(
-        self, module: ModuleSource, func_node: ast.AST
-    ) -> Iterator[Violation]:
-        constructed: Dict[str, ast.AST] = {}
-        mutated: Set[str] = set()
-        exported: Set[str] = set()
-        for node in ast.walk(func_node):
-            if (isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
-                    and isinstance(node.value, ast.Call)
-                    and _call_final_name(node.value)
-                    in PICKLES_EMPTY_TYPES):
-                constructed[node.targets[0].id] = node.value
-            elif isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Attribute
-            ):
-                receiver = node.func.value
-                if isinstance(receiver, ast.Name):
-                    if node.func.attr in EXPORT_METHODS:
-                        exported.add(receiver.id)
-                    else:
-                        mutated.add(receiver.id)
-        for name, node in sorted(constructed.items()):
-            if name in mutated and name not in exported:
-                yield module.violation(
-                    self, node,
-                    f"worker-side '{name}' "
-                    f"({_call_final_name(node)}) is mutated but never "
-                    f"exported — its state pickles to empty and is "
-                    f"lost at the process boundary",
-                )
-
-    def _constructs_pickles_empty(
-        self, graph: CallGraph, entry_qname: str
-    ) -> bool:
-        module_path = entry_qname.split("::", 1)[0]
-        for qname in graph.reachable_from({entry_qname}):
-            if qname.split("::", 1)[0] != module_path:
-                continue
-            node = graph.functions[qname].node
-            for sub in ast.walk(node):
-                if (isinstance(sub, ast.Call)
-                        and _call_final_name(sub)
-                        in PICKLES_EMPTY_TYPES):
-                    return True
-        return False
-
-    @staticmethod
-    def _module_merges(module: ModuleSource) -> bool:
-        for node in ast.walk(module.tree):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "merge"):
-                return True
-        return False
-
-
-# ----------------------------------------------------------------------
 # R12: CSR dtype contract
 # ----------------------------------------------------------------------
 @register_rule
@@ -817,7 +324,7 @@ class DtypeContractRule(Rule):
         env: Dict[str, Optional[str]],
         effects: EffectsIndex,
     ) -> Iterator[Violation]:
-        if _call_final_name(node) not in ("GraphCsr", "SharedGraphCsr"):
+        if _call_final_name(node) != "GraphCsr":
             return
         for keyword in node.keywords:
             if keyword.arg not in INT_SLOTS:

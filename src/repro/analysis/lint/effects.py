@@ -6,14 +6,6 @@ records the facts the interprocedural rules consume:
 * ``param_reads`` / ``param_writes`` — which attributes of each
   parameter the function reads / stores (``p.x`` vs ``p.x = ...`` /
   ``p.x[...] = ...``);
-* ``closes`` — parameters on which the function calls ``close()`` /
-  ``unlink()``, **transitively**: a function that hands a parameter to a
-  helper that closes it also closes it (fixed point over the call
-  graph) — the property R9 threads through helper calls;
-* ``ships`` — parameters that cross a process boundary: passed into an
-  executor ``submit``/``map``, a pool ``initargs`` tuple, or
-  ``pickle.dumps`` (the pickles-empty contract of R11 cares about what
-  travels);
 * ``options_param`` / ``options_fields`` — the function's
   ``PipelineOptions``-shaped parameter and the fields it reads off it
   (the leaves R13 traces back to the drivers);
@@ -23,8 +15,7 @@ records the facts the interprocedural rules consume:
   (R12's interprocedural half).  ``None`` = unknown.
 
 Unknown callees follow the conservative model documented in
-:mod:`.callgraph`: an external call neither closes nor ships what it is
-handed, and returns unknown dtype.
+:mod:`.callgraph`: an external call returns unknown dtype.
 """
 
 from __future__ import annotations
@@ -46,9 +37,6 @@ __all__ = [
 
 #: names of the PipelineOptions parameter the drivers thread
 OPTIONS_PARAM_NAMES = frozenset({"options"})
-
-_RELEASE_METHODS = frozenset({"close", "unlink"})
-_SHIP_CALLS = frozenset({"submit", "map", "apply_async", "dumps"})
 
 _FLOAT_DTYPES = frozenset({
     "float", "float16", "float32", "float64", "double", "half", "single",
@@ -164,7 +152,7 @@ class FunctionEffects:
     """The computed summary of one function."""
 
     __slots__ = (
-        "qname", "param_reads", "param_writes", "closes", "ships",
+        "qname", "param_reads", "param_writes",
         "options_param", "options_fields", "return_dtype",
     )
 
@@ -172,8 +160,6 @@ class FunctionEffects:
         self.qname = qname
         self.param_reads: Dict[str, Set[str]] = {}
         self.param_writes: Dict[str, Set[str]] = {}
-        self.closes: Set[str] = set()
-        self.ships: Set[str] = set()
         self.options_param: Optional[str] = None
         self.options_fields: Set[str] = set()
         self.return_dtype: Optional[str] = None
@@ -203,7 +189,6 @@ class EffectsIndex:
         self.by_qname: Dict[str, FunctionEffects] = {}
         for qname, info in graph.functions.items():
             self.by_qname[qname] = self._local_summary(qname, info)
-        self._close_fixpoint()
         self._dtype_fixpoint()
 
     # ------------------------------------------------------------------
@@ -247,56 +232,7 @@ class EffectsIndex:
                     effects.param_writes.setdefault(
                         target.value.id, set()
                     ).add(target.attr)
-            elif isinstance(sub, ast.Call):
-                func = sub.func
-                if (isinstance(func, ast.Attribute)
-                        and func.attr in _RELEASE_METHODS
-                        and isinstance(func.value, ast.Name)
-                        and func.value.id in params):
-                    effects.closes.add(func.value.id)
-                if (isinstance(func, ast.Attribute)
-                        and func.attr in _SHIP_CALLS):
-                    for arg_node in sub.args:
-                        if (isinstance(arg_node, ast.Name)
-                                and arg_node.id in params):
-                            effects.ships.add(arg_node.id)
-                for keyword in sub.keywords:
-                    if keyword.arg != "initargs":
-                        continue
-                    for element in ast.walk(keyword.value):
-                        if (isinstance(element, ast.Name)
-                                and element.id in params):
-                            effects.ships.add(element.id)
         return effects
-
-    # ------------------------------------------------------------------
-    def _close_fixpoint(self) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for qname, sites in self.graph.calls_from.items():
-                effects = self.by_qname.get(qname)
-                if effects is None:
-                    continue
-                info = self.graph.functions[qname]
-                params = set(info.params)
-                for site in sites:
-                    for callee_qname in site.callees:
-                        callee = self.graph.functions.get(callee_qname)
-                        callee_fx = self.by_qname.get(callee_qname)
-                        if callee is None or callee_fx is None:
-                            continue
-                        if not callee_fx.closes:
-                            continue
-                        for arg, param in map_arguments(
-                            site.node, callee
-                        ):
-                            if (isinstance(arg, ast.Name)
-                                    and arg.id in params
-                                    and param in callee_fx.closes
-                                    and arg.id not in effects.closes):
-                                effects.closes.add(arg.id)
-                                changed = True
 
     # ------------------------------------------------------------------
     def infer_expr(

@@ -30,9 +30,10 @@ alone on the line directly above.  For a multi-line statement the
 comment may sit on the statement's *first* line (or alone above it) and
 covers violations anchored to any of its continuation lines.
 
-Rules come in two tiers: the per-file AST rules (R1–R8; R4 retired)
-always run; rules marked ``deep = True`` (R9–R13, the interprocedural
-call-graph / CFG / dataflow pass behind ``repro analyze``) join only
+Rules come in two tiers: the per-file AST rules (R1–R3, R5, R7, R8; R4
+and R6 retired) always run; rules marked ``deep = True`` (R10, R12, R13,
+the interprocedural call-graph / effects pass behind ``repro analyze``;
+R9 and R11 retired) join only
 when ``run_lint(..., deep=True)`` or an explicit ``rule_ids`` selects
 them.
 """
@@ -272,7 +273,7 @@ class Rule:
     rationale: str = ""
     #: restrict the per-module pass to the hot kernel modules
     hot_modules_only: bool = False
-    #: interprocedural rules (call graph / CFG / dataflow) run only under
+    #: interprocedural rules (call graph / effects) run only under
     #: ``repro analyze`` / ``repro lint --deep`` or an explicit --rule
     deep: bool = False
     #: the enforced contract, printed by ``repro lint --explain`` (falls

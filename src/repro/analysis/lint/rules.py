@@ -17,10 +17,8 @@ Each rule is motivated by a bug class this codebase has actually hit
 * **R5** ``hot-loop-hygiene`` — per-element Python loops over CSR
   arrays, ``np.append`` inside loops, and object-dtype arrays undo the
   vectorization the hot modules exist for.
-* **R6** ``shared-memory-lifecycle`` — ``SharedMemory(...)`` built
-  outside the ``runtime/shm.py`` wrapper bypasses the owner/attach
-  registry and its atexit sweep, leaking ``/dev/shm`` segments on
-  crashed runs.
+* R6 is retired: it guarded the shared-memory segments of the
+  process pool, which was deleted.
 * **R7** ``batched-template-execution`` — a ``for`` loop calling
   ``run_pipeline`` once per template recomputes kernels, prototypes and
   the ``M*`` traversal from scratch every iteration; multi-template
@@ -28,8 +26,8 @@ Each rule is motivated by a bug class this codebase has actually hit
 * **R8** ``metric-accumulation`` — hot-module cache/metric counting via
   ad-hoc ``stats["hits"] += 1`` dicts (or bare attribute counters) never
   reaches the always-on :class:`MetricsRegistry`, so the numbers are
-  invisible to cross-process merging and the run report
-  (``repro report``); updates must go through registry counter handles.
+  invisible to the run report (``repro report``); updates must go
+  through registry counter handles.
 
 All rules are pure AST passes — no imports of the checked code, so the
 linter runs on any snapshot of the tree, broken or not.
@@ -48,7 +46,6 @@ __all__ = [
     "MetricAccumulationRule",
     "OptionalIntTruthinessRule",
     "OptionsThreadingRule",
-    "SharedMemoryLifecycleRule",
     "TracerGuardRule",
 ]
 
@@ -597,46 +594,6 @@ class HotLoopHygieneRule(Rule):
         return None
 
 
-@register_rule
-class SharedMemoryLifecycleRule(Rule):
-    """Direct ``SharedMemory(...)`` construction outside ``runtime/shm.py``.
-
-    POSIX shared-memory segments outlive the creating process until
-    somebody unlinks them: a stray ``SharedMemory(create=True, ...)``
-    call that isn't paired with the wrapper's registry + atexit sweep
-    leaks a ``/dev/shm`` entry on any crashed run, and an out-of-band
-    attach can double-unlink a segment the owner still serves.  All
-    segment construction must go through :class:`SharedGraphCsr` /
-    :func:`attach_shared_csr` in :mod:`repro.runtime.shm`.
-    """
-
-    id = "R6"
-    title = "shared-memory lifecycle"
-    rationale = (
-        "named segments persist past interpreter exit unless unlinked; "
-        "only the shm wrapper's owner/attach registry guarantees cleanup"
-    )
-
-    _WRAPPER_BASENAME = "shm.py"
-
-    def check_module(
-        self, project: Project, module: ModuleSource
-    ) -> Iterator[Violation]:
-        if module.basename == self._WRAPPER_BASENAME:
-            return
-        for node in ast.walk(module.tree):
-            if (isinstance(node, ast.Call)
-                    and _call_name(node) == "SharedMemory"):
-                yield module.violation(
-                    self,
-                    node,
-                    "direct SharedMemory(...) construction outside the "
-                    "runtime/shm lifecycle wrapper; use SharedGraphCsr "
-                    "(owner) or attach_shared_csr (worker) so the segment "
-                    "is registered for unlink/close cleanup",
-                )
-
-
 # ----------------------------------------------------------------------
 # R7 — batched template execution
 # ----------------------------------------------------------------------
@@ -724,19 +681,17 @@ class MetricAccumulationRule(Rule):
     An ad-hoc ``stats["hits"] += 1`` dict (as the kernel cache once
     kept) or a bare ``self.misses += 1`` attribute counter lives and
     dies in its own module: it never reaches the always-on
-    :class:`~repro.runtime.metrics.MetricsRegistry`, so the count is
-    dropped on the floor by the pooled workers' export/merge path and
-    never reaches the run report (``repro report``).  Hot modules
-    accumulate through a resolved ``metrics.counter(...)`` /
+    :class:`~repro.runtime.metrics.MetricsRegistry`, so the count never
+    reaches the run's stats document or its report (``repro report``).
+    Hot modules accumulate through a resolved ``metrics.counter(...)`` /
     ``histogram(...)`` handle instead.
     """
 
     id = "R8"
     title = "metric accumulation"
     rationale = (
-        "kernels.py counted cache hits in a module dict that pooled "
-        "workers and the metrics report never saw; registry handles "
-        "merge across processes for free"
+        "kernels.py counted cache hits in a module dict that the "
+        "metrics report never saw; registry handles reach it for free"
     )
     hot_modules_only = True
 
@@ -759,8 +714,7 @@ class MetricAccumulationRule(Rule):
                 node,
                 f"ad-hoc metric accumulation on {name!r} in a hot module; "
                 f"resolve a handle once (`m = metrics.counter(...)`) and "
-                f"`m.inc(...)` so the count reaches snapshots, reports and "
-                f"the pooled export/merge path",
+                f"`m.inc(...)` so the count reaches snapshots and reports",
             )
 
     @classmethod

@@ -62,8 +62,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--deep", action="store_true",
-        help="include the interprocedural rules (R9+: call graph / CFG / "
-             "dataflow — what `repro analyze` runs)",
+        help="include the interprocedural rules (R10, R12, R13: call "
+             "graph / effects — what `repro analyze` runs)",
     )
     parser.add_argument(
         "--explain", metavar="ID",

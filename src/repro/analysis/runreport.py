@@ -15,8 +15,7 @@ content, and :func:`render_report` renders
   per-constraint (Fig. 10) tables.
 
 Span records keep the tracer's ``span_id``/``parent_id``, so the tree is
-the one the run recorded: pooled workers' spans are grafted under the
-open ``level`` span before export.
+the one the run recorded.
 """
 
 from __future__ import annotations
@@ -230,7 +229,7 @@ def span_tree_lines(
         attrs = record["attrs"]
         detail = ", ".join(
             f"{k}={v}" for k, v in attrs.items() if k in (
-                "template", "k", "mode", "distance", "label", "kind", "worker",
+                "template", "k", "mode", "distance", "label", "kind",
             )
         )
         lines.append(
@@ -294,14 +293,12 @@ def derived_metrics(snapshot: Dict[str, object]) -> Dict[str, object]:
     consumer can tell "measured as zero" apart from "not applicable".
     """
     counters: Dict[str, float] = snapshot.get("counters", {})  # type: ignore[assignment]
-    gauges: Dict[str, float] = snapshot.get("gauges", {})  # type: ignore[assignment]
 
     def hit_ratio(cache: str) -> Optional[float]:
         hits = counters.get(f"cache.{cache}.hits", 0.0)
         return _ratio(hits, hits + counters.get(f"cache.{cache}.misses", 0.0))
 
     dense = counters.get("fixpoint.rounds_dense", 0.0)
-    busy = counters.get("pool.busy_seconds", 0.0)
     return {
         "nlcc_cache_hit_ratio": hit_ratio("nlcc"),
         "mstar_memo_hit_ratio": hit_ratio("mstar_memo"),
@@ -316,10 +313,6 @@ def derived_metrics(snapshot: Dict[str, object]) -> Dict[str, object]:
             counters.get("fixpoint.worklist_vertices", 0.0),
             counters.get("fixpoint.active_vertices", 0.0),
         ),
-        "pool_utilization": _ratio(
-            busy, busy + counters.get("pool.idle_seconds", 0.0)
-        ),
-        "shm_segment_bytes": gauges.get("shm.segment_bytes"),
     }
 
 

@@ -17,9 +17,8 @@ Python:
   batched template execution —
   docs/INTERNALS.md §10);
 * ``analyze``     — interprocedural static analysis: the lint pass plus
-  the call-graph/CFG/dataflow rules (shm use-after-release, resident
-  immutability, pickles-empty export, dtype contract, options
-  threading — docs/INTERNALS.md §14);
+  the call-graph / effects rules (resident immutability, dtype contract,
+  options threading — docs/INTERNALS.md §14);
 * ``batch``       — template-library batch search: several template JSON
   files run through one compiled library sharing kernels, prototypes,
   the ``M*`` traversal and auxiliary pruned views (docs/INTERNALS.md
@@ -116,22 +115,12 @@ def _add_artefact_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_worker_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="OS worker processes executing prototype searches "
-             "(default 1 = in-process; >1 shares one graph CSR via "
-             "shared memory)",
-    )
-
-
 def command_search(args: argparse.Namespace) -> int:
     graph = graph_io.read_edge_list(args.graph, args.labels)
     template = load_template(args.template)
     tracer = _make_tracer(args)
     options = PipelineOptions(
         num_ranks=args.ranks, count_matches=args.count, tracer=tracer,
-        worker_processes=args.workers,
     )
     result = run_pipeline(graph, template, args.k, options)
     document = result.stats_document()
@@ -178,10 +167,7 @@ def command_explore(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args)
     result = exploratory_search(
         graph, template, max_k=args.max_k,
-        options=PipelineOptions(
-            num_ranks=args.ranks, tracer=tracer,
-            worker_processes=args.workers,
-        ),
+        options=PipelineOptions(num_ranks=args.ranks, tracer=tracer),
     )
     document = result.stats_document()
     _write_trace(args, tracer, document)
@@ -239,7 +225,6 @@ def command_batch(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args)
     options = PipelineOptions(
         num_ranks=args.ranks, count_matches=args.count, tracer=tracer,
-        worker_processes=args.workers,
     )
     queries = []
     for index, path in enumerate(args.templates):
@@ -346,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     search = commands.add_parser("search", help="approximate matching")
     _add_common_graph_arguments(search)
-    _add_worker_arguments(search)
     search.add_argument("template", help="template JSON file")
     search.add_argument("-k", type=int, default=1, help="edit distance")
     search.add_argument("--count", action="store_true", help="count matches")
@@ -358,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         "explore", help="top-down exploratory search (relax until matches)"
     )
     _add_common_graph_arguments(explore)
-    _add_worker_arguments(explore)
     explore.add_argument("template", help="template JSON file")
     explore.add_argument("--max-k", type=int, default=None,
                          help="relaxation bound (default: until disconnect)")
@@ -393,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = commands.add_parser(
         "analyze",
-        help="interprocedural static analysis — call-graph/CFG/dataflow "
-             "rules R9+ on top of the lint pass (INTERNALS.md §14)",
+        help="interprocedural static analysis — call-graph / effects "
+             "rules R10, R12, R13 on top of the lint pass (INTERNALS.md §14)",
     )
     add_lint_arguments(analyze)
     analyze.set_defaults(func=command_lint, deep=True)
@@ -405,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
              "M*/auxiliary views)",
     )
     _add_common_graph_arguments(batch)
-    _add_worker_arguments(batch)
     batch.add_argument(
         "templates", nargs="+", help="template JSON files (the library)"
     )

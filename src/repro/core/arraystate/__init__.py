@@ -27,12 +27,7 @@ re-exported here.
 
 from ...graph.csr import GraphCsr, csr_of, sorted_pair_table
 from .fixpoint import array_kernel_fixpoint
-from .searchstate import (
-    MAX_ARRAY_ROLES,
-    ArraySearchState,
-    pack_bits,
-    unpack_bits,
-)
+from .searchstate import MAX_ARRAY_ROLES, ArraySearchState
 from .walk import ArrayWalkOutcome, array_token_walk
 
 __all__ = [
@@ -43,6 +38,4 @@ __all__ = [
     "array_kernel_fixpoint",
     "array_token_walk",
     "csr_of",
-    "pack_bits",
-    "unpack_bits",
 ]

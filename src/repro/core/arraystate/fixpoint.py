@@ -16,7 +16,7 @@ aliveness (edges from candidates toward non-candidate neighbors are alive
 until pruned; the reverse direction never was; when ``M*`` runs on the
 label view instead of ``G`` those edges are not in the CSR, and the
 ``carried`` argument charges their round-1 messages in closed form),
-candidates holding empty role sets (the pooled-level union creates them;
+candidates holding empty role sets (the level union creates them;
 they survive every round untouched because only vertices with a
 non-empty mask are evaluated), and the full-round edge-dedup rule that
 skips a pair from the larger-id side only when the smaller endpoint is

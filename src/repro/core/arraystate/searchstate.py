@@ -185,24 +185,13 @@ def label_eligible(csr: GraphCsr, template) -> np.ndarray:
     return by_code[csr.label_codes]
 
 
-def pack_bits(flags: np.ndarray) -> bytes:
-    """Wire form of a boolean array: ``np.packbits`` bitmap bytes."""
-    return np.packbits(flags).tobytes()
-
-
-def unpack_bits(data: bytes, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits` (fresh, writable boolean array)."""
-    raw = np.frombuffer(data, dtype=np.uint8)
-    return np.unpackbits(raw, count=count).astype(bool)
-
-
 class ArraySearchState:
     """Bit-vector search state over a :class:`GraphCsr`.
 
     ``role_mask[i]`` packs the candidate roles of vertex ``order[i]`` in
     the module's mask layout; ``vertex_active`` tracks candidacy
     separately because the dict state allows active vertices with *empty*
-    role sets (the pooled-level union creates them); ``edge_alive[e]``
+    role sets (the level union creates them); ``edge_alive[e]``
     tracks the directed edge ``src[e] -> indices[e]`` — aliveness is
     per-direction because the dict's initial state only activates the
     candidate-side direction of edges toward non-candidate neighbors.
@@ -375,31 +364,6 @@ class ArraySearchState:
             roles, role_mask = _label_seeded(csr, template, vertex_active)
         return cls(csr, roles, role_mask, vertex_active, edge_alive)
 
-    @classmethod
-    def from_scope_payload(
-        cls,
-        csr: GraphCsr,
-        prototype,
-        vertex_bits: bytes,
-        edge_bits: bytes,
-    ) -> "ArraySearchState":
-        """Rebuild a ``for_prototype_search`` scope from its wire bitmaps.
-
-        Role masks are never shipped: ``for_prototype_search`` *resets*
-        them by label (``where(active, table[label_codes], 0)``), so
-        re-deriving the mask from the prototype's labels over the shipped
-        ``vertex_active`` bitmap is bit-identical to the sender's array —
-        two bitmaps replace the whole dict payload.
-        """
-        vertex_active = unpack_bits(vertex_bits, csr.num_vertices)
-        edge_alive = unpack_bits(edge_bits, csr.num_directed_edges)
-        roles, role_mask = _label_seeded(csr, prototype.graph, vertex_active)
-        return cls(csr, roles, role_mask, vertex_active, edge_alive)
-
-    def scope_payload(self) -> Tuple[bytes, bytes]:
-        """``(vertex bitmap, edge bitmap)`` wire form of a scope cut."""
-        return pack_bits(self.vertex_active), pack_bits(self.edge_alive)
-
     def _solution_edges(self) -> np.ndarray:
         """Directed-edge mask: alive, ``vid_gt`` side, both endpoints active."""
         csr = self.csr
@@ -416,16 +380,11 @@ class ArraySearchState:
 
         The edge mask holds the canonical solution edges (alive in the
         ``vid_gt`` direction with both endpoints active) expanded to both
-        directions — exactly the symmetric edge set the dict pooled union
-        rebuilds from a worker's ``solution_edges`` list.
+        directions — exactly the symmetric edge set the dict level union
+        holds after ``union_with``.
         """
         sel = self._solution_edges()
         return self.vertex_active, sel | sel[self.csr.mirror]
-
-    def solution_payload(self) -> Tuple[bytes, bytes]:
-        """:meth:`solution_masks` as wire bitmaps for the pooled union."""
-        vertex_mask, edge_mask = self.solution_masks()
-        return pack_bits(vertex_mask), pack_bits(edge_mask)
 
     def active_degrees(self) -> Tuple[List[int], List[int]]:
         """Active vertex ids in CSR order, and their solution-subgraph degrees.

@@ -16,13 +16,11 @@ compiles the whole library once and shares everything shareable:
   the 4-clique's distance-2 prototype, so one 4-clique pipeline at
   ``k_eff`` answers six motif queries in a single bottom-up sweep,
   with the containment rule shrinking every sparser search.
-* **Auxiliary views** — each in-process array class pipeline
-  re-materializes GraphMini-style pruned CSRs
-  (:meth:`GraphCsr.induced_view`, ``pipeline.AUX_VIEW_RATIO``) so
-  sibling prototype searches start from the pruned view instead of
-  ``G``.  A pooled class pipeline searches ``G``.
-* **Schedule** — class pipelines run longest-estimate-first (LPT, the
-  order the pooled levels use).
+* **Auxiliary views** — each array class pipeline re-materializes
+  GraphMini-style pruned CSRs (:meth:`GraphCsr.induced_view`,
+  ``pipeline.AUX_VIEW_RATIO``) so sibling prototype searches start from
+  the pruned view instead of ``G``.
+* **Schedule** — class pipelines run longest-estimate-first (LPT).
 
 Per-query answers are read back off prototype outcomes (match counts are
 isomorphism-invariant; absorbed queries map onto the root's prototypes
@@ -458,7 +456,7 @@ class BatchResult:
                     "reuse": cls.num_queries - 1,
                     "aux_views_built": result.aux_views_built if result else 0,
                     "aux_view_reuse": result.aux_view_reuse if result else 0,
-                    # the root pipeline's model traffic, pooled or not
+                    # the root pipeline's model traffic
                     "messages": (
                         result.message_summary["total_messages"]
                         if result else 0
@@ -528,8 +526,7 @@ def run_batch(
     ``options.max_prototypes`` as the budget.  Respects ``options``
     verbatim.  Root jobs run longest-estimate-first, every one through
     :func:`~repro.core.pipeline.run_pipeline` with the batch's shared
-    ``M*`` memo, so a pooled batch charges each class the traffic an
-    in-process one does.
+    ``M*`` memo.
     """
     if options is None:
         options = PipelineOptions()

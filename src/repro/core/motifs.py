@@ -139,8 +139,8 @@ def _count_motifs_batched(
     The match-extension optimization stays off — it carries dict match
     states, which would disable the array level sweeps the auxiliary
     views live on; the batch path gets its speedup from sharing one
-    clique-rooted run and from the level views every in-process array
-    sweep builds.
+    clique-rooted run and from the level views every array sweep
+    builds.
     """
     import dataclasses
 

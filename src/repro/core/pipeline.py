@@ -24,7 +24,6 @@ from typing import (
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
-    from ..runtime.parallel import PrototypeSearchPool
     from .restart import Checkpoint
 
 from ..errors import PipelineError
@@ -36,7 +35,7 @@ from ..runtime.partition import (
     PartitionedGraph, degree_packing, graph_degrees, hash_assignment,
 )
 from ..runtime.trace import NULL_TRACER
-from .arraystate import ArraySearchState, unpack_bits
+from .arraystate import ArraySearchState
 from .enumeration import distinct_match_count, extend_from_child_matches
 from .candidate_set import (
     CandidateSetMemo,
@@ -90,12 +89,12 @@ class PipelineOptions:
     #: search-space reduction: compute M* before any search (§3.1)
     use_max_candidate_set: bool = True
     #: execution: "array" (level state in CSR bit vectors, vectorized
-    #: semi-naive fixpoints, batched token frontiers, pooled scopes shipped
-    #: as shared-memory bitmaps) or "reference" (the paper's visitor model
-    #: on dict-of-sets state: every active vertex re-broadcasts every LCC
-    #: round, one Python token per NLCC message, every prototype checks
-    #: its complete constraint list — the message and visit counts of the
-    #: paper's message analysis).  Answers are identical.
+    #: semi-naive fixpoints, batched token frontiers) or "reference" (the
+    #: paper's visitor model on dict-of-sets state: every active vertex
+    #: re-broadcasts every LCC round, one Python token per NLCC message,
+    #: every prototype checks its complete constraint list — the message
+    #: and visit counts of the paper's message analysis).  Answers are
+    #: identical.
     backend: str = "array"
     #: search-space reduction: containment rule across levels (Obs. 1)
     use_containment: bool = True
@@ -128,20 +127,13 @@ class PipelineOptions:
     cost_model: CostModel = field(default_factory=CostModel)
     #: guard against prototype explosion
     max_prototypes: Optional[int] = 200_000
-    #: OS worker processes that actually execute prototype searches in
-    #: parallel (1 = in-process).  Orthogonal to `parallel_deployments`,
-    #: which models replica deployments in the simulated cost.  With the
-    #: array backend the workers share one graph CSR via a shared-memory
-    #: segment and scopes ship as packed bitmaps; the reference backend
-    #: ships dict payloads.
-    worker_processes: int = 1
     #: span tracer (:class:`repro.runtime.trace.Tracer`) threaded into
     #: every engine of the run; the default NULL_TRACER records nothing
     #: and costs one attribute check per guarded site.
     tracer: object = NULL_TRACER
-    #: always-on metrics registry threaded into every engine of the run
-    #: and merged with pooled workers' exported registries; snapshot
-    #: surfaces as ``stats_document["metrics"]``, rendered by ``repro report``
+    #: always-on metrics registry threaded into every engine of the run;
+    #: its snapshot surfaces as ``stats_document["metrics"]``, rendered
+    #: by ``repro report``
     metrics: object = field(default_factory=MetricsRegistry)
 
     def __post_init__(self) -> None:
@@ -162,16 +154,6 @@ class PipelineOptions:
         if self.constraint_ordering not in (True, False, "walk-cost"):
             raise PipelineError(
                 f"unknown constraint_ordering {self.constraint_ordering!r}"
-            )
-        if self.worker_processes < 1:
-            raise PipelineError("worker_processes must be at least 1")
-        if self.worker_processes > 1 and (
-            self.collect_matches or self.enumeration_optimization
-        ):
-            raise PipelineError(
-                "worker_processes > 1 does not support collect_matches / "
-                "enumeration_optimization (match lists are not shipped "
-                "across processes)"
             )
 
 
@@ -316,139 +298,105 @@ def _run_bottom_up(
     # a resumed run starts below the last level its checkpoint finished
     first = result.levels[-1].distance - 1 if result.levels else deepest
 
-    pool = None
-    if options.worker_processes > 1:
-        from ..runtime.parallel import PrototypeSearchPool
-
-        pool = PrototypeSearchPool(
-            protos, planner, search_pgraph, options, options.worker_processes
-        )
-
     aux_view_reuse = metrics.counter("aux_view.reuse")
     on_aux_view = False
-    try:
-        for distance in range(first, -1, -1):
-            with tracer.span("level", metrics=metrics, distance=distance):
-                level_start = (time.perf_counter(), metrics.mark())
-                level = LevelReport(distance)
-                next_stored: Dict[int, Any] = {}
-                # Union of this level's solution subgraphs = next level's scope.
-                union: "SearchState | ArraySearchState"
-
-                if pool is not None and len(protos.at(distance)) > 1:
-                    union = pooled_level(
-                        pool,
-                        (
-                            (proto, *_starting_scope(
-                                proto, distance, deepest, base, union_prev,
-                                options,
-                            ))
-                            for proto in protos.at(distance)
-                        ),
-                        base, options, level, result, all_stats,
+    for distance in range(first, -1, -1):
+        with tracer.span("level", metrics=metrics, distance=distance):
+            level_start = (time.perf_counter(), metrics.mark())
+            level = LevelReport(distance)
+            next_stored: Dict[int, Any] = {}
+            # Union of this level's solution subgraphs = next level's scope.
+            union = empty_union(base)
+            for proto in protos.at(distance):
+                outcome = None
+                if options.enumeration_optimization and distance < deepest:
+                    outcome = _try_extension(proto, stored_matches, graph)
+                if outcome is not None:
+                    # derived on the CSR the level's union and scopes use
+                    proto_state = scope_from_ids(
+                        base, outcome.solution_vertices, outcome.solution_edges,
+                    )
+                    next_stored[proto.id] = (
+                        outcome.match_set
+                        if outcome.match_set is not None
+                        else outcome.matches
                     )
                 else:
-                    union = empty_union(base)
-                    for proto in protos.at(distance):
-                        outcome = None
-                        if options.enumeration_optimization and distance < deepest:
-                            outcome = _try_extension(proto, stored_matches, graph)
-                        if outcome is not None:
-                            # derived on the CSR the level's union and
-                            # scopes use
-                            proto_state = scope_from_ids(
-                                base, outcome.solution_vertices,
-                                outcome.solution_edges,
-                            )
-                            next_stored[proto.id] = (
-                                outcome.match_set
-                                if outcome.match_set is not None
-                                else outcome.matches
-                            )
-                        else:
-                            proto_state, warm_mask = _starting_scope(
-                                proto, distance, deepest, base, union_prev,
-                                options,
-                            )
-                            if on_aux_view:
-                                aux_view_reuse.inc()
-                            outcome, stats = search_one(
-                                proto, proto_state, warm_mask, search_pgraph,
-                                planner, cache, options, tracer, metrics,
-                                collect_matches=(
-                                    options.collect_matches
-                                    or options.enumeration_optimization
-                                ),
-                            )
-                            charge(outcome, stats, options, all_stats)
-                            if (
-                                outcome.matches is not None
-                                and options.enumeration_optimization
-                            ):
-                                next_stored[proto.id] = (
-                                    outcome.match_set
-                                    if outcome.match_set is not None
-                                    else outcome.matches
-                                )
-                        if not options.collect_matches:
-                            outcome.matches = None
-                        record_outcome(level, outcome, result)
-                        if array:
-                            union.absorb_solution(*proto_state.solution_masks())
-                        else:
-                            union.union_with(proto_state)
-
-                union_prev = union
-                finish_level(
-                    level, result, options, label_frequencies,
-                    union.active_counts(), rebalancing, level_start,
-                )
-                if checkpoint is not None:
-                    checkpoint.level_done(level, result, union)
-                stored_matches = next_stored
-
-                # GraphMini-style auxiliary graph: once the union has
-                # pruned far enough, pack the surviving adjacency into a
-                # compact CSR sub-view and run the remaining levels on it.
-                # Sound only when every remaining prototype starts from
-                # the union (child-linked + containment on): the view is
-                # vertex-induced, so Obs. 1's readmitted background edges
-                # between surviving vertices are all present and the
-                # restricted scopes are bit-identical to the full-graph
-                # ones.  Views nest as later levels keep pruning (on top
-                # of compact_scope's M* view); the partition is keyed by
-                # vertex id, which views preserve, so it stays.  A pool
-                # keeps ``G``: its workers attach ``G``'s shm segment.
-                if (
-                    array
-                    and pool is None
-                    and distance > 0
-                    and options.use_containment
-                    and not rebalancing
-                    and level.union_vertices > 0
-                    and level.union_vertices
-                    <= AUX_VIEW_RATIO * base.csr.num_vertices
-                    and all(
-                        p.child_links
-                        for d in range(distance)
-                        for p in protos.at(d)
+                    proto_state, warm_mask = _starting_scope(
+                        proto, distance, deepest, base, union_prev, options,
                     )
-                ):
-                    with tracer.span(
-                        "aux_view", metrics=metrics, distance=distance
+                    if on_aux_view:
+                        aux_view_reuse.inc()
+                    outcome, stats = search_one(
+                        proto, proto_state, warm_mask, search_pgraph,
+                        planner, cache, options, tracer, metrics,
+                        collect_matches=(
+                            options.collect_matches
+                            or options.enumeration_optimization
+                        ),
+                    )
+                    charge(outcome, stats, options, all_stats)
+                    if (
+                        outcome.matches is not None
+                        and options.enumeration_optimization
                     ):
-                        view = base.csr.induced_view(union.vertex_active)
-                        base = base.restrict_to_view(view)
-                        union_prev = union.restrict_to_view(view)
-                        size = (view.num_vertices, view.num_directed_edges // 2)
-                        metrics.counter("aux_view.built").inc()
-                        metrics.counter("aux_view.vertices").inc(size[0])
-                        metrics.counter("aux_view.edges").inc(size[1])
-                    on_aux_view = True
-                    result.aux_view_sizes.append(size)
-    finally:
-        if pool is not None:
-            pool.close()
+                        next_stored[proto.id] = (
+                            outcome.match_set
+                            if outcome.match_set is not None
+                            else outcome.matches
+                        )
+                if not options.collect_matches:
+                    outcome.matches = None
+                record_outcome(level, outcome, result)
+                if array:
+                    union.absorb_solution(*proto_state.solution_masks())
+                else:
+                    union.union_with(proto_state)
+
+            union_prev = union
+            finish_level(
+                level, result, options, label_frequencies,
+                union.active_counts(), rebalancing, level_start,
+            )
+            if checkpoint is not None:
+                checkpoint.level_done(level, result, union)
+            stored_matches = next_stored
+
+            # GraphMini-style auxiliary graph: once the union has pruned
+            # far enough, pack the surviving adjacency into a compact CSR
+            # sub-view and run the remaining levels on it.  Sound only
+            # when every remaining prototype starts from the union
+            # (child-linked + containment on): the view is
+            # vertex-induced, so Obs. 1's readmitted background edges
+            # between surviving vertices are all present and the
+            # restricted scopes are bit-identical to the full-graph ones.
+            # Views nest as later levels keep pruning (on top of
+            # compact_scope's M* view); the partition is keyed by vertex
+            # id, which views preserve, so it stays.
+            if (
+                array
+                and distance > 0
+                and options.use_containment
+                and not rebalancing
+                and level.union_vertices > 0
+                and level.union_vertices
+                <= AUX_VIEW_RATIO * base.csr.num_vertices
+                and all(
+                    p.child_links
+                    for d in range(distance)
+                    for p in protos.at(d)
+                )
+            ):
+                with tracer.span("aux_view", metrics=metrics, distance=distance):
+                    view = base.csr.induced_view(union.vertex_active)
+                    base = base.restrict_to_view(view)
+                    union_prev = union.restrict_to_view(view)
+                    size = (view.num_vertices, view.num_directed_edges // 2)
+                    metrics.counter("aux_view.built").inc()
+                    metrics.counter("aux_view.vertices").inc(size[0])
+                    metrics.counter("aux_view.edges").inc(size[1])
+                on_aux_view = True
+                result.aux_view_sizes.append(size)
 
     # ------------------------------------------------------------ totals
     result.total_infrastructure_seconds = infrastructure + sum(
@@ -613,13 +561,11 @@ def takes_view(kept: int, total: int, options: PipelineOptions) -> bool:
 
     The rule of the label view ``M*`` runs on and of the ``M*`` view
     :func:`compact_scope` nests on it: the array backend, something
-    dropped and at most :data:`AUX_VIEW_RATIO` kept.  It declines under a
-    pool (its shm segment and scope bitmaps are ``G``'s) and when
+    dropped and at most :data:`AUX_VIEW_RATIO` kept.  It declines when
     rebalancing (which exports the scope to a dict graph anyway).
     """
     return (
         options.backend == "array"
-        and options.worker_processes == 1
         and options.load_balance == "none"
         and not _reload_requested(options)
         and kept < total
@@ -742,11 +688,10 @@ def search_one(
     """One prototype search (Alg. 2) on ``pgraph``: the outcome and the
     traffic it cost.
 
-    The one place a search engine is built — for the level drivers, the
-    flip family and every pool task alike, so a search's counts depend on
-    the partition it is handed and nothing else.  It accounts into
-    ``tracer`` and ``metrics`` (the run's own, or a pool task's fresh
-    ones); charging the returned stats is the caller's job
+    The one place a search engine is built — for the level drivers and
+    the flip family alike, so a search's counts depend on the partition
+    it is handed and nothing else.  It accounts into ``tracer`` and
+    ``metrics``; charging the returned stats is the caller's job
     (:func:`charge`).
     """
     stats = MessageStats(pgraph.num_ranks)
@@ -772,57 +717,6 @@ def record_outcome(
     level.outcomes.append(outcome)
     for vertex in outcome.solution_vertices:
         result.match_vectors.setdefault(vertex, set()).add(outcome.proto_id)
-
-
-def pooled_level(
-    pool: "PrototypeSearchPool",
-    scopes: Iterable[Tuple[Prototype, Any, Optional[Any]]],
-    base: "SearchState | ArraySearchState",
-    options: PipelineOptions,
-    level: LevelReport,
-    result: PipelineResult,
-    all_stats: List[MessageStats],
-) -> "SearchState | ArraySearchState":
-    """Execute one level's searches on the pool; returns the level's union.
-
-    ``scopes`` holds each prototype's starting scope and warm mask, in
-    ``base``'s state form.  On the array backend they ship as packed
-    bitmaps over the pool's shared CSR and workers return packed solution
-    bitmaps, OR-ed into an array union — no dict state is ever
-    materialized.  On the reference backend they ship as dict payloads
-    and the union is rebuilt from each outcome's solution lists.  Either
-    union's roles stay empty: the next level's ``for_prototype_search``
-    re-seeds them by label.  Each worker's ``MessageStats`` is charged to
-    the run like an in-process search's.
-    """
-    from ..runtime.parallel import array_task, dict_task, payload_to_outcome
-
-    array = isinstance(base, ArraySearchState)
-    tasks = []
-    by_id = {}
-    for proto, scope, warm_mask in scopes:
-        by_id[proto.id] = proto
-        tasks.append(
-            array_task(proto.id, scope, warm_mask)
-            if array
-            else dict_task(proto.id, scope)
-        )
-    union = empty_union(base)
-    for payload in pool.search_level(tasks):
-        outcome = payload_to_outcome(by_id[payload["proto_id"]], payload, options)
-        charge(outcome, payload["stats"], options, all_stats)
-        record_outcome(level, outcome, result)
-        if array:
-            vertex_bits, edge_bits = payload["solution_bits"]
-            union.absorb_solution(
-                unpack_bits(vertex_bits, base.csr.num_vertices),
-                unpack_bits(edge_bits, base.csr.num_directed_edges),
-            )
-        else:
-            union.union_with(scope_from_ids(
-                union, outcome.solution_vertices, outcome.solution_edges
-            ))
-    return union
 
 
 def max_candidate_scope(

@@ -14,8 +14,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: layout version of :meth:`PipelineResult.stats_document` and of the
 #: batch document (``BatchResult.stats_document``).  2: the batch
 #: document's ``aux_views`` lost ``shipped`` and ``view_sizes``, and each
-#: ``per_class`` entry gained its root pipeline's ``messages``.
-SCHEMA = 2
+#: ``per_class`` entry gained its root pipeline's ``messages``.  3: no
+#: ``pool.*`` / ``shm.*`` instruments under ``metrics``, and the derived
+#: ratios ``repro report`` reads from them (``pool_utilization``,
+#: ``shm_segment_bytes``) are gone.
+SCHEMA = 3
 
 #: the ``nlcc`` section of the run report: key -> registry counter
 NLCC_COUNTERS = {
@@ -50,8 +53,7 @@ class Count:
 class PrototypeSearchOutcome:
     """Everything recorded while searching one prototype.
 
-    ``counts`` is the registry's window over the search; a pooled
-    outcome's is the worker's exported registry.
+    ``counts`` is the registry's window over the search.
     """
 
     lcc_iterations = Count("lcc.iterations")
@@ -179,9 +181,8 @@ class PipelineResult:
         self.nlcc_cache_size: Optional[Tuple[int, int]] = None
         #: each auxiliary view's (vertices, edges) size
         self.aux_view_sizes: List[tuple] = []
-        #: the run's :class:`~repro.runtime.metrics.MetricsRegistry`
-        #: (worker registries already merged in); None until the pipeline
-        #: epilogue attaches it
+        #: the run's :class:`~repro.runtime.metrics.MetricsRegistry`;
+        #: None until the pipeline epilogue attaches it
         self.metrics: Optional[object] = None
 
     # ------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .pipeline import (
     max_candidate_scope,
     partition,
     planner_for,
-    pooled_level,
     record_outcome,
     search_one,
     start_run,
@@ -107,52 +106,30 @@ def _run_exploratory(
     all_stats: List[MessageStats] = [mcs_stats]
     search_pgraph = deployment_partition(graph, pgraph, options)
 
-    pool = None
-    if options.worker_processes > 1:
-        from ..runtime.parallel import PrototypeSearchPool
-
-        pool = PrototypeSearchPool(
-            protos, planner, search_pgraph, options, options.worker_processes
-        )
-
-    try:
-        for distance in range(0, protos.max_distance + 1):
-            with tracer.span("level", metrics=metrics, distance=distance):
-                level_start = (time.perf_counter(), metrics.mark())
-                level = LevelReport(distance)
-                if pool is not None and len(protos.at(distance)) > 1:
-                    pooled_level(
-                        pool,
-                        (
-                            (proto, base.for_prototype_search(proto), None)
-                            for proto in protos.at(distance)
-                        ),
-                        base, options, level, result, all_stats,
-                    )
-                else:
-                    for proto in protos.at(distance):
-                        outcome, stats = search_one(
-                            proto, base.for_prototype_search(proto), None,
-                            search_pgraph, planner, cache, options, tracer,
-                            metrics, collect_matches=options.collect_matches,
-                        )
-                        charge(outcome, stats, options, all_stats)
-                        record_outcome(level, outcome, result)
-                # An exploratory level's union counts its vertices only:
-                # the answer fingerprints recorded for the exploratory
-                # benchmark workload pin its edges at 0.
-                union_vertices = len(
-                    {v for o in level.outcomes for v in o.solution_vertices}
+    for distance in range(0, protos.max_distance + 1):
+        with tracer.span("level", metrics=metrics, distance=distance):
+            level_start = (time.perf_counter(), metrics.mark())
+            level = LevelReport(distance)
+            for proto in protos.at(distance):
+                outcome, stats = search_one(
+                    proto, base.for_prototype_search(proto), None,
+                    search_pgraph, planner, cache, options, tracer,
+                    metrics, collect_matches=options.collect_matches,
                 )
-                finish_level(
-                    level, result, options, planner.label_frequencies,
-                    (union_vertices, 0), False, level_start,
-                )
-            if stop_condition(level):
-                break
-    finally:
-        if pool is not None:
-            pool.close()
+                charge(outcome, stats, options, all_stats)
+                record_outcome(level, outcome, result)
+            # An exploratory level's union counts its vertices only: the
+            # answer fingerprints recorded for the exploratory benchmark
+            # workload pin its edges at 0.
+            union_vertices = len(
+                {v for o in level.outcomes for v in o.solution_vertices}
+            )
+            finish_level(
+                level, result, options, planner.label_frequencies,
+                (union_vertices, 0), False, level_start,
+            )
+        if stop_condition(level):
+            break
 
     result.total_simulated_seconds = result.candidate_set_seconds + sum(
         level.search_seconds for level in result.levels

@@ -11,8 +11,8 @@ There is one way to build a root CSR — :meth:`GraphCsr.from_columns`,
 from dense ``(src, dst)`` index columns.  The edge-list reader
 (:mod:`repro.graph.io`) hands it the parsed file; ``GraphCsr(graph)``
 flattens a dict :class:`~repro.graph.graph.Graph` into the same columns.
-Views (:meth:`GraphCsr.induced_view`) and shared-memory attachments
-(:mod:`repro.runtime.shm`) inherit the row order, so on *every* CSR the
+Views (:meth:`GraphCsr.induced_view`) inherit the row order, so on
+*every* CSR the
 directed edges are sorted by ``(src, dst)`` and the sorted pair table
 behind :meth:`GraphCsr.edge_positions` is the identity.
 
@@ -176,7 +176,7 @@ class GraphCsr:
         """``GraphCsr(graph)``: the CSR of a dict graph, through the columns.
 
         Without an argument this is the bare allocator the constructors
-        (``from_columns``, ``induced_view``, ``attach_shared_csr``) fill.
+        (``from_columns``, ``induced_view``) fill.
         """
         if graph is None:
             return object.__new__(cls)

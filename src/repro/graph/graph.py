@@ -293,8 +293,7 @@ class Graph:
 
     def __getstate__(self):
         # The CSR cache holds numpy arrays plus a back-reference to the
-        # graph; rebuild it lazily on the other side instead of shipping it
-        # (worker processes pickle the background graph once per pool).
+        # graph; a copy or unpickled graph rebuilds it lazily instead.
         return (self._adj, self._labels, self._num_edges, self._edge_labels)
 
     def __setstate__(self, state) -> None:

@@ -8,7 +8,6 @@ and a parallel cost model.
 
 from .engine import Context, Engine
 from .messages import CostModel, MessageStats, PhaseCounters
-from .parallel import PrototypeSearchPool, state_to_payload
 from .partition import (
     PartitionedGraph,
     block_assignment,
@@ -27,12 +26,10 @@ __all__ = [
     "NullTracer",
     "PartitionedGraph",
     "PhaseCounters",
-    "PrototypeSearchPool",
     "SafraDetector",
     "Span",
     "Tracer",
     "Visitor",
     "block_assignment",
     "hash_assignment",
-    "state_to_payload",
 ]

@@ -10,30 +10,18 @@ small preallocated numpy buffer, so a hot-path update is one vectorless
 
 Three instrument kinds:
 
-* **Counter** — monotonically increasing float64 (``inc``).  Counters are
-  the cross-process parity surface: merging worker registries must
-  reproduce a sequential run's totals bit-exactly, so hot-module counter
-  updates count *events* (rounds, messages, checks), which are
-  deterministic, not wall times.  Time-valued counters carry a
-  ``_seconds`` suffix by convention.
+* **Counter** — monotonically increasing float64 (``inc``).  Hot-module
+  counter updates count *events* (rounds, messages, checks), which are
+  deterministic, not wall times, so two runs of one query report equal
+  counters.  Time-valued counters carry a ``_seconds`` suffix by
+  convention.
 * **Gauge** — last-written float64 (``set``), for sizes and levels
-  (shared-memory segment bytes, cache entry counts).
+  (cache entry counts).
 * **Histogram** — fixed log2-scale buckets (``observe``): bucket ``i``
   holds values ``v`` with ``bit_length(int(v)) == i``, i.e. the bucket
   upper bounds are 0, 1, 2, 4, ... ``2**(_HISTOGRAM_BUCKETS - 2)`` with a
   final overflow bucket.  Bucket counts and the running sum are numpy
   int64/float64 cells; no per-observation allocation.
-
-Cross-process aggregation mirrors the tracer's payload grafting: a pooled
-worker builds a fresh registry per task, :meth:`MetricsRegistry.export`
-packs it into plain arrays riding the ``PoolTask`` result payload, and
-the parent folds it in with :meth:`MetricsRegistry.merge` (counters and
-histogram buckets add; gauges add too, because worker-side gauges are
-per-worker quantities whose fleet total is the meaningful number).
-
-Pickling a registry transports nothing (``__getstate__`` → ``{}``), the
-same contract as the tracer: metric values never cross process
-boundaries implicitly, only explicit ``export()`` payloads do.
 
 The registry is the one producer of a run's counts (the engine's
 ``MessageStats`` keeps the model's traffic).  Everything that reports a
@@ -45,7 +33,7 @@ that moved in between.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -134,8 +122,7 @@ class MetricsRegistry:
         while ...:
             rounds.inc()
 
-    Not thread-safe (like the tracer: one registry per process, workers
-    export and the parent merges).
+    Not thread-safe (like the tracer).
     """
 
     enabled = True
@@ -144,15 +131,6 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-
-    # -- pickling: registries cross process boundaries empty -------------
-    def __getstate__(self) -> Dict[str, object]:
-        return {}
-
-    def __setstate__(self, _state: Dict[str, object]) -> None:
-        self._counters = {}
-        self._gauges = {}
-        self._histograms = {}
 
     # ------------------------------------------------------------------
     def counter(self, name: str) -> Counter:
@@ -199,72 +177,6 @@ class MetricsRegistry:
             delta = counter._cell[0] - before(name, 0.0)
             if delta:
                 window[name] = float(delta)
-        return window
-
-    # ------------------------------------------------------------------
-    def export(self) -> Dict[str, object]:
-        """Pack the registry into plain arrays for a result payload.
-
-        The wire format is ``(names tuple, values ndarray)`` per
-        instrument kind — histograms additionally carry the bucket-count
-        matrix — small enough to ride every ``PoolTask`` result and cheap
-        to merge.  Empty registries export an empty dict so untouched
-        workers add nothing to the payload.
-        """
-        payload: Dict[str, object] = {}
-        if self._counters:
-            names = tuple(sorted(self._counters))
-            payload["counters"] = (
-                names,
-                np.array(
-                    [self._counters[n].value for n in names], dtype=np.float64
-                ),
-            )
-        if self._gauges:
-            names = tuple(sorted(self._gauges))
-            payload["gauges"] = (
-                names,
-                np.array(
-                    [self._gauges[n].value for n in names], dtype=np.float64
-                ),
-            )
-        if self._histograms:
-            names = tuple(sorted(self._histograms))
-            payload["histograms"] = (
-                names,
-                np.stack([self._histograms[n]._buckets for n in names]),
-                np.array(
-                    [self._histograms[n].sum for n in names], dtype=np.float64
-                ),
-            )
-        return payload
-
-    def merge(self, payload: Optional[Dict[str, object]]) -> Dict[str, float]:
-        """Fold an :meth:`export` payload into this registry (additive).
-
-        Returns the payload's nonzero counters: the window a fresh
-        per-task registry exported.
-        """
-        window: Dict[str, float] = {}
-        if not payload:
-            return window
-        if "counters" in payload:
-            names, values = payload["counters"]  # type: ignore[misc]
-            for name, value in zip(names, values.tolist()):
-                self.counter(name).inc(value)
-                if value:
-                    window[name] = value
-        if "gauges" in payload:
-            names, values = payload["gauges"]  # type: ignore[misc]
-            for name, value in zip(names, values.tolist()):
-                gauge = self.gauge(name)
-                gauge.set(gauge.value + value)
-        if "histograms" in payload:
-            names, buckets, sums = payload["histograms"]  # type: ignore[misc]
-            for i, name in enumerate(names):
-                histogram = self.histogram(name)
-                histogram._buckets += buckets[i]
-                histogram._sum[0] += float(sums[i])
         return window
 
     # ------------------------------------------------------------------

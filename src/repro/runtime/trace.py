@@ -19,19 +19,16 @@ Design rules:
   :data:`NULL_TRACER`; hot loops guard the expensive counter computation
   with one ``tracer.enabled`` attribute check, and the null ``span()``
   context manager allocates nothing.
-* **One tree per process.**  The tracer is not thread-safe; worker
-  processes build their own tracer and ship closed spans home as plain
-  payload dicts (:meth:`Span.to_payload`), which the parent grafts under
-  its current span with :meth:`Tracer.attach`.
+* **One tree per run.**  The tracer is not thread-safe; every span of a
+  run is opened in the process that runs it.
 * **One export format.**  :meth:`Tracer.write_chrome_trace` emits Chrome
   trace-event JSON (loadable in ``chrome://tracing`` / Perfetto), with
   the run's stats document under ``otherData["stats"]``.  Each event
   embeds ``span_id``/``parent_id``, so :mod:`repro.analysis.runreport`
   reconstructs the exact tree.
 
-Timestamps are raw ``time.perf_counter`` values (CLOCK_MONOTONIC — shared
-by forked worker processes, so merged spans stay on one timebase); the
-exporter rebases them to the earliest span start.
+Timestamps are raw ``time.perf_counter`` values; the exporter rebases
+them to the earliest span start.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ import os
 import time
 from typing import (
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -155,37 +151,6 @@ class Span:
         """All spans named ``name`` in this subtree (preorder)."""
         return [span for span, _ in self.walk() if span.name == name]
 
-    # ------------------------------------------------------------------
-    def to_payload(self) -> Dict[str, object]:
-        """Plain-data form for shipping across process boundaries."""
-        return {
-            "name": self.name,
-            "attrs": dict(self.attrs),
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "counters": dict(self.counters),
-            "children": [child.to_payload() for child in self.children],
-        }
-
-    @classmethod
-    def from_payload(
-        cls, payload: Dict[str, object], tracer: Optional["Tracer"] = None
-    ) -> "Span":
-        attrs = cast(Dict[str, object], payload.get("attrs") or {})
-        span = cls(cast(str, payload["name"]), dict(attrs), tracer)
-        span.start_s = cast(Optional[float], payload.get("start_s"))
-        span.end_s = cast(Optional[float], payload.get("end_s"))
-        span.counters = dict(
-            cast(Dict[str, float], payload.get("counters") or {})
-        )
-        span.children = [
-            cls.from_payload(child, tracer)
-            for child in cast(
-                Iterable[Dict[str, object]], payload.get("children", ())
-            )
-        ]
-        return span
-
     def __repr__(self) -> str:
         return (
             f"Span({self.name!r}, dur={self.duration_s:.6f}s, "
@@ -240,11 +205,6 @@ class NullTracer:
     def record_span(self, *_args: object, **_kwargs: object) -> None:
         pass
 
-    def attach(
-        self, _payloads: Iterable[Dict[str, object]], **_attrs: object
-    ) -> None:
-        pass
-
     def __repr__(self) -> str:
         return "NullTracer()"
 
@@ -261,11 +221,6 @@ class Tracer:
         with tracer.span("pipeline", template="tri", k=1):
             with tracer.span("level", distance=1):
                 tracer.add(messages=42)   # lands on the innermost span
-
-    Pickling a tracer (e.g. inside ``PipelineOptions`` shipped to worker
-    processes) transports only the fact that tracing is enabled — span
-    trees never cross process boundaries implicitly; workers return
-    payloads that the parent grafts via :meth:`attach`.
     """
 
     enabled = True
@@ -273,14 +228,6 @@ class Tracer:
     def __init__(self) -> None:
         self.roots: List[Span] = []
         self._stack: List[Span] = []
-
-    # -- pickling: workers need `.enabled`, never the span forest --------
-    def __getstate__(self) -> Dict[str, object]:
-        return {}
-
-    def __setstate__(self, _state: Dict[str, object]) -> None:
-        self.roots = []
-        self._stack = []
 
     # ------------------------------------------------------------------
     def span(
@@ -331,29 +278,6 @@ class Tracer:
             self.roots.append(span)
         return span
 
-    def attach(
-        self,
-        payloads: Iterable[Dict[str, object]],
-        **extra_attrs: object,
-    ) -> List[Span]:
-        """Graft worker span payloads under the currently open span.
-
-        ``extra_attrs`` (e.g. ``worker=<pid>``) are added to the attrs of
-        each top-level grafted span, labeling which worker produced it.
-        """
-        parent = self._stack[-1] if self._stack else None
-        grafted: List[Span] = []
-        for payload in payloads:
-            span = Span.from_payload(payload, self)
-            if extra_attrs:
-                span.attrs.update(extra_attrs)
-            if parent is not None:
-                parent.children.append(span)
-            else:
-                self.roots.append(span)
-            grafted.append(span)
-        return grafted
-
     # ------------------------------------------------------------------
     def walk(self) -> Iterator[Tuple[Span, int]]:
         for root in self.roots:
@@ -397,9 +321,8 @@ class Tracer:
     ) -> Dict[str, object]:
         """Chrome trace-event JSON document (``chrome://tracing``/Perfetto).
 
-        One complete (``ph: "X"``) event per span; worker-grafted spans
-        get their own ``tid`` (from the ``worker`` attr) so per-worker
-        timelines render as separate tracks.  ``stats``, the run's stats
+        One complete (``ph: "X"``) event per span, all on one track.
+        ``stats``, the run's stats
         document, goes under ``otherData["stats"]``, which trace viewers
         ignore.
         """
@@ -413,7 +336,7 @@ class Tracer:
                 "ts": cast(float, record["ts"]) * 1e6,
                 "dur": cast(float, record["dur"]) * 1e6,
                 "pid": 0,
-                "tid": attrs.get("worker", 0),
+                "tid": 0,
                 "args": {
                     "span_id": record["span_id"],
                     "parent_id": record["parent_id"],

@@ -1,9 +1,7 @@
 """Unit tests for the interprocedural analysis engine.
 
-Covers the four layers the deep rules stand on: call-graph resolution
-(:mod:`repro.analysis.lint.callgraph`), CFG shapes
-(:mod:`repro.analysis.lint.cfg`), the worklist dataflow solver
-(:mod:`repro.analysis.lint.dataflow`) and the per-function effect
+Covers the two layers the deep rules stand on: call-graph resolution
+(:mod:`repro.analysis.lint.callgraph`) and the per-function effect
 summaries (:mod:`repro.analysis.lint.effects`).
 """
 
@@ -11,8 +9,6 @@ import ast
 import textwrap
 
 from repro.analysis.lint.callgraph import CallGraph, callgraph_of
-from repro.analysis.lint.cfg import BranchMarker, build_cfg
-from repro.analysis.lint.dataflow import Analysis, solve, statement_facts
 from repro.analysis.lint.effects import (
     EffectsIndex,
     dtype_label,
@@ -29,11 +25,6 @@ def project_of(tmp_path, files):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
     return Project.load(tmp_path)
-
-
-def func_node(source):
-    tree = ast.parse(textwrap.dedent(source))
-    return tree.body[0]
 
 
 # ----------------------------------------------------------------------
@@ -173,200 +164,9 @@ class TestCallGraph:
 
 
 # ----------------------------------------------------------------------
-# CFG
-# ----------------------------------------------------------------------
-def block_map(cfg):
-    return {b.id: b for b in cfg.blocks}
-
-
-class TestCfg:
-    def test_straight_line_single_block(self):
-        cfg = build_cfg(func_node("""\
-            def f():
-                a = 1
-                b = 2
-                return a + b
-            """))
-        entry = cfg.blocks[cfg.entry]
-        assert len(entry.statements) == 3
-        assert entry.successors == [cfg.exit]
-
-    def test_if_else_diamond(self):
-        cfg = build_cfg(func_node("""\
-            def f(x):
-                if x:
-                    a = 1
-                else:
-                    a = 2
-                return a
-            """))
-        entry = cfg.blocks[cfg.entry]
-        assert isinstance(entry.statements[-1], BranchMarker)
-        assert len(entry.successors) == 2
-        # both arms join before the return
-        joins = {
-            succ
-            for arm in entry.successors
-            for succ in cfg.blocks[arm].successors
-        }
-        assert len(joins) == 1
-
-    def test_while_loop_back_edge(self):
-        cfg = build_cfg(func_node("""\
-            def f(n):
-                while n:
-                    n -= 1
-                return n
-            """))
-        headers = [
-            b for b in cfg.blocks
-            if any(isinstance(s, BranchMarker) for s in b.statements)
-        ]
-        assert len(headers) == 1
-        header = headers[0]
-        # some block loops back to the header
-        assert any(
-            header.id in cfg.blocks[p].successors
-            for p in header.predecessors
-            if p != cfg.entry
-        )
-
-    def test_return_edges_to_exit(self):
-        cfg = build_cfg(func_node("""\
-            def f(x):
-                if x:
-                    return 1
-                return 2
-            """))
-        returners = [
-            b.id for b in cfg.blocks
-            if any(isinstance(s, ast.Return) for s in b.statements)
-        ]
-        assert len(returners) == 2
-        for block_id in returners:
-            assert cfg.exit in cfg.blocks[block_id].successors
-
-    def test_try_handler_reachable_from_body(self):
-        cfg = build_cfg(func_node("""\
-            def f():
-                try:
-                    risky()
-                except ValueError:
-                    handle()
-                return 1
-            """))
-        handler_blocks = [
-            b for b in cfg.blocks
-            if any(
-                isinstance(s, ast.Expr)
-                and isinstance(s.value, ast.Call)
-                and getattr(s.value.func, "id", "") == "handle"
-                for s in b.statements
-            )
-        ]
-        assert handler_blocks
-        assert handler_blocks[0].predecessors  # reachable
-
-
-# ----------------------------------------------------------------------
-# dataflow solver
-# ----------------------------------------------------------------------
-class _AssignedNames(Analysis):
-    """Forward may-analysis: names assigned on some path so far."""
-
-    may = True
-
-    def transfer(self, fact, statement):
-        names = set(fact)
-        if isinstance(statement, ast.Assign):
-            for target in statement.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        return frozenset(names)
-
-
-class _MustAssigned(_AssignedNames):
-    """Must-variant: names assigned on *every* path."""
-
-    may = False
-
-
-class TestDataflow:
-    def test_may_union_across_branches(self):
-        cfg = build_cfg(func_node("""\
-            def f(c):
-                if c:
-                    a = 1
-                else:
-                    b = 2
-                d = 3
-            """))
-        facts = solve(cfg, _AssignedNames())
-        assert facts[cfg.exit] == frozenset({"a", "b", "d"})
-
-    def test_must_intersection_across_branches(self):
-        cfg = build_cfg(func_node("""\
-            def f(c):
-                if c:
-                    a = 1
-                    common = 1
-                else:
-                    b = 2
-                    common = 2
-                d = 3
-            """))
-        facts = solve(cfg, _MustAssigned())
-        assert facts[cfg.exit] == frozenset({"common", "d"})
-
-    def test_loop_reaches_fixed_point(self):
-        cfg = build_cfg(func_node("""\
-            def f(n):
-                while n:
-                    inside = 1
-                after = 2
-            """))
-        facts = solve(cfg, _AssignedNames())
-        assert facts[cfg.exit] >= frozenset({"inside", "after"})
-
-    def test_statement_facts_replay_order(self):
-        cfg = build_cfg(func_node("""\
-            def f():
-                a = 1
-                b = 2
-            """))
-        analysis = _AssignedNames()
-        pairs = statement_facts(cfg, analysis, solve(cfg, analysis))
-        by_target = {
-            statement.targets[0].id: fact
-            for statement, fact in pairs
-            if isinstance(statement, ast.Assign)
-        }
-        assert by_target["a"] == frozenset()
-        assert by_target["b"] == frozenset({"a"})
-
-
-# ----------------------------------------------------------------------
 # effect summaries
 # ----------------------------------------------------------------------
 class TestEffects:
-    def test_direct_and_transitive_closes(self, tmp_path):
-        project = project_of(tmp_path, {
-            "m.py": """\
-                def releaser(segment):
-                    segment.close()
-
-                def delegator(seg):
-                    releaser(seg)
-
-                def keeper(seg):
-                    return seg.name
-                """,
-        })
-        effects = effects_of(project)
-        assert effects.by_qname["m.py::releaser"].closes == {"segment"}
-        assert effects.by_qname["m.py::delegator"].closes == {"seg"}
-        assert effects.by_qname["m.py::keeper"].closes == set()
-
     def test_options_param_and_fields(self, tmp_path):
         project = project_of(tmp_path, {
             "m.py": """\
@@ -392,17 +192,6 @@ class TestEffects:
         fx = effects_of(project).by_qname["m.py::f"]
         assert "role_mask" in fx.param_reads["state"]
         assert fx.param_writes["state"] == {"vertex_active", "edge_alive"}
-
-    def test_ships_through_submit_and_initargs(self, tmp_path):
-        project = project_of(tmp_path, {
-            "m.py": """\
-                def run(pool, task, handle, worker):
-                    pool.submit(task)
-                    pool.map(worker, initargs=(handle,))
-                """,
-        })
-        fx = effects_of(project).by_qname["m.py::run"]
-        assert fx.ships == {"task", "worker", "handle"}
 
     def test_return_dtype_through_helper(self, tmp_path):
         project = project_of(tmp_path, {

@@ -1,11 +1,10 @@
-"""Fixture-driven tests for the interprocedural rules R9–R13.
+"""Fixture-driven tests for the interprocedural rules R10, R12 and R13.
 
 Two layers: the committed known-bad files under
 ``tests/analysis/fixtures/`` (shared with the CI analyzer self-check)
 must each fire their rule, and inline tmp-path snippets pin down the
-per-rule edge cases — flow sensitivity, helper-mediated releases,
-construction exemptions, interprocedural dtype propagation, transitive
-options neediness.  A final self-check runs the full deep pass over the
+per-rule edge cases — construction exemptions, interprocedural dtype
+propagation, transitive options neediness.  A final self-check runs the full deep pass over the
 shipped ``src/repro`` tree, which must be clean.
 """
 
@@ -18,12 +17,10 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 REPO_SRC = REPO_ROOT / "src" / "repro"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
-DEEP_RULES = ("R9", "R10", "R11", "R12", "R13")
+DEEP_RULES = ("R10", "R12", "R13")
 
 FIXTURE_FOR_RULE = {
-    "R9": "bad_shm_release.py",
     "R10": "bad_resident_mutation.py",
-    "R11": "bad_pickles_drop.py",
     "R12": "bad_dtype_escape.py",
     "R13": "bad_options_drop.py",
 }
@@ -76,144 +73,6 @@ class TestFixtureFiles:
             assert not (
                 enclosing and enclosing[-1].startswith("def ok_")
             ), violation.render()
-
-
-class TestR9ShmUseAfterRelease:
-    def test_flow_sensitive_branch_release(self, tmp_path):
-        report = lint_files(tmp_path, {"pool.py": """\
-            from repro.runtime.shm import share_csr
-
-            def f(csr, early):
-                shared = share_csr(csr)
-                if early:
-                    shared.close()
-                return shared.handle
-            """}, rules=["R9"])
-        assert rules_fired(report) == {"R9"}
-
-    def test_release_on_no_path_is_clean(self, tmp_path):
-        report = lint_files(tmp_path, {"pool.py": """\
-            from repro.runtime.shm import share_csr
-
-            def f(csr):
-                shared = share_csr(csr)
-                handle = shared.handle
-                total = shared.nbytes
-                shared.close()
-                return handle, total
-            """}, rules=["R9"])
-        assert report.clean, [v.render() for v in report.violations]
-
-    def test_helper_close_is_interprocedural(self, tmp_path):
-        report = lint_files(tmp_path, {"pool.py": """\
-            from repro.runtime.shm import share_csr
-
-            def teardown(segment):
-                segment.close()
-
-            def f(csr):
-                shared = share_csr(csr)
-                teardown(shared)
-                return shared.handle
-            """}, rules=["R9"])
-        assert rules_fired(report) == {"R9"}
-
-    def test_transitive_helper_close(self, tmp_path):
-        report = lint_files(tmp_path, {"pool.py": """\
-            from repro.runtime.shm import share_csr
-
-            def inner(seg):
-                seg.unlink()
-
-            def outer(seg):
-                inner(seg)
-
-            def f(csr):
-                shared = share_csr(csr)
-                outer(shared)
-                return shared.handle
-            """}, rules=["R9"])
-        assert rules_fired(report) == {"R9"}
-
-    def test_derived_view_flagged_only_on_dereference(self, tmp_path):
-        report = lint_files(tmp_path, {"pool.py": """\
-            from repro.runtime.shm import share_csr
-
-            def f(csr):
-                shared = share_csr(csr)
-                view = shared.view
-                size = shared.nbytes
-                shared.close()
-                return size, view.indptr
-            """}, rules=["R9"])
-        # the dereference of `view` fires; returning the scalar `size`
-        # does not
-        assert len(report.violations) == 1
-        assert "view" in report.violations[0].message
-
-    def test_reclose_is_idempotent_not_a_use(self, tmp_path):
-        report = lint_files(tmp_path, {"pool.py": """\
-            from repro.runtime.shm import share_csr
-
-            def f(csr):
-                shared = share_csr(csr)
-                shared.close()
-                shared.close()
-                shared.unlink()
-            """}, rules=["R9"])
-        assert report.clean, [v.render() for v in report.violations]
-
-    def test_rebind_starts_fresh_lifetime(self, tmp_path):
-        report = lint_files(tmp_path, {"pool.py": """\
-            from repro.runtime.shm import share_csr
-
-            def f(csr):
-                shared = share_csr(csr)
-                shared.close()
-                shared = share_csr(csr)
-                return shared.handle
-            """}, rules=["R9"])
-        assert report.clean, [v.render() for v in report.violations]
-
-    def test_loop_reuse_after_rebind_is_clean(self, tmp_path):
-        report = lint_files(tmp_path, {"pool.py": """\
-            from repro.runtime.shm import share_csr
-
-            def f(csrs):
-                out = []
-                for csr in csrs:
-                    shared = share_csr(csr)
-                    out.append(shared.nbytes)
-                    shared.close()
-                return out
-            """}, rules=["R9"])
-        assert report.clean, [v.render() for v in report.violations]
-
-    def test_with_exit_releases(self, tmp_path):
-        report = lint_files(tmp_path, {"pool.py": """\
-            from repro.runtime.shm import share_csr
-
-            def f(csr):
-                with share_csr(csr) as shared:
-                    handle = shared.handle
-                return shared.nbytes
-            """}, rules=["R9"])
-        assert rules_fired(report) == {"R9"}
-
-    def test_wrapper_module_is_exempt(self, tmp_path):
-        report = lint_files(tmp_path, {"shm.py": """\
-            from multiprocessing import shared_memory
-
-            def owner_release(segment):
-                segment.close()
-                segment.unlink()
-
-            def roundtrip(n):
-                seg = shared_memory.SharedMemory(create=True, size=n)
-                seg.close()
-                return seg.name
-            """}, rules=["R9"])
-        assert report.clean
 
 
 class TestR10ResidentImmutability:
@@ -298,69 +157,6 @@ class TestR10ResidentImmutability:
                 state.role_mask[0] = 3
                 state.vertex_active[1] = False
             """}, rules=["R10"])
-        assert report.clean
-
-
-class TestR11PicklesEmptyExport:
-    def test_worker_mutation_without_export_fires(self, tmp_path):
-        report = lint_files(tmp_path, {"workers.py": """\
-            from repro.runtime.metrics import MetricsRegistry
-
-            def _task(payload):
-                registry = MetricsRegistry()
-                registry.incr("steps", 1)
-                return {"ok": True}
-
-            def run(pool, payloads):
-                futures = [pool.submit(_task, p) for p in payloads]
-                merged = collect(futures)
-                merged.merge(None)
-                return merged
-            """}, rules=["R11"])
-        assert rules_fired(report) == {"R11"}
-        assert "registry" in report.violations[0].message
-
-    def test_export_in_payload_is_clean(self, tmp_path):
-        report = lint_files(tmp_path, {"workers.py": """\
-            from repro.runtime.metrics import MetricsRegistry
-
-            def _task(payload):
-                registry = MetricsRegistry()
-                registry.incr("steps", 1)
-                return {"ok": True, "metrics": registry.export()}
-
-            def run(pool, metrics, payloads):
-                futures = [pool.submit(_task, p) for p in payloads]
-                for future in futures:
-                    metrics.merge(future.result()["metrics"])
-            """}, rules=["R11"])
-        assert report.clean, [v.render() for v in report.violations]
-
-    def test_parent_never_merges_fires(self, tmp_path):
-        report = lint_files(tmp_path, {"workers.py": """\
-            from repro.runtime.metrics import MetricsRegistry
-
-            def _task(payload):
-                registry = MetricsRegistry()
-                registry.incr("steps", 1)
-                return {"metrics": registry.export()}
-
-            def run(pool, payloads):
-                return [pool.submit(_task, p) for p in payloads]
-            """}, rules=["R11"])
-        assert rules_fired(report) == {"R11"}
-        assert any("merge" in v.message for v in report.violations)
-
-    def test_non_worker_registry_untouched(self, tmp_path):
-        # parent-side registries live in-process; no export needed
-        report = lint_files(tmp_path, {"driver.py": """\
-            from repro.runtime.metrics import MetricsRegistry
-
-            def report_run():
-                registry = MetricsRegistry()
-                registry.incr("runs", 1)
-                return registry
-            """}, rules=["R11"])
         assert report.clean
 
 

@@ -35,30 +35,28 @@ def rules_fired(report):
 
 
 class TestRegistry:
-    def test_all_twelve_rules_registered(self):
-        # R4 (fallback parity) is retired: its dispatch switches are gone
+    def test_all_nine_rules_registered(self):
+        # R4 (fallback parity) is retired: its dispatch switches are gone;
+        # R6, R9 and R11 guarded the deleted process pool
         assert set(all_rules()) == {
-            "R1", "R2", "R3", "R5", "R6", "R7", "R8",
-            "R9", "R10", "R11", "R12", "R13",
+            "R1", "R2", "R3", "R5", "R7", "R8", "R10", "R12", "R13",
         }
 
     def test_deep_tier_split(self):
         registry = all_rules()
         deep = {rule_id for rule_id, rule in registry.items() if rule.deep}
-        assert deep == {"R9", "R10", "R11", "R12", "R13"}
+        assert deep == {"R10", "R12", "R13"}
 
     def test_default_run_excludes_deep_rules(self, tmp_path):
         report = run_lint(tmp_path)
-        assert not any(r in report.rules_run for r in
-                       ("R9", "R10", "R11", "R12", "R13"))
+        assert not any(r in report.rules_run for r in ("R10", "R12", "R13"))
         deep_report = run_lint(tmp_path, deep=True)
         assert set(deep_report.rules_run) == set(all_rules())
 
     def test_rules_run_in_natural_order(self, tmp_path):
         report = run_lint(tmp_path, deep=True)
         assert report.rules_run == [
-            "R1", "R2", "R3", "R5", "R6", "R7", "R8",
-            "R9", "R10", "R11", "R12", "R13",
+            "R1", "R2", "R3", "R5", "R7", "R8", "R10", "R12", "R13",
         ]
 
     def test_rules_carry_rationales(self):
@@ -275,45 +273,6 @@ class TestR5HotLoopHygiene:
         assert sorted(v.path for v in report.violations) == [
             "core/arraystate/fixpoint.py", "core/arraystate/walk.py",
         ]
-
-
-class TestR6SharedMemoryLifecycle:
-    def test_direct_construction_fires(self, tmp_path):
-        report = lint_files(tmp_path, {"pool_helpers.py": """\
-            from multiprocessing.shared_memory import SharedMemory
-
-            def make():
-                return SharedMemory(create=True, size=64)
-            """}, rules=["R6"])
-        assert rules_fired(report) == {"R6"}
-
-    def test_attach_by_name_fires(self, tmp_path):
-        report = lint_files(tmp_path, {"parallel.py": """\
-            from multiprocessing import shared_memory
-
-            def attach(name):
-                return shared_memory.SharedMemory(name=name)
-            """}, rules=["R6"])
-        assert rules_fired(report) == {"R6"}
-
-    def test_lifecycle_wrapper_module_is_exempt(self, tmp_path):
-        report = lint_files(tmp_path, {"shm.py": """\
-            from multiprocessing.shared_memory import SharedMemory
-
-            def make():
-                return SharedMemory(create=True, size=64)
-            """}, rules=["R6"])
-        assert report.clean
-
-    def test_wrapper_api_use_is_clean(self, tmp_path):
-        report = lint_files(tmp_path, {"parallel.py": """\
-            from repro.runtime.shm import SharedGraphCsr, attach_shared_csr
-
-            def share(csr, handle, graph):
-                owned = SharedGraphCsr(csr)
-                return owned, attach_shared_csr(handle, graph)
-            """}, rules=["R6"])
-        assert report.clean
 
 
 class TestR7BatchedTemplateExecution:
@@ -650,9 +609,9 @@ class TestRunnerCli:
         assert "R13 [deep]" in out
 
     def test_explain_prints_contract_and_examples(self, capsys):
-        assert main(["--explain", "R9"]) == 0
+        assert main(["--explain", "R10"]) == 0
         out = capsys.readouterr().out
-        assert "shm-use-after-release" in out
+        assert "resident-state-immutability" in out
         assert "contract:" in out
         assert "bad:" in out
         assert "good:" in out
@@ -671,7 +630,7 @@ class TestRunnerCli:
         self._seed(tmp_path)
         assert main([str(tmp_path), "--deep", "--json"]) == 1
         document = json.loads(capsys.readouterr().out)
-        assert "R9" in document["rules_run"]
+        assert "R10" in document["rules_run"]
         assert "R13" in document["rules_run"]
 
 

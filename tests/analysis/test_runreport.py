@@ -63,9 +63,8 @@ def sample_snapshot():
     registry.counter("fixpoint.rounds_adaptive_dense").inc(1)
     registry.counter("fixpoint.worklist_vertices").inc(50)
     registry.counter("fixpoint.active_vertices").inc(100)
-    registry.counter("pool.busy_seconds").inc(3.0)
-    registry.counter("pool.idle_seconds").inc(1.0)
-    registry.gauge("shm.segment_bytes").set(4096.0)
+    registry.counter("search.wall_seconds").inc(3.0)
+    registry.gauge("cache.nlcc.entries").set(12.0)
     histogram = registry.histogram("fixpoint.worklist_size")
     for value in (0, 1, 3, 8):
         histogram.observe(value)
@@ -75,7 +74,7 @@ def sample_snapshot():
 def sample_document():
     """A stats document shaped like ``PipelineResult.stats_document()``."""
     return {
-        "schema": 2,
+        "schema": 3,
         "template": "tri",
         "levels": [
             {"distance": 1, "prototypes": 2, "union_vertices": 10,
@@ -145,9 +144,9 @@ class TestLoadReport:
     @pytest.mark.parametrize("content", [
         "",
         json.dumps(sample_snapshot()),  # a bare snapshot is not a run artefact
-        json.dumps({"schema": 2, "levels": {"k": 1}}),
+        json.dumps({"schema": 3, "levels": {"k": 1}}),
         json.dumps({"traceEvents": [], "otherData": {"stats": {
-            "schema": 2, "metrics": {"gauges": {"g": None}},
+            "schema": 3, "metrics": {"gauges": {"g": None}},
         }}}),
         json.dumps({"traceEvents": [
             {"ph": "X", "args": {"counters": {"messages": "many"}}},
@@ -203,21 +202,17 @@ class TestDocumentSections:
         assert derived["dense_round_fraction"] == pytest.approx(0.25)
         assert derived["adaptive_dense_rounds"] == 1.0
         assert derived["mean_worklist_density"] == pytest.approx(0.5)
-        assert derived["pool_utilization"] == pytest.approx(0.75)
-        assert derived["shm_segment_bytes"] == 4096.0
 
     def test_unrecorded_inputs_yield_none_not_zero(self):
         derived = derived_metrics({"counters": {}, "gauges": {}})
         assert derived["nlcc_cache_hit_ratio"] is None
         assert derived["mstar_memo_hit_ratio"] is None
         assert derived["dense_round_fraction"] is None
-        assert derived["pool_utilization"] is None
-        assert derived["shm_segment_bytes"] is None
 
 
 def test_every_derived_ratio_has_a_producer(complete_constraint_lists):
-    """Each derived value is measured by a pooled run or a batch; a ratio
-    over counters that nothing produces fails here.  Complete constraint
+    """Each derived value is measured by a run or a batch; a ratio over
+    counters that nothing produces fails here.  Complete constraint
     lists keep the pre-filter walks, the ones that probe the NLCC cache."""
     edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0)]
     labels = [1, 2, 3, 4, 5]
@@ -226,8 +221,8 @@ def test_every_derived_ratio_has_a_producer(complete_constraint_lists):
     template = PatternTemplate.from_edges(
         edges, dict(enumerate(labels)), name="ring+chord"
     )
-    pooled = run_pipeline(graph, template, 2, PipelineOptions(
-        num_ranks=2, backend="array", worker_processes=2,
+    run = run_pipeline(graph, template, 2, PipelineOptions(
+        num_ranks=2, backend="array",
     ))
     batch = run_batch(graph, [
         BatchQuery(template, 1, name="ring"),
@@ -235,7 +230,7 @@ def test_every_derived_ratio_has_a_producer(complete_constraint_lists):
     ], PipelineOptions(num_ranks=2))
     derived = [
         derived_metrics(result.stats_document()["metrics"])
-        for result in (pooled, batch)
+        for result in (run, batch)
     ]
     unmeasured = [
         name for name in derived[0]
@@ -270,7 +265,7 @@ class TestRendering:
         assert "dense_round_fraction" in report
         assert "== span tree" not in report
         # _seconds counters format as durations, not raw floats
-        assert "pool.busy_seconds" in report
+        assert "search.wall_seconds" in report
 
     def test_inapplicable_ratios_are_dropped_from_derived_table(self):
         report = render_report(RunReport({"metrics": {
@@ -280,10 +275,10 @@ class TestRendering:
         assert "kernel_cache_hit_ratio" not in report
 
     def test_render_empty(self):
-        assert render_report(RunReport({"schema": 2}, [])) == "report is empty"
+        assert render_report(RunReport({"schema": 3}, [])) == "report is empty"
 
     def test_render_empty_metrics(self):
-        document = {"schema": 2, "metrics": {
+        document = {"schema": 3, "metrics": {
             "counters": {}, "gauges": {}, "histograms": {},
         }}
         assert render_report(RunReport(document, [])) == "report is empty"

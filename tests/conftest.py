@@ -13,6 +13,5 @@ def complete_constraint_lists(monkeypatch):
     what the reference backend runs, so it is both the baseline the
     selection rule (``ConstraintPlan.select``) is compared against and the
     way a test about the pre-filter walks themselves keeps them running.
-    Forked pool workers inherit the patch.
     """
     monkeypatch.setattr(ConstraintPlan, "select", ConstraintSet.select)

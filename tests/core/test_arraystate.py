@@ -150,8 +150,8 @@ class TestRoundTripConversion:
         assert array_snapshot(astate) == dict_snapshot(state)
 
     def test_empty_role_set_candidate_survives(self):
-        # The pooled-level union can leave candidates with empty role
-        # sets; the conversion must keep them active in both directions.
+        # The level union can leave candidates with empty role sets;
+        # the conversion must keep them active in both directions.
         graph, template = random_case(0)
         state = SearchState.initial(graph, template)
         some = next(iter(state.candidates))

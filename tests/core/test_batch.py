@@ -289,41 +289,6 @@ class TestBatchedSequentialParity:
         assert plain.aux_view_totals()["built"] == 0
 
 
-class TestPooledBatch:
-    """A pooled batch charges each class what the in-process batch does:
-    every class pipeline, pooled or not, computes its own ``M*`` on ``G``
-    (or takes it from the batch's memo) inside ``run_pipeline``."""
-
-    def test_reports_the_in_process_counts(self):
-        ring = PatternTemplate.from_edges(
-            [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0)],
-            {v: v + 1 for v in range(5)}, name="ring",
-        )
-        tri = PatternTemplate.from_edges(
-            [(0, 1), (1, 2), (2, 0)], {0: 1, 1: 2, 2: 3}, name="tri"
-        )
-        graph = planted_graph(
-            300, 700, ring.edges(), [1, 2, 3, 4, 5], copies=3, seed=4
-        )
-        queries = [BatchQuery(ring, 1), BatchQuery(tri, 0)]
-
-        def documents(workers):
-            batch = run_batch(graph, queries, options(
-                work_recycling=False, worker_processes=workers,
-            ))
-            return {
-                name: result.stats_document()
-                for name, result in batch.class_results.items()
-            }
-
-        inline, pooled = documents(1), documents(2)
-        assert sorted(pooled) == sorted(inline) == ["class0:ring", "class1:tri"]
-        for name, document in inline.items():
-            for key in ("messages", "candidate_set", "nlcc"):
-                assert pooled[name][key] == document[key], (name, key)
-            assert "max_candidate_set" in document["messages"]["phases"]
-
-
 class TestMotifCensusParity:
     @pytest.mark.parametrize("size", [3, 4])
     def test_batched_census_matches_sequential(self, size):
@@ -486,7 +451,7 @@ class TestLazyViewMembers:
         union.absorb_solution(*scoped.copy().solution_masks())
         scoped.deactivate_indices(np.arange(3))
         scoped.active_counts(), scoped.active_vertices()
-        scoped.active_edge_list(), scoped.scope_payload()
+        scoped.active_edge_list()
         assert not dict_builds and view._lazy == {}
         # ... and a dict consumer does
         exported = on_view.to_search_state()

@@ -22,7 +22,7 @@ delegates, containment off and enumeration-only verification, with level
 views nested on top.  Then the title's contract,
 directly: precision and recall against the brute-force matcher with the
 compaction on — also for a checkpointed run resumed after a crash at each
-level, and for every edge-flip variant, on both backends.  Last, the runs that must *not* compact — pooled,
+level, and for every edge-flip variant, on both backends.  Last, the runs that must *not* compact —
 rebalanced, naive — say so and still agree (the rebalanced and naive ones
 with brute force too), and the reshuffle's degree packing, read off the
 bitmaps, equals the one of the materialized pruned graph.
@@ -677,28 +677,6 @@ class TestRunsThatDoNotCompact:
         graph, template = planted_case(wdc1_template())
         result = self.reference(graph, template, 1, reload_ranks=0)
         assert result.scope_view is not None
-
-    @pytest.mark.parametrize("array", [True, False])
-    def test_pooled(self, array):
-        graph, template = planted_case(wdc1_template())
-        compacted = self.reference(graph, template, 2, count_matches=True)
-        for run in (
-            lambda options: run_pipeline(graph, template, 2, options),
-            lambda options: exploratory_search(
-                graph, template, max_k=2, options=options
-            ),
-        ):
-            with view_ratio(ON):
-                pooled = run(PipelineOptions(
-                    num_ranks=4, count_matches=True, worker_processes=2,
-                    backend="array" if array else "reference",
-                ))
-            assert pooled.scope_view is None
-            for outcome in pooled.outcomes():
-                other = compacted.outcome_for(outcome.proto_id)
-                assert outcome.solution_vertices == other.solution_vertices
-                assert outcome.solution_edges == other.solution_edges
-                assert outcome.match_mappings == other.match_mappings
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ Guards around :class:`repro.core.ordering.ConstraintPlan`:
   lists pinned from the commit before the planner existed, so orienting a
   walk *before* constructing it cannot drift;
 * (iii) exactness is answered without a build, the full walk with one;
-* (iv) bottom-up, top-down and pooled outcomes on small versions of the six
+* (iv) bottom-up and top-down outcomes on small versions of the six
   Fig. 7 stream rows equal the values pinned from that commit;
 * (v) one cycle enumeration per built plan;
 * every driver checks the same keys in the same order under each
@@ -336,13 +336,9 @@ def driver_outcomes(name, driver):
             options=PipelineOptions(count_matches=True),
         )
     else:
-        # pooled with recycling off: which worker's cache a task meets
-        # depends on timing, and with it the message count
-        pooled = dict(worker_processes=2, work_recycling=False)
-        options = PipelineOptions(
-            count_matches=True, **(pooled if driver == "pooled" else {})
+        result = run_pipeline(
+            graph, template, k, PipelineOptions(count_matches=True)
         )
-        result = run_pipeline(graph, template, k, options)
     return outcome_rows(result)
 
 
@@ -359,11 +355,7 @@ class TestOutcomesPinnedFromParent:
             PINS["outcomes"][name]["top-down"]
         )
 
-    @pytest.mark.parametrize("name", sorted(CASES))
-    def test_pooled(self, name):
-        assert driver_outcomes(name, "pooled") == PINS["outcomes"][name]["pooled"]
-
-    @pytest.mark.parametrize("driver", ["bottom-up", "top-down", "pooled"])
+    @pytest.mark.parametrize("driver", ["bottom-up", "top-down"])
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_complete_lists_still_give_the_parents_counts(
         self, complete_constraint_lists, name, driver
@@ -401,39 +393,32 @@ def test_cycles_enumerated_once_per_built_plan(monkeypatch):
 # one ordering choice for every driver
 # ----------------------------------------------------------------------
 @pytest.fixture
-def checked_keys(monkeypatch, tmp_path):
-    """Per-prototype sequences of the constraint keys NLCC was handed.
-
-    Logged through a file so that forked pool workers (which inherit the
-    patched module) report too; ``read()`` drains it.
-    """
-    log = tmp_path / "checked.jsonl"
+def checked_keys(monkeypatch):
+    """Per-prototype sequences of the constraint keys NLCC was handed;
+    ``read()`` drains them."""
+    log = []
     raw = search_module.non_local_constraint_checking
 
     def recording(state, constraint, *args, **kwargs):
-        line = json.dumps([proto_key(constraint.proto_graph), repr(constraint.key)])
-        with open(log, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+        log.append((proto_key(constraint.proto_graph), repr(constraint.key)))
         return raw(state, constraint, *args, **kwargs)
 
     monkeypatch.setattr(search_module, "non_local_constraint_checking", recording)
 
     def read():
         sequences = collections.defaultdict(list)
-        if log.exists():
-            for line in log.read_text().splitlines():
-                proto, key = json.loads(line)
-                sequences[tuple(map(tuple, proto))].append(key)
-            log.unlink()
+        for proto, key in log:
+            sequences[proto].append(key)
+        log.clear()
         return dict(sequences)
 
     return read
 
 
 class TestEveryDriverChecksInTheSameOrder:
-    def three_drivers(self, checked_keys, ordering):
+    def both_drivers(self, checked_keys, ordering):
         _, graph, template, k = CASES["WDC-2"]
-        # every scope cut from M* and every level searched, so the three
+        # every scope cut from M* and every level searched, so the two
         # drivers hand each prototype the same starting scope
         knobs = dict(
             constraint_ordering=ordering, use_containment=False,
@@ -441,16 +426,12 @@ class TestEveryDriverChecksInTheSameOrder:
         )
         run_pipeline(graph, template, k, PipelineOptions(**knobs))
         inline = checked_keys()
-        run_pipeline(
-            graph, template, k, PipelineOptions(worker_processes=2, **knobs)
-        )
-        pooled = checked_keys()
         exploratory_search(
             graph, template, max_k=k, stop_condition=never,
             options=PipelineOptions(**knobs),
         )
         top_down = checked_keys()
-        assert inline and inline == pooled == top_down
+        assert inline and inline == top_down
 
         stats = GraphStatistics.from_graph(graph)
         for proto in generate_prototypes(template, k):
@@ -459,11 +440,11 @@ class TestEveryDriverChecksInTheSameOrder:
             yield sequence, [repr(c.key) for c in reference]
 
     @pytest.mark.parametrize("ordering", ORDERINGS, ids=str)
-    def test_inline_pooled_and_top_down_agree(self, checked_keys, ordering):
+    def test_inline_and_top_down_agree(self, checked_keys, ordering):
         # ... and that order is the eager reference's: the whole list,
         # cut where the scope emptied, or its last element — the full
         # walk — alone
-        for sequence, keys in self.three_drivers(checked_keys, ordering):
+        for sequence, keys in self.both_drivers(checked_keys, ordering):
             assert sequence in (keys[: len(sequence)], keys[-1:])
 
     @pytest.mark.parametrize("ordering", ORDERINGS, ids=str)
@@ -473,7 +454,7 @@ class TestEveryDriverChecksInTheSameOrder:
         # every WDC-2 plan answers "the full walk alone"; held to the
         # complete list, the drivers still walk it in one order
         lengths = set()
-        for sequence, keys in self.three_drivers(checked_keys, ordering):
+        for sequence, keys in self.both_drivers(checked_keys, ordering):
             assert sequence == keys[: len(sequence)]
             lengths.add(len(sequence))
         assert max(lengths) > 1

@@ -6,7 +6,7 @@ scope: when the estimated rows of the CC / PC / TDS pre-filters reach the
 full walk's.  Guards:
 
 * (a) differential — every driver × feature of ``test_compact_scope.py``
-  (plus pooled on both backends, checkpointed restart and flips) run
+  (plus checkpointed restart and flips) run
   with the rule and again held to the complete list
   (``complete_constraint_lists``) gives the same match vectors,
   per-prototype solution sets, mapping counts, collected matches and level
@@ -21,7 +21,7 @@ full walk's.  Guards:
 * (d) nothing is skipped without a full walk, from an explicit
   ``ConstraintSet``, or on the reference backend;
 * (e) the decision is a function of counts: invariant under a vertex-id
-  permutation, equal inline / pooled / top-down, and reported (outcome,
+  permutation, equal inline / top-down, and reported (outcome,
   stats document, registry counters, ``prototype`` span).
 
 Everything is asserted on counts, never on seconds.
@@ -168,22 +168,12 @@ FEATURES = {
         "walk-cost",
     )
 }
-FEATURES["pooled-shm"] = {"worker_processes": 2, "count_matches": True}
-#: dict payloads: the reference backend, which checks complete lists
-FEATURES["pooled-pickled"] = {
-    "worker_processes": 2, "backend": "reference", "count_matches": True,
-}
 
 
 def ratio(feature):
     """The ``pipeline.AUX_VIEW_RATIO`` a column runs at: "aux-views"
     builds a level view wherever one is sound, the others keep the rule."""
     return ON if feature == "aux-views" else pipeline_module.AUX_VIEW_RATIO
-
-
-def decides(feature):
-    """Whether the rule has anything to decide under ``feature``."""
-    return FEATURES[feature].get("backend") != "reference"
 
 
 class TestBottomUp:
@@ -203,7 +193,7 @@ class TestBottomUp:
         # every level above is derived from their matches
         assert_same_answer_fewer_walks(
             ruled, complete,
-            walks=decides(feature) and not feature.startswith("extension"),
+            walks=not feature.startswith("extension"),
         )
 
     @pytest.mark.parametrize(
@@ -296,8 +286,7 @@ class TestBottomUp:
 class TestExploratory:
     @pytest.mark.parametrize(
         "feature",
-        ["default", "count", "collect", "block", "delegates", "no-recycling",
-         "pooled-shm", "pooled-pickled"],
+        ["default", "count", "collect", "block", "delegates", "no-recycling"],
     )
     def test_wdc1(self, monkeypatch, feature):
         graph, template = planted_case(wdc1_template())
@@ -309,7 +298,7 @@ class TestExploratory:
             ),
         )
         assert len(ruled.levels) == 3 and ruled.matched_vertices()
-        assert_same_answer_fewer_walks(ruled, complete, walks=decides(feature))
+        assert_same_answer_fewer_walks(ruled, complete)
 
     def test_more_than_64_roles_and_the_default_stop(
         self, monkeypatch, scopes_estimated
@@ -845,7 +834,7 @@ class TestTheDecisionIsAFunctionOfCounts:
         ]
         assert kept.messages == complete.outcome_for(kept.proto_id).messages
 
-    def test_inline_pooled_and_top_down_decide_alike(self):
+    def test_inline_and_top_down_decide_alike(self):
         graph, template = planted_case(wdc2_template())
         # every scope cut from M*, so the drivers hand each prototype the
         # same starting scope
@@ -863,17 +852,13 @@ class TestTheDecisionIsAFunctionOfCounts:
             }
 
         inline = run_pipeline(graph, template, 2, PipelineOptions(**knobs))
-        pooled = run_pipeline(
-            graph, template, 2, PipelineOptions(worker_processes=2, **knobs)
-        )
         top_down = exploratory_search(
             graph, template, max_k=2, stop_condition=never,
             options=PipelineOptions(**knobs),
         )
         assert skipped(inline) > 0
-        assert decided(inline) == decided(pooled) == decided(top_down)
-        # the pooled payload ships the registry too
-        for result in (inline, pooled, top_down):
+        assert decided(inline) == decided(top_down)
+        for result in (inline, top_down):
             counters = result.stats_document()["metrics"]["counters"]
             assert counters["plan.prefilters_skipped"] == skipped(result)
 

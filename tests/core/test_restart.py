@@ -44,9 +44,7 @@ def report(result):
     }
 
 
-#: options a checkpointed run used to drop on the floor.  Pooled workers
-#: recycle NLCC results across whichever tasks they happen to serve, so
-#: the pooled case turns recycling off to be deterministic.  "aux-views"
+#: options a checkpointed run used to drop on the floor.  "aux-views"
 #: adds no option: it patches ``pipeline.AUX_VIEW_RATIO`` to 1.0, so a
 #: level view is built wherever one is sound.
 GRID = {
@@ -56,7 +54,6 @@ GRID = {
     "reshuffle": {"load_balance": "reshuffle"},
     "reload": {"reload_ranks": 1},
     "deployments": {"parallel_deployments": 2},
-    "pool": {"worker_processes": 2, "work_recycling": False},
 }
 
 

@@ -21,9 +21,8 @@ in-process array runs build the ``M*`` view and a level view wherever one
 is sound.
 
 The other tests hold the report to what each count's producer saw: an
-exploratory level's scheduling against the bottom-up sweep's, a pooled
-run's counts against the in-process run's, and a trace's spans against
-the report.
+exploratory level's scheduling against the bottom-up sweep's, and a
+trace's spans against the report.
 """
 
 import json
@@ -60,8 +59,8 @@ DRIVERS = ("bottom-up", "exploratory", "batch", "checkpointed")
 #: batch class's messages
 ADDED = {"schema"} | {f"per_class.{i}.messages" for i in range(3)}
 
-#: keys the batch document lost in schema 2, with the pooled batch's own
-#: ``M*`` view (``run_batch`` runs every class through ``run_pipeline``)
+#: keys the batch document lost in schema 2, with its own ``M*`` view
+#: (``run_batch`` runs every class through ``run_pipeline``)
 REMOVED = {"aux_views.shipped", "aux_views.view_sizes"}
 
 #: registry counters that are new, because the registry now produces the
@@ -149,7 +148,7 @@ def _documents(driver, backend, workdir):
 
 def _process_wide(name):
     """Counters whose value depends on what ran before in the process."""
-    return name.startswith(("cache.kernel.", "cache.prototype.", "pool."))
+    return name.startswith(("cache.kernel.", "cache.prototype."))
 
 
 def normalized(value, key=None):
@@ -218,22 +217,7 @@ def test_report_matches_parent(pinned, tmp_path, driver, backend):
         assert added <= ADDED | new_counters, (name, sorted(added))
         assert {path: now.get(path) for path in then} == then, name
         if "schema" in now:
-            assert now["schema"] == SCHEMA == 2
-
-
-#: the counts of a level in the report (its seconds are left out)
-LEVEL_COUNTS = (
-    "distance", "prototypes", "union_vertices", "union_edges",
-    "post_lcc_vertices", "post_lcc_edges", "nlcc_tokens_launched",
-    "nlcc_completions", "nlcc_dedup_merged",
-)
-
-
-def level_counts(document):
-    return [
-        {key: level[key] for key in LEVEL_COUNTS}
-        for level in document["levels"]
-    ]
+            assert now["schema"] == SCHEMA == 3
 
 
 def run(driver, graph, template, opts):
@@ -268,32 +252,11 @@ class TestExploratoryLevels:
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("driver", ["bottom-up", "exploratory"])
-def test_pooled_run_reports_the_workers_counts(driver, backend):
-    graph, template = workload()
-
-    def document(**extra):
-        opts = PipelineOptions(
-            num_ranks=4, backend=backend, work_recycling=False, **extra
-        )
-        return run(driver, graph, template, opts).stats_document()
-
-    inline, pooled = document(), document(worker_processes=2)
-    assert pooled["messages"] == inline["messages"]
-    assert pooled["nlcc"] == inline["nlcc"]
-    assert pooled["nlcc_cache"] == inline["nlcc_cache"]
-    assert level_counts(pooled) == level_counts(inline)
-    assert inline["messages"]["phases"]["nlcc"]["messages"] > 0
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("workers", [1, 2])
-def test_trace_tells_what_the_report_tells(tmp_path, backend, workers):
+def test_trace_tells_what_the_report_tells(tmp_path, backend):
     graph, template = workload()
     tracer = Tracer()
     result = run_pipeline(graph, template, K, PipelineOptions(
         num_ranks=4, backend=backend, tracer=tracer,
-        worker_processes=workers, work_recycling=workers == 1,
     ))
     document = result.stats_document()
     messages = document["messages"]
@@ -301,14 +264,9 @@ def test_trace_tells_what_the_report_tells(tmp_path, backend, workers):
     assert pipeline.total("messages") == messages["total_messages"]
     assert pipeline.total("remote_messages") == messages["remote_messages"]
 
-    # one tree as recorded: a pooled level grafts its workers' spans
-    # under the open `level` span, so nothing is left to re-parent
+    # one tree as recorded
     flat = tracer._flat_records()
-    by_id = {record["span_id"]: record for record in flat}
     assert [r["name"] for r in flat if r["parent_id"] is None] == ["pipeline"]
-    grafted = [r for r in flat if "worker" in r["attrs"]]
-    assert bool(grafted) == (workers > 1)
-    assert all(by_id[r["parent_id"]]["name"] == "level" for r in grafted)
 
     spans = {
         span.attrs["distance"]: span.counters for span in tracer.find("level")

@@ -10,8 +10,8 @@ charged in closed form when the walk flushes.  Guards:
 * (a) ``edge_positions`` answers every vertex pair correctly, and the
   order invariant that makes it gather-free holds (rows sorted by
   destination, so ``pair_keys`` ascends in edge order), on a root CSR
-  built from a dict graph and from a file, an ``induced_view`` at any
-  depth and an ``attach_shared_csr`` CSR;
+  built from a dict graph and from a file, and an ``induced_view`` at any
+  depth;
 * (b) array walk == dict walk on the rank-by-rank message matrix and the
   per-rank visit vector (not only totals), completions and satisfied
   initiators — hub graphs, edge labels, the multi-word mask layout,
@@ -70,7 +70,6 @@ from repro.graph.generators import gnm_graph
 from repro.graph.graph import Graph, canonical_edge
 from repro.graph.io import read_edge_list, write_edge_list, write_labels
 from repro.runtime import Engine, MessageStats, PartitionedGraph
-from repro.runtime.shm import SharedGraphCsr, attach_shared_csr, detach_all
 
 RANKS = 4
 
@@ -240,20 +239,6 @@ class TestEdgePositions:
         assert view.pair_keys.tolist() == [np.iinfo(np.int64).max]
         none = np.zeros(0, dtype=np.int64)
         assert view.edge_positions(none, none).shape == (0,)
-
-    @settings(max_examples=20, deadline=None)
-    @given(graph=labeled_graphs())
-    def test_attached_shared_csr(self, graph):
-        with SharedGraphCsr(csr_of(graph)) as shared:
-            attached = attach_shared_csr(shared.handle, graph)
-            try:
-                check_edge_positions(attached)
-                assert not attached.pair_keys.flags.writeable
-                # rebuilt on the worker's side, never part of the payload
-                assert "pair_keys" not in {s for s, _, _, _ in shared.handle.layout}
-            finally:
-                del attached
-                detach_all()
 
     def test_the_table_is_frozen_and_sorted(self):
         csr = csr_of(gnm_graph(40, 120, num_labels=2, seed=3))

@@ -1,7 +1,6 @@
 """Tests for the always-on metrics registry."""
 
 import json
-import pickle
 import time
 
 import numpy as np
@@ -14,12 +13,6 @@ from repro.runtime.metrics import MetricsRegistry
 
 EDGES = [(0, 1), (1, 2), (2, 0), (2, 3)]
 LABELS = [1, 2, 3, 4]
-
-#: worker-local by construction: the parent process compiles kernels and
-#: prototype caches the workers never see (and vice versa), and pool
-#: busy/idle seconds only exist in pooled runs
-_PARITY_EXCLUDED_PREFIXES = ("pool.", "cache.kernel", "cache.prototype")
-
 
 def workload(seed=51):
     graph = planted_graph(60, 140, EDGES, LABELS, copies=3, num_labels=5, seed=seed)
@@ -72,25 +65,6 @@ class TestInstruments:
 
 
 class TestRegistry:
-    def test_untouched_registry_exports_empty(self):
-        assert MetricsRegistry().export() == {}
-
-    def test_export_merge_round_trip_is_additive(self):
-        source = MetricsRegistry()
-        source.counter("c").inc(3)
-        source.gauge("g").set(5.0)
-        source.histogram("h").observe(4)
-        payload = source.export()
-
-        target = MetricsRegistry()
-        target.counter("c").inc(1)
-        target.merge(payload)
-        target.merge(payload)
-        assert target.counter("c").value == 7.0
-        assert target.gauge("g").value == 10.0  # worker gauges sum
-        assert target.histogram("h").count == 2
-        assert target.histogram("h").buckets[3] == 2
-
     def test_snapshot_is_json_serializable(self):
         registry = MetricsRegistry()
         registry.counter("c").inc()
@@ -100,14 +74,6 @@ class TestRegistry:
         assert snapshot["counters"] == {"c": 1.0}
         assert snapshot["gauges"] == {"g": 2.0}
         assert snapshot["histograms"]["h"]["count"] == 1
-
-    def test_registry_pickles_empty(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(9)
-        clone = pickle.loads(pickle.dumps(registry))
-        assert clone.export() == {}
-        clone.counter("c").inc()  # still usable
-        assert clone.counter("c").value == 1.0
 
     def test_window_holds_the_counters_that_moved(self):
         registry = MetricsRegistry()
@@ -119,68 +85,6 @@ class TestRegistry:
         registry.gauge("g").set(5)
         assert registry.since(mark) == {"before": 3.0, "new": 2.0}
         assert registry.since(registry.mark()) == {}
-
-    def test_merge_returns_the_exported_window(self):
-        worker = MetricsRegistry()
-        worker.counter("a").inc(2)
-        worker.counter("zero")
-        parent = MetricsRegistry()
-        parent.counter("a").inc(1)
-        assert parent.merge(worker.export()) == {"a": 2.0}
-        assert parent.counter("a").value == 3.0
-        assert parent.merge(None) == {}
-
-
-class TestCrossProcessParity:
-    def test_pooled_counters_match_sequential_bit_exactly(self):
-        graph, template = workload()
-        options = dict(
-            num_ranks=2, count_matches=True, work_recycling=False,
-            enumeration_optimization=False,
-        )
-        seq_options = PipelineOptions(**options)
-        sequential = run_pipeline(graph, template, 1, seq_options)
-        pooled_options = PipelineOptions(worker_processes=3, **options)
-        pooled = run_pipeline(graph, template, 1, pooled_options)
-        assert pooled.match_vectors == sequential.match_vectors
-
-        def comparable(registry):
-            return {
-                name: value
-                for name, value in registry.counters()
-                if not name.startswith(_PARITY_EXCLUDED_PREFIXES)
-            }
-
-        seq_counters = comparable(seq_options.metrics)
-        pooled_counters = comparable(pooled_options.metrics)
-        assert pooled_counters == seq_counters
-        # the default array paths drive batched rounds, not traversals
-        assert seq_counters["engine.rounds_batched"] > 0
-        assert seq_counters["fixpoint.rounds_dense"] > 0
-
-    def test_pooled_run_reports_pool_accounting(self):
-        graph, template = workload(seed=52)
-        options = PipelineOptions(num_ranks=2, worker_processes=2)
-        run_pipeline(graph, template, 1, options)
-        counters = dict(options.metrics.counters())
-        assert counters["pool.busy_seconds"] > 0
-        assert counters["pool.idle_seconds"] >= 0
-        assert dict(options.metrics.gauges())["shm.segment_bytes"] > 0
-
-    def test_pooled_adaptive_matches_sequential(self):
-        graph, template = workload(seed=53)
-        sequential = run_pipeline(
-            graph, template, 1,
-            PipelineOptions(num_ranks=2, count_matches=True),
-        )
-        pooled = run_pipeline(
-            graph, template, 1,
-            PipelineOptions(
-                num_ranks=2, count_matches=True, worker_processes=2
-            ),
-        )
-        assert pooled.match_vectors == sequential.match_vectors
-
 
 class _Inert:
     """A registry whose every instrument does nothing: the no-metrics

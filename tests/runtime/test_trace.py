@@ -8,7 +8,7 @@ from repro.core.pipeline import PipelineOptions, run_pipeline
 from repro.core.template import PatternTemplate
 from repro.graph.generators import planted_graph
 from repro.runtime.metrics import MetricsRegistry
-from repro.runtime.trace import NULL_TRACER, NullTracer, Span, Tracer
+from repro.runtime.trace import NULL_TRACER, NullTracer, Tracer
 
 TEMPLATE_EDGES = [(0, 1), (1, 2), (2, 0), (2, 3)]
 TEMPLATE_LABELS = [1, 2, 3, 4]
@@ -138,55 +138,6 @@ class TestCounters:
         assert child.counters == {"messages": 9, "worklist": 4}
 
 
-class TestAttachAndPickle:
-    def test_payload_round_trip(self):
-        tracer = Tracer()
-        with tracer.span("prototype", proto=3) as span:
-            span.add(messages=2)
-            with tracer.span("lcc"):
-                pass
-        restored = Span.from_payload(span.to_payload())
-        assert restored.name == "prototype"
-        assert restored.attrs == {"proto": 3}
-        assert restored.counters == {"messages": 2}
-        assert [c.name for c in restored.children] == ["lcc"]
-        assert restored.duration_s == pytest.approx(span.duration_s)
-
-    def test_attach_grafts_under_current_span(self):
-        worker = Tracer()
-        with worker.span("prototype", proto=1):
-            pass
-        payloads = [s.to_payload() for s in worker.roots]
-
-        parent = Tracer()
-        with parent.span("level", distance=1) as level:
-            parent.attach(payloads, worker=1234)
-        grafted, = level.children
-        assert grafted.name == "prototype"
-        assert grafted.attrs["worker"] == 1234
-
-    def test_attach_without_open_span_adds_roots(self):
-        worker = Tracer()
-        with worker.span("prototype"):
-            pass
-        parent = Tracer()
-        parent.attach([s.to_payload() for s in worker.roots])
-        assert [r.name for r in parent.roots] == ["prototype"]
-
-    def test_pickled_tracer_arrives_empty_but_enabled(self):
-        import pickle
-
-        tracer = Tracer()
-        with tracer.span("pipeline"):
-            clone = pickle.loads(pickle.dumps(tracer))
-        assert clone.enabled
-        assert clone.roots == []
-        # and it is immediately usable
-        with clone.span("fresh"):
-            pass
-        assert [r.name for r in clone.roots] == ["fresh"]
-
-
 class TestExporters:
     def _traced_run(self):
         tracer = Tracer()
@@ -251,7 +202,6 @@ class TestNullTracer:
         assert span.counters == {}
         assert tracer.roots == []
         tracer.record_span("round", 0.0, 1.0)
-        tracer.attach([{"name": "x"}])
         assert not tracer.enabled
 
     def test_traced_and_untraced_results_identical(self):
@@ -278,37 +228,7 @@ class TestNullTracer:
         assert PipelineOptions().tracer is NULL_TRACER
 
 
-class TestWorkerMerge:
-    def test_pooled_level_spans_are_grafted(self):
-        g, t = graph(), template()
-        tracer = Tracer()
-        pooled = run_pipeline(
-            g, t, 1,
-            PipelineOptions(
-                num_ranks=3, worker_processes=2, tracer=tracer
-            ),
-        )
-        sequential = run_pipeline(g, t, 1, PipelineOptions(num_ranks=3))
-        assert pooled.match_vectors == sequential.match_vectors
-
-        protos = tracer.find("prototype")
-        # level 1 has 3 prototypes (pooled), level 0 has 1 (in-process)
-        assert len(protos) == 4
-        workers = {
-            s.attrs.get("worker") for s in protos if "worker" in s.attrs
-        }
-        assert workers, "no worker-labeled prototype spans were grafted"
-        assert all(isinstance(w, int) for w in workers)
-        # grafted subtrees keep their structure and land under a level span
-        root = tracer.roots[0]
-        level1 = next(
-            c for c in root.children
-            if c.name == "level" and c.attrs["distance"] == 1
-        )
-        grafted = [c for c in level1.children if c.name == "prototype"]
-        assert len(grafted) == 3
-        assert all(s.find("lcc") for s in grafted)
-
+class TestDriverModes:
     def test_exploratory_and_checkpointed_modes_traced(self, tmp_path):
         from repro.core.restart import run_pipeline_with_checkpoints
         from repro.core.topdown import exploratory_search
