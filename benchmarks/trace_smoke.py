@@ -9,8 +9,10 @@ The trace must parse, carry the expected span taxonomy (``pipeline`` →
 document is sanity-checked (the schema of ``repro.core.results.SCHEMA``,
 populated fixpoint counters, a dense-round fraction, the plan's
 pre-filter decision) and must agree with the spans: each ``level`` span's
-own counters equal the document's per-level counts, and the ``pipeline``
-span's messages equal the document's.  Then ``repro batch --json`` runs
+own counters equal the document's per-level counts, the ``pipeline``
+span's messages equal the document's, and the ``round`` spans under
+``lcc`` / ``max_candidate_set`` number exactly the fixpoint rounds the
+document counts (``fixpoint.rounds_dense`` + ``fixpoint.rounds_sparse``).  Then ``repro batch --json`` runs
 on the same graph: its document must carry that schema and every class
 its root pipeline's messages.  A second
 traced search runs on a graph where under 60 % of the vertices carry a
@@ -56,6 +58,9 @@ LEVEL_COUNTERS = (
     "level.prototypes", "level.union_vertices", "level.union_edges",
     "search.post_lcc_vertices", "search.post_lcc_edges",
 )
+
+#: the phase spans the array fixpoint's 'round' spans hang under
+FIXPOINT_PHASES = ("lcc", "max_candidate_set")
 
 #: spans the exported trace must contain, with the parent each must have
 EXPECTED_NESTING = {
@@ -133,6 +138,24 @@ def run(out_path: Path) -> int:
     for counter in ("fixpoint.rounds_dense", "engine.rounds_batched"):
         if counters.get(counter, 0) <= 0:
             problems.append(f"stats document has no '{counter}' counts")
+    # a fixpoint folds its rounds' traffic once per call and emits their
+    # spans then: one 'round' span per round, each under its phase's span
+    fixpoint_spans = sum(
+        1 for record in records
+        if record["name"] == "round"
+        and by_id.get(record["parent_id"], {}).get("name")
+        in FIXPOINT_PHASES
+    )
+    fixpoint_rounds = sum(
+        counters.get(f"fixpoint.rounds_{kind}", 0)
+        for kind in ("dense", "sparse")
+    )
+    if fixpoint_spans != fixpoint_rounds:
+        problems.append(
+            f"{fixpoint_spans} 'round' spans under "
+            f"{'/'.join(FIXPOINT_PHASES)}, but the stats document counts "
+            f"{fixpoint_rounds:g} fixpoint rounds"
+        )
     if derived_metrics(snapshot)["dense_round_fraction"] is None:
         problems.append("stats document derives no dense-round fraction")
     # which constraints ran is the plan's decision (ConstraintPlan.select):

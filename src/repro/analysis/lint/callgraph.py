@@ -394,21 +394,6 @@ class CallGraph:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def resolve_name(
-        self, module: ModuleSource, name: str
-    ) -> Tuple[str, ...]:
-        """Qnames a bare function name denotes when used from ``module``.
-
-        The same module-local → import-alias → unique-project-name
-        cascade call resolution uses, for rules that meet function
-        *references* (``callbacks.append(handler)``) rather than calls.
-        """
-        target = self._imports.get(module.rel_path, {}).get(name, name)
-        local = f"{module.rel_path}::{target}"
-        if local in self.functions:
-            return (local,)
-        return tuple(self._by_name.get(target, ()))
-
     def reachable_from(self, roots: Set[str]) -> Set[str]:
         """Transitive callee closure of ``roots`` (roots included)."""
         seen: Set[str] = set()

@@ -3,9 +3,6 @@
 For every function the call graph knows, one :class:`FunctionEffects`
 records the facts the interprocedural rules consume:
 
-* ``param_reads`` / ``param_writes`` — which attributes of each
-  parameter the function reads / stores (``p.x`` vs ``p.x = ...`` /
-  ``p.x[...] = ...``);
 * ``options_param`` / ``options_fields`` — the function's
   ``PipelineOptions``-shaped parameter and the fields it reads off it
   (the leaves R13 traces back to the drivers);
@@ -152,14 +149,11 @@ class FunctionEffects:
     """The computed summary of one function."""
 
     __slots__ = (
-        "qname", "param_reads", "param_writes",
-        "options_param", "options_fields", "return_dtype",
+        "qname", "options_param", "options_fields", "return_dtype",
     )
 
     def __init__(self, qname: str) -> None:
         self.qname = qname
-        self.param_reads: Dict[str, Set[str]] = {}
-        self.param_writes: Dict[str, Set[str]] = {}
         self.options_param: Optional[str] = None
         self.options_fields: Set[str] = set()
         self.return_dtype: Optional[str] = None
@@ -196,7 +190,6 @@ class EffectsIndex:
         self, qname: str, info: FunctionInfo
     ) -> FunctionEffects:
         effects = FunctionEffects(qname)
-        params = set(info.params)
         node = info.node
         for arg in (
             list(getattr(node.args, "posonlyargs", []))
@@ -206,32 +199,14 @@ class EffectsIndex:
                 effects.options_param = arg.arg
                 break
         option_param = effects.options_param
+        if option_param is None:
+            return effects
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Attribute):
-                base = sub.value
-                if isinstance(base, ast.Name) and base.id in params:
-                    if isinstance(sub.ctx, ast.Store):
-                        effects.param_writes.setdefault(
-                            base.id, set()
-                        ).add(sub.attr)
-                    else:
-                        effects.param_reads.setdefault(
-                            base.id, set()
-                        ).add(sub.attr)
-                    if base.id == option_param and isinstance(
-                        sub.ctx, ast.Load
-                    ):
-                        effects.options_fields.add(sub.attr)
-            elif isinstance(sub, ast.Subscript) and isinstance(
-                sub.ctx, ast.Store
-            ):
-                target = sub.value
-                if (isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id in params):
-                    effects.param_writes.setdefault(
-                        target.value.id, set()
-                    ).add(target.attr)
+            if (isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Load)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == option_param):
+                effects.options_fields.add(sub.attr)
         return effects
 
     # ------------------------------------------------------------------

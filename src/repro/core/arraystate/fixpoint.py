@@ -3,12 +3,18 @@
 One semi-naive loop over :class:`~repro.core.kernels.RoleKernel` bit
 tables, with boolean worklist arrays instead of per-vertex inboxes and
 the witness fold as one ``np.bitwise_or.reduceat`` over CSR segments per
-round.  It runs on either mask layout of
+round.  Role refinement and edge viability are one gather each into the
+kernel's whole-mask tables (:meth:`~repro.core.kernels.RoleKernel.role_tables`)
+when the masks fit one word, carry no edge labels and the kernel has at
+most :data:`~repro.core.kernels.TABLE_MAX_ROLES` roles; otherwise one
+pass per role bit.  The loop runs on either mask layout of
 :mod:`~repro.core.arraystate.searchstate`: the few places where the two
 differ — a per-bit test reads one word column, a per-word comparison
 folds across the row, a per-vertex flag broadcasts over the words — go
 through the :func:`~repro.core.arraystate.searchstate.mask_layout`
-adapters, taken once per call.
+adapters, taken once per call.  Each round keeps only its rank-pair
+message row and visit row; the call folds all of them, and its
+``fixpoint.*`` counters, once when it ends — even when a round raises.
 
 Exactness contract: every round reproduces the dict semantics
 *bit-for-bit*, including its quirks — the asymmetric initial edge
@@ -34,7 +40,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ...graph.csr import GraphCsr
-from ..kernels import RoleKernel
+from ..kernels import TABLE_MAX_ROLES, RoleKernel
 from .accounting import _RoundAccounting
 from .searchstate import (
     ArraySearchState, bit_addresses, mask_layout, mask_table, word_columns,
@@ -76,7 +82,6 @@ def array_kernel_fixpoint(
     astate: ArraySearchState,
     kernel: RoleKernel,
     engine,
-    max_iterations: Optional[int] = None,
     delta: bool = True,
     mandatory_masks: Optional[Dict[int, int]] = None,
     warm_mask: Optional[np.ndarray] = None,
@@ -119,7 +124,7 @@ def array_kernel_fixpoint(
     hold: :func:`~repro.core.arraystate.accounting.cut_traffic` of the
     label view ``M*`` runs on, whose candidates' edges toward unlabelled
     neighbours the same round on ``G`` sends one message along and then
-    drops.  It is folded into round 1's flush, and a non-empty cut counts
+    drops.  It is charged with round 1, and a non-empty cut counts
     round 1 as changed (on ``G`` those drops change it), so the rounds,
     messages and visits equal the fixpoint's on ``G``.
 
@@ -155,18 +160,24 @@ def array_kernel_fixpoint(
     per_row, any_word, all_words = mask_layout(n_words)
 
     nbits = len(kernel.roles)
-    #: per-role (bit index, word, in-word bit)
-    bits = bit_addresses(nbits)
-    neighbor_masks = [kernel.neighbor_masks[1 << b] for b in range(nbits)]
-    nm = mask_table(neighbor_masks, n_words)
-    #: roles without template edges: the label match suffices under M*
-    isolated = [required == 0 for required in neighbor_masks]
     mcs_mode = mandatory_masks is not None
-    if mcs_mode:
-        mand = mask_table(
-            [mandatory_masks[1 << b] for b in range(nbits)], n_words
-        )
     edge_labeled = kernel.edge_labeled and not mcs_mode
+    # Whole-mask tables replace the per-bit passes wherever they can
+    # index a mask: one word, no edge labels, few enough roles.
+    tabled = n_words == 1 and not edge_labeled and nbits <= TABLE_MAX_ROLES
+    if tabled:
+        survive, union = kernel.role_tables(mandatory_masks)
+    else:
+        #: per-role (bit index, word, in-word bit)
+        bits = bit_addresses(nbits)
+        neighbor_masks = [kernel.neighbor_masks[1 << b] for b in range(nbits)]
+        nm = mask_table(neighbor_masks, n_words)
+        #: roles without template edges: the label match suffices under M*
+        isolated = [required == 0 for required in neighbor_masks]
+        if mcs_mode:
+            mand = mask_table(
+                [mandatory_masks[1 << b] for b in range(nbits)], n_words
+            )
     if edge_labeled:
         ecode = csr.edge_label_codes
         if ecode is None:
@@ -203,182 +214,200 @@ def array_kernel_fixpoint(
     accounting = _RoundAccounting(engine, csr)
     tracing = engine.tracer.enabled
 
-    # Always-on metrics: handles resolved once, one cell-add each per
-    # round (the <2% overhead budget of the registry's design contract).
-    metrics = engine.metrics
-    m_dense = metrics.counter("fixpoint.rounds_dense")
-    m_sparse = metrics.counter("fixpoint.rounds_sparse")
-    m_adaptive = metrics.counter("fixpoint.rounds_adaptive_dense")
-    m_worklist = metrics.counter("fixpoint.worklist_vertices")
-    m_evaluated = metrics.counter("fixpoint.active_vertices")
-    h_worklist = metrics.histogram("fixpoint.worklist_size")
+    # Per-call tallies, folded into the always-on metrics once the loop
+    # ends (normally or not), like the rounds' traffic.
+    dense_rounds = sparse_rounds = adaptive_rounds = evaluated = 0
+    worklists: List[int] = []
 
     iterations = 0
     broadcasters: Optional[np.ndarray] = None  # None = full round
     pending = np.zeros(n, dtype=bool)
     received = np.zeros(n, dtype=bool)
-    while max_iterations is None or iterations < max_iterations:
-        iterations += 1
-        round_started = time.perf_counter() if tracing else None
+    try:
+        while True:
+            iterations += 1
+            round_started = time.perf_counter() if tracing else None
 
-        # ------------------------------------------------- broadcast
-        nonzero = any_word(mask != _ZERO)
-        if broadcasters is None:
-            seeds = active
-            sending = nonzero
-            if iterations == 1 and warm_mask is not None:
-                # Warm start: only scope-modified vertices are charged for
-                # the first broadcast (accounting only — the witness fold
-                # below reads masks directly, never the sent set).
-                seeds = active & warm_mask
-                sending = nonzero & warm_mask
-        else:
-            seeds = broadcasters
-            sending = broadcasters
-        sent = alive & sending[src]
-        sent_idx = np.nonzero(sent)[0]
-        # `active` mutates below; snapshot the seed set for the round's
-        # accounting (folded in at the end of the iteration so the trace
-        # span covers the whole round, not just the broadcast).
-        seed_idx = np.nonzero(seeds)[0]
-        received.fill(False)
-        delivered = indices[sent_idx]
-        received[delivered[active[delivered]]] = True
-
-        # ------------------------------------------------- witness fold
-        contrib = np.where(per_row(alive[mirror]), mask[indices], _ZERO)
-        witnessed = _segment_or(contrib, csr)
-        if edge_labeled:
-            witnessed_label = {
-                code: _segment_or(
-                    np.where(per_row(ecode == code), contrib, _ZERO), csr
-                )
-                for code in wanted_codes
-            }
-
-        # ---------------------------------------------- role refinement
-        if broadcasters is None:
-            evaluate = nonzero
-        else:
-            evaluate = (received | pending) & nonzero
-        pending = np.zeros(n, dtype=bool)
-        idx = np.nonzero(evaluate)[0]
-        m_eval = mask[idx]
-        w_eval = witnessed[idx]
-        surviving = np.zeros(m_eval.shape, dtype=np.uint64)
-        m_words = word_columns(m_eval)
-        s_words = word_columns(surviving)
-        for b, word, bit in bits:
-            has = (m_words[word] & bit) != _ZERO
-            if not has.any():
-                continue
-            if mcs_mode:
-                if isolated[b]:
-                    ok = True  # isolated role: label match suffices
-                else:
-                    ok = all_words((mand[b] & ~w_eval) == _ZERO) & any_word(
-                        (nm[b] & w_eval) != _ZERO
-                    )
-            elif edge_labeled:
-                if unwitnessable[b]:
-                    ok = False
-                else:
-                    ok = all_words((any_nm[b] & ~w_eval) == _ZERO)
-                    for code, required in labeled_req[b]:
-                        wl = witnessed_label[code][idx]
-                        ok = ok & all_words((wl & required) == required)
+            # --------------------------------------------- broadcast
+            nonzero = any_word(mask != _ZERO)
+            if broadcasters is None:
+                seeds = active
+                sending = nonzero
+                if iterations == 1 and warm_mask is not None:
+                    # Warm start: only scope-modified vertices are charged
+                    # for the first broadcast (accounting only — the
+                    # witness fold below reads masks directly, never the
+                    # sent set).
+                    seeds = active & warm_mask
+                    sending = nonzero & warm_mask
             else:
-                required = nm[b]
-                ok = all_words((w_eval & required) == required)
-            column = s_words[word]
-            column |= np.where(has & ok, bit, _ZERO)
-        changed_eval = any_word(surviving != m_eval)
-        mask[idx] = surviving
-        changed_vertices = np.zeros(n, dtype=bool)
-        changed_vertices[idx[changed_eval]] = True
-        elim_idx = idx[changed_eval & all_words(surviving == _ZERO)]
+                seeds = broadcasters
+                sending = broadcasters
+            sent = alive & sending[src]
+            sent_idx = np.nonzero(sent)[0]
+            # `active` mutates below; snapshot the seed set for the
+            # round's accounting (taken at the end of the iteration so the
+            # trace span covers the whole round, not just the broadcast).
+            seed_idx = np.nonzero(seeds)[0]
+            received.fill(False)
+            delivered = indices[sent_idx]
+            received[delivered[active[delivered]]] = True
 
-        if elim_idx.shape[0]:
-            active[elim_idx] = False
-            elim_bool = np.zeros(n, dtype=bool)
-            elim_bool[elim_idx] = True
-            out_idx = np.nonzero(elim_bool[src] & alive)[0]
-            # neighbors losing an inbox witness re-evaluate next round
-            pending[indices[out_idx]] = True
-            alive[mirror[out_idx]] = False
-            alive[out_idx] = False
-
-        # ---------------------------------------------- edge elimination
-        changed = bool(changed_vertices.any())
-        nonzero = any_word(mask != _ZERO)
-        if broadcasters is None:
-            scope = nonzero
-            cand = alive & scope[src]
-            # pair handled from the smaller-id side when both are candidates
-            cand &= csr.vid_gt | ~active[indices]
-        else:
-            scope = changed_vertices & nonzero
-            cand = alive & scope[src]
-        cand_idx = np.nonzero(cand)[0]
-        if cand_idx.shape[0]:
-            ms = mask[src[cand_idx]]
-            md = mask[indices[cand_idx]]
-            viable = np.zeros(cand_idx.shape[0], dtype=bool)
+            # ------------------------------------------ witness fold
+            contrib = np.where(per_row(alive[mirror]), mask[indices], _ZERO)
+            witnessed = _segment_or(contrib, csr)
             if edge_labeled:
-                codes = ecode[cand_idx]
-            ms_words = word_columns(ms)
-            for b, word, bit in bits:
-                has = (ms_words[word] & bit) != _ZERO
-                if not has.any():
-                    continue
-                if edge_labeled:
-                    acceptable = any_nm[b] | lab_nm[b][codes]
-                else:
-                    acceptable = nm[b]
-                viable |= has & any_word((acceptable & md) != _ZERO)
-            drop_idx = cand_idx[~viable]
-            if drop_idx.shape[0]:
-                changed = True
-                dst_t = indices[drop_idx]
-                pending[dst_t[active[dst_t]]] = True
-                rev = mirror[drop_idx]
-                src_t = src[drop_idx]
-                pending[src_t[alive[rev]]] = True
-                alive[drop_idx] = False
-                alive[rev] = False
+                witnessed_label = {
+                    code: _segment_or(
+                        np.where(per_row(ecode == code), contrib, _ZERO), csr
+                    )
+                    for code in wanted_codes
+                }
 
-        if iterations == 1 and carried is not None and carried.any():
-            changed = True  # on G, round 1 drops the carried edges
-        accounting.record_round(
-            seed_idx, sent_idx, round_started,
-            carried if iterations == 1 else None,
-        )
-        if broadcasters is None:
-            m_dense.inc()
-        else:
-            m_sparse.inc()
-        m_worklist.inc(seed_idx.shape[0])
-        m_evaluated.inc(idx.shape[0])
-        h_worklist.observe(seed_idx.shape[0])
-        if not changed:
-            break
-        if delta:
-            broadcasters = changed_vertices & nonzero
-            scope_count = int(np.count_nonzero(nonzero))
-            if scope_count >= ADAPTIVE_MIN_VERTICES:
-                # The round's true worklist: re-broadcasters plus the
-                # witness-loss re-evaluations queued in `pending`
-                # (elimination cascades have *empty* broadcaster sets —
-                # all their work arrives via `pending`).
-                worklist_count = int(
-                    np.count_nonzero(broadcasters | (pending & nonzero))
-                )
-                if worklist_count >= ADAPTIVE_DENSITY_THRESHOLD * scope_count:
-                    # The worklist is most of the scope: run the next
-                    # round dense (delta=False semantics, a superset of
-                    # the sparse evaluation — same fixed point).
-                    broadcasters = None
-                    m_adaptive.inc()
-        else:
-            broadcasters = None
+            # --------------------------------------- role refinement
+            if broadcasters is None:
+                evaluate = nonzero
+            else:
+                evaluate = (received | pending) & nonzero
+            pending = np.zeros(n, dtype=bool)
+            idx = np.nonzero(evaluate)[0]
+            m_eval = mask[idx]
+            w_eval = witnessed[idx]
+            if tabled:
+                # witness masks are role masks: index the table directly
+                surviving = m_eval & survive[w_eval.view(np.int64)]
+            else:
+                surviving = np.zeros(m_eval.shape, dtype=np.uint64)
+                m_words = word_columns(m_eval)
+                s_words = word_columns(surviving)
+                for b, word, bit in bits:
+                    has = (m_words[word] & bit) != _ZERO
+                    if not has.any():
+                        continue
+                    if mcs_mode:
+                        if isolated[b]:
+                            ok = True  # isolated role: label match suffices
+                        else:
+                            ok = all_words(
+                                (mand[b] & ~w_eval) == _ZERO
+                            ) & any_word((nm[b] & w_eval) != _ZERO)
+                    elif edge_labeled:
+                        if unwitnessable[b]:
+                            ok = False
+                        else:
+                            ok = all_words((any_nm[b] & ~w_eval) == _ZERO)
+                            for code, required in labeled_req[b]:
+                                wl = witnessed_label[code][idx]
+                                ok = ok & all_words((wl & required) == required)
+                    else:
+                        required = nm[b]
+                        ok = all_words((w_eval & required) == required)
+                    column = s_words[word]
+                    column |= np.where(has & ok, bit, _ZERO)
+            changed_eval = any_word(surviving != m_eval)
+            mask[idx] = surviving
+            changed_vertices = np.zeros(n, dtype=bool)
+            changed_vertices[idx[changed_eval]] = True
+            elim_idx = idx[changed_eval & all_words(surviving == _ZERO)]
+
+            if elim_idx.shape[0]:
+                active[elim_idx] = False
+                elim_bool = np.zeros(n, dtype=bool)
+                elim_bool[elim_idx] = True
+                out_idx = np.nonzero(elim_bool[src] & alive)[0]
+                # neighbors losing an inbox witness re-evaluate next round
+                pending[indices[out_idx]] = True
+                alive[mirror[out_idx]] = False
+                alive[out_idx] = False
+
+            # -------------------------------------- edge elimination
+            changed = bool(changed_vertices.any())
+            nonzero = any_word(mask != _ZERO)
+            if broadcasters is None:
+                scope = nonzero
+                cand = alive & scope[src]
+                # pair handled from the smaller-id side when both are
+                # candidates
+                cand &= csr.vid_gt | ~active[indices]
+            else:
+                scope = changed_vertices & nonzero
+                cand = alive & scope[src]
+            cand_idx = np.nonzero(cand)[0]
+            if cand_idx.shape[0]:
+                ms = mask[src[cand_idx]]
+                md = mask[indices[cand_idx]]
+                if tabled:
+                    viable = (union[ms.view(np.int64)] & md) != _ZERO
+                else:
+                    viable = np.zeros(cand_idx.shape[0], dtype=bool)
+                    if edge_labeled:
+                        codes = ecode[cand_idx]
+                    ms_words = word_columns(ms)
+                    for b, word, bit in bits:
+                        has = (ms_words[word] & bit) != _ZERO
+                        if not has.any():
+                            continue
+                        if edge_labeled:
+                            acceptable = any_nm[b] | lab_nm[b][codes]
+                        else:
+                            acceptable = nm[b]
+                        viable |= has & any_word((acceptable & md) != _ZERO)
+                drop_idx = cand_idx[~viable]
+                if drop_idx.shape[0]:
+                    changed = True
+                    dst_t = indices[drop_idx]
+                    pending[dst_t[active[dst_t]]] = True
+                    rev = mirror[drop_idx]
+                    src_t = src[drop_idx]
+                    pending[src_t[alive[rev]]] = True
+                    alive[drop_idx] = False
+                    alive[rev] = False
+
+            if iterations == 1 and carried is not None and carried.any():
+                changed = True  # on G, round 1 drops the carried edges
+            accounting.record_round(
+                seed_idx, sent_idx, round_started,
+                carried if iterations == 1 else None,
+            )
+            if broadcasters is None:
+                dense_rounds += 1
+            else:
+                sparse_rounds += 1
+            worklists.append(seed_idx.shape[0])
+            evaluated += idx.shape[0]
+            if not changed:
+                break
+            if delta:
+                broadcasters = changed_vertices & nonzero
+                scope_count = int(np.count_nonzero(nonzero))
+                if scope_count >= ADAPTIVE_MIN_VERTICES:
+                    # The round's true worklist: re-broadcasters plus the
+                    # witness-loss re-evaluations queued in `pending`
+                    # (elimination cascades have *empty* broadcaster sets
+                    # — all their work arrives via `pending`).
+                    worklist_count = int(
+                        np.count_nonzero(broadcasters | (pending & nonzero))
+                    )
+                    if worklist_count >= (
+                        ADAPTIVE_DENSITY_THRESHOLD * scope_count
+                    ):
+                        # The worklist is most of the scope: run the next
+                        # round dense (delta=False semantics, a superset
+                        # of the sparse evaluation — same fixed point).
+                        broadcasters = None
+                        adaptive_rounds += 1
+            else:
+                broadcasters = None
+    finally:
+        # Whatever ran is charged, even when a round raised.
+        accounting.flush()
+        metrics = engine.metrics
+        metrics.counter("fixpoint.rounds_dense").inc(dense_rounds)
+        metrics.counter("fixpoint.rounds_sparse").inc(sparse_rounds)
+        metrics.counter("fixpoint.rounds_adaptive_dense").inc(adaptive_rounds)
+        metrics.counter("fixpoint.worklist_vertices").inc(sum(worklists))
+        metrics.counter("fixpoint.active_vertices").inc(evaluated)
+        h_worklist = metrics.histogram("fixpoint.worklist_size")
+        for worklist in worklists:
+            h_worklist.observe(worklist)
     return iterations

@@ -212,7 +212,8 @@ def array_token_walk(
         # nothing to walk (every initiator recycled, or none left): the
         # seeds were visited, no message follows — and no adjacency is
         # compacted for a frontier that does not exist
-        accounting.flush(round_started=round_started, worklist=0)
+        accounting.end(round_started, worklist=0)
+        accounting.flush()
         return out
 
     # Columns are replaced, never written in place, so column 0 may alias
@@ -353,7 +354,6 @@ def array_token_walk(
         accounting.add_row_traffic(
             np.concatenate(frontiers), alive_edges, alive_src
         )
-    accounting.flush(
-        round_started=round_started, worklist=out.tokens_launched
-    )
+    accounting.end(round_started, worklist=out.tokens_launched)
+    accounting.flush()
     return out

@@ -20,6 +20,14 @@ With these tables, the two LCC predicates collapse to integer operations:
 * *edge viability* (endpoints hold template-adjacent roles) becomes
   ``neighbor_masks[bit] & other_mask`` over the set bits of one endpoint.
 
+A kernel of at most :data:`TABLE_MAX_ROLES` roles also answers both
+predicates for a whole mask at once (:meth:`RoleKernel.role_tables`):
+``survive[witnessed]`` is the OR of the role bits the rule keeps under
+that witness mask and ``union[mask]`` the OR of the neighbor masks of
+the bits in ``mask``, so a round refines with ``mask & survive[w]`` and
+tests an edge with ``union[ms] & md != 0`` — one gather each instead of
+one pass per role bit.
+
 The tables feed the vectorized fixpoint and token walk of
 :mod:`~repro.core.arraystate` (role masks per vertex in the same bit
 order); the set-based reference execution needs none of them.
@@ -30,8 +38,14 @@ from __future__ import annotations
 import functools
 from typing import Dict, Iterable, Optional, Set, Tuple
 
+import numpy as np
+
 from ..graph.graph import Graph
 from ..runtime.metrics import MetricsRegistry
+
+#: most roles :meth:`RoleKernel.role_tables` tabulates (``2**roles``
+#: entries per table); larger kernels refine one role bit at a time
+TABLE_MAX_ROLES = 10
 
 
 class RoleKernel:
@@ -53,6 +67,7 @@ class RoleKernel:
         "edge_labeled",
         "any_neighbor_masks",
         "labeled_neighbor_masks",
+        "_tables",
     )
 
     def __init__(self, proto_graph: Graph) -> None:
@@ -102,6 +117,9 @@ class RoleKernel:
                         by_label[wanted] = by_label.get(wanted, 0) | role_bit[other]
                 self.any_neighbor_masks[bit] = any_mask
                 self.labeled_neighbor_masks[bit] = by_label
+        #: lazily built whole-mask tables (see :meth:`role_tables`):
+        #: ``"union"`` and one ``survive`` per rule key
+        self._tables: Dict[object, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     def mask_of(self, roles: Iterable[int]) -> int:
@@ -130,6 +148,85 @@ class RoleKernel:
             masks[role_bit[u]] |= role_bit[v]
             masks[role_bit[v]] |= role_bit[u]
         return masks
+
+    def role_tables(
+        self, mandatory_masks: Optional[Dict[int, int]] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(survive, union)``: the role rules as whole-mask look-ups.
+
+        Both are uint64 arrays of ``2**len(roles)`` entries, indexed by a
+        mask of this kernel's roles (at most :data:`TABLE_MAX_ROLES`):
+
+        * ``survive[w]`` — the OR of the role bits whose rule the witness
+          mask ``w`` satisfies.  LCC (``mandatory_masks`` is ``None``):
+          every template neighbor in ``w``.  ``M*`` (a dict as
+          :meth:`mandatory_masks` returns): the role is isolated, or every
+          mandatory neighbor and at least one template neighbor is in
+          ``w``;
+        * ``union[s]`` — the OR of ``neighbor_masks`` over the bits of
+          ``s``, so an edge is viable iff ``union[ms] & md != 0``.
+
+        Built with numpy on first use and kept on the kernel (``survive``
+        once per rule: LCC and each distinct set of mandatory masks), so
+        every fixpoint call over a cached kernel reuses them.
+        """
+        nbits = len(self.roles)
+        if nbits > TABLE_MAX_ROLES:
+            raise ValueError(
+                f"{nbits} roles exceed TABLE_MAX_ROLES={TABLE_MAX_ROLES}"
+            )
+        key = None if mandatory_masks is None else tuple(
+            mandatory_masks[1 << b] for b in range(nbits)
+        )
+        tables = self._tables
+        if key not in tables:
+            tables[key] = _survive_table(self._neighbor_row(), key)
+        if "union" not in tables:
+            tables["union"] = _union_table(self._neighbor_row())
+        return tables[key], tables["union"]
+
+    def _neighbor_row(self) -> np.ndarray:
+        """``neighbor_masks`` in bit order, as one uint64 row."""
+        return np.array(
+            [self.neighbor_masks[1 << b] for b in range(len(self.roles))],
+            dtype=np.uint64,
+        )
+
+
+_U0 = np.uint64(0)
+
+
+def _bit_row(nbits: int) -> np.ndarray:
+    """``[1 << b for b < nbits]`` as one uint64 row."""
+    return np.left_shift(np.uint64(1), np.arange(nbits, dtype=np.uint64))
+
+
+def _all_masks(nbits: int) -> np.ndarray:
+    """Every mask below ``2**nbits``, as a uint64 column."""
+    return np.arange(1 << nbits, dtype=np.uint64)[:, None]
+
+
+def _union_table(neighbor: np.ndarray) -> np.ndarray:
+    """``union[s]`` of :meth:`RoleKernel.role_tables` for every ``s``."""
+    nbits = neighbor.shape[0]
+    has = (_all_masks(nbits) & _bit_row(nbits)) != _U0
+    return np.bitwise_or.reduce(np.where(has, neighbor, _U0), axis=1)
+
+
+def _survive_table(
+    neighbor: np.ndarray, mandatory: Optional[Tuple[int, ...]]
+) -> np.ndarray:
+    """``survive[w]`` of :meth:`RoleKernel.role_tables` for every ``w``."""
+    nbits = neighbor.shape[0]
+    witnessed = _all_masks(nbits)
+    if mandatory is None:
+        ok = (neighbor & ~witnessed) == _U0
+    else:
+        mand = np.array(mandatory, dtype=np.uint64)
+        ok = (neighbor == _U0) | (
+            ((mand & ~witnessed) == _U0) & ((neighbor & witnessed) != _U0)
+        )
+    return np.bitwise_or.reduce(np.where(ok, _bit_row(nbits), _U0), axis=1)
 
 
 def compile_kernel(proto_graph: Graph) -> RoleKernel:

@@ -29,14 +29,13 @@ def local_constraint_checking(
     state: "SearchState | ArraySearchState",
     proto_graph: Graph,
     engine: Engine,
-    max_iterations: Optional[int] = None,
     kernel: Optional[RoleKernel] = None,
     warm_mask=None,
 ) -> int:
     """Prune ``state`` to the LCC fixed point for ``proto_graph``, in place.
 
-    Returns the number of iterations executed.  ``max_iterations`` bounds
-    the loop (useful for ablation experiments); ``None`` runs to fixpoint.
+    Returns the number of iterations executed (rounds to the fixed point,
+    the final no-change round included).
 
     The state's type picks the execution.  A :class:`SearchState` runs
     the set-based reference rounds below: every active vertex broadcasts
@@ -61,11 +60,11 @@ def local_constraint_checking(
         if isinstance(state, ArraySearchState):
             iterations = array_kernel_fixpoint(
                 state, kernel or cached_kernel(proto_graph), engine,
-                max_iterations=max_iterations, warm_mask=warm_mask,
+                warm_mask=warm_mask,
             )
         else:
             iterations = 0
-            while max_iterations is None or iterations < max_iterations:
+            while True:
                 iterations += 1
                 received = _exchange_candidacies(state, engine)
                 if not _apply_round(state, proto_graph, received):

@@ -27,7 +27,10 @@ from collections import deque
 from contextlib import contextmanager
 from typing import (
     Callable, ContextManager, Deque, Dict, Iterable, Iterator, List, Optional,
+    Sequence, Tuple,
 )
+
+import numpy as np
 
 from ..errors import EngineError
 from .messages import MessageStats
@@ -136,7 +139,9 @@ class Engine:
         # Hot-path snapshots of the partitioning (read-only during a run);
         # ``_assignment`` is taken on first use, see below.
         self._delegates = pgraph.delegates
-        self._rank_node = [pgraph.node_of_rank(r) for r in range(pgraph.num_ranks)]
+        self._rank_node = np.array(
+            [pgraph.node_of_rank(r) for r in range(pgraph.num_ranks)]
+        )
         # Per-traversal accounting accumulators, folded into `stats` at
         # quiescence (phases only change between traversals, so deferred
         # accounting is exact).  The buffers are zeroed in place between
@@ -233,19 +238,16 @@ class Engine:
             self.stats.record_quiescence(
                 self._detector.control_messages(), self._detector.circuits()
             )
-            if tracing:
-                self._record_round_span(
-                    round_started, self._msg_matrix, self._visit_counts,
-                    seed_count,
-                )
-            self.stats.bulk_record(
-                self._msg_matrix, self._visit_counts, self._rank_node
+            self._fold_rounds(
+                np.array([self._msg_matrix], dtype=np.int64),
+                np.array([self._visit_counts], dtype=np.int64),
+                [(round_started, time.perf_counter(), seed_count)]
+                if tracing else None,
             )
             zero_row = self._zero_row
             for row in self._msg_matrix:
                 row[:] = zero_row
             self._visit_counts[:] = zero_row
-            self.stats.barrier()
         finally:
             self._running = False
 
@@ -273,61 +275,59 @@ class Engine:
                     visit(context, pop())
             detector.sweep_completed()
 
-    def _record_round_span(
+    def record_batched_rounds(
         self,
-        round_started: float,
-        msg_matrix: List[List[int]],
-        visit_counts: List[int],
-        worklist: Optional[int] = None,
-    ) -> None:
-        """Close one per-round trace span from a rank-by-rank matrix."""
-        messages = sum(sum(row) for row in msg_matrix)
-        local = sum(row[rank] for rank, row in enumerate(msg_matrix))
-        counters = {
-            "messages": messages,
-            "remote_messages": messages - local,
-            "visits": sum(visit_counts),
-        }
-        if worklist is not None:
-            counters["worklist"] = worklist
-        self.tracer.record_span(
-            "round", round_started, time.perf_counter(), counters=counters
-        )
-
-    def record_batched_round(
-        self,
-        msg_matrix: List[List[int]],
-        visit_counts: List[int],
+        matrices: np.ndarray,
+        visits: np.ndarray,
         circuits: int = 2,
-        round_started: Optional[float] = None,
-        worklist: Optional[int] = None,
+        spans: Optional[Sequence[Tuple[float, float, int]]] = None,
     ) -> None:
-        """Account one batched (array-executed) broadcast round.
+        """Account ``T`` batched (array-executed) broadcast rounds at once.
 
         The vectorized kernels (:mod:`repro.core.arraystate`) execute a
         whole round as structured arrays instead of per-message Visitor
-        objects; they report the same rank-by-rank message matrix and
-        per-rank visit counts the object path would have produced, plus
-        the minimal clean termination-detection exchange (``circuits``
-        Safra circuits — two when no reactivation wave occurs).  Closes a
-        barrier interval exactly like :meth:`do_traversal`.
+        objects; they report the same rank-by-rank message matrix
+        (``matrices[t]``, ``(T, ranks, ranks)``) and per-rank visit counts
+        (``visits[t]``, ``(T, ranks)``) the object path would have
+        produced for each round ``t``, plus the minimal clean
+        termination-detection exchange (``circuits`` Safra circuits per
+        round — two when no reactivation wave occurs).  Each round closes
+        a barrier interval exactly like :meth:`do_traversal`.
 
-        ``round_started`` (a ``perf_counter`` stamp taken at the round's
-        start) and ``worklist`` (the broadcaster count) feed the per-round
-        trace span when tracing is enabled; both are ignored otherwise.
+        ``spans`` holds one ``(started, ended, worklist)`` stamp per round,
+        taken while tracing; each becomes that round's ``round`` span
+        under the current span.  Ignored when tracing is off.
         """
         if self._running:
             raise EngineError("engine is not reentrant")
-        self._m_batched_rounds.inc()
-        if round_started is not None and self.tracer.enabled:
-            self._record_round_span(
-                round_started, msg_matrix, visit_counts, worklist
-            )
+        rounds = matrices.shape[0]
+        self._m_batched_rounds.inc(rounds)
         self.stats.record_quiescence(
-            self.pgraph.num_ranks * circuits, circuits
+            self.pgraph.num_ranks * circuits * rounds, circuits * rounds
         )
-        self.stats.bulk_record(msg_matrix, visit_counts, self._rank_node)
-        self.stats.barrier()
+        self._fold_rounds(matrices, visits, spans)
+
+    def _fold_rounds(
+        self,
+        matrices: np.ndarray,
+        visits: np.ndarray,
+        spans: Optional[Sequence[Tuple[float, float, int]]],
+    ) -> None:
+        """Fold rounds into the stats; emit their spans while tracing."""
+        if spans and self.tracer.enabled:
+            messages = matrices.sum(axis=(1, 2)).tolist()
+            local = np.trace(matrices, axis1=1, axis2=2).tolist()
+            visited = visits.sum(axis=1).tolist()
+            for (started, ended, worklist), sent, kept, seen in zip(
+                spans, messages, local, visited
+            ):
+                self.tracer.record_span("round", started, ended, counters={
+                    "messages": sent,
+                    "remote_messages": sent - kept,
+                    "visits": seen,
+                    "worklist": worklist,
+                })
+        self.stats.record_rounds(matrices, visits, self._rank_node)
 
     def pending(self) -> int:
         """Total queued visitors (0 at quiescence)."""

@@ -264,8 +264,9 @@ class Tracer:
         """Insert an already-timed, closed span under the current span.
 
         Used where the natural timing points do not nest as a ``with``
-        block — e.g. the batched per-round accounting of the vectorized
-        fixpoints (:meth:`repro.runtime.engine.Engine.record_batched_round`).
+        block — e.g. the rounds of a vectorized fixpoint, stamped as they
+        run and recorded when the call folds its traffic
+        (:meth:`repro.runtime.engine.Engine.record_batched_rounds`).
         """
         span = Span(name, dict(attrs or {}), self)
         span.start_s = start_s

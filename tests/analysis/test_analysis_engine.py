@@ -148,15 +148,6 @@ class TestCallGraph:
         reached = graph.reachable_from({"m.py::a"})
         assert reached == {"m.py::a", "m.py::b", "m.py::c"}
 
-    def test_resolve_name_follows_import_alias(self, tmp_path):
-        project = project_of(tmp_path, {
-            "a.py": "from b import worker as w\n",
-            "b.py": "def worker():\n    pass\n",
-        })
-        graph = callgraph_of(project)
-        module = project.by_rel_path["a.py"]
-        assert graph.resolve_name(module, "w") == ("b.py::worker",)
-
     def test_memoized_on_project_cache(self, tmp_path):
         project = project_of(tmp_path, {"m.py": "def f():\n    pass\n"})
         assert callgraph_of(project) is callgraph_of(project)
@@ -179,19 +170,6 @@ class TestEffects:
         fx = effects_of(project).by_qname["m.py::leaf"]
         assert fx.options_param == "options"
         assert fx.options_fields == {"budget", "num_ranks"}
-
-    def test_param_reads_and_writes(self, tmp_path):
-        project = project_of(tmp_path, {
-            "m.py": """\
-                def f(state):
-                    x = state.role_mask
-                    state.vertex_active = x
-                    state.edge_alive[0] = False
-                """,
-        })
-        fx = effects_of(project).by_qname["m.py::f"]
-        assert "role_mask" in fx.param_reads["state"]
-        assert fx.param_writes["state"] == {"vertex_active", "edge_alive"}
 
     def test_return_dtype_through_helper(self, tmp_path):
         project = project_of(tmp_path, {

@@ -44,7 +44,7 @@ def array_snapshot(astate):
     return dict_snapshot(exported)
 
 
-def lcc_snapshot(graph, template, backend, max_iterations=None):
+def lcc_snapshot(graph, template, backend):
     """LCC from the dict initial state: in place on the reference
     backend; imported into an array state with ``from_search_state`` on
     the array backend."""
@@ -53,9 +53,7 @@ def lcc_snapshot(graph, template, backend, max_iterations=None):
     if backend == "array":
         state = ArraySearchState.from_search_state(state)
     engine = engine_for(graph)
-    iterations = local_constraint_checking(
-        state, proto.graph, engine, max_iterations=max_iterations
-    )
+    iterations = local_constraint_checking(state, proto.graph, engine)
     if backend == "array":
         return array_snapshot(state), iterations, engine.stats
     return dict_snapshot(state), iterations, engine.stats
@@ -286,13 +284,6 @@ class TestLccEquivalence:
         assert arr[:2] == dlta[:2]
         assert arr[2].total_messages == dlta[2].total_messages
         assert arr[2].total_visits == dlta[2].total_visits
-
-    def test_max_iterations_bound_respected(self):
-        graph, template = random_case(0)
-        base = lcc_snapshot(graph, template, "reference", max_iterations=1)
-        arr = lcc_snapshot(graph, template, "array", max_iterations=1)
-        assert arr[:2] == base[:2]
-        assert arr[1] == 1
 
     def test_isolated_candidate_eliminated_in_round_one(self):
         template = template_pool()[0]

@@ -26,7 +26,8 @@ from repro.core.enumeration import (
     enumerate_matches,
     enumerate_matches_array,
 )
-from repro.core.kernels import cached_kernel
+from repro.core.kernels import TABLE_MAX_ROLES, cached_kernel
+from repro.graph.generators import planted_graph
 from repro.graph.graph import Graph
 
 from test_kernels import engine_for, random_case
@@ -158,16 +159,17 @@ def fixpoint_report(graph, template, kernel, min_words, **kwargs):
     """
     engine = engine_for(graph)
     rounds = []
-    record = engine.record_batched_round
+    record = engine.record_batched_rounds
 
-    def recording(matrix, visits, *args, **kw):
-        rounds.append((matrix, visits))
-        record(matrix, visits, *args, **kw)
+    def recording(matrices, visits, *args, **kw):
+        rounds.extend(zip(matrices.tolist(), visits.tolist()))
+        record(matrices, visits, *args, **kw)
 
-    engine.record_batched_round = recording
+    engine.record_batched_rounds = recording
     astate = ArraySearchState.initial(graph, template, min_words=min_words)
     assert astate.n_words == min_words
     iterations = array_kernel_fixpoint(astate, kernel, engine, **kwargs)
+    assert len(rounds) == iterations  # one (matrix, visits) pair per round
     snapshot = engine.metrics.snapshot()
     metrics = {
         name: value
@@ -201,6 +203,32 @@ def cascade_case(_seed):
     return cascade_workload()
 
 
+def eleven_role_case(seed):
+    """A one-word template past ``TABLE_MAX_ROLES``: both layouts run the
+    per-bit refinement, one word against two."""
+    edges = [
+        (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3),
+        (5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 6),
+    ]
+    labels = [role % 4 for role in range(11)]
+    template = PatternTemplate.from_edges(edges, dict(enumerate(labels)))
+    graph = planted_graph(
+        60, 170, edges, labels, copies=2, num_labels=4, seed=seed
+    )
+    return graph, template
+
+
+def isolated_role_case(seed):
+    """``random_case`` with one more role that has no template edge.
+
+    A template must be connected, so the role is added to its graph after
+    validation; under ``M*`` the label match alone keeps it.
+    """
+    graph, template = random_case(seed)
+    template.graph.add_vertex(max(template.vertices()) + 1, 2)
+    return graph, template
+
+
 #: mode -> (case factory, seeds, fixpoint keyword arguments given the kernel)
 FIXPOINT_MODES = {
     "lcc": (random_case, range(8), lambda kernel, n: {}),
@@ -229,6 +257,15 @@ FIXPOINT_MODES = {
     ),
     # the dense-round switch has no keyword: it fires on this cascade
     "adaptive": (cascade_case, range(1), lambda kernel, n: {}),
+    # the role tables' selection: past TABLE_MAX_ROLES both sides loop
+    "lcc-11-roles": (eleven_role_case, range(4), lambda kernel, n: {}),
+    "mstar-isolated": (
+        isolated_role_case,
+        range(4),
+        lambda kernel, n: {
+            "mandatory_masks": kernel.mandatory_masks([(0, 1)])
+        },
+    ),
 }
 
 
@@ -264,5 +301,9 @@ class TestWideFixpointParity:
             assert kernel.edge_labeled
         if mode == "adaptive":
             assert narrow["metrics"]["fixpoint.rounds_adaptive_dense"] > 0
+        if mode == "lcc-11-roles":
+            assert len(kernel.roles) > TABLE_MAX_ROLES
+        if mode == "mstar-isolated":
+            assert 0 in kernel.neighbor_masks.values()
         # the fixpoint did real work on every case of the grid
         assert narrow["iterations"] > 1

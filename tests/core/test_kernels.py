@@ -7,6 +7,10 @@ identical fixed points, identical iteration counts, and (for full rounds,
 ever send fewer.
 """
 
+import functools
+import operator
+
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -22,6 +26,7 @@ from repro.core import (
     max_candidate_set,
     run_pipeline,
 )
+from repro.core.kernels import TABLE_MAX_ROLES
 from repro.graph.graph import Graph
 from repro.graph.generators import planted_graph
 from repro.runtime import Engine, MessageStats, PartitionedGraph
@@ -140,6 +145,83 @@ class TestRoleKernelTables:
         bit0 = kernel.role_bit[0]
         assert kernel.roles_of(kernel.any_neighbor_masks[bit0]) == {2}
         assert kernel.roles_of(kernel.labeled_neighbor_masks[bit0][7]) == {1}
+
+
+def random_kernel_graph(rng, roles):
+    """A random labelled graph on ``roles`` vertices (isolated ones too)."""
+    graph = Graph()
+    for role in range(roles):
+        graph.add_vertex(role, int(rng.integers(3)))
+    for u in range(roles):
+        for v in range(u + 1, roles):
+            if rng.random() < 0.4:
+                graph.add_edge(u, v)
+    return graph
+
+
+class TestWholeMaskTables:
+    """``role_tables`` is the per-bit role rule, tabulated: for every mask
+    below ``2**roles`` its entries equal the rule applied bit by bit."""
+
+    @staticmethod
+    def per_bit(kernel, mandatory, witnessed):
+        survive = 0
+        for b in range(len(kernel.roles)):
+            nm = kernel.neighbor_masks[1 << b]
+            if mandatory is None:
+                ok = nm & ~witnessed == 0
+            else:
+                ok = nm == 0 or (
+                    mandatory[1 << b] & ~witnessed == 0 and nm & witnessed
+                )
+            if ok:
+                survive |= 1 << b
+        return survive
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tables_equal_the_per_bit_rules(self, seed):
+        rng = np.random.default_rng(seed)
+        graph = random_kernel_graph(rng, int(rng.integers(1, 9)))
+        kernel = compile_kernel(graph)
+        edges = list(graph.edges())
+        mandatory = kernel.mandatory_masks(
+            [edge for edge in edges if rng.random() < 0.5]
+        )
+        masks = range(1 << len(kernel.roles))
+        for rule in (None, mandatory):
+            survive, union = kernel.role_tables(rule)
+            assert survive.dtype == union.dtype == np.uint64
+            assert survive.tolist() == [
+                self.per_bit(kernel, rule, w) for w in masks
+            ]
+            assert union.tolist() == [
+                functools.reduce(
+                    operator.or_,
+                    (kernel.neighbor_masks[1 << b]
+                     for b in range(len(kernel.roles)) if s >> b & 1),
+                    0,
+                )
+                for s in masks
+            ]
+
+    def test_tables_are_built_once_per_rule(self):
+        kernel = compile_kernel(template_pool()[0].graph)
+        mandatory = kernel.mandatory_masks([(2, 3)])
+        lcc = kernel.role_tables()
+        mstar = kernel.role_tables(mandatory)
+        assert kernel.role_tables()[0] is lcc[0]
+        assert kernel.role_tables(dict(mandatory))[0] is mstar[0]
+        assert mstar[1] is lcc[1]  # one union table serves both rules
+
+    def test_too_many_roles_keep_the_per_bit_path(self):
+        roles = TABLE_MAX_ROLES + 1
+        graph = Graph()
+        for role in range(roles):
+            graph.add_vertex(role, 0)
+        for role in range(1, roles):
+            graph.add_edge(role - 1, role)
+        with pytest.raises(ValueError):
+            compile_kernel(graph).role_tables()
 
 
 class TestLccEquivalence:

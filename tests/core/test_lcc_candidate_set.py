@@ -85,18 +85,6 @@ class TestLcc:
         assert state2.edge_is_active(0, 1)
         assert state2.edge_is_active(1, 2)
 
-    def test_max_iterations_bound(self):
-        template = PatternTemplate.from_edges(
-            [(0, 1), (1, 2), (2, 3)], labels={0: 1, 1: 2, 2: 3, 3: 4}
-        )
-        graph = from_edges([(0, 1), (1, 2)], labels={0: 1, 1: 2, 2: 3})
-        state = SearchState.initial(graph, template)
-        proto = generate_prototypes(template, 0).at(0)[0]
-        iterations = local_constraint_checking(
-            state, proto.graph, engine_for(graph), max_iterations=1
-        )
-        assert iterations == 1
-
     def test_messages_attributed_to_lcc_phase(self):
         template = PatternTemplate.from_edges([(0, 1)], labels={0: 1, 1: 2})
         graph = from_edges([(0, 1)], labels={0: 1, 1: 2})

@@ -88,10 +88,10 @@ class RecordingStats(MessageStats):
         self.matrix = np.zeros((ranks, ranks), dtype=np.int64)
         self.visit_vector = np.zeros(ranks, dtype=np.int64)
 
-    def bulk_record(self, matrix, visits, rank_node):
-        self.matrix += np.asarray(matrix, dtype=np.int64)
-        self.visit_vector += np.asarray(visits, dtype=np.int64)
-        super().bulk_record(matrix, visits, rank_node)
+    def record_rounds(self, matrices, visits, rank_node):
+        self.matrix += np.asarray(matrices, dtype=np.int64).sum(axis=0)
+        self.visit_vector += np.asarray(visits, dtype=np.int64).sum(axis=0)
+        super().record_rounds(matrices, visits, rank_node)
 
 
 def engine_for(graph, stats=None):
@@ -489,17 +489,17 @@ def c4_template():
 
 def pipeline_counts(monkeypatch, graph, template, ranks):
     """NLCC counters of a default k=1 run, plus what every traversal of
-    the run told ``MessageStats.bulk_record``, summed and digested."""
+    the run told ``MessageStats.record_rounds``, summed and digested."""
     matrix = np.zeros((ranks, ranks), dtype=np.int64)
     visits = np.zeros(ranks, dtype=np.int64)
-    recorded = MessageStats.bulk_record
+    recorded = MessageStats.record_rounds
 
-    def recording(self, msg_matrix, visit_counts, rank_node):
-        matrix[...] += np.asarray(msg_matrix, dtype=np.int64)
-        visits[...] += np.asarray(visit_counts, dtype=np.int64)
-        recorded(self, msg_matrix, visit_counts, rank_node)
+    def recording(self, msg_matrices, visit_counts, rank_node):
+        matrix[...] += np.asarray(msg_matrices, dtype=np.int64).sum(axis=0)
+        visits[...] += np.asarray(visit_counts, dtype=np.int64).sum(axis=0)
+        recorded(self, msg_matrices, visit_counts, rank_node)
 
-    monkeypatch.setattr(MessageStats, "bulk_record", recording)
+    monkeypatch.setattr(MessageStats, "record_rounds", recording)
     options = PipelineOptions(num_ranks=ranks, count_matches=True)
     result = run_pipeline(graph, template, 1, options)
     doc = result.stats_document()

@@ -66,15 +66,15 @@ class TestBulkRecord:
             per_event.record_message(2, 2, False)
             per_event.record_visit(0)
             per_event.record_visit(2)
-        per_event.barrier()
+            per_event.barrier()
 
         bulk = MessageStats(3)
         matrix = [[0, 2, 0], [0, 0, 1], [0, 0, 1]]
         visits = [1, 0, 1]
         rank_node = [0, 0, 1]  # ranks 0,1 share a node; rank 2 remote
         with bulk.phase("p"):
-            bulk.bulk_record(matrix, visits, rank_node)
-        bulk.barrier()
+            # one round: its fold closes the barrier interval
+            bulk.record_rounds([matrix], [visits], rank_node)
 
         assert bulk.summary() == per_event.summary()
         assert bulk.intervals == per_event.intervals
@@ -83,6 +83,6 @@ class TestBulkRecord:
 
     def test_empty_matrix_noop(self):
         stats = MessageStats(2)
-        stats.bulk_record([[0, 0], [0, 0]], [0, 0], [0, 1])
+        stats.record_rounds([[[0, 0], [0, 0]]], [[0, 0]], [0, 1])
         assert stats.total_messages == 0
         assert stats.total_visits == 0

@@ -222,7 +222,9 @@ class TestRankArrays:
 
         pgraph = PartitionedGraph(star_graph(), 3)
         engine = Engine(pgraph)
-        engine.record_batched_round([[0] * 3] * 3, [0] * 3)
+        engine.record_batched_rounds(
+            np.zeros((1, 3, 3), dtype=np.int64), np.zeros((1, 3), dtype=np.int64)
+        )
         assert pgraph._assignment is None
         engine.do_traversal(
             [Visitor(0, None)],
