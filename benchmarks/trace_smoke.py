@@ -22,8 +22,10 @@ of the label file, equal ``--json``'s, and render.  ``repro audit`` then
 checks the pipeline on both graphs against brute force at k = 1 and must
 exit 0 (precision, recall and match counts exact): the tail makes the
 template non-Eulerian, so its full walk walks an edge back and takes the
-retrace path of the array token walk.  Last, ``repro report`` renders
-the first trace.  The trace is left on disk so CI can upload it as a
+retrace path of the array token walk.  ``repro motifs --size 4`` runs on
+the first graph with and without ``--batched``: both must exit 0 and
+print the same count table.  Last, ``repro report`` renders the first
+trace.  The trace is left on disk so CI can upload it as a
 build artifact.
 
 Run from the repo root::
@@ -188,6 +190,7 @@ def run(out_path: Path) -> int:
         (graph_path, labels_path), (sparse_path, sparse_labels_path),
     ):
         problems.extend(audit_problems(edges, labels, template_path))
+    problems.extend(motif_problems(graph_path))
 
     if problems:
         print("trace smoke FAILED:")
@@ -218,6 +221,27 @@ def audit_problems(graph_path: Path, labels_path: Path, template_path: Path):
         ])
     if rc != 0:
         return [f"repro audit on {graph_path.name} exited with {rc}"]
+    return []
+
+
+def motif_problems(graph_path: Path):
+    """Where the batched 4-motif census through the CLI differs from the
+    single-pipeline one: both must exit 0 with the same count table."""
+    tables = {}
+    for flags in ((), ("--batched",)):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = cli_main(["motifs", str(graph_path), "--size", "4", *flags])
+        if rc != 0:
+            return [f"repro motifs {' '.join(flags)} exited with {rc}"]
+        # the batched run adds one 'batched: ...' summary line
+        tables[flags] = [
+            line for line in stdout.getvalue().splitlines()
+            if not line.startswith("batched:")
+        ]
+    plain, batched = tables.values()
+    if not plain or plain != batched:
+        return [f"repro motifs count tables differ: {plain} vs {batched}"]
     return []
 
 

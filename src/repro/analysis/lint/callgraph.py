@@ -173,7 +173,6 @@ class CallGraph:
         self._bases: Dict[str, List[str]] = {}
         #: function AST node -> qname (for enclosing-function lookups)
         self._node_qname: Dict[int, str] = {}
-        self._node_info: Dict[int, FunctionInfo] = {}
         #: per-module import aliases: rel_path -> {local name -> source name}
         self._imports: Dict[str, Dict[str, str]] = {}
         #: qname -> its call sites
@@ -213,18 +212,11 @@ class CallGraph:
                     self._class_methods.setdefault(
                         (module.rel_path, class_name), {}
                     )[node.name] = qname
-                info = FunctionInfo(qname, module, node, class_name)
                 # last definition wins (redefinitions are rare and benign)
-                self.functions[qname] = info
+                self.functions[qname] = FunctionInfo(
+                    qname, module, node, class_name
+                )
                 self._node_qname[id(node)] = qname
-                self._node_info[id(node)] = info
-
-    def info_for_node(self, node: ast.AST) -> Optional[FunctionInfo]:
-        """The FunctionInfo of a function AST node, if indexed."""
-        return self._node_info.get(id(node))
-
-    def qname_of_node(self, node: ast.AST) -> Optional[str]:
-        return self._node_qname.get(id(node))
 
     def enclosing_function(
         self, module: ModuleSource, node: ast.AST

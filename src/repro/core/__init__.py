@@ -98,14 +98,7 @@ from .patterns import (
     wdc4_template,
 )
 from .pipeline import PipelineOptions, run_pipeline
-from .prototypes import (
-    ChildLink,
-    Prototype,
-    PrototypeSet,
-    cached_prototypes,
-    generate_prototypes,
-    prototype_cache_stats,
-)
+from .prototypes import ChildLink, Prototype, PrototypeSet, generate_prototypes
 from .restart import resume_pipeline, run_pipeline_with_checkpoints
 from .results import LevelReport, PipelineResult, PrototypeSearchOutcome
 from .search import search_prototype
@@ -156,7 +149,6 @@ __all__ = [
     "GraphCsr",
     "array_kernel_fixpoint",
     "csr_of",
-    "cached_prototypes",
     "cached_kernel",
     "clique_template",
     "count_match_mappings",
@@ -183,7 +175,6 @@ __all__ = [
     "is_edge_monocyclic",
     "compile_kernel",
     "kernel_cache_stats",
-    "prototype_cache_stats",
     "run_batch",
     "local_constraint_checking",
     "local_constraints",

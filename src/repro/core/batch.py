@@ -6,16 +6,18 @@ kernels, prototype sets and the ``M*`` background traversal from scratch
 every iteration even when templates are label-isomorphic.  This module
 compiles the whole library once and shares everything shareable:
 
-* **Classes** — queries are canonicalized into label-isomorphism classes
-  (mandatory-aware, like prototype dedup).  Each class compiles one
-  shared :class:`~repro.core.kernels.RoleKernel` and one prototype set
-  via the class-keyed caches, and runs one background ``M*`` traversal
-  through a shared :class:`~repro.core.candidate_set.CandidateSetMemo`.
+* **Classes** — queries are grouped into label-isomorphism classes by
+  :func:`~repro.core.prototypes.prototype_key`, the key prototype dedup
+  uses.  Each class compiles one prototype tree and one
+  :class:`~repro.core.kernels.RoleKernel`, and runs one background
+  ``M*`` traversal through a shared
+  :class:`~repro.core.candidate_set.CandidateSetMemo`.
 * **Families** — exact (``k = 0``) classes on the same vertex count are
-  absorbed into the densest class's prototype tree: a ``P4`` query *is*
-  the 4-clique's distance-2 prototype, so one 4-clique pipeline at
-  ``k_eff`` answers six motif queries in a single bottom-up sweep,
-  with the containment rule shrinking every sparser search.
+  absorbed into the densest class's prototype tree, looked up by each
+  prototype's ``key``: a ``P4`` query *is* the 4-clique's distance-3
+  prototype, so one 4-clique pipeline at ``k_eff`` answers six motif
+  queries in a single bottom-up sweep over the tree the absorption
+  generated, with the containment rule shrinking every sparser search.
 * **Auxiliary views** — each array class pipeline re-materializes
   GraphMini-style pruned CSRs (:meth:`GraphCsr.induced_view`,
   ``pipeline.AUX_VIEW_RATIO``) so sibling prototype searches start from
@@ -30,11 +32,10 @@ via explicit label-preserving isomorphisms).
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import PrototypeError, TemplateError
-from ..graph.graph import Graph, canonical_edge
-from ..graph.isomorphism import find_subgraph_isomorphisms
+from ..graph.graph import Graph
 from .candidate_set import CandidateSetMemo
 from .kernels import cached_kernel, kernel_cache_stats
 from .ordering import estimate_prototype_cost
@@ -42,9 +43,9 @@ from .pipeline import PipelineOptions, run_pipeline
 from .prototypes import (
     Prototype,
     PrototypeSet,
-    _mandatory_aware_key,
-    cached_prototypes,
-    prototype_cache_stats,
+    generate_prototypes,
+    matching_isomorphism,
+    prototype_key,
 )
 from .results import SCHEMA, PipelineResult, PrototypeSearchOutcome
 from .template import PatternTemplate
@@ -144,34 +145,6 @@ class TemplateFamily:
         return len(self.members)
 
 
-def _matching_isomorphism(
-    first: Graph,
-    second: Graph,
-    mandatory_first: Iterable[Tuple[int, int]],
-    mandatory_second: Iterable[Tuple[int, int]],
-) -> Dict[int, int]:
-    """A label-preserving iso ``first → second`` respecting mandatory edges.
-
-    ``find_subgraph_isomorphisms`` between equal-order, equal-size graphs
-    enumerates exactly the label-preserving isomorphisms; equality of the
-    mandatory-aware canonical keys guarantees at least one of them maps
-    mandatory edges onto mandatory edges.
-    """
-    mandatory_first = sorted(mandatory_first)
-    mandatory_second = frozenset(
-        canonical_edge(u, v) for u, v in mandatory_second
-    )
-    for mapping in find_subgraph_isomorphisms(first, second):
-        if all(
-            canonical_edge(mapping[u], mapping[v]) in mandatory_second
-            for u, v in mandatory_first
-        ):
-            return mapping
-    raise PrototypeError(
-        "no mandatory-respecting isomorphism between key-equal graphs"
-    )
-
-
 class TemplateLibrary:
     """Compiled form of a query batch: classes, families and shared tables.
 
@@ -205,7 +178,10 @@ class TemplateLibrary:
         by_key: Dict[Tuple, TemplateClass] = {}
         for query in self.queries:
             template = query.template
-            key = (_mandatory_aware_key(template.graph, template), query.k)
+            key = (
+                prototype_key(template.graph, template.mandatory_edges),
+                query.k,
+            )
             cls = by_key.get(key)
             if cls is None:
                 cls = TemplateClass(
@@ -216,7 +192,7 @@ class TemplateLibrary:
                 self.classes.append(cls)
                 iso = {v: v for v in template.vertices()}
             else:
-                iso = _matching_isomorphism(
+                iso = matching_isomorphism(
                     template.graph,
                     cls.representative.graph,
                     template.mandatory_edges,
@@ -229,9 +205,10 @@ class TemplateLibrary:
         """Fold exact classes into the densest structurally-covering root.
 
         Greedy: the densest remaining ``k = 0`` class becomes a root; its
-        full prototype tree is indexed by the mandatory-aware key, and
+        full prototype tree is indexed by each prototype's ``key``, and
         every remaining exact class whose representative appears in the
-        tree is absorbed at that prototype's distance.
+        tree is absorbed at that prototype's distance.  The root keeps the
+        tree for :meth:`_compile`.
         """
         remaining = [c for c in self.classes if c.k == 0]
         remaining.sort(
@@ -251,21 +228,20 @@ class TemplateLibrary:
                 continue
             rep = root.representative
             try:
-                tree = cached_prototypes(
+                tree = generate_prototypes(
                     rep, rep.max_meaningful_distance(), self.max_prototypes
                 )
             except PrototypeError:
                 continue  # tree too large to share; root stays standalone
-            index = {
-                _mandatory_aware_key(proto.graph, rep): proto for proto in tree
-            }
+            root.prototypes = tree
+            index = {proto.key: proto for proto in tree}
             family = TemplateFamily(root)
             for other in others:
                 proto = index.get(other.key[0])
                 if proto is None:
                     continue
                 try:
-                    iso = _matching_isomorphism(
+                    iso = matching_isomorphism(
                         other.representative.graph,
                         proto.graph,
                         other.representative.mandatory_edges,
@@ -287,14 +263,22 @@ class TemplateLibrary:
                 self.families.append(family)
 
     def _compile(self) -> None:
-        """Attach shared kernels and (k-clamped) prototype sets per run."""
+        """Attach kernels and (k-clamped) prototype trees per run.
+
+        A root whose tree :meth:`_absorb` generated keeps it when the run
+        goes as deep as the tree does (the tree was generated at the
+        template's maximal distance, so generating at ``k_run`` would
+        rebuild the same tree); a shallower run generates its own.
+        """
         for cls in self.classes:
             if cls.family is not None and cls.family.root is not cls:
                 continue  # absorbed: the family root's tables serve it
             k_run = cls.family.k_eff if cls.family is not None else cls.k
-            cls.prototypes = cached_prototypes(
-                cls.representative, k_run, self.max_prototypes
-            )
+            tree = cls.prototypes
+            if tree is None or tree.max_distance > k_run:
+                cls.prototypes = generate_prototypes(
+                    cls.representative, k_run, self.max_prototypes
+                )
             cls.kernel = cached_kernel(cls.representative.graph)
 
     # ------------------------------------------------------------------
@@ -383,7 +367,7 @@ class BatchResult:
         class_results: Dict[str, PipelineResult],
         schedule: Dict[str, float],
         memo: CandidateSetMemo,
-        cache_deltas: Dict[str, Dict[str, int]],
+        kernel_cache: Dict[str, int],
         wall_seconds: float,
         metrics=None,
     ) -> None:
@@ -393,7 +377,8 @@ class BatchResult:
         #: root job name → scheduling cost estimate, in execution order
         self.schedule = schedule
         self.memo = memo
-        self.cache_deltas = cache_deltas
+        #: this batch's share of the process-wide kernel cache's traffic
+        self.kernel_cache = kernel_cache
         self.wall_seconds = wall_seconds
         #: the registry the batch ran against (None for hand-built results)
         self.metrics = metrics
@@ -479,8 +464,7 @@ class BatchResult:
             "schedule": list(self.schedule),
             "schedule_costs": self.schedule_costs(),
             "mstar_memo": {"hits": self.memo.hits, "misses": self.memo.misses},
-            "kernel_cache": dict(self.cache_deltas["kernel"]),
-            "prototype_cache": dict(self.cache_deltas["prototype"]),
+            "kernel_cache": dict(self.kernel_cache),
             "aux_views": self.aux_view_totals(),
             "per_class": per_class,
             "items": {
@@ -507,12 +491,6 @@ class BatchResult:
         )
 
 
-def _cache_delta(
-    before: Dict[str, int], after: Dict[str, int]
-) -> Dict[str, int]:
-    return {key: after[key] - before.get(key, 0) for key in after}
-
-
 def run_batch(
     graph: Graph,
     queries: Sequence[BatchQuery],
@@ -536,7 +514,6 @@ def run_batch(
         queries = library.queries
 
     kernel_before = kernel_cache_stats()
-    proto_before = prototype_cache_stats()
     memo = CandidateSetMemo()
     schedule: Dict[str, float] = {}
     started = time.perf_counter()
@@ -581,8 +558,8 @@ def run_batch(
         schedule,
         memo,
         {
-            "kernel": _cache_delta(kernel_before, kernel_cache_stats()),
-            "prototype": _cache_delta(proto_before, prototype_cache_stats()),
+            kind: after - kernel_before[kind]
+            for kind, after in kernel_cache_stats().items()
         },
         wall,
         metrics=metrics,

@@ -25,11 +25,7 @@ import numpy as np
 
 from ..errors import PipelineError
 from ..graph.graph import Graph
-from ..graph.isomorphism import (
-    _match_order,
-    automorphism_count,
-    find_subgraph_isomorphisms,
-)
+from ..graph.isomorphism import _match_order, find_subgraph_isomorphisms
 from .arraystate.searchstate import rows_nonzero
 from .prototypes import Prototype
 from .state import SearchState
@@ -257,7 +253,7 @@ def matches_from_paths(
 
 def distinct_match_count(prototype: Prototype, mapping_count: int) -> int:
     """Convert a mapping count into a distinct-subgraph count."""
-    autos = automorphism_count(prototype.graph)
+    autos = prototype.automorphisms
     if mapping_count % autos:
         raise PipelineError(
             f"mapping count {mapping_count} not divisible by automorphisms {autos}"

@@ -13,20 +13,19 @@ Two counting conventions matter:
 :func:`count_motifs` returns both: induced counts are recovered from the
 non-induced ones by inverting the spanning-subgraph overcounting relation
 ``noninduced(H) = Σ_G  #spanning-subgraphs-of-G-isomorphic-to-H · induced(G)``
-(a triangular integer system over the motif set).
+(a triangular integer system over the motif set).  The system is read
+off the motif tree: each coefficient is a mapping count divided by the
+inner motif's ``Prototype.automorphisms``, computed afresh per census (it
+costs less than keying a memo by canonical form would).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import PipelineError
 from ..graph.graph import Graph
-from ..graph.isomorphism import (
-    automorphism_count,
-    canonical_form,
-    count_subgraph_isomorphisms,
-)
+from ..graph.isomorphism import automorphism_count, count_subgraph_isomorphisms
 from .pipeline import PipelineOptions, PipelineResult, run_pipeline
 from .prototypes import Prototype, PrototypeSet, generate_prototypes
 from .template import PatternTemplate, clique_template
@@ -95,9 +94,11 @@ def count_motifs(
     §4 (disable it for the naive/ablation comparisons).  ``batched``
     routes the census through the template-library batch executor
     instead: each motif becomes an exact (``k = 0``) query, family
-    absorption folds them all back into one clique-rooted pipeline, and
-    auxiliary pruned views shrink every level — same counts, read off
-    the batch result.
+    absorption folds them all back into one clique-rooted pipeline that
+    runs on the clique tree the absorption generated (one tree per
+    census), and auxiliary pruned views shrink every level — same counts,
+    read off the batch result.  Either way the induced counts are
+    inverted from the motif tree's own automorphism counts.
     """
     import dataclasses
 
@@ -209,24 +210,22 @@ def induced_from_noninduced(
 
     Processes motifs in descending edge count: the densest motif's induced
     count equals its non-induced count, and each sparser motif subtracts
-    the contributions of all denser supergraph motifs.
+    the contributions of all denser supergraph motifs.  ``prototypes`` are
+    one tree's motifs (one vertex set), so a coefficient is a mapping
+    count divided by the inner prototype's ``automorphisms``.
     """
     ordered = sorted(prototypes, key=lambda p: -p.num_edges)
-    spanning = {
-        (inner.id, outer.id): spanning_subgraph_count(inner.graph, outer.graph)
-        for inner in ordered
-        for outer in ordered
-        if inner.num_edges <= outer.num_edges
-    }
     induced: Dict[int, int] = {}
-    for inner in sorted(ordered, key=lambda p: -p.num_edges):
+    for inner in ordered:
         value = noninduced[inner.id]
         for outer in ordered:
-            if outer.id == inner.id or outer.num_edges <= inner.num_edges:
+            if outer.num_edges <= inner.num_edges:
                 continue
-            coefficient = spanning.get((inner.id, outer.id), 0)
-            if coefficient:
-                value -= coefficient * induced[outer.id]
+            coefficient = (
+                count_subgraph_isomorphisms(inner.graph, outer.graph)
+                // inner.automorphisms
+            )
+            value -= coefficient * induced[outer.id]
         if value < 0:
             raise PipelineError(
                 "negative induced count — inconsistent non-induced inputs"
@@ -235,46 +234,13 @@ def induced_from_noninduced(
     return induced
 
 
-#: (canonical inner, canonical outer) → spanning-subgraph coefficient.
-#: The coefficients are pure graph invariants, and every census of one
-#: motif size keeps re-deriving the same triangular system — across
-#: repeat calls, batched/sequential comparisons, and benchmark repeats.
-_SPANNING_CACHE: Dict[Tuple, int] = {}
-
-#: canonical form → |Aut(G)| (shared by the coefficient computation)
-_AUTOMORPHISM_CACHE: Dict[Tuple, int] = {}
-
-
-def cached_automorphism_count(graph: Graph) -> int:
-    """Memoized :func:`~repro.graph.isomorphism.automorphism_count`."""
-    key = canonical_form(graph)
-    count = _AUTOMORPHISM_CACHE.get(key)
-    if count is None:
-        count = automorphism_count(graph)
-        _AUTOMORPHISM_CACHE[key] = count
-    return count
-
-
 def spanning_subgraph_count(inner: Graph, outer: Graph) -> int:
     """Number of spanning subgraphs of ``outer`` isomorphic to ``inner``.
 
     Both graphs have the same vertex count, so every monomorphism is a
     vertex bijection; dividing by ``inner``'s automorphisms counts distinct
-    edge subsets.  Memoized on the canonical forms of both graphs — the
-    value is an isomorphism invariant.
+    edge subsets.
     """
     if inner.num_vertices != outer.num_vertices:
         return 0
-    key = (canonical_form(inner), canonical_form(outer))
-    count = _SPANNING_CACHE.get(key)
-    if count is None:
-        mappings = count_subgraph_isomorphisms(inner, outer)
-        count = mappings // cached_automorphism_count(inner)
-        _SPANNING_CACHE[key] = count
-    return count
-
-
-def clear_motif_caches() -> None:
-    """Drop the memoized inversion coefficients (test hook)."""
-    _SPANNING_CACHE.clear()
-    _AUTOMORPHISM_CACHE.clear()
+    return count_subgraph_isomorphisms(inner, outer) // automorphism_count(inner)

@@ -49,12 +49,7 @@ from .ordering import (
     parallel_makespan,
     schedule_prototypes,
 )
-from .prototypes import (
-    Prototype,
-    PrototypeSet,
-    generate_prototypes,
-    prototype_cache_stats,
-)
+from .prototypes import Prototype, PrototypeSet, generate_prototypes
 from .results import LevelReport, PipelineResult, PrototypeSearchOutcome
 from .search import search_prototype
 from .state import NlccCache, SearchState
@@ -410,26 +405,18 @@ def _run_bottom_up(
     return finish_run(result, options, all_stats, cache, started)
 
 
-def compile_cache_totals() -> Dict[str, Dict[str, int]]:
-    """Hit/miss totals of the process-wide compile caches, by counter prefix."""
-    return {
-        "cache.kernel": kernel_cache_stats(),
-        "cache.prototype": prototype_cache_stats(),
-    }
-
-
 class RunStart(NamedTuple):
     """What :func:`finish_run` measures a run against."""
 
     wall: float
-    compile_caches: Dict[str, Dict[str, int]]
+    kernel_cache: Dict[str, int]
     mark: Dict[str, float]
 
 
 def start_run(options: PipelineOptions) -> RunStart:
-    """Open a run's wall clock, compile-cache snapshot and registry window."""
+    """Open a run's wall clock, kernel-cache snapshot and registry window."""
     return RunStart(
-        time.perf_counter(), compile_cache_totals(), options.metrics.mark()
+        time.perf_counter(), kernel_cache_stats(), options.metrics.mark()
     )
 
 
@@ -443,7 +430,7 @@ def finish_run(
     """Run epilogue shared by the bottom-up and exploratory drivers.
 
     Wall time, merged message accounting, the NLCC cache's size, the
-    run's share of the process-wide compile caches' traffic (the delta
+    run's share of the process-wide kernel cache's traffic (the delta
     against the snapshot :func:`start_run` took) and the registry's
     window over the run (``result.counts``).
     """
@@ -452,11 +439,10 @@ def finish_run(
     result.message_summary = merge_message_stats(all_stats)
     if cache is not None:
         result.nlcc_cache_size = cache.size()
-    for name, after in compile_cache_totals().items():
-        for kind in ("hits", "misses"):
-            delta = after[kind] - started.compile_caches[name][kind]
-            if delta:
-                metrics.counter(f"{name}.{kind}").inc(delta)
+    for kind, after in kernel_cache_stats().items():
+        delta = after - started.kernel_cache[kind]
+        if delta:
+            metrics.counter(f"cache.kernel.{kind}").inc(delta)
     result.counts = metrics.since(started.mark)
     result.metrics = metrics
     return result

@@ -6,7 +6,14 @@ level by level: distance ``δ+1`` prototypes are constructed from distance
 staying connected.  Isomorphic duplicates are merged (label-preserving
 isomorphism that also respects which edges are mandatory), and the
 parent → child derivation links are retained: they drive the containment
-rule and the match-extension enumeration optimization.
+rule and the match-extension enumeration optimization.  Each prototype
+keeps its dedup key and its automorphism count, so every reader of the
+tree — the drivers' match counting, the batch executor's class index,
+the motif census inversion — reads them off the prototype.
+
+This module owns the key format: :func:`prototype_key` and
+:func:`matching_isomorphism`, the one mandatory-respecting isomorphism
+between key-equal graphs.
 
 Counting convention: ``H_{0,0} = H0`` itself is a prototype, so e.g. the
 6-clique with distinct labels yields ``1 + 15 + 105 + 455 + 1365 = 1941``
@@ -15,13 +22,16 @@ prototypes within ``k = 4`` — the exact number reported in §5.5.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..errors import PrototypeError
 from ..graph.algorithms import is_connected
 from ..graph.graph import Edge, Graph, canonical_edge
-from ..graph.isomorphism import canonical_form, find_subgraph_isomorphisms
-from .kernels import structural_fingerprint
+from ..graph.isomorphism import (
+    automorphism_count,
+    canonical_form,
+    find_subgraph_isomorphisms,
+)
 from .template import PatternTemplate
 
 
@@ -55,7 +65,13 @@ class ChildLink:
 
 
 class Prototype:
-    """One connected edit-distance-``distance`` variant of the template."""
+    """One connected edit-distance-``distance`` variant of the template.
+
+    ``key`` (:func:`prototype_key`) and ``automorphisms`` (the number of
+    label-preserving automorphisms of ``graph``) are facts of the tree:
+    dedup hands each child the key it computed, and the rest are computed
+    on first read and kept.
+    """
 
     def __init__(
         self,
@@ -64,6 +80,7 @@ class Prototype:
         index: int,
         graph: Graph,
         template: PatternTemplate,
+        key: Optional[Tuple] = None,
     ) -> None:
         self.id = proto_id
         self.distance = distance
@@ -73,8 +90,22 @@ class Prototype:
         self.name = f"k{distance}_p{index}"
         self.child_links: List[ChildLink] = []
         self.parent_links: List[ChildLink] = []
+        self._key = key
+        self._automorphisms: Optional[int] = None
 
     # ------------------------------------------------------------------
+    @property
+    def key(self) -> Tuple:
+        if self._key is None:
+            self._key = prototype_key(self.graph, self.template.mandatory_edges)
+        return self._key
+
+    @property
+    def automorphisms(self) -> int:
+        if self._automorphisms is None:
+            self._automorphisms = automorphism_count(self.graph)
+        return self._automorphisms
+
     @property
     def num_vertices(self) -> int:
         return self.graph.num_vertices
@@ -149,33 +180,57 @@ class PrototypeSet:
         )
 
 
-def _mandatory_aware_key(graph: Graph, template: PatternTemplate) -> Tuple:
-    """Canonical form that distinguishes mandatory from optional edges.
+def prototype_key(graph: Graph, mandatory_edges: FrozenSet[Edge]) -> Tuple:
+    """The key prototype dedup and the batch executor merge graphs by.
 
-    Mandatory edges are subdivided with a reserved-label dummy vertex before
-    canonicalization, so two prototypes merge only if some isomorphism maps
-    mandatory edges to mandatory edges.
+    ``mandatory_edges`` holds canonical edges, as
+    :attr:`PatternTemplate.mandatory_edges` does.  Mandatory edges are
+    subdivided with a reserved-label dummy vertex (the halves keep the
+    edge's label) before canonicalization, so two graphs get equal keys
+    iff some label-preserving isomorphism maps mandatory edges onto
+    mandatory edges and edge labels onto equal labels.  The vertex and
+    mandatory-edge counts lead the key: every dummy's label exceeds every
+    real label, so with both counts equal the dummies of two key-equal
+    graphs correspond, and graphs of different templates compare safely.
     """
-    if not template.mandatory_edges:
-        return canonical_form(graph)
-    reserved = max(template.label_set()) + 1
-    aux = graph.copy()
-    next_id = max(graph.vertices()) + 1
-    for u, v in sorted(graph.edges()):
-        if canonical_edge(u, v) in template.mandatory_edges:
+    subdivided = [edge for edge in graph.edges() if edge in mandatory_edges]
+    aux = graph
+    if subdivided:
+        aux = graph.copy()
+        reserved = max(graph.label_set()) + 1
+        first_dummy = max(graph.vertices()) + 1
+        for dummy, (u, v) in enumerate(subdivided, start=first_dummy):
+            label = graph.edge_label(u, v)
             aux.remove_edge(u, v)
-            aux.add_vertex(next_id, reserved)
-            aux.add_edge(u, next_id)
-            aux.add_edge(next_id, v)
-            next_id += 1
-    return canonical_form(aux)
+            aux.add_vertex(dummy, reserved)
+            aux.add_edge(u, dummy, label)
+            aux.add_edge(dummy, v, label)
+    return (graph.num_vertices, len(subdivided), canonical_form(aux))
 
 
-def _isomorphism_between(first: Graph, second: Graph) -> Dict[int, int]:
-    """A label-preserving isomorphism ``first → second`` (must exist)."""
-    for mapping in find_subgraph_isomorphisms(first, second, limit=1):
-        return mapping
-    raise PrototypeError("expected isomorphic graphs (canonical-form collision?)")
+def matching_isomorphism(
+    first: Graph,
+    second: Graph,
+    mandatory_first: FrozenSet[Edge],
+    mandatory_second: FrozenSet[Edge],
+) -> Dict[int, int]:
+    """A label-preserving iso ``first → second`` respecting mandatory edges.
+
+    Both edge sets hold canonical edges.  ``find_subgraph_isomorphisms``
+    between equal-order, equal-size graphs enumerates exactly the
+    label-preserving isomorphisms; equal :func:`prototype_key` values
+    guarantee at least one of them maps mandatory edges onto mandatory
+    edges.
+    """
+    for mapping in find_subgraph_isomorphisms(first, second):
+        if all(
+            canonical_edge(mapping[u], mapping[v]) in mandatory_second
+            for u, v in mandatory_first
+        ):
+            return mapping
+    raise PrototypeError(
+        "no mandatory-respecting isomorphism between key-equal graphs"
+    )
 
 
 def generate_prototypes(
@@ -192,6 +247,7 @@ def generate_prototypes(
     if k < 0:
         raise PrototypeError("edit-distance k must be non-negative")
     k = min(k, template.max_meaningful_distance())
+    mandatory = template.mandatory_edges
 
     next_id = 0
     root = Prototype(next_id, 0, 0, template.graph.copy(), template)
@@ -208,10 +264,12 @@ def generate_prototypes(
                 candidate.remove_edge(*edge)
                 if not is_connected(candidate):
                     continue
-                key = _mandatory_aware_key(candidate, template)
+                key = prototype_key(candidate, mandatory)
                 child = seen.get(key)
                 if child is None:
-                    child = Prototype(next_id, distance, len(level), candidate, template)
+                    child = Prototype(
+                        next_id, distance, len(level), candidate, template, key
+                    )
                     next_id += 1
                     level.append(child)
                     seen[key] = child
@@ -223,7 +281,9 @@ def generate_prototypes(
                         )
                     iso = {v: v for v in candidate.vertices()}
                 else:
-                    iso = _isomorphism_between(candidate, child.graph)
+                    iso = matching_isomorphism(
+                        candidate, child.graph, mandatory, mandatory
+                    )
                 link = ChildLink(parent, child, edge, iso)
                 parent.child_links.append(link)
                 child.parent_links.append(link)
@@ -231,52 +291,3 @@ def generate_prototypes(
             break
         levels.append(level)
     return PrototypeSet(template, levels)
-
-
-#: process-wide generated-prototype table, keyed by exact template identity
-_PROTOTYPE_CACHE: Dict[Tuple, PrototypeSet] = {}
-
-#: cumulative cache traffic, surfaced by the batch executor's counters
-_PROTOTYPE_CACHE_STATS = {"hits": 0, "misses": 0}
-
-
-def cached_prototypes(
-    template: PatternTemplate,
-    k: int,
-    max_prototypes: Optional[int] = None,
-) -> PrototypeSet:
-    """Class-keyed :func:`generate_prototypes` memoization.
-
-    A :class:`PrototypeSet` is read-only after generation, so every
-    pipeline run over a structurally-identical template at the same
-    (clamped) ``k`` can share one set.  The key is the exact structural
-    fingerprint of the template graph plus its mandatory edges — strong
-    enough that prototype vertex ids, labels and derivation links apply
-    verbatim to the caller's template.
-    """
-    key = (
-        structural_fingerprint(template.graph),
-        tuple(sorted(template.mandatory_edges)),
-        min(k, template.max_meaningful_distance()) if k >= 0 else k,
-        max_prototypes,
-    )
-    protos = _PROTOTYPE_CACHE.get(key)
-    if protos is None:
-        _PROTOTYPE_CACHE_STATS["misses"] += 1
-        protos = generate_prototypes(template, k, max_prototypes)
-        _PROTOTYPE_CACHE[key] = protos
-    else:
-        _PROTOTYPE_CACHE_STATS["hits"] += 1
-    return protos
-
-
-def prototype_cache_stats() -> Dict[str, int]:
-    """Snapshot of the process-wide prototype-cache hit/miss counters."""
-    return dict(_PROTOTYPE_CACHE_STATS)
-
-
-def clear_prototype_cache() -> None:
-    """Drop cached prototype sets and reset the counters (test hook)."""
-    _PROTOTYPE_CACHE.clear()
-    _PROTOTYPE_CACHE_STATS["hits"] = 0
-    _PROTOTYPE_CACHE_STATS["misses"] = 0

@@ -17,8 +17,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: ``per_class`` entry gained its root pipeline's ``messages``.  3: no
 #: ``pool.*`` / ``shm.*`` instruments under ``metrics``, and the derived
 #: ratios ``repro report`` reads from them (``pool_utilization``,
-#: ``shm_segment_bytes``) are gone.
-SCHEMA = 3
+#: ``shm_segment_bytes``) are gone.  4: no ``cache.prototype.*`` counters
+#: and no batch ``prototype_cache`` section (prototype trees are built per
+#: run, not memoized process-wide).
+SCHEMA = 4
 
 #: the ``nlcc`` section of the run report: key -> registry counter
 NLCC_COUNTERS = {

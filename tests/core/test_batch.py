@@ -27,16 +27,18 @@ from repro.core import (
     run_batch,
     run_pipeline,
 )
+import repro.core.batch as batch_module
 import repro.core.pipeline as pipeline_module
 from repro.core.arraystate import ArraySearchState
 from repro.errors import TemplateError
 from repro.graph import from_edges
 from repro.graph.csr import GraphCsr
-from repro.graph.graph import canonical_edge
+from repro.graph.graph import Graph, canonical_edge
 from repro.graph.generators import gnm_graph, plant_pattern, planted_graph
 from repro.runtime.trace import Tracer
 
 from test_compact_scope import assert_view_between_mstar_and_labels
+from test_run_report import normalized
 
 
 def options(**overrides):
@@ -201,6 +203,57 @@ class TestTemplateLibrary:
         # Only the root runs a pipeline.
         assert [c.name for c in library.root_classes()] == [family.root.name]
 
+    def test_mandatory_edge_labels_split_classes(self):
+        # Two mandatory paths that differ only in their edges' labels are
+        # different queries.
+        def path(edge_labels, name):
+            graph = Graph()
+            for v in range(3):
+                graph.add_vertex(v, 0)
+            for (u, v), label in zip([(0, 1), (1, 2)], edge_labels):
+                graph.add_edge(u, v, label)
+            return PatternTemplate(
+                graph, mandatory_edges=[(0, 1), (1, 2)], name=name
+            )
+
+        queries = [
+            BatchQuery(path((1, 2), "path-12"), 0),
+            BatchQuery(path((1, 1), "path-11"), 0),
+        ]
+        assert len(TemplateLibrary(queries).classes) == 2
+        background = gnm_graph(80, 200, num_labels=1, seed=41)
+        for index, (u, v) in enumerate(sorted(background.edges())):
+            background.add_edge(u, v, 1 + index % 2)
+        assert_batch_matches_sequential(background, queries, options())
+
+    def test_keys_of_different_templates_never_collide(self):
+        # A mandatory edge and an edge labelled 0, or an edge label and a
+        # path vertex, subdivide into the same canonical form; the key's
+        # vertex and mandatory-edge counts keep such queries apart.
+        def triangle(edge_label, mandatory, name):
+            graph = Graph()
+            for v in range(3):
+                graph.add_vertex(v, v)
+            graph.add_edge(0, 1, edge_label)
+            graph.add_edge(1, 2)
+            graph.add_edge(2, 0)
+            return PatternTemplate(graph, mandatory_edges=mandatory, name=name)
+
+        labelled_edge = Graph()
+        labelled_edge.add_vertex(0, 0)
+        labelled_edge.add_vertex(1, 1)
+        labelled_edge.add_edge(0, 1, 0)
+        path = PatternTemplate.from_edges(
+            [(0, 2), (2, 1)], {0: 0, 1: 1, 2: 2}, name="path"
+        )
+        for queries in (
+            [BatchQuery(triangle(None, [(0, 1)], "mandatory"), 0),
+             BatchQuery(triangle(0, [], "labelled"), 0)],
+            [BatchQuery(PatternTemplate(labelled_edge, name="edge"), 0),
+             BatchQuery(path, 0)],
+        ):
+            assert len(TemplateLibrary(queries).classes) == 2
+
     def test_absorption_can_be_disabled(self):
         clique = clique_template(4, labels=[0, 0, 0, 0], name="clique4")
         path = PatternTemplate.from_edges(
@@ -303,6 +356,19 @@ class TestMotifCensusParity:
                 == sequential.by_name(induced=induced)
                 == single.by_name(induced=induced)
             )
+
+    def test_census_library_generates_the_clique_tree_once(self, monkeypatch):
+        generated = []
+
+        def counting(template, k, max_prototypes=None):
+            generated.append((template.num_edges, k))
+            return generate_prototypes(template, k, max_prototypes)
+
+        monkeypatch.setattr(batch_module, "generate_prototypes", counting)
+        graph = gnm_graph(40, 110, num_labels=1, seed=23)
+        count_motifs(graph, 4, PipelineOptions(num_ranks=2), batched=True)
+        # _absorb's tree serves the root run at k_eff = 3
+        assert generated == [(6, 3)]
 
     def test_batched_census_reports_shared_work(self):
         graph = dusty_motif_graph()
@@ -609,6 +675,22 @@ class TestScheduleCostEstimates:
         memo = batch.stats_document()["mstar_memo"]
         assert counters["cache.mstar_memo.hits"] == memo["hits"]
         assert counters["cache.mstar_memo.misses"] == memo["misses"]
+
+    def test_identical_batches_report_alike(self):
+        # Only the kernel cache is process-wide: apart from seconds and its
+        # counters, two identical batches in one process report alike.
+        graph = kernel_stress_graph()
+        clique = clique_template(4, labels=[0, 1, 2, 3], name="clique4")
+        queries = [
+            BatchQuery(stress_path_template(), 0, name="path"),
+            BatchQuery(stress_cycle_template(), 1, name="cycle"),
+            BatchQuery(clique, 0, name="clique"),
+        ]
+        first, second = (
+            normalized(run_batch(graph, queries, options()).stats_document())
+            for _ in range(2)
+        )
+        assert first == second
 
     def test_stats_document_embeds_metrics_snapshot(self):
         graph = kernel_stress_graph()

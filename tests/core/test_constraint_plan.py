@@ -479,8 +479,8 @@ class TestEveryDriverChecksInTheSameOrder:
 # exploratory runs report their compile-cache traffic
 # ----------------------------------------------------------------------
 def test_exploratory_run_reports_compile_cache_counters():
-    # the prototype cache only sees traffic from batched runs; the kernel
-    # cache is hit by every search
+    # the kernel cache is the one process-wide compile cache, and every
+    # search goes through it
     graph, template = clique_case()
     clear_kernel_cache()
     cold = exploratory_search(graph, template)

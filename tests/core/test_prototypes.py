@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import PatternTemplate, clique_template, generate_prototypes
+from repro.core.motifs import motif_prototypes
+from repro.core.prototypes import prototype_key
 from repro.core.patterns import (
     imdb1_template,
     rdt1_template,
@@ -12,7 +14,8 @@ from repro.core.patterns import (
     wdc4_template,
 )
 from repro.errors import PrototypeError
-from repro.graph import are_isomorphic, is_connected
+from repro.graph import are_isomorphic, automorphism_count, is_connected
+from repro.graph.graph import Graph
 
 
 def fig3_template():
@@ -158,6 +161,55 @@ class TestMandatoryEdges:
         )
         level1 = generate_prototypes(template, 1).at(1)
         assert len(level1) == 2  # remove an adjacent edge vs the opposite edge
+
+    def test_mandatory_edge_labels_split_dedup(self):
+        # Square whose two mandatory edges carry different labels: removing
+        # either optional edge leaves a path whose labels read in a
+        # different order, so the two children must not merge.
+        graph = Graph()
+        for v in range(4):
+            graph.add_vertex(v, 0)
+        graph.add_edge(0, 1, 1)
+        graph.add_edge(1, 2, 2)
+        graph.add_edge(2, 3)
+        graph.add_edge(3, 0)
+        template = PatternTemplate(graph, mandatory_edges=[(0, 1), (1, 2)])
+        level1 = generate_prototypes(template, 1).at(1)
+        assert len(level1) == 2
+        assert not are_isomorphic(level1[0].graph, level1[1].graph)
+
+
+#: every tree TestPaperCounts counts, plus the 3-, 4- and 5-motif trees
+PAPER_TREES = [
+    pytest.param(fig3_template, 2, id="wdc1"),
+    pytest.param(rmat1_template, 2, id="rmat1"),
+    pytest.param(wdc3_template, 4, id="wdc3"),
+    pytest.param(wdc4_template, 4, id="wdc4"),
+    pytest.param(rdt1_template, 1, id="rdt1"),
+    pytest.param(imdb1_template, 2, id="imdb1"),
+]
+
+
+class TestTreeFacts:
+    """Each prototype keeps the key and automorphism count of its graph."""
+
+    @pytest.mark.parametrize("make, k", PAPER_TREES)
+    def test_paper_trees(self, make, k):
+        self.check(generate_prototypes(make(), k))
+
+    @pytest.mark.parametrize("size", [3, 4, 5])
+    def test_motif_trees(self, size):
+        self.check(motif_prototypes(size))
+
+    @staticmethod
+    def check(tree):
+        mandatory = tree.template.mandatory_edges
+        for level in tree.levels:
+            keys = [proto.key for proto in level]
+            assert len(set(keys)) == len(keys)  # dedup merged every duplicate
+        for proto in tree:
+            assert proto.key == prototype_key(proto.graph, mandatory)
+            assert proto.automorphisms == automorphism_count(proto.graph)
 
 
 class TestGuards:

@@ -11,7 +11,7 @@ checkpointed run.
 ``fixtures/run_report_parent.json`` was written by this module's
 ``__main__`` (``PYTHONPATH=src python tests/core/test_run_report.py``)
 against the commit before the report was derived from windows.  Wall
-seconds and the process-wide compile-cache counters (whose traffic
+seconds and the process-wide kernel-cache counters (whose traffic
 depends on what ran earlier in the process) are left out.  Every value
 it holds is unchanged, except that the batch document lost the keys in
 :data:`REMOVED` (``schema`` 2); the report only gained the keys in
@@ -148,7 +148,7 @@ def _documents(driver, backend, workdir):
 
 def _process_wide(name):
     """Counters whose value depends on what ran before in the process."""
-    return name.startswith(("cache.kernel.", "cache.prototype."))
+    return name.startswith("cache.kernel.")
 
 
 def normalized(value, key=None):
@@ -161,7 +161,7 @@ def normalized(value, key=None):
                 k.endswith("wall_seconds")
                 or k.endswith("_seconds") and key in ("counters", "histograms")
                 or _process_wide(k) and key in ("counters", "histograms")
-                or k in ("kernel_cache", "prototype_cache")
+                or k == "kernel_cache"
             )
         }
     if isinstance(value, (list, tuple)):
@@ -217,7 +217,7 @@ def test_report_matches_parent(pinned, tmp_path, driver, backend):
         assert added <= ADDED | new_counters, (name, sorted(added))
         assert {path: now.get(path) for path in then} == then, name
         if "schema" in now:
-            assert now["schema"] == SCHEMA == 3
+            assert now["schema"] == SCHEMA == 4
 
 
 def run(driver, graph, template, opts):
