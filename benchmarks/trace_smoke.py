@@ -88,7 +88,12 @@ def write_graph(workdir: Path, stem: str, **planted):
 
 
 def run(out_path: Path) -> int:
-    workdir = Path(tempfile.mkdtemp(prefix="trace_smoke_"))
+    """The smoke check; its inputs live in a directory removed on return."""
+    with tempfile.TemporaryDirectory(prefix="trace_smoke_") as workdir:
+        return check(Path(workdir), out_path)
+
+
+def check(workdir: Path, out_path: Path) -> int:
     graph_path, labels_path = write_graph(workdir, "graph")
     template_path = workdir / "template.json"
     template_path.write_text(json.dumps({

@@ -44,8 +44,8 @@ from .prototypes import (
     Prototype,
     PrototypeSet,
     generate_prototypes,
+    keyed_labelling,
     matching_isomorphism,
-    prototype_key,
 )
 from .results import SCHEMA, PipelineResult, PrototypeSearchOutcome
 from .template import PatternTemplate
@@ -100,17 +100,24 @@ class TemplateClass:
     """
 
     __slots__ = (
-        "name", "key", "k", "representative", "queries", "isos",
+        "name", "key", "k", "representative", "labelling", "queries", "isos",
         "prototypes", "kernel", "family",
     )
 
     def __init__(
-        self, name: str, key: Tuple, k: int, representative: PatternTemplate
+        self,
+        name: str,
+        key: Tuple,
+        k: int,
+        representative: PatternTemplate,
+        labelling: Dict[int, int],
     ) -> None:
         self.name = name
         self.key = key
         self.k = k
         self.representative = representative
+        #: the representative's canonical labelling (``keyed_labelling``)
+        self.labelling = labelling
         self.queries: List[BatchQuery] = []
         self.isos: List[Dict[int, int]] = []
         self.prototypes: Optional[PrototypeSet] = None
@@ -178,26 +185,21 @@ class TemplateLibrary:
         by_key: Dict[Tuple, TemplateClass] = {}
         for query in self.queries:
             template = query.template
-            key = (
-                prototype_key(template.graph, template.mandatory_edges),
-                query.k,
+            structure, labelling = keyed_labelling(
+                template.graph, template.mandatory_edges
             )
+            key = (structure, query.k)
             cls = by_key.get(key)
             if cls is None:
                 cls = TemplateClass(
                     f"class{len(self.classes)}:{template.name}",
-                    key, query.k, template,
+                    key, query.k, template, labelling,
                 )
                 by_key[key] = cls
                 self.classes.append(cls)
                 iso = {v: v for v in template.vertices()}
             else:
-                iso = matching_isomorphism(
-                    template.graph,
-                    cls.representative.graph,
-                    template.mandatory_edges,
-                    cls.representative.mandatory_edges,
-                )
+                iso = matching_isomorphism(labelling, cls.labelling)
             cls.queries.append(query)
             cls.isos.append(iso)
 
@@ -240,15 +242,7 @@ class TemplateLibrary:
                 proto = index.get(other.key[0])
                 if proto is None:
                     continue
-                try:
-                    iso = matching_isomorphism(
-                        other.representative.graph,
-                        proto.graph,
-                        other.representative.mandatory_edges,
-                        rep.mandatory_edges,
-                    )
-                except PrototypeError:
-                    continue  # cross-template key collision without an iso
+                iso = matching_isomorphism(other.labelling, proto.labelling)
                 family.members[other.name] = (other, proto, iso)
                 family.k_eff = max(family.k_eff, proto.distance)
                 other.family = family

@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import (
     Dict,
     Iterable,
+    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -168,43 +169,34 @@ def reverse_visits_rarer_first(
     return freqs[-2::-1] < freqs[1:]
 
 
+def _constraint(
+    proto_graph: Graph, kind: str, walk: List[int], orient_by: Frequencies
+) -> NonLocalConstraint:
+    """One constraint for a closed walk, turned rare-labels-first *before*
+    it is constructed, so none is built and keyed twice."""
+    labels = [proto_graph.label(x) for x in walk]
+    if orient_by and reverse_visits_rarer_first(labels, orient_by):
+        walk, labels = walk[::-1], labels[::-1]
+    return NonLocalConstraint(kind, walk, labels, proto_graph)
+
+
 def _constraints(
     proto_graph: Graph, kind: str, walks: Iterable[List[int]], orient_by: Frequencies
 ) -> List[NonLocalConstraint]:
-    """One constraint per closed walk, each turned rare-labels-first
-    *before* it is constructed, so none is built and keyed twice."""
-    constraints = []
-    for walk in walks:
-        labels = [proto_graph.label(x) for x in walk]
-        if orient_by and reverse_visits_rarer_first(labels, orient_by):
-            walk, labels = walk[::-1], labels[::-1]
-        constraints.append(NonLocalConstraint(kind, walk, labels, proto_graph))
-    return constraints
+    return [_constraint(proto_graph, kind, walk, orient_by) for walk in walks]
 
 
-def _simple_cycles(proto_graph: Graph) -> List[Tuple[int, ...]]:
+def simple_cycles(proto_graph: Graph) -> List[Tuple[int, ...]]:
     return simple_cycles_upto(proto_graph, proto_graph.num_vertices)
 
 
-def cycle_constraints(
-    proto_graph: Graph, cycles: Optional[Cycles] = None, orient_by: Frequencies = None
-) -> List[NonLocalConstraint]:
-    """CC constraints: each simple cycle, rooted at every cycle vertex."""
-    if cycles is None:
-        cycles = _simple_cycles(proto_graph)
-    walks = (_rotate_closed(cycle, start) for cycle in cycles for start in cycle)
-    return _constraints(proto_graph, CYCLE_KIND, walks, orient_by)
+def _cycle_walks(cycles: Cycles) -> Iterator[List[int]]:
+    """Each simple cycle, rooted at every cycle vertex."""
+    return (_rotate_closed(cycle, start) for cycle in cycles for start in cycle)
 
 
-def path_constraints(
-    proto_graph: Graph, orient_by: Frequencies = None
-) -> List[NonLocalConstraint]:
-    """PC constraints: walk to a same-labeled twin and back, per endpoint.
-
-    Needed when the template repeats labels: a vertex must prove a twin
-    *distinct from itself* sits at the prescribed distance (Fig. 2 bottom).
-    """
-    walks = []
+def _path_walks(proto_graph: Graph) -> Iterator[List[int]]:
+    """Out to a same-labeled twin and back, rooted at either endpoint."""
     by_label: Dict[int, List[int]] = {}
     for vertex in sorted(proto_graph.vertices()):
         by_label.setdefault(proto_graph.label(vertex), []).append(vertex)
@@ -215,8 +207,77 @@ def path_constraints(
                 if path is None:  # pragma: no cover - prototypes are connected
                     continue
                 for rooted in (path, path[::-1]):  # root at u and at w
-                    walks.append(rooted + rooted[-2::-1])
-    return _constraints(proto_graph, PATH_KIND, walks, orient_by)
+                    yield rooted + rooted[-2::-1]
+
+
+def _tds_walks(cycles: Cycles) -> Iterator[List[int]]:
+    """Around the first cycle and then the second, per edge-sharing pair,
+    from the pair's least shared edge."""
+    edge_sets = [_cycle_edges(cycle) for cycle in cycles]
+    for i, first in enumerate(cycles):
+        for j in range(i + 1, len(cycles)):
+            shared = edge_sets[i] & edge_sets[j]
+            if shared:
+                u = min(shared)[0]
+                yield _rotate_closed(first, u) + _rotate_closed(cycles[j], u)[1:]
+
+
+def prefilter_constraints(
+    proto_graph: Graph, cycles: Cycles, orient_by: Frequencies = None
+) -> Iterator[NonLocalConstraint]:
+    """The CC, PC and TDS constraints of a prototype whose simple cycles
+    are ``cycles``, one at a time, in :func:`generate_constraints`' order
+    and orientation — the one source of the walk rules, drawn whole by
+    the eager builder and lazily by
+    :meth:`~repro.core.ordering.ConstraintPlan.select`."""
+    for kind, walks in (
+        (CYCLE_KIND, _cycle_walks(cycles)),
+        (PATH_KIND, _path_walks(proto_graph)),
+        (TDS_KIND, _tds_walks(cycles)),
+    ):
+        for walk in walks:
+            yield _constraint(proto_graph, kind, walk, orient_by)
+
+
+def prefilter_count(proto_graph: Graph, cycles: Cycles) -> int:
+    """How many constraints :func:`prefilter_constraints` yields, without
+    building one: a CC walk per cycle vertex, two PC walks per
+    same-labeled pair (prototypes are connected, so every pair has a
+    path), one TDS walk per edge-sharing cycle pair — counted with one
+    bitmask of holding cycles per edge."""
+    holders: Dict[Tuple[int, int], int] = {}
+    edge_sets = [_cycle_edges(cycle) for cycle in cycles]
+    for index, edges in enumerate(edge_sets):
+        for edge in edges:
+            holders[edge] = holders.get(edge, 0) | (1 << index)
+    sharing_pairs = 0
+    for index, edges in enumerate(edge_sets):
+        sharing = 0
+        for edge in edges:
+            sharing |= holders[edge]
+        sharing_pairs += bin(sharing >> (index + 1)).count("1")
+    twins = sum(m * (m - 1) for m in proto_graph.label_counts().values())
+    return sum(len(cycle) for cycle in cycles) + twins + sharing_pairs
+
+
+def cycle_constraints(
+    proto_graph: Graph, cycles: Optional[Cycles] = None, orient_by: Frequencies = None
+) -> List[NonLocalConstraint]:
+    """CC constraints: each simple cycle, rooted at every cycle vertex."""
+    if cycles is None:
+        cycles = simple_cycles(proto_graph)
+    return _constraints(proto_graph, CYCLE_KIND, _cycle_walks(cycles), orient_by)
+
+
+def path_constraints(
+    proto_graph: Graph, orient_by: Frequencies = None
+) -> List[NonLocalConstraint]:
+    """PC constraints: walk to a same-labeled twin and back, per endpoint.
+
+    Needed when the template repeats labels: a vertex must prove a twin
+    *distinct from itself* sits at the prescribed distance (Fig. 2 bottom).
+    """
+    return _constraints(proto_graph, PATH_KIND, _path_walks(proto_graph), orient_by)
 
 
 def tds_constraints(
@@ -229,18 +290,8 @@ def tds_constraints(
     the *same* background vertices in both cycles.
     """
     if cycles is None:
-        cycles = _simple_cycles(proto_graph)
-    edge_sets = [_cycle_edges(cycle) for cycle in cycles]
-    walks = []
-    for i, first in enumerate(cycles):
-        for j in range(i + 1, len(cycles)):
-            shared = edge_sets[i] & edge_sets[j]
-            if shared:
-                u = min(shared)[0]
-                walks.append(
-                    _rotate_closed(first, u) + _rotate_closed(cycles[j], u)[1:]
-                )
-    return _constraints(proto_graph, TDS_KIND, walks, orient_by)
+        cycles = simple_cycles(proto_graph)
+    return _constraints(proto_graph, TDS_KIND, _tds_walks(cycles), orient_by)
 
 
 def full_walk_constraint(
@@ -278,7 +329,7 @@ def full_walk_constraint(
     dfs(root)
     if len(walk) == 1:  # single-vertex template: trivially closed walk
         walk.append(root)
-    return _constraints(proto_graph, FULL_WALK_KIND, [walk], orient_by)[0]
+    return _constraint(proto_graph, FULL_WALK_KIND, walk, orient_by)
 
 
 def _cycle_edges(cycle: Sequence[int]) -> Set[Tuple[int, int]]:
@@ -302,7 +353,7 @@ def is_edge_monocyclic(proto_graph: Graph, cycles: Optional[Cycles] = None) -> b
     constraints (Fig. 2's caption); everything else gets the full walk.
     """
     seen: Set[Tuple[int, int]] = set()
-    for cycle in _simple_cycles(proto_graph) if cycles is None else cycles:
+    for cycle in simple_cycles(proto_graph) if cycles is None else cycles:
         edges = _cycle_edges(cycle)
         if edges & seen:
             return False
@@ -320,14 +371,23 @@ def is_tree(proto_graph: Graph) -> bool:
 
 
 class ConstraintSelection(NamedTuple):
-    """The non-local constraints to run on one live scope, and why."""
+    """The non-local constraints to run on one live scope, and why.
+
+    ``prefilter_rows`` is what the plan added up before it decided: the
+    estimates of the pre-filters it built, in generation order, up to the
+    first that brought the sum to ``full_walk_rows`` — or all of them,
+    when the sum never got there and the complete list runs.
+    """
 
     #: the complete list, or the full walk alone
     constraints: List[NonLocalConstraint]
-    #: estimated rows of all pre-filters and of the full walk on the scope;
-    #: None when nothing was estimated because nothing could be skipped
+    #: estimated rows of the pre-filters added up before the decision and
+    #: of the full walk on the scope; None when nothing was estimated
+    #: because nothing could be skipped
     prefilter_rows: Optional[float] = None
     full_walk_rows: Optional[float] = None
+    #: pre-filters of the complete list that do not run (0, or all of them)
+    skipped: int = 0
 
 
 class ConstraintSet:
@@ -369,8 +429,9 @@ def generate_constraints(
 ) -> ConstraintSet:
     """The constraint set guaranteeing exactness for one prototype.
 
-    The eager builder; the drivers call it through a lazy
-    :class:`~repro.core.ordering.ConstraintPlan`.
+    The eager builder; the drivers reach it only through a
+    :class:`~repro.core.ordering.ConstraintPlan` that keeps its complete
+    list.
 
     ``include_full_walk``:
 
@@ -384,24 +445,39 @@ def generate_constraints(
     before it is constructed (``order_constraints`` would rebuild it).
     """
     orient_by = label_frequencies if orient else None
-    cycles = _simple_cycles(proto_graph)
-    duplicates = has_duplicate_labels(proto_graph)
-    non_local = cycle_constraints(proto_graph, cycles, orient_by)
-    if duplicates:
-        non_local += path_constraints(proto_graph, orient_by)
-    if not is_edge_monocyclic(proto_graph, cycles):
-        non_local += tds_constraints(proto_graph, cycles, orient_by)
-
-    provably_exact = is_tree(proto_graph) and not duplicates
-    want_full = (
-        include_full_walk is True
-        or (include_full_walk == "auto" and not provably_exact)
+    non_local = list(
+        prefilter_constraints(proto_graph, simple_cycles(proto_graph), orient_by)
     )
-    if want_full:
-        root = _rarest_label_vertex(proto_graph, label_frequencies)
-        non_local.append(full_walk_constraint(proto_graph, root, orient_by))
+    if wants_full_walk(proto_graph, include_full_walk):
+        non_local.append(rooted_full_walk(proto_graph, label_frequencies, orient_by))
     local = local_constraints(proto_graph)
-    return ConstraintSet(local, non_local, exact_without_full_walk=provably_exact)
+    return ConstraintSet(
+        local, non_local,
+        exact_without_full_walk=exact_without_full_walk(proto_graph),
+    )
+
+
+def exact_without_full_walk(proto_graph: Graph) -> bool:
+    """A tree with distinct labels: its LCC fixed point is provably exact."""
+    return is_tree(proto_graph) and not has_duplicate_labels(proto_graph)
+
+
+def wants_full_walk(proto_graph: Graph, include_full_walk: object) -> bool:
+    """Whether the ``include_full_walk`` policy appends the full walk."""
+    return include_full_walk is True or (
+        include_full_walk == "auto" and not exact_without_full_walk(proto_graph)
+    )
+
+
+def rooted_full_walk(
+    proto_graph: Graph,
+    label_frequencies: Optional[Dict[int, int]],
+    orient_by: Frequencies = None,
+) -> NonLocalConstraint:
+    """The full walk :func:`generate_constraints` appends, rooted at the
+    rarest-label vertex."""
+    root = _rarest_label_vertex(proto_graph, label_frequencies)
+    return full_walk_constraint(proto_graph, root, orient_by)
 
 
 def _rarest_label_vertex(

@@ -252,7 +252,13 @@ def matches_from_paths(
 
 
 def distinct_match_count(prototype: Prototype, mapping_count: int) -> int:
-    """Convert a mapping count into a distinct-subgraph count."""
+    """Convert a mapping count into a distinct-subgraph count.
+
+    No mappings are no subgraphs: the automorphism count is read (and, on
+    a prototype's first read, computed) only for a non-zero count.
+    """
+    if mapping_count == 0:
+        return 0
     autos = prototype.automorphisms
     if mapping_count % autos:
         raise PipelineError(

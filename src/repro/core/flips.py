@@ -41,7 +41,7 @@ from .pipeline import (
     planner_for,
     search_one,
 )
-from .prototypes import Prototype
+from .prototypes import Prototype, prototype_key
 from .results import PrototypeSearchOutcome
 from .state import NlccCache
 from .template import PatternTemplate
@@ -55,34 +55,43 @@ def generate_flip_variants(
     """All connected variants within ``flips`` edge swaps of the template.
 
     The original template is variant 0.  Mandatory edges are never removed
-    (added edges are considered optional in subsequent flips).  Variants
-    are de-duplicated by label-preserving isomorphism.
+    (added edges are considered optional in subsequent flips).  The search
+    frontier is de-duplicated by :func:`~repro.core.prototypes.prototype_key`
+    — label-preserving isomorphism that maps mandatory edges onto
+    mandatory edges, since two shapes whose mandatory edges sit elsewhere
+    allow different flips — and one variant is returned per shape
+    (label-preserving isomorphism alone), the first one reached.
+    ``max_variants`` bounds the frontier classes explored.
     """
     if flips < 0:
         raise TemplateError("flips must be non-negative")
-    seen = {canonical_form(template.graph): template}
+    mandatory = template.mandatory_edges
+    explored = {prototype_key(template.graph, mandatory)}
+    shapes = {canonical_form(template.graph): template}
     frontier = [template]
     counter = itertools.count(1)
     for _round in range(flips):
         next_frontier: List[PatternTemplate] = []
         for variant in frontier:
             for flipped in _single_flips(variant):
-                key = canonical_form(flipped.graph)
-                if key in seen:
+                key = prototype_key(flipped.graph, mandatory)
+                if key in explored:
                     continue
-                if max_variants is not None and len(seen) >= max_variants:
+                if max_variants is not None and len(explored) >= max_variants:
                     raise TemplateError(
                         f"flip variant budget exceeded ({max_variants})"
                     )
-                named = PatternTemplate(
-                    flipped.graph,
-                    mandatory_edges=flipped.mandatory_edges,
-                    name=f"{template.name}~flip{next(counter)}",
-                )
-                seen[key] = named
-                next_frontier.append(named)
+                explored.add(key)
+                next_frontier.append(flipped)
+                shape = canonical_form(flipped.graph)
+                if shape not in shapes:
+                    shapes[shape] = PatternTemplate(
+                        flipped.graph,
+                        mandatory_edges=mandatory,
+                        name=f"{template.name}~flip{next(counter)}",
+                    )
         frontier = next_frontier
-    return list(seen.values())
+    return list(shapes.values())
 
 
 def _single_flips(template: PatternTemplate) -> List[PatternTemplate]:

@@ -12,15 +12,16 @@ Two optimizations from the paper:
   time first) scheduling given per-prototype cost estimates.
 
 :class:`ConstraintPlanner` applies the first for every driver, lazily: a
-prototype's walks are generated and ordered on the first read of its
-:class:`ConstraintPlan`, which ``search_prototype`` makes only when the
-first LCC fixpoint leaves a live vertex.
+prototype's :class:`ConstraintPlan` builds walks only when
+``search_prototype`` asks it to select (after the first LCC fixpoint
+left a live vertex), and then only up to its decision — the complete
+list is generated and ordered only for a plan that keeps it.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..graph.graph import Graph
 from . import constraints as constraint_builder
@@ -30,10 +31,15 @@ from .constraints import (
     PATH_KIND,
     TDS_KIND,
     ConstraintSelection,
+    Cycles,
     NonLocalConstraint,
-    has_duplicate_labels,
-    is_tree,
+    exact_without_full_walk,
+    prefilter_constraints,
+    prefilter_count,
     reverse_visits_rarer_first,
+    rooted_full_walk,
+    simple_cycles,
+    wants_full_walk,
 )
 from .cost_estimation import (
     GraphStatistics,
@@ -117,37 +123,56 @@ class ConstraintPlanner:
     def plan(self, proto_graph: Graph) -> "ConstraintPlan":
         return ConstraintPlan(self, proto_graph)
 
+    @property
+    def _orient_by(self) -> Optional[Dict[int, int]]:
+        """The frequencies walks are turned rare-labels-first by at
+        construction: only the frequency ordering orients."""
+        if self.ordering and self.ordering != "walk-cost":
+            return self.label_frequencies
+        return None
+
     def build(self, proto_graph: Graph) -> List[NonLocalConstraint]:
         """Generate and order ``proto_graph``'s non-local constraints now."""
-        by_cost = self.ordering == "walk-cost"
-        by_frequency = bool(self.ordering) and not by_cost
+        orient_by = self._orient_by
         # through the module attribute: the e2e trace and the tests rebind
         # ``constraints.generate_constraints`` to see the builds that happen
         non_local = constraint_builder.generate_constraints(
             proto_graph, self.label_frequencies, self.include_full_walk,
-            orient=by_frequency,
+            orient=orient_by is not None,
         ).non_local
-        if not by_cost:
+        if self.ordering != "walk-cost":
             return order_constraints(
-                non_local, self.label_frequencies, optimize=by_frequency
+                non_local, self.label_frequencies, optimize=bool(self.ordering)
             )
         if self._walk_stats is None:
             self._walk_stats = GraphStatistics.from_graph(self.graph)
         return order_constraints_by_cost(non_local, self._walk_stats)
 
+    def full_walk(self, proto_graph: Graph) -> NonLocalConstraint:
+        """The complete list's full walk, built alone."""
+        return rooted_full_walk(proto_graph, self.label_frequencies, self._orient_by)
+
+    def prefilters(
+        self, proto_graph: Graph, cycles: Cycles
+    ) -> Iterator[NonLocalConstraint]:
+        """The complete list's pre-filters in generation order, one at a
+        time, oriented as the complete list orients them."""
+        return prefilter_constraints(proto_graph, cycles, self._orient_by)
+
 
 class ConstraintPlan:
-    """One prototype's constraints in checking order, built on first read
-    of ``non_local`` — never, for a prototype whose scope dies in the first
-    LCC fixpoint.  ``exact_without_full_walk`` follows from the prototype's
-    shape alone (a tree with distinct labels) and triggers no build.
-    Duck-types the read side of :class:`~repro.core.constraints.ConstraintSet`.
+    """One prototype's constraints: ``non_local`` is the complete list in
+    checking order, built on first read; :meth:`select` builds walks only
+    up to its decision — nothing, for a prototype whose scope dies in the
+    first LCC fixpoint.  ``exact_without_full_walk`` follows from the
+    prototype's shape alone (a tree with distinct labels) and triggers no
+    build.  Duck-types the read side of
+    :class:`~repro.core.constraints.ConstraintSet`.
     """
 
     def __init__(self, planner: ConstraintPlanner, proto_graph: Graph) -> None:
         self.proto_graph = proto_graph
-        tree = is_tree(proto_graph)
-        self.exact_without_full_walk = tree and not has_duplicate_labels(proto_graph)
+        self.exact_without_full_walk = exact_without_full_walk(proto_graph)
         self._planner = planner
 
     @cached_property
@@ -172,22 +197,39 @@ class ConstraintPlan:
         runs.  Decided from counts, so equal scopes decide equally, and
         answered afresh per scope: a plan is shared, nothing is kept on it.
 
+        The full walk is built and estimated first; the pre-filters are
+        then built one at a time, in generation order, and their
+        estimates added up.  The sum only grows, so the first pre-filter
+        that brings it to the full walk's estimate decides "the full walk
+        alone" exactly as the complete list's sum would, and the rest are
+        never built; their number (``skipped``) follows from the cycles
+        and labels (:func:`~repro.core.constraints.prefilter_count`).
+        Only a plan whose sum never gets there builds the complete list.
+
         Without a full walk there is nothing to fall back on, and without
         an array scope (``astate is None``: the reference backend) the
         paper's complete list runs; both skip nothing.
         """
-        non_local = self.non_local
-        full_walk = self.full_walk()
-        if astate is None or full_walk is None or len(non_local) == 1:
-            return ConstraintSelection(non_local)
-        stats = GraphStatistics.from_scope(astate, self.proto_graph)
-        prefilter_rows = sum(
-            estimate_walk_cost(constraint, stats) for constraint in non_local[:-1]
-        )
+        planner, proto_graph = self._planner, self.proto_graph
+        if astate is None or not wants_full_walk(
+            proto_graph, planner.include_full_walk
+        ):
+            return ConstraintSelection(self.non_local)
+        cycles = simple_cycles(proto_graph)
+        total = prefilter_count(proto_graph, cycles)
+        if total == 0:
+            return ConstraintSelection(self.non_local)
+        stats = GraphStatistics.from_scope(astate, proto_graph)
+        full_walk = planner.full_walk(proto_graph)
         full_walk_rows = estimate_walk_cost(full_walk, stats)
-        if prefilter_rows >= full_walk_rows:
-            non_local = [full_walk]
-        return ConstraintSelection(non_local, prefilter_rows, full_walk_rows)
+        prefilter_rows = 0.0
+        for prefilter in planner.prefilters(proto_graph, cycles):
+            prefilter_rows += estimate_walk_cost(prefilter, stats)
+            if prefilter_rows >= full_walk_rows:
+                return ConstraintSelection(
+                    [full_walk], prefilter_rows, full_walk_rows, total
+                )
+        return ConstraintSelection(self.non_local, prefilter_rows, full_walk_rows)
 
 
 def estimate_prototype_cost(

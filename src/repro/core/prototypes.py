@@ -11,9 +11,10 @@ keeps its dedup key and its automorphism count, so every reader of the
 tree — the drivers' match counting, the batch executor's class index,
 the motif census inversion — reads them off the prototype.
 
-This module owns the key format: :func:`prototype_key` and
-:func:`matching_isomorphism`, the one mandatory-respecting isomorphism
-between key-equal graphs.
+This module owns the key format: :func:`prototype_key`, the
+:func:`keyed_labelling` behind it, and :func:`matching_isomorphism`, the
+one mandatory-respecting isomorphism between key-equal graphs — composed
+from their labellings, so a merged duplicate costs no search.
 
 Counting convention: ``H_{0,0} = H0`` itself is a prototype, so e.g. the
 6-clique with distinct labels yields ``1 + 15 + 105 + 455 + 1365 = 1941``
@@ -26,12 +27,8 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..errors import PrototypeError
 from ..graph.algorithms import is_connected
-from ..graph.graph import Edge, Graph, canonical_edge
-from ..graph.isomorphism import (
-    automorphism_count,
-    canonical_form,
-    find_subgraph_isomorphisms,
-)
+from ..graph.graph import Edge, Graph
+from ..graph.isomorphism import automorphism_count, canonical_labelling
 from .template import PatternTemplate
 
 
@@ -67,10 +64,11 @@ class ChildLink:
 class Prototype:
     """One connected edit-distance-``distance`` variant of the template.
 
-    ``key`` (:func:`prototype_key`) and ``automorphisms`` (the number of
+    ``key`` (:func:`prototype_key`), ``labelling`` (the canonical
+    labelling behind it) and ``automorphisms`` (the number of
     label-preserving automorphisms of ``graph``) are facts of the tree:
-    dedup hands each child the key it computed, and the rest are computed
-    on first read and kept.
+    dedup hands each child the key and labelling it computed, and the
+    rest are computed on first read and kept.
     """
 
     def __init__(
@@ -80,7 +78,7 @@ class Prototype:
         index: int,
         graph: Graph,
         template: PatternTemplate,
-        key: Optional[Tuple] = None,
+        keyed: Optional[Tuple[Tuple, Dict[int, int]]] = None,
     ) -> None:
         self.id = proto_id
         self.distance = distance
@@ -90,15 +88,25 @@ class Prototype:
         self.name = f"k{distance}_p{index}"
         self.child_links: List[ChildLink] = []
         self.parent_links: List[ChildLink] = []
-        self._key = key
+        self._keyed = keyed
         self._automorphisms: Optional[int] = None
 
     # ------------------------------------------------------------------
     @property
     def key(self) -> Tuple:
-        if self._key is None:
-            self._key = prototype_key(self.graph, self.template.mandatory_edges)
-        return self._key
+        return self._keyed_labelling()[0]
+
+    @property
+    def labelling(self) -> Dict[int, int]:
+        """The canonical labelling behind ``key`` (:func:`keyed_labelling`)."""
+        return self._keyed_labelling()[1]
+
+    def _keyed_labelling(self) -> Tuple[Tuple, Dict[int, int]]:
+        if self._keyed is None:
+            self._keyed = keyed_labelling(
+                self.graph, self.template.mandatory_edges
+            )
+        return self._keyed
 
     @property
     def automorphisms(self) -> int:
@@ -193,6 +201,15 @@ def prototype_key(graph: Graph, mandatory_edges: FrozenSet[Edge]) -> Tuple:
     real label, so with both counts equal the dummies of two key-equal
     graphs correspond, and graphs of different templates compare safely.
     """
+    return keyed_labelling(graph, mandatory_edges)[0]
+
+
+def keyed_labelling(
+    graph: Graph, mandatory_edges: FrozenSet[Edge]
+) -> Tuple[Tuple, Dict[int, int]]:
+    """:func:`prototype_key` and the canonical labelling behind it,
+    restricted to ``graph``'s own vertices — what
+    :func:`matching_isomorphism` composes."""
     subdivided = [edge for edge in graph.edges() if edge in mandatory_edges]
     aux = graph
     if subdivided:
@@ -205,32 +222,29 @@ def prototype_key(graph: Graph, mandatory_edges: FrozenSet[Edge]) -> Tuple:
             aux.add_vertex(dummy, reserved)
             aux.add_edge(u, dummy, label)
             aux.add_edge(dummy, v, label)
-    return (graph.num_vertices, len(subdivided), canonical_form(aux))
+    form, position = canonical_labelling(aux)
+    labelling = {v: position[v] for v in graph.vertices()}
+    return (graph.num_vertices, len(subdivided), form), labelling
 
 
 def matching_isomorphism(
-    first: Graph,
-    second: Graph,
-    mandatory_first: FrozenSet[Edge],
-    mandatory_second: FrozenSet[Edge],
+    first: Dict[int, int], second: Dict[int, int]
 ) -> Dict[int, int]:
-    """A label-preserving iso ``first → second`` respecting mandatory edges.
+    """The label-preserving iso ``first graph → second graph`` between
+    two graphs with equal :func:`prototype_key`, from their
+    :func:`keyed_labelling` labellings: the first's followed by the
+    inverse of the second's, O(|V|) and no search.
 
-    Both edge sets hold canonical edges.  ``find_subgraph_isomorphisms``
-    between equal-order, equal-size graphs enumerates exactly the
-    label-preserving isomorphisms; equal :func:`prototype_key` values
-    guarantee at least one of them maps mandatory edges onto mandatory
-    edges.
+    It maps mandatory edges onto mandatory edges and edge labels onto
+    equal labels: the key's form lists the subdivided graph's labels and
+    edges by position, so equal forms make the composition an
+    isomorphism of the subdivided graphs, dummy onto dummy.  Real
+    vertices land on real vertices because equal counts leading the key
+    give both graphs the same largest real label, and every dummy's label
+    exceeds it.
     """
-    for mapping in find_subgraph_isomorphisms(first, second):
-        if all(
-            canonical_edge(mapping[u], mapping[v]) in mandatory_second
-            for u, v in mandatory_first
-        ):
-            return mapping
-    raise PrototypeError(
-        "no mandatory-respecting isomorphism between key-equal graphs"
-    )
+    vertex_at = {position: v for v, position in second.items()}
+    return {v: vertex_at[position] for v, position in first.items()}
 
 
 def generate_prototypes(
@@ -264,11 +278,12 @@ def generate_prototypes(
                 candidate.remove_edge(*edge)
                 if not is_connected(candidate):
                     continue
-                key = prototype_key(candidate, mandatory)
+                keyed = keyed_labelling(candidate, mandatory)
+                key, labelling = keyed
                 child = seen.get(key)
                 if child is None:
                     child = Prototype(
-                        next_id, distance, len(level), candidate, template, key
+                        next_id, distance, len(level), candidate, template, keyed
                     )
                     next_id += 1
                     level.append(child)
@@ -281,9 +296,7 @@ def generate_prototypes(
                         )
                     iso = {v: v for v in candidate.vertices()}
                 else:
-                    iso = matching_isomorphism(
-                        candidate, child.graph, mandatory, mandatory
-                    )
+                    iso = matching_isomorphism(labelling, child.labelling)
                 link = ChildLink(parent, child, edge, iso)
                 parent.child_links.append(link)
                 child.parent_links.append(link)

@@ -7,9 +7,10 @@
    any constraint that eliminated something (Alg. 2 lines #7–9) — the
    plan is asked only if step 1 left a live vertex, which is the one
    event that makes a lazy :class:`~repro.core.ordering.ConstraintPlan`
-   build, and it answers for that scope: the pre-filters of a plan that
-   ends in the full walk run only where they are estimated cheaper than
-   it (:meth:`~repro.core.ordering.ConstraintPlan.select`);
+   build walks, and it answers for that scope: the pre-filters of a plan
+   that ends in the full walk run only where they are estimated cheaper
+   than it (:meth:`~repro.core.ordering.ConstraintPlan.select`, which
+   builds them only up to that decision);
 3. exactness: either the constraint set ends with the full-walk TDS check
    (which reduces the state to exactly the solution subgraph and counts
    match mappings as a by-product), the prototype is a distinct-labeled
@@ -131,7 +132,7 @@ def _search_prototype_body(
     if post_lcc_vertices > 0:
         selection = constraint_set.select(state if in_arrays else None)
         non_local = selection.constraints
-        skipped = len(constraint_set.non_local) - len(non_local)
+        skipped = selection.skipped
         metrics.counter("plan.prefilters_skipped").inc(skipped)
         metrics.counter("plan.prefilters_kept").inc(
             sum(c.kind != FULL_WALK_KIND for c in non_local)

@@ -127,34 +127,27 @@ def simple_cycles_upto(graph: Graph, max_length: int) -> List[Tuple[int, ...]]:
     Intended for small template graphs (the paper's templates have at most a
     handful of vertices); complexity is exponential in ``max_length``.
 
-    A cycle is returned as a vertex tuple without repeating the start, in a
-    canonical rotation/direction so each cycle appears exactly once.
+    A cycle is returned as a vertex tuple without repeating the start, as
+    its lexicographically least rotation over both directions, so each
+    cycle appears exactly once.
     """
-    cycles: Set[Tuple[int, ...]] = set()
-    vertices = sorted(graph.vertices())
-
-    def canonical(cycle: List[int]) -> Tuple[int, ...]:
-        best: Optional[Tuple[int, ...]] = None
-        n = len(cycle)
-        for direction in (cycle, cycle[::-1]):
-            for shift in range(n):
-                rotation = tuple(direction[(shift + i) % n] for i in range(n))
-                if best is None or rotation < best:
-                    best = rotation
-        assert best is not None
-        return best
+    cycles: List[Tuple[int, ...]] = []
 
     def extend(path: List[int], start: int) -> None:
+        # ``start`` is the cycle's least vertex, so its canonical form
+        # begins there; of the two directions, the one whose second
+        # vertex is the smaller — each cycle is recorded exactly once
         head = path[-1]
         for nbr in graph.neighbors(head):
             if nbr == start and len(path) >= 3:
-                cycles.add(canonical(path))
+                if path[1] < path[-1]:
+                    cycles.append(tuple(path))
             elif nbr > start and nbr not in path and len(path) < max_length:
                 path.append(nbr)
                 extend(path, start)
                 path.pop()
 
-    for start in vertices:
+    for start in sorted(graph.vertices()):
         extend([start], start)
     return sorted(cycles)
 

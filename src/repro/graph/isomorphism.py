@@ -9,7 +9,9 @@ Three services live here:
 * :func:`are_isomorphic` / :func:`canonical_form` — full graph isomorphism
   for template prototypes, used to de-duplicate isomorphic prototypes during
   prototype generation (§3.1: "We also perform isomorphism checks to
-  eliminate duplicates").
+  eliminate duplicates"); :func:`canonical_labelling` also returns the
+  labelling behind the form, so an isomorphism between two graphs of
+  equal form is composed, not searched for.
 
 All routines assume the *pattern* side is small (paper templates have 4–8
 vertices); the target graph may be large.
@@ -233,16 +235,30 @@ def canonical_form(graph: Graph) -> Tuple:
     """A canonical, hashable form of a small labeled graph.
 
     Two graphs have equal canonical forms iff they are label-preserving
-    isomorphic (vertex labels, and edge labels when present).  Brute force
-    over permutations within (label, degree) refinement classes — fine for
-    template prototypes (≤ ~9 vertices).
+    isomorphic (vertex labels, and edge labels when present).  The form
+    of :func:`canonical_labelling`.
+    """
+    return canonical_labelling(graph)[0]
+
+
+def canonical_labelling(graph: Graph) -> Tuple[Tuple, Mapping]:
+    """:func:`canonical_form` and the vertex → position labelling that
+    produced it.
+
+    Brute force over permutations within (label, degree) refinement
+    classes — fine for template prototypes (≤ ~9 vertices).  The form
+    lists the labels and the edges by position, so when two graphs have
+    equal forms, the first's labelling followed by the inverse of the
+    second's is a label-preserving isomorphism between them, with no
+    search.  Edge labels are subdivided first; the labelling then also
+    places the subdivision vertices (ids above the graph's own).
     """
     if graph.has_edge_labels:
         graph = _subdivide_edge_labels(graph)
     vertices = sorted(graph.vertices())
     n = len(vertices)
     if n == 0:
-        return ()
+        return (), {}
     # Refine by (label, degree, sorted neighbor labels) to cut permutations.
     def signature(v: int) -> Tuple:
         return (
@@ -255,13 +271,17 @@ def canonical_form(graph: Graph) -> Tuple:
     for v in vertices:
         groups.setdefault(signature(v), []).append(v)
     ordered_groups = [groups[key] for key in sorted(groups)]
-    group_labels = [graph.label(group[0]) for group in ordered_groups]
+    head = (
+        tuple(graph.label(group[0]) for group in ordered_groups),
+        tuple(len(g) for g in ordered_groups),
+    )
 
     best: Optional[Tuple] = None
+    best_position: Mapping = {}
     for permutations in itertools.product(
         *(itertools.permutations(group) for group in ordered_groups)
     ):
-        position: Dict[int, int] = {}
+        position: Mapping = {}
         index = 0
         for perm in permutations:
             for v in perm:
@@ -273,8 +293,7 @@ def canonical_form(graph: Graph) -> Tuple:
                 for u, v in graph.edges()
             )
         )
-        form = (tuple(group_labels), tuple(len(g) for g in ordered_groups), edges)
-        if best is None or form < best:
-            best = form
+        if best is None or edges < best:
+            best, best_position = edges, position
     assert best is not None
-    return best
+    return (*head, best), best_position

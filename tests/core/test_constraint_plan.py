@@ -2,8 +2,9 @@
 
 Guards around :class:`repro.core.ordering.ConstraintPlan`:
 
-* (i) the eager builder runs exactly once per prototype whose post-LCC
-  scope is non-empty and never for the others;
+* (i) walks are built only for a prototype whose post-LCC scope is
+  non-empty, and the eager builder runs once for each such prototype
+  whose plan keeps its complete list, never for the others;
 * (ii) a plan's list equals, element for element, what the drivers used to
   build eagerly (``order_constraints`` / ``order_constraints_by_cost`` over
   ``generate_constraints(...).non_local``) — and, for two templates, the
@@ -155,6 +156,22 @@ def builds(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def constructed(monkeypatch):
+    """Counts ``NonLocalConstraint`` constructions per prototype graph."""
+    calls = collections.Counter()
+    raw_init = constraints_module.NonLocalConstraint.__init__
+
+    def counting(self, kind, walk, labels, proto_graph=None):
+        calls[proto_key(proto_graph)] += 1
+        raw_init(self, kind, walk, labels, proto_graph)
+
+    monkeypatch.setattr(
+        constraints_module.NonLocalConstraint, "__init__", counting
+    )
+    return calls
+
+
 def survivors(result):
     return {
         proto_key(outcome.prototype.graph): 1
@@ -163,32 +180,56 @@ def survivors(result):
     }
 
 
+def keepers(outcomes):
+    """The surviving prototypes whose plan kept its complete list."""
+    return {
+        proto_key(outcome.prototype.graph): 1
+        for outcome in outcomes
+        if outcome.post_lcc_vertices
+        and not outcome.counts.get("plan.prefilters_skipped", 0)
+    }
+
+
 class TestPlannedOnlyWhenScopeSurvivesLcc:
-    def test_exploratory_search(self, builds):
+    """Walks are built only for a scope that survived LCC; the eager
+    builder runs only for a plan that keeps its complete list (a plan
+    answering "the full walk alone" builds walks up to its decision)."""
+
+    def test_exploratory_search(self, builds, constructed):
         graph, template = clique_case()
         result = exploratory_search(graph, template)
         searched = len(result.outcomes())
         assert result.matched_vertices()
-        assert builds == survivors(result)
-        assert 0 < len(builds) < searched
+        assert builds == keepers(result.outcomes())
+        assert constructed.keys() <= survivors(result).keys()
+        assert 0 < len(constructed) < searched
 
     @pytest.mark.parametrize(
         "name, some_die_in_lcc", [("WDC-1", False), ("RMAT-1", True)]
     )
-    def test_run_pipeline(self, builds, name, some_die_in_lcc):
+    def test_run_pipeline(self, builds, constructed, name, some_die_in_lcc):
         _, graph, template, k = CASES[name]
         result = run_pipeline(graph, template, k)
-        assert builds and builds == survivors(result)
-        assert (len(builds) < len(result.outcomes())) == some_die_in_lcc
+        alive = survivors(result)
+        assert builds == keepers(result.outcomes())
+        assert constructed.keys() <= alive.keys()
+        assert builds or constructed
+        assert (len(alive) < len(result.outcomes())) == some_die_in_lcc
 
-    def test_checkpointed_sweep_and_flips_plan_lazily_too(self, builds, tmp_path):
+    def test_checkpointed_sweep_and_flips_plan_lazily_too(
+        self, builds, constructed, tmp_path
+    ):
         _, graph, template, k = CASES["RMAT-1"]
         result = run_pipeline_with_checkpoints(graph, template, k, tmp_path)
-        assert builds == survivors(result)
+        assert builds == keepers(result.outcomes())
+        assert constructed.keys() <= survivors(result).keys()
         builds.clear()
+        constructed.clear()
         flipped = run_flip_pipeline(graph, template, flips=1)
-        alive = [o for o in flipped.outcomes.values() if o.post_lcc_vertices]
-        assert sum(builds.values()) == len(alive) < len(flipped.outcomes)
+        outcomes = list(flipped.outcomes.values())
+        alive = [o for o in outcomes if o.post_lcc_vertices]
+        assert sum(builds.values()) == len(keepers(outcomes))
+        assert len(constructed) <= len(alive) < len(outcomes)
 
 
 # ----------------------------------------------------------------------

@@ -3,10 +3,13 @@
 import hashlib
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core import PatternTemplate, PipelineOptions
 from repro.core.flips import (
+    _single_flips,
     envelope_template,
     generate_flip_variants,
     run_flip_pipeline,
@@ -14,7 +17,7 @@ from repro.core.flips import (
 from repro.errors import TemplateError
 from repro.graph import are_isomorphic, is_connected
 from repro.graph.generators import planted_graph
-from repro.graph.isomorphism import find_subgraph_isomorphisms
+from repro.graph.isomorphism import canonical_form, find_subgraph_isomorphisms
 
 
 def base_template():
@@ -79,6 +82,70 @@ class TestVariantGeneration:
         for variant in generate_flip_variants(template, flips=2):
             assert variant.graph.has_edge(1, 2)
 
+
+
+def mandatory_path(length):
+    """The path 0-1-…-``length``, every label 0, edge (0, 1) mandatory."""
+    return PatternTemplate.from_edges(
+        [(i, i + 1) for i in range(length)], {i: 0 for i in range(length + 1)},
+        mandatory_edges=[(0, 1)],
+    )
+
+
+def shapes_by_bfs(template, flips):
+    """Brute force: every edge set within ``flips`` single flips, no
+    dedup, reduced to its plain shapes at the end."""
+    seen = {frozenset(template.edges()): template}
+    frontier = [template]
+    for _ in range(flips):
+        following = []
+        for variant in frontier:
+            for flipped in _single_flips(variant):
+                edges = frozenset(flipped.edges())
+                if edges not in seen:
+                    seen[edges] = flipped
+                    following.append(flipped)
+        frontier = following
+    return {canonical_form(variant.graph) for variant in seen.values()}
+
+
+class TestShapesBehindMandatoryEdges:
+    """Two variants of one shape whose mandatory edges sit elsewhere allow
+    different flips; merging them loses the shapes only one reaches."""
+
+    @pytest.mark.parametrize("length, flips, shapes", [(4, 2, 3), (5, 3, 6)])
+    def test_every_reachable_shape(self, length, flips, shapes):
+        template = mandatory_path(length)
+        variants = generate_flip_variants(template, flips=flips)
+        forms = [canonical_form(v.graph) for v in variants]
+        assert len(set(forms)) == len(forms) == shapes
+        assert set(forms) == shapes_by_bfs(template, flips)
+        assert variants[0] is template
+        assert all(v.graph.has_edge(0, 1) for v in variants)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(3, 5).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                st.lists(st.integers(0, 2 ** n), min_size=n - 1, max_size=n - 1),
+                st.integers(0, 2),
+            )
+        ),
+        st.integers(1, 2),
+    )
+    def test_against_brute_force(self, drawn, flips):
+        n, labels, parents, mandatory_count = drawn
+        edges = [(parent % (v + 1), v + 1) for v, parent in enumerate(parents)]
+        template = PatternTemplate.from_edges(
+            edges, dict(enumerate(labels)),
+            mandatory_edges=edges[:mandatory_count],
+        )
+        variants = generate_flip_variants(template, flips=flips)
+        forms = [canonical_form(v.graph) for v in variants]
+        assert len(set(forms)) == len(forms)
+        assert set(forms) == shapes_by_bfs(template, flips)
 
 class TestEnvelope:
     def test_envelope_covers_all_variants(self):

@@ -1,10 +1,16 @@
 """Tests for prototype generation — counts, links, dedup, invariants."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core import PatternTemplate, clique_template, generate_prototypes
 from repro.core.motifs import motif_prototypes
-from repro.core.prototypes import prototype_key
+from repro.core.prototypes import (
+    keyed_labelling,
+    matching_isomorphism,
+    prototype_key,
+)
 from repro.core.patterns import (
     imdb1_template,
     rdt1_template,
@@ -15,7 +21,7 @@ from repro.core.patterns import (
 )
 from repro.errors import PrototypeError
 from repro.graph import are_isomorphic, automorphism_count, is_connected
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, canonical_edge
 
 
 def fig3_template():
@@ -178,6 +184,121 @@ class TestMandatoryEdges:
         assert len(level1) == 2
         assert not are_isomorphic(level1[0].graph, level1[1].graph)
 
+
+
+def assert_link_isomorphisms(tree):
+    """Every ``ChildLink.iso`` is a label-, edge-label- and
+    mandatory-preserving isomorphism of ``parent − removed edge`` onto the
+    child."""
+    mandatory = tree.template.mandatory_edges
+    for proto in tree:
+        for link in proto.child_links:
+            reduced = proto.graph.copy()
+            reduced.remove_edge(*link.removed_edge)
+            child, iso = link.child.graph, link.iso
+            assert sorted(iso) == sorted(reduced.vertices())
+            assert sorted(iso.values()) == sorted(child.vertices())
+            assert reduced.num_edges == child.num_edges
+            for v in reduced.vertices():
+                assert child.label(iso[v]) == reduced.label(v)
+            for u, v in reduced.edges():
+                image = canonical_edge(iso[u], iso[v])
+                assert child.has_edge(*image)
+                assert child.edge_label(*image) == reduced.edge_label(u, v)
+                assert (image in mandatory) == ((u, v) in mandatory)
+
+
+@st.composite
+def link_templates(draw):
+    """4-6 vertices, labels drawn from two values (so repeats are the
+    rule), some edges labelled, some mandatory."""
+    n = draw(st.integers(4, 6))
+    graph = Graph()
+    for v in range(n):
+        graph.add_vertex(v, draw(st.integers(0, 1)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    extra = [e for e in pairs if e not in tree and draw(st.booleans())]
+    edges = tree + extra
+    for u, v in edges:
+        graph.add_edge(u, v, draw(st.sampled_from([None, None, 5, 6])))
+    mandatory = [e for e in edges if draw(st.integers(0, 4)) == 0]
+    return PatternTemplate(graph, mandatory_edges=mandatory)
+
+
+class TestLinkIsomorphisms:
+    """A merged duplicate's iso is composed from canonical labellings."""
+
+    @pytest.mark.parametrize(
+        "make, k",
+        [
+            pytest.param(lambda: clique_template(5, labels=[0, 0, 1, 1, 1]), 3,
+                         id="repeated-labels"),
+            pytest.param(wdc4_template, 3, id="wdc4"),
+            pytest.param(
+                lambda: PatternTemplate(
+                    wdc4_template().graph,
+                    mandatory_edges=[
+                        e for e in wdc4_template().edges() if e[1] >= 4
+                    ],
+                ),
+                4, id="wdc4-mandatory-spokes",
+            ),
+        ],
+    )
+    def test_trees(self, make, k):
+        assert_link_isomorphisms(generate_prototypes(make(), k))
+
+    def test_edge_labels_and_mandatory_edges(self):
+        graph = Graph()
+        for v in range(5):
+            graph.add_vertex(v, 0)
+        for u, v, label in [
+            (0, 1, 1), (1, 2, None), (2, 3, 1), (3, 4, None), (4, 0, 2),
+            (0, 2, None), (1, 3, 2),
+        ]:
+            graph.add_edge(u, v, label)
+        template = PatternTemplate(graph, mandatory_edges=[(0, 1), (3, 4)])
+        tree = generate_prototypes(template, 3)
+        merged = sum(
+            len(proto.child_links) for proto in tree
+        ) - (len(tree) - 1)
+        assert merged > 0  # some children were duplicates
+        assert_link_isomorphisms(tree)
+
+    @settings(max_examples=40, deadline=None)
+    @given(link_templates())
+    def test_random_templates(self, template):
+        assert_link_isomorphisms(generate_prototypes(template, 2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(link_templates(), st.randoms(use_true_random=False))
+    def test_matching_isomorphism_of_a_relabelled_copy(self, template, rng):
+        # a copy under a random vertex renaming has the same key, and the
+        # composed labellings map the template onto it, mandatory edges
+        # onto mandatory edges
+        ids = sorted(template.vertices())
+        image = dict(zip(ids, rng.sample(range(10, 10 + len(ids)), len(ids))))
+        copy = Graph()
+        for v in ids:
+            copy.add_vertex(image[v], template.label(v))
+        for u, v in template.edges():
+            copy.add_edge(image[u], image[v], template.graph.edge_label(u, v))
+        mandatory = frozenset(
+            canonical_edge(image[u], image[v])
+            for u, v in template.mandatory_edges
+        )
+        key, labelling = keyed_labelling(template.graph, template.mandatory_edges)
+        copy_key, copy_labelling = keyed_labelling(copy, mandatory)
+        assert key == copy_key
+        iso = matching_isomorphism(labelling, copy_labelling)
+        for v in ids:
+            assert copy.label(iso[v]) == template.label(v)
+        for u, v in template.edges():
+            image_edge = canonical_edge(iso[u], iso[v])
+            assert copy.edge_label(*image_edge) == template.graph.edge_label(u, v)
+            assert (image_edge in mandatory) == ((u, v) in template.mandatory_edges)
+        assert sorted(iso.values()) == sorted(copy.vertices())
 
 #: every tree TestPaperCounts counts, plus the 3-, 4- and 5-motif trees
 PAPER_TREES = [

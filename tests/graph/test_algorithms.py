@@ -111,6 +111,21 @@ class TestSimpleCycles:
     def test_tree_has_no_cycles(self):
         assert simple_cycles_upto(path_graph(6), 6) == []
 
+    def test_each_cycle_once_in_its_least_rotation(self):
+        k6 = from_edges([(u, v) for u in range(6) for v in range(u + 1, 6)])
+        cycles = simple_cycles_upto(k6, 6)
+        # C(6, l) vertex sets, (l - 1)! / 2 cycles on each
+        assert len(cycles) == 20 * 1 + 15 * 3 + 6 * 12 + 1 * 60
+        for cycle in cycles:
+            n = len(cycle)
+            rotations = [
+                tuple(order[(shift + i) % n] for i in range(n))
+                for order in (cycle, cycle[::-1])
+                for shift in range(n)
+            ]
+            assert cycle == min(rotations)
+        assert cycles == sorted(set(cycles))
+
     def test_two_triangles_sharing_vertex(self):
         g = from_edges([(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
         cycles = simple_cycles_upto(g, 6)
