@@ -30,12 +30,10 @@ alone on the line directly above.  For a multi-line statement the
 comment may sit on the statement's *first* line (or alone above it) and
 covers violations anchored to any of its continuation lines.
 
-Rules come in two tiers: the per-file AST rules (R1–R3, R5, R7, R8; R4
-and R6 retired) always run; rules marked ``deep = True`` (R10, R12, R13,
-the interprocedural call-graph / effects pass behind ``repro analyze``;
-R9 and R11 retired) join only
-when ``run_lint(..., deep=True)`` or an explicit ``rule_ids`` selects
-them.
+The rules are per-file and cross-file AST passes: R1–R3, R5, R7 and R8.
+Retired ids are never reused: R4, R6, R9 and R11 went with the code they
+guarded, and the interprocedural tier (R10, R12, R13) became runtime
+checks and tests (docs/INTERNALS.md §14).
 """
 
 from __future__ import annotations
@@ -223,9 +221,6 @@ class Project:
         self.root = root
         self.modules = list(modules)
         self.by_rel_path = {m.rel_path: m for m in self.modules}
-        #: shared per-project analysis artifacts (call graph, effect
-        #: summaries) memoized across the deep rules — built once per run
-        self.cache: Dict[str, object] = {}
 
     @classmethod
     def load(
@@ -273,15 +268,6 @@ class Rule:
     rationale: str = ""
     #: restrict the per-module pass to the hot kernel modules
     hot_modules_only: bool = False
-    #: interprocedural rules (call graph / effects) run only under
-    #: ``repro analyze`` / ``repro lint --deep`` or an explicit --rule
-    deep: bool = False
-    #: the enforced contract, printed by ``repro lint --explain`` (falls
-    #: back to the class docstring when empty)
-    contract: str = ""
-    #: minimal failing / corrected snippet pair for ``--explain``
-    example_bad: str = ""
-    example_good: str = ""
 
     def check_project(self, project: Project) -> Iterator[Violation]:
         for module in project.modules:
@@ -311,7 +297,7 @@ def register_rule(rule_cls: type) -> type:
 
 def all_rules() -> Dict[str, Rule]:
     """The registry (importing the rule modules populates it)."""
-    from . import deep_rules, rules  # noqa: F401  (registration side effect)
+    from . import rules  # noqa: F401  (registration side effect)
 
     return dict(_REGISTRY)
 
@@ -433,15 +419,12 @@ def run_lint(
     rule_ids: Optional[Sequence[str]] = None,
     baseline: Optional[Baseline] = None,
     paths: Optional[Sequence[Path]] = None,
-    deep: bool = False,
 ) -> LintReport:
     """Check every python file under ``root`` against the registered rules.
 
     ``rule_ids`` restricts the pass; ``baseline`` partitions findings
     into new vs accepted.  Suppression comments are honored before the
-    baseline is consulted.  ``deep=True`` adds the interprocedural rules
-    (``Rule.deep``) to the default set; an explicit ``rule_ids`` always
-    runs exactly what it names.
+    baseline is consulted.
     """
     registry = all_rules()
     if rule_ids:
@@ -453,10 +436,7 @@ def run_lint(
             )
         rules = [registry[r] for r in rule_ids]
     else:
-        rules = [
-            registry[r] for r in sorted(registry, key=rule_sort_key)
-            if deep or not registry[r].deep
-        ]
+        rules = [registry[r] for r in sorted(registry, key=rule_sort_key)]
 
     project = Project.load(Path(root), paths=paths)
     found: List[Violation] = list(project.parse_errors)

@@ -1,6 +1,8 @@
 """Command-line runner shared by ``repro lint`` and ``python -m``.
 
-Exit codes: 0 clean (modulo baseline), 1 new violations, 2 usage error.
+Every run checks the registered AST rules (R1–R3, R5, R7, R8), or only
+those ``--rule`` names.  Exit codes: 0 clean (modulo baseline), 1 new
+violations, 2 usage error.
 """
 
 from __future__ import annotations
@@ -61,14 +63,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="print the registered rules and exit",
     )
     parser.add_argument(
-        "--deep", action="store_true",
-        help="include the interprocedural rules (R10, R12, R13: call "
-             "graph / effects — what `repro analyze` runs)",
-    )
-    parser.add_argument(
         "--explain", metavar="ID",
-        help="print a rule's contract and a minimal bad/good example "
-             "pair, then exit",
+        help="print a rule's rationale and contract, then exit",
     )
 
 
@@ -124,23 +120,11 @@ def _explain_rule(rule_id: str) -> int:
             file=sys.stderr,
         )
         return 2
-    tier = " [deep: repro analyze / lint --deep]" if rule.deep else ""
-    print(f"{rule.id}  {rule.title}{tier}")
+    print(f"{rule.id}  {rule.title}")
     print(f"why: {rule.rationale}")
-    contract = rule.contract or (rule.__doc__ or "").strip()
     print()
     print("contract:")
-    print(f"  {contract}")
-    if rule.example_bad:
-        print()
-        print("bad:")
-        for line in rule.example_bad.rstrip("\n").splitlines():
-            print(f"  {line}")
-    if rule.example_good:
-        print()
-        print("good:")
-        for line in rule.example_good.rstrip("\n").splitlines():
-            print(f"  {line}")
+    print(f"  {(rule.__doc__ or '').strip()}")
     return 0
 
 
@@ -151,8 +135,7 @@ def lint_from_args(args: argparse.Namespace) -> int:
         registry = all_rules()
         for rule_id in sorted(registry, key=rule_sort_key):
             rule = registry[rule_id]
-            tier = " [deep]" if rule.deep else ""
-            print(f"{rule_id}{tier}  {rule.title} — {rule.rationale}")
+            print(f"{rule_id}  {rule.title} — {rule.rationale}")
         return 0
 
     try:
@@ -184,8 +167,7 @@ def lint_from_args(args: argparse.Namespace) -> int:
 
     try:
         report = run_lint(
-            root, rule_ids=args.rules, baseline=baseline, paths=files,
-            deep=getattr(args, "deep", False),
+            root, rule_ids=args.rules, baseline=baseline, paths=files
         )
     except ValueError as error:  # unknown rule id
         print(f"error: {error}", file=sys.stderr)

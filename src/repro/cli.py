@@ -14,11 +14,8 @@ Python:
   against brute force (small graphs);
 * ``lint``        — project-specific AST invariant checks (optional-int
   truthiness, options threading, tracer guards, hot-loop hygiene,
-  batched template execution —
-  docs/INTERNALS.md §10);
-* ``analyze``     — interprocedural static analysis: the lint pass plus
-  the call-graph / effects rules (resident immutability, dtype contract,
-  options threading — docs/INTERNALS.md §14);
+  batched template execution, metric accumulation — docs/INTERNALS.md
+  §10 and §14);
 * ``batch``       — template-library batch search: several template JSON
   files run through one compiled library sharing kernels, prototypes,
   the ``M*`` traversal and auxiliary pruned views (docs/INTERNALS.md
@@ -373,14 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_lint_arguments(lint)
     lint.set_defaults(func=command_lint)
-
-    analyze = commands.add_parser(
-        "analyze",
-        help="interprocedural static analysis — call-graph / effects "
-             "rules R10, R12, R13 on top of the lint pass (INTERNALS.md §14)",
-    )
-    add_lint_arguments(analyze)
-    analyze.set_defaults(func=command_lint, deep=True)
 
     batch = commands.add_parser(
         "batch",

@@ -168,7 +168,9 @@ class RoleKernel:
 
         Built with numpy on first use and kept on the kernel (``survive``
         once per rule: LCC and each distinct set of mandatory masks), so
-        every fixpoint call over a cached kernel reuses them.
+        every fixpoint call over a cached kernel reuses them.  Both are
+        read-only: the kernel is shared through ``cached_kernel``, and a
+        store into either table raises ``ValueError``.
         """
         nbits = len(self.roles)
         if nbits > TABLE_MAX_ROLES:
@@ -181,8 +183,10 @@ class RoleKernel:
         tables = self._tables
         if key not in tables:
             tables[key] = _survive_table(self._neighbor_row(), key)
+            tables[key].setflags(write=False)
         if "union" not in tables:
             tables["union"] = _union_table(self._neighbor_row())
+            tables["union"].setflags(write=False)
         return tables[key], tables["union"]
 
     def _neighbor_row(self) -> np.ndarray:

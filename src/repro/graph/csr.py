@@ -366,9 +366,9 @@ class GraphCsr:
         :meth:`Graph.over_csr` facade over this CSR's own arrays.  Parked
         in the ``_lazy`` holder the CSR was constructed with, as
         ``index_of`` is: the CSR itself stays store-free after
-        construction (lint R10).  Properties, not ``__getattr__``: a class
-        that defines ``__getattr__`` loses the interpreter's fast
-        attribute path for every slot read.
+        construction (its arrays are read-only).  Properties, not
+        ``__getattr__``: a class that defines ``__getattr__`` loses the
+        interpreter's fast attribute path for every slot read.
         """
         lazy = self._lazy
         if "graph" not in lazy:

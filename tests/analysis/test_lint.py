@@ -35,41 +35,21 @@ def rules_fired(report):
 
 
 class TestRegistry:
-    def test_all_nine_rules_registered(self):
+    def test_all_six_rules_registered(self):
         # R4 (fallback parity) is retired: its dispatch switches are gone;
-        # R6, R9 and R11 guarded the deleted process pool
-        assert set(all_rules()) == {
-            "R1", "R2", "R3", "R5", "R7", "R8", "R10", "R12", "R13",
-        }
-
-    def test_deep_tier_split(self):
-        registry = all_rules()
-        deep = {rule_id for rule_id, rule in registry.items() if rule.deep}
-        assert deep == {"R10", "R12", "R13"}
-
-    def test_default_run_excludes_deep_rules(self, tmp_path):
-        report = run_lint(tmp_path)
-        assert not any(r in report.rules_run for r in ("R10", "R12", "R13"))
-        deep_report = run_lint(tmp_path, deep=True)
-        assert set(deep_report.rules_run) == set(all_rules())
+        # R6, R9 and R11 guarded the deleted process pool; R10, R12 and
+        # R13 are runtime checks and tests (test_kernels, test_walk_revisit,
+        # test_options_threading)
+        assert set(all_rules()) == {"R1", "R2", "R3", "R5", "R7", "R8"}
 
     def test_rules_run_in_natural_order(self, tmp_path):
-        report = run_lint(tmp_path, deep=True)
-        assert report.rules_run == [
-            "R1", "R2", "R3", "R5", "R7", "R8", "R10", "R12", "R13",
-        ]
+        report = run_lint(tmp_path)
+        assert report.rules_run == ["R1", "R2", "R3", "R5", "R7", "R8"]
 
     def test_rules_carry_rationales(self):
         for rule in all_rules().values():
             assert rule.title
             assert rule.rationale
-
-    def test_deep_rules_carry_explain_material(self):
-        for rule in all_rules().values():
-            if rule.deep:
-                assert rule.contract
-                assert rule.example_bad
-                assert rule.example_good
 
     def test_unknown_rule_id_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown rule"):
@@ -606,15 +586,6 @@ class TestRunnerCli:
         out = capsys.readouterr().out
         for rule_id in ("R1", "R2", "R3", "R5"):
             assert rule_id in out
-        assert "R13 [deep]" in out
-
-    def test_explain_prints_contract_and_examples(self, capsys):
-        assert main(["--explain", "R10"]) == 0
-        out = capsys.readouterr().out
-        assert "resident-state-immutability" in out
-        assert "contract:" in out
-        assert "bad:" in out
-        assert "good:" in out
 
     def test_explain_shallow_rule_falls_back_to_docstring(self, capsys):
         assert main(["--explain", "R1"]) == 0
@@ -625,13 +596,6 @@ class TestRunnerCli:
     def test_explain_unknown_rule_is_usage_error(self, capsys):
         assert main(["--explain", "R99"]) == 2
         assert "unknown rule" in capsys.readouterr().err
-
-    def test_deep_flag_runs_interprocedural_rules(self, tmp_path, capsys):
-        self._seed(tmp_path)
-        assert main([str(tmp_path), "--deep", "--json"]) == 1
-        document = json.loads(capsys.readouterr().out)
-        assert "R10" in document["rules_run"]
-        assert "R13" in document["rules_run"]
 
 
 class TestSelfCheck:

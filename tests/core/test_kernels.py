@@ -213,6 +213,19 @@ class TestWholeMaskTables:
         assert kernel.role_tables(dict(mandatory))[0] is mstar[0]
         assert mstar[1] is lcc[1]  # one union table serves both rules
 
+    def test_tables_are_read_only(self):
+        # a cached kernel's tables are shared by every fixpoint call over
+        # it: a store into one must fail, not leak into the next run
+        kernel = compile_kernel(template_pool()[0].graph)
+        mandatory = kernel.mandatory_masks([(2, 3)])
+        for rule in (None, mandatory):
+            for table in kernel.role_tables(rule):
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0] = 1
+                with pytest.raises(ValueError):
+                    table |= np.uint64(1)
+
     def test_too_many_roles_keep_the_per_bit_path(self):
         roles = TABLE_MAX_ROLES + 1
         graph = Graph()

@@ -149,13 +149,21 @@ def check_csr_invariants(csr):
     assert (csr.indices[csr.mirror] == csr.src).all()
     assert (csr.src != csr.indices).all()
     assert (csr.vid_gt == (csr.order[csr.indices] > csr.order[csr.src])).all()
-    for slot in (
-        "order", "indptr", "indices", "src", "mirror", "pair_keys", "degrees",
-        "zero_degree", "label_codes", "vid_gt", "pair_code",
+    # resident arrays are frozen and keep their dtypes: int64 index and
+    # code columns (numpy refuses float indices), bool flag columns
+    for slot, dtype in (
+        ("order", np.int64), ("indptr", np.int64), ("indices", np.int64),
+        ("src", np.int64), ("mirror", np.int64), ("pair_keys", np.int64),
+        ("degrees", np.int64), ("label_codes", np.int64),
+        ("pair_code", np.int64), ("zero_degree", np.bool_),
+        ("vid_gt", np.bool_),
     ):
-        assert not getattr(csr, slot).flags.writeable, slot
+        array = getattr(csr, slot)
+        assert not array.flags.writeable, slot
+        assert array.dtype == dtype, (slot, array.dtype)
     if csr.edge_label_codes is not None:
         assert not csr.edge_label_codes.flags.writeable
+        assert csr.edge_label_codes.dtype == np.int64
         assert (csr.edge_label_codes[csr.mirror] == csr.edge_label_codes).all()
     assert not hasattr(csr, "pair_edges")
 
