@@ -24,9 +24,12 @@ exit 0 (precision, recall and match counts exact): the tail makes the
 template non-Eulerian, so its full walk walks an edge back and takes the
 retrace path of the array token walk.  ``repro motifs --size 4`` runs on
 the first graph with and without ``--batched``: both must exit 0 and
-print the same count table.  Last, ``repro report`` renders the first
-trace.  The trace is left on disk so CI can upload it as a
-build artifact.
+print the same count table.  ``repro explore --json`` runs on the first
+graph with the template closed by one more edge and its tail mandatory:
+it must exit 0 with the schema, and each level it searched must count
+the prototypes ``generate_prototypes`` puts at that distance.  Last,
+``repro report`` renders the first trace.  The trace is left on disk so
+CI can upload it as a build artifact.
 
 Run from the repo root::
 
@@ -43,12 +46,19 @@ from pathlib import Path
 
 from repro.cli import main as cli_main
 from repro.analysis.runreport import derived_metrics, load_report
+from repro.core import PatternTemplate, generate_prototypes
 from repro.core.results import SCHEMA
 from repro.graph import io as graph_io
 from repro.graph.generators import planted_graph
 
 TEMPLATE_EDGES = [(0, 1), (1, 2), (2, 0), (2, 3)]
 TEMPLATE_LABELS = [1, 2, 3, 4]
+
+#: the exploratory search's template: the planted one plus the edge
+#: (0, 3), which the planted copies lack, so k = 0 finds nothing and the
+#: search relaxes; the tail (2, 3) is mandatory
+EXPLORE_EDGES = TEMPLATE_EDGES + [(0, 3)]
+EXPLORE_MANDATORY = [(2, 3)]
 
 #: background labels of the sparse-label graph: 40 % of its vertices
 #: carry a template label (the first graph's default gives 86 %)
@@ -196,6 +206,7 @@ def check(workdir: Path, out_path: Path) -> int:
     ):
         problems.extend(audit_problems(edges, labels, template_path))
     problems.extend(motif_problems(graph_path))
+    problems.extend(explore_problems(workdir, graph_path, labels_path))
 
     if problems:
         print("trace smoke FAILED:")
@@ -227,6 +238,42 @@ def audit_problems(graph_path: Path, labels_path: Path, template_path: Path):
     if rc != 0:
         return [f"repro audit on {graph_path.name} exited with {rc}"]
     return []
+
+
+def explore_problems(workdir: Path, graph_path: Path, labels_path: Path):
+    """Where ``repro explore --json`` fails, misses the schema, or counts
+    a searched level's prototypes differently from the prototype tree."""
+    template_path = workdir / "explore.json"
+    template_path.write_text(json.dumps({
+        "edges": [list(edge) for edge in EXPLORE_EDGES],
+        "labels": {str(i): l for i, l in enumerate(TEMPLATE_LABELS)},
+        "mandatory_edges": [list(edge) for edge in EXPLORE_MANDATORY],
+        "name": "tri+tail+chord",
+    }))
+    rc, document = cli_json([
+        "explore", str(graph_path), "--labels", str(labels_path),
+        str(template_path), "--json",
+    ])
+    if rc != 0:
+        return [f"repro explore exited with {rc}"]
+    problems = []
+    if document.get("schema") != SCHEMA:
+        problems.append(
+            f"explore document schema is {document.get('schema')!r}, "
+            f"not {SCHEMA}"
+        )
+    template = PatternTemplate.from_edges(
+        EXPLORE_EDGES, dict(enumerate(TEMPLATE_LABELS)),
+        mandatory_edges=EXPLORE_MANDATORY,
+    )
+    expected = generate_prototypes(template, document["k"]).level_counts()
+    searched = [level["prototypes"] for level in document["levels"]]
+    if len(searched) < 2 or searched != expected[: len(searched)]:
+        problems.append(
+            f"explore searched levels with {searched} prototypes; the tree "
+            f"counts {expected}"
+        )
+    return problems
 
 
 def motif_problems(graph_path: Path):

@@ -69,10 +69,10 @@ HOT_MODULE_BASENAMES = frozenset({"lcc.py", "nlcc.py", "csr.py", "kernels.py"})
 #: module names inside them never make a same-named module elsewhere hot)
 HOT_PACKAGE_DIRS = frozenset({"arraystate"})
 
-#: the driver set every PipelineOptions field must be threaded through
+#: the modules that take PipelineOptions: R2 looks for field reads here
 DRIVER_BASENAMES = frozenset(
-    {"search.py", "pipeline.py", "topdown.py", "restart.py", "parallel.py",
-     "naive.py"}
+    {"search.py", "pipeline.py", "topdown.py", "restart.py", "naive.py",
+     "flips.py", "motifs.py", "batch.py", "wildcards.py"}
 )
 
 _SUPPRESS_RE = re.compile(

@@ -8,8 +8,10 @@ violations, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
+import textwrap
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -124,7 +126,7 @@ def _explain_rule(rule_id: str) -> int:
     print(f"why: {rule.rationale}")
     print()
     print("contract:")
-    print(f"  {(rule.__doc__ or '').strip()}")
+    print(textwrap.indent(inspect.cleandoc(rule.__doc__ or ""), "  "))
     return 0
 
 

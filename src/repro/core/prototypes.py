@@ -11,6 +11,11 @@ keeps its dedup key and its automorphism count, so every reader of the
 tree — the drivers' match counting, the batch executor's class index,
 the motif census inversion — reads them off the prototype.
 
+A prototype is ``H0`` minus the optional edges set in ``Prototype.mask``.
+A level memoizes mask → (child, iso), so a child reached from a second
+parent costs nothing, and canonically labels a new child only when a
+cheap invariant puts it beside a known prototype (INTERNALS.md §1).
+
 This module owns the key format: :func:`prototype_key`, the
 :func:`keyed_labelling` behind it, and :func:`matching_isomorphism`, the
 one mandatory-respecting isomorphism between key-equal graphs — composed
@@ -26,7 +31,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..errors import PrototypeError
-from ..graph.algorithms import is_connected
 from ..graph.graph import Edge, Graph
 from ..graph.isomorphism import automorphism_count, canonical_labelling
 from .template import PatternTemplate
@@ -79,6 +83,7 @@ class Prototype:
         graph: Graph,
         template: PatternTemplate,
         keyed: Optional[Tuple[Tuple, Dict[int, int]]] = None,
+        mask: int = 0,
     ) -> None:
         self.id = proto_id
         self.distance = distance
@@ -89,6 +94,8 @@ class Prototype:
         self.child_links: List[ChildLink] = []
         self.parent_links: List[ChildLink] = []
         self._keyed = keyed
+        #: the edges of ``template.edges()`` this prototype lacks, as bits
+        self.mask = mask
         self._automorphisms: Optional[int] = None
 
     # ------------------------------------------------------------------
@@ -124,16 +131,8 @@ class Prototype:
 
     def removed_edges(self) -> List[Edge]:
         """Edges of ``H0`` absent from this prototype."""
-        return [
-            e for e in self.template.graph.edges() if not self.graph.has_edge(*e)
-        ]
-
-    def optional_edges(self) -> List[Edge]:
-        """This prototype's edges that may still be removed."""
-        return [
-            e for e in sorted(self.graph.edges())
-            if e not in self.template.mandatory_edges
-        ]
+        edges = self.template.edges()
+        return [e for i, e in enumerate(edges) if self.mask >> i & 1]
 
     def children(self) -> List["Prototype"]:
         return [link.child for link in self.child_links]
@@ -247,6 +246,47 @@ def matching_isomorphism(
     return {v: vertex_at[position] for v, position in first.items()}
 
 
+class _EdgeMasks:
+    """H0's edges numbered in ``template.edges()`` order, so connectivity
+    and the dedup invariant are read off a mask without building a graph."""
+
+    def __init__(self, template: PatternTemplate) -> None:
+        index = {v: i for i, v in enumerate(template.vertices())}
+        self.labels = [template.label(v) for v in index]
+        #: per vertex: (neighbour index, edge bit, edge class)
+        self.incident: List[List[Tuple[int, int, int]]] = [[] for _ in index]
+        #: (bit, edge) of every optional edge
+        self.optional: List[Tuple[int, Edge]] = []
+        classes: Dict[Tuple, int] = {}
+        for i, (u, v) in enumerate(template.edges()):
+            mandatory = (u, v) in template.mandatory_edges
+            ends = sorted((template.label(u), template.label(v)))
+            edge_class = classes.setdefault(
+                (*ends, template.graph.edge_label(u, v), mandatory), len(classes)
+            )
+            self.incident[index[u]].append((index[v], 1 << i, edge_class))
+            self.incident[index[v]].append((index[u], 1 << i, edge_class))
+            if not mandatory:
+                self.optional.append((1 << i, (u, v)))
+
+    def connected(self, mask: int) -> bool:
+        seen, stack = 1, [0]
+        while stack:
+            for w, bit, _ in self.incident[stack.pop()]:
+                if not mask & bit and not seen >> w & 1:
+                    seen |= 1 << w
+                    stack.append(w)
+        return seen == (1 << len(self.labels)) - 1
+
+    def invariant(self, mask: int) -> Tuple:
+        """Per vertex, its label and its kept edges' classes (end labels,
+        edge label, mandatory flag): equal for key-equal graphs."""
+        return tuple(sorted(
+            (label, tuple(sorted(c for _, bit, c in edges if not mask & bit)))
+            for label, edges in zip(self.labels, self.incident)
+        ))
+
+
 def generate_prototypes(
     template: PatternTemplate,
     k: int,
@@ -262,44 +302,51 @@ def generate_prototypes(
         raise PrototypeError("edit-distance k must be non-negative")
     k = min(k, template.max_meaningful_distance())
     mandatory = template.mandatory_edges
+    masks = _EdgeMasks(template)
 
-    next_id = 0
-    root = Prototype(next_id, 0, 0, template.graph.copy(), template)
-    next_id += 1
+    root = Prototype(0, 0, 0, template.graph, template)  # H0 itself, not a copy
     levels: List[List[Prototype]] = [[root]]
     total = 1
 
     for distance in range(1, k + 1):
-        seen: Dict[Tuple, Prototype] = {}
+        #: removed-edge mask -> (child, iso), or None when disconnected
+        memo: Dict[int, Optional[Tuple[Prototype, Dict[int, int]]]] = {}
+        buckets: Dict[Tuple, List[Prototype]] = {}
         level: List[Prototype] = []
-        for parent in levels[distance - 1]:
-            for edge in parent.optional_edges():
-                candidate = parent.graph.copy()
-                candidate.remove_edge(*edge)
-                if not is_connected(candidate):
+        for parent in levels[-1]:
+            for bit, edge in masks.optional:
+                mask = parent.mask | bit
+                if mask == parent.mask:
                     continue
-                keyed = keyed_labelling(candidate, mandatory)
-                key, labelling = keyed
-                child = seen.get(key)
-                if child is None:
-                    child = Prototype(
-                        next_id, distance, len(level), candidate, template, keyed
-                    )
-                    next_id += 1
-                    level.append(child)
-                    seen[key] = child
-                    total += 1
-                    if max_prototypes is not None and total > max_prototypes:
-                        raise PrototypeError(
-                            f"prototype budget exceeded ({max_prototypes}); "
-                            f"lower k or raise the budget"
+                if mask not in memo and masks.connected(mask):
+                    graph = parent.graph.copy()
+                    graph.remove_edge(*edge)
+                    members = buckets.setdefault(masks.invariant(mask), [])
+                    keyed = None
+                    if members:  # only a collision pays a canonical labelling
+                        keyed = key, labelling = keyed_labelling(graph, mandatory)
+                        memo[mask] = next((
+                            (other, matching_isomorphism(labelling, other.labelling))
+                            for other in members if other.key == key
+                        ), None)
+                    if memo.get(mask) is None:
+                        child = Prototype(
+                            total, distance, len(level), graph, template, keyed, mask
                         )
-                    iso = {v: v for v in candidate.vertices()}
-                else:
-                    iso = matching_isomorphism(labelling, child.labelling)
-                link = ChildLink(parent, child, edge, iso)
-                parent.child_links.append(link)
-                child.parent_links.append(link)
+                        total += 1
+                        if max_prototypes is not None and total > max_prototypes:
+                            raise PrototypeError(
+                                f"prototype budget exceeded ({max_prototypes}); "
+                                f"lower k or raise the budget"
+                            )
+                        level.append(child)
+                        members.append(child)
+                        memo[mask] = (child, {v: v for v in graph.vertices()})
+                found = memo.setdefault(mask, None)
+                if found is not None:
+                    link = ChildLink(parent, found[0], edge, found[1])
+                    parent.child_links.append(link)
+                    found[0].parent_links.append(link)
         if not level:
             break
         levels.append(level)

@@ -147,6 +147,29 @@ class TestR2OptionsThreading:
         assert report.clean
 
 
+    def test_field_read_only_in_batch_is_consumed(self, tmp_path):
+        # batch.py takes PipelineOptions like the bottom-up drivers do
+        report = lint_files(tmp_path, {
+            "pipeline.py": """\
+                from dataclasses import dataclass
+
+                @dataclass
+                class PipelineOptions:
+                    num_ranks: int = 4
+                    batch_only: bool = False
+                """,
+            "naive.py": """\
+                def use(options):
+                    return options.num_ranks
+                """,
+            "batch.py": """\
+                def schedule(options):
+                    return options.batch_only
+                """,
+        }, rules=["R2"])
+        assert report.clean
+
+
 class TestR3TracerGuard:
     def test_unguarded_span_add_fires(self, tmp_path):
         report = lint_files(tmp_path, {"lcc.py": """\
@@ -587,11 +610,17 @@ class TestRunnerCli:
         for rule_id in ("R1", "R2", "R3", "R5"):
             assert rule_id in out
 
-    def test_explain_shallow_rule_falls_back_to_docstring(self, capsys):
-        assert main(["--explain", "R1"]) == 0
+    def test_explain_prints_the_docstring_dedented(self, capsys):
+        assert main(["--explain", "R5"]) == 0
         out = capsys.readouterr().out
-        assert "R1" in out
-        assert "contract:" in out
+        assert out.startswith("R5")
+        contract = out.split("contract:\n", 1)[1].splitlines()
+        assert contract[0].startswith("  Vectorization-undoing patterns")
+        # every line of the docstring sits at the same two-space indent
+        assert all(
+            line.startswith("  ") and not line.startswith("   ")
+            for line in contract if line
+        )
 
     def test_explain_unknown_rule_is_usage_error(self, capsys):
         assert main(["--explain", "R99"]) == 2

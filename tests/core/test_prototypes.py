@@ -1,10 +1,13 @@
 """Tests for prototype generation — counts, links, dedup, invariants."""
 
+import itertools
+
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 
 from repro.core import PatternTemplate, clique_template, generate_prototypes
+from repro.core import prototypes as prototypes_module
 from repro.core.motifs import motif_prototypes
 from repro.core.prototypes import (
     keyed_labelling,
@@ -209,17 +212,28 @@ def assert_link_isomorphisms(tree):
 
 
 @st.composite
-def link_templates(draw):
-    """4-6 vertices, labels drawn from two values (so repeats are the
-    rule), some edges labelled, some mandatory."""
-    n = draw(st.integers(4, 6))
+def small_templates(draw):
+    """3-6 vertices, labels drawn from two values (so repeats are the
+    rule), some edges labelled, some mandatory.  A draw with a ``split``
+    is two blocks joined by a single edge, so a bridge is among its edges."""
+    n = draw(st.integers(3, 6))
+    split = draw(st.one_of(st.none(), st.integers(1, n - 1)))
     graph = Graph()
     for v in range(n):
         graph.add_vertex(v, draw(st.integers(0, 1)))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
-    extra = [e for e in pairs if e not in tree and draw(st.booleans())]
-    edges = tree + extra
+
+    def block(v):
+        return 0 if split is None or v < split else 1
+
+    tree = []
+    for v in range(1, n):
+        low = 0 if v == split or block(v) == 0 else split
+        tree.append((draw(st.integers(low, v - 1)), v))
+    pairs = [
+        (u, v) for u in range(n) for v in range(u + 1, n)
+        if block(u) == block(v) and (u, v) not in tree
+    ]
+    edges = tree + [e for e in pairs if draw(st.booleans())]
     for u, v in edges:
         graph.add_edge(u, v, draw(st.sampled_from([None, None, 5, 6])))
     mandatory = [e for e in edges if draw(st.integers(0, 4)) == 0]
@@ -267,12 +281,7 @@ class TestLinkIsomorphisms:
         assert_link_isomorphisms(tree)
 
     @settings(max_examples=40, deadline=None)
-    @given(link_templates())
-    def test_random_templates(self, template):
-        assert_link_isomorphisms(generate_prototypes(template, 2))
-
-    @settings(max_examples=40, deadline=None)
-    @given(link_templates(), st.randoms(use_true_random=False))
+    @given(small_templates(), st.randoms(use_true_random=False))
     def test_matching_isomorphism_of_a_relabelled_copy(self, template, rng):
         # a copy under a random vertex renaming has the same key, and the
         # composed labellings map the template onto it, mandatory edges
@@ -359,3 +368,240 @@ class TestGuards:
 
     def test_at_beyond_max_is_empty(self):
         assert generate_prototypes(fig3_template(), 1).at(9) == []
+
+
+def find_isomorphism(a, b, mandatory):
+    """A bijection ``a → b`` preserving labels, edges, edge labels and
+    mandatory edges, or ``None``: backtracking over label- and
+    degree-preserving assignments, independent of canonical labelling."""
+    if a.num_edges != b.num_edges:
+        return None
+    order = sorted(a.vertices())
+
+    def edge_facts(graph, u, v):
+        return graph.edge_label(u, v), canonical_edge(u, v) in mandatory
+
+    def extend(image):
+        if len(image) == len(order):
+            return dict(image)
+        v = order[len(image)]
+        for w in b.vertices():
+            if (
+                w in image.values()
+                or b.label(w) != a.label(v)
+                or b.degree(w) != a.degree(v)
+            ):
+                continue
+            if all(
+                a.has_edge(u, v) == b.has_edge(image[u], w)
+                and (
+                    not a.has_edge(u, v)
+                    or edge_facts(a, u, v) == edge_facts(b, image[u], w)
+                )
+                for u in image
+            ):
+                image[v] = w
+                found = extend(image)
+                if found is not None:
+                    return found
+                del image[v]
+        return None
+
+    return extend({})
+
+
+def brute_force_classes(template, k):
+    """Per level ``d``: every connected ``H0`` minus ``d`` optional edges,
+    grouped into isomorphism classes by :func:`find_isomorphism`."""
+    mandatory = template.mandatory_edges
+    levels = []
+    for d in range(k + 1):
+        classes = []
+        for removed in itertools.combinations(template.optional_edges(), d):
+            graph = template.graph.copy()
+            for edge in removed:
+                graph.remove_edge(*edge)
+            if not is_connected(graph):
+                continue
+            for members in classes:
+                if find_isomorphism(graph, members[0], mandatory) is not None:
+                    members.append(graph)
+                    break
+            else:
+                classes.append([graph])
+        if not classes:
+            break
+        levels.append(classes)
+    return levels
+
+
+def has_bridge(template):
+    for edge in template.edges():
+        graph = template.graph.copy()
+        graph.remove_edge(*edge)
+        if not is_connected(graph):
+            return True
+    return False
+
+
+class TestGeneratedOracle:
+    """The tree against brute force over edge subsets (§3.1): each level
+    holds one prototype per isomorphism class of the connected ``H0``
+    minus that many optional edges."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_templates(), st.integers(1, 3))
+    def test_tree_equals_brute_force(self, template, k):
+        tree = generate_prototypes(template, k)
+        mandatory = template.mandatory_edges
+        classes = brute_force_classes(template, k)
+        assert tree.level_counts() == [len(level) for level in classes]
+        for level, level_classes in zip(tree.levels, classes):
+            found = [
+                next(
+                    i for i, members in enumerate(level_classes)
+                    if find_isomorphism(proto.graph, members[0], mandatory)
+                    is not None
+                )
+                for proto in level
+            ]
+            assert sorted(found) == list(range(len(level_classes)))
+
+        keys = [proto.key for proto in tree]
+        assert len(set(keys)) == len(keys)
+        searched = min(k, template.max_meaningful_distance())
+        for proto in tree:
+            edges = set(proto.graph.edges())
+            assert mandatory <= edges <= set(template.edges())
+            assert len(proto.removed_edges()) == proto.distance
+            assert proto.num_edges == template.num_edges - proto.distance
+            if proto.distance == searched:
+                continue
+            # one link per optional edge whose removal stays connected
+            expected = []
+            for edge in sorted(edges - mandatory):
+                graph = proto.graph.copy()
+                graph.remove_edge(*edge)
+                if is_connected(graph):
+                    expected.append(edge)
+            assert [link.removed_edge for link in proto.child_links] == expected
+        assert_link_isomorphisms(tree)
+
+    def test_strategy_draws_bridges(self):
+        template = find(small_templates(), has_bridge)
+        assert has_bridge(template)
+
+
+def clique_explore_template():
+    """The clique-explore benchmark's template: the WDC-4 6-clique whose
+    spokes to vertices 4 and 5 are mandatory (six optional edges)."""
+    clique = wdc4_template()
+    return PatternTemplate(
+        clique.graph,
+        mandatory_edges=[e for e in clique.edges() if e[1] >= 4],
+    )
+
+
+def reference_levels(template, k):
+    """Each level's ``(key, edges)`` the way generation worked before
+    children were keyed by edge mask: copy the parent, remove the edge,
+    test connectivity, key every connected child, keep the first of each
+    key."""
+    levels = [[template.graph]]
+    for _ in range(k):
+        seen = {}
+        for parent in levels[-1]:
+            for edge in sorted(parent.edges()):
+                if edge in template.mandatory_edges:
+                    continue
+                child = parent.copy()
+                child.remove_edge(*edge)
+                if is_connected(child):
+                    seen.setdefault(
+                        prototype_key(child, template.mandatory_edges), child
+                    )
+        if not seen:
+            break
+        levels.append(list(seen.values()))
+    return [
+        [
+            (prototype_key(graph, template.mandatory_edges), sorted(graph.edges()))
+            for graph in level
+        ]
+        for level in levels
+    ]
+
+
+class TestGenerationCost:
+    """A child reached twice is one subset: it is copied once, and
+    canonical labelling runs only where two subsets could be isomorphic."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"copy": 0, "canonical": 0}
+        copy = Graph.copy
+        canonical = prototypes_module.canonical_labelling
+
+        def counted_copy(graph):
+            counts["copy"] += 1
+            return copy(graph)
+
+        def counted_canonical(graph):
+            counts["canonical"] += 1
+            return canonical(graph)
+
+        monkeypatch.setattr(Graph, "copy", counted_copy)
+        monkeypatch.setattr(
+            prototypes_module, "canonical_labelling", counted_canonical
+        )
+        return counts
+
+    def test_clique_explore_copies_each_subset_once(self, calls):
+        template = clique_explore_template()
+        calls["copy"] = 0
+        tree = generate_prototypes(template, 4)
+        copies, canonical = calls["copy"], calls["canonical"]
+        reached = {
+            frozenset(proto.removed_edges()) | {edge}
+            for proto in tree if proto.distance < 4
+            for edge in proto.graph.edges()
+            if edge not in template.mandatory_edges
+        }
+        assert len(reached) == 56 and len(tree) == 57
+        assert copies <= len(reached)
+        assert canonical == 0
+
+    def test_distinct_label_clique_never_canonicalises(self, calls):
+        tree = generate_prototypes(wdc4_template(), 4)
+        assert len(tree) == 1941
+        assert calls["canonical"] == 0
+
+    def test_labelling_runs_only_on_a_collision(self, calls):
+        # of the square's three children, removing an optional edge next
+        # to the mandatory one (two ways) gives isomorphic paths; the
+        # opposite removal moves the mandatory edge inside the path
+        template = PatternTemplate.from_edges(
+            [(0, 1), (1, 2), (2, 3), (3, 0)],
+            labels={0: 0, 1: 0, 2: 0, 3: 0},
+            mandatory_edges=[(0, 1)],
+        )
+        assert generate_prototypes(template, 1).level_counts() == [1, 2]
+        assert calls["canonical"] == 2  # the newcomer and its bucket's member
+
+    @pytest.mark.parametrize("template, k", [
+        pytest.param(clique_template(4, labels=[0] * 4), 3, id="4-motif"),
+        pytest.param(clique_explore_template(), 4, id="clique-explore"),
+        pytest.param(
+            PatternTemplate(
+                clique_template(5, labels=[0, 0, 1, 1, 1]).graph,
+                mandatory_edges=[(0, 1), (2, 3)],
+            ),
+            3, id="repeated-labels-mandatory",
+        ),
+    ])
+    def test_levels_match_the_reference(self, template, k):
+        tree = generate_prototypes(template, k)
+        assert [
+            [(proto.key, sorted(proto.graph.edges())) for proto in level]
+            for level in tree.levels
+        ] == reference_levels(template, k)
