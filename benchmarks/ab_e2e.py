@@ -3,17 +3,19 @@
     python3 benchmarks/ab_e2e.py --parent HEAD~1 --workload token-storm \
         --pairs 10 --seed 100
 
-puts each side into a fresh directory — the committed files of ``--parent``
-(``git archive``; nothing is registered in ``.git``) and a copy of this
-checkout's files as they are now, uncommitted edits included (tracked and
-unignored files; set-up time differs by ~5 % between a checkout with
-``.git`` and caches and a bare export of the same code, so both sides get
-the bare form) — then runs ``benchmarks/e2e/run.py --workload W --seed S
---trace 0 --out …`` once per side and pair: pair ``i`` uses seed ``--seed +
-i`` on both sides, the parent goes first on even pairs and the change on odd
-ones.  Each side runs the benchmark files of its own tree, so the comparison
-only means something while ``benchmarks/e2e/`` is identical on both —
-checked up front.
+exports each side once — the committed files of ``--parent`` (``git
+archive``; nothing is registered in ``.git``) and a copy of this checkout's
+files as they are now, uncommitted edits included (tracked and unignored
+files; set-up time differs by ~5 % between a checkout with ``.git`` and
+caches and a bare export of the same code, so both sides get the bare form)
+— then runs ``benchmarks/e2e/run.py --workload W --seed S --trace 0 --out
+…`` once per side and pair: pair ``i`` uses seed ``--seed + i`` on both
+sides, the parent goes first on even pairs and the change on odd ones.
+Every pair runs from fresh copies of the two exports, removed after the
+pair, so no one copy's on-disk and in-process layout recurs in every pair
+and reads as a verdict.  Each side runs the benchmark files of its own
+tree, so the comparison only means something while ``benchmarks/e2e/`` is
+identical on both — checked up front.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints both medians
 with their quartiles, wins/pairs (ties count for neither side) and one
@@ -163,23 +165,33 @@ def run_side(tree: Path, workload: str, seed: int, seconds: Optional[float],
     return json.loads(out.read_text())
 
 
-def run_pairs(trees: Dict[str, Path], workload: str, args, workdir: Path):
-    """``args.pairs`` runs per side, alternating which side goes first."""
+def run_pairs(exports: Dict[str, Path], workload: str, args, workdir: Path):
+    """``args.pairs`` runs per side, alternating which side goes first,
+    each pair from its own fresh copies of the two exports."""
     runs: Dict[str, List[dict]] = {"parent": [], "change": []}
     for pair in range(args.pairs):
         seed = args.seed + pair
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        for side in order:
-            out = workdir / side / f"{workload}.s{seed}.json"
-            out.parent.mkdir(parents=True, exist_ok=True)
-            document = run_side(trees[side], workload, seed, args.seconds, out)
-            runs[side].append(document)
-            print(
-                f"  {workload} pair {pair} seed {seed} {side:6s} "
-                f"wall_s {document['metrics']['wall_s']['value']:.4g} "
-                f"failed {document['failed']}/{document['attempted']}",
-                flush=True,
-            )
+        trees = {
+            side: workdir / f"{side}-run.{workload}.s{seed}" for side in exports
+        }
+        try:
+            for side in order:
+                shutil.copytree(exports[side], trees[side], symlinks=True)
+            for side in order:
+                out = workdir / side / f"{workload}.s{seed}.json"
+                out.parent.mkdir(parents=True, exist_ok=True)
+                document = run_side(trees[side], workload, seed, args.seconds, out)
+                runs[side].append(document)
+                print(
+                    f"  {workload} pair {pair} seed {seed} {side:6s} "
+                    f"wall_s {document['metrics']['wall_s']['value']:.4g} "
+                    f"failed {document['failed']}/{document['attempted']}",
+                    flush=True,
+                )
+        finally:
+            for tree in trees.values():
+                shutil.rmtree(tree, ignore_errors=True)
     return runs
 
 
@@ -269,18 +281,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="ab_e2e."))
-    trees = {side: workdir / f"{side}-tree" for side in ("parent", "change")}
+    exports = {side: workdir / f"{side}-tree" for side in ("parent", "change")}
     report: Dict[str, dict] = {}
     try:
-        for tree in trees.values():
+        for tree in exports.values():
             if tree.exists():
                 shutil.rmtree(tree)
-        export_ref(args.parent, trees["parent"])
-        export_checkout(trees["change"])
-        if not same_benchmark(trees):
+        export_ref(args.parent, exports["parent"])
+        export_checkout(exports["change"])
+        if not same_benchmark(exports):
             raise SystemExit("benchmarks/e2e differs between the two sides")
         for workload in args.workload:
-            runs = run_pairs(trees, workload, args, workdir)
+            runs = run_pairs(exports, workload, args, workdir)
             report[workload] = summarize(
                 workload, runs, args, spec["end_to_end"]
             )

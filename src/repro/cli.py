@@ -12,10 +12,6 @@ Python:
   a trace, its span tree and per-phase / per-constraint breakdowns;
 * ``audit``       — run a search and verify its 100% precision/recall
   against brute force (small graphs);
-* ``lint``        — project-specific AST invariant checks (optional-int
-  truthiness, options threading, tracer guards, hot-loop hygiene,
-  batched template execution, metric accumulation — docs/INTERNALS.md
-  §10 and §14);
 * ``batch``       — template-library batch search: several template JSON
   files run through one compiled library sharing kernels, prototypes,
   the ``M*`` traversal and auxiliary pruned views (docs/INTERNALS.md
@@ -209,12 +205,6 @@ def command_audit(args: argparse.Namespace) -> int:
     return 0 if report.exact else 1
 
 
-def command_lint(args: argparse.Namespace) -> int:
-    from .analysis.lint.runner import lint_from_args
-
-    return lint_from_args(args)
-
-
 def command_batch(args: argparse.Namespace) -> int:
     from .core import BatchQuery, run_batch
 
@@ -361,15 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("template", help="template JSON file")
     audit.add_argument("-k", type=int, default=1, help="edit distance")
     audit.set_defaults(func=command_audit)
-
-    lint = commands.add_parser(
-        "lint",
-        help="project-specific AST invariant checks (INTERNALS.md §10)",
-    )
-    from .analysis.lint.runner import add_lint_arguments
-
-    add_lint_arguments(lint)
-    lint.set_defaults(func=command_lint)
 
     batch = commands.add_parser(
         "batch",

@@ -8,8 +8,9 @@ compiles the whole library once and shares everything shareable:
 
 * **Classes** — queries are grouped into label-isomorphism classes by
   :func:`~repro.core.prototypes.prototype_key`, the key prototype dedup
-  uses.  Each class compiles one prototype tree and one
-  :class:`~repro.core.kernels.RoleKernel`, and runs one background
+  uses.  Each class compiles one prototype tree, compiles its
+  :class:`~repro.core.kernels.RoleKernel` once through the process-wide
+  kernel cache (on first use, inside its run), and runs one background
   ``M*`` traversal through a shared
   :class:`~repro.core.candidate_set.CandidateSetMemo`.
 * **Families** — exact (``k = 0``) classes on the same vertex count are
@@ -37,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..errors import PrototypeError, TemplateError
 from ..graph.graph import Graph
 from .candidate_set import CandidateSetMemo
-from .kernels import cached_kernel, kernel_cache_stats
+from .kernels import kernel_cache_stats
 from .ordering import estimate_prototype_cost
 from .pipeline import PipelineOptions, run_pipeline
 from .prototypes import (
@@ -121,7 +122,6 @@ class TemplateClass:
         self.queries: List[BatchQuery] = []
         self.isos: List[Dict[int, int]] = []
         self.prototypes: Optional[PrototypeSet] = None
-        self.kernel = None
         #: set when a family absorbed this class (k = 0 classes only)
         self.family: Optional["TemplateFamily"] = None
 
@@ -257,7 +257,7 @@ class TemplateLibrary:
                 self.families.append(family)
 
     def _compile(self) -> None:
-        """Attach kernels and (k-clamped) prototype trees per run.
+        """Attach the (k-clamped) prototype tree of each run.
 
         A root whose tree :meth:`_absorb` generated keeps it when the run
         goes as deep as the tree does (the tree was generated at the
@@ -273,7 +273,6 @@ class TemplateLibrary:
                 cls.prototypes = generate_prototypes(
                     cls.representative, k_run, self.max_prototypes
                 )
-            cls.kernel = cached_kernel(cls.representative.graph)
 
     # ------------------------------------------------------------------
     def root_classes(self) -> List[TemplateClass]:

@@ -256,8 +256,9 @@ def structural_fingerprint(graph: Graph) -> Tuple:
 #: process-wide compiled-kernel table, keyed by structural fingerprint
 _KERNEL_CACHE: Dict[Tuple, RoleKernel] = {}
 
-#: cumulative cache traffic (registry counters per lint rule R8),
-#: surfaced by the batch executor's counters and the per-run metrics
+#: cumulative cache traffic in registry counters, surfaced by the batch
+#: executor's counters and the per-run metrics (every counter a run
+#: moves reaches its report: ``tests/core/test_run_report.py``)
 _KERNEL_CACHE_METRICS = MetricsRegistry()
 _M_KERNEL_HITS = _KERNEL_CACHE_METRICS.counter("cache.kernel.hits")
 _M_KERNEL_MISSES = _KERNEL_CACHE_METRICS.counter("cache.kernel.misses")

@@ -181,7 +181,8 @@ def count_motifs_sequential(
     Runs one independent exact pipeline per connected ``size``-vertex
     motif — recomputing kernels, prototypes and the ``M*`` traversal
     from scratch each time — exactly the per-template pattern the batch
-    executor replaces (and lint rule R7 flags elsewhere).
+    executor replaces; kept as the batched census's baseline, not a
+    pattern for new multi-template code.
     """
     import dataclasses
 
@@ -192,7 +193,7 @@ def count_motifs_sequential(
     prototypes = motif_prototypes(size).all()
     noninduced: Dict[int, int] = {}
     result: Optional[PipelineResult] = None
-    for proto in prototypes:  # repro-lint: ignore[R7]
+    for proto in prototypes:
         result = run_pipeline(graph, _motif_query_template(proto), 0, options)
         distinct = result.total_distinct_matches()
         if distinct is None:

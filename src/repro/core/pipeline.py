@@ -522,7 +522,7 @@ def _reload_requested(options: PipelineOptions) -> bool:
 
     ``reload_ranks`` is Optional[int]; ``reload_ranks=0`` must disable
     the reload exactly like None instead of leaking a falsy int into the
-    flag or the rank arithmetic (repro-lint R1).
+    flag or the rank arithmetic (``tests/test_source_contracts.py``).
     """
     return options.reload_ranks is not None and options.reload_ranks != 0
 

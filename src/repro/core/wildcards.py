@@ -150,7 +150,7 @@ def run_wildcard_pipeline(
     # the batch executor's class sharing buys nothing here — but routing
     # the sweep through run_batch would still share the per-class caches;
     # kept on the direct loop until wildcard batching is profiled.
-    for instantiation in instantiations(template, graph, max_instantiations):  # repro-lint: ignore[R7]
+    for instantiation in instantiations(template, graph, max_instantiations):
         result = run_pipeline(graph, instantiation, k, options)
         merged.per_instantiation[instantiation.name] = result
         merged.total_simulated_seconds += result.total_simulated_seconds

@@ -7,9 +7,16 @@ ignored.  Each driver here runs with ``num_ranks=3`` (the default is 4),
 and a spy on :func:`~repro.core.pipeline.search_one`, the one place a
 prototype search is made, checks that every search it makes runs on a
 three-rank partition.
+
+The same drivers, run untraced on either backend, keep the hot modules
+(:data:`HOT_MODULES`) off the tracer: a spy on the null tracer's
+methods finds no call with a hot-module frame on its stack.  Counter
+arithmetic in a hot loop must sit behind ``tracer.enabled``, so an
+untraced run pays one attribute check and nothing else.
 """
 
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +36,7 @@ from repro.core import pipeline
 from repro.core.restart import resume_pipeline, run_pipeline_with_checkpoints
 from repro.core.wildcards import WILDCARD, run_wildcard_pipeline
 from repro.graph.generators import gnm_graph, planted_graph
+from repro.runtime import trace
 
 RANKS = 3
 assert PipelineOptions().num_ranks != RANKS
@@ -60,9 +68,9 @@ def unlabeled():
     return gnm_graph(30, 70, num_labels=1, seed=7)
 
 
-def resumed(graph, tmp_path, searches):
+def resumed(graph, tmp_path, searches, opts):
     """Crash a default-options run after its first level, then resume it
-    with ``options()``: only the resumed searches are checked."""
+    with ``opts``: only the resumed searches are checked."""
     k = 1
     with pytest.raises(RuntimeError, match="injected failure"):
         run_pipeline_with_checkpoints(
@@ -70,37 +78,37 @@ def resumed(graph, tmp_path, searches):
             fail_after_level=k,
         )
     searches.clear()
-    return resume_pipeline(graph, TEMPLATE, tmp_path, options())
+    return resume_pipeline(graph, TEMPLATE, tmp_path, opts)
 
 
 DRIVERS = {
-    "run_pipeline": lambda g, u, tmp, s: run_pipeline(g, TEMPLATE, 1, options()),
-    "exploratory_search": lambda g, u, tmp, s: exploratory_search(
+    "run_pipeline": lambda g, u, tmp, s, o: run_pipeline(g, TEMPLATE, 1, o),
+    "exploratory_search": lambda g, u, tmp, s, o: exploratory_search(
         g, TEMPLATE, max_k=1, stop_condition=lambda level: False,
-        options=options(),
+        options=o,
     ),
-    "count_motifs": lambda g, u, tmp, s: count_motifs(
-        u, 3, options=options(), batched=False
+    "count_motifs": lambda g, u, tmp, s, o: count_motifs(
+        u, 3, options=o, batched=False
     ),
-    "count_motifs_batched": lambda g, u, tmp, s: count_motifs(
-        u, 3, options=options(), batched=True
+    "count_motifs_batched": lambda g, u, tmp, s, o: count_motifs(
+        u, 3, options=o, batched=True
     ),
-    "count_motifs_sequential": lambda g, u, tmp, s: count_motifs_sequential(
-        u, 3, options=options()
+    "count_motifs_sequential": lambda g, u, tmp, s, o: count_motifs_sequential(
+        u, 3, options=o
     ),
-    "naive_search": lambda g, u, tmp, s: naive_search(g, TEMPLATE, 1, options()),
-    "run_flip_pipeline": lambda g, u, tmp, s: run_flip_pipeline(
-        g, TEMPLATE, flips=1, options=options()
+    "naive_search": lambda g, u, tmp, s, o: naive_search(g, TEMPLATE, 1, o),
+    "run_flip_pipeline": lambda g, u, tmp, s, o: run_flip_pipeline(
+        g, TEMPLATE, flips=1, options=o
     ),
-    "run_wildcard_pipeline": lambda g, u, tmp, s: run_wildcard_pipeline(
-        g, WILD, 1, options()
+    "run_wildcard_pipeline": lambda g, u, tmp, s, o: run_wildcard_pipeline(
+        g, WILD, 1, o
     ),
-    "run_pipeline_with_checkpoints": lambda g, u, tmp, s: (
-        run_pipeline_with_checkpoints(g, TEMPLATE, 1, tmp, options())
+    "run_pipeline_with_checkpoints": lambda g, u, tmp, s, o: (
+        run_pipeline_with_checkpoints(g, TEMPLATE, 1, tmp, o)
     ),
-    "resume_pipeline": lambda g, u, tmp, s: resumed(g, tmp, s),
-    "run_batch": lambda g, u, tmp, s: run_batch(
-        g, [BatchQuery(TEMPLATE, 1)], options()
+    "resume_pipeline": lambda g, u, tmp, s, o: resumed(g, tmp, s, o),
+    "run_batch": lambda g, u, tmp, s, o: run_batch(
+        g, [BatchQuery(TEMPLATE, 1)], o
     ),
 }
 
@@ -134,6 +142,49 @@ def searches(monkeypatch):
 def test_every_search_sees_the_callers_options(
     driver, graph, unlabeled, tmp_path, searches
 ):
-    DRIVERS[driver](graph, unlabeled, tmp_path / "ckpt", searches)
+    DRIVERS[driver](graph, unlabeled, tmp_path / "ckpt", searches, options())
     assert searches, f"{driver} made no prototype search"
     assert set(searches) == {RANKS}
+
+
+HOT_MODULES = (
+    "core/lcc.py", "core/nlcc.py", "core/kernels.py", "graph/csr.py",
+    "core/arraystate/",
+)
+
+
+@pytest.fixture
+def tracer_calls(monkeypatch):
+    """Per null-tracer call: the hot-module frames on its stack."""
+    calls = []
+
+    def spied(cls, method):
+        original = getattr(cls, method)
+
+        def spy(*args, **kwargs):
+            frame, hot = sys._getframe(1), []
+            while frame is not None:
+                path = Path(frame.f_code.co_filename).as_posix()
+                hot += [path for module in HOT_MODULES
+                        if f"/repro/{module}" in path]
+                frame = frame.f_back
+            calls.append((method, hot))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, method, spy)
+
+    spied(trace._NullSpan, "add")
+    for method in ("add", "record_span", "span"):
+        spied(trace.NullTracer, method)
+    return calls
+
+
+@pytest.mark.parametrize("backend", ["array", "reference"])
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_untraced_hot_modules_never_reach_the_tracer(
+    driver, backend, graph, unlabeled, tmp_path, searches, tracer_calls
+):
+    opts = PipelineOptions(num_ranks=RANKS, backend=backend)
+    DRIVERS[driver](graph, unlabeled, tmp_path / "ckpt", searches, opts)
+    assert tracer_calls, f"{driver} opened no span"
+    assert [call for call in tracer_calls if call[1]] == []

@@ -20,9 +20,10 @@ case runs with ``pipeline.AUX_VIEW_RATIO`` patched to 1.0, so the
 in-process array runs build the ``M*`` view and a level view wherever one
 is sound.
 
-The other tests hold the report to what each count's producer saw: an
-exploratory level's scheduling against the bottom-up sweep's, and a
-trace's spans against the report.
+The other tests hold the report to what each count's producer saw: every
+counter a run moves, in whichever registry, against the report's
+counters; an exploratory level's scheduling against the bottom-up
+sweep's; and a trace's spans against the report.
 """
 
 import json
@@ -42,10 +43,12 @@ from repro.core import (
     run_batch,
     run_pipeline,
 )
+from repro.core.kernels import clear_kernel_cache
 import repro.core.pipeline as pipeline_module
 from repro.core.restart import run_pipeline_with_checkpoints
 from repro.core.results import SCHEMA
 from repro.graph.generators import planted_graph
+from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.trace import Tracer
 
 FIXTURE = Path(__file__).parent / "fixtures" / "run_report_parent.json"
@@ -218,6 +221,30 @@ def test_report_matches_parent(pinned, tmp_path, driver, backend):
         assert {path: now.get(path) for path in then} == then, name
         if "schema" in now:
             assert now["schema"] == SCHEMA == 4
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_every_counter_a_run_moves_is_reported(tmp_path, driver, backend):
+    # a count kept where the report never looks is invisible: the kernel
+    # cache's process-wide registry (recreated here, inside the spy) must
+    # reach the report through the run's ``cache.kernel.*`` counters
+    handles = []
+    counter = MetricsRegistry.counter
+
+    def spy(registry, name):
+        handles.append(counter(registry, name))
+        return handles[-1]
+
+    with mock.patch.object(MetricsRegistry, "counter", spy):
+        clear_kernel_cache()
+        found = documents(driver, backend, tmp_path)
+    reported = set().union(
+        *(document["metrics"]["counters"] for document in found.values())
+    )
+    moved = {handle.name for handle in handles if handle.value}
+    assert "lcc.iterations" in moved
+    assert sorted(moved - reported) == []
 
 
 def run(driver, graph, template, opts):

@@ -9,6 +9,9 @@ if str(BENCHMARKS) not in sys.path:
 
 from argparse import Namespace  # noqa: E402
 
+import pytest  # noqa: E402
+
+import ab_e2e  # noqa: E402
 from ab_e2e import setup_raw_seconds, summarize, verdict  # noqa: E402
 
 PARENT = [1.40, 1.42, 1.44, 1.41, 1.43, 1.45, 1.39, 1.42, 1.44, 1.41]
@@ -112,3 +115,48 @@ class TestSetupRawRow:
         capsys.readouterr()
         assert summary["metrics"]["setup_s"]["verdict"] == "within bound"
         assert "verdict" not in summary["setup_raw_s"]
+
+
+def stub_export(dest, text="# stub\n"):
+    (dest / "benchmarks" / "e2e").mkdir(parents=True)
+    (dest / "benchmarks" / "e2e" / "run.py").write_text(text)
+
+
+class TestFreshTreesPerPair:
+    def test_a_different_benchmark_is_refused_before_any_run(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(ab_e2e, "export_ref", lambda ref, dest: stub_export(dest))
+        monkeypatch.setattr(
+            ab_e2e, "export_checkout", lambda dest: stub_export(dest, "# edited\n")
+        )
+        monkeypatch.setattr(ab_e2e, "run_side", None)  # never reached
+        with pytest.raises(SystemExit, match="differs"):
+            ab_e2e.main(["--parent", "HEAD", "--seed", "7", "--workdir", str(tmp_path)])
+
+    def test_no_two_pairs_share_a_tree_and_none_outlives_its_pair(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        ran = []
+
+        def run_side(tree, workload, seed, seconds, out):
+            assert (tree / "benchmarks" / "e2e" / "run.py").exists()
+            # only this pair's other side may still be on disk
+            assert sum(earlier.exists() for earlier in ran) <= 1
+            ran.append(tree)
+            document = run_document([0.01] * 3, 1.0)
+            for name in ("cpu_s", "peak_rss_mb", "query_p50_ms", "query_p95_ms"):
+                document["metrics"][name] = {"value": 1.0}
+            return document
+
+        monkeypatch.setattr(ab_e2e, "export_ref", lambda ref, dest: stub_export(dest))
+        monkeypatch.setattr(ab_e2e, "export_checkout", stub_export)
+        monkeypatch.setattr(ab_e2e, "run_side", run_side)
+        code = ab_e2e.main([
+            "--parent", "HEAD", "--workload", "token-storm", "clique-explore",
+            "--pairs", "3", "--seed", "7", "--workdir", str(tmp_path),
+        ])
+        capsys.readouterr()
+        assert code == 0
+        assert len(ran) == 12 and len(set(ran)) == 12
+        assert not any(tree.exists() for tree in ran)

@@ -268,58 +268,6 @@ class TestExploreCommand:
         assert root["attrs"]["mode"] == "exploratory"
 
 
-class TestLintCommand:
-    def _seeded_tree(self, tmp_path):
-        target = tmp_path / "helpers.py"
-        target.write_text(
-            "def f(options):\n"
-            "    if options.reload_ranks:\n"
-            "        return 1\n"
-            "    return 0\n"
-        )
-        return target
-
-    def test_lint_reports_findings(self, tmp_path, capsys):
-        self._seeded_tree(tmp_path)
-        code = main(["lint", str(tmp_path)])
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "R1" in out
-        assert "helpers.py" in out
-
-    def test_lint_clean_tree_exits_zero(self, tmp_path, capsys):
-        (tmp_path / "helpers.py").write_text(
-            "def f(options):\n"
-            "    if options.reload_ranks is not None:\n"
-            "        return 1\n"
-            "    return 0\n"
-        )
-        code = main(["lint", str(tmp_path)])
-        assert code == 0
-        assert "0 new finding(s)" in capsys.readouterr().out
-
-    def test_lint_json_and_rule_filter(self, tmp_path, capsys):
-        self._seeded_tree(tmp_path)
-        code = main(["lint", str(tmp_path), "--json", "--rule", "R1"])
-        assert code == 1
-        document = json.loads(capsys.readouterr().out)
-        assert document["rules_run"] == ["R1"]
-        assert document["summary"]["new"] == 1
-
-    def test_lint_baseline_flow(self, tmp_path, capsys):
-        self._seeded_tree(tmp_path)
-        base = tmp_path / "base.json"
-        code = main([
-            "lint", str(tmp_path), "--baseline", str(base),
-            "--write-baseline",
-        ])
-        assert code == 0
-        capsys.readouterr()
-        code = main(["lint", str(tmp_path), "--baseline", str(base)])
-        assert code == 0
-        assert "baselined" in capsys.readouterr().out
-
-
 class TestAuditCommand:
     def test_audit_passes_on_exact_run(self, graph_files, capsys):
         graph_path, labels_path, template_path = graph_files
