@@ -1,22 +1,17 @@
-"""Shared workloads and helpers for the benchmark harness.
+"""Workload factories of the paper runner (``benchmarks/paper.py``).
 
-Every benchmark regenerates one table or figure of the paper's evaluation
-(§5); DESIGN.md's experiment index maps experiment ids to files.  The
+Every experiment of the runner regenerates one table or figure of the
+paper's evaluation (§5); DESIGN.md's experiment index maps its ids.  The
 workloads here are the scaled-down counterparts of the paper's datasets
-(see DESIGN.md §2 for the substitution rationale); they are cached so the
-benchmark session generates each graph once.
-
-Scale-down note: absolute runtimes are simulated seconds from the runtime
-cost model; the *shapes* (who wins, how scaling curves bend, where the
-crossovers sit) are the reproduction targets, recorded against the paper's
-numbers in EXPERIMENTS.md.
+(see DESIGN.md §2 for the substitution rationale); they are cached so one
+run generates each graph once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.core import PipelineOptions
 from repro.core.patterns import (
@@ -36,7 +31,7 @@ from repro.graph.generators import (
     webgraph,
 )
 
-#: ranks used by single-deployment benchmark runs
+#: ranks used by single-deployment runs
 DEFAULT_RANKS = 8
 
 #: WDC-like background graph size (paper: 3.5B vertices; here ~6K)
@@ -100,14 +95,7 @@ def imdb_background():
     )
 
 
-#: MOTIF-BATCH workload shape — a small unlabeled core surrounded by
-#: "dust": thousands of sub-motif-sized components that no 4-vertex motif
-#: can touch, but that every per-template pipeline must scan end to end
-#: (single label + degree >= 2 everywhere keeps dust alive through ``M*``
-#: and LCC; only the token walks rule it out).  Dust carries ~180x the
-#: core's edges, so a census that runs six independent pipelines pays the
-#: full graph six times while the batched executor pays it once (the
-#: deepest level) and finishes on the core-only auxiliary view.
+#: MOTIF-BATCH workload shape (see :func:`motif_batch_background`)
 MOTIF_BATCH_CORE_VERTICES = 100
 MOTIF_BATCH_CORE_EDGES = 250
 MOTIF_BATCH_DUST_TRIANGLES = 15000
@@ -125,9 +113,11 @@ def motif_batch_background():
     contain any connected 4-vertex subgraph (every connected graph on
     >= 4 vertices contains a P4 or a 3-star, so any larger component
     would survive the deepest level and leak into the auxiliary view).
-    Only the bottom-up sweep's token walks discover the dust is barren,
-    which is exactly the per-template redundancy the template-library
-    batch executor amortizes across the census.
+    Only the bottom-up sweep's token walks discover the dust is barren.
+    Dust carries ~180x the core's edges, so a census of six independent
+    pipelines pays the full graph six times, while the batched executor
+    pays it once (the deepest level) and finishes on the core-only
+    auxiliary view.
     """
     from repro.graph.generators.random_labeled import gnm_graph
 
@@ -153,7 +143,7 @@ def motif_batch_background():
 
 
 def default_options(**overrides) -> PipelineOptions:
-    """The fully-optimized HGT configuration used across benchmarks."""
+    """The fully-optimized HGT configuration used across experiments."""
     base = dict(num_ranks=DEFAULT_RANKS)
     base.update(overrides)
     return PipelineOptions(**base)
@@ -169,9 +159,3 @@ def figure7_workloads() -> List[Tuple[str, object, object, int]]:
         ("RDT-1", reddit_background, rdt1_template, 1),
         ("IMDB-1", imdb_background, imdb1_template, 2),
     ]
-
-
-def print_header(title: str) -> None:
-    print("\n" + "=" * 72)
-    print(title)
-    print("=" * 72)

@@ -51,7 +51,6 @@ from .enumeration import (
     distinct_match_count,
     enumerate_matches,
     extend_from_child_matches,
-    state_from_matches,
 )
 from .kernels import (
     RoleKernel,
@@ -202,7 +201,6 @@ __all__ = [
     "run_wildcard_pipeline",
     "schedule_prototypes",
     "search_prototype",
-    "state_from_matches",
     "stopping_distance",
     "union_of_all_matches",
     "union_per_prototype",

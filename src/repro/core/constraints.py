@@ -424,7 +424,7 @@ class ConstraintSet:
 def generate_constraints(
     proto_graph: Graph,
     label_frequencies: Optional[Dict[int, int]] = None,
-    include_full_walk: object = "auto",
+    *,
     orient: bool = False,
 ) -> ConstraintSet:
     """The constraint set guaranteeing exactness for one prototype.
@@ -433,13 +433,9 @@ def generate_constraints(
     :class:`~repro.core.ordering.ConstraintPlan` that keeps its complete
     list.
 
-    ``include_full_walk``:
-
-    * ``"auto"`` — append the full walk unless the prototype is a tree with
-      all-distinct labels (where iterated local checking is provably exact);
-    * ``True`` / ``False`` — force or suppress it (``False`` gives the
-      paper's cheap-constraints-only mode; combine with enumeration-based
-      verification for exactness).
+    The full walk is appended exactly when the prototype is not a tree
+    with all-distinct labels (where iterated local checking is provably
+    exact, :func:`exact_without_full_walk`).
 
     ``orient`` turns each walk rare-labels-first by ``label_frequencies``
     before it is constructed (``order_constraints`` would rebuild it).
@@ -448,25 +444,16 @@ def generate_constraints(
     non_local = list(
         prefilter_constraints(proto_graph, simple_cycles(proto_graph), orient_by)
     )
-    if wants_full_walk(proto_graph, include_full_walk):
+    exact = exact_without_full_walk(proto_graph)
+    if not exact:
         non_local.append(rooted_full_walk(proto_graph, label_frequencies, orient_by))
     local = local_constraints(proto_graph)
-    return ConstraintSet(
-        local, non_local,
-        exact_without_full_walk=exact_without_full_walk(proto_graph),
-    )
+    return ConstraintSet(local, non_local, exact_without_full_walk=exact)
 
 
 def exact_without_full_walk(proto_graph: Graph) -> bool:
     """A tree with distinct labels: its LCC fixed point is provably exact."""
     return is_tree(proto_graph) and not has_duplicate_labels(proto_graph)
-
-
-def wants_full_walk(proto_graph: Graph, include_full_walk: object) -> bool:
-    """Whether the ``include_full_walk`` policy appends the full walk."""
-    return include_full_walk is True or (
-        include_full_walk == "auto" and not exact_without_full_walk(proto_graph)
-    )
 
 
 def rooted_full_walk(

@@ -26,7 +26,6 @@ import numpy as np
 from ..errors import PipelineError
 from ..graph.graph import Graph
 from ..graph.isomorphism import _match_order, find_subgraph_isomorphisms
-from .arraystate.searchstate import rows_nonzero
 from .prototypes import Prototype
 from .state import SearchState
 
@@ -66,7 +65,7 @@ class ArrayMatchSet:
     match assigns to pattern vertex ``order[col]``; :meth:`mappings`
     materializes the same per-match dicts :func:`enumerate_matches`
     yields.  Keeping the dense matrix as the stored form lets array
-    consumers (:func:`astate_from_matches`) stay in array land.
+    consumers (:func:`extend_from_child_matches_array`) stay in array land.
     """
 
     __slots__ = ("order", "rows", "csr", "_mappings")
@@ -349,58 +348,3 @@ def extend_from_child_matches_array(
             code = csr.edge_label_ids.get(required_label, -1)
             hit = hit[csr.edge_label_codes[slot[hit]] == code]
     return ArrayMatchSet(order, rows[hit], csr)
-
-
-def state_from_matches(
-    state: SearchState, prototype: Prototype, matches: Sequence[Mapping]
-) -> SearchState:
-    """A fresh state containing exactly the vertices/edges of ``matches``.
-
-    This is the enumeration-based exact verification path: the returned
-    state *is* the solution subgraph by construction.
-    """
-    candidates: Dict[int, set] = {}
-    active_edges: Dict[int, set] = {}
-    proto_edges = list(prototype.graph.edges())
-    for mapping in matches:
-        for template_vertex, graph_vertex in mapping.items():
-            candidates.setdefault(graph_vertex, set()).add(template_vertex)
-        for u, v in proto_edges:
-            gu, gv = mapping[u], mapping[v]
-            active_edges.setdefault(gu, set()).add(gv)
-            active_edges.setdefault(gv, set()).add(gu)
-    for vertex in candidates:
-        active_edges.setdefault(vertex, set())
-    return SearchState(state.graph, candidates, active_edges)
-
-
-def astate_from_matches(astate, prototype: Prototype, match_set):
-    """Array form of :func:`state_from_matches`.
-
-    Rebuilds ``astate``'s role mask and edge aliveness in place so the
-    state contains exactly the vertices/edges of ``match_set`` — the
-    array-native enumeration-based verification step.  ``match_set`` is
-    an :class:`ArrayMatchSet` over the same CSR.
-    """
-    csr = astate.csr
-    rows = match_set.rows
-    col_of = {pv: col for col, pv in enumerate(match_set.order)}
-    new_mask = astate.masks_of(
-        (pv, rows[:, col]) for col, pv in enumerate(match_set.order)
-    )
-
-    alive = np.zeros_like(astate.edge_alive)
-    proto_edges = list(prototype.graph.edges())
-    if rows.shape[0] and proto_edges:
-        slot = csr.edge_positions(
-            np.concatenate([rows[:, col_of[u]] for u, _ in proto_edges]),
-            np.concatenate([rows[:, col_of[v]] for _, v in proto_edges]),
-        )
-        slot = slot[slot >= 0]
-        alive[slot] = True
-        alive[csr.mirror[slot]] = True
-
-    astate.role_mask = new_mask
-    astate.vertex_active = rows_nonzero(new_mask)
-    astate.edge_alive = alive
-    return astate

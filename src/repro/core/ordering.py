@@ -39,7 +39,6 @@ from .constraints import (
     reverse_visits_rarer_first,
     rooted_full_walk,
     simple_cycles,
-    wants_full_walk,
 )
 from .cost_estimation import (
     GraphStatistics,
@@ -104,19 +103,16 @@ def order_constraints(
 
 
 class ConstraintPlanner:
-    """One run's (or pool worker's) planning choices: the background label
-    frequencies, the full-walk policy and ``constraint_ordering`` — ``True``
-    orients and sorts rare-labels-first, ``False`` keeps the kind/length
-    order, ``"walk-cost"`` sorts by estimated pruning efficiency over
-    :class:`GraphStatistics`, collected once and only if such a plan builds.
+    """One run's planning choices: the background label frequencies and
+    ``constraint_ordering`` — ``True`` orients and sorts rare-labels-first,
+    ``False`` keeps the kind/length order, ``"walk-cost"`` sorts by
+    estimated pruning efficiency over :class:`GraphStatistics`, collected
+    once and only if such a plan builds.
     """
 
-    def __init__(
-        self, graph: Graph, include_full_walk: object = "auto", ordering: object = True
-    ) -> None:
+    def __init__(self, graph: Graph, ordering: object = True) -> None:
         self.graph = graph
         self.label_frequencies: Dict[int, int] = graph.label_counts()
-        self.include_full_walk = include_full_walk
         self.ordering = ordering
         self._walk_stats: Optional[GraphStatistics] = None
 
@@ -137,7 +133,7 @@ class ConstraintPlanner:
         # through the module attribute: the e2e trace and the tests rebind
         # ``constraints.generate_constraints`` to see the builds that happen
         non_local = constraint_builder.generate_constraints(
-            proto_graph, self.label_frequencies, self.include_full_walk,
+            proto_graph, self.label_frequencies,
             orient=orient_by is not None,
         ).non_local
         if self.ordering != "walk-cost":
@@ -206,19 +202,17 @@ class ConstraintPlan:
         and labels (:func:`~repro.core.constraints.prefilter_count`).
         Only a plan whose sum never gets there builds the complete list.
 
-        Without a full walk there is nothing to fall back on, and without
-        an array scope (``astate is None``: the reference backend) the
-        paper's complete list runs; both skip nothing.
+        A prototype exact without the full walk has no walk to fall back
+        on, and without an array scope (``astate is None``: the reference
+        backend) the paper's complete list runs; both skip nothing.  Every
+        other prototype has a cycle or a same-labeled pair, so at least
+        one pre-filter.
         """
         planner, proto_graph = self._planner, self.proto_graph
-        if astate is None or not wants_full_walk(
-            proto_graph, planner.include_full_walk
-        ):
+        if astate is None or self.exact_without_full_walk:
             return ConstraintSelection(self.non_local)
         cycles = simple_cycles(proto_graph)
         total = prefilter_count(proto_graph, cycles)
-        if total == 0:
-            return ConstraintSelection(self.non_local)
         stats = GraphStatistics.from_scope(astate, proto_graph)
         full_walk = planner.full_walk(proto_graph)
         full_walk_rows = estimate_walk_cost(full_walk, stats)

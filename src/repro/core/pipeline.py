@@ -67,9 +67,9 @@ class PipelineOptions:
     naïve baseline (see :func:`repro.core.naive.naive_options`).  The
     ``M*`` and level views and the fixpoint's dense-round switch have no
     field: they apply wherever they are sound.  Neither have the engine's
-    visitor batch (every engine runs with its default) nor a verification
-    mode: a prototype whose constraints are not exact on their own is
-    verified by enumeration, every other one is not.
+    visitor batch (every engine runs with its default) nor the full walk:
+    a prototype's constraints end in it exactly when they are not exact
+    without it.
     """
 
     #: simulated MPI ranks of the primary deployment
@@ -99,10 +99,6 @@ class PipelineOptions:
     #: False (kind/length order only), or "walk-cost" (the [65]-style
     #: statistics-driven pruning-efficiency order)
     constraint_ordering: object = True
-    #: append the exactness-guaranteeing full-walk TDS check
-    #: ("auto"/True/False); a prototype whose constraints are not exact
-    #: without it is verified by enumeration (see search_prototype)
-    include_full_walk: object = "auto"
     #: count match mappings / distinct matches per prototype
     count_matches: bool = False
     #: keep the enumerated match mappings in each outcome
@@ -463,9 +459,7 @@ def charge(
 
 def planner_for(graph: Graph, options: PipelineOptions) -> ConstraintPlanner:
     """The run's constraint planner, as ``options`` orders constraints."""
-    return ConstraintPlanner(
-        graph, options.include_full_walk, options.constraint_ordering
-    )
+    return ConstraintPlanner(graph, options.constraint_ordering)
 
 
 def partition(

@@ -11,13 +11,11 @@
    that ends in the full walk run only where they are estimated cheaper
    than it (:meth:`~repro.core.ordering.ConstraintPlan.select`, which
    builds them only up to that decision);
-3. exactness: either the constraint set ends with the full-walk TDS check
-   (which reduces the state to exactly the solution subgraph and counts
-   match mappings as a by-product), the prototype is a distinct-labeled
-   tree (LCC fixed point is provably exact), or — when the caller disabled
-   the full walk — an enumeration-based verification pass.  That is the
-   one rule: enumerate exactly when the constraints are not exact, so every
-   outcome is the exact solution subgraph.
+3. exactness: the constraint set ends with the full-walk TDS check (which
+   reduces the state to exactly the solution subgraph and counts match
+   mappings as a by-product) exactly when the prototype is not a
+   distinct-labeled tree, whose LCC fixed point is provably exact.  That is
+   the one rule, so every outcome is the exact solution subgraph.
 """
 
 from __future__ import annotations
@@ -30,12 +28,10 @@ import numpy as np
 from ..runtime.engine import Engine
 from .constraints import FULL_WALK_KIND, ConstraintSet, NonLocalConstraint
 from .enumeration import (
-    astate_from_matches,
     count_match_mappings,
     distinct_match_count,
     enumerate_matches,
     enumerate_matches_array,
-    state_from_matches,
 )
 from .arraystate import ArraySearchState
 from .kernels import cached_kernel
@@ -167,54 +163,34 @@ def _search_prototype_body(
                 state, prototype.graph, engine, kernel=kernel
             )
 
-    need_enumeration = not (
-        full_walk_result is not None or constraint_set.exact_without_full_walk
-    )
-    if isinstance(state, ArraySearchState):
-        # Array-native tail: enumeration (when needed) runs the vectorized
-        # frontier backtracker on the array state directly and reduces it
-        # in place.
-        if need_enumeration:
-            match_set = enumerate_matches_array(prototype, state)
-            astate_from_matches(state, prototype, match_set)
-            outcome.match_mappings = len(match_set)
-            if collect_matches:
-                outcome.matches = match_set.mappings()
-                outcome.match_set = match_set
-        elif collect_matches:
-            if full_walk_result is not None:
-                # Each completed full-walk token already is an exact match.
-                outcome.matches = full_walk_result.completed_mappings
-            else:
-                match_set = enumerate_matches_array(prototype, state)
-                outcome.matches = match_set.mappings()
-                outcome.match_set = match_set
-            outcome.match_mappings = len(outcome.matches)
-        elif full_walk_result is not None:
-            outcome.match_mappings = full_walk_result.completions
-        elif count_matches:
-            outcome.match_mappings = len(
-                enumerate_matches_array(prototype, state)
-            )
-    elif collect_matches and not need_enumeration:
+    if full_walk_result is None and not constraint_set.exact_without_full_walk:
+        # Every plan of a prototype that is not exact on its own ends in
+        # the full walk, so the walk did not run only because the scope
+        # emptied before it: no match.
+        assert not state.num_active_vertices
+        outcome.match_mappings = 0
+        if collect_matches:
+            outcome.matches = []
+    elif collect_matches:
         if full_walk_result is not None:
             # Each completed full-walk token already is an exact match.
             outcome.matches = full_walk_result.completed_mappings
+        elif isinstance(state, ArraySearchState):
+            match_set = enumerate_matches_array(prototype, state)
+            outcome.matches = match_set.mappings()
+            outcome.match_set = match_set
         else:
             outcome.matches = list(enumerate_matches(prototype, state))
         outcome.match_mappings = len(outcome.matches)
-    elif need_enumeration:
-        matches = list(enumerate_matches(prototype, state))
-        reduced = state_from_matches(state, prototype, matches)
-        state.candidates = reduced.candidates
-        state.active_edges = reduced.active_edges
-        outcome.match_mappings = len(matches)
-        if collect_matches:
-            outcome.matches = matches
     elif full_walk_result is not None:
         outcome.match_mappings = full_walk_result.completions
     elif count_matches:
-        outcome.match_mappings = count_match_mappings(prototype, state)
+        if isinstance(state, ArraySearchState):
+            outcome.match_mappings = len(
+                enumerate_matches_array(prototype, state)
+            )
+        else:
+            outcome.match_mappings = count_match_mappings(prototype, state)
 
     if outcome.match_mappings is not None and (count_matches or collect_matches):
         outcome.distinct_matches = distinct_match_count(

@@ -125,8 +125,8 @@ class TestCountsRepeatInOneProcess:
     def census(self, graph):
         from repro.core import count_motifs
 
-        # no full walk: every plan keeps its pre-filters
-        options = PipelineOptions(num_ranks=2, include_full_walk=False)
+        # the reference backend: every plan keeps its pre-filters
+        options = PipelineOptions(num_ranks=2, backend="reference")
         counts = count_motifs(graph, 4, options, batched=True)
         document = counts.result.stats_document()
         return counts.by_name(induced=False), {

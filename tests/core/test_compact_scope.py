@@ -18,7 +18,7 @@ over driver × feature: ``run_pipeline``, ``exploratory_search``,
 optimization (whose derived states must land on the view's CSR — the
 defect this suite was written for), collected matches, edge labels,
 wildcards, mandatory edges, a > 64-role template, block partitioning,
-delegates, containment off and enumeration-only verification, with level
+delegates and containment off, with level
 views nested on top.  Then the title's contract,
 directly: precision and recall against the brute-force matcher with the
 compaction on — also for a checkpointed run resumed after a crash at each
@@ -265,7 +265,6 @@ BOTTOM_UP_FEATURES = {
         "ranks_per_node": 2,
     },
     "no-containment": {"use_containment": False},
-    "enumeration-only": {"include_full_walk": False, "count_matches": True},
     # no option of its own: ``both_ways`` builds a level view wherever
     # one is sound; this column also checks that run against brute force
     "aux-views": {"count_matches": True},
@@ -378,7 +377,7 @@ EXPLORATORY_FEATURES = {
     name: BOTTOM_UP_FEATURES[name]
     for name in (
         "default", "count", "collect", "block", "delegates",
-        "enumeration-only", "no-recycling", "walk-cost",
+        "no-recycling", "walk-cost",
     )
 }
 
@@ -528,7 +527,7 @@ class TestAgainstBruteForce:
     @SLOW
     @given(
         small_templates(), small_graphs(), st.integers(0, 2),
-        st.sampled_from(["count", "extension", "enumeration-only", "block"]),
+        st.sampled_from(["count", "extension", "block"]),
     )
     def test_bottom_up(self, template, graph, k, feature):
         k = min(k, template.max_meaningful_distance())

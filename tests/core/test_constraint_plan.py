@@ -129,7 +129,7 @@ def clique_case():
 def eager_reference(graph, proto_graph, ordering, stats):
     """The list the drivers built before the planner, step for step."""
     frequencies = graph.label_counts()
-    non_local = generate_constraints(proto_graph, frequencies, "auto").non_local
+    non_local = generate_constraints(proto_graph, frequencies).non_local
     if ordering == "walk-cost":
         return order_constraints_by_cost(non_local, stats)
     return order_constraints(non_local, frequencies, optimize=bool(ordering))
@@ -237,7 +237,7 @@ class TestPlannedOnlyWhenScopeSurvivesLcc:
 # ----------------------------------------------------------------------
 def plan_lists(name, ordering):
     _, graph, template, k = CASES[name]
-    planner = ConstraintPlanner(graph, "auto", ordering)
+    planner = ConstraintPlanner(graph, ordering)
     return [
         (proto, planner.plan(proto.graph).non_local)
         for proto in generate_prototypes(template, k)
@@ -278,12 +278,12 @@ class TestPlanEqualsEagerList:
         monkeypatch.setattr(
             constraints_module.NonLocalConstraint, "__init__", counting_init
         )
-        plan = ConstraintPlanner(graph, "auto", True).plan(template.graph)
+        plan = ConstraintPlanner(graph, True).plan(template.graph)
         assert not constructed
         planned = plan.non_local
         assert len(constructed) == len(planned)
         # the pinned lists show this template has walks that get reversed
-        unoriented = ConstraintPlanner(graph, "auto", False).plan(template.graph)
+        unoriented = ConstraintPlanner(graph, False).plan(template.graph)
         assert {c.walk for c in plan.non_local} != {
             c.walk for c in unoriented.non_local
         }
@@ -318,14 +318,11 @@ class TestPlanAnswers:
         eager = generate_constraints(cyclic, graph.label_counts())
         assert plan.exact_without_full_walk == eager.exact_without_full_walk
 
-    def test_no_full_walk_when_suppressed_or_provably_exact(self):
+    def test_no_full_walk_when_provably_exact(self):
         graph = CASES["WDC-1"][1]
-        cyclic = wdc1_template().graph
         tree = PatternTemplate.from_edges([(0, 1)], {0: 1, 1: 2}).graph
-        assert ConstraintPlanner(graph, False).plan(cyclic).full_walk() is None
         plan = ConstraintPlanner(graph).plan(tree)
         assert plan.full_walk() is None and plan.non_local == []
-        assert ConstraintPlanner(graph, True).plan(tree).full_walk() is not None
 
     def test_walk_statistics_collected_once_and_on_demand(self, monkeypatch):
         _, graph, template, k = CASES["WDC-1"]
@@ -340,7 +337,7 @@ class TestPlanAnswers:
         protos = list(generate_prototypes(template, k))
         for ordering, expected in ((True, 0), (False, 0), ("walk-cost", 1)):
             del collected[:]
-            planner = ConstraintPlanner(graph, "auto", ordering)
+            planner = ConstraintPlanner(graph, ordering)
             plans = [planner.plan(proto.graph) for proto in protos]
             assert not collected
             for plan in plans:

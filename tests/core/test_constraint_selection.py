@@ -47,11 +47,7 @@ from repro.core import (
 )
 import repro.core.pipeline as pipeline_module
 from repro.core.batch import BatchQuery, run_batch
-from repro.core.constraints import (
-    FULL_WALK_KIND,
-    ConstraintSelection,
-    ConstraintSet,
-)
+from repro.core.constraints import ConstraintSelection, ConstraintSet
 from repro.core.cost_estimation import GraphStatistics, estimate_walk_cost
 from repro.core.flips import run_flip_pipeline
 from repro.core.arraystate import ArraySearchState
@@ -660,25 +656,6 @@ class TestTheCliqueSkipsItsPreFilters:
 # (d) who never skips
 # ----------------------------------------------------------------------
 class TestNothingIsSkipped:
-    def test_without_a_full_walk(self):
-        graph, template = planted_case(wdc1_template())
-        default = run_pipeline(
-            graph, template, 2, PipelineOptions(num_ranks=4, count_matches=True)
-        )
-        result = run_pipeline(
-            graph, template, 2,
-            PipelineOptions(
-                num_ranks=4, count_matches=True, include_full_walk=False,
-            ),
-        )
-        assert skipped(default) > 0
-        assert skipped(result) == 0
-        assert checked(result) > checked(default)
-        assert result.match_vectors == default.match_vectors
-        counters = result.stats_document()["metrics"]["counters"]
-        assert counters["plan.prefilters_skipped"] == 0
-        assert counters["plan.prefilters_kept"] == checked(result)
-
     @pytest.mark.parametrize(
         "tier", [{"backend": "reference"}], ids=["baseline-dict"]
     )
@@ -717,14 +694,6 @@ class TestNothingIsSkipped:
         assert planned.counts.get("nlcc.constraints_checked", 0) == 1
         assert outcome_answer(as_given) == outcome_answer(planned)
         assert as_given.match_mappings > 0
-
-    def test_a_plan_of_the_full_walk_alone_estimates_nothing(self):
-        graph, _ = planted_case(wdc1_template())
-        edge = PatternTemplate.from_edges([(0, 1)], {0: 1, 1: 2})
-        plan = ConstraintPlanner(graph, True).plan(edge.graph)
-        assert [c.kind for c in plan.non_local] == [FULL_WALK_KIND]
-        scope = ArraySearchState.initial(graph, edge)
-        assert plan.select(scope) == ConstraintSelection(plan.non_local)
 
 
 # ----------------------------------------------------------------------

@@ -199,14 +199,6 @@ class TestGenerateConstraints:
         assert PATH_KIND in kinds
         assert FULL_WALK_KIND in kinds
 
-    def test_force_off(self):
-        cs = generate_constraints(TRIANGLE, include_full_walk=False)
-        assert cs.full_walk() is None
-
-    def test_force_on_for_tree(self):
-        cs = generate_constraints(TREE, include_full_walk=True)
-        assert cs.full_walk() is not None
-
     def test_rarest_label_root(self):
         freq = {1: 100, 2: 5, 3: 50}
         cs = generate_constraints(TRIANGLE, label_frequencies=freq)

@@ -13,7 +13,6 @@ from repro.core import (
     generate_constraints,
     generate_prototypes,
     search_prototype,
-    state_from_matches,
 )
 from repro.errors import PipelineError
 from repro.graph import from_edges
@@ -74,18 +73,6 @@ class TestEnumeration:
         with pytest.raises(PipelineError):
             distinct_match_count(proto, 3)  # 2 automorphisms
 
-    def test_state_from_matches_is_exact_union(self):
-        t, g = template(), graph()
-        proto = generate_prototypes(t, 0).at(0)[0]
-        state = SearchState.initial(g, t)
-        matches = list(enumerate_matches(proto, state))
-        reduced = state_from_matches(state, proto, matches)
-        expected_vertices = {v for m in matches for v in m.values()}
-        assert set(reduced.active_vertices()) == expected_vertices
-        for m in matches:
-            for u, v in proto.graph.edges():
-                assert reduced.edge_is_active(m[u], m[v])
-
 
 class TestExtension:
     def test_extension_equals_direct_enumeration(self):
@@ -109,7 +96,7 @@ class TestExtension:
 
 
 class TestSearchPrototype:
-    def run_search(self, t, g, proto, include_full_walk="auto", **kwargs):
+    def run_search(self, t, g, proto, **kwargs):
         state = ArraySearchState.from_search_state(
             SearchState.initial(g, t).for_prototype_search(proto),
             roles=sorted(proto.graph.vertices()),
@@ -118,9 +105,7 @@ class TestSearchPrototype:
             search_prototype(
                 state,
                 proto,
-                generate_constraints(
-                    proto.graph, include_full_walk=include_full_walk
-                ),
+                generate_constraints(proto.graph),
                 engine_for(g),
                 **kwargs,
             ),
@@ -145,19 +130,6 @@ class TestSearchPrototype:
             for u, v in proto.graph.edges():
                 assert g.has_edge(m[u], m[v])
 
-    def test_enumeration_verification_mode(self):
-        # without the full walk the cyclic prototype's constraints are not
-        # exact, so the search ends in enumeration by rule
-        t, g = template(), graph()
-        proto = generate_prototypes(t, 0).at(0)[0]
-        auto, _ = self.run_search(t, g, proto, count_matches=True)
-        enum, _ = self.run_search(
-            t, g, proto, include_full_walk=False, count_matches=True
-        )
-        assert enum.solution_vertices == auto.solution_vertices
-        assert enum.solution_edges == auto.solution_edges
-        assert enum.match_mappings == auto.match_mappings
-
     def test_tree_prototype_exact_without_walk(self):
         t = PatternTemplate.from_edges(
             [(0, 1), (1, 2)], labels={0: 1, 1: 2, 2: 3}
@@ -178,3 +150,8 @@ class TestSearchPrototype:
         outcome, _ = self.run_search(t, g, proto, count_matches=True)
         assert outcome.solution_vertices == set()
         assert outcome.match_mappings == 0
+        assert outcome.distinct_matches == 0
+        # a cyclic prototype's walk never ran, yet it reports no match
+        # whether or not it counts
+        assert self.run_search(t, g, proto)[0].match_mappings == 0
+        assert self.run_search(t, g, proto, collect_matches=True)[0].matches == []

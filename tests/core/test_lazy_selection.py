@@ -92,7 +92,7 @@ def complete_list_decision(planner, proto_graph, scope):
     order (the order ``generate_constraints`` returns, the planner's
     orientation), summed whole."""
     non_local = constraints_module.generate_constraints(
-        proto_graph, planner.label_frequencies, planner.include_full_walk,
+        proto_graph, planner.label_frequencies,
         orient=bool(planner.ordering) and planner.ordering != "walk-cost",
     ).non_local
     stats = GraphStatistics.from_scope(scope, proto_graph)
@@ -113,7 +113,7 @@ class TestTheLazyDecisionIsTheCompleteLists:
     )
     @given(templates(), backgrounds(), st.sampled_from(ORDERINGS))
     def test_random_prototypes_and_scopes(self, template, graph, ordering):
-        planner = ConstraintPlanner(graph, "auto", ordering)
+        planner = ConstraintPlanner(graph, ordering)
         checked = 0
         for proto in generate_prototypes(template, 1):
             plan = planner.plan(proto.graph)
@@ -156,9 +156,9 @@ class TestThePreFilterCount:
     def test_closed_form_equals_the_complete_list(self, template):
         for proto in generate_prototypes(template, 2):
             cycles = simple_cycles(proto.graph)
-            complete = generate_constraints(proto.graph, include_full_walk=True)
-            assert prefilter_count(proto.graph, cycles) == (
-                len(complete.non_local) - 1
+            complete = generate_constraints(proto.graph)
+            assert prefilter_count(proto.graph, cycles) == sum(
+                c is not complete.full_walk() for c in complete.non_local
             )
 
     def test_counts_without_building(self, monkeypatch):

@@ -278,7 +278,7 @@ class TestAliveOnlyExpansion:
     def walk(self, collect_paths):
         graph, template, kernel, astate = hub_state()
         constraints = generate_constraints(
-            template.graph, graph.label_counts(), True
+            template.graph, graph.label_counts()
         ).non_local
         assert {c.kind for c in constraints} >= {"cycle", FULL_WALK_KIND}
         for constraint in constraints:
@@ -364,7 +364,7 @@ class TestRecycledInitiators:
         graph, _template, kernel, astate = hub_state()
         constraint = next(
             c for c in generate_constraints(
-                c4_template().graph, graph.label_counts(), True
+                c4_template().graph, graph.label_counts()
             ).non_local
             if c.kind == "cycle"
         )

@@ -40,7 +40,11 @@ from repro.core.arraystate import (
     array_kernel_fixpoint,
     array_token_walk,
 )
-from repro.core.constraints import FULL_WALK_KIND, NonLocalConstraint
+from repro.core.constraints import (
+    FULL_WALK_KIND,
+    NonLocalConstraint,
+    rooted_full_walk,
+)
 from repro.core.kernels import compile_kernel, compile_walk_schedule
 from repro.graph.generators import gnm_graph
 from repro.graph.graph import Graph, canonical_edge
@@ -59,10 +63,7 @@ def engine_for(graph, ranks=4):
 
 
 def full_walk_of(graph, template):
-    constraints = generate_constraints(
-        template.graph, graph.label_counts(), True
-    ).non_local
-    return next(c for c in constraints if c.kind == FULL_WALK_KIND)
+    return rooted_full_walk(template.graph, graph.label_counts())
 
 
 @st.composite
@@ -226,7 +227,7 @@ class TestCarriedEdges:
         astate = ArraySearchState.initial(graph, template)
         cycle = next(
             c for c in generate_constraints(
-                template.graph, graph.label_counts(), True
+                template.graph, graph.label_counts()
             ).non_local if c.kind == "cycle"
         )
         out = array_token_walk(

@@ -70,14 +70,6 @@ class TestPrecisionRecall:
             expected = sum(1 for _ in find_subgraph_isomorphisms(proto.graph, g))
             assert result.outcome_for(proto.id).match_mappings == expected
 
-    def test_enumeration_verification_equivalent(self):
-        g, t = graph(), template()
-        auto = run_pipeline(g, t, 1, PipelineOptions(num_ranks=3))
-        enum = run_pipeline(
-            g, t, 1, PipelineOptions(num_ranks=3, include_full_walk=False)
-        )
-        assert auto.match_vectors == enum.match_vectors
-
 
 class TestOptionEquivalence:
     """Every optimization knob changes cost, never results."""
@@ -95,7 +87,6 @@ class TestOptionEquivalence:
             PipelineOptions(num_ranks=6, reload_ranks=2),
             PipelineOptions(num_ranks=6, parallel_deployments=3),
             PipelineOptions(num_ranks=3, delegate_degree_threshold=8),
-            PipelineOptions(num_ranks=3, include_full_walk=False),
             PipelineOptions(num_ranks=3, count_matches=True,
                             enumeration_optimization=True),
             PipelineOptions(num_ranks=1),
@@ -103,7 +94,7 @@ class TestOptionEquivalence:
         ids=[
             "no-recycling", "no-containment", "no-mcs", "no-ordering",
             "reshuffle", "reload", "parallel", "delegates",
-            "enumeration-only", "extension", "single-rank",
+            "extension", "single-rank",
         ],
     )
     def test_results_invariant(self, options):

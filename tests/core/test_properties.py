@@ -97,16 +97,6 @@ class TestPipelineExactness:
             )
             assert result.outcome_for(proto.id).match_mappings == expected
 
-    @SLOW
-    @given(connected_templates(max_vertices=4), labeled_graphs(max_vertices=18))
-    def test_enumeration_mode_agrees_with_auto(self, template, graph):
-        auto = run_pipeline(graph, template, 1, PipelineOptions(num_ranks=2))
-        enum = run_pipeline(
-            graph, template, 1,
-            PipelineOptions(num_ranks=2, include_full_walk=False),
-        )
-        assert auto.match_vectors == enum.match_vectors
-
 
 class TestSearchSpaceProperties:
     @SLOW

@@ -58,7 +58,7 @@ from repro.core.arraystate import (
     csr_of,
     sorted_pair_table,
 )
-from repro.core.constraints import FULL_WALK_KIND
+from repro.core.constraints import FULL_WALK_KIND, rooted_full_walk
 from repro.core.enumeration import (
     enumerate_matches_array,
     extend_from_child_matches,
@@ -100,9 +100,7 @@ def engine_for(graph, stats=None):
 
 
 def non_local_of(graph, template):
-    return generate_constraints(
-        template.graph, graph.label_counts(), True
-    ).non_local
+    return generate_constraints(template.graph, graph.label_counts()).non_local
 
 
 def revisit_hops(schedule):
@@ -752,9 +750,7 @@ class TestChildMatchExtension:
 # (g) retrace hops gather the carried edge's mirror
 # ----------------------------------------------------------------------
 def full_walk_of(graph, template):
-    return next(
-        c for c in non_local_of(graph, template) if c.kind == FULL_WALK_KIND
-    )
+    return rooted_full_walk(template.graph, graph.label_counts())
 
 
 def check_retrace_walk(astate, constraint, kernel):
@@ -893,10 +889,9 @@ def connected_templates(draw):
 @given(template=connected_templates(), orient=st.booleans())
 def test_retrace_names_exactly_the_reversed_hops(template, orient):
     frequencies = {label: 1 + label for label in range(3)}
-    constraints = generate_constraints(
-        template.graph, frequencies, True, orient=orient
-    ).non_local
-    (full,) = [c for c in constraints if c.kind == FULL_WALK_KIND]
+    full = rooted_full_walk(
+        template.graph, frequencies, frequencies if orient else None
+    )
     schedule = compile_walk_schedule(full)
     walk = full.walk
     assert len(schedule.retrace) == schedule.length
