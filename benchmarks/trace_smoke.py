@@ -336,7 +336,9 @@ def label_view_problems(
 
 def batch_problems(argv):
     """Where a ``repro batch --json`` document is off: it must carry the
-    current schema and, for every class, its root pipeline's messages."""
+    current schema, for every class its root pipeline's messages, and the
+    shape memo's lookups (``cache.shape.*``: the batch searches
+    prototypes, so a zero means the counters stopped reaching the CLI)."""
     rc, document = cli_json(argv)
     if rc != 0:
         return [f"batch exited with {rc}"]
@@ -349,6 +351,12 @@ def batch_problems(argv):
     messages = {row["name"]: row["messages"] for row in document["per_class"]}
     if not messages or not all(count > 0 for count in messages.values()):
         problems.append(f"per-class batch messages are missing: {messages}")
+    counters = document.get("metrics", {}).get("counters", {})
+    shape_lookups = sum(
+        counters.get(f"cache.shape.{kind}", 0) for kind in ("hits", "misses")
+    )
+    if shape_lookups <= 0:
+        problems.append("batch document counts no cache.shape.* lookups")
     return problems
 
 

@@ -104,7 +104,12 @@ def bar_chart(
 
 
 def _cell(value: object) -> str:
+    """A table cell: floats to three decimals, except that a nonzero float
+    below 0.001 keeps four significant digits instead of reading 0.000
+    or 0.001."""
     if isinstance(value, float):
+        if 0 < abs(value) < 0.001:
+            return f"{value:.4g}"
         return f"{value:.3f}"
     return str(value)
 

@@ -303,6 +303,8 @@ def derived_metrics(snapshot: Dict[str, object]) -> Dict[str, object]:
         "nlcc_cache_hit_ratio": hit_ratio("nlcc"),
         "mstar_memo_hit_ratio": hit_ratio("mstar_memo"),
         "kernel_cache_hit_ratio": hit_ratio("kernel"),
+        "label_view_hit_ratio": hit_ratio("label_view"),
+        "shape_hit_ratio": hit_ratio("shape"),
         "dense_round_fraction": _ratio(
             dense, dense + counters.get("fixpoint.rounds_sparse", 0.0)
         ),

@@ -56,9 +56,9 @@ from .kernels import (
     RoleKernel,
     cached_kernel,
     compile_kernel,
-    kernel_cache_stats,
 )
 from .lcc import local_constraint_checking
+from .memos import clear_memos, memo_stats
 from .motifs import (
     MotifCounts,
     count_motifs,
@@ -172,13 +172,14 @@ __all__ = [
     "has_wildcards",
     "imdb1_template",
     "is_edge_monocyclic",
+    "clear_memos",
     "compile_kernel",
-    "kernel_cache_stats",
     "run_batch",
     "local_constraint_checking",
     "local_constraints",
     "max_candidate_arrays",
     "max_candidate_set",
+    "memo_stats",
     "motif_prototypes",
     "motif_template",
     "naive_options",

@@ -146,18 +146,15 @@ class _RoundAccounting:
         self.engine.record_batched_rounds(matrices, visits, spans=spans)
 
 
-def cut_traffic(pgraph, csr: GraphCsr, keep: np.ndarray) -> np.ndarray:
-    """Flat rank-pair message counts of the edges leaving ``keep``.
-
-    One message along each directed edge of ``csr`` from a ``keep``
-    vertex to one outside it, coded as in
-    :meth:`~repro.runtime.partition.PartitionedGraph.rank_arrays` but
-    for those edges only (``pgraph.edge_codes``), summed into the
-    ``ranks * ranks`` layout :meth:`_RoundAccounting.record_round`
-    charges.
+def cut_traffic(pgraph, cut_src: np.ndarray, cut_dst: np.ndarray) -> np.ndarray:
+    """Flat rank-pair message counts of one message along each directed
+    edge ``cut_src[i] -> cut_dst[i]`` (vertex ids: the edges a label view
+    cuts, :class:`~repro.graph.csr.LabelView`), coded as in
+    :meth:`~repro.runtime.partition.PartitionedGraph.rank_arrays` through
+    ``pgraph.edge_codes`` and summed into the ``ranks * ranks`` layout
+    :meth:`_RoundAccounting.record_round` charges.  Charged per run from
+    the ids: ranks, assignment and delegates are the run's own.
     """
-    cut = np.nonzero(keep[csr.src] & ~keep[csr.indices])[0]
-    order = csr.order
     ranks = pgraph.num_ranks
-    codes = pgraph.edge_codes(order[csr.src[cut]], order[csr.indices[cut]])
+    codes = pgraph.edge_codes(cut_src, cut_dst)
     return np.bincount(codes, minlength=ranks * ranks)

@@ -173,18 +173,6 @@ def _label_seeded(
     return roles, rows_where(active, table[csr.label_codes])
 
 
-def label_eligible(csr: GraphCsr, template) -> np.ndarray:
-    """Vertices of ``csr`` whose label some role of ``template`` carries."""
-    codes = [
-        csr.label_ids[label]
-        for label in {template.label(role) for role in template.vertices()}
-        if label in csr.label_ids
-    ]
-    by_code = np.zeros(csr.num_labels, dtype=bool)
-    by_code[codes] = True
-    return by_code[csr.label_codes]
-
-
 class ArraySearchState:
     """Bit-vector search state over a :class:`GraphCsr`.
 

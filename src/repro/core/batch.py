@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..errors import PrototypeError, TemplateError
 from ..graph.graph import Graph
 from .candidate_set import CandidateSetMemo
-from .kernels import kernel_cache_stats
+from .memos import memo_stats
 from .ordering import estimate_prototype_cost
 from .pipeline import PipelineOptions, run_pipeline
 from .prototypes import (
@@ -506,7 +506,7 @@ def run_batch(
     else:
         queries = library.queries
 
-    kernel_before = kernel_cache_stats()
+    memos_before = memo_stats()
     memo = CandidateSetMemo()
     schedule: Dict[str, float] = {}
     started = time.perf_counter()
@@ -544,6 +544,7 @@ def run_batch(
         wall = time.perf_counter() - started
         metrics.counter("cache.mstar_memo.hits").inc(memo.hits)
         metrics.counter("cache.mstar_memo.misses").inc(memo.misses)
+    memos_after = memo_stats()
     return BatchResult(
         library,
         items,
@@ -551,8 +552,8 @@ def run_batch(
         schedule,
         memo,
         {
-            kind: after - kernel_before[kind]
-            for kind, after in kernel_cache_stats().items()
+            kind: memos_after[f"kernel.{kind}"] - memos_before[f"kernel.{kind}"]
+            for kind in ("hits", "misses")
         },
         wall,
         metrics=metrics,

@@ -21,17 +21,16 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple, Union
 
-import numpy as np
-
 from ..runtime.engine import Engine
+from ..graph.csr import GraphCsr, LabelView
 from ..graph.graph import canonical_edge
+from . import memos
 from .arraystate import (
     ArraySearchState,
     array_kernel_fixpoint,
     csr_of,
 )
 from .arraystate.accounting import cut_traffic
-from .arraystate.searchstate import label_eligible
 from .kernels import cached_kernel, structural_fingerprint
 from .lcc import _exchange_candidacies, _has_adjacent_pair
 from .state import SearchState
@@ -39,6 +38,43 @@ from .template import PatternTemplate
 
 #: M* as the set-based or the vectorized fixpoint produced it
 MaxCandidateState = Union[SearchState, ArraySearchState]
+
+#: label sets whose view one CSR keeps (:func:`label_view`), the least
+#: recently used dropped first
+LABEL_VIEWS_KEPT = 8
+
+
+def template_label_codes(csr: GraphCsr, template: PatternTemplate) -> Tuple[int, ...]:
+    """The sorted label codes of ``csr`` some role of ``template`` carries."""
+    labels = {template.label(role) for role in template.vertices()}
+    return tuple(sorted(
+        csr.label_ids[label] for label in labels if label in csr.label_ids
+    ))
+
+
+def label_view(csr: GraphCsr, codes: Tuple[int, ...]) -> LabelView:
+    """:meth:`GraphCsr.label_view` of ``codes``, memoized on ``csr``.
+
+    What a label view is depends only on the graph and the label set, so
+    the templates of a run, and the runs of a process, that share both
+    share one view: at most :data:`LABEL_VIEWS_KEPT` label sets per CSR
+    (``csr.label_views``, which dies with the CSR).  The cut is kept as
+    vertex ids, never as traffic — each run charges it through its own
+    partition (:func:`cut_traffic`).  Lookups count as
+    ``cache.label_view.*``; keys carry :func:`memos.epoch`, so
+    :func:`memos.clear_memos` orphans every kept view.
+    """
+    views = csr.label_views
+    key = (memos.epoch(), codes)
+    found = views.get(key)
+    memos.count("label_view", found is not None)
+    if found is None:
+        found = views[key] = csr.label_view(codes)
+        if len(views) > LABEL_VIEWS_KEPT:
+            views.popitem(last=False)
+    else:
+        views.move_to_end(key)
+    return found
 
 
 class CandidateSetMemo:
@@ -121,22 +157,25 @@ def max_candidate_arrays(
     vertices, vertices of G)`` holds (the caller's view rule,
     ``pipeline.takes_view``; ``None`` never cuts), the fixpoint runs on
     the label view — the :meth:`GraphCsr.induced_view` of the eligible
-    vertices — instead of ``G``, and the state it returns lives on that
-    view.  ``G``'s round 1 also sends one message along each candidate's
-    edge toward an ineligible neighbour and then drops it; those edges'
-    traffic (:func:`cut_traffic`) is charged in closed form, so rounds,
-    messages and visits are ``G``'s.  ``min_words`` forces the
-    multi-word mask layout, as in :meth:`ArraySearchState.initial`.
+    vertices, memoized per label set (:func:`label_view`) — instead of
+    ``G``, and the state it returns lives on that view.  ``G``'s round 1
+    also sends one message along each candidate's edge toward an
+    ineligible neighbour and then drops it; those edges' traffic
+    (:func:`cut_traffic`) is charged in closed form, so rounds, messages
+    and visits are ``G``'s.  ``min_words`` forces the multi-word mask
+    layout, as in :meth:`ArraySearchState.initial`.
     """
     def fixpoint() -> ArraySearchState:
         kernel = cached_kernel(template.graph)
         csr = csr_of(graph)
         carried = None
         if view_rule is not None:
-            eligible = label_eligible(csr, template)
-            if view_rule(int(np.count_nonzero(eligible)), csr.num_vertices):
-                carried = cut_traffic(engine.pgraph, csr, eligible)
-                csr = csr.induced_view(eligible)
+            codes = template_label_codes(csr, template)
+            kept = int(csr.label_code_counts[list(codes)].sum())
+            if view_rule(kept, csr.num_vertices):
+                cut = label_view(csr, codes)
+                carried = cut_traffic(engine.pgraph, cut.cut_src, cut.cut_dst)
+                csr = cut.view
         astate = ArraySearchState.seeded(csr, template, min_words)
         array_kernel_fixpoint(
             astate, kernel, engine,
@@ -252,6 +291,8 @@ def _role_viable(
 
 __all__ = [
     "CandidateSetMemo",
+    "LABEL_VIEWS_KEPT",
+    "label_view",
     "max_candidate_arrays",
     "max_candidate_set",
     "canonical_edge",

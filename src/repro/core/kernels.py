@@ -41,7 +41,7 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 import numpy as np
 
 from ..graph.graph import Graph
-from ..runtime.metrics import MetricsRegistry
+from . import memos
 
 #: most roles :meth:`RoleKernel.role_tables` tabulates (``2**roles``
 #: entries per table); larger kernels refine one role bit at a time
@@ -254,14 +254,7 @@ def structural_fingerprint(graph: Graph) -> Tuple:
 
 
 #: process-wide compiled-kernel table, keyed by structural fingerprint
-_KERNEL_CACHE: Dict[Tuple, RoleKernel] = {}
-
-#: cumulative cache traffic in registry counters, surfaced by the batch
-#: executor's counters and the per-run metrics (every counter a run
-#: moves reaches its report: ``tests/core/test_run_report.py``)
-_KERNEL_CACHE_METRICS = MetricsRegistry()
-_M_KERNEL_HITS = _KERNEL_CACHE_METRICS.counter("cache.kernel.hits")
-_M_KERNEL_MISSES = _KERNEL_CACHE_METRICS.counter("cache.kernel.misses")
+_KERNEL_CACHE: Dict[Tuple, RoleKernel] = memos.table()
 
 
 def cached_kernel(proto_graph: Graph) -> RoleKernel:
@@ -273,33 +266,15 @@ def cached_kernel(proto_graph: Graph) -> RoleKernel:
     :class:`RoleKernel` can serve every structurally-identical graph; the
     cache key is the exact structural fingerprint — *not* a canonical
     form — so role ids in the tables always match the caller's graph.
+    Its lookups count as ``cache.kernel.*`` (:mod:`~repro.core.memos`).
     """
     key = structural_fingerprint(proto_graph)
     kernel = _KERNEL_CACHE.get(key)
+    memos.count("kernel", kernel is not None)
     if kernel is None:
-        _M_KERNEL_MISSES.inc()
         kernel = RoleKernel(proto_graph)
         _KERNEL_CACHE[key] = kernel
-    else:
-        _M_KERNEL_HITS.inc()
     return kernel
-
-
-def kernel_cache_stats() -> Dict[str, int]:
-    """Snapshot of the process-wide kernel-cache hit/miss counters."""
-    return {
-        "hits": int(_M_KERNEL_HITS.value),
-        "misses": int(_M_KERNEL_MISSES.value),
-    }
-
-
-def clear_kernel_cache() -> None:
-    """Drop compiled kernels and reset the counters (test hook)."""
-    global _KERNEL_CACHE_METRICS, _M_KERNEL_HITS, _M_KERNEL_MISSES
-    _KERNEL_CACHE.clear()
-    _KERNEL_CACHE_METRICS = MetricsRegistry()
-    _M_KERNEL_HITS = _KERNEL_CACHE_METRICS.counter("cache.kernel.hits")
-    _M_KERNEL_MISSES = _KERNEL_CACHE_METRICS.counter("cache.kernel.misses")
 
 
 @functools.lru_cache(maxsize=4096)

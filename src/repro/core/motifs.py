@@ -15,8 +15,9 @@ non-induced ones by inverting the spanning-subgraph overcounting relation
 ``noninduced(H) = Σ_G  #spanning-subgraphs-of-G-isomorphic-to-H · induced(G)``
 (a triangular integer system over the motif set).  The system is read
 off the motif tree: each coefficient is a mapping count divided by the
-inner motif's ``Prototype.automorphisms``, computed afresh per census (it
-costs less than keying a memo by canonical form would).
+inner motif's ``Prototype.automorphisms``, read off the motif's shape
+record (``prototypes.shape_of``), so each shape is counted once per
+process.
 """
 
 from __future__ import annotations

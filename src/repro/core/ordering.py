@@ -15,7 +15,10 @@ Two optimizations from the paper:
 prototype's :class:`ConstraintPlan` builds walks only when
 ``search_prototype`` asks it to select (after the first LCC fixpoint
 left a live vertex), and then only up to its decision — the complete
-list is generated and ordered only for a plan that keeps it.
+list is ordered only for a plan that keeps it.  The walks themselves are
+what a prototype's shape and the background's label frequencies decide:
+they are built once per process, on the shape's
+:class:`~repro.core.prototypes.ShapeRecord` (:class:`ShapeWalks`).
 """
 
 from __future__ import annotations
@@ -24,28 +27,23 @@ from functools import cached_property
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..graph.graph import Graph
-from . import constraints as constraint_builder
 from .constraints import (
     CYCLE_KIND,
     FULL_WALK_KIND,
     PATH_KIND,
     TDS_KIND,
     ConstraintSelection,
-    Cycles,
     NonLocalConstraint,
-    exact_without_full_walk,
     prefilter_constraints,
-    prefilter_count,
     reverse_visits_rarer_first,
     rooted_full_walk,
-    simple_cycles,
 )
 from .cost_estimation import (
     GraphStatistics,
     estimate_walk_cost,
     order_constraints_by_cost,
 )
-from .prototypes import Prototype
+from .prototypes import Prototype, ShapeRecord, shape_of
 
 _KIND_PRIORITY = {CYCLE_KIND: 0, PATH_KIND: 1, TDS_KIND: 2, FULL_WALK_KIND: 3}
 
@@ -102,6 +100,49 @@ def order_constraints(
     return sorted(oriented, key=opt_key)
 
 
+class ShapeWalks:
+    """One prototype shape's non-local walks, rooted and oriented by one
+    background's label frequencies.
+
+    ``full_walk`` is built on first read; :meth:`prefilters` yields the
+    CC / PC / TDS walks in generation order, building each only when a
+    reader first reaches it.  Kept on the shape's
+    :class:`~repro.core.prototypes.ShapeRecord` under
+    :meth:`ConstraintPlanner.walks`' key, so each walk of a shape is built
+    once per process per orientation, whichever plans and runs read it.
+    """
+
+    def __init__(
+        self, shape: ShapeRecord, frequencies: Dict[int, int], orient: bool
+    ) -> None:
+        self._graph = shape.graph
+        #: the background frequencies of the shape's own labels
+        self._frequencies = frequencies
+        self._orient_by = frequencies if orient else None
+        self._built: List[NonLocalConstraint] = []
+        self._pending = prefilter_constraints(
+            shape.graph, shape.cycles, self._orient_by
+        )
+
+    @cached_property
+    def full_walk(self) -> NonLocalConstraint:
+        return rooted_full_walk(self._graph, self._frequencies, self._orient_by)
+
+    def prefilters(self) -> Iterator[NonLocalConstraint]:
+        """The pre-filters in generation order: those built so far, then
+        each of the rest as it is reached."""
+        built = self._built
+        index = 0
+        while True:
+            if index == len(built):
+                prefilter = next(self._pending, None)
+                if prefilter is None:
+                    return
+                built.append(prefilter)
+            yield built[index]
+            index += 1
+
+
 class ConstraintPlanner:
     """One run's planning choices: the background label frequencies and
     ``constraint_ordering`` — ``True`` orients and sorts rare-labels-first,
@@ -119,23 +160,35 @@ class ConstraintPlanner:
     def plan(self, proto_graph: Graph) -> "ConstraintPlan":
         return ConstraintPlan(self, proto_graph)
 
-    @property
-    def _orient_by(self) -> Optional[Dict[int, int]]:
-        """The frequencies walks are turned rare-labels-first by at
-        construction: only the frequency ordering orients."""
-        if self.ordering and self.ordering != "walk-cost":
-            return self.label_frequencies
-        return None
+    def walks(self, shape: ShapeRecord) -> ShapeWalks:
+        """``shape``'s walks as this background roots and orients them.
 
-    def build(self, proto_graph: Graph) -> List[NonLocalConstraint]:
-        """Generate and order ``proto_graph``'s non-local constraints now."""
-        orient_by = self._orient_by
-        # through the module attribute: the e2e trace and the tests rebind
-        # ``constraints.generate_constraints`` to see the builds that happen
-        non_local = constraint_builder.generate_constraints(
-            proto_graph, self.label_frequencies,
-            orient=orient_by is not None,
-        ).non_local
+        Keyed by what decides that: the background frequencies of the
+        shape's labels (they pick the full walk's root and each walk's
+        direction) and whether this ordering orients walks at all — only
+        the frequency ordering does.
+        """
+        graph = shape.graph
+        frequencies = {
+            label: self.label_frequencies.get(label, 0)
+            for label in sorted(graph.label_set())
+        }
+        orient = bool(self.ordering) and self.ordering != "walk-cost"
+        key = (tuple(frequencies.items()), orient)
+        walks = shape.walks.get(key)
+        if walks is None:
+            walks = shape.walks[key] = ShapeWalks(shape, frequencies, orient)
+        return walks
+
+    def build(self, shape: ShapeRecord) -> List[NonLocalConstraint]:
+        """``shape``'s complete list in checking order: the ordering step
+        over its pre-filters and full walk.  Per plan, since
+        ``"walk-cost"`` reads this background's statistics; the walks
+        themselves are the shape record's."""
+        walks = self.walks(shape)
+        non_local = list(walks.prefilters())
+        if not shape.exact_without_full_walk:
+            non_local.append(walks.full_walk)
         if self.ordering != "walk-cost":
             return order_constraints(
                 non_local, self.label_frequencies, optimize=bool(self.ordering)
@@ -144,17 +197,6 @@ class ConstraintPlanner:
             self._walk_stats = GraphStatistics.from_graph(self.graph)
         return order_constraints_by_cost(non_local, self._walk_stats)
 
-    def full_walk(self, proto_graph: Graph) -> NonLocalConstraint:
-        """The complete list's full walk, built alone."""
-        return rooted_full_walk(proto_graph, self.label_frequencies, self._orient_by)
-
-    def prefilters(
-        self, proto_graph: Graph, cycles: Cycles
-    ) -> Iterator[NonLocalConstraint]:
-        """The complete list's pre-filters in generation order, one at a
-        time, oriented as the complete list orients them."""
-        return prefilter_constraints(proto_graph, cycles, self._orient_by)
-
 
 class ConstraintPlan:
     """One prototype's constraints: ``non_local`` is the complete list in
@@ -162,18 +204,22 @@ class ConstraintPlan:
     up to its decision — nothing, for a prototype whose scope dies in the
     first LCC fixpoint.  ``exact_without_full_walk`` follows from the
     prototype's shape alone (a tree with distinct labels) and triggers no
-    build.  Duck-types the read side of
+    build.  What the shape decides — the walks, the cycles, the pre-filter
+    count — lives on its :class:`~repro.core.prototypes.ShapeRecord` and is
+    built once per process; the plan keeps nothing of its own but the
+    ordered list.  Duck-types the read side of
     :class:`~repro.core.constraints.ConstraintSet`.
     """
 
     def __init__(self, planner: ConstraintPlanner, proto_graph: Graph) -> None:
         self.proto_graph = proto_graph
-        self.exact_without_full_walk = exact_without_full_walk(proto_graph)
+        self._shape = shape_of(proto_graph)
+        self.exact_without_full_walk = self._shape.exact_without_full_walk
         self._planner = planner
 
     @cached_property
     def non_local(self) -> List[NonLocalConstraint]:
-        return self._planner.build(self.proto_graph)
+        return self._planner.build(self._shape)
 
     def full_walk(self) -> Optional[NonLocalConstraint]:
         tail = self.non_local[-1:]  # every order puts the full walk last
@@ -193,14 +239,15 @@ class ConstraintPlan:
         runs.  Decided from counts, so equal scopes decide equally, and
         answered afresh per scope: a plan is shared, nothing is kept on it.
 
-        The full walk is built and estimated first; the pre-filters are
-        then built one at a time, in generation order, and their
-        estimates added up.  The sum only grows, so the first pre-filter
-        that brings it to the full walk's estimate decides "the full walk
-        alone" exactly as the complete list's sum would, and the rest are
-        never built; their number (``skipped``) follows from the cycles
-        and labels (:func:`~repro.core.constraints.prefilter_count`).
-        Only a plan whose sum never gets there builds the complete list.
+        The full walk is estimated first; the pre-filters are then read
+        one at a time, in generation order (each built on the shape's
+        first need of it), and their estimates added up.  The sum only
+        grows, so the first pre-filter that brings it to the full walk's
+        estimate decides "the full walk alone" exactly as the complete
+        list's sum would, and the rest are never built; their number
+        (``skipped``) follows from the cycles and labels
+        (:func:`~repro.core.constraints.prefilter_count`).  Only a plan
+        whose sum never gets there orders the complete list.
 
         A prototype exact without the full walk has no walk to fall back
         on, and without an array scope (``astate is None``: the reference
@@ -208,20 +255,19 @@ class ConstraintPlan:
         other prototype has a cycle or a same-labeled pair, so at least
         one pre-filter.
         """
-        planner, proto_graph = self._planner, self.proto_graph
         if astate is None or self.exact_without_full_walk:
             return ConstraintSelection(self.non_local)
-        cycles = simple_cycles(proto_graph)
-        total = prefilter_count(proto_graph, cycles)
-        stats = GraphStatistics.from_scope(astate, proto_graph)
-        full_walk = planner.full_walk(proto_graph)
+        walks = self._planner.walks(self._shape)
+        stats = GraphStatistics.from_scope(astate, self.proto_graph)
+        full_walk = walks.full_walk
         full_walk_rows = estimate_walk_cost(full_walk, stats)
         prefilter_rows = 0.0
-        for prefilter in planner.prefilters(proto_graph, cycles):
+        for prefilter in walks.prefilters():
             prefilter_rows += estimate_walk_cost(prefilter, stats)
             if prefilter_rows >= full_walk_rows:
                 return ConstraintSelection(
-                    [full_walk], prefilter_rows, full_walk_rows, total
+                    [full_walk], prefilter_rows, full_walk_rows,
+                    self._shape.prefilter_count,
                 )
         return ConstraintSelection(self.non_local, prefilter_rows, full_walk_rows)
 

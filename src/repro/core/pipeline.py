@@ -42,7 +42,7 @@ from .candidate_set import (
     max_candidate_arrays,
     max_candidate_set,
 )
-from .kernels import kernel_cache_stats
+from .memos import memo_stats
 from .ordering import (
     ConstraintPlanner,
     estimate_prototype_cost,
@@ -405,15 +405,14 @@ class RunStart(NamedTuple):
     """What :func:`finish_run` measures a run against."""
 
     wall: float
-    kernel_cache: Dict[str, int]
+    memos: Dict[str, int]
     mark: Dict[str, float]
 
 
 def start_run(options: PipelineOptions) -> RunStart:
-    """Open a run's wall clock, kernel-cache snapshot and registry window."""
-    return RunStart(
-        time.perf_counter(), kernel_cache_stats(), options.metrics.mark()
-    )
+    """Open a run's wall clock, process-wide memo snapshot and registry
+    window."""
+    return RunStart(time.perf_counter(), memo_stats(), options.metrics.mark())
 
 
 def finish_run(
@@ -426,19 +425,20 @@ def finish_run(
     """Run epilogue shared by the bottom-up and exploratory drivers.
 
     Wall time, merged message accounting, the NLCC cache's size, the
-    run's share of the process-wide kernel cache's traffic (the delta
-    against the snapshot :func:`start_run` took) and the registry's
-    window over the run (``result.counts``).
+    run's share of the process-wide memos' traffic (``cache.kernel.*``,
+    ``cache.label_view.*``, ``cache.shape.*``: the delta against the
+    snapshot :func:`start_run` took) and the registry's window over the
+    run (``result.counts``).
     """
     metrics = options.metrics
     result.total_wall_seconds = time.perf_counter() - started.wall
     result.message_summary = merge_message_stats(all_stats)
     if cache is not None:
         result.nlcc_cache_size = cache.size()
-    for kind, after in kernel_cache_stats().items():
-        delta = after - started.kernel_cache[kind]
+    for name, after in memo_stats().items():
+        delta = after - started.memos[name]
         if delta:
-            metrics.counter(f"cache.kernel.{kind}").inc(delta)
+            metrics.counter(f"cache.{name}").inc(delta)
     result.counts = metrics.since(started.mark)
     result.metrics = metrics
     return result

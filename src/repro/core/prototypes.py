@@ -9,7 +9,10 @@ parent → child derivation links are retained: they drive the containment
 rule and the match-extension enumeration optimization.  Each prototype
 keeps its dedup key and its automorphism count, so every reader of the
 tree — the drivers' match counting, the batch executor's class index,
-the motif census inversion — reads them off the prototype.
+the motif census inversion — reads them off the prototype.  What a
+prototype graph's exact shape decides whatever the run — its
+automorphism count, its cycles and its constraint walks — is kept once
+per process in its :class:`ShapeRecord` (:func:`shape_of`).
 
 A prototype is ``H0`` minus the optional edges set in ``Prototype.mask``.
 A level memoizes mask → (child, iso), so a child reached from a second
@@ -28,11 +31,17 @@ prototypes within ``k = 4`` — the exact number reported in §5.5.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from functools import cached_property
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..errors import PrototypeError
 from ..graph.graph import Edge, Graph
 from ..graph.isomorphism import automorphism_count, canonical_labelling
+from . import memos
+from .constraints import (
+    Cycles, exact_without_full_walk, prefilter_count, simple_cycles,
+)
+from .kernels import structural_fingerprint
 from .template import PatternTemplate
 
 
@@ -71,8 +80,9 @@ class Prototype:
     ``key`` (:func:`prototype_key`), ``labelling`` (the canonical
     labelling behind it) and ``automorphisms`` (the number of
     label-preserving automorphisms of ``graph``) are facts of the tree:
-    dedup hands each child the key and labelling it computed, and the
-    rest are computed on first read and kept.
+    dedup hands each child the key and labelling it computed, the key is
+    otherwise computed on first read, and ``automorphisms`` is read off
+    the graph's :class:`ShapeRecord`; each is kept.
     """
 
     def __init__(
@@ -117,8 +127,9 @@ class Prototype:
 
     @property
     def automorphisms(self) -> int:
+        """Read off the graph's :class:`ShapeRecord` once, then kept."""
         if self._automorphisms is None:
-            self._automorphisms = automorphism_count(self.graph)
+            self._automorphisms = shape_of(self.graph).automorphisms
         return self._automorphisms
 
     @property
@@ -142,6 +153,59 @@ class Prototype:
 
     def __repr__(self) -> str:
         return f"Prototype({self.name}, m={self.num_edges})"
+
+
+class ShapeRecord:
+    """What a prototype graph's exact shape decides, whatever the run.
+
+    One record per process per
+    :func:`~repro.core.kernels.structural_fingerprint` (:func:`shape_of`),
+    the exact-identity key ``cached_kernel`` uses, not a canonical form:
+    graphs with one key have the same vertex ids, labels, edges and edge
+    labels, so whatever is read off the record holds for each of them.
+    The record keeps a copy of the first such graph it was handed, so a
+    caller that edits its graph later changes no record.  The automorphism
+    count, the simple cycles and the pre-filter count are computed on
+    first read; ``walks`` holds the constraint walks built so far, per
+    orientation (:class:`~repro.core.ordering.ShapeWalks`).
+    """
+
+    def __init__(self, graph: Graph) -> None:
+        self.graph = graph.copy()
+        #: orientation key -> ``ShapeWalks`` (filled by the planner)
+        self.walks: Dict[Tuple, Any] = {}
+
+    @cached_property
+    def automorphisms(self) -> int:
+        """Label-preserving automorphisms of the graph."""
+        return automorphism_count(self.graph)
+
+    @cached_property
+    def cycles(self) -> Cycles:
+        return simple_cycles(self.graph)
+
+    @cached_property
+    def prefilter_count(self) -> int:
+        return prefilter_count(self.graph, self.cycles)
+
+    @cached_property
+    def exact_without_full_walk(self) -> bool:
+        return exact_without_full_walk(self.graph)
+
+
+#: shape records by structural fingerprint, process-wide
+_SHAPES: Dict[Tuple, ShapeRecord] = memos.table()
+
+
+def shape_of(graph: Graph) -> ShapeRecord:
+    """``graph``'s :class:`ShapeRecord`, built on its fingerprint's first
+    lookup; lookups count as ``cache.shape.*``."""
+    key = structural_fingerprint(graph)
+    record = _SHAPES.get(key)
+    memos.count("shape", record is not None)
+    if record is None:
+        record = _SHAPES[key] = ShapeRecord(graph)
+    return record
 
 
 class PrototypeSet:

@@ -22,8 +22,9 @@ read, on roots and views alike: an array search never asks.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from itertools import chain
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -136,6 +137,16 @@ def _graph_columns(
             np.fromiter(labelled.values(), dtype=np.int64, count=len(labelled)),
         )
     return order, src[once], dst[once], labels, edge_labels
+
+
+class LabelView(NamedTuple):
+    """The induced view over the vertices of some labels, and its cut."""
+
+    view: "GraphCsr"
+    #: vertex ids of each directed edge from a kept vertex to a dropped
+    #: one, in edge order: ids, not ranks, so every partition reads them
+    cut_src: np.ndarray
+    cut_dst: np.ndarray
 
 
 class GraphCsr:
@@ -355,6 +366,37 @@ class GraphCsr:
             getattr(view, name).flags.writeable = False
         return view
 
+    def label_view(self, codes: Sequence[int]) -> LabelView:
+        """The :meth:`induced_view` of the vertices whose label code is
+        in ``codes``, with the directed edges that leave it."""
+        by_code = np.zeros(self.num_labels, dtype=bool)
+        by_code[list(codes)] = True
+        keep = by_code[self.label_codes]
+        cut = np.nonzero(keep[self.src] & ~keep[self.indices])[0]
+        return LabelView(
+            self.induced_view(keep),
+            self.order[self.src[cut]],
+            self.order[self.indices[cut]],
+        )
+
+    @property
+    def label_views(self) -> "OrderedDict[Tuple, LabelView]":
+        """The label views kept for this CSR, least recently used first
+        (``repro.core.candidate_set.label_view`` fills and bounds it).
+        Parked in the ``_lazy`` holder, so they die with the CSR — and
+        :func:`csr_of` replaces the CSR after any mutation of its graph."""
+        return self._lazy.setdefault("label_views", OrderedDict())
+
+    @property
+    def label_code_counts(self) -> np.ndarray:
+        """Vertices per dense label code, counted on first read."""
+        lazy = self._lazy
+        if "label_code_counts" not in lazy:
+            counts = np.bincount(self.label_codes, minlength=self.num_labels)
+            counts.flags.writeable = False
+            lazy["label_code_counts"] = counts
+        return lazy["label_code_counts"]
+
     @property
     def graph(self) -> Graph:
         """The dict-land graph this CSR describes, built on first read.
@@ -407,10 +449,9 @@ class GraphCsr:
 
     def label_histogram(self) -> Dict[int, int]:
         """Vertices per label, read off ``label_codes`` (absent labels skipped)."""
-        counts = np.bincount(self.label_codes, minlength=len(self.label_ids))
         return {
             lab: count
-            for lab, count in zip(self.label_ids, counts.tolist())
+            for lab, count in zip(self.label_ids, self.label_code_counts.tolist())
             if count
         }
 

@@ -81,6 +81,14 @@ class TestReportFormatting:
         table = format_table(["x"], [[1.23456]])
         assert "1.235" in table
 
+    @pytest.mark.parametrize(
+        "value, cell",
+        [(0.000584, "0.000584"), (-0.000584, "-0.000584"), (1.23456, "1.235"),
+         (0.0, "0.000"), (0.001, "0.001")],
+    )
+    def test_small_floats_keep_four_significant_digits(self, value, cell):
+        assert format_table(["x"], [[value]]).splitlines()[-1].strip() == cell
+
     def test_seconds_scales(self):
         assert format_seconds(5e-7).endswith("us")
         assert format_seconds(0.005).endswith("ms")

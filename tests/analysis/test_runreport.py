@@ -228,9 +228,16 @@ def test_every_derived_ratio_has_a_producer(complete_constraint_lists):
         BatchQuery(template, 1, name="ring"),
         BatchQuery(template, 0, name="ring0"),
     ], PipelineOptions(num_ranks=2))
+    # on twelve labels most vertices carry none of the template's, so
+    # M* runs on the label view
+    sparse = run_pipeline(
+        planted_graph(60, 140, edges, labels, copies=3, num_labels=12,
+                      seed=33),
+        template, 1, PipelineOptions(num_ranks=2),
+    )
     derived = [
         derived_metrics(result.stats_document()["metrics"])
-        for result in (run, batch)
+        for result in (run, batch, sparse)
     ]
     unmeasured = [
         name for name in derived[0]

@@ -3,8 +3,9 @@
 Guards around :class:`repro.core.ordering.ConstraintPlan`:
 
 * (i) walks are built only for a prototype whose post-LCC scope is
-  non-empty, and the eager builder runs once for each such prototype
-  whose plan keeps its complete list, never for the others;
+  non-empty, and the complete list is ordered once for each such
+  prototype whose plan keeps it, never for the others (the spies clear
+  the process-wide memos first: a shape built earlier builds nothing);
 * (ii) a plan's list equals, element for element, what the drivers used to
   build eagerly (``order_constraints`` / ``order_constraints_by_cost`` over
   ``generate_constraints(...).non_local``) — and, for two templates, the
@@ -13,7 +14,7 @@ Guards around :class:`repro.core.ordering.ConstraintPlan`:
 * (iii) exactness is answered without a build, the full walk with one;
 * (iv) bottom-up and top-down outcomes on small versions of the six
   Fig. 7 stream rows equal the values pinned from that commit;
-* (v) one cycle enumeration per built plan;
+* (v) one cycle enumeration per built shape;
 * every driver checks the same keys in the same order under each
   ``constraint_ordering`` (``"walk-cost"`` used to reach one driver only);
 * an exploratory run reports its compile-cache traffic.
@@ -52,7 +53,8 @@ from repro.core import (
 from repro.core.constraints import FULL_WALK_KIND
 from repro.core.cost_estimation import GraphStatistics, order_constraints_by_cost
 from repro.core.flips import run_flip_pipeline
-from repro.core.kernels import clear_kernel_cache
+from repro.core.kernels import structural_fingerprint
+from repro.core.memos import clear_memos
 from repro.core.ordering import order_constraints
 from repro.core.patterns import (
     imdb1_template,
@@ -144,21 +146,25 @@ def proto_key(proto_graph):
 # ----------------------------------------------------------------------
 @pytest.fixture
 def builds(monkeypatch):
-    """Counts ``generate_constraints`` calls per prototype graph."""
+    """Counts complete lists ordered (``ConstraintPlanner.build``) per
+    prototype graph."""
+    clear_memos()
     calls = collections.Counter()
-    raw = constraints_module.generate_constraints
+    raw = ConstraintPlanner.build
 
-    def counting(proto_graph, *args, **kwargs):
-        calls[proto_key(proto_graph)] += 1
-        return raw(proto_graph, *args, **kwargs)
+    def counting(planner, shape):
+        calls[proto_key(shape.graph)] += 1
+        return raw(planner, shape)
 
-    monkeypatch.setattr(constraints_module, "generate_constraints", counting)
+    monkeypatch.setattr(ConstraintPlanner, "build", counting)
     return calls
 
 
 @pytest.fixture
 def constructed(monkeypatch):
-    """Counts ``NonLocalConstraint`` constructions per prototype graph."""
+    """Counts ``NonLocalConstraint`` constructions per prototype graph,
+    from cold memos."""
+    clear_memos()
     calls = collections.Counter()
     raw_init = constraints_module.NonLocalConstraint.__init__
 
@@ -191,9 +197,9 @@ def keepers(outcomes):
 
 
 class TestPlannedOnlyWhenScopeSurvivesLcc:
-    """Walks are built only for a scope that survived LCC; the eager
-    builder runs only for a plan that keeps its complete list (a plan
-    answering "the full walk alone" builds walks up to its decision)."""
+    """Walks are built only for a scope that survived LCC; the complete
+    list is ordered only for a plan that keeps it (a plan answering "the
+    full walk alone" builds walks up to its decision)."""
 
     def test_exploratory_search(self, builds, constructed):
         graph, template = clique_case()
@@ -255,7 +261,12 @@ class TestPlanEqualsEagerList:
             assert [(c.kind, c.walk, c.labels, c.key) for c in plan] == [
                 (c.kind, c.walk, c.labels, c.key) for c in reference
             ]
-            assert all(c.proto_graph is proto.graph for c in plan)
+            # the walks are the shape record's: its own copy of the graph
+            assert all(
+                structural_fingerprint(c.proto_graph)
+                == structural_fingerprint(proto.graph)
+                for c in plan
+            )
 
     @pytest.mark.parametrize("ordering", ORDERINGS, ids=str)
     @pytest.mark.parametrize("name", sorted(PINS["plans"]))
@@ -268,6 +279,7 @@ class TestPlanEqualsEagerList:
 
     def test_orientation_happens_before_construction(self, monkeypatch):
         _, graph, template, _ = CASES["WDC-2"]
+        clear_memos()
         constructed = []
         raw_init = constraints_module.NonLocalConstraint.__init__
 
@@ -407,9 +419,10 @@ class TestOutcomesPinnedFromParent:
 
 
 # ----------------------------------------------------------------------
-# (v) one cycle enumeration per built plan
+# (v) one cycle enumeration per built shape
 # ----------------------------------------------------------------------
 def test_cycles_enumerated_once_per_built_plan(monkeypatch):
+    clear_memos()
     graph = CASES["WDC-2"][1]
     entered = []
     raw = constraints_module.simple_cycles_upto
@@ -424,6 +437,11 @@ def test_cycles_enumerated_once_per_built_plan(monkeypatch):
     kinds = {c.kind for c in plan.non_local}
     assert {"cycle", "path", "tds", FULL_WALK_KIND} <= kinds
     plan.non_local, plan.full_walk()
+    assert len(entered) == 1
+    # a second plan of the shape, even on another background, reads them
+    ConstraintPlanner(CASES["WDC-1"][1], False).plan(
+        wdc2_template().graph
+    ).non_local
     assert len(entered) == 1
 
 
@@ -517,10 +535,9 @@ class TestEveryDriverChecksInTheSameOrder:
 # exploratory runs report their compile-cache traffic
 # ----------------------------------------------------------------------
 def test_exploratory_run_reports_compile_cache_counters():
-    # the kernel cache is the one process-wide compile cache, and every
-    # search goes through it
+    # every search compiles through the process-wide kernel memo
     graph, template = clique_case()
-    clear_kernel_cache()
+    clear_memos()
     cold = exploratory_search(graph, template)
     warm = exploratory_search(graph, template)
     cold_counters = cold.stats_document()["metrics"]["counters"]

@@ -11,7 +11,8 @@ messages ``G``'s candidates send toward the rest in closed form
   and alive edges equal the uncut fixpoint's restricted to the view, and
   the two engines' message accounting (messages, remote messages,
   visits, barriers, per phase) and metrics (rounds, worklists, dense /
-  sparse decisions) are identical;
+  sparse decisions) are identical; a warm second run, on the view the
+  first one left in the memo, is identical too;
 * (b) unused labels change no answer — vertices whose labels no role
   carries, wired into the graph, leave ``run_pipeline``,
   ``exploratory_search`` and ``run_batch`` on both backends equal to the
@@ -112,6 +113,18 @@ def assert_cut_is_exact(graph, template, min_words, kind):
     assert (
         cut_engine.metrics.snapshot() == uncut_engine.metrics.snapshot()
     )
+
+    # a warm second run takes the kept view and charges its cut afresh,
+    # through its own partition, to the same counts
+    warm_engine = engine_on(graph, kind)
+    warm = max_candidate_arrays(
+        graph, template, warm_engine, view_rule=always, min_words=min_words
+    )
+    assert warm.csr is view
+    np.testing.assert_array_equal(warm.role_mask, cut.role_mask)
+    np.testing.assert_array_equal(warm.edge_alive, cut.edge_alive)
+    assert warm_engine.stats.summary() == cut_engine.stats.summary()
+    assert warm_engine.metrics.snapshot() == cut_engine.metrics.snapshot()
 
 
 @st.composite

@@ -12,7 +12,12 @@ full walk's ends the build.  Guards:
   complete list's length less the full walk, without building a walk;
 * on the ``clique-explore`` case the one planned prototype (12 edges,
   1 395 pre-filters) constructs at most 8 ``NonLocalConstraint`` objects,
-  and ``automorphism_count`` runs only for prototypes with matches.
+  and ``automorphism_count`` runs only for prototypes with matches;
+* a plan that keeps its complete list constructs each of its constraints
+  once: the ordering step runs over the walks the selection built.
+
+The spies count builds from cold process-wide memos (``clear_memos``): a
+shape an earlier test planned builds nothing.
 """
 
 import collections
@@ -29,16 +34,19 @@ from repro.core import (
     exploratory_search,
     generate_constraints,
     generate_prototypes,
+    run_pipeline,
 )
 from repro.core.arraystate import ArraySearchState
 from repro.core.constraints import prefilter_count, simple_cycles
 from repro.core.cost_estimation import GraphStatistics, estimate_walk_cost
 from repro.core.kernels import cached_kernel
 from repro.core.lcc import local_constraint_checking
+from repro.core.memos import clear_memos
 from repro.core.ordering import ConstraintPlanner
 from repro.graph.graph import Graph
 from repro.runtime import Engine, MessageStats, PartitionedGraph
 
+from test_adaptive import nlcc_shape_workload
 from test_constraint_selection import wdc4_case
 
 ORDERINGS = (True, False, "walk-cost")
@@ -191,6 +199,7 @@ def clique_explore_run():
         return raw_count(graph)
 
     graph, template = wdc4_case()
+    clear_memos()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
             constraints_module.NonLocalConstraint, "__init__", constructing
@@ -224,3 +233,35 @@ class TestTheCliqueExploreRound:
             tuple(sorted(o.prototype.graph.edges())) for o in matched
         )
         assert result.total_match_mappings() == 2
+
+
+class TestAKeptPlan:
+    def test_constructs_each_constraint_once(self, monkeypatch):
+        # the mirrored-label C4 at k = 1: one prototype's plan keeps its
+        # five constraints; before the shape record it built them twice,
+        # once while selecting and once for the ordered list
+        graph, template = nlcc_shape_workload()
+        clear_memos()
+        constructed = collections.Counter()
+        raw_init = constraints_module.NonLocalConstraint.__init__
+
+        def constructing(self, kind, walk, labels, proto_graph=None):
+            constructed[(tuple(sorted(proto_graph.edges())), kind, tuple(walk))] += 1
+            raw_init(self, kind, walk, labels, proto_graph)
+
+        monkeypatch.setattr(
+            constraints_module.NonLocalConstraint, "__init__", constructing
+        )
+        result = run_pipeline(graph, template, 1, PipelineOptions())
+        (kept,) = [
+            o for o in result.outcomes()
+            if o.counts.get("plan.prefilters_kept", 0)
+        ]
+        shape = tuple(sorted(kept.prototype.graph.edges()))
+        built = {key: n for key, n in constructed.items() if key[0] == shape}
+        assert kept.counts["nlcc.constraints_checked"] == len(built) == 5
+        assert set(built.values()) == {1}
+        # a second run builds nothing at all
+        constructed.clear()
+        run_pipeline(graph, template, 1, PipelineOptions())
+        assert not constructed

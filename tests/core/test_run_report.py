@@ -11,8 +11,9 @@ checkpointed run.
 ``fixtures/run_report_parent.json`` was written by this module's
 ``__main__`` (``PYTHONPATH=src python tests/core/test_run_report.py``)
 against the commit before the report was derived from windows.  Wall
-seconds and the process-wide kernel-cache counters (whose traffic
-depends on what ran earlier in the process) are left out.  Every value
+seconds and the process-wide memo counters (``cache.kernel.*``,
+``cache.label_view.*``, ``cache.shape.*``, whose traffic depends on what
+ran earlier in the process) are left out.  Every value
 it holds is unchanged, except that the batch document lost the keys in
 :data:`REMOVED` (``schema`` 2); the report only gained the keys in
 :data:`ADDED` and the registry counters in :data:`NEW_COUNTERS`.  Every
@@ -43,7 +44,7 @@ from repro.core import (
     run_batch,
     run_pipeline,
 )
-from repro.core.kernels import clear_kernel_cache
+from repro.core.memos import clear_memos
 import repro.core.pipeline as pipeline_module
 from repro.core.restart import run_pipeline_with_checkpoints
 from repro.core.results import SCHEMA
@@ -150,8 +151,9 @@ def _documents(driver, backend, workdir):
 
 
 def _process_wide(name):
-    """Counters whose value depends on what ran before in the process."""
-    return name.startswith("cache.kernel.")
+    """Counters whose value depends on what ran before in the process:
+    the process-wide memos' (``repro.core.memos``)."""
+    return name.startswith(("cache.kernel.", "cache.label_view.", "cache.shape."))
 
 
 def normalized(value, key=None):
@@ -226,9 +228,10 @@ def test_report_matches_parent(pinned, tmp_path, driver, backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("driver", DRIVERS)
 def test_every_counter_a_run_moves_is_reported(tmp_path, driver, backend):
-    # a count kept where the report never looks is invisible: the kernel
-    # cache's process-wide registry (recreated here, inside the spy) must
-    # reach the report through the run's ``cache.kernel.*`` counters
+    # a count kept where the report never looks is invisible: the
+    # process-wide memos' registry (recreated here, inside the spy) must
+    # reach the report through the run's ``cache.kernel.*``,
+    # ``cache.label_view.*`` and ``cache.shape.*`` counters
     handles = []
     counter = MetricsRegistry.counter
 
@@ -237,13 +240,17 @@ def test_every_counter_a_run_moves_is_reported(tmp_path, driver, backend):
         return handles[-1]
 
     with mock.patch.object(MetricsRegistry, "counter", spy):
-        clear_kernel_cache()
+        clear_memos()
         found = documents(driver, backend, tmp_path)
     reported = set().union(
         *(document["metrics"]["counters"] for document in found.values())
     )
     moved = {handle.name for handle in handles if handle.value}
     assert "lcc.iterations" in moved
+    # from cold memos every run builds shape records, and the array
+    # backend's M* runs on a label view
+    assert "cache.shape.misses" in moved
+    assert ("cache.label_view.misses" in moved) == (backend == "array")
     assert sorted(moved - reported) == []
 
 
