@@ -178,7 +178,7 @@ def weak_scaling() -> Table:
     for scale, ranks in ((8, 2), (9, 4), (10, 8), (11, 16)):
         graph = rmat_background(scale)
         result = run_pipeline(graph, rmat1_for(scale), 2, default_options(
-            num_ranks=ranks, load_balance="reshuffle", count_matches=True,
+            num_ranks=ranks, reload_ranks=ranks, count_matches=True,
         ))
         total = result.total_simulated_seconds
         search = sum(level.search_seconds for level in result.levels)
@@ -210,15 +210,15 @@ def weak_scaling() -> Table:
 def strong_scaling() -> Table:
     rows, claims = [], {}
     patterns = [
-        ("WDC-1", wdc1_template, 2, {}),
-        ("WDC-2", wdc2_template, 2, {}),
-        # many prototypes: replicate the pruned graph (the paper's 8-node
-        # replicas) and search prototypes in parallel
+        ("WDC-1", wdc1_template, 2, lambda ranks: {}),
+        ("WDC-2", wdc2_template, 2, lambda ranks: {}),
+        # many prototypes: reshuffle the pruned graph, replicate it (the
+        # paper's 8-node replicas) and search prototypes in parallel
         ("WDC-3", wdc3_template, 3,
-         {"parallel_deployments": 2, "load_balance": "reshuffle"}),
+         lambda ranks: {"parallel_deployments": 2, "reload_ranks": ranks}),
     ]
     for name, template, k, extra in patterns:
-        results = {ranks: wdc(template, k, num_ranks=ranks, **extra)
+        results = {ranks: wdc(template, k, num_ranks=ranks, **extra(ranks))
                    for ranks in (2, 4, 8, 16)}
         base = results[2].total_simulated_seconds
         for ranks, result in results.items():
@@ -252,11 +252,10 @@ def naive_comparison() -> Table:
                   wdc(wdc4_template, 2, naive_search)))
     identical = all(h.match_vectors == n.match_vectors for _, _, h, n in pairs)
     motif_graph = gnm_graph(250, 625, num_labels=1, seed=0)
-    hgt_m = count_motifs(motif_graph, 4, default_options())
+    hgt_m = count_motifs(
+        motif_graph, 4, default_options(enumeration_optimization=True))
     naive_m = count_motifs(
-        motif_graph, 4, naive_options(default_options(count_matches=True)),
-        use_extension=False,
-    )
+        motif_graph, 4, naive_options(default_options(count_matches=True)))
     identical = identical and hgt_m.induced == naive_m.induced
     pairs.append(("4-Motif", 3, hgt_m.result, naive_m.result))
     rows, speedups, fewer = [], [], []
@@ -289,7 +288,7 @@ FIG8_SCENARIOS = [
     ("X (space reduction)", {"work_recycling": False}, False),
     ("Y (X + work recycling)", {}, False),
     ("Z (Y + balance + parallel)",
-     {"load_balance": "reshuffle", "parallel_deployments": 2,
+     {"reload_ranks": DEFAULT_RANKS, "parallel_deployments": 2,
       "prototype_cost_source": "measured"}, False),
 ]
 
@@ -358,7 +357,8 @@ def load_balancing() -> Table:
                               ("WDC-2", wdc2_template, 2),
                               ("WDC-3", wdc3_template, 3)):
         nlb = wdc(template, k, partition_strategy="block")
-        lb = wdc(template, k, partition_strategy="block", load_balance="reshuffle")
+        lb = wdc(template, k, partition_strategy="block",
+                 reload_ranks=DEFAULT_RANKS)
         identical = identical and nlb.match_vectors == lb.match_vectors
         gains.append(speedup(nlb.total_simulated_seconds,
                              lb.total_simulated_seconds))
@@ -422,8 +422,8 @@ def prototype_ordering() -> Table:
                             "extension vs re-search [array]")
 def enumeration_extension() -> Table:
     graph = gnm_graph(250, 625, num_labels=1, seed=0)
-    fast = count_motifs(graph, 4, default_options(), use_extension=True)
-    slow = count_motifs(graph, 4, default_options(), use_extension=False)
+    fast = count_motifs(graph, 4, default_options(enumeration_optimization=True))
+    slow = count_motifs(graph, 4, default_options())
     return Table(
         ["enumeration_optimization", "msgs", "sim s"],
         [[name, messages(c.result), secs(c.result)]
@@ -445,12 +445,11 @@ def enumeration_extension() -> Table:
 def deployments() -> Table:
     parallel = {
         splits: wdc(wdc3_template, 3, num_ranks=16, parallel_deployments=splits,
-                    load_balance="reshuffle", prototype_cost_source="measured")
+                    reload_ranks=16, prototype_cost_source="measured")
         for splits in (1, 2, 4, 8)
     }
     sequential = {
-        ranks: wdc(wdc3_template, 3, num_ranks=16, reload_ranks=ranks,
-                   load_balance="reshuffle")
+        ranks: wdc(wdc3_template, 3, num_ranks=16, reload_ranks=ranks)
         for ranks in (16, 8, 4, 2)
     }
     rows = [[f"parallel x{s}", 16 // s, secs(r), None]
@@ -548,7 +547,8 @@ def arabesque() -> Table:
     rows, ooms, same_counts, citeseer = [], {3: [], 4: []}, True, []
     for size in (3, 4):
         for name in SUITE_SHAPES:
-            hgt = count_motifs(suite_graph(name), size, default_options())
+            hgt = count_motifs(suite_graph(name), size,
+                               default_options(enumeration_optimization=True))
             hgt_s = hgt.result.total_simulated_seconds
             try:
                 other = arabesque_count_motifs(

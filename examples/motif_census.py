@@ -25,7 +25,10 @@ def main() -> None:
           f"(unlabeled)")
 
     for size in (3, 4):
-        counts = count_motifs(graph, size, PipelineOptions(num_ranks=4))
+        counts = count_motifs(
+            graph, size,
+            PipelineOptions(num_ranks=4, enumeration_optimization=True),
+        )
         reference = arabesque_count_motifs(graph, size, num_ranks=4)
         ref_by_form = dict(reference.counts)
 

@@ -259,7 +259,8 @@ def command_motifs(args: argparse.Namespace) -> int:
     for vertex in graph.vertices():
         graph.add_vertex(vertex, 0)
     counts = count_motifs(
-        graph, args.size, PipelineOptions(num_ranks=args.ranks),
+        graph, args.size,
+        PipelineOptions(num_ranks=args.ranks, enumeration_optimization=True),
         batched=args.batched,
     )
     rows = [

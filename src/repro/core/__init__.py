@@ -23,13 +23,11 @@ from .candidate_set import (
 )
 from .constraints import (
     ConstraintSet,
-    LocalConstraint,
     NonLocalConstraint,
     cycle_constraints,
     full_walk_constraint,
     generate_constraints,
     is_edge_monocyclic,
-    local_constraints,
     path_constraints,
     tds_constraints,
 )
@@ -131,7 +129,6 @@ __all__ = [
     "FlipResult",
     "GraphStatistics",
     "LevelReport",
-    "LocalConstraint",
     "MotifCounts",
     "NlccCache",
     "NlccResult",
@@ -176,7 +173,6 @@ __all__ = [
     "compile_kernel",
     "run_batch",
     "local_constraint_checking",
-    "local_constraints",
     "max_candidate_arrays",
     "max_candidate_set",
     "memo_stats",

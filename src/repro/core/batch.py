@@ -102,7 +102,7 @@ class TemplateClass:
 
     __slots__ = (
         "name", "key", "k", "representative", "labelling", "queries", "isos",
-        "prototypes", "kernel", "family",
+        "prototypes", "family",
     )
 
     def __init__(

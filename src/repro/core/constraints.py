@@ -3,8 +3,9 @@
 A template prescribes, for every vertex and edge of a match:
 
 * **Local constraints** — a matched vertex must have active neighbors whose
-  labels cover the adjacency structure of its template vertex.  These drive
-  :mod:`~repro.core.lcc`.
+  labels cover the adjacency structure of its template vertex.
+  :mod:`~repro.core.lcc` reads them straight off the prototype's
+  adjacency, so they have no object here.
 * **Non-local constraints** — directed *closed walks* in the template that
   a matched vertex must be able to reproduce in the background graph with
   consistent vertex identities.  Three kinds, as in Fig. 2:
@@ -43,29 +44,10 @@ from ..errors import ConstraintError
 from ..graph.algorithms import shortest_path, simple_cycles_upto
 from ..graph.graph import Graph, canonical_edge
 
-LOCAL_KIND = "local"
 CYCLE_KIND = "cycle"
 PATH_KIND = "path"
 TDS_KIND = "tds"
 FULL_WALK_KIND = "tds_full"
-
-
-class LocalConstraint:
-    """Adjacency requirement of one template vertex."""
-
-    __slots__ = ("vertex", "label", "neighbor_labels")
-
-    def __init__(self, vertex: int, label: int, neighbor_labels: Tuple[int, ...]) -> None:
-        self.vertex = vertex
-        self.label = label
-        #: sorted multiset of labels required among the vertex's neighbors
-        self.neighbor_labels = neighbor_labels
-
-    def __repr__(self) -> str:
-        return (
-            f"LocalConstraint(vertex={self.vertex}, label={self.label}, "
-            f"neighbors={self.neighbor_labels})"
-        )
 
 
 class NonLocalConstraint:
@@ -133,22 +115,6 @@ def _identity_pattern(walk: Sequence[int]) -> Tuple[int, ...]:
             first[vertex] = len(first)
         pattern.append(first[vertex])
     return tuple(pattern)
-
-
-# ----------------------------------------------------------------------
-# Local constraints
-# ----------------------------------------------------------------------
-def local_constraints(proto_graph: Graph) -> List[LocalConstraint]:
-    """One :class:`LocalConstraint` per template vertex of a prototype."""
-    constraints = []
-    for vertex in sorted(proto_graph.vertices()):
-        neighbor_labels = tuple(
-            sorted(proto_graph.label(u) for u in proto_graph.neighbors(vertex))
-        )
-        constraints.append(
-            LocalConstraint(vertex, proto_graph.label(vertex), neighbor_labels)
-        )
-    return constraints
 
 
 # ----------------------------------------------------------------------
@@ -391,15 +357,13 @@ class ConstraintSelection(NamedTuple):
 
 
 class ConstraintSet:
-    """All constraints of one prototype, in checking order."""
+    """The non-local constraints of one prototype, in checking order."""
 
     def __init__(
         self,
-        local: List[LocalConstraint],
         non_local: List[NonLocalConstraint],
         exact_without_full_walk: bool,
     ) -> None:
-        self.local = local
         self.non_local = non_local
         #: True when LCC (+ the cheap non-local checks) provably leaves
         #: exactly the solution subgraph, so no full walk was appended.
@@ -418,7 +382,7 @@ class ConstraintSet:
 
     def __repr__(self) -> str:
         kinds = [c.kind for c in self.non_local]
-        return f"ConstraintSet(local={len(self.local)}, non_local={kinds})"
+        return f"ConstraintSet(non_local={kinds})"
 
 
 def generate_constraints(
@@ -429,9 +393,11 @@ def generate_constraints(
 ) -> ConstraintSet:
     """The constraint set guaranteeing exactness for one prototype.
 
-    The eager builder; the drivers reach it only through a
-    :class:`~repro.core.ordering.ConstraintPlan` that keeps its complete
-    list.
+    The eager builder of an explicit :class:`ConstraintSet` (tests and
+    examples hand one to ``search_prototype``).  No driver calls it: a
+    driver's plan reads its walks off the prototype's shape record
+    (``prototypes.shape_of``) and orders them itself
+    (:class:`~repro.core.ordering.ConstraintPlanner`).
 
     The full walk is appended exactly when the prototype is not a tree
     with all-distinct labels (where iterated local checking is provably
@@ -447,8 +413,7 @@ def generate_constraints(
     exact = exact_without_full_walk(proto_graph)
     if not exact:
         non_local.append(rooted_full_walk(proto_graph, label_frequencies, orient_by))
-    local = local_constraints(proto_graph)
-    return ConstraintSet(local, non_local, exact_without_full_walk=exact)
+    return ConstraintSet(non_local, exact_without_full_walk=exact)
 
 
 def exact_without_full_walk(proto_graph: Graph) -> bool:

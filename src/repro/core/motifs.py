@@ -84,15 +84,14 @@ def count_motifs(
     graph: Graph,
     size: int,
     options: Optional[PipelineOptions] = None,
-    use_extension: bool = True,
     batched: bool = False,
 ) -> MotifCounts:
     """Count all connected ``size``-vertex motifs of ``graph``.
 
     Runs the full approximate-matching pipeline on the unlabeled
     ``size``-clique template with maximal edit-distance and counting on.
-    ``use_extension`` applies the match-extension counting optimization of
-    §4 (disable it for the naive/ablation comparisons).  ``batched``
+    ``options.enumeration_optimization`` applies the match-extension
+    counting optimization of §4, as in every other driver.  ``batched``
     routes the census through the template-library batch executor
     instead: each motif becomes an exact (``k = 0``) query, family
     absorption folds them all back into one clique-rooted pipeline that
@@ -106,9 +105,7 @@ def count_motifs(
     options = options or PipelineOptions()
     if batched:
         return _count_motifs_batched(graph, size, options)
-    options = dataclasses.replace(
-        options, count_matches=True, enumeration_optimization=use_extension
-    )
+    options = dataclasses.replace(options, count_matches=True)
     template = motif_template(size)
     result = run_pipeline(
         graph, template, template.max_meaningful_distance(), options

@@ -23,13 +23,11 @@ def naive_options(base: Optional[PipelineOptions] = None) -> PipelineOptions:
     base = base or PipelineOptions()
     return dataclasses.replace(
         base,
-        use_max_candidate_set=False,
-        use_containment=False,
+        search_space_reduction=False,
         work_recycling=False,
         constraint_ordering=False,
         prototype_ordering=False,
         enumeration_optimization=False,
-        load_balance="none",
         reload_ranks=None,
         parallel_deployments=1,
     )

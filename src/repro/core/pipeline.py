@@ -62,9 +62,13 @@ class PipelineOptions:
 
     Defaults correspond to the paper's fully optimized system (scenario Y
     of Fig. 8 — bottom-up with search-space reduction and work recycling);
-    set ``load_balance``/``reload_ranks``/``parallel_deployments`` for
-    scenario Z, or disable groups of options for the ablations and the
-    naïve baseline (see :func:`repro.core.naive.naive_options`).  The
+    set ``reload_ranks``/``parallel_deployments`` for scenario Z, or
+    disable groups of options for the ablations and the naïve baseline
+    (see :func:`repro.core.naive.naive_options`).  One field per decision:
+    ``search_space_reduction`` is ``M*`` and the containment rule together
+    (the step Fig. 8's scenario X adds), and the load balancing of §4 is
+    ``reload_ranks`` — ``num_ranks`` reshuffles the pruned graph on the
+    same deployment, fewer ranks reload it on a smaller one.  The
     ``M*`` and level views and the fixpoint's dense-round switch have no
     field: they apply wherever they are sound.  Neither have the engine's
     visitor batch (every engine runs with its default) nor the full walk:
@@ -81,8 +85,11 @@ class PipelineOptions:
     #: initial vertex-to-rank assignment: "hash" (HavoqGT default) or
     #: "block" (contiguous ids — skew-prone, the no-load-balancing strawman)
     partition_strategy: str = "hash"
-    #: search-space reduction: compute M* before any search (§3.1)
-    use_max_candidate_set: bool = True
+    #: search-space reduction: compute M* before any search (§3.1) and
+    #: search each level inside the previous level's solution union
+    #: (Obs. 1's containment rule); off, every prototype is searched from
+    #: the unpruned background graph (the naïve baseline)
+    search_space_reduction: bool = True
     #: execution: "array" (level state in CSR bit vectors, vectorized
     #: semi-naive fixpoints, batched token frontiers) or "reference" (the
     #: paper's visitor model on dict-of-sets state: every active vertex
@@ -91,8 +98,6 @@ class PipelineOptions:
     #: and visit counts of the paper's message analysis).  Answers are
     #: identical.
     backend: str = "array"
-    #: search-space reduction: containment rule across levels (Obs. 1)
-    use_containment: bool = True
     #: redundant work elimination: recycle NLCC results (Obs. 2)
     work_recycling: bool = True
     #: NLCC constraint ordering: True (rare-labels-first heuristic, §5.4),
@@ -105,9 +110,10 @@ class PipelineOptions:
     collect_matches: bool = False
     #: derive matches of level-δ prototypes from level-δ+1 matches (§4)
     enumeration_optimization: bool = False
-    #: "none" or "reshuffle" (Fig. 9(a))
-    load_balance: str = "none"
-    #: reload the pruned graph on this many ranks (§5.4 deployment table)
+    #: rebalance the pruned graph after M*: reload it, packed by degree,
+    #: on this many ranks — ``num_ranks`` is the same-deployment reshuffle
+    #: of Fig. 9(a), fewer ranks the smaller deployments of §5.4; None or
+    #: 0 searches on the primary deployment's partition
     reload_ranks: Optional[int] = None
     #: number of replica deployments searching prototypes in parallel
     parallel_deployments: int = 1
@@ -115,6 +121,8 @@ class PipelineOptions:
     prototype_ordering: bool = True
     #: cost estimates used for scheduling: "estimate" or "measured"
     prototype_cost_source: str = "estimate"
+    #: simulated per-message, per-visit and per-superstep costs every
+    #: ``*_seconds`` figure of the run is computed with
     cost_model: CostModel = field(default_factory=CostModel)
     #: guard against prototype explosion
     max_prototypes: Optional[int] = 200_000
@@ -132,8 +140,8 @@ class PipelineOptions:
             raise PipelineError(f"unknown backend {self.backend!r}")
         if self.parallel_deployments <= 0:
             raise PipelineError("parallel_deployments must be positive")
-        if self.load_balance not in ("none", "reshuffle"):
-            raise PipelineError(f"unknown load_balance mode {self.load_balance!r}")
+        if self.reload_ranks is not None and self.reload_ranks < 0:
+            raise PipelineError("reload_ranks must not be negative")
         if self.prototype_cost_source not in ("estimate", "measured"):
             raise PipelineError(
                 f"unknown prototype_cost_source {self.prototype_cost_source!r}"
@@ -240,7 +248,7 @@ def _run_bottom_up(
     base: "SearchState | ArraySearchState"
     if checkpoint is not None and checkpoint.resuming:
         base = checkpoint.restored_base(graph, array)
-    elif options.use_max_candidate_set:
+    elif options.search_space_reduction:
         base = max_candidate_scope(
             graph, template, base_pgraph, mcs_stats, options,
             memo=candidate_memo,
@@ -260,14 +268,10 @@ def _run_bottom_up(
     union_prev = None if checkpoint is None else checkpoint.start(base, result)
 
     # ---------------------------------------------- search deployment
-    reload_requested = _reload_requested(options)
     infrastructure = 0.0
-    rebalancing = options.load_balance == "reshuffle" or reload_requested
+    rebalancing = _reload_requested(options)
     if rebalancing:
-        deployment_ranks = _replica_ranks(
-            options.reload_ranks if reload_requested else options.num_ranks,
-            options,
-        )
+        deployment_ranks = _replica_ranks(options.reload_ranks, options)
         vertices, degrees = _pruned_degrees(base)
         infrastructure += REBALANCE_COST_PER_EDGE * (
             sum(degrees) + len(vertices)
@@ -367,7 +371,7 @@ def _run_bottom_up(
             if (
                 array
                 and distance > 0
-                and options.use_containment
+                and options.search_space_reduction
                 and not rebalancing
                 and level.union_vertices > 0
                 and level.union_vertices
@@ -546,7 +550,6 @@ def takes_view(kept: int, total: int, options: PipelineOptions) -> bool:
     """
     return (
         options.backend == "array"
-        and options.load_balance == "none"
         and not _reload_requested(options)
         and kept < total
         and kept <= AUX_VIEW_RATIO * total
@@ -579,7 +582,7 @@ def compact_scope(
     (``PipelineResult.scope_view`` reads them).
     """
     if not (
-        isinstance(base, ArraySearchState) and options.use_max_candidate_set
+        isinstance(base, ArraySearchState) and options.search_space_reduction
     ):
         return base
     csr = base.csr
@@ -740,17 +743,11 @@ def _starting_scope(
     Reference scopes and scopes cut fresh from M* keep the cold broadcast
     (``warm_mask=None``).
     """
-    use_union = (
-        options.use_containment
-        and distance < deepest
-        and union is not None
-        and proto.child_links
-    )
-    if not use_union:
-        if not options.use_max_candidate_set:
-            # Naive mode: a fresh, fully-unpruned state per prototype --
-            # the per-prototype re-pruning cost the pipeline avoids.
-            return type(base).initial(base.graph, proto.graph), None
+    if not options.search_space_reduction:
+        # Naive mode: a fresh, fully-unpruned state per prototype --
+        # the per-prototype re-pruning cost the pipeline avoids.
+        return type(base).initial(base.graph, proto.graph), None
+    if distance >= deepest or union is None or not proto.child_links:
         return base.for_prototype_search(proto), None
     link = proto.child_links[0]
     a, b = link.removed_edge

@@ -349,7 +349,10 @@ class TestMotifCensusParity:
         opts = PipelineOptions(num_ranks=2)
         batched = count_motifs(graph, size, opts, batched=True)
         sequential = count_motifs_sequential(graph, size, opts)
-        single = count_motifs(graph, size, opts)
+        single = count_motifs(
+            graph, size,
+            PipelineOptions(num_ranks=2, enumeration_optimization=True),
+        )
         for induced in (False, True):
             assert (
                 batched.by_name(induced=induced)
@@ -602,7 +605,7 @@ class TestArrayFallbackReporting:
         # dropping the whole run to dict form.
         graph, template = self.case()
         naive = run_pipeline(
-            graph, template, 0, options(use_max_candidate_set=False)
+            graph, template, 0, options(search_space_reduction=False)
         )
         assert naive.backend == "array"
         pruned = run_pipeline(graph, template, 0, options())

@@ -17,9 +17,8 @@ over driver × feature: ``run_pipeline``, ``exploratory_search``,
 ``run_batch`` / ``count_motifs(batched=True)`` × the enumeration
 optimization (whose derived states must land on the view's CSR — the
 defect this suite was written for), collected matches, edge labels,
-wildcards, mandatory edges, a > 64-role template, block partitioning,
-delegates and containment off, with level
-views nested on top.  Then the title's contract,
+wildcards, mandatory edges, a > 64-role template, block partitioning and
+delegates, with level views nested on top.  Then the title's contract,
 directly: precision and recall against the brute-force matcher with the
 compaction on — also for a checkpointed run resumed after a crash at each
 level, and for every edge-flip variant, on both backends.  Last, the runs that must *not* compact —
@@ -264,7 +263,6 @@ BOTTOM_UP_FEATURES = {
         "partition_strategy": "block", "delegate_degree_threshold": 6,
         "ranks_per_node": 2,
     },
-    "no-containment": {"use_containment": False},
     # no option of its own: ``both_ways`` builds a level view wherever
     # one is sound; this column also checks that run against brute force
     "aux-views": {"count_matches": True},
@@ -619,9 +617,9 @@ class TestRunsThatDoNotCompact:
     @pytest.mark.parametrize(
         "extra",
         [
-            {"load_balance": "reshuffle"},
+            {"reload_ranks": 4},
             {"reload_ranks": 2},
-            {"use_max_candidate_set": False},
+            {"search_space_reduction": False},
         ],
         ids=["reshuffle", "reload", "naive"],
     )

@@ -474,14 +474,19 @@ def checked_keys(monkeypatch):
 class TestEveryDriverChecksInTheSameOrder:
     def both_drivers(self, checked_keys, ordering):
         _, graph, template, k = CASES["WDC-2"]
-        # every scope cut from M* and every level searched, so the two
-        # drivers hand each prototype the same starting scope
-        knobs = dict(
-            constraint_ordering=ordering, use_containment=False,
-            work_recycling=False,
-        )
-        run_pipeline(graph, template, k, PipelineOptions(**knobs))
-        inline = checked_keys()
+        # top-down cuts every scope from M*, bottom-up only its deepest
+        # level's: one bottom-up run per distance hands each prototype the
+        # same starting scope as the top-down run
+        knobs = dict(constraint_ordering=ordering, work_recycling=False)
+        protos = generate_prototypes(template, k)
+        inline = {}
+        for distance in range(k + 1):
+            run_pipeline(graph, template, distance, PipelineOptions(**knobs))
+            checked = checked_keys()
+            for proto in protos.at(distance):
+                key = proto_key(proto.graph)
+                if key in checked:
+                    inline[key] = checked[key]
         exploratory_search(
             graph, template, max_k=k, stop_condition=never,
             options=PipelineOptions(**knobs),
@@ -490,7 +495,7 @@ class TestEveryDriverChecksInTheSameOrder:
         assert inline and inline == top_down
 
         stats = GraphStatistics.from_graph(graph)
-        for proto in generate_prototypes(template, k):
+        for proto in protos:
             sequence = inline.get(proto_key(proto.graph), [])
             reference = eager_reference(graph, proto.graph, ordering, stats)
             yield sequence, [repr(c.key) for c in reference]

@@ -157,12 +157,15 @@ def assert_same_answer_fewer_walks(ruled, complete, walks=True):
 # (a) driver x feature, the rule against the complete list
 # ----------------------------------------------------------------------
 FEATURES = {
-    name: BOTTOM_UP_FEATURES[name]
-    for name in (
-        "default", "count", "collect", "extension", "extension-collect",
-        "block", "delegates", "no-containment", "no-recycling", "aux-views",
-        "walk-cost",
-    )
+    **{
+        name: BOTTOM_UP_FEATURES[name]
+        for name in (
+            "default", "count", "collect", "extension", "extension-collect",
+            "block", "delegates", "no-recycling", "aux-views", "walk-cost",
+        )
+    },
+    # the naïve baseline's unpruned scopes (no M*, no containment)
+    "no-reduction": {"search_space_reduction": False},
 }
 
 
@@ -812,29 +815,34 @@ class TestTheDecisionIsAFunctionOfCounts:
 
     def test_inline_and_top_down_decide_alike(self):
         graph, template = planted_case(wdc2_template())
-        # every scope cut from M*, so the drivers hand each prototype the
-        # same starting scope
-        knobs = dict(
-            num_ranks=4, count_matches=True, use_containment=False,
-            work_recycling=False,
-        )
+        # top-down cuts every scope from M*, bottom-up only its deepest
+        # level's: one bottom-up run per k hands each prototype the same
+        # starting scope as the top-down run
+        knobs = dict(num_ranks=4, count_matches=True, work_recycling=False)
 
-        def decided(result):
+        def decided(outcomes):
             return {
                 o.proto_id: (
                     o.counts.get("plan.prefilters_skipped", 0), o.counts.get("nlcc.constraints_checked", 0)
                 )
-                for o in result.outcomes()
+                for o in outcomes
             }
 
-        inline = run_pipeline(graph, template, 2, PipelineOptions(**knobs))
+        inline = [
+            run_pipeline(graph, template, k, PipelineOptions(**knobs))
+            for k in range(3)
+        ]
         top_down = exploratory_search(
             graph, template, max_k=2, stop_condition=never,
             options=PipelineOptions(**knobs),
         )
-        assert skipped(inline) > 0
-        assert decided(inline) == decided(top_down)
-        for result in (inline, top_down):
+        deepest = [r.level_for(k).outcomes for k, r in enumerate(inline)]
+        assert sum(o.counts.get("plan.prefilters_skipped", 0)
+                   for level in deepest for o in level) > 0
+        assert decided(o for level in deepest for o in level) == decided(
+            top_down.outcomes()
+        )
+        for result in (*inline, top_down):
             counters = result.stats_document()["metrics"]["counters"]
             assert counters["plan.prefilters_skipped"] == skipped(result)
 

@@ -1,4 +1,4 @@
-"""Tests for local/non-local constraint generation."""
+"""Tests for non-local constraint generation."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.core import (
     full_walk_constraint,
     generate_constraints,
     is_edge_monocyclic,
-    local_constraints,
     path_constraints,
     tds_constraints,
 )
@@ -35,17 +34,6 @@ TREE = graph_of([(0, 1), (1, 2), (1, 3)], [1, 2, 3, 4])
 SHARED_EDGE_CYCLES = graph_of(
     [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (5, 3)], [0, 1, 2, 3, 4, 5]
 )
-
-
-class TestLocalConstraints:
-    def test_one_per_vertex(self):
-        constraints = local_constraints(TRIANGLE)
-        assert len(constraints) == 3
-
-    def test_neighbor_label_multiset(self):
-        constraints = {c.vertex: c for c in local_constraints(SQUARE)}
-        assert constraints[0].neighbor_labels == (2, 3)
-        assert constraints[1].neighbor_labels == (1, 1)
 
 
 class TestWalkValidity:

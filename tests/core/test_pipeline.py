@@ -80,10 +80,14 @@ class TestOptionEquivalence:
         "options",
         [
             PipelineOptions(num_ranks=3, work_recycling=False),
-            PipelineOptions(num_ranks=3, use_containment=False),
-            PipelineOptions(num_ranks=3, use_max_candidate_set=False),
+            # search_space_reduction=False turns off M* and the
+            # containment rule together; the two ids run it on the array
+            # and the reference backend, whose unpruned bases differ
+            PipelineOptions(num_ranks=3, search_space_reduction=False),
+            PipelineOptions(num_ranks=3, search_space_reduction=False,
+                            backend="reference"),
             PipelineOptions(num_ranks=3, constraint_ordering=False),
-            PipelineOptions(num_ranks=3, load_balance="reshuffle"),
+            PipelineOptions(num_ranks=3, reload_ranks=3),
             PipelineOptions(num_ranks=6, reload_ranks=2),
             PipelineOptions(num_ranks=6, parallel_deployments=3),
             PipelineOptions(num_ranks=3, delegate_degree_threshold=8),
@@ -211,9 +215,9 @@ class TestOptionValidation:
         with pytest.raises(PipelineError):
             PipelineOptions(parallel_deployments=0)
 
-    def test_bad_load_balance(self):
-        with pytest.raises(PipelineError):
-            PipelineOptions(load_balance="magic")
+    def test_negative_reload_ranks(self):
+        with pytest.raises(PipelineError, match="reload_ranks"):
+            PipelineOptions(reload_ranks=-3)
 
     def test_bad_cost_source(self):
         with pytest.raises(PipelineError):
@@ -226,8 +230,7 @@ class TestOptionValidation:
     def test_naive_options_disable_optimizations(self):
         opts = naive_options(PipelineOptions(num_ranks=7))
         assert opts.num_ranks == 7
-        assert not opts.use_max_candidate_set
-        assert not opts.use_containment
+        assert not opts.search_space_reduction
         assert not opts.work_recycling
 
 
@@ -266,7 +269,7 @@ class TestOptimizationEffects:
         labels = [t.label(v) for v in sorted(t.graph.vertices())]
         g = planted_graph(300, 700, t.edges(), labels, copies=4, num_labels=12, seed=5)
         balanced = run_pipeline(
-            g, t, 1, PipelineOptions(num_ranks=4, load_balance="reshuffle")
+            g, t, 1, PipelineOptions(num_ranks=4, reload_ranks=4)
         )
         plain = run_pipeline(g, t, 1, PipelineOptions(num_ranks=4))
         assert balanced.match_vectors == plain.match_vectors

@@ -51,7 +51,7 @@ GRID = {
     "default": {},
     "extension": {"enumeration_optimization": True, "count_matches": True},
     "aux-views": {},
-    "reshuffle": {"load_balance": "reshuffle"},
+    "reshuffle": {"reload_ranks": 2},
     "reload": {"reload_ranks": 1},
     "deployments": {"parallel_deployments": 2},
 }

@@ -254,35 +254,38 @@ def test_every_counter_a_run_moves_is_reported(tmp_path, driver, backend):
     assert sorted(moved - reported) == []
 
 
-def run(driver, graph, template, opts):
-    if driver == "bottom-up":
-        return run_pipeline(graph, template, K, opts)
-    return exploratory_search(
-        graph, template, max_k=K, stop_condition=never, options=opts
-    )
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestExploratoryLevels:
     """A top-down level ends in the bottom-up level epilogue."""
 
     def test_deployments_schedule_like_bottom_up(self, backend):
-        # every scope cut from M* and nothing recycled, so both sweeps
-        # search each prototype alike and only the order of levels differs
+        # top-down cuts every scope from M*, bottom-up only its deepest
+        # level's; with nothing recycled, a bottom-up run per k searches
+        # its deepest level's prototypes as the top-down run searches them
         graph, template = workload()
 
-        def searched(driver, deployments):
-            result = run(driver, graph, template, PipelineOptions(
+        def options(deployments):
+            return PipelineOptions(
                 num_ranks=4, backend=backend, parallel_deployments=deployments,
-                use_containment=False, work_recycling=False,
-            ))
+                work_recycling=False,
+            )
+
+        def exploratory(deployments):
+            result = exploratory_search(
+                graph, template, max_k=K, stop_condition=never,
+                options=options(deployments),
+            )
             return {
                 level.distance: level.search_seconds for level in result.levels
             }
 
-        replicas = searched("exploratory", 4)
-        assert replicas == searched("bottom-up", 4)
-        assert replicas != searched("exploratory", 1)
+        replicas = exploratory(4)
+        assert replicas == {
+            k: run_pipeline(graph, template, k, options(4))
+            .level_for(k).search_seconds
+            for k in range(K + 1)
+        }
+        assert replicas != exploratory(1)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

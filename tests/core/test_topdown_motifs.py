@@ -1,5 +1,7 @@
 """Tests for exploratory (top-down) search and motif counting."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import (
@@ -12,8 +14,15 @@ from repro.core import (
     run_pipeline,
     stopping_distance,
 )
+from repro.core import pipeline as pipeline_module
+from repro.core.naive import naive_options
 from repro.graph import from_edges
 from repro.graph.generators import gnm_graph, planted_graph
+
+
+def extended_options():
+    """The census on the §4 match-extension path."""
+    return PipelineOptions(num_ranks=2, enumeration_optimization=True)
 
 
 class TestExploratorySearch:
@@ -98,7 +107,7 @@ class TestMotifs:
     def test_triangle_and_path_counts(self):
         # One triangle with a pendant: 1 triangle, 2 induced P3.
         g = from_edges([(0, 1), (1, 2), (2, 0), (2, 3)], labels={v: 0 for v in range(4)})
-        counts = count_motifs(g, 3, PipelineOptions(num_ranks=2))
+        counts = count_motifs(g, 3, extended_options())
         by_edges = {p.num_edges: counts.induced[p.id] for p in counts.prototypes}
         assert by_edges[3] == 1  # the triangle {0,1,2}
         assert by_edges[2] == 2  # induced paths {0,2,3} and {1,2,3}
@@ -108,7 +117,7 @@ class TestMotifs:
         from repro.graph.isomorphism import canonical_form
 
         g = gnm_graph(40, 90, num_labels=1, seed=13)
-        counts = count_motifs(g, 4, PipelineOptions(num_ranks=2))
+        counts = count_motifs(g, 4, extended_options())
         reference = arabesque_count_motifs(g, 4)
         ours = {canonical_form(p.graph): counts.induced[p.id] for p in counts.prototypes}
         for key, value in reference.counts.items():
@@ -117,15 +126,38 @@ class TestMotifs:
 
     def test_noninduced_at_least_induced(self):
         g = gnm_graph(30, 60, num_labels=1, seed=14)
-        counts = count_motifs(g, 3, PipelineOptions(num_ranks=2))
+        counts = count_motifs(g, 3, extended_options())
         for proto in counts.prototypes:
             assert counts.noninduced[proto.id] >= counts.induced[proto.id]
 
     def test_by_name(self):
         g = gnm_graph(20, 30, num_labels=1, seed=15)
-        counts = count_motifs(g, 3, PipelineOptions(num_ranks=2))
+        counts = count_motifs(g, 3, extended_options())
         named = counts.by_name()
         assert set(named) == {p.name for p in counts.prototypes}
+
+    @pytest.mark.parametrize("extension", [False, True])
+    def test_census_extends_exactly_when_the_options_say(
+        self, monkeypatch, extension
+    ):
+        # count_motifs reads enumeration_optimization like every driver: a
+        # naive census searches every level instead of deriving it
+        calls = []
+        derive = pipeline_module._try_extension
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].id)
+            return derive(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "_try_extension", spy)
+        options = dataclasses.replace(
+            naive_options(PipelineOptions(count_matches=True)),
+            enumeration_optimization=extension,
+        )
+        g = gnm_graph(30, 60, num_labels=1, seed=14)
+        counts = count_motifs(g, 4, options)
+        assert bool(calls) is extension
+        assert counts.total_induced() > 0
 
     def test_spanning_subgraph_count(self):
         from repro.core.motifs import spanning_subgraph_count

@@ -142,8 +142,7 @@ class TestReloadInteractions:
         reference = run_pipeline(graph, template, 1, PipelineOptions(num_ranks=8))
         combo = run_pipeline(
             graph, template, 1,
-            PipelineOptions(num_ranks=8, reload_ranks=4, parallel_deployments=2,
-                            load_balance="reshuffle"),
+            PipelineOptions(num_ranks=8, reload_ranks=4, parallel_deployments=2),
         )
         assert combo.match_vectors == reference.match_vectors
 

@@ -10,17 +10,22 @@
 * R2: every ``PipelineOptions`` field is read somewhere in ``src/repro``
   outside its class body; a field nobody reads is a knob that does
   nothing.
+* Every ``PipelineOptions`` field says what it decides: a ``#:`` comment
+  right above it in the class and a row in ``docs/API.md``'s field table.
 """
 
 import ast
 import dataclasses
+import itertools
 from pathlib import Path
 
 import pytest
 
 from repro.core.pipeline import PipelineOptions
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+API = ROOT / "docs" / "API.md"
 CLASS_SUFFIXES = ("Options", "Outcome", "Result", "Report", "Stats")
 SEED_FIELDS = {
     "reload_ranks", "delegate_degree_threshold", "max_prototypes",
@@ -162,3 +167,32 @@ def test_every_pipeline_option_is_read():
             and isinstance(node.ctx, ast.Load) and id(node) not in skip
         }
     assert sorted(fields - read) == []
+
+
+def option_fields():
+    return [field.name for field in dataclasses.fields(PipelineOptions)]
+
+
+def test_every_pipeline_option_has_a_doc_comment():
+    path = SRC / "core" / "pipeline.py"
+    lines = path.read_text().splitlines()
+    (cls,) = (
+        node for node in ast.parse("\n".join(lines)).body
+        if isinstance(node, ast.ClassDef) and node.name == "PipelineOptions"
+    )
+    commented = {
+        node.target.id for node in cls.body
+        if isinstance(node, ast.AnnAssign)
+        and lines[node.lineno - 2].strip().startswith("#:")
+    }
+    assert [name for name in option_fields() if name not in commented] == []
+
+
+def test_every_pipeline_option_has_an_api_row():
+    text = API.read_text()
+    section = text[text.index("### `PipelineOptions` fields"):].splitlines()
+    start = next(i for i, line in enumerate(section) if line.startswith("|"))
+    table = itertools.takewhile(lambda line: line.startswith("|"),
+                                section[start + 2:])
+    rows = [line.split("|")[1].strip().strip("`") for line in table]
+    assert rows == option_fields()
