@@ -24,7 +24,10 @@ exit 0 (precision, recall and match counts exact): the tail makes the
 template non-Eulerian, so its full walk walks an edge back and takes the
 retrace path of the array token walk.  ``repro motifs --size 4`` runs on
 the first graph with and without ``--batched``: both must exit 0 and
-print the same count table.  ``repro explore --json`` runs on the first
+print the same count table.  ``repro motifs`` sets
+``enumeration_optimization``, which both censuses honour, so this
+compares the batched extension-on census with the plain extension-on
+one.  ``repro explore --json`` runs on the first
 graph with the template closed by one more edge and its tail mandatory:
 it must exit 0 with the schema, and each level it searched must count
 the prototypes ``generate_prototypes`` puts at that distance.  Last,

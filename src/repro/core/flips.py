@@ -23,23 +23,22 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..errors import TemplateError
 from ..graph.algorithms import is_connected
-from ..graph.graph import Graph, canonical_edge
+from ..graph.graph import Graph
 from ..graph.isomorphism import canonical_form
-from ..runtime.messages import MessageStats
 from .pipeline import (
     PipelineOptions,
+    _starting_scope,
     charge,
-    compact_scope,
-    deployment_partition,
-    max_candidate_scope,
     merge_message_stats,
-    partition,
     planner_for,
+    reject_extension,
+    run_scope,
     search_one,
+    search_seconds,
 )
 from .prototypes import Prototype, prototype_key
 from .results import PrototypeSearchOutcome
@@ -186,49 +185,46 @@ def run_flip_pipeline(
 ) -> FlipResult:
     """Exact matching over every variant within ``flips`` edge swaps.
 
-    Builds the family-wide candidate set once, then runs the drivers'
+    Builds the family-wide starting scope once, then runs the drivers'
     per-prototype search (:func:`~repro.core.pipeline.search_one`) for
     each variant with shared NLCC recycling; per-variant results carry the
     usual 100% precision/recall guarantee.  ``options`` apply as in
-    :func:`~repro.core.pipeline.run_pipeline`: backend, partition
-    (strategy, delegates, ranks per node, replica deployments), the
-    ``M*`` view, tracer, metrics registry, match counting and collection.
-    Each variant's traffic is charged to its outcome like a level
-    prototype's.
+    :func:`~repro.core.pipeline.run_pipeline`, through the same scope and
+    deployment step (:func:`~repro.core.pipeline.run_scope`): backend,
+    partition, search-space reduction (the envelope's ``M*``),
+    ``reload_ranks``, replica deployments (the family's seconds are their
+    makespan), the ``M*`` view, tracer, metrics registry, match counting
+    and collection; ``enumeration_optimization`` raises (no level below to
+    extend from).  Each variant's traffic is charged like a level's.
     """
     options = options or PipelineOptions()
+    reject_extension(options, "a flip family")
     wall_start = time.perf_counter()
     variants = generate_flip_variants(template, flips, max_variants)
     result = FlipResult(template, flips)
     result.variants = variants
 
-    envelope = envelope_template(template, variants)
-    base_pgraph = partition(graph, options.num_ranks, options)
-    mcs_stats = MessageStats(options.num_ranks)
-    base_state = compact_scope(
-        max_candidate_scope(graph, envelope, base_pgraph, mcs_stats, options),
-        options,
-    )
-    result.candidate_set_vertices = base_state.num_active_vertices
-    result.total_simulated_seconds += options.cost_model.makespan(mcs_stats)
-    all_stats = [mcs_stats]
-
-    search_pgraph = deployment_partition(graph, base_pgraph, options)
+    scope = run_scope(graph, envelope_template(template, variants), options)
+    result.candidate_set_vertices = scope.base.num_active_vertices
+    all_stats = [scope.mstar_stats]
     planner = planner_for(graph, options)
     cache = NlccCache() if options.work_recycling else None
     for index, variant in enumerate(variants):
         proto = Prototype(index, 0, index, variant.graph.copy(), variant)
         proto.name = variant.name
         outcome, stats = search_one(
-            proto, base_state.for_prototype_search(proto), None,
-            search_pgraph, planner, cache, options, options.tracer,
+            proto, *_starting_scope(proto, scope.base, None, options),
+            scope.search_pgraph, planner, cache, options, options.tracer,
             options.metrics, collect_matches=options.collect_matches,
         )
         charge(outcome, stats, options, all_stats)
-        result.total_simulated_seconds += outcome.simulated_seconds
         result.outcomes[variant.name] = outcome
         for vertex in outcome.solution_vertices:
             result.match_vectors.setdefault(vertex, set()).add(variant.name)
+    result.total_simulated_seconds = search_seconds(
+        list(result.outcomes.values()), options, planner.label_frequencies,
+        options.cost_model.makespan(scope.mstar_stats) + scope.reload_seconds,
+    )
     result.message_summary = merge_message_stats(all_stats)
     result.total_wall_seconds = time.perf_counter() - wall_start
     return result

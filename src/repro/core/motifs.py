@@ -27,7 +27,9 @@ from typing import Dict, List, Optional
 from ..errors import PipelineError
 from ..graph.graph import Graph
 from ..graph.isomorphism import automorphism_count, count_subgraph_isomorphisms
-from .pipeline import PipelineOptions, PipelineResult, run_pipeline
+from .pipeline import (
+    PipelineOptions, PipelineResult, reject_extension, run_pipeline,
+)
 from .prototypes import Prototype, PrototypeSet, generate_prototypes
 from .template import PatternTemplate, clique_template
 
@@ -91,7 +93,7 @@ def count_motifs(
     Runs the full approximate-matching pipeline on the unlabeled
     ``size``-clique template with maximal edit-distance and counting on.
     ``options.enumeration_optimization`` applies the match-extension
-    counting optimization of §4, as in every other driver.  ``batched``
+    counting optimization of §4, batched or not.  ``batched``
     routes the census through the template-library batch executor
     instead: each motif becomes an exact (``k = 0``) query, family
     absorption folds them all back into one clique-rooted pipeline that
@@ -133,23 +135,12 @@ def _motif_query_template(proto: Prototype) -> PatternTemplate:
 def _count_motifs_batched(
     graph: Graph, size: int, options: PipelineOptions
 ) -> MotifCounts:
-    """Motif census through :func:`~repro.core.batch.run_batch`.
-
-    The match-extension optimization stays off — it carries dict match
-    states, which would disable the array level sweeps the auxiliary
-    views live on; the batch path gets its speedup from sharing one
-    clique-rooted run and from the level views every array sweep
-    builds.
-    """
+    """Motif census through :func:`~repro.core.batch.run_batch`."""
     import dataclasses
 
     from .batch import BatchQuery, run_batch
 
-    options = dataclasses.replace(
-        options,
-        count_matches=True,
-        enumeration_optimization=False,
-    )
+    options = dataclasses.replace(options, count_matches=True)
     prototypes = motif_prototypes(size).all()
     queries = [
         BatchQuery(_motif_query_template(proto), 0, name=proto.name)
@@ -180,14 +171,15 @@ def count_motifs_sequential(
     motif — recomputing kernels, prototypes and the ``M*`` traversal
     from scratch each time — exactly the per-template pattern the batch
     executor replaces; kept as the batched census's baseline, not a
-    pattern for new multi-template code.
+    pattern for new multi-template code.  Each motif runs at ``k = 0``,
+    where nothing can be extended, so ``enumeration_optimization``
+    raises :class:`~repro.errors.PipelineError`.
     """
     import dataclasses
 
     options = options or PipelineOptions()
-    options = dataclasses.replace(
-        options, count_matches=True, enumeration_optimization=False
-    )
+    reject_extension(options, "a per-motif census at k = 0")
+    options = dataclasses.replace(options, count_matches=True)
     prototypes = motif_prototypes(size).all()
     noninduced: Dict[int, int] = {}
     result: Optional[PipelineResult] = None

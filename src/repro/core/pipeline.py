@@ -231,58 +231,19 @@ def _run_bottom_up(
     label_frequencies = planner.label_frequencies
 
     result = PipelineResult(template.name, k, protos, backend=options.backend)
-    all_stats: List[MessageStats] = []
     cache = NlccCache() if options.work_recycling else None
-    cost_model = options.cost_model
 
-    # ------------------------------------------------------------- M*
-    base_pgraph = partition(graph, options.num_ranks, options)
-    mcs_stats = MessageStats(options.num_ranks)
-    # The backend fixes the state form of the whole run: on the array
-    # backend M* comes straight out of the vectorized fixpoint, every
-    # prototype scope is cut from it (or from the previous level's union)
-    # in array form with a warm-seeded first LCC round, and each level's
-    # solution subgraphs are OR-ed into an array union; the reference
-    # backend keeps all of it in dict-of-sets form.
-    array = options.backend == "array"
-    base: "SearchState | ArraySearchState"
-    if checkpoint is not None and checkpoint.resuming:
-        base = checkpoint.restored_base(graph, array)
-    elif options.search_space_reduction:
-        base = max_candidate_scope(
-            graph, template, base_pgraph, mcs_stats, options,
-            memo=candidate_memo,
-        )
-    elif array:
-        base = ArraySearchState.initial(graph, template)
-    else:
-        base = SearchState.initial(graph, template)
-    all_stats.append(mcs_stats)
-    base = compact_scope(base, options)
-    (
-        result.candidate_set_vertices,
-        result.candidate_set_edges,
-    ) = base.active_counts()
-    result.candidate_set_seconds = cost_model.makespan(mcs_stats)
+    scope = run_scope(graph, template, options, candidate_memo, checkpoint)
+    base = scope.base
+    all_stats = [scope.mstar_stats]
+    result.candidate_set_vertices, result.candidate_set_edges = (
+        base.active_counts()
+    )
+    result.candidate_set_seconds = options.cost_model.makespan(scope.mstar_stats)
     #: the previous level's union, in the run's state form
     union_prev = None if checkpoint is None else checkpoint.start(base, result)
-
-    # ---------------------------------------------- search deployment
-    infrastructure = 0.0
-    rebalancing = _reload_requested(options)
-    if rebalancing:
-        deployment_ranks = _replica_ranks(options.reload_ranks, options)
-        vertices, degrees = _pruned_degrees(base)
-        infrastructure += REBALANCE_COST_PER_EDGE * (
-            sum(degrees) + len(vertices)
-        )
-        assignment = _initial_assignment(graph, deployment_ranks, options)
-        if assignment is None:
-            assignment = hash_assignment(graph.vertices(), deployment_ranks)
-        assignment.update(degree_packing(vertices, degrees, deployment_ranks))
-        search_pgraph = partition(graph, deployment_ranks, options, assignment)
-    else:
-        search_pgraph = deployment_partition(graph, base_pgraph, options)
+    # the backend fixes the state form of every scope and union of the run
+    array = options.backend == "array"
 
     # ------------------------------------------------------ level sweep
     # Per-child stored matches for the enumeration optimization: dense
@@ -318,12 +279,12 @@ def _run_bottom_up(
                     )
                 else:
                     proto_state, warm_mask = _starting_scope(
-                        proto, distance, deepest, base, union_prev, options,
+                        proto, base, union_prev, options,
                     )
                     if on_aux_view:
                         aux_view_reuse.inc()
                     outcome, stats = search_one(
-                        proto, proto_state, warm_mask, search_pgraph,
+                        proto, proto_state, warm_mask, scope.search_pgraph,
                         planner, cache, options, tracer, metrics,
                         collect_matches=(
                             options.collect_matches
@@ -351,7 +312,7 @@ def _run_bottom_up(
             union_prev = union
             finish_level(
                 level, result, options, label_frequencies,
-                union.active_counts(), rebalancing, level_start,
+                union.active_counts(), scope.rebalancing, level_start,
             )
             if checkpoint is not None:
                 checkpoint.level_done(level, result, union)
@@ -372,7 +333,7 @@ def _run_bottom_up(
                 array
                 and distance > 0
                 and options.search_space_reduction
-                and not rebalancing
+                and not scope.rebalancing
                 and level.union_vertices > 0
                 and level.union_vertices
                 <= AUX_VIEW_RATIO * base.csr.num_vertices
@@ -392,17 +353,9 @@ def _run_bottom_up(
                     metrics.counter("aux_view.edges").inc(size[1])
                 on_aux_view = True
                 result.aux_view_sizes.append(size)
-
-    # ------------------------------------------------------------ totals
-    result.total_infrastructure_seconds = infrastructure + sum(
-        level.infrastructure_seconds for level in result.levels
+    return finish_run(
+        result, options, all_stats, cache, started, scope.reload_seconds
     )
-    result.total_simulated_seconds = (
-        result.candidate_set_seconds
-        + sum(level.search_seconds for level in result.levels)
-        + result.total_infrastructure_seconds
-    )
-    return finish_run(result, options, all_stats, cache, started)
 
 
 class RunStart(NamedTuple):
@@ -425,16 +378,26 @@ def finish_run(
     all_stats: List[MessageStats],
     cache: Optional[NlccCache],
     started: RunStart,
+    reload_seconds: float,
 ) -> PipelineResult:
     """Run epilogue shared by the bottom-up and exploratory drivers.
 
-    Wall time, merged message accounting, the NLCC cache's size, the
-    run's share of the process-wide memos' traffic (``cache.kernel.*``,
-    ``cache.label_view.*``, ``cache.shape.*``: the delta against the
-    snapshot :func:`start_run` took) and the registry's window over the
-    run (``result.counts``).
+    Infrastructure (:func:`run_scope`'s ``reload_seconds`` plus every
+    level's) and simulated totals, wall time, merged message accounting,
+    the NLCC cache's size, the run's share of the process-wide memos'
+    traffic (``cache.kernel.*``, ``cache.label_view.*``, ``cache.shape.*``:
+    the delta against the snapshot :func:`start_run` took) and the
+    registry's window over the run (``result.counts``).
     """
     metrics = options.metrics
+    result.total_infrastructure_seconds = reload_seconds + sum(
+        level.infrastructure_seconds for level in result.levels
+    )
+    result.total_simulated_seconds = (
+        result.candidate_set_seconds
+        + sum(level.search_seconds for level in result.levels)
+        + result.total_infrastructure_seconds
+    )
     result.total_wall_seconds = time.perf_counter() - started.wall
     result.message_summary = merge_message_stats(all_stats)
     if cache is not None:
@@ -485,19 +448,86 @@ def partition(
     )
 
 
-def _replica_ranks(ranks: int, options: PipelineOptions) -> int:
-    """Ranks of one of ``options.parallel_deployments`` replicas."""
-    return max(1, ranks // options.parallel_deployments)
+class RunScope(NamedTuple):
+    """A run's starting scope and search deployment (:func:`run_scope`)."""
+
+    #: the compacted scope every prototype scope is cut from
+    base: "SearchState | ArraySearchState"
+    #: ``M*``'s traffic (none when seeded unpruned or restored)
+    mstar_stats: MessageStats
+    #: the partition one replica deployment searches prototypes on
+    search_pgraph: PartitionedGraph
+    #: the pruned graph was reloaded (``reload_ranks``)
+    rebalancing: bool
+    #: simulated seconds of that reload
+    reload_seconds: float
 
 
-def deployment_partition(
-    graph: Graph, base_pgraph: PartitionedGraph, options: PipelineOptions
-) -> PartitionedGraph:
-    """The partition one replica deployment searches prototypes on (§4)."""
-    ranks = _replica_ranks(options.num_ranks, options)
-    if ranks == options.num_ranks:
-        return base_pgraph
-    return partition(graph, ranks, options)
+def run_scope(
+    graph: Graph,
+    template: PatternTemplate,
+    options: PipelineOptions,
+    memo: Optional["CandidateSetMemo"] = None,
+    checkpoint: Optional["Checkpoint"] = None,
+) -> RunScope:
+    """Where every level driver's searches start and run (§3.1, §4).
+
+    The one place a run decides its scope and deployment: ``M*`` on the
+    primary partition (on the array backend over the label view when
+    :func:`takes_view` holds), the unpruned label seeding without
+    search-space reduction, or a resumed ``checkpoint``'s base; then
+    :func:`compact_scope`; then the search partition — the pruned graph
+    reloaded, packed by degree, on ``reload_ranks`` ranks, or the primary
+    ranks — split over ``parallel_deployments`` replicas.
+    """
+    base_pgraph = partition(graph, options.num_ranks, options)
+    stats = MessageStats(options.num_ranks)
+    array = options.backend == "array"
+    base: "SearchState | ArraySearchState"
+    if checkpoint is not None and checkpoint.resuming:
+        base = checkpoint.restored_base(graph, array)
+    elif not options.search_space_reduction:
+        base = (ArraySearchState if array else SearchState).initial(
+            graph, template
+        )
+    else:
+        engine = Engine(
+            base_pgraph, stats, tracer=options.tracer, metrics=options.metrics
+        )
+        base = (
+            max_candidate_arrays(
+                graph, template, engine, memo=memo,
+                view_rule=lambda kept, total: takes_view(kept, total, options),
+            )
+            if array
+            else max_candidate_set(graph, template, engine, memo=memo)
+        )
+    base = compact_scope(base, options)
+
+    rebalancing = _reload_requested(options)
+    ranks = options.num_ranks
+    if options.reload_ranks is not None and rebalancing:
+        ranks = options.reload_ranks
+    ranks = max(1, ranks // options.parallel_deployments)
+    reload_seconds = 0.0
+    if rebalancing:
+        # the pruned graph's vertices and degrees: read off the bitmaps on
+        # the array backend, off the materialized graph on the reference one
+        vertices, degrees = (
+            base.active_degrees() if isinstance(base, ArraySearchState)
+            else graph_degrees(base.to_graph())
+        )
+        reload_seconds = REBALANCE_COST_PER_EDGE * (sum(degrees) + len(vertices))
+        assignment = _initial_assignment(graph, ranks, options) or (
+            hash_assignment(graph.vertices(), ranks)
+        )
+        assignment.update(degree_packing(vertices, degrees, ranks))
+        search_pgraph = partition(graph, ranks, options, assignment)
+    elif ranks == options.num_ranks:
+        search_pgraph = base_pgraph
+    else:
+        search_pgraph = partition(graph, ranks, options)
+    return RunScope(base, stats, search_pgraph, rebalancing, reload_seconds)
 
 
 def _initial_assignment(
@@ -525,20 +555,6 @@ def _reload_requested(options: PipelineOptions) -> bool:
     return options.reload_ranks is not None and options.reload_ranks != 0
 
 
-def _pruned_degrees(
-    base: "SearchState | ArraySearchState",
-) -> Tuple[List[int], List[int]]:
-    """Vertices and degrees of the pruned graph the reshuffle packs (§4).
-
-    The array backend reads both off its bitmaps
-    (:meth:`ArraySearchState.active_degrees`); the reference backend
-    materializes the pruned graph.  Same vertices, order and degrees.
-    """
-    if isinstance(base, ArraySearchState):
-        return base.active_degrees()
-    return graph_degrees(base.to_graph())
-
-
 def takes_view(kept: int, total: int, options: PipelineOptions) -> bool:
     """Whether a run moves onto the induced view of ``kept`` of the
     current CSR's ``total`` vertices.
@@ -562,12 +578,13 @@ def compact_scope(
 ) -> "SearchState | ArraySearchState":
     """Re-pack the run onto ``G[M*]`` when ``M*`` pruned enough (§3.1).
 
-    The one compaction point of both level drivers, called straight
-    after ``M*``: ``base`` moves onto the :meth:`GraphCsr.induced_view`
-    of its candidates — nested on the label view ``M*`` ran on, when it
-    ran on one — and every later scope cut, fixpoint, walk, enumeration
-    and level union runs over arrays sized to ``M*`` instead of ``G``
-    (the paper's system checkpoints and reloads the pruned graph here).
+    The one compaction point of every level driver, called by
+    :func:`run_scope` after ``M*``: ``base`` moves onto the
+    :meth:`GraphCsr.induced_view` of its candidates — nested on the label
+    view ``M*`` ran on, when it ran on one — and every later scope cut,
+    fixpoint, walk, enumeration and level union runs over arrays sized to
+    ``M*`` instead of ``G`` (the paper's system checkpoints and reloads
+    the pruned graph here).
     Nothing observable moves: after the fixpoint every alive edge joins
     two candidates and Obs. 1 only readmits edges between candidates,
     all of which a vertex-induced view holds; the view keeps vertex ids,
@@ -600,6 +617,46 @@ def compact_scope(
     return base
 
 
+def reject_extension(options: PipelineOptions, driver: str) -> None:
+    """``enumeration_optimization`` where no searched level lies below."""
+    if options.enumeration_optimization:
+        raise PipelineError(
+            f"{driver} has no level below to extend matches from: "
+            "enumeration_optimization does not apply"
+        )
+
+
+def search_seconds(
+    outcomes: List[PrototypeSearchOutcome],
+    options: PipelineOptions,
+    label_frequencies: Dict[int, int],
+    start: float = 0.0,
+) -> float:
+    """``start`` plus the simulated seconds of searching ``outcomes`` on
+    the run's replicas.
+
+    One deployment searches them one after another (the sum); several
+    split them by LPT over the estimated or measured costs (§4), and the
+    slowest replica's total is the makespan.
+    """
+    costs = [o.simulated_seconds for o in outcomes]
+    if options.parallel_deployments == 1 or len(costs) <= 1:
+        return sum(costs, start)
+    if options.prototype_cost_source == "measured":
+        schedule_costs = costs
+    else:
+        schedule_costs = [
+            estimate_prototype_cost(o.prototype, label_frequencies)
+            for o in outcomes
+        ]
+    batches = schedule_prototypes(
+        schedule_costs,
+        options.parallel_deployments,
+        optimize=options.prototype_ordering,
+    )
+    return start + parallel_makespan(costs, batches)
+
+
 def finish_level(
     level: LevelReport,
     result: PipelineResult,
@@ -615,23 +672,9 @@ def finish_level(
     ``level_start`` is the level's ``perf_counter`` stamp and registry
     mark; the level's counts (``level.counts``) are the window since.
     """
-    costs = [o.simulated_seconds for o in level.outcomes]
-    if options.parallel_deployments > 1 and len(costs) > 1:
-        if options.prototype_cost_source == "measured":
-            schedule_costs = costs
-        else:
-            schedule_costs = [
-                estimate_prototype_cost(o.prototype, label_frequencies)
-                for o in level.outcomes
-            ]
-        batches = schedule_prototypes(
-            schedule_costs,
-            options.parallel_deployments,
-            optimize=options.prototype_ordering,
-        )
-        level.search_seconds = parallel_makespan(costs, batches)
-    else:
-        level.search_seconds = sum(costs)
+    level.search_seconds = search_seconds(
+        level.outcomes, options, label_frequencies
+    )
     union_vertices, union_edges = union_sizes
     metrics = options.metrics
     metrics.counter("level.prototypes").inc(len(level.outcomes))
@@ -702,32 +745,8 @@ def record_outcome(
         result.match_vectors.setdefault(vertex, set()).add(outcome.proto_id)
 
 
-def max_candidate_scope(
-    graph: Graph,
-    template: PatternTemplate,
-    pgraph: PartitionedGraph,
-    stats: MessageStats,
-    options: PipelineOptions,
-    memo: Optional["CandidateSetMemo"] = None,
-) -> "SearchState | ArraySearchState":
-    """``M*`` on ``pgraph``, its traffic charged to ``stats``, in the
-    state form ``options.backend`` searches — on the array backend over
-    the label view when :func:`takes_view` holds."""
-    engine = Engine(
-        pgraph, stats, tracer=options.tracer, metrics=options.metrics
-    )
-    if options.backend == "array":
-        return max_candidate_arrays(
-            graph, template, engine, memo=memo,
-            view_rule=lambda kept, total: takes_view(kept, total, options),
-        )
-    return max_candidate_set(graph, template, engine, memo=memo)
-
-
 def _starting_scope(
     proto: Prototype,
-    distance: int,
-    deepest: int,
     base: "SearchState | ArraySearchState",
     union: "SearchState | ArraySearchState | None",
     options: PipelineOptions,
@@ -735,7 +754,9 @@ def _starting_scope(
     """Scope for one prototype search, per the containment rule.
 
     Works on either state form (``base`` and ``union`` share one) and
-    returns ``(scope, warm_mask)``.  When an array scope derives from the
+    returns ``(scope, warm_mask)``.  ``union`` is the previous level's
+    union, ``None`` where there is none (the first level searched, every
+    exploratory level, a flip family).  When an array scope derives from the
     previous level's union, ``warm_mask`` flags the vertices whose state
     actually differs from that union (activity changes plus endpoints of
     aliveness changes) — the surviving worklist that seeds the first LCC
@@ -747,7 +768,7 @@ def _starting_scope(
         # Naive mode: a fresh, fully-unpruned state per prototype --
         # the per-prototype re-pruning cost the pipeline avoids.
         return type(base).initial(base.graph, proto.graph), None
-    if distance >= deepest or union is None or not proto.child_links:
+    if union is None or not proto.child_links:
         return base.for_prototype_search(proto), None
     link = proto.child_links[0]
     a, b = link.removed_edge

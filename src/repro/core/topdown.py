@@ -6,30 +6,30 @@ inverts the sweep: start with exact matches of the full template and
 user-defined stopping condition is met (by default: the first level at
 which any match exists, the WDC-4 6-Clique scenario of §5.5).
 
-Each level reuses the same prototype search machinery; the maximum
-candidate set is computed once, and NLCC work recycling applies across
-levels exactly as in the bottom-up mode (here it flows "top-down", the
-first direction of Obs. 2).
+Each level reuses the same prototype search machinery and the bottom-up
+driver's scope and deployment step (:func:`~repro.core.pipeline.run_scope`),
+so the maximum candidate set is computed once under search-space reduction
+only.  NLCC work recycling applies across levels exactly as in the
+bottom-up mode (here it flows "top-down", the first direction of Obs. 2).
+With no level below to extend from, ``enumeration_optimization`` raises.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from ..graph.graph import Graph
-from ..runtime.messages import MessageStats
 from .pipeline import (
     PipelineOptions,
+    _starting_scope,
     charge,
-    compact_scope,
-    deployment_partition,
     finish_level,
     finish_run,
-    max_candidate_scope,
-    partition,
     planner_for,
     record_outcome,
+    reject_extension,
+    run_scope,
     search_one,
     start_run,
 )
@@ -60,6 +60,7 @@ def exploratory_search(
     outcomes.
     """
     options = options or PipelineOptions()
+    reject_extension(options, "exploratory search")
     if max_k is None:
         max_k = template.max_meaningful_distance()
     with options.tracer.span(
@@ -78,8 +79,8 @@ def _run_exploratory(
 ) -> PipelineResult:
     """Top-down sweep body; the caller owns the ``pipeline`` span.
 
-    Every scope is cut fresh from M* (no cross-level unions top-down), so
-    warm seeds never apply.  Levels end in the bottom-up epilogue
+    Every scope starts fresh (no cross-level unions top-down), so warm
+    seeds never apply.  Levels end in the bottom-up epilogue
     (:func:`~repro.core.pipeline.finish_level`).
     """
     tracer = options.tracer
@@ -88,23 +89,14 @@ def _run_exploratory(
     protos = generate_prototypes(template, max_k, options.max_prototypes)
     planner = planner_for(graph, options)
     cache = NlccCache() if options.work_recycling else None
-
-    pgraph = partition(graph, options.num_ranks, options)
-    mcs_stats = MessageStats(options.num_ranks)
-    # Every exploratory scope is cut from M*, in the backend's state form.
-    base = compact_scope(
-        max_candidate_scope(graph, template, pgraph, mcs_stats, options),
-        options,
-    )
+    scope = run_scope(graph, template, options)
 
     result = PipelineResult(template.name, max_k, protos, backend=options.backend)
-    (
-        result.candidate_set_vertices,
-        result.candidate_set_edges,
-    ) = base.active_counts()
-    result.candidate_set_seconds = options.cost_model.makespan(mcs_stats)
-    all_stats: List[MessageStats] = [mcs_stats]
-    search_pgraph = deployment_partition(graph, pgraph, options)
+    result.candidate_set_vertices, result.candidate_set_edges = (
+        scope.base.active_counts()
+    )
+    result.candidate_set_seconds = options.cost_model.makespan(scope.mstar_stats)
+    all_stats = [scope.mstar_stats]
 
     for distance in range(0, protos.max_distance + 1):
         with tracer.span("level", metrics=metrics, distance=distance):
@@ -112,8 +104,8 @@ def _run_exploratory(
             level = LevelReport(distance)
             for proto in protos.at(distance):
                 outcome, stats = search_one(
-                    proto, base.for_prototype_search(proto), None,
-                    search_pgraph, planner, cache, options, tracer,
+                    proto, *_starting_scope(proto, scope.base, None, options),
+                    scope.search_pgraph, planner, cache, options, tracer,
                     metrics, collect_matches=options.collect_matches,
                 )
                 charge(outcome, stats, options, all_stats)
@@ -130,11 +122,9 @@ def _run_exploratory(
             )
         if stop_condition(level):
             break
-
-    result.total_simulated_seconds = result.candidate_set_seconds + sum(
-        level.search_seconds for level in result.levels
+    return finish_run(
+        result, options, all_stats, cache, started, scope.reload_seconds
     )
-    return finish_run(result, options, all_stats, cache, started)
 
 
 def stopping_distance(result: PipelineResult) -> Optional[int]:

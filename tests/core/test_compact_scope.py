@@ -22,9 +22,10 @@ delegates, with level views nested on top.  Then the title's contract,
 directly: precision and recall against the brute-force matcher with the
 compaction on — also for a checkpointed run resumed after a crash at each
 level, and for every edge-flip variant, on both backends.  Last, the runs that must *not* compact —
-rebalanced, naive — say so and still agree (the rebalanced and naive ones
-with brute force too), and the reshuffle's degree packing, read off the
-bitmaps, equals the one of the materialized pruned graph.
+rebalanced, naive, bottom-up, exploratory and flip family alike — say so
+and still agree (with brute force too), and the reshuffle's degree
+packing, read off the bitmaps, equals the one of the materialized pruned
+graph.
 """
 
 import contextlib
@@ -614,25 +615,60 @@ class TestRunsThatDoNotCompact:
                 graph, template, k, PipelineOptions(num_ranks=4, **extra)
             )
 
+    def run(self, driver, graph, template, **extra):
+        """``driver`` at k = 2 (one flip) under the view-always rule: the
+        result and its run's counters."""
+        options = PipelineOptions(num_ranks=4, count_matches=True, **extra)
+        with view_ratio(ON):
+            if driver == "exploratory_search":
+                result = exploratory_search(
+                    graph, template, max_k=2,
+                    stop_condition=lambda level: False, options=options,
+                )
+            elif driver == "run_flip_pipeline":
+                result = run_flip_pipeline(graph, template, 1, options)
+            else:
+                result = run_pipeline(graph, template, 2, options)
+        return result, dict(options.metrics.counters())
+
     @pytest.mark.parametrize(
-        "extra",
+        "driver, extra",
         [
-            {"reload_ranks": 4},
-            {"reload_ranks": 2},
-            {"search_space_reduction": False},
+            pytest.param(
+                driver, extra,
+                id=name if driver == "run_pipeline" else f"{driver}-{name}",
+            )
+            for driver in (
+                "run_pipeline", "exploratory_search", "run_flip_pipeline"
+            )
+            for name, extra in (
+                ("reshuffle", {"reload_ranks": 4}),
+                ("reload", {"reload_ranks": 2}),
+                ("naive", {"search_space_reduction": False}),
+            )
         ],
-        ids=["reshuffle", "reload", "naive"],
     )
-    def test_rebalanced_and_naive(self, extra):
+    def test_rebalanced_and_naive(self, driver, extra):
         graph, template = planted_case(wdc1_template())
-        compacted = self.reference(graph, template, 2, count_matches=True)
-        assert compacted.scope_view is not None
-        result = self.reference(
-            graph, template, 2, count_matches=True, **extra
-        )
+        compacted, compacted_counters = self.run(driver, graph, template)
+        assert compacted_counters.get("scope_view.built")
+        result, counters = self.run(driver, graph, template, **extra)
+        assert not counters.get("scope_view.built")
+        assert result.match_vectors == compacted.match_vectors
+        if driver == "run_flip_pipeline":
+            for variant in result.variants:
+                outcome = result.outcomes[variant.name]
+                other = compacted.outcomes[variant.name]
+                assert outcome.solution_edges == other.solution_edges
+                assert outcome.match_mappings == other.match_mappings
+                truth = list(find_subgraph_isomorphisms(variant.graph, graph))
+                assert outcome.solution_vertices == {
+                    v for mapping in truth for v in mapping.values()
+                }
+                assert outcome.match_mappings == len(truth)
+            return
         assert result.scope_view is None
         assert result.stats_document()["scope_view"] is None
-        assert result.match_vectors == compacted.match_vectors
         for outcome in result.outcomes():
             other = compacted.outcome_for(outcome.proto_id)
             assert outcome.solution_edges == other.solution_edges

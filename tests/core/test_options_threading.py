@@ -8,6 +8,14 @@ and a spy on :func:`~repro.core.pipeline.search_one`, the one place a
 prototype search is made, checks that every search it makes runs on a
 three-rank partition.
 
+Handing the options down is not enough: each driver must act on the
+options that decide a run's scope and deployment.  The driver × option
+matrix runs every driver with defaults and with one of
+``search_space_reduction=False``, ``reload_ranks=2``,
+``parallel_deployments=2`` and ``enumeration_optimization=True``, and
+each cell either moves a stated quantity (:func:`quantities`) or raises
+:class:`~repro.errors.PipelineError` where the option cannot apply.
+
 The same drivers, run untraced on either backend, keep the hot modules
 (:data:`HOT_MODULES`) off the tracer: a spy on the null tracer's
 methods finds no call with a hot-module frame on its stack.  Counter
@@ -15,6 +23,7 @@ arithmetic in a hot loop must sit behind ``tracer.enabled``, so an
 untraced run pays one attribute check and nothing else.
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -27,6 +36,7 @@ from repro.core import (
     count_motifs,
     count_motifs_sequential,
     exploratory_search,
+    naive_options,
     naive_search,
     run_batch,
     run_flip_pipeline,
@@ -35,6 +45,7 @@ from repro.core import (
 from repro.core import pipeline
 from repro.core.restart import resume_pipeline, run_pipeline_with_checkpoints
 from repro.core.wildcards import WILDCARD, run_wildcard_pipeline
+from repro.errors import PipelineError
 from repro.graph.generators import gnm_graph, planted_graph
 from repro.runtime import trace
 
@@ -145,6 +156,120 @@ def test_every_search_sees_the_callers_options(
     DRIVERS[driver](graph, unlabeled, tmp_path / "ckpt", searches, options())
     assert searches, f"{driver} made no prototype search"
     assert set(searches) == {RANKS}
+
+
+#: the options that decide a run's scope and deployment, one value each
+MATRIX_OPTIONS = {
+    "search_space_reduction": False,
+    "reload_ranks": 2,
+    "parallel_deployments": 2,
+    "enumeration_optimization": True,
+}
+#: what each option moves on a driver that honours it: the run's messages
+#: per phase (``M*``'s gone, every prototype searched from the unpruned
+#: graph), the ranks every search runs on, simulated seconds that drop to
+#: the replicas' makespan, and matches derived by extension
+MOVES = {
+    "search_space_reduction": "messages",
+    "reload_ranks": "ranks",
+    "parallel_deployments": "fewer seconds",
+    "enumeration_optimization": "extensions",
+}
+#: cells that differ from :data:`MOVES`.  A 3-motif census searches one
+#: motif per level, so replicas cannot overlap; its replicas show in the
+#: ranks.  Exploratory levels, flip families and per-motif ``k = 0`` runs
+#: have no level below to extend from, so they reject the extension.
+CELLS = {
+    **{
+        (census, "parallel_deployments"): "ranks"
+        for census in (
+            "count_motifs", "count_motifs_batched", "count_motifs_sequential"
+        )
+    },
+    **{
+        (driver, "enumeration_optimization"): "raises"
+        for driver in (
+            "exploratory_search", "run_flip_pipeline", "count_motifs_sequential"
+        )
+    },
+}
+
+
+def runs(result):
+    """The pipeline runs (or flip family) behind one driver's result."""
+    if hasattr(result, "per_instantiation"):
+        return list(result.per_instantiation.values())
+    if hasattr(result, "class_results"):
+        return list(result.class_results.values())
+    if hasattr(result, "noninduced"):
+        return [result.result]
+    return [result]
+
+
+@pytest.fixture
+def extensions(monkeypatch):
+    """Prototypes the enumeration optimization tried to derive."""
+    original = pipeline._try_extension
+    seen = []
+
+    def spy(proto, *args, **kwargs):
+        seen.append(proto.id)
+        return original(proto, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_try_extension", spy)
+    return seen
+
+
+def quantities(driver, graph, unlabeled, directory, searches, extensions, opts):
+    """One driver run's stated quantities under ``opts``."""
+    searches.clear()
+    extensions.clear()
+    result = runs(DRIVERS[driver](graph, unlabeled, directory, searches, opts))
+    messages = {}
+    for run in result:
+        for phase, counts in run.message_summary["phases"].items():
+            messages[phase] = messages.get(phase, 0) + counts["messages"]
+    return {
+        "messages": messages,
+        "ranks": set(searches),
+        "seconds": sum(r.total_simulated_seconds for r in result),
+        "extensions": len(extensions),
+    }
+
+
+@pytest.mark.parametrize("option", sorted(MATRIX_OPTIONS))
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_every_driver_acts_on_the_scope_and_deployment_options(
+    driver, option, graph, unlabeled, tmp_path, searches, extensions
+):
+    value = MATRIX_OPTIONS[option]
+    changed = dataclasses.replace(options(), **{option: value})
+    run = lambda name, opts: quantities(  # noqa: E731
+        driver, graph, unlabeled, tmp_path / name, searches, extensions, opts
+    )
+    if driver == "naive_search":
+        # The naive baseline pins these fields by definition: whatever the
+        # caller sets, it runs without M*, reload, replicas or extension.
+        assert getattr(naive_options(changed), option) == getattr(
+            naive_options(), option
+        )
+        assert run("changed", changed) == run("default", options())
+        return
+    expected = CELLS.get((driver, option), MOVES[option])
+    if expected == "raises":
+        with pytest.raises(PipelineError, match="enumeration_optimization"):
+            run("changed", changed)
+        return
+    default, moved = run("default", options()), run("changed", changed)
+    if expected == "fewer seconds":
+        assert moved["seconds"] < default["seconds"]
+    else:
+        assert moved[expected] != default[expected], expected
+    if expected == "ranks":
+        assert moved["ranks"] == {
+            max(1, (value if option == "reload_ranks" else RANKS)
+                // changed.parallel_deployments)
+        }
 
 
 HOT_MODULES = (
